@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from random import Random
@@ -123,20 +124,7 @@ def _lattice_master(pp, m, n):
 
 
 def _b_system(pp, m, n):
-    from .special import relative_residual
-    from .weights import elliptic_weight
-
-    size = IdentitySize(max(m, 1), max(n, 1))
-    worst = 0.0
-    for k in range(1, size.m + 1):
-        for l in range(1, size.n + 1):
-            lhs = lattice.b_closed(pp, k, l)
-            rhs = elliptic_weight(pp, k - 1, l) / elliptic_weight(pp, k - 1, 0) \
-                * lattice.b_closed(pp, k - 1, l) \
-                + (1 - elliptic_weight(pp, k, l - 1)) / (1 - elliptic_weight(pp, 0, l - 1)) \
-                * lattice.b_closed(pp, k, l - 1)
-            worst = max(worst, relative_residual(lhs, rhs))
-    return worst
+    return lattice.b_system_residual(pp, IdentitySize(max(m, 1), max(n, 1)))
 
 
 def _cb_variant(pp, m, n):
@@ -292,6 +280,7 @@ def run_campaign(config: CampaignConfig) -> "CampaignReport":
         _desc, cap, runner = REGISTRY[name]
         worst = 0.0
         failures = 0
+        nonfinite = 0
         count = 0
         for m in range(config.m_max + 1):
             for n in range(config.n_max + 1):
@@ -306,11 +295,14 @@ def run_campaign(config: CampaignConfig) -> "CampaignReport":
                     rec["trial"] = trial
                     rec["seed"] = tseed
                     records.append(rec)
-                    worst = max(worst, residual)
+                    if math.isfinite(residual):
+                        worst = max(worst, residual)
+                    else:
+                        nonfinite += 1
                     failures += 0 if report.verdict else 1
                     count += 1
         summary[name] = {"trials": count, "failures": failures,
-                         "max_residual": worst}
+                         "nonfinite": nonfinite, "max_residual": worst}
     all_pass = all(s["failures"] == 0 for s in summary.values())
     return CampaignReport(config=config, records=records, summary=summary,
                           all_pass=all_pass)

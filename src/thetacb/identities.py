@@ -71,17 +71,17 @@ def cb_term_elliptic(pp: ParamPoint, m: int, n: int):
     qn = q**n
     qn1 = qn * q
 
-    pre_num = 1
-    pre_den = 1
+    # The prefactor is built as a running ratio, one numerator theta over
+    # its partner at the same power of q: the two products of 4(n+1)
+    # thetas each overflow doubles at depths where their ratio is modest.
+    pre = 1
     num_cur = [a * c, c / a, b * x, b / x]
     den_cur = [a * b, b / a, c * x, c / x]
     for _ in range(n + 1):
-        for idx, z in enumerate(num_cur):
-            pre_num = pre_num * theta(z, p)
-            num_cur[idx] = z * q
-        for idx, z in enumerate(den_cur):
-            pre_den = pre_den * _guarded(theta(z, p), f"prefactor theta({z!r})")
-            den_cur[idx] = z * q
+        for idx, (zn, zd) in enumerate(zip(num_cur, den_cur)):
+            pre = pre * (theta(zn, p) / _guarded(theta(zd, p), f"prefactor theta({zd!r})"))
+            num_cur[idx] = zn * q
+            den_cur[idx] = zd * q
 
     th_ref = _guarded(theta(a * c * qn, p), "theta(ac q^n; p)")
     acq2 = a * c * qn
@@ -94,7 +94,7 @@ def cb_term_elliptic(pp: ParamPoint, m: int, n: int):
         (a * c * qn, b * c * qn, c / b, qn1, a * x, a / x),
         (q, a * q / b, a * b * qn1, a * c, c * qn1 / x, c * x * qn1),
         q, p, m, top_ratio)
-    return pre_num / pre_den * total
+    return pre * total
 
 
 def cb_term_abcq(pp: ParamPoint, m: int, n: int):

@@ -22,8 +22,8 @@ from itertools import combinations
 
 from .errors import CapExceededError, HConditionError, OutOfRegionError
 from .params import IdentitySize, ParamPoint
-from .special import relative_residual, theta, theta_fact_prod
-from .weights import EVAL_GUARD, elliptic_weight, step_weight, StepWeightSpec
+from .special import ThetaLadders, relative_residual, theta, theta_fact_prod
+from .weights import EVAL_GUARD, h_cells, h_table, step_weight, StepWeightSpec
 
 #: Endpoints with m + n beyond this are refused by the brute-force routes.
 BRUTE_FORCE_CAP = 12
@@ -92,18 +92,6 @@ def path_weight(pp: ParamPoint, size: IdentitySize, path: LatticePath):
     return acc
 
 
-@lru_cache(maxsize=65536)
-def _h_value(pp: ParamPoint, i: int, j: int):
-    # parameter points are frozen and hashable; memoising the pure weight
-    # keeps repeated table builds for nested sizes from re-running eight
-    # theta products per cell
-    return elliptic_weight(pp, i, j)
-
-
-def _h_table(pp: ParamPoint, m: int, n: int) -> list[list[complex]]:
-    return [[_h_value(pp, i, j) for j in range(n + 1)] for i in range(m + 1)]
-
-
 def total_weight(pp: ParamPoint, size: IdentitySize, cap: int = BRUTE_FORCE_CAP):
     """Brute-force sum of all path weights over the region; the weight
     assignment makes this exactly 1.  Weights are read from a precomputed
@@ -126,7 +114,7 @@ def _total_weight_scaled(pp: ParamPoint, size: IdentitySize, cap: int):
     m, n = size.m, size.n
     if m + n > cap:
         raise CapExceededError(f"m + n = {m + n} exceeds cap {cap}")
-    h = _h_table(pp, m, n)
+    h = h_table(pp, m, n)
     total = 0
     scale = 0.0
     for bits in _bit_paths(m + 1, n + 1):
@@ -154,7 +142,7 @@ def endpoint_weights(pp: ParamPoint, k: int, l: int, cap: int = BRUTE_FORCE_CAP)
     """
     if k + l > cap:
         raise CapExceededError(f"k + l = {k + l} exceeds cap {cap}")
-    h = _h_table(pp, k, l)
+    h = h_table(pp, k, l)
     out = []
     for bits in _bit_paths(k, l):
         acc = 1
@@ -197,7 +185,7 @@ def a_table_dp(pp: ParamPoint, size: IdentitySize, guard: float = EVAL_GUARD) ->
     tables are produced by genuinely different recursions.
     """
     m, n = size.m, size.n
-    h = _h_table(pp, m, n)
+    h = h_table(pp, m, n)
     for i in range(m + 1):
         if abs(h[i][0]) <= guard:
             raise HConditionError(f"h({i}, 0) vanished")
@@ -224,7 +212,38 @@ def a_table_dp(pp: ParamPoint, size: IdentitySize, guard: float = EVAL_GUARD) ->
     return WeightTable(m, n, tuple(map(tuple, a)), tuple(map(tuple, b)))
 
 
-def b_closed(pp: ParamPoint, k: int, l: int, guard: float = EVAL_GUARD):
+def _interleaved(num, den, guard: float, what: str):
+    """prod(num) / prod(den), where num and den are lists of ladder
+    windows (ladder, start, length) holding the same number of factors.
+
+    The ratio is built factor by factor, num[t] / den[t], with the lists
+    ordered so that paired factors carry nearly the same power of q and
+    hence have comparable size: the two separate products of forty-odd
+    thetas overflow doubles long before their ratio does.  The
+    denominator product is still formed to apply ``guard``, raising
+    :class:`HConditionError` with ``what``.  A product that overflows (to
+    inf, or to NaN in complex arithmetic) does not trip the guard: it has
+    not vanished.
+    """
+    den_prod = 1
+    for ladder, start, length in den:
+        den_prod = den_prod * ladder.fact(start, length)
+    if abs(den_prod) <= guard:
+        raise HConditionError(what)
+    acc = 1
+    for t, d in zip(_entries(num), _entries(den), strict=True):
+        acc = acc * (t / d)
+    return acc
+
+
+def _entries(windows):
+    for ladder, start, length in windows:
+        for j in range(start, start + length):
+            yield ladder[j]
+
+
+def b_closed(pp: ParamPoint, k: int, l: int, guard: float = EVAL_GUARD,
+             ladders: ThetaLadders | None = None):
     """Closed form of the normalised table:
 
         B(k, l) = theta((a/b) q^(k-l), b/a; p) (bc q^l; q, p)_k
@@ -234,40 +253,49 @@ def b_closed(pp: ParamPoint, k: int, l: int, guard: float = EVAL_GUARD):
 
     The l = 0 boundary is the system's boundary condition B(k, 0) = 1 and
     is returned exactly; at k = 0 the value is computed (the factors only
-    cancel through the theta inversion identity there).
+    cancel through the theta inversion identity there).  Cells evaluated
+    with shared ``ladders`` of the same point share their theta calls.
     """
     if k < 0 or l < 0:
         raise OutOfRegionError("table indices must be nonnegative")
     if l == 0:
         return 1
-    x, a, b, c, q, p = pp.x, pp.a, pp.b, pp.c, pp.q, pp.p
-    qk = q**k
-    num = theta((a / b) * q ** (k - l), p) * theta(b / a, p)
-    num = num * theta_fact_prod((b * c * q**l,), q, p, k)
-    num = num * theta_fact_prod((a * c * qk, a * b, c * x, c / x, q ** (k + 1)), q, p, l)
-    den = theta((a / b) * qk, p) * theta((b / a) * q**l, p)
-    den = den * theta_fact_prod((b * c,), q, p, k)
-    den = den * theta_fact_prod((a * c, a * b * qk, c * x * qk, (c / x) * qk, q), q, p, l)
-    if abs(den) <= guard:
-        raise HConditionError("closed-form B denominator vanished")
-    return num / den * q**l
+    x, a, b, c, q = pp.x, pp.a, pp.b, pp.c, pp.q
+    lad = ThetaLadders(q, pp.p) if ladders is None else ladders
+    a_b, b_a, bc, ac = lad[a / b], lad[b / a], lad[b * c], lad[a * c]
+    ab, cx, c_x, qq = lad[a * b], lad[c * x], lad[c / x], lad[q]
+    num = ((ac, k, l), (qq, k, l), (ab, 0, l), (cx, 0, l),
+           (c_x, 0, l), (bc, l, k), (a_b, k - l, 1), (b_a, 0, 1))
+    den = ((ab, k, l), (cx, k, l), (ac, 0, l), (qq, 0, l),
+           (bc, 0, k), (c_x, k, l), (a_b, k, 1), (b_a, l, 1))
+    return _interleaved(num, den, guard, "closed-form B denominator vanished") * q**l
 
 
-def a_closed(pp: ParamPoint, k: int, l: int, guard: float = EVAL_GUARD):
-    """First factorised closed form of A(k, l)."""
+def a_closed(pp: ParamPoint, k: int, l: int, guard: float = EVAL_GUARD,
+             ladders: ThetaLadders | None = None):
+    """First factorised closed form of A(k, l):
+
+        A(k, l) = theta((a/b) q^(k-l); p) (bc q^l, c/b, ax, a/x; q, p)_k
+                  (q^(k+1), ac q^k, c/a, bx, b/x; q, p)_l
+                / [(a/b; q, p)_(k+1) (q, qb/a; q, p)_l
+                   (ab, cx, c/x; q, p)_(k+l)] * q^l.
+
+    Cells evaluated with shared ``ladders`` of the same point share their
+    theta calls.
+    """
     if k < 0 or l < 0:
         raise OutOfRegionError("table indices must be nonnegative")
-    x, a, b, c, q, p = pp.x, pp.a, pp.b, pp.c, pp.q, pp.p
-    qk = q**k
-    num = theta((a / b) * q ** (k - l), p)
-    num = num * theta_fact_prod((b * c * q**l, c / b, a * x, a / x), q, p, k)
-    num = num * theta_fact_prod((q ** (k + 1), a * c * qk, c / a, b * x, b / x), q, p, l)
-    den = theta_fact_prod((a / b,), q, p, k + 1)
-    den = den * theta_fact_prod((q, q * b / a), q, p, l)
-    den = den * theta_fact_prod((a * b, c * x, c / x), q, p, k + l)
-    if abs(den) <= guard:
-        raise HConditionError("closed-form A denominator vanished")
-    return num / den * q**l
+    x, a, b, c, q = pp.x, pp.a, pp.b, pp.c, pp.q
+    lad = ThetaLadders(q, pp.p) if ladders is None else ladders
+    a_b, b_a, bc, cb = lad[a / b], lad[b / a], lad[b * c], lad[c / b]
+    ax, a_x, bx, b_x = lad[a * x], lad[a / x], lad[b * x], lad[b / x]
+    ac, c_a, qq = lad[a * c], lad[c / a], lad[q]
+    ab, cx, c_x = lad[a * b], lad[c * x], lad[c / x]
+    num = ((cb, 0, k), (ax, 0, k), (a_x, 0, k), (ac, k, l), (qq, k, l),
+           (c_a, 0, l), (bx, 0, l), (b_x, 0, l), (bc, l, k), (a_b, k - l, 1))
+    den = ((ab, 0, k), (cx, 0, k), (c_x, 0, k), (ab, k, l), (cx, k, l),
+           (qq, 0, l), (b_a, 1, l), (a_b, 0, k), (c_x, k, l), (a_b, k, 1))
+    return _interleaved(num, den, guard, "closed-form A denominator vanished") * q**l
 
 
 def a_closed_alt(pp: ParamPoint, k: int, l: int, guard: float = EVAL_GUARD):
@@ -290,16 +318,19 @@ def a_closed_alt(pp: ParamPoint, k: int, l: int, guard: float = EVAL_GUARD):
 
 def master_equality_total(pp: ParamPoint, size: IdentitySize):
     """The boundary split sum_k (1 - h(k, n)) A(k, n) + sum_l h(m, l) A(m, l)
-    with A taken from the closed form; equals 1 when the identity holds."""
+    with A taken from the closed form; equals 1 when the identity holds.
+    All m + n + 2 boundary cells read one shared set of theta ladders."""
     m, n = size.m, size.n
+    lad = ThetaLadders(pp.q, pp.p)
+    h = h_cells(pp, ladders=lad)
     total = 0
     scale = 0.0
     for k in range(m + 1):
-        term = (1 - elliptic_weight(pp, k, n)) * a_closed(pp, k, n)
+        term = (1 - h(k, n)) * a_closed(pp, k, n, ladders=lad)
         total = total + term
         scale = max(scale, abs(term))
     for l in range(n + 1):
-        term = elliptic_weight(pp, m, l) * a_closed(pp, m, l)
+        term = h(m, l) * a_closed(pp, m, l, ladders=lad)
         total = total + term
         scale = max(scale, abs(term))
     return total, scale
@@ -310,3 +341,25 @@ def master_equality_residual(pp: ParamPoint, size: IdentitySize) -> float:
     sums, normalised by the largest term magnitude (floor 1)."""
     total, scale = master_equality_total(pp, size)
     return relative_residual(1, total, scale)
+
+
+def b_system_residual(pp: ParamPoint, size: IdentitySize) -> float:
+    """Worst relative residual, over 1 <= k <= m and 1 <= l <= n, of the
+    difference system the closed normalised table must solve:
+
+        B(k, l) = h(k-1, l)/h(k-1, 0) B(k-1, l)
+                  + (1 - h(k, l-1))/(1 - h(0, l-1)) B(k, l-1).
+
+    The closed-form cells and the weights read one shared set of theta
+    ladders, so the check costs O(m + n) theta calls."""
+    m, n = size.m, size.n
+    lad = ThetaLadders(pp.q, pp.p)
+    h = h_cells(pp, ladders=lad)
+    bt = [[b_closed(pp, k, l, ladders=lad) for l in range(n + 1)] for k in range(m + 1)]
+    worst = 0.0
+    for k in range(1, m + 1):
+        for l in range(1, n + 1):
+            rhs = h(k - 1, l) / h(k - 1, 0) * bt[k - 1][l] \
+                + (1 - h(k, l - 1)) / (1 - h(0, l - 1)) * bt[k][l - 1]
+            worst = max(worst, relative_residual(bt[k][l], rhs))
+    return worst

@@ -46,14 +46,6 @@ def qpoch(x, q, k: int):
     return acc
 
 
-def qpoch_prod(args, q, k: int):
-    """Product of q-shifted factorials (x1, ..., xs; q)_k."""
-    acc = 1
-    for x in args:
-        acc = acc * qpoch(x, q, k)
-    return acc
-
-
 def qpoch_inf(x, q, tol: float = 1e-15):
     """Convergent infinite product (x; q)_infinity, |q| < 1.
 
@@ -99,27 +91,64 @@ def theta(x, p, tol: float | None = None):
     if tol is None:
         tol = _default_tol(x, p)
 
-    n = round(-math.log(float(abs(x))) / math.log(float(ap)))
+    log_ap = math.log(float(ap))
+    log_ax = math.log(float(abs(x)))
+    n = round(-log_ax / log_ap)
     pref = 1
     if n:
         e = n * (n - 1) // 2
         # The two power factors can overflow doubles separately even when
         # their product is representable; switch to log space when large.
-        mag = abs(n) * abs(math.log(float(abs(x)))) + abs(e) * abs(math.log(float(ap)))
+        mag = abs(n) * abs(log_ax) + abs(e) * abs(log_ap)
         if mag < 500.0:
             pref = (-1) ** n * x**n * p**e
         else:
             pref = (-1) ** n * _exp(n * _log(x) + e * _log(p))
         x = x * p**n
 
+    # Factors k = 0 .. count-1 are exactly those with |p|^k >= stop.
     stop = tol * (1 + float(abs(x)))
+    count = math.floor(math.log(stop) / log_ap) + 1
+    px = p / x
+    if count > 0 and _all_mpc(x, px, p):
+        return pref * _mp_theta_product(x, px, p, count)
     acc = 1
     pk = 1
-    px = p / x
-    while abs(pk) >= stop:
+    for _ in range(count):
         acc = acc * (1 - x * pk) * (1 - px * pk)
         pk = pk * p
     return pref * acc
+
+
+def _all_mpc(*values) -> bool:
+    """True when every value is an ``mpmath`` complex of one context."""
+    ctx = getattr(values[0], "context", None)
+    return ctx is not None and all(hasattr(v, "_mpc_") and v.context is ctx for v in values)
+
+
+def _mp_theta_product(x, px, p, count: int):
+    """The loop of :func:`theta` for ``mpmath.mpc`` scalars, run on
+    mpmath's raw (real, imag) tuples.  Every step calls the low-level
+    function the ``mpc`` operator would call, with the same precision and
+    rounding, so the result is bit-for-bit that of the generic loop; only
+    the wrapper object per operation is skipped."""
+    from mpmath.libmp import fone, fzero, mpc_mul, mpc_mul_int, mpc_sub
+
+    ctx = x.context
+    prec, rnd = ctx._prec_rounding
+    one = (fone, fzero)
+    xv, pxv, pv = x._mpc_, px._mpc_, p._mpc_
+    # k = 0: pk and acc are still the integer 1, which the operators
+    # apply as an integer multiplication
+    acc = mpc_mul_int(mpc_sub(one, mpc_mul_int(xv, 1, prec, rnd), prec, rnd), 1, prec, rnd)
+    acc = mpc_mul(acc, mpc_sub(one, mpc_mul_int(pxv, 1, prec, rnd), prec, rnd), prec, rnd)
+    pk = mpc_mul_int(pv, 1, prec, rnd)
+    for _ in range(count - 1):
+        f1 = mpc_sub(one, mpc_mul(xv, pk, prec, rnd), prec, rnd)
+        f2 = mpc_sub(one, mpc_mul(pxv, pk, prec, rnd), prec, rnd)
+        acc = mpc_mul(mpc_mul(acc, f1, prec, rnd), f2, prec, rnd)
+        pk = mpc_mul(pk, pv, prec, rnd)
+    return ctx.make_mpc(acc)
 
 
 def _log(z):
@@ -164,6 +193,59 @@ def theta_fact(x, q, p, k: int):
         acc = acc * theta(xq, p)
         xq = xq * q
     return acc
+
+
+class ThetaLadder:
+    """The values j -> theta(z q^j; p) for integer j (negative j allowed),
+    each evaluated once by :func:`theta` on first use and then memoised.
+
+    Every theta-shifted factorial (z q^s; q, p)_L is a window of this
+    ladder, so a table of such factorials over many cells costs one theta
+    call per distinct index instead of one per factor and cell.  The
+    argument of entry j is ``z * q**j``, the association the weight
+    formulas use, so values read off a ladder match direct evaluation bit
+    for bit.  A ladder belongs to one parameter point and one working
+    precision; callers build fresh ladders for every evaluation.
+    """
+
+    __slots__ = ("z", "q", "p", "_values")
+
+    def __init__(self, z, q, p):
+        self.z = z
+        self.q = q
+        self.p = p
+        self._values: dict[int, object] = {}
+
+    def arg(self, j: int):
+        """The argument z q^j of entry j."""
+        return self.z * self.q**j
+
+    def __getitem__(self, j: int):
+        value = self._values.get(j)
+        if value is None:
+            value = self._values[j] = theta(self.arg(j), self.p)
+        return value
+
+    def fact(self, start: int, length: int):
+        """(z q^start; q, p)_length as a product of ladder entries."""
+        acc = 1
+        for j in range(start, start + length):
+            acc = acc * self[j]
+        return acc
+
+
+class ThetaLadders(dict):
+    """The ladders of one parameter point, keyed by base: ``ladders[z]``
+    is the :class:`ThetaLadder` of base z, created on first use."""
+
+    def __init__(self, q, p):
+        super().__init__()
+        self.q = q
+        self.p = p
+
+    def __missing__(self, z):
+        ladder = self[z] = ThetaLadder(z, self.q, self.p)
+        return ladder
 
 
 def theta_fact_prod(args, q, p, k: int):

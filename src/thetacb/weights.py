@@ -16,11 +16,12 @@ parameter leaves them unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Literal
 
 from .errors import DegenerateParameterError, HConditionError, OutOfRegionError
 from .params import IdentitySize, ParamPoint
-from .special import theta
+from .special import ThetaLadders, theta
 
 #: Runtime backstop: a denominator theta whose magnitude (normalised by
 #: 1 + |argument|) falls below this raises instead of dividing.  Samplers
@@ -54,6 +55,43 @@ def elliptic_weight(pp: ParamPoint, i: int, j: int, guard: float = EVAL_GUARD):
         p,
         guard,
     )
+
+
+def h_cells(pp: ParamPoint, guard: float = EVAL_GUARD, ladders: ThetaLadders | None = None):
+    """h(i, j) as a memoised function of the cell, read off theta ladders.
+
+    Every cell takes its eight thetas from eight ladders shared by all
+    cells, so any set of cells costs one theta call per distinct ladder
+    index.  Values equal :func:`elliptic_weight` bit for bit, and every
+    denominator theta is checked against ``guard`` exactly as there.
+    """
+    x, a, b, c = pp.x, pp.a, pp.b, pp.c
+    lad = ThetaLadders(pp.q, pp.p) if ladders is None else ladders
+    bc, cb, ax, a_x = lad[b * c], lad[c / b], lad[a * x], lad[a / x]
+    ab, a_b, cx, c_x = lad[a * b], lad[a / b], lad[c * x], lad[c / x]
+
+    def den(ladder, j):
+        t = ladder[j]
+        z = ladder.arg(j)
+        if abs(t) <= guard * (1 + abs(z)):
+            raise DegenerateParameterError(f"denominator theta({z!r}) below guard")
+        return t
+
+    @cache
+    def h(i: int, j: int):
+        if i < 0 or j < 0:
+            raise OutOfRegionError("weight indices must be nonnegative")
+        num = bc[i + 2 * j] * cb[i] * ax[i] * a_x[i]
+        return num / (den(ab, i + j) * den(a_b, i - j) * den(cx, i + j) * den(c_x, i + j))
+
+    return h
+
+
+def h_table(pp: ParamPoint, m: int, n: int, guard: float = EVAL_GUARD) -> list[list]:
+    """The weights h(i, j) over the grid {0..m} x {0..n}, rows indexed by i,
+    from one set of theta ladders."""
+    h = h_cells(pp, guard)
+    return [[h(i, j) for j in range(n + 1)] for i in range(m + 1)]
 
 
 def elliptic_weight_complement(pp: ParamPoint, i: int, j: int, guard: float = EVAL_GUARD):

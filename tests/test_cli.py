@@ -4,9 +4,11 @@ handling, report structure and exit codes."""
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
+from thetacb import cli
 from thetacb.cli import (
     REGISTRY,
     CampaignConfig,
@@ -106,6 +108,22 @@ class TestCampaign:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_summary_counts_nonfinite_residuals(self, monkeypatch, tmp_path):
+        monkeypatch.setitem(cli.REGISTRY, "nan_check",
+                            ("always NaN", None, lambda pp, m, n: math.nan))
+        out = tmp_path / "report.jsonl"
+        code = main(["--identities", "nan_check,qcb", "--m-max", "1", "--n-max", "0",
+                     "--trials", "2", "--seed", "3", "--out", str(out)])
+        assert code == 1
+        lines = [json.loads(line) for line in out.read_text().splitlines()]
+        summary = lines[-1]["identities"]
+        assert summary["nan_check"] == {"trials": 4, "failures": 4, "nonfinite": 4,
+                                        "max_residual": 0.0}
+        assert summary["qcb"]["nonfinite"] == 0 and summary["qcb"]["failures"] == 0
+        # the trial records keep the residual as a JSON number
+        residuals = [rec["residual"] for rec in lines[:-1] if rec["identity"] == "nan_check"]
+        assert len(residuals) == 4 and all(math.isnan(r) for r in residuals)
 
     def test_unknown_identity_exits_two(self):
         assert main(["--identities", "not_a_thing"]) == 2

@@ -83,6 +83,13 @@ class TestDirectFamilies:
                 term_a + term_b, total, scale, abs(term_a), abs(term_b)))
         assert worst < 1e-9
 
+    def test_prefactor_finite_where_its_products_overflow(self):
+        # deep campaign (m, n <= 8) at seed 2, identity elliptic_cb,
+        # (m, n) = (4, 8), trial seed below: the numerator and denominator
+        # products of the prefactor each overflowed, giving NaN
+        pp = sample_param_point(Random(6883571911407151626), IdentitySize(4, 8), p_max=0.5)
+        assert cb_residual("elliptic", pp, 4, 8) < 1e-8
+
 
 class TestMirrorSymmetry:
     def test_parameterised_families_swap_exactly(self):

@@ -4,8 +4,10 @@ generating function, the normalised table, and the partition of unity."""
 from __future__ import annotations
 
 import math
+import sys
 from random import Random
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,9 +20,11 @@ from thetacb.lattice import (
     a_closed_alt,
     a_table_dp,
     b_closed,
+    b_system_residual,
     endpoint_weights,
     enumerate_paths,
     master_equality_residual,
+    master_equality_total,
     path_weight,
     total_weight,
     total_weight_residual,
@@ -180,6 +184,15 @@ class TestMasterEquality:
         pp66 = sample_param_point(rng, IdentitySize(6, 6))
         assert master_equality_residual(pp66, IdentitySize(6, 6)) < 1e-8
 
+    @pytest.mark.parametrize("m, n, seed", [(5, 6, 473919498261906257),
+                                            (8, 8, 319706860416724823)])
+    def test_finite_where_closed_form_products_overflow(self, m, n, seed):
+        # deep campaign (m, n <= 8) at seed 2, identity
+        # lattice_master_equality, trial seeds below: the numerator and
+        # denominator products of a_closed each overflowed, giving NaN
+        pp = sample_param_point(Random(seed), IdentitySize(m, n), p_max=0.5)
+        assert master_equality_residual(pp, IdentitySize(m, n)) < 1e-12
+
     def test_depth_eight_sweep(self):
         rng = Random(56)
         worst = 0.0
@@ -188,3 +201,63 @@ class TestMasterEquality:
             pp = sample_param_point(rng, IdentitySize(m, n))
             worst = max(worst, master_equality_residual(pp, IdentitySize(m, n)))
         assert worst < 1e-8
+
+
+def test_weights_follow_the_working_precision():
+    # A point sampled for 40 digits and first evaluated at 15 digits must
+    # not see its 15-digit weights again when it is rerun at 40 digits.
+    pp = sample_param_point(Random(21), IdentitySize(3, 1), precision_digits=40)
+
+    def last_path_weight():
+        # paths to (3, 1) come in bit order; the last is north, then three
+        # east steps, the final one weighted by h(2, 1)
+        return endpoint_weights(pp, 3, 1)[-1]
+
+    with mpmath.workdps(15):
+        last_path_weight()
+    with mpmath.workdps(40):
+        got = last_path_weight()
+        want = 1
+        for w in (1 - elliptic_weight(pp, 0, 0), elliptic_weight(pp, 0, 1),
+                  elliptic_weight(pp, 1, 1), elliptic_weight(pp, 2, 1)):
+            want = want * w
+        assert relative_residual(got, want) < 1e-35
+
+
+def _count_theta_calls(monkeypatch, run) -> int:
+    import thetacb.special as special
+
+    inner = special.theta
+    calls = [0]
+
+    def counting(x, p, tol=None):
+        calls[0] += 1
+        return inner(x, p, tol)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("thetacb") and getattr(module, "theta", None) is inner:
+            monkeypatch.setattr(module, "theta", counting)
+    try:
+        run()
+    finally:
+        monkeypatch.undo()
+    return calls[0]
+
+
+@pytest.mark.parametrize("check", [b_system_residual, master_equality_total])
+def test_theta_calls_grow_linearly_with_depth(monkeypatch, check):
+    # closed-form cells and weights share one set of theta ladders per
+    # call, so doubling the depth at most about doubles the theta calls
+    # (per-cell rebuilds grow them by 4x or more)
+    pp = sample_param_point(Random(31), IdentitySize(8, 8))
+    small = _count_theta_calls(monkeypatch, lambda: check(pp, IdentitySize(4, 4)))
+    large = _count_theta_calls(monkeypatch, lambda: check(pp, IdentitySize(8, 8)))
+    assert 0 < small and large <= 2.5 * small
+
+
+def test_b_system_residual_is_small_at_generic_points():
+    rng = Random(57)
+    for m, n in ((1, 1), (4, 2), (3, 6)):
+        pp = sample_param_point(rng, IdentitySize(m, n))
+        assert b_system_residual(pp, IdentitySize(m, n)) < 1e-10
+

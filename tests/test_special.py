@@ -3,6 +3,11 @@ addition formula."""
 
 from __future__ import annotations
 
+import cmath
+import math
+from random import Random
+
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -15,6 +20,8 @@ from thetacb.special import (
     qbinom,
     qpoch,
     qpoch_inf,
+    ThetaLadder,
+    ThetaLadders,
     relative_residual,
     theta,
     theta_fact,
@@ -96,6 +103,71 @@ class TestTheta:
     @given(x=ring_complex(0.1, 3.0), p=ring_complex(0.05, 0.5))
     def test_quasi_periodicity(self, x, p):
         assert relative_residual(theta(p * x, p), -theta(x, p) / x) < 1e-12
+
+
+def _theta_reference(x, p):
+    """theta with the per-factor truncation test |p|^k >= stop, the loop
+    the kernel replaced by a factor count computed once."""
+    tol = 1e-18 if isinstance(x, complex) else min(1e-18, float(mpmath.mp.eps) * 1e-2)
+    n = round(-math.log(float(abs(x))) / math.log(float(abs(p))))
+    pref = 1
+    if n:
+        pref = (-1) ** n * x**n * p ** (n * (n - 1) // 2)
+        x = x * p**n
+    stop = tol * (1 + float(abs(x)))
+    acc = 1
+    pk = 1
+    px = p / x
+    while abs(pk) >= stop:
+        acc = acc * (1 - x * pk) * (1 - px * pk)
+        pk = pk * p
+    return pref * acc
+
+
+class TestThetaTruncation:
+    def test_matches_per_factor_loop_in_doubles(self):
+        rng = Random(7)
+        for _ in range(2000):
+            p = cmath.rect(math.exp(rng.uniform(math.log(0.01), math.log(0.9))),
+                           rng.uniform(0.0, 2.0 * math.pi))
+            x = cmath.rect(math.exp(rng.uniform(-3.0, 3.0)), rng.uniform(0.0, 2.0 * math.pi))
+            assert theta(x, p) == _theta_reference(x, p)
+
+    def test_matches_per_factor_loop_at_40_digits(self):
+        rng = Random(8)
+        with mpmath.workdps(40):
+            for _ in range(60):
+                p = mpmath.mpc(cmath.rect(rng.uniform(0.05, 0.5), rng.uniform(0.0, 6.28)))
+                x = mpmath.mpc(cmath.rect(rng.uniform(0.2, 3.0), rng.uniform(0.0, 6.28)))
+                assert theta(x, p) == _theta_reference(x, p)
+
+
+class TestThetaLadder:
+    def test_entries_are_theta_at_shifted_arguments(self):
+        z, q, p = 0.7 - 0.4j, 0.55 + 0.3j, 0.2 - 0.1j
+        ladder = ThetaLadder(z, q, p)
+        for j in range(-4, 9):
+            assert ladder[j] == theta(z * q**j, p)
+
+    def test_window_is_the_theta_factorial(self):
+        z, q, p = 0.7 - 0.4j, 0.55 + 0.3j, 0.2 - 0.1j
+        ladder = ThetaLadder(z, q, p)
+        assert ladder.fact(3, 0) == 1
+        want = theta_fact(z * q**2, q, p, 5)
+        assert relative_residual(ladder.fact(2, 5), want) < 1e-14
+
+    def test_each_entry_is_evaluated_once(self, monkeypatch):
+        import thetacb.special as special
+
+        calls = []
+        inner = special.theta
+        monkeypatch.setattr(special, "theta", lambda x, p: calls.append(x) or inner(x, p))
+        ladders = ThetaLadders(0.6 + 0.2j, 0.3j)
+        for _ in range(3):
+            ladders[1.5 + 0j].fact(-2, 6)
+            ladders[0.4 + 0.1j][5]
+        assert len(calls) == 7
+        assert len(ladders) == 2
 
 
 class TestThetaFactorial:

@@ -17,6 +17,7 @@ from thetacb.weights import (
     binomial_weight,
     elliptic_weight,
     elliptic_weight_complement,
+    h_table,
     normalized_weight,
     step_weight,
 )
@@ -67,6 +68,21 @@ def test_degenerate_denominator_raises(generic_point):
     pp = generic_point.replace(b=generic_point.a)
     with pytest.raises(DegenerateParameterError):
         elliptic_weight(pp, 1, 1)
+
+
+def test_h_table_is_elliptic_weight_bit_for_bit(point_factory):
+    for pp in (point_factory(5, 4), point_factory(5, 4, p_max=0.1)):
+        table = h_table(pp, 5, 4)
+        assert [len(row) for row in table] == [5] * 6
+        for i in range(6):
+            for j in range(5):
+                assert table[i][j] == elliptic_weight(pp, i, j)
+
+
+def test_h_table_degenerate_denominator_raises(generic_point):
+    pp = generic_point.replace(b=generic_point.a)
+    with pytest.raises(DegenerateParameterError):
+        h_table(pp, 1, 1)
 
 
 def test_normalized_weight_row_zero(generic_point):
