@@ -131,8 +131,7 @@ def _roots(poly: Poly) -> np.ndarray:
     return np.roots(np.array(poly.coeffs[::-1], dtype=complex))
 
 
-def bezout_solve(p1: Poly, p2: Poly, m: int, n: int,
-                 root_sep: float = ROOT_SEPARATION) -> tuple[Poly, Poly]:
+def bezout_solve(p1: Poly, p2: Poly, m: int, n: int) -> tuple[Poly, Poly]:
     """Unique (Q1, Q2) with deg Q1 <= m, deg Q2 <= n and 1 = P1 Q1 + P2 Q2,
     found by matching the coefficients of 1, x, ..., x^(m+n+1).
 
@@ -146,8 +145,8 @@ def bezout_solve(p1: Poly, p2: Poly, m: int, n: int,
     r1, r2 = _roots(p1), _roots(p2)
     if r1.size and r2.size:
         sep = min(abs(z1 - z2) for z1 in r1 for z2 in r2)
-        if sep < root_sep:
-            raise CommonRootError(f"root separation {sep:.2e} below {root_sep:.0e}")
+        if sep < ROOT_SEPARATION:
+            raise CommonRootError(f"root separation {sep:.2e} below {ROOT_SEPARATION:.0e}")
 
     size = m + n + 2
     mat = np.zeros((size, size), dtype=complex)
@@ -322,9 +321,6 @@ class DualQPoly:
 
     def at(self, q) -> Poly:
         return Poly(tuple(fn(q) for fn in self.coeff_fns))
-
-    def at_inverse(self, q) -> Poly:
-        return self.at(1 / q)
 
     @property
     def degree(self) -> int:

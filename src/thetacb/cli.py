@@ -23,7 +23,7 @@ from typing import Callable
 from . import bezout, identities, lattice, noncomm
 from .errors import DegenerateParameterError, ResamplingExhaustedError
 from .params import IdentitySize, ParamPoint
-from .sampling import DEFAULT_DOMAINS, sample_param_point
+from .sampling import P_HI, P_LO, sample_param_point
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,10 @@ class CampaignConfig:
             raise ValueError("tolerance must be nonnegative")
         if self.m_max < 0 or self.n_max < 0:
             raise ValueError("depth bounds must be nonnegative")
+        if not P_LO <= self.p_max <= P_HI:
+            raise ValueError(f"p_max must lie in [{P_LO}, {P_HI}]")
+        if self.precision < 0:
+            raise ValueError("precision must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -60,14 +64,7 @@ def _family_runner(family: str) -> Callable:
 
 
 def _binomial_runner(tag: noncomm.AlgebraTag) -> Callable:
-    def run(pp, m, n):
-        power = noncomm.binomial_power(tag, pp, m)
-        expanded = noncomm.evaluate_element(power, pp)
-        ctx = noncomm.EvalContext(pp)
-        closed = noncomm.closed_binomial_coefficients(tag, pp, m, ctx)
-        return noncomm.compare_maps(expanded, closed)
-
-    return run
+    return lambda pp, m, n: noncomm.binomial_theorem_residual(tag, pp, m)
 
 
 def _homogeneous_runner(tag: noncomm.AlgebraTag) -> Callable:
@@ -310,8 +307,8 @@ def run_campaign(config: CampaignConfig) -> "CampaignReport":
 
 def _sample_for_trial(rng: Random, config: CampaignConfig, m: int, n: int) -> ParamPoint:
     return sample_param_point(
-        rng, IdentitySize(m, n), guard=config.guard, domains=DEFAULT_DOMAINS,
-        p_max=config.p_max, precision_digits=config.precision)
+        rng, IdentitySize(m, n), guard=config.guard, p_max=config.p_max,
+        precision_digits=config.precision)
 
 
 def _run_trial(rng: Random, config: CampaignConfig, runner: Callable,

@@ -24,16 +24,19 @@ FAMILIES = ("elliptic", "abcq", "abq2", "abq1", "qcb", "classical")
 _GUARD = 1e-12
 
 
-def _guarded(value, what: str):
+def _guarded(value, what: str, *args):
+    """``value``, unless it vanished; the message ``what % args`` is only
+    formatted when it is raised."""
     if abs(value) <= _GUARD:
-        raise DegenerateParameterError(f"{what} vanished")
+        raise DegenerateParameterError(f"{what % args} vanished")
     return value
 
 
-def _sum_with_running_products(num_args, den_args, q, p, m: int, top_ratio):
+def series_with_running_products(num_args, den_args, q, p, m: int, top_ratio):
     """sum_{k=0}^{m} top_ratio(k) * (num_args; q, p)_k / (den_args; q, p)_k * q^k
     with all factorials maintained as running products (theta at p = 0 is
     the exact form 1 - z, so the basic families reuse this path exactly).
+    Returns the sum and the largest term magnitude.
     """
     num_cur = list(num_args)
     den_cur = list(den_args)
@@ -47,7 +50,7 @@ def _sum_with_running_products(num_args, den_args, q, p, m: int, top_ratio):
                 run = run * theta(z, p)
                 num_cur[idx] = z * q
             for idx, z in enumerate(den_cur):
-                run = run / _guarded(theta(z, p), f"series denominator theta({z!r})")
+                run = run / _guarded(theta(z, p), "series denominator theta(%r)", z)
                 den_cur[idx] = z * q
             qk = qk * q
         term = top_ratio(k) * run * qk
@@ -79,7 +82,7 @@ def cb_term_elliptic(pp: ParamPoint, m: int, n: int):
     den_cur = [a * b, b / a, c * x, c / x]
     for _ in range(n + 1):
         for idx, (zn, zd) in enumerate(zip(num_cur, den_cur)):
-            pre = pre * (theta(zn, p) / _guarded(theta(zd, p), f"prefactor theta({zd!r})"))
+            pre = pre * (theta(zn, p) / _guarded(theta(zd, p), "prefactor theta(%r)", zd))
             num_cur[idx] = zn * q
             den_cur[idx] = zd * q
 
@@ -90,7 +93,7 @@ def cb_term_elliptic(pp: ParamPoint, m: int, n: int):
     def top_ratio(k: int):
         return theta(acq2 * q2**k, p) / th_ref
 
-    total, _ = _sum_with_running_products(
+    total, _ = series_with_running_products(
         (a * c * qn, b * c * qn, c / b, qn1, a * x, a / x),
         (q, a * q / b, a * b * qn1, a * c, c * qn1 / x, c * x * qn1),
         q, p, m, top_ratio)
@@ -113,7 +116,7 @@ def cb_term_abq2(pp: ParamPoint, m: int, n: int):
     pre = qpoch(b * x, q, n + 1) * qpoch(b / x, q, n + 1)
     pre = pre / _guarded(qpoch(a * b, q, n + 1) * qpoch(b / a, q, n + 1),
                          "(ab, b/a; q)_{n+1}")
-    total, _ = _sum_with_running_products(
+    total, _ = series_with_running_products(
         (q ** (n + 1), a * x, a / x),
         (q, a * q / b, a * b * q ** (n + 1)),
         q, 0j, m, lambda k: 1)
@@ -130,7 +133,7 @@ def cb_term_abq1(x, a, b, q, m: int, n: int):
     for the a <-> b mirror symmetry.
     """
     pre = qpoch(b * x, q, n + 1) / _guarded(qpoch(b / a, q, n + 1), "(b/a; q)_{n+1}")
-    total, _ = _sum_with_running_products(
+    total, _ = series_with_running_products(
         (q ** (n + 1), a * x), (q, a * q / b), q, 0j, m, lambda k: 1)
     return pre * total
 
@@ -269,9 +272,6 @@ class DegenerationReport:
 
     eps: float
     gaps: dict[str, float]
-
-    def max_gap(self) -> float:
-        return max(self.gaps.values())
 
 
 def _unit(z):

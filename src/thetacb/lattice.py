@@ -1,7 +1,8 @@
 """Weighted monotone lattice paths on the rectangle {0..m+1} x {0..n+1}.
 
 Three independent routes to the endpoint generating function A(k, l) are
-provided: brute-force path enumeration, the two-term recurrence
+provided: brute-force summation over bit-encoded paths, the two-term
+recurrence
 
     A(k, l) = h(k-1, l) A(k-1, l) + (1 - h(k, l-1)) A(k, l-1)
 
@@ -23,47 +24,16 @@ from itertools import combinations
 from .errors import CapExceededError, HConditionError, OutOfRegionError
 from .params import IdentitySize, ParamPoint
 from .special import ThetaLadders, relative_residual, theta, theta_fact_prod
-from .weights import EVAL_GUARD, h_cells, h_table, step_weight, StepWeightSpec
+from .weights import EVAL_GUARD, h_cells, h_table
 
 #: Endpoints with m + n beyond this are refused by the brute-force routes.
 BRUTE_FORCE_CAP = 12
 
 
-@dataclass(frozen=True)
-class LatticePath:
-    """A monotone path encoded as a bit sequence, east = 1, north = 0."""
-
-    steps: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(s not in (0, 1) for s in self.steps):
-            raise ValueError("steps must be 0 (north) or 1 (east)")
-
-    @property
-    def east_count(self) -> int:
-        return sum(self.steps)
-
-    @property
-    def north_count(self) -> int:
-        return len(self.steps) - self.east_count
-
-    def positions(self):
-        """Yield (i, j, step) for every step, starting from the origin."""
-        i = j = 0
-        for s in self.steps:
-            yield i, j, s
-            if s:
-                i += 1
-            else:
-                j += 1
-
-    @property
-    def end(self) -> tuple[int, int]:
-        return self.east_count, self.north_count
-
-
 @lru_cache(maxsize=None)
 def _bit_paths(east: int, north: int) -> tuple[tuple[int, ...], ...]:
+    """Every monotone path with the given step counts as a bit sequence,
+    east = 1, north = 0."""
     length = east + north
     out = []
     for pos in combinations(range(length), east):
@@ -74,46 +44,29 @@ def _bit_paths(east: int, north: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def enumerate_paths(size: IdentitySize, cap: int = BRUTE_FORCE_CAP) -> list[LatticePath]:
-    """All C(m+n+2, m+1) monotone paths from (0, 0) to (m+1, n+1)."""
-    if size.m + size.n > cap:
-        raise CapExceededError(f"m + n = {size.m + size.n} exceeds cap {cap}")
-    return [LatticePath(bits) for bits in _bit_paths(size.m + 1, size.n + 1)]
-
-
-def path_weight(pp: ParamPoint, size: IdentitySize, path: LatticePath):
-    """Product of the step weights along one full path of the region."""
-    if path.end != (size.m + 1, size.n + 1):
-        raise OutOfRegionError(f"path ends at {path.end}, region needs "
-                               f"({size.m + 1}, {size.n + 1})")
-    acc = 1
-    for i, j, s in path.positions():
-        acc = acc * step_weight(pp, size, StepWeightSpec("east" if s else "north", i, j))
-    return acc
-
-
-def total_weight(pp: ParamPoint, size: IdentitySize, cap: int = BRUTE_FORCE_CAP):
-    """Brute-force sum of all path weights over the region; the weight
-    assignment makes this exactly 1.  Weights are read from a precomputed
-    h table, which matches the step_weight cases factor for factor."""
-    total, _ = _total_weight_scaled(pp, size, cap)
+def total_weight(pp: ParamPoint, size: IdentitySize):
+    """Brute-force sum of all C(m+n+2, m+1) path weights from the origin to
+    (m+1, n+1); the weight assignment makes this exactly 1.  East steps at
+    height j <= n carry h(i, j) and north steps at column i <= m carry
+    1 - h(i, j); steps along the top and right edges carry 1."""
+    total, _ = _total_weight_scaled(pp, size)
     return total
 
 
-def total_weight_residual(pp: ParamPoint, size: IdentitySize, cap: int = BRUTE_FORCE_CAP) -> float:
+def total_weight_residual(pp: ParamPoint, size: IdentitySize) -> float:
     """Relative residual of the brute-force partition of unity, normalised
     by the largest single path weight.  Individual path weights can reach
     1e8 at perfectly generic points, so the plain difference from 1 is
     dominated by summation rounding; the scale-aware form reflects the
     identity itself."""
-    total, scale = _total_weight_scaled(pp, size, cap)
+    total, scale = _total_weight_scaled(pp, size)
     return relative_residual(1, total, scale)
 
 
-def _total_weight_scaled(pp: ParamPoint, size: IdentitySize, cap: int):
+def _total_weight_scaled(pp: ParamPoint, size: IdentitySize):
     m, n = size.m, size.n
-    if m + n > cap:
-        raise CapExceededError(f"m + n = {m + n} exceeds cap {cap}")
+    if m + n > BRUTE_FORCE_CAP:
+        raise CapExceededError(f"m + n = {m + n} exceeds cap {BRUTE_FORCE_CAP}")
     h = h_table(pp, m, n)
     total = 0
     scale = 0.0
@@ -134,14 +87,14 @@ def _total_weight_scaled(pp: ParamPoint, size: IdentitySize, cap: int):
     return total, scale
 
 
-def endpoint_weights(pp: ParamPoint, k: int, l: int, cap: int = BRUTE_FORCE_CAP):
+def endpoint_weights(pp: ParamPoint, k: int, l: int):
     """Weights of every path from the origin to (k, l), one per path.
 
     The largest magnitude in this list is the natural cancellation scale
     for comparing the summed routes to A(k, l) in floating point.
     """
-    if k + l > cap:
-        raise CapExceededError(f"k + l = {k + l} exceeds cap {cap}")
+    if k + l > BRUTE_FORCE_CAP:
+        raise CapExceededError(f"k + l = {k + l} exceeds cap {BRUTE_FORCE_CAP}")
     h = h_table(pp, k, l)
     out = []
     for bits in _bit_paths(k, l):
@@ -157,10 +110,10 @@ def endpoint_weights(pp: ParamPoint, k: int, l: int, cap: int = BRUTE_FORCE_CAP)
     return out
 
 
-def a_bruteforce(pp: ParamPoint, k: int, l: int, cap: int = BRUTE_FORCE_CAP):
+def a_bruteforce(pp: ParamPoint, k: int, l: int):
     """Generating function A(k, l) by enumerating every path to (k, l)."""
     total = 0
-    for w in endpoint_weights(pp, k, l, cap):
+    for w in endpoint_weights(pp, k, l):
         total = total + w
     return total
 
@@ -176,7 +129,7 @@ class WeightTable:
     b: tuple[tuple[complex, ...], ...]
 
 
-def a_table_dp(pp: ParamPoint, size: IdentitySize, guard: float = EVAL_GUARD) -> WeightTable:
+def a_table_dp(pp: ParamPoint, size: IdentitySize) -> WeightTable:
     """Fill A by its recurrence and B by its own difference system.
 
     A boundaries are the row/column products of h(i, 0) and 1 - h(0, j);
@@ -187,10 +140,10 @@ def a_table_dp(pp: ParamPoint, size: IdentitySize, guard: float = EVAL_GUARD) ->
     m, n = size.m, size.n
     h = h_table(pp, m, n)
     for i in range(m + 1):
-        if abs(h[i][0]) <= guard:
+        if abs(h[i][0]) <= EVAL_GUARD:
             raise HConditionError(f"h({i}, 0) vanished")
     for j in range(n + 1):
-        if abs(1 - h[0][j]) <= guard:
+        if abs(1 - h[0][j]) <= EVAL_GUARD:
             raise HConditionError(f"1 - h(0, {j}) vanished")
 
     a = [[None] * (n + 1) for _ in range(m + 1)]
@@ -212,7 +165,7 @@ def a_table_dp(pp: ParamPoint, size: IdentitySize, guard: float = EVAL_GUARD) ->
     return WeightTable(m, n, tuple(map(tuple, a)), tuple(map(tuple, b)))
 
 
-def _interleaved(num, den, guard: float, what: str):
+def _interleaved(num, den, what: str):
     """prod(num) / prod(den), where num and den are lists of ladder
     windows (ladder, start, length) holding the same number of factors.
 
@@ -220,7 +173,7 @@ def _interleaved(num, den, guard: float, what: str):
     ordered so that paired factors carry nearly the same power of q and
     hence have comparable size: the two separate products of forty-odd
     thetas overflow doubles long before their ratio does.  The
-    denominator product is still formed to apply ``guard``, raising
+    denominator product is still formed to apply ``EVAL_GUARD``, raising
     :class:`HConditionError` with ``what``.  A product that overflows (to
     inf, or to NaN in complex arithmetic) does not trip the guard: it has
     not vanished.
@@ -228,7 +181,7 @@ def _interleaved(num, den, guard: float, what: str):
     den_prod = 1
     for ladder, start, length in den:
         den_prod = den_prod * ladder.fact(start, length)
-    if abs(den_prod) <= guard:
+    if abs(den_prod) <= EVAL_GUARD:
         raise HConditionError(what)
     acc = 1
     for t, d in zip(_entries(num), _entries(den), strict=True):
@@ -242,8 +195,7 @@ def _entries(windows):
             yield ladder[j]
 
 
-def b_closed(pp: ParamPoint, k: int, l: int, guard: float = EVAL_GUARD,
-             ladders: ThetaLadders | None = None):
+def b_closed(pp: ParamPoint, k: int, l: int, ladders: ThetaLadders | None = None):
     """Closed form of the normalised table:
 
         B(k, l) = theta((a/b) q^(k-l), b/a; p) (bc q^l; q, p)_k
@@ -268,11 +220,10 @@ def b_closed(pp: ParamPoint, k: int, l: int, guard: float = EVAL_GUARD,
            (c_x, 0, l), (bc, l, k), (a_b, k - l, 1), (b_a, 0, 1))
     den = ((ab, k, l), (cx, k, l), (ac, 0, l), (qq, 0, l),
            (bc, 0, k), (c_x, k, l), (a_b, k, 1), (b_a, l, 1))
-    return _interleaved(num, den, guard, "closed-form B denominator vanished") * q**l
+    return _interleaved(num, den, "closed-form B denominator vanished") * q**l
 
 
-def a_closed(pp: ParamPoint, k: int, l: int, guard: float = EVAL_GUARD,
-             ladders: ThetaLadders | None = None):
+def a_closed(pp: ParamPoint, k: int, l: int, ladders: ThetaLadders | None = None):
     """First factorised closed form of A(k, l):
 
         A(k, l) = theta((a/b) q^(k-l); p) (bc q^l, c/b, ax, a/x; q, p)_k
@@ -295,10 +246,10 @@ def a_closed(pp: ParamPoint, k: int, l: int, guard: float = EVAL_GUARD,
            (c_a, 0, l), (bx, 0, l), (b_x, 0, l), (bc, l, k), (a_b, k - l, 1))
     den = ((ab, 0, k), (cx, 0, k), (c_x, 0, k), (ab, k, l), (cx, k, l),
            (qq, 0, l), (b_a, 1, l), (a_b, 0, k), (c_x, k, l), (a_b, k, 1))
-    return _interleaved(num, den, guard, "closed-form A denominator vanished") * q**l
+    return _interleaved(num, den, "closed-form A denominator vanished") * q**l
 
 
-def a_closed_alt(pp: ParamPoint, k: int, l: int, guard: float = EVAL_GUARD):
+def a_closed_alt(pp: ParamPoint, k: int, l: int):
     """Second factorised closed form of A(k, l); differs from
     :func:`a_closed` by a theta inversion, so agreement is a real check."""
     if k < 0 or l < 0:
@@ -311,7 +262,7 @@ def a_closed_alt(pp: ParamPoint, k: int, l: int, guard: float = EVAL_GUARD):
     den = theta_fact_prod((b / a,), q, p, l + 1)
     den = den * theta_fact_prod((q, q * a / b), q, p, k)
     den = den * theta_fact_prod((a * b, c * x, c / x), q, p, l + k)
-    if abs(den) <= guard:
+    if abs(den) <= EVAL_GUARD:
         raise HConditionError("closed-form A denominator vanished")
     return num / den * q**k
 

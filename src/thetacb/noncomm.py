@@ -24,15 +24,21 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+
 from .errors import DegenerateParameterError
+from .identities import IdentityReport, series_with_running_products
 from .lattice import b_closed
 from .params import ParamPoint
 from .special import qbinom, theta, theta_fact_prod
-from .weights import binomial_weight, elliptic_weight, normalized_weight
+from .weights import EVAL_GUARD, binomial_weight, elliptic_weight, normalized_weight
 
 #: Coefficients below this fraction of the row maximum count as structural
 #: zeros when two normal forms are compared.
 STRUCTURAL_ZERO = 1e-14
+
+#: Tolerance of the reports returned by the binomial and homogeneous
+#: theorem drivers.
+REPORT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -459,14 +465,11 @@ def compare_maps(map1: dict, map2: dict) -> float:
 # ---------------------------------------------------------------------------
 # Verification drivers.
 
-def _report(identity, pp, m, n, residual, tol):
-    from .identities import IdentityReport
-
-    return IdentityReport.from_residual(identity, pp, m, n, residual, tol)
+def _report(identity, pp, m, n, residual):
+    return IdentityReport.from_residual(identity, pp, m, n, residual, REPORT_TOL)
 
 
-def closed_binomial_coefficients(tag: AlgebraTag, pp: ParamPoint, n: int,
-                                 ctx: EvalContext) -> dict:
+def closed_binomial_coefficients(tag: AlgebraTag, pp: ParamPoint, n: int) -> dict:
     """The factorised normal-form coefficients the binomial theorems
     assert for binomial_base(tag)^n, keyed like evaluate_element."""
     out = {}
@@ -486,25 +489,19 @@ def closed_binomial_coefficients(tag: AlgebraTag, pp: ParamPoint, n: int,
     return out
 
 
-def verify_binomial_theorems(pp: ParamPoint, n_max: int,
-                             tol: float = 1e-9) -> list:
-    """Expand binomial_base(tag)^n by repeated normal-form multiplication
-    and compare against the closed coefficient formulas, for every algebra
-    and every n <= n_max."""
-    reports = []
-    for tag in AlgebraTag:
-        ctx = EvalContext(pp)
-        power = nf_unit(tag)
-        base = binomial_base(tag)
-        for n in range(n_max + 1):
-            if n:
-                power = nf_mul(power, base)
-            expanded = evaluate_element(power, pp, ctx)
-            closed = closed_binomial_coefficients(tag, pp, n, ctx)
-            residual = compare_maps(expanded, closed)
-            reports.append(_report(f"binomial_theorem_{tag.value}", pp, n, 0,
-                                   residual, tol))
-    return reports
+def binomial_theorem_residual(tag: AlgebraTag, pp: ParamPoint, n: int) -> float:
+    """Worst relative gap between the normal form of binomial_base(tag)^n,
+    expanded by repeated multiplication, and the closed coefficient
+    formulas of the binomial theorem."""
+    expanded = evaluate_element(binomial_power(tag, pp, n), pp)
+    return compare_maps(expanded, closed_binomial_coefficients(tag, pp, n))
+
+
+def verify_binomial_theorems(pp: ParamPoint, n_max: int) -> list:
+    """One binomial-theorem report for every algebra and every n <= n_max."""
+    return [_report(f"binomial_theorem_{tag.value}", pp, n, 0,
+                    binomial_theorem_residual(tag, pp, n))
+            for tag in AlgebraTag for n in range(n_max + 1)]
 
 
 def _homogeneous_rhs(tag: AlgebraTag, m: int, n: int) -> NormalFormElement:
@@ -580,8 +577,7 @@ def _qcomm_swap_image(values: dict, q) -> dict:
     return {(l, k): v * q ** (k * l) for (k, l), v in values.items()}
 
 
-def verify_homogeneous_cb(tag: AlgebraTag, pp: ParamPoint, m: int, n: int,
-                          tol: float = 1e-9):
+def verify_homogeneous_cb(tag: AlgebraTag, pp: ParamPoint, m: int, n: int):
     """Expand both sides of the homogeneous two-sum identity to normal
     form and compare coefficients.
 
@@ -607,7 +603,7 @@ def verify_homogeneous_cb(tag: AlgebraTag, pp: ParamPoint, m: int, n: int,
                        compare_maps(lhs_img, evaluate_element(lhs, pp, ctx)),
                        compare_maps(rhs_img, evaluate_element(rhs, pp, ctx)))
 
-    return _report(f"homogeneous_cb_{tag.value}", pp, m, n, residual, tol)
+    return _report(f"homogeneous_cb_{tag.value}", pp, m, n, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +657,7 @@ def convolution_nf_cross_check(pp: ParamPoint, n: int, m: int, k: int) -> float:
     return float(abs(v1 - v2) / max(1.0, abs(v1), abs(v2)))
 
 
-def frenkel_turaev(a, b, c, d, n: int, q, p, guard: float = 1e-12):
+def frenkel_turaev(a, b, c, d, n: int, q, p):
     """Both sides of the terminating very-well-poised 10V9 summation with
     e = a^2 q^(n+1) / (bcd) enforcing the balancing condition:
 
@@ -673,33 +669,19 @@ def frenkel_turaev(a, b, c, d, n: int, q, p, guard: float = 1e-12):
     """
     e = a * a * q ** (n + 1) / (b * c * d)
     th_a = theta(a, p)
-    if abs(th_a) <= guard:
+    if abs(th_a) <= EVAL_GUARD:
         raise DegenerateParameterError("theta(a; p) below guard")
 
-    num_cur = [a, b, c, d, e, q ** (-n)]
-    den_cur = [q, a * q / b, a * q / c, a * q / d, a * q / e, a * q ** (n + 1)]
-    run = 1
-    qk = 1
-    lhs = 0
-    for k in range(n + 1):
-        if k:
-            for idx, z in enumerate(num_cur):
-                run = run * theta(z, p)
-                num_cur[idx] = z * q
-            for idx, z in enumerate(den_cur):
-                t = theta(z, p)
-                if abs(t) <= guard * (1 + abs(z)):
-                    raise DegenerateParameterError("series denominator below guard")
-                run = run / t
-                den_cur[idx] = z * q
-            qk = qk * q
-        lhs = lhs + theta(a * q ** (2 * k), p) / th_a * run * qk
+    lhs, _ = series_with_running_products(
+        (a, b, c, d, e, q ** (-n)),
+        (q, a * q / b, a * q / c, a * q / d, a * q / e, a * q ** (n + 1)),
+        q, p, n, lambda k: theta(a * q ** (2 * k), p) / th_a)
 
     rhs_num = theta_fact_prod((a * q, a * q / (b * c), a * q / (b * d), a * q / (c * d)),
                               q, p, n)
     rhs_den = theta_fact_prod((a * q / b, a * q / c, a * q / d, a * q / (b * c * d)),
                               q, p, n)
-    if abs(rhs_den) <= guard:
+    if abs(rhs_den) <= EVAL_GUARD:
         raise DegenerateParameterError("closed-side denominator below guard")
     return lhs, rhs_num / rhs_den
 

@@ -10,7 +10,6 @@ scan are resampled, never silently evaluated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from random import Random
 
 from .errors import DegenerateParameterError, ResamplingExhaustedError
@@ -21,24 +20,15 @@ from .weights import elliptic_weight
 #: Default width of the denominator safety margin used while sampling.
 DEFAULT_GUARD = 1e-6
 
-#: Default resampling budget before giving up on a domain.
+#: Resampling budget before giving up on a domain.
 MAX_ATTEMPTS = 100
 
-
-@dataclass(frozen=True)
-class SamplingDomains:
-    """Magnitude windows for the sampled parameters; arguments are always
-    uniform on the circle."""
-
-    mag_lo: float = 0.2
-    mag_hi: float = 2.0
-    q_lo: float = 0.3
-    q_hi: float = 0.9
-    p_lo: float = 0.05
-    p_hi: float = 0.5
-
-
-DEFAULT_DOMAINS = SamplingDomains()
+#: Magnitude windows of the sampled parameters: x, a, b and c in
+#: [MAG_LO, MAG_HI], q in [Q_LO, Q_HI], p in [P_LO, P_HI].  Arguments are
+#: always uniform on the circle.
+MAG_LO, MAG_HI = 0.2, 2.0
+Q_LO, Q_HI = 0.3, 0.9
+P_LO, P_HI = 0.05, 0.5
 
 
 def theta_margin(arg, p) -> float:
@@ -111,9 +101,7 @@ def sample_param_point(
     rng: Random,
     size: IdentitySize,
     guard: float = DEFAULT_GUARD,
-    domains: SamplingDomains = DEFAULT_DOMAINS,
     p_max: float | None = None,
-    max_attempts: int = MAX_ATTEMPTS,
     precision_digits: int = 0,
 ) -> ParamPoint:
     """Draw a generic parameter point (log-uniform magnitudes, uniform
@@ -123,23 +111,22 @@ def sample_param_point(
     at that many decimal digits; the draw itself is identical, so reports
     stay reproducible across precision modes.
     """
-    d = domains
-    p_hi = d.p_hi if p_max is None else min(d.p_hi, p_max)
-    for _ in range(max_attempts):
+    p_hi = P_HI if p_max is None else min(P_HI, p_max)
+    for _ in range(MAX_ATTEMPTS):
         pp = ParamPoint(
-            x=_log_uniform(rng, d.mag_lo, d.mag_hi) * _unit_complex(rng),
-            a=_log_uniform(rng, d.mag_lo, d.mag_hi) * _unit_complex(rng),
-            b=_log_uniform(rng, d.mag_lo, d.mag_hi) * _unit_complex(rng),
-            c=_log_uniform(rng, d.mag_lo, d.mag_hi) * _unit_complex(rng),
-            q=_log_uniform(rng, d.q_lo, d.q_hi) * _unit_complex(rng),
-            p=_log_uniform(rng, d.p_lo, p_hi) * _unit_complex(rng),
+            x=_log_uniform(rng, MAG_LO, MAG_HI) * _unit_complex(rng),
+            a=_log_uniform(rng, MAG_LO, MAG_HI) * _unit_complex(rng),
+            b=_log_uniform(rng, MAG_LO, MAG_HI) * _unit_complex(rng),
+            c=_log_uniform(rng, MAG_LO, MAG_HI) * _unit_complex(rng),
+            q=_log_uniform(rng, Q_LO, Q_HI) * _unit_complex(rng),
+            p=_log_uniform(rng, P_LO, p_hi) * _unit_complex(rng),
         )
         if check_genericity(pp, size, guard):
             if precision_digits > 0:
                 pp = _to_mp(pp, precision_digits)
             return pp.replace(generic=True)
     raise ResamplingExhaustedError(
-        f"no generic point found in {max_attempts} attempts (guard {guard})")
+        f"no generic point found in {MAX_ATTEMPTS} attempts (guard {guard})")
 
 
 def _to_mp(pp: ParamPoint, digits: int) -> ParamPoint:

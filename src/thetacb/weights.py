@@ -1,4 +1,4 @@
-"""The three elliptic weight functions and the lattice step weights.
+"""The three elliptic weight functions.
 
 ``elliptic_weight`` is the eight-theta ratio that biases an east step at
 lattice position (i, j):
@@ -15,12 +15,10 @@ parameter leaves them unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Literal
 
 from .errors import DegenerateParameterError, HConditionError, OutOfRegionError
-from .params import IdentitySize, ParamPoint
+from .params import ParamPoint
 from .special import ThetaLadders, theta
 
 #: Runtime backstop: a denominator theta whose magnitude (normalised by
@@ -29,20 +27,20 @@ from .special import ThetaLadders, theta
 EVAL_GUARD = 1e-12
 
 
-def _theta_ratio(num_args, den_args, p, guard: float):
+def _theta_ratio(num_args, den_args, p):
     num = 1
     for z in num_args:
         num = num * theta(z, p)
     den = 1
     for z in den_args:
         t = theta(z, p)
-        if abs(t) <= guard * (1 + abs(z)):
+        if abs(t) <= EVAL_GUARD * (1 + abs(z)):
             raise DegenerateParameterError(f"denominator theta({z!r}) below guard")
         den = den * t
     return num / den
 
 
-def elliptic_weight(pp: ParamPoint, i: int, j: int, guard: float = EVAL_GUARD):
+def elliptic_weight(pp: ParamPoint, i: int, j: int):
     """East-step weight h(i, j): the eight-theta ratio above."""
     if i < 0 or j < 0:
         raise OutOfRegionError("weight indices must be nonnegative")
@@ -53,17 +51,16 @@ def elliptic_weight(pp: ParamPoint, i: int, j: int, guard: float = EVAL_GUARD):
         (b * c * q ** (i + 2 * j), (c / b) * qi, a * x * qi, (a / x) * qi),
         (a * b * qij, (a / b) * q ** (i - j), c * x * qij, (c / x) * qij),
         p,
-        guard,
     )
 
 
-def h_cells(pp: ParamPoint, guard: float = EVAL_GUARD, ladders: ThetaLadders | None = None):
+def h_cells(pp: ParamPoint, ladders: ThetaLadders | None = None):
     """h(i, j) as a memoised function of the cell, read off theta ladders.
 
     Every cell takes its eight thetas from eight ladders shared by all
     cells, so any set of cells costs one theta call per distinct ladder
     index.  Values equal :func:`elliptic_weight` bit for bit, and every
-    denominator theta is checked against ``guard`` exactly as there.
+    denominator theta is checked against ``EVAL_GUARD`` exactly as there.
     """
     x, a, b, c = pp.x, pp.a, pp.b, pp.c
     lad = ThetaLadders(pp.q, pp.p) if ladders is None else ladders
@@ -73,7 +70,7 @@ def h_cells(pp: ParamPoint, guard: float = EVAL_GUARD, ladders: ThetaLadders | N
     def den(ladder, j):
         t = ladder[j]
         z = ladder.arg(j)
-        if abs(t) <= guard * (1 + abs(z)):
+        if abs(t) <= EVAL_GUARD * (1 + abs(z)):
             raise DegenerateParameterError(f"denominator theta({z!r}) below guard")
         return t
 
@@ -87,31 +84,31 @@ def h_cells(pp: ParamPoint, guard: float = EVAL_GUARD, ladders: ThetaLadders | N
     return h
 
 
-def h_table(pp: ParamPoint, m: int, n: int, guard: float = EVAL_GUARD) -> list[list]:
+def h_table(pp: ParamPoint, m: int, n: int) -> list[list]:
     """The weights h(i, j) over the grid {0..m} x {0..n}, rows indexed by i,
     from one set of theta ladders."""
-    h = h_cells(pp, guard)
+    h = h_cells(pp)
     return [[h(i, j) for j in range(n + 1)] for i in range(m + 1)]
 
 
-def elliptic_weight_complement(pp: ParamPoint, i: int, j: int, guard: float = EVAL_GUARD):
+def elliptic_weight_complement(pp: ParamPoint, i: int, j: int):
     """Closed form of 1 - h(i, j), which equals h(j, i) with a and b
     exchanged.  Kept as an independent route for cross-checks; production
     paths compute 1 - elliptic_weight directly."""
-    return elliptic_weight(pp.swap_ab(), j, i, guard)
+    return elliptic_weight(pp.swap_ab(), j, i)
 
 
-def normalized_weight(pp: ParamPoint, i: int, j: int, guard: float = EVAL_GUARD):
+def normalized_weight(pp: ParamPoint, i: int, j: int):
     """Row-normalised weight H(i, j) = h(i, j) / h(i, 0)."""
-    h_i0 = elliptic_weight(pp, i, 0, guard)
-    if abs(h_i0) <= guard:
+    h_i0 = elliptic_weight(pp, i, 0)
+    if abs(h_i0) <= EVAL_GUARD:
         raise HConditionError(f"h({i}, 0) vanished; H(i, j) undefined")
     if j == 0:
         return 1
-    return elliptic_weight(pp, i, j, guard) / h_i0
+    return elliptic_weight(pp, i, j) / h_i0
 
 
-def binomial_weight(a, b, q, p, s: int, t: int, guard: float = EVAL_GUARD):
+def binomial_weight(a, b, q, p, s: int, t: int):
     """Recursion weight W(s, t) of the (a, b)-elliptic binomial family:
 
         W(s, t) = theta(a q^(s+2t), b q^(2s), b q^(2s-1),
@@ -133,46 +130,6 @@ def binomial_weight(a, b, q, p, s: int, t: int, guard: float = EVAL_GUARD):
         (a * q**s, b * q ** (2 * s + t), b * q ** (2 * s + t - 1),
          ab * q ** (1 + t - s), ab * q ** (t - s)),
         p,
-        guard,
     )
     return ratio * q**t
 
-
-Step = Literal["east", "north"]
-
-
-@dataclass(frozen=True)
-class StepWeightSpec:
-    """One unit step of a monotone lattice path: kind and start position."""
-
-    kind: Step
-    i: int
-    j: int
-
-    def __post_init__(self):
-        if self.kind not in ("east", "north"):
-            raise ValueError("step kind must be 'east' or 'north'")
-        if self.i < 0 or self.j < 0:
-            raise OutOfRegionError("step position must be nonnegative")
-
-
-def step_weight(pp: ParamPoint, size: IdentitySize, spec: StepWeightSpec):
-    """Weight of one step inside the (m+1) x (n+1) region.
-
-    East steps at height j <= n carry h(i, j); along the top edge
-    (j = n+1) they carry 1.  North steps at column i <= m carry
-    1 - h(i, j); along the right edge (i = m+1) they carry 1.
-    """
-    m, n = size.m, size.n
-    i, j = spec.i, spec.j
-    if spec.kind == "east":
-        if i > m or j > n + 1:
-            raise OutOfRegionError(f"east step at ({i}, {j}) leaves the region")
-        if j == n + 1:
-            return 1
-        return elliptic_weight(pp, i, j)
-    if j > n or i > m + 1:
-        raise OutOfRegionError(f"north step at ({i}, {j}) leaves the region")
-    if i == m + 1:
-        return 1
-    return 1 - elliptic_weight(pp, i, j)

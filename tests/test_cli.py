@@ -3,8 +3,11 @@ handling, report structure and exit codes."""
 
 from __future__ import annotations
 
+import importlib.util
+import inspect
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +69,12 @@ class TestConfig:
             CampaignConfig(trials=0)
         with pytest.raises(ValueError):
             CampaignConfig(tol=-1.0)
+
+    @pytest.mark.parametrize("flags", [["--p-max", "0.01"], ["--p-max", "0"],
+                                       ["--p-max", "0.9"], ["--precision", "-3"]])
+    def test_out_of_range_nome_bound_or_precision_exits_two(self, flags, capsys):
+        assert main(["--identities", "qcb", *flags]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
 
 class TestCampaign:
@@ -156,3 +165,42 @@ class TestCampaign:
         assert set(report.summary) == set(REGISTRY)
         failing = {name: s for name, s in report.summary.items() if s["failures"]}
         assert not failing
+
+
+class TestBenchmarkContract:
+    """What the campaign benchmark under perfbench/ relies on: it rebuilds
+    registry entries around their runner and wraps library functions by
+    module and name, skipping names that no longer exist."""
+
+    def test_registry_values_are_plain_triples(self):
+        for name, entry in REGISTRY.items():
+            assert type(entry) is tuple and len(entry) == 3, name
+            description, cap, runner = entry
+            assert isinstance(description, str), name
+            assert cap is None or type(cap) is int, name
+            assert callable(runner), name
+
+    def test_campaign_runs_with_a_rebuilt_entry(self, monkeypatch):
+        config = CampaignConfig(identities=("qcb", "frenkel_turaev"), m_max=1, n_max=1,
+                                trials=2, seed=6)
+        plain = run_campaign(config).to_text()
+        entry = REGISTRY["frenkel_turaev"]
+        calls = []
+
+        def wrapper(*args):
+            calls.append(args)
+            return entry[-1](*args)
+
+        monkeypatch.setitem(REGISTRY, "frenkel_turaev", (*entry[:-1], wrapper))
+        assert run_campaign(config).to_text() == plain
+        assert len(calls) == 8
+
+    def test_traced_functions_exist(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        assert spans.TRACED
+        for _span, module, attr in spans.TRACED:
+            fn = getattr(importlib.import_module(module), attr, None)
+            assert inspect.isfunction(fn), f"{module}.{attr}"

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from thetacb.errors import CapExceededError
 from thetacb.lattice import (
-    LatticePath,
     a_bruteforce,
     a_closed,
     a_closed_alt,
@@ -22,10 +21,8 @@ from thetacb.lattice import (
     b_closed,
     b_system_residual,
     endpoint_weights,
-    enumerate_paths,
     master_equality_residual,
     master_equality_total,
-    path_weight,
     total_weight,
     total_weight_residual,
 )
@@ -36,48 +33,38 @@ from thetacb.weights import elliptic_weight
 
 
 class TestEnumeration:
-    def test_tiny_counts(self):
-        assert len(enumerate_paths(IdentitySize(0, 0))) == 2
-        assert len(enumerate_paths(IdentitySize(1, 0))) == 3
-        assert len(enumerate_paths(IdentitySize(2, 2))) == 20
+    def test_tiny_counts(self, generic_point):
+        assert len(endpoint_weights(generic_point, 1, 1)) == 2
+        assert len(endpoint_weights(generic_point, 2, 1)) == 3
+        assert len(endpoint_weights(generic_point, 3, 3)) == 20
 
     @settings(max_examples=30, deadline=None)
-    @given(m=st.integers(0, 5), n=st.integers(0, 5))
-    def test_counts_match_binomials(self, m, n):
-        paths = enumerate_paths(IdentitySize(m, n))
-        assert len(paths) == math.comb(m + n + 2, m + 1)
-        assert all(p.end == (m + 1, n + 1) for p in paths)
+    @given(k=st.integers(0, 6), l=st.integers(0, 6))
+    def test_counts_match_binomials(self, k, l):
+        pp = sample_param_point(Random(20260809), IdentitySize(6, 6))
+        assert len(endpoint_weights(pp, k, l)) == math.comb(k + l, k)
 
-    def test_cap(self):
+    def test_cap(self, generic_point):
         with pytest.raises(CapExceededError):
-            enumerate_paths(IdentitySize(7, 7))
-
-    def test_path_validation(self):
-        with pytest.raises(ValueError):
-            LatticePath((0, 2))
+            total_weight(generic_point, IdentitySize(7, 7))
+        with pytest.raises(CapExceededError):
+            endpoint_weights(generic_point, 7, 6)
 
 
 class TestPathWeights:
     def test_two_step_region(self, generic_point):
-        size = IdentitySize(0, 0)
-        east_first = LatticePath((1, 0))
-        north_first = LatticePath((0, 1))
         h00 = elliptic_weight(generic_point, 0, 0)
-        w_en = path_weight(generic_point, size, east_first)
-        w_ne = path_weight(generic_point, size, north_first)
-        assert relative_residual(w_en, h00) == 0
-        assert relative_residual(w_ne, 1 - h00) == 0
-        assert abs(w_en + w_ne - 1) < 1e-14
+        east = endpoint_weights(generic_point, 1, 0)
+        north = endpoint_weights(generic_point, 0, 1)
+        assert east == [h00]
+        assert north == [1 - h00]
+        assert abs(east[0] + north[0] - 1) < 1e-14
 
     def test_total_weight_small_sizes(self, point_factory):
         for m, n in ((0, 0), (3, 2), (1, 4)):
             pp = point_factory(m, n)
             assert abs(total_weight(pp, IdentitySize(m, n)) - 1) < 1e-10
             assert total_weight_residual(pp, IdentitySize(m, n)) < 1e-12
-
-    def test_wrong_endpoint_rejected(self, generic_point):
-        with pytest.raises(ValueError):
-            path_weight(generic_point, IdentitySize(1, 0), LatticePath((1, 0)))
 
 
 class TestTables:

@@ -1,5 +1,5 @@
 """Weight-function tests: complement symmetry, ellipticity, the recursion
-weight and its degenerate limits, and the lattice step assignment."""
+weight and its degenerate limits."""
 
 from __future__ import annotations
 
@@ -8,18 +8,16 @@ from random import Random
 import pytest
 
 from conftest import unit_complex
-from thetacb.errors import DegenerateParameterError, OutOfRegionError
+from thetacb.errors import DegenerateParameterError
 from thetacb.params import IdentitySize, ParamPoint
 from thetacb.sampling import sample_param_point
 from thetacb.special import relative_residual, theta, theta_prod
 from thetacb.weights import (
-    StepWeightSpec,
     binomial_weight,
     elliptic_weight,
     elliptic_weight_complement,
     h_table,
     normalized_weight,
-    step_weight,
 )
 
 
@@ -122,31 +120,6 @@ class TestBinomialWeight:
         worst = max(abs(binomial_weight(1e-14, 1e-7, q, 0, s, t) - q**t)
                     for s in range(4) for t in range(5))
         assert worst < 1e-6
-
-
-class TestStepWeight:
-    def test_boundary_steps_are_one(self, generic_point):
-        size = IdentitySize(3, 2)
-        assert step_weight(generic_point, size, StepWeightSpec("east", 0, 3)) == 1
-        assert step_weight(generic_point, size, StepWeightSpec("north", 4, 0)) == 1
-
-    def test_interior_steps(self, generic_point):
-        size = IdentitySize(3, 2)
-        h00 = elliptic_weight(generic_point, 0, 0)
-        assert step_weight(generic_point, size, StepWeightSpec("east", 0, 0)) == h00
-        got = step_weight(generic_point, size, StepWeightSpec("north", 1, 2))
-        assert relative_residual(got, 1 - elliptic_weight(generic_point, 1, 2)) == 0
-
-    def test_out_of_region(self, generic_point):
-        size = IdentitySize(3, 2)
-        with pytest.raises(OutOfRegionError):
-            step_weight(generic_point, size, StepWeightSpec("east", 4, 0))
-        with pytest.raises(OutOfRegionError):
-            step_weight(generic_point, size, StepWeightSpec("north", 0, 3))
-        with pytest.raises(ValueError):
-            StepWeightSpec("diagonal", 0, 0)
-        with pytest.raises(OutOfRegionError):
-            StepWeightSpec("east", -1, 0)
 
 
 def test_param_point_validation():
