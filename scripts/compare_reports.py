@@ -1,0 +1,89 @@
+"""Compare two campaign reports of the same configuration, trial by trial.
+
+    python3 scripts/compare_reports.py PARENT CHANGE
+
+PARENT and CHANGE are JSONL reports written by ``thetacb`` (``--out``).
+Trials are matched by their coordinates (identity, m, n, trial).  The
+script prints whether both reports hold the same coordinates, how many
+matched records have identical parameters, the verdict changes split by
+direction, the non-finite residual count of each side, and per identity
+the largest residual move with the trial where it happened.
+
+Exit status: 0 when the trial coordinates match, 1 when they differ, 2
+on a usage error.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import sys
+
+
+def load_trials(path: str) -> dict:
+    """The trial records of a report keyed by (identity, m, n, trial)."""
+    with open(path, encoding="utf-8") as handle:
+        records = [json.loads(line) for line in handle if line.strip()]
+    return {(rec["identity"], rec["m"], rec["n"], rec["trial"]): rec
+            for rec in records if rec.get("type") == "trial"}
+
+
+def compare(parent: dict, change: dict) -> tuple[list[str], bool]:
+    """Report lines for two loaded reports, and whether their trial
+    coordinates match."""
+    same_coords = parent.keys() == change.keys()
+    common = sorted(parent.keys() & change.keys())
+    lines = [f"trials: parent {len(parent)}, change {len(change)}, "
+             f"coordinates {'identical' if same_coords else 'DIFFER'}"]
+    if not same_coords:
+        lines.append(f"  only in parent: {len(parent.keys() - change.keys())}, "
+                     f"only in change: {len(change.keys() - parent.keys())}")
+
+    same_params = sum(parent[key]["params"] == change[key]["params"] for key in common)
+    lines.append(f"identical parameters: {same_params}/{len(common)}")
+
+    flips = {("pass", "fail"): 0, ("fail", "pass"): 0}
+    for key in common:
+        move = (parent[key]["verdict"], change[key]["verdict"])
+        if move in flips:
+            flips[move] += 1
+    lines.append(f"verdict changes: pass -> fail {flips['pass', 'fail']}, "
+                 f"fail -> pass {flips['fail', 'pass']}")
+
+    def nonfinite(trials):
+        return sum(not math.isfinite(rec["residual"]) for rec in trials.values())
+
+    lines.append(f"non-finite residuals: parent {nonfinite(parent)}, change {nonfinite(change)}")
+
+    largest: dict[str, tuple] = {}
+    for key in common:
+        before, after = parent[key]["residual"], change[key]["residual"]
+        if not (math.isfinite(before) and math.isfinite(after)):
+            continue
+        move = abs(after - before)
+        best = largest.get(key[0])
+        if best is None or move > best[0]:
+            largest[key[0]] = (move, key, before, after)
+    lines.append("largest residual move per identity:")
+    for identity in sorted(largest):
+        move, (_, m, n, trial), before, after = largest[identity]
+        if move == 0:
+            lines.append(f"  {identity}: unchanged")
+            continue
+        lines.append(f"  {identity} ({m}, {n}) trial {trial}: "
+                     f"{before:.3g} -> {after:.3g} (move {move:.3g})")
+    return lines, same_coords
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: compare_reports.py PARENT CHANGE", file=sys.stderr)
+        return 2
+    lines, same_coords = compare(load_trials(args[0]), load_trials(args[1]))
+    print("\n".join(lines))
+    return 0 if same_coords else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

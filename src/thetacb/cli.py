@@ -44,10 +44,15 @@ class CampaignConfig:
     out: str | None = None
 
     def __post_init__(self):
+        unknown = [name for name in self.identities if name not in REGISTRY]
+        if unknown:
+            raise ValueError(f"unknown identities: {', '.join(unknown)}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.tol < 0:
-            raise ValueError("tolerance must be nonnegative")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError("tolerance must be finite and nonnegative")
+        if not (math.isfinite(self.guard) and self.guard > 0):
+            raise ValueError("guard must be finite and positive")
         if self.m_max < 0 or self.n_max < 0:
             raise ValueError("depth bounds must be nonnegative")
         if not P_LO <= self.p_max <= P_HI:
@@ -267,10 +272,6 @@ def run_campaign(config: CampaignConfig) -> "CampaignReport":
     trial with a seed derived from the trial coordinates so the report is
     reproducible and independent of execution order."""
     names = config.identities or tuple(sorted(REGISTRY))
-    unknown = [name for name in names if name not in REGISTRY]
-    if unknown:
-        raise KeyError(f"unknown identities: {', '.join(unknown)}")
-
     records = []
     summary: dict[str, dict] = {}
     for name in names:
@@ -445,7 +446,7 @@ def main(argv: list[str] | None = None) -> int:
                 report = run_campaign(config)
         else:
             report = run_campaign(config)
-    except (KeyError, ResamplingExhaustedError) as exc:
+    except ResamplingExhaustedError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,49 +14,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateParameterError, UnknownIdentityError
+from .errors import UnknownIdentityError
 from .params import ParamPoint
-from .special import qbinom, qpoch, relative_residual, theta
+from .special import (
+    ThetaLadders,
+    qbinom,
+    qpoch,
+    relative_residual,
+    series_with_running_products,
+    theta_ratio,
+)
 
 #: Family names accepted by :func:`cb_residual`, most general first.
 FAMILIES = ("elliptic", "abcq", "abq2", "abq1", "qcb", "classical")
-
-_GUARD = 1e-12
-
-
-def _guarded(value, what: str, *args):
-    """``value``, unless it vanished; the message ``what % args`` is only
-    formatted when it is raised."""
-    if abs(value) <= _GUARD:
-        raise DegenerateParameterError(f"{what % args} vanished")
-    return value
-
-
-def series_with_running_products(num_args, den_args, q, p, m: int, top_ratio):
-    """sum_{k=0}^{m} top_ratio(k) * (num_args; q, p)_k / (den_args; q, p)_k * q^k
-    with all factorials maintained as running products (theta at p = 0 is
-    the exact form 1 - z, so the basic families reuse this path exactly).
-    Returns the sum and the largest term magnitude.
-    """
-    num_cur = list(num_args)
-    den_cur = list(den_args)
-    run = 1
-    qk = 1
-    total = 0
-    scale = 0.0
-    for k in range(m + 1):
-        if k:
-            for idx, z in enumerate(num_cur):
-                run = run * theta(z, p)
-                num_cur[idx] = z * q
-            for idx, z in enumerate(den_cur):
-                run = run / _guarded(theta(z, p), "series denominator theta(%r)", z)
-                den_cur[idx] = z * q
-            qk = qk * q
-        term = top_ratio(k) * run * qk
-        total = total + term
-        scale = max(scale, abs(term))
-    return total, scale
 
 
 def cb_term_elliptic(pp: ParamPoint, m: int, n: int):
@@ -65,66 +35,55 @@ def cb_term_elliptic(pp: ParamPoint, m: int, n: int):
         (ac, c/a, bx, b/x; q, p)_{n+1} / (ab, b/a, cx, c/x; q, p)_{n+1}
         * sum_{k<=m} theta(ac q^(n+2k); p)/theta(ac q^n; p)
           * (ac q^n, bc q^n, c/b, q^(n+1), ax, a/x; q, p)_k
-          / (q, aq/b, ab q^(n+1), ac, c q^(n+1)/x, cx q^(n+1); q, p)_k * q^k.
+          / (q, aq/b, ab q^(n+1), ac, c q^(n+1)/x, cx q^(n+1); q, p)_k * q^k,
 
-    At p = 0 every theta is the exact factor 1 - z, so this value *is* the
-    (a, b, c; q)-family value, bit for bit.
+    returned with the magnitude it was summed from: |prefactor| times the
+    largest series term.  At p = 0 every theta is the exact factor 1 - z,
+    so this value *is* the (a, b, c; q)-family value, bit for bit.  All
+    factors are read off one set of theta ladders.
     """
-    x, a, b, c, q, p = pp.x, pp.a, pp.b, pp.c, pp.q, pp.p
-    qn = q**n
-    qn1 = qn * q
-
-    # The prefactor is built as a running ratio, one numerator theta over
-    # its partner at the same power of q: the two products of 4(n+1)
-    # thetas each overflow doubles at depths where their ratio is modest.
-    pre = 1
-    num_cur = [a * c, c / a, b * x, b / x]
-    den_cur = [a * b, b / a, c * x, c / x]
-    for _ in range(n + 1):
-        for idx, (zn, zd) in enumerate(zip(num_cur, den_cur)):
-            pre = pre * (theta(zn, p) / _guarded(theta(zd, p), "prefactor theta(%r)", zd))
-            num_cur[idx] = zn * q
-            den_cur[idx] = zd * q
-
-    th_ref = _guarded(theta(a * c * qn, p), "theta(ac q^n; p)")
-    acq2 = a * c * qn
-    q2 = q * q
-
-    def top_ratio(k: int):
-        return theta(acq2 * q2**k, p) / th_ref
-
-    total, _ = series_with_running_products(
-        (a * c * qn, b * c * qn, c / b, qn1, a * x, a / x),
-        (q, a * q / b, a * b * qn1, a * c, c * qn1 / x, c * x * qn1),
-        q, p, m, top_ratio)
-    return pre * total
+    x, a, b, c, q = pp.x, pp.a, pp.b, pp.c, pp.q
+    lad = ThetaLadders(q, pp.p)
+    ac, c_a, bx, b_x = lad[a * c], lad[c / a], lad[b * x], lad[b / x]
+    ab, b_a, cx, c_x = lad[a * b], lad[b / a], lad[c * x], lad[c / x]
+    pre = theta_ratio(((ac, 0, n + 1), (c_a, 0, n + 1), (bx, 0, n + 1), (b_x, 0, n + 1)),
+                      ((ab, 0, n + 1), (b_a, 0, n + 1), (cx, 0, n + 1), (c_x, 0, n + 1)))
+    th_ref = ac.den(n)
+    total, scale = series_with_running_products(
+        ((ac, n), (lad[b * c], n), (lad[c / b], 0), (lad[q], n), (lad[a * x], 0),
+         (lad[a / x], 0)),
+        ((lad[q], 0), (lad[a / b], 1), (ab, n + 1), (ac, 0), (c_x, n + 1), (cx, n + 1)),
+        q, m, lambda k: ac[n + 2 * k] / th_ref)
+    return pre * total, abs(pre) * scale
 
 
 def cb_term_abcq(pp: ParamPoint, m: int, n: int):
-    """The (a, b, c; q)-family addend: the p = 0 closed form of
-    :func:`cb_term_elliptic` (thetas collapse to 1 - z exactly)."""
+    """The (a, b, c; q)-family addend and its summed magnitude: the p = 0
+    closed form of :func:`cb_term_elliptic` (thetas collapse to 1 - z
+    exactly)."""
     return cb_term_elliptic(pp.replace(p=0j), m, n)
 
 
 def cb_term_abq2(pp: ParamPoint, m: int, n: int):
-    """Second-kind two-parameter addend:
+    """Second-kind two-parameter addend and its summed magnitude:
 
         (bx, b/x; q)_{n+1} / (ab, b/a; q)_{n+1}
         * sum_{k<=m} (q^(n+1), ax, a/x; q)_k / (q, aq/b, ab q^(n+1); q)_k * q^k.
     """
     x, a, b, q = pp.x, pp.a, pp.b, pp.q
-    pre = qpoch(b * x, q, n + 1) * qpoch(b / x, q, n + 1)
-    pre = pre / _guarded(qpoch(a * b, q, n + 1) * qpoch(b / a, q, n + 1),
-                         "(ab, b/a; q)_{n+1}")
-    total, _ = series_with_running_products(
-        (q ** (n + 1), a * x, a / x),
-        (q, a * q / b, a * b * q ** (n + 1)),
-        q, 0j, m, lambda k: 1)
-    return pre * total
+    lad = ThetaLadders(q, 0j)
+    ab, qq = lad[a * b], lad[q]
+    pre = theta_ratio(((lad[b * x], 0, n + 1), (lad[b / x], 0, n + 1)),
+                      ((ab, 0, n + 1), (lad[b / a], 0, n + 1)))
+    total, scale = series_with_running_products(
+        ((qq, n), (lad[a * x], 0), (lad[a / x], 0)),
+        ((qq, 0), (lad[a / b], 1), (ab, n + 1)),
+        q, m, lambda k: 1)
+    return pre * total, abs(pre) * scale
 
 
 def cb_term_abq1(x, a, b, q, m: int, n: int):
-    """First-kind two-parameter addend:
+    """First-kind two-parameter addend and its summed magnitude:
 
         (bx; q)_{n+1} / (b/a; q)_{n+1}
         * sum_{k<=m} (q^(n+1), ax; q)_k / (q, aq/b; q)_k * q^k.
@@ -132,10 +91,12 @@ def cb_term_abq1(x, a, b, q, m: int, n: int):
     The b variable is redundant (a -> ab, x -> x/b eliminates it) but kept
     for the a <-> b mirror symmetry.
     """
-    pre = qpoch(b * x, q, n + 1) / _guarded(qpoch(b / a, q, n + 1), "(b/a; q)_{n+1}")
-    total, _ = series_with_running_products(
-        (q ** (n + 1), a * x), (q, a * q / b), q, 0j, m, lambda k: 1)
-    return pre * total
+    lad = ThetaLadders(q, 0j)
+    qq = lad[q]
+    pre = theta_ratio(((lad[b * x], 0, n + 1),), ((lad[b / a], 0, n + 1),))
+    total, scale = series_with_running_products(
+        ((qq, n), (lad[a * x], 0)), ((qq, 0), (lad[a / b], 1)), q, m, lambda k: 1)
+    return pre * total, abs(pre) * scale
 
 
 def cb_terms_qcb(x, q, m: int, n: int):
@@ -189,8 +150,9 @@ def cb_terms_classical(x, m: int, n: int):
     return term_a, term_b
 
 
-def cb_terms(family: str, pp: ParamPoint, m: int, n: int):
-    """The (termA, termB) pair of the named family at the given point."""
+def _scaled_terms(family: str, pp: ParamPoint, m: int, n: int):
+    """((termA, scaleA), (termB, scaleB)) of the named family, each term
+    with the largest magnitude that was summed to form it."""
     if family == "elliptic":
         return cb_term_elliptic(pp, m, n), cb_term_elliptic(pp.swap_ab(), n, m)
     if family == "abcq":
@@ -201,17 +163,28 @@ def cb_terms(family: str, pp: ParamPoint, m: int, n: int):
         return (cb_term_abq1(pp.x, pp.a, pp.b, pp.q, m, n),
                 cb_term_abq1(pp.x, pp.b, pp.a, pp.q, n, m))
     if family == "qcb":
-        return cb_terms_qcb(pp.x, pp.q, m, n)
-    if family == "classical":
-        return cb_terms_classical(pp.x, m, n)
-    raise UnknownIdentityError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        term_a, term_b = cb_terms_qcb(pp.x, pp.q, m, n)
+    elif family == "classical":
+        term_a, term_b = cb_terms_classical(pp.x, m, n)
+    else:
+        raise UnknownIdentityError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    return (term_a, abs(term_a)), (term_b, abs(term_b))
+
+
+def cb_terms(family: str, pp: ParamPoint, m: int, n: int):
+    """The (termA, termB) pair of the named family at the given point."""
+    (term_a, _), (term_b, _) = _scaled_terms(family, pp, m, n)
+    return term_a, term_b
 
 
 def cb_residual(family: str, pp: ParamPoint, m: int, n: int) -> float:
     """Relative residual |1 - termA - termB| of the named family,
-    normalised by the larger term magnitude (floor 1)."""
-    term_a, term_b = cb_terms(family, pp, m, n)
-    return relative_residual(1, term_a + term_b, abs(term_a), abs(term_b))
+    normalised by the larger term magnitude (floor 1) and, for the
+    families summed by the series kernel, by the largest magnitude each
+    term was summed from: a series that cancels terms far larger than its
+    sum carries their rounding, not an identity error."""
+    (term_a, scale_a), (term_b, scale_b) = _scaled_terms(family, pp, m, n)
+    return relative_residual(1, term_a + term_b, abs(term_a), abs(term_b), scale_a, scale_b)
 
 
 def cb_variant_residual(x, m: int, n: int) -> float:
@@ -292,21 +265,21 @@ def degeneration_consistency(pp: ParamPoint, m: int, n: int, eps: float) -> Dege
 
     p_small = eps * (_unit(pp.p) if pp.p != 0 else 1.0)
     gaps["elliptic_to_abcq"] = float(abs(
-        cb_term_elliptic(pp.replace(p=p_small), m, n) - cb_term_abcq(pp, m, n)))
+        cb_term_elliptic(pp.replace(p=p_small), m, n)[0] - cb_term_abcq(pp, m, n)[0]))
 
     c_small = eps * _unit(c)
     gaps["abcq_to_abq2"] = float(abs(
-        cb_term_abcq(pp.replace(c=c_small, p=0j), m, n) - cb_term_abq2(pp, m, n)))
+        cb_term_abcq(pp.replace(c=c_small, p=0j), m, n)[0] - cb_term_abq2(pp, m, n)[0]))
 
     delta = eps
     pp_delta = pp.replace(x=x / delta, a=delta * a, b=b * delta)
     gaps["abq2_to_abq1"] = float(abs(
-        cb_term_abq2(pp_delta, m, n) - cb_term_abq1(x, a, b, q, m, n)))
+        cb_term_abq2(pp_delta, m, n)[0] - cb_term_abq1(x, a, b, q, m, n)[0]))
 
     b_small = eps * _unit(b)
     qcb_a, _ = cb_terms_qcb(x, q, m, n)
     gaps["abq1_to_qcb"] = float(abs(
-        cb_term_abq1(x / b_small, a, b_small, q, m, n) - qcb_a))
+        cb_term_abq1(x / b_small, a, b_small, q, m, n)[0] - qcb_a))
 
     q_near_1 = 1 - eps
     qcb_a_limit, _ = cb_terms_qcb(x, q_near_1, m, n)
@@ -334,7 +307,7 @@ def abq1_q_to_1_gap(x, a, b, eps: float, m: int, n: int) -> float:
     """Gap between the first-kind addend at q = 1 - eps and the classical
     addend at the substituted argument x' = (1 - ax)/(1 - a/b); the q -> 1
     limit of the first-kind family is the classical identity in x'."""
-    val = cb_term_abq1(x, a, b, 1 - eps, m, n)
+    val, _ = cb_term_abq1(x, a, b, 1 - eps, m, n)
     x_sub = (1 - a * x) / (1 - a / b)
     cl_a, _ = cb_terms_classical(x_sub, m, n)
     return float(abs(val - cl_a))

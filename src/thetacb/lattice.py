@@ -23,8 +23,8 @@ from itertools import combinations
 
 from .errors import CapExceededError, HConditionError, OutOfRegionError
 from .params import IdentitySize, ParamPoint
-from .special import ThetaLadders, relative_residual, theta, theta_fact_prod
-from .weights import EVAL_GUARD, h_cells, h_table
+from .special import DENOMINATOR_GUARD, ThetaLadders, relative_residual, theta_ratio
+from .weights import h_cells, h_table
 
 #: Endpoints with m + n beyond this are refused by the brute-force routes.
 BRUTE_FORCE_CAP = 12
@@ -140,10 +140,10 @@ def a_table_dp(pp: ParamPoint, size: IdentitySize) -> WeightTable:
     m, n = size.m, size.n
     h = h_table(pp, m, n)
     for i in range(m + 1):
-        if abs(h[i][0]) <= EVAL_GUARD:
+        if abs(h[i][0]) <= DENOMINATOR_GUARD:
             raise HConditionError(f"h({i}, 0) vanished")
     for j in range(n + 1):
-        if abs(1 - h[0][j]) <= EVAL_GUARD:
+        if abs(1 - h[0][j]) <= DENOMINATOR_GUARD:
             raise HConditionError(f"1 - h(0, {j}) vanished")
 
     a = [[None] * (n + 1) for _ in range(m + 1)]
@@ -163,36 +163,6 @@ def a_table_dp(pp: ParamPoint, size: IdentitySize) -> WeightTable:
                 + ((1 - h[k][l - 1]) / (1 - h[0][l - 1])) * b[k][l - 1]
 
     return WeightTable(m, n, tuple(map(tuple, a)), tuple(map(tuple, b)))
-
-
-def _interleaved(num, den, what: str):
-    """prod(num) / prod(den), where num and den are lists of ladder
-    windows (ladder, start, length) holding the same number of factors.
-
-    The ratio is built factor by factor, num[t] / den[t], with the lists
-    ordered so that paired factors carry nearly the same power of q and
-    hence have comparable size: the two separate products of forty-odd
-    thetas overflow doubles long before their ratio does.  The
-    denominator product is still formed to apply ``EVAL_GUARD``, raising
-    :class:`HConditionError` with ``what``.  A product that overflows (to
-    inf, or to NaN in complex arithmetic) does not trip the guard: it has
-    not vanished.
-    """
-    den_prod = 1
-    for ladder, start, length in den:
-        den_prod = den_prod * ladder.fact(start, length)
-    if abs(den_prod) <= EVAL_GUARD:
-        raise HConditionError(what)
-    acc = 1
-    for t, d in zip(_entries(num), _entries(den), strict=True):
-        acc = acc * (t / d)
-    return acc
-
-
-def _entries(windows):
-    for ladder, start, length in windows:
-        for j in range(start, start + length):
-            yield ladder[j]
 
 
 def b_closed(pp: ParamPoint, k: int, l: int, ladders: ThetaLadders | None = None):
@@ -220,7 +190,7 @@ def b_closed(pp: ParamPoint, k: int, l: int, ladders: ThetaLadders | None = None
            (c_x, 0, l), (bc, l, k), (a_b, k - l, 1), (b_a, 0, 1))
     den = ((ab, k, l), (cx, k, l), (ac, 0, l), (qq, 0, l),
            (bc, 0, k), (c_x, k, l), (a_b, k, 1), (b_a, l, 1))
-    return _interleaved(num, den, "closed-form B denominator vanished") * q**l
+    return theta_ratio(num, den) * q**l
 
 
 def a_closed(pp: ParamPoint, k: int, l: int, ladders: ThetaLadders | None = None):
@@ -246,25 +216,31 @@ def a_closed(pp: ParamPoint, k: int, l: int, ladders: ThetaLadders | None = None
            (c_a, 0, l), (bx, 0, l), (b_x, 0, l), (bc, l, k), (a_b, k - l, 1))
     den = ((ab, 0, k), (cx, 0, k), (c_x, 0, k), (ab, k, l), (cx, k, l),
            (qq, 0, l), (b_a, 1, l), (a_b, 0, k), (c_x, k, l), (a_b, k, 1))
-    return _interleaved(num, den, "closed-form A denominator vanished") * q**l
+    return theta_ratio(num, den) * q**l
 
 
 def a_closed_alt(pp: ParamPoint, k: int, l: int):
     """Second factorised closed form of A(k, l); differs from
-    :func:`a_closed` by a theta inversion, so agreement is a real check."""
+    :func:`a_closed` by a theta inversion, so agreement is a real check:
+
+        A(k, l) = theta((b/a) q^(l-k); p) (ac q^k, c/a, bx, b/x; q, p)_l
+                  (q^(l+1), bc q^l, c/b, ax, a/x; q, p)_k
+                / [(b/a; q, p)_(l+1) (q, qa/b; q, p)_k
+                   (ab, cx, c/x; q, p)_(k+l)] * q^k.
+    """
     if k < 0 or l < 0:
         raise OutOfRegionError("table indices must be nonnegative")
-    x, a, b, c, q, p = pp.x, pp.a, pp.b, pp.c, pp.q, pp.p
-    ql = q**l
-    num = theta((b / a) * q ** (l - k), p)
-    num = num * theta_fact_prod((a * c * q**k, c / a, b * x, b / x), q, p, l)
-    num = num * theta_fact_prod((q ** (l + 1), b * c * ql, c / b, a * x, a / x), q, p, k)
-    den = theta_fact_prod((b / a,), q, p, l + 1)
-    den = den * theta_fact_prod((q, q * a / b), q, p, k)
-    den = den * theta_fact_prod((a * b, c * x, c / x), q, p, l + k)
-    if abs(den) <= EVAL_GUARD:
-        raise HConditionError("closed-form A denominator vanished")
-    return num / den * q**k
+    x, a, b, c, q = pp.x, pp.a, pp.b, pp.c, pp.q
+    lad = ThetaLadders(q, pp.p)
+    a_b, b_a, bc, cb = lad[a / b], lad[b / a], lad[b * c], lad[c / b]
+    ax, a_x, bx, b_x = lad[a * x], lad[a / x], lad[b * x], lad[b / x]
+    ac, c_a, qq = lad[a * c], lad[c / a], lad[q]
+    ab, cx, c_x = lad[a * b], lad[c * x], lad[c / x]
+    num = ((cb, 0, k), (ax, 0, k), (a_x, 0, k), (ac, k, l), (qq, l, k),
+           (c_a, 0, l), (bx, 0, l), (b_x, 0, l), (bc, l, k), (b_a, l - k, 1))
+    den = ((ab, 0, k), (cx, 0, k), (c_x, 0, k), (ab, k, l), (qq, 0, k),
+           (cx, k, l), (c_x, k, l), (b_a, 0, l), (a_b, 1, k), (b_a, l, 1))
+    return theta_ratio(num, den) * q**k
 
 
 def master_equality_total(pp: ParamPoint, size: IdentitySize):

@@ -25,12 +25,11 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DegenerateParameterError
-from .identities import IdentityReport, series_with_running_products
+from .identities import IdentityReport
 from .lattice import b_closed
 from .params import ParamPoint
-from .special import qbinom, theta, theta_fact_prod
-from .weights import EVAL_GUARD, binomial_weight, elliptic_weight, normalized_weight
+from .special import ThetaLadders, qbinom, series_with_running_products, theta_ratio
+from .weights import binomial_weight, elliptic_weight, normalized_weight
 
 #: Coefficients below this fraction of the row maximum count as structural
 #: zeros when two normal forms are compared.
@@ -57,14 +56,11 @@ def elliptic_binomial(a, b, q, p, n: int, k: int):
         return 0
     if k == 0 or k == n:
         return 1
-    ab = a / b
-    num = theta_fact_prod(
-        (q ** (1 + k), a * q ** (1 + k), b * q ** (1 + k), ab * q ** (1 - k)),
-        q, p, n - k)
-    den = theta_fact_prod((q, a * q, b * q ** (1 + 2 * k), ab * q), q, p, n - k)
-    if abs(den) == 0:
-        raise DegenerateParameterError("elliptic binomial denominator vanished")
-    return num / den
+    lad = ThetaLadders(q, p)
+    qq, la, lb, a_b = lad[q], lad[a], lad[b], lad[a / b]
+    t = n - k
+    return theta_ratio(((qq, k, t), (la, 1 + k, t), (lb, 1 + k, t), (a_b, 1 - k, t)),
+                       ((qq, 0, t), (la, 1, t), (lb, 1 + 2 * k, t), (a_b, 1, t)))
 
 
 def path_binomial(pp: ParamPoint, n: int, k: int):
@@ -668,22 +664,20 @@ def frenkel_turaev(a, b, c, d, n: int, q, p):
         / (aq/b, aq/c, aq/d, aq/bcd; q, p)_n.
     """
     e = a * a * q ** (n + 1) / (b * c * d)
-    th_a = theta(a, p)
-    if abs(th_a) <= EVAL_GUARD:
-        raise DegenerateParameterError("theta(a; p) below guard")
+    lad = ThetaLadders(q, p)
+    la, a_b, a_c, a_d = lad[a], lad[a / b], lad[a / c], lad[a / d]
+    th_a = la.den(0)
 
     lhs, _ = series_with_running_products(
-        (a, b, c, d, e, q ** (-n)),
-        (q, a * q / b, a * q / c, a * q / d, a * q / e, a * q ** (n + 1)),
-        q, p, n, lambda k: theta(a * q ** (2 * k), p) / th_a)
+        ((la, 0), (lad[b], 0), (lad[c], 0), (lad[d], 0), (lad[e], 0), (lad[q], -n - 1)),
+        ((lad[q], 0), (a_b, 1), (a_c, 1), (a_d, 1), (lad[a / e], 1), (la, n + 1)),
+        q, n, lambda k: la[2 * k] / th_a)
 
-    rhs_num = theta_fact_prod((a * q, a * q / (b * c), a * q / (b * d), a * q / (c * d)),
-                              q, p, n)
-    rhs_den = theta_fact_prod((a * q / b, a * q / c, a * q / d, a * q / (b * c * d)),
-                              q, p, n)
-    if abs(rhs_den) <= EVAL_GUARD:
-        raise DegenerateParameterError("closed-side denominator below guard")
-    return lhs, rhs_num / rhs_den
+    rhs = theta_ratio(
+        ((la, 1, n), (lad[a / (b * c)], 1, n), (lad[a / (b * d)], 1, n),
+         (lad[a / (c * d)], 1, n)),
+        ((a_b, 1, n), (a_c, 1, n), (a_d, 1, n), (lad[a / (b * c * d)], 1, n)))
+    return lhs, rhs
 
 
 def frenkel_turaev_from_convolution(pp: ParamPoint, n: int, m: int, k: int):

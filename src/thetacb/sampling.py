@@ -15,7 +15,7 @@ from random import Random
 from .errors import DegenerateParameterError, ResamplingExhaustedError
 from .params import IdentitySize, ParamPoint
 from .special import theta
-from .weights import elliptic_weight
+from .weights import h_cells
 
 #: Default width of the denominator safety margin used while sampling.
 DEFAULT_GUARD = 1e-6
@@ -76,12 +76,13 @@ def check_genericity(pp: ParamPoint, size: IdentitySize, guard: float = DEFAULT_
     for arg in _denominator_args(pp, m, n):
         if theta_margin(arg, pp.p) <= guard:
             return False
+    h = h_cells(pp)
     try:
         for i in range(m + 1):
-            if abs(elliptic_weight(pp, i, 0)) <= guard:
+            if abs(h(i, 0)) <= guard:
                 return False
         for j in range(n + 1):
-            if abs(1 - elliptic_weight(pp, 0, j)) <= guard:
+            if abs(1 - h(0, j)) <= guard:
                 return False
     except DegenerateParameterError:
         return False

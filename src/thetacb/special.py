@@ -1,5 +1,7 @@
 """Scalar kernels: q-shifted factorials, the modified Jacobi theta
-function, theta-shifted factorials and q-binomial coefficients.
+function, theta-shifted factorials, theta ladders with the ratio and
+series kernels that read them, the denominator guard, and q-binomial
+coefficients.
 
 Conventions used throughout the package:
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import DivergenceError, RootOfUnityError, ZeroArgumentError
+from .errors import DegenerateParameterError, DivergenceError, RootOfUnityError, ZeroArgumentError
 
 #: Truncation control for infinite products: factors are kept while
 #: |p|^k >= tol * (1 + |x|), which bounds the relative tail error by
@@ -30,8 +32,19 @@ from .errors import DivergenceError, RootOfUnityError, ZeroArgumentError
 #: limited.
 DEFAULT_THETA_TOL = 1e-18
 
-#: Below this magnitude a q-factorial denominator counts as vanished.
-ROOT_OF_UNITY_GUARD = 1e-12
+#: Runtime backstop: a denominator factor (one theta, or one 1 - z at
+#: p = 0) of magnitude at most this counts as vanished and raises instead
+#: of dividing.  Samplers enforce a much wider margin (see
+#: ``thetacb.sampling``).
+DENOMINATOR_GUARD = 1e-12
+
+
+def guarded(value, what: str, *args):
+    """``value``, unless it vanished under ``DENOMINATOR_GUARD``; the
+    message ``what % args`` is only formatted when it is raised."""
+    if abs(value) <= DENOMINATOR_GUARD:
+        raise DegenerateParameterError(f"{what % args} vanished")
+    return value
 
 
 def qpoch(x, q, k: int):
@@ -226,6 +239,10 @@ class ThetaLadder:
             value = self._values[j] = theta(self.arg(j), self.p)
         return value
 
+    def den(self, j: int):
+        """Entry j read as a denominator factor, checked by :func:`guarded`."""
+        return guarded(self[j], "denominator theta(%r * q^%d)", self.z, j)
+
     def fact(self, start: int, length: int):
         """(z q^start; q, p)_length as a product of ladder entries."""
         acc = 1
@@ -248,12 +265,58 @@ class ThetaLadders(dict):
         return ladder
 
 
-def theta_fact_prod(args, q, p, k: int):
-    """Product of theta-shifted factorials (x1, ..., xs; q, p)_k."""
+def theta_ratio(num, den):
+    """prod(num) / prod(den), where num and den are sequences of ladder
+    windows (ladder, start, length) holding the same number of factors.
+
+    The ratio is built factor by factor, num[t] / den[t], with callers
+    ordering the windows so that paired factors carry nearly the same
+    power of q and hence have comparable size: the two separate products
+    of forty-odd thetas overflow doubles long before their ratio does.
+    Every denominator factor is checked on its own (:meth:`ThetaLadder.den`);
+    the product of the factors is never formed, so a product that
+    underflows or overflows neither trips nor hides the check.
+    """
     acc = 1
-    for x in args:
-        acc = acc * theta_fact(x, q, p, k)
+    for t, d in zip(_window_entries(num, False), _window_entries(den, True), strict=True):
+        acc = acc * (t / d)
     return acc
+
+
+def _window_entries(windows, denominator: bool):
+    for ladder, start, length in windows:
+        read = ladder.den if denominator else ladder.__getitem__
+        for j in range(start, start + length):
+            yield read(j)
+
+
+def series_with_running_products(num, den, q, m: int, top_ratio):
+    """sum_{k=0}^{m} top_ratio(k) * prod(num)_k / prod(den)_k * q^k, where
+    num and den are ladder windows (ladder, start) standing for the
+    theta-shifted factorials (z q^start; q, p)_k.
+
+    The factorials are maintained as running products: step k multiplies
+    in entry start + k - 1 of every numerator ladder and divides out that
+    of every denominator ladder (checked by :meth:`ThetaLadder.den`).  At
+    p = 0 every entry is the exact factor 1 - z q^j, so the basic families
+    run through this kernel too.  Returns the sum and the largest term
+    magnitude.
+    """
+    run = 1
+    qk = 1
+    total = 0
+    scale = 0.0
+    for k in range(m + 1):
+        if k:
+            for ladder, start in num:
+                run = run * ladder[start + k - 1]
+            for ladder, start in den:
+                run = run / ladder.den(start + k - 1)
+            qk = qk * q
+        term = top_ratio(k) * run * qk
+        total = total + term
+        scale = max(scale, abs(term))
+    return total, scale
 
 
 def qbinom(n: int, k: int, q):
@@ -272,7 +335,7 @@ def qbinom(n: int, k: int, q):
     den = 1
     for j in range(1, k + 1):
         d = 1 - q**j
-        if abs(d) < ROOT_OF_UNITY_GUARD:
+        if abs(d) <= DENOMINATOR_GUARD:
             raise RootOfUnityError(f"1 - q^{j} vanished in q-binomial")
         num = num * (1 - q ** (n - k + j))
         den = den * d

@@ -17,14 +17,9 @@ from __future__ import annotations
 
 from functools import cache
 
-from .errors import DegenerateParameterError, HConditionError, OutOfRegionError
+from .errors import HConditionError, OutOfRegionError
 from .params import ParamPoint
-from .special import ThetaLadders, theta
-
-#: Runtime backstop: a denominator theta whose magnitude (normalised by
-#: 1 + |argument|) falls below this raises instead of dividing.  Samplers
-#: enforce a much wider margin (see ``thetacb.sampling``).
-EVAL_GUARD = 1e-12
+from .special import DENOMINATOR_GUARD, ThetaLadders, guarded, theta
 
 
 def _theta_ratio(num_args, den_args, p):
@@ -33,10 +28,7 @@ def _theta_ratio(num_args, den_args, p):
         num = num * theta(z, p)
     den = 1
     for z in den_args:
-        t = theta(z, p)
-        if abs(t) <= EVAL_GUARD * (1 + abs(z)):
-            raise DegenerateParameterError(f"denominator theta({z!r}) below guard")
-        den = den * t
+        den = den * guarded(theta(z, p), "denominator theta(%r)", z)
     return num / den
 
 
@@ -60,26 +52,19 @@ def h_cells(pp: ParamPoint, ladders: ThetaLadders | None = None):
     Every cell takes its eight thetas from eight ladders shared by all
     cells, so any set of cells costs one theta call per distinct ladder
     index.  Values equal :func:`elliptic_weight` bit for bit, and every
-    denominator theta is checked against ``EVAL_GUARD`` exactly as there.
+    denominator theta is checked by the same guard as there.
     """
     x, a, b, c = pp.x, pp.a, pp.b, pp.c
     lad = ThetaLadders(pp.q, pp.p) if ladders is None else ladders
     bc, cb, ax, a_x = lad[b * c], lad[c / b], lad[a * x], lad[a / x]
     ab, a_b, cx, c_x = lad[a * b], lad[a / b], lad[c * x], lad[c / x]
 
-    def den(ladder, j):
-        t = ladder[j]
-        z = ladder.arg(j)
-        if abs(t) <= EVAL_GUARD * (1 + abs(z)):
-            raise DegenerateParameterError(f"denominator theta({z!r}) below guard")
-        return t
-
     @cache
     def h(i: int, j: int):
         if i < 0 or j < 0:
             raise OutOfRegionError("weight indices must be nonnegative")
         num = bc[i + 2 * j] * cb[i] * ax[i] * a_x[i]
-        return num / (den(ab, i + j) * den(a_b, i - j) * den(cx, i + j) * den(c_x, i + j))
+        return num / (ab.den(i + j) * a_b.den(i - j) * cx.den(i + j) * c_x.den(i + j))
 
     return h
 
@@ -101,7 +86,7 @@ def elliptic_weight_complement(pp: ParamPoint, i: int, j: int):
 def normalized_weight(pp: ParamPoint, i: int, j: int):
     """Row-normalised weight H(i, j) = h(i, j) / h(i, 0)."""
     h_i0 = elliptic_weight(pp, i, 0)
-    if abs(h_i0) <= EVAL_GUARD:
+    if abs(h_i0) <= DENOMINATOR_GUARD:
         raise HConditionError(f"h({i}, 0) vanished; H(i, j) undefined")
     if j == 0:
         return 1

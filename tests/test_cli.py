@@ -76,6 +76,29 @@ class TestConfig:
         assert main(["--identities", "qcb", *flags]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--guard", "-1"], ["--guard", "0"],
+                                       ["--tol", "nan"], ["--tol", "inf"]])
+    def test_bad_guard_or_tolerance_exits_two(self, flags, capsys):
+        # before: a guard <= 0 switched the genericity scan off, tol nan
+        # failed and tol inf passed every trial
+        assert main(["--identities", "qcb", *flags]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_unknown_identity_rejected_at_config_time(self, capsys):
+        with pytest.raises(ValueError, match="unknown identities: foo"):
+            CampaignConfig(identities=("qcb", "foo"))
+        assert main(["--identities", "foo"]) == 2
+        assert capsys.readouterr().err == "configuration error: unknown identities: foo\n"
+
+    def test_key_error_inside_a_check_is_not_a_configuration_error(self, monkeypatch):
+        def broken(pp, m, n):
+            raise KeyError("inside the check")
+
+        monkeypatch.setitem(cli.REGISTRY, "broken_check", ("raises KeyError", None, broken))
+        with pytest.raises(KeyError):
+            main(["--identities", "broken_check", "--m-max", "0", "--n-max", "0",
+                  "--trials", "1"])
+
 
 class TestCampaign:
     def test_deterministic_report_bytes(self):

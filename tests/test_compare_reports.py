@@ -1,0 +1,59 @@
+"""scripts/compare_reports.py on two tiny hand-written reports."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
+_spec = importlib.util.spec_from_file_location("compare_reports", _PATH)
+compare_reports = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_reports)
+
+
+def _trial(identity, m, trial, residual, verdict, x=0.5):
+    return {"type": "trial", "identity": identity, "m": m, "n": 0, "trial": trial,
+            "seed": 7, "params": {"x": [x, 0.0]}, "residual": residual,
+            "tolerance": 1e-8, "verdict": verdict}
+
+
+def _write(path, trials):
+    lines = [json.dumps(t) for t in trials] + [json.dumps({"type": "summary"})]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_matching_reports(tmp_path, capsys):
+    parent = _write(tmp_path / "parent.jsonl", [
+        _trial("qcb", 0, 0, 1e-16, "pass"),
+        _trial("qcb", 1, 0, 2e-8, "fail"),
+        _trial("elliptic_cb", 0, 0, 3e-9, "pass"),
+        _trial("elliptic_cb", 1, 0, math.nan, "fail"),
+    ])
+    change = _write(tmp_path / "change.jsonl", [
+        _trial("qcb", 0, 0, 1e-16, "pass", x=0.25),
+        _trial("qcb", 1, 0, 4e-9, "pass"),
+        _trial("elliptic_cb", 0, 0, 2e-8, "fail"),
+        _trial("elliptic_cb", 1, 0, 1e-15, "pass"),
+    ])
+    assert compare_reports.main([parent, change]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "trials: parent 4, change 4, coordinates identical"
+    assert "identical parameters: 3/4" in out
+    assert "verdict changes: pass -> fail 1, fail -> pass 2" in out
+    assert "non-finite residuals: parent 1, change 0" in out
+    assert "  elliptic_cb (0, 0) trial 0: 3e-09 -> 2e-08 (move 1.7e-08)" in out
+    assert "  qcb (1, 0) trial 0: 2e-08 -> 4e-09 (move 1.6e-08)" in out
+
+
+def test_differing_coordinates_exit_one(tmp_path, capsys):
+    parent = _write(tmp_path / "parent.jsonl", [_trial("qcb", 0, 0, 0.0, "pass"),
+                                                _trial("qcb", 0, 1, 0.0, "pass")])
+    change = _write(tmp_path / "change.jsonl", [_trial("qcb", 0, 0, 0.0, "pass")])
+    assert compare_reports.main([parent, change]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "trials: parent 2, change 1, coordinates DIFFER"
+    assert out[1] == "  only in parent: 1, only in change: 0"
+    assert out[-1] == "  qcb: unchanged"

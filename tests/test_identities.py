@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ring_complex, unit_complex
-from thetacb.errors import UnknownIdentityError
+from thetacb.errors import DegenerateParameterError, UnknownIdentityError
 from thetacb.identities import (
     ARROWS,
     FAMILIES,
@@ -89,6 +89,19 @@ class TestDirectFamilies:
         # products of the prefactor each overflowed, giving NaN
         pp = sample_param_point(Random(6883571911407151626), IdentitySize(4, 8), p_max=0.5)
         assert cb_residual("elliptic", pp, 4, 8) < 1e-8
+
+
+    def test_series_cancellation_scales_the_residual(self):
+        # deep campaign (m, n <= 8) at seed 11, identity elliptic_cb,
+        # (m, n) = (1, 5), trial 0: the mirror series sums to 3.1e-6 from
+        # terms up to 44.7, and the residual normalised by the family terms
+        # alone read 9.7e-9 against 5e-33 at 40 digits
+        pp = sample_param_point(Random(2898370640500266951), IdentitySize(1, 5), p_max=0.5)
+        assert cb_residual("elliptic", pp, 1, 5) <= 1e-12
+
+    def test_vanished_prefactor_factor_raises(self, generic_point):
+        with pytest.raises(DegenerateParameterError):
+            cb_term_elliptic(generic_point.replace(b=generic_point.a), 3, 4)
 
 
 class TestMirrorSymmetry:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetacb.errors import CapExceededError
+from thetacb.errors import CapExceededError, DegenerateParameterError
 from thetacb.lattice import (
     a_bruteforce,
     a_closed,
@@ -158,6 +158,15 @@ class TestClosedForms:
         for k, ell in ((2, 3), (0, 4), (4, 0), (3, 3)):
             v1, v2 = a_closed(pp, k, ell), a_closed_alt(pp, k, ell)
             assert relative_residual(v1, v2) < 1e-11
+
+
+    @pytest.mark.parametrize("closed, k, l", [(a_closed, 3, 4), (b_closed, 0, 4)])
+    def test_vanished_single_factor_raises(self, closed, k, l, generic_point):
+        # b = a (1 + 1e-14) leaves theta(a/b; p) at about 1e-14 while the
+        # other denominator factors lift the product above 1e-12
+        pp = generic_point
+        with pytest.raises(DegenerateParameterError):
+            closed(pp.replace(b=pp.a * (1 + 1e-14)), k, l)
 
 
 class TestMasterEquality:

@@ -10,6 +10,7 @@ from random import Random
 import pytest
 
 from conftest import unit_complex
+from thetacb.errors import DegenerateParameterError
 from thetacb.noncomm import (
     AlgebraTag,
     EvalContext,
@@ -77,6 +78,13 @@ class TestEllipticBinomials:
         worst = max(abs(elliptic_binomial(1e-16, 1e-8, q, 0, n, k) - qbinom(n, k, q))
                     for n in range(6) for k in range(n + 1))
         assert worst < 1e-6
+
+    def test_nearly_vanished_denominator_factor_raises(self, generic_point):
+        # aq/b = 1/(1 + 1e-15): one denominator theta is about 1e-15,
+        # small enough to blow the value up, but not exactly zero
+        a, q, p = generic_point.a, generic_point.q, generic_point.p
+        with pytest.raises(DegenerateParameterError):
+            elliptic_binomial(a, a * q * (1 + 1e-15), q, p, 4, 2)
 
     def test_path_binomial_is_normalised_table(self, generic_point):
         for n in range(1, 6):
@@ -297,6 +305,12 @@ class TestVeryWellPoisedSum:
     def test_empty_case(self):
         lhs, rhs = frenkel_turaev(0.8, 1.2, 0.7, 1.1, 0, 0.5, 0.2)
         assert lhs == 1 and rhs == 1
+
+    def test_vanished_denominator_factor_raises(self, generic_point):
+        # b = aq puts theta(aq/b; p) = theta(1; p) into both sides
+        pp = generic_point
+        with pytest.raises(DegenerateParameterError):
+            frenkel_turaev(pp.a, pp.a * pp.q, pp.c, pp.x, 4, pp.q, pp.p)
 
     def test_fixed_depth_three(self, rng):
         lhs, rhs = frenkel_turaev(

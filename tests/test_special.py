@@ -13,9 +13,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import ring_complex
-from thetacb.errors import DivergenceError, RootOfUnityError, ZeroArgumentError
+from thetacb.errors import (
+    DegenerateParameterError,
+    DivergenceError,
+    RootOfUnityError,
+    ZeroArgumentError,
+)
 from thetacb.sampling import theta_margin
 from thetacb.special import (
+    DENOMINATOR_GUARD,
     addition_formula_residual,
     qbinom,
     qpoch,
@@ -23,8 +29,10 @@ from thetacb.special import (
     ThetaLadder,
     ThetaLadders,
     relative_residual,
+    series_with_running_products,
     theta,
     theta_fact,
+    theta_ratio,
 )
 
 
@@ -168,6 +176,43 @@ class TestThetaLadder:
             ladders[0.4 + 0.1j][5]
         assert len(calls) == 7
         assert len(ladders) == 2
+
+
+    def test_den_guards_each_entry(self):
+        q, p = 0.55 + 0.3j, 0.2 - 0.1j
+        ladder = ThetaLadder(1 + 0j, q, p)  # entry 0 is theta(1; p) = 0
+        with pytest.raises(DegenerateParameterError):
+            ladder.den(0)
+        assert ladder.den(1) == ladder[1]
+
+
+class TestLadderKernels:
+    def test_ratio_guards_factors_not_their_product(self):
+        # two denominator factors of about 1e-7 each clear the guard while
+        # their product lies far below it: the ratio is still evaluated
+        q, p = 0.55 + 0.3j, 0.2 - 0.1j
+        lad = ThetaLadders(q, p)
+        near_lo, near_hi, free = lad[1 - 1e-7 + 0j], lad[1 + 1e-7j], lad[0.6 + 0.2j]
+        assert abs(near_lo[0] * near_hi[0]) < DENOMINATOR_GUARD < min(abs(near_lo[0]),
+                                                                      abs(near_hi[0]))
+        got = theta_ratio(((free, 0, 2),), ((near_lo, 0, 1), (near_hi, 0, 1)))
+        want = free[0] * free[1] / (near_lo[0] * near_hi[0])
+        assert relative_residual(got, want) < 1e-13
+
+    def test_ratio_raises_on_a_vanished_factor(self):
+        lad = ThetaLadders(0.55 + 0.3j, 0.2 - 0.1j)
+        with pytest.raises(DegenerateParameterError):
+            theta_ratio(((lad[0.6 + 0.2j], 0, 2),), ((lad[1.3 + 0j], 0, 1), (lad[1 + 0j], 0, 1)))
+
+    def test_series_at_p_zero_is_the_basic_sum(self):
+        # sum_k (x; q)_k / (q; q)_k q^k at p = 0, against direct q-factorials
+        x, q, m = 0.37 + 0.21j, 0.61 - 0.13j, 6
+        lad = ThetaLadders(q, 0j)
+        total, scale = series_with_running_products(((lad[x], 0),), ((lad[q], 0),), q, m,
+                                                    lambda k: 1)
+        terms = [qpoch(x, q, k) / qpoch(q, q, k) * q**k for k in range(m + 1)]
+        assert relative_residual(total, sum(terms)) < 1e-14
+        assert abs(scale - max(abs(t) for t in terms)) < 1e-14
 
 
 class TestThetaFactorial:
