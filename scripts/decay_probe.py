@@ -9,7 +9,12 @@ eps is halved, so the first-order (or faster) decay is visible directly.
 """
 
 import argparse
+import sys
+from pathlib import Path
 from random import Random
+
+# run from a checkout: import the package from its src/ directory
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from thetacb.identities import ARROWS, degeneration_decay
 from thetacb.params import IdentitySize

@@ -109,8 +109,9 @@ def sample_param_point(
     arguments), resampling until the genericity scan passes.
 
     ``precision_digits`` > 0 converts the sampled scalars to ``mpmath.mpc``
-    at that many decimal digits; the draw itself is identical, so reports
-    stay reproducible across precision modes.
+    at the caller's working precision (the CLI runs the whole campaign
+    under ``mpmath.workdps(precision_digits)``); the draw itself is
+    identical, so reports stay reproducible across precision modes.
     """
     p_hi = P_HI if p_max is None else min(P_HI, p_max)
     for _ in range(MAX_ATTEMPTS):
@@ -124,13 +125,13 @@ def sample_param_point(
         )
         if check_genericity(pp, size, guard):
             if precision_digits > 0:
-                pp = _to_mp(pp, precision_digits)
+                pp = _to_mp(pp)
             return pp.replace(generic=True)
     raise ResamplingExhaustedError(
         f"no generic point found in {MAX_ATTEMPTS} attempts (guard {guard})")
 
 
-def _to_mp(pp: ParamPoint, digits: int) -> ParamPoint:
+def _to_mp(pp: ParamPoint) -> ParamPoint:
     import mpmath
 
     def conv(z):

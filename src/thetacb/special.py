@@ -32,6 +32,10 @@ from .errors import DegenerateParameterError, DivergenceError, RootOfUnityError,
 #: limited.
 DEFAULT_THETA_TOL = 1e-18
 
+#: Bits beyond the working precision carried by the fixed-point theta
+#: product for ``mpmath`` scalars.
+MP_THETA_GUARD_BITS = 64
+
 #: Runtime backstop: a denominator factor (one theta, or one 1 - z at
 #: p = 0) of magnitude at most this counts as vanished and raises instead
 #: of dividing.  Samplers enforce a much wider margin (see
@@ -105,7 +109,8 @@ def theta(x, p, tol: float | None = None):
         tol = _default_tol(x, p)
 
     log_ap = math.log(float(ap))
-    log_ax = math.log(float(abs(x)))
+    ax = float(abs(x))
+    log_ax = math.log(ax)
     n = round(-log_ax / log_ap)
     pref = 1
     if n:
@@ -118,13 +123,15 @@ def theta(x, p, tol: float | None = None):
         else:
             pref = (-1) ** n * _exp(n * _log(x) + e * _log(p))
         x = x * p**n
+        ax = float(abs(x))
 
     # Factors k = 0 .. count-1 are exactly those with |p|^k >= stop.
-    stop = tol * (1 + float(abs(x)))
+    stop = tol * (1 + ax)
     count = math.floor(math.log(stop) / log_ap) + 1
+    if count > 0 and _all_mpc(x, p):
+        acc = _mp_theta_product(x, p, count)
+        return pref * acc if n else acc
     px = p / x
-    if count > 0 and _all_mpc(x, px, p):
-        return pref * _mp_theta_product(x, px, p, count)
     acc = 1
     pk = 1
     for _ in range(count):
@@ -139,29 +146,46 @@ def _all_mpc(*values) -> bool:
     return ctx is not None and all(hasattr(v, "_mpc_") and v.context is ctx for v in values)
 
 
-def _mp_theta_product(x, px, p, count: int):
-    """The loop of :func:`theta` for ``mpmath.mpc`` scalars, run on
-    mpmath's raw (real, imag) tuples.  Every step calls the low-level
-    function the ``mpc`` operator would call, with the same precision and
-    rounding, so the result is bit-for-bit that of the generic loop; only
-    the wrapper object per operation is skipped."""
-    from mpmath.libmp import fone, fzero, mpc_mul, mpc_mul_int, mpc_sub
+def _mp_theta_product(x, p, count: int):
+    """prod_{k<count} (1 - x p^k)(1 - (p/x) p^k) for ``mpmath.mpc`` x and p,
+    evaluated on Python integers in fixed point with ``MP_THETA_GUARD_BITS``
+    bits beyond the working precision and rounded once to it.
+
+    x lies in the reduced annulus, so 1 - x is the only factor that can
+    come near zero (every other factor has modulus at least
+    1 - |p|^(1/2)).  It is formed exactly and multiplied in last without
+    truncation, so the relative error stays a few units of the working
+    precision however small the product is; at x = 1 it is exactly 0.
+    """
+    from mpmath.libmp import from_man_exp, mpc_div, to_fixed
 
     ctx = x.context
     prec, rnd = ctx._prec_rounding
-    one = (fone, fzero)
-    xv, pxv, pv = x._mpc_, px._mpc_, p._mpc_
-    # k = 0: pk and acc are still the integer 1, which the operators
-    # apply as an integer multiplication
-    acc = mpc_mul_int(mpc_sub(one, mpc_mul_int(xv, 1, prec, rnd), prec, rnd), 1, prec, rnd)
-    acc = mpc_mul(acc, mpc_sub(one, mpc_mul_int(pxv, 1, prec, rnd), prec, rnd), prec, rnd)
-    pk = mpc_mul_int(pv, 1, prec, rnd)
+    wp = prec + MP_THETA_GUARD_BITS
+    one = 1 << wp
+    xr, xi = (to_fixed(t, wp) for t in x._mpc_)
+    yr, yi = (to_fixed(t, wp) for t in mpc_div(p._mpc_, x._mpc_, wp, rnd))
+    pr, pi = (to_fixed(t, wp) for t in p._mpc_)
+    # k = 0 contributes 1 - p/x here and 1 - x at the end
+    ar, ai = one - yr, -yi
+    kr, ki = pr, pi
     for _ in range(count - 1):
-        f1 = mpc_sub(one, mpc_mul(xv, pk, prec, rnd), prec, rnd)
-        f2 = mpc_sub(one, mpc_mul(pxv, pk, prec, rnd), prec, rnd)
-        acc = mpc_mul(mpc_mul(acc, f1, prec, rnd), f2, prec, rnd)
-        pk = mpc_mul(pk, pv, prec, rnd)
-    return ctx.make_mpc(acc)
+        # (1 - x p^k) = ur - i ui and (1 - (p/x) p^k) = vr - i vi
+        ur = one - ((xr * kr - xi * ki) >> wp)
+        ui = (xr * ki + xi * kr) >> wp
+        ar, ai = (ar * ur + ai * ui) >> wp, (ai * ur - ar * ui) >> wp
+        vr = one - ((yr * kr - yi * ki) >> wp)
+        vi = (yr * ki + yi * kr) >> wp
+        ar, ai = (ar * vr + ai * vi) >> wp, (ai * vr - ar * vi) >> wp
+        kr, ki = (kr * pr - ki * pi) >> wp, (kr * pi + ki * pr) >> wp
+    # 1 - x = f0r - i f0i exactly, in fixed point fine enough for both
+    # parts of x
+    s = max(wp, -x._mpc_[0][2], -x._mpc_[1][2])
+    f0r = (1 << s) - to_fixed(x._mpc_[0], s)
+    f0i = to_fixed(x._mpc_[1], s)
+    re = from_man_exp(ar * f0r + ai * f0i, -wp - s, prec, rnd)
+    im = from_man_exp(ai * f0r - ar * f0i, -wp - s, prec, rnd)
+    return ctx.make_mpc((re, im))
 
 
 def _log(z):
@@ -211,6 +235,7 @@ def theta_fact(x, q, p, k: int):
 class ThetaLadder:
     """The values j -> theta(z q^j; p) for integer j (negative j allowed),
     each evaluated once by :func:`theta` on first use and then memoised.
+    At p = 0 an entry is theta's closed form 1 - z q^j, formed in place.
 
     Every theta-shifted factorial (z q^s; q, p)_L is a window of this
     ladder, so a table of such factorials over many cells costs one theta
@@ -221,22 +246,26 @@ class ThetaLadder:
     precision; callers build fresh ladders for every evaluation.
     """
 
-    __slots__ = ("z", "q", "p", "_values")
+    __slots__ = ("z", "q", "p", "_basic", "_values")
 
     def __init__(self, z, q, p):
         self.z = z
         self.q = q
         self.p = p
+        self._basic = p == 0
         self._values: dict[int, object] = {}
-
-    def arg(self, j: int):
-        """The argument z q^j of entry j."""
-        return self.z * self.q**j
 
     def __getitem__(self, j: int):
         value = self._values.get(j)
         if value is None:
-            value = self._values[j] = theta(self.arg(j), self.p)
+            x = self.z * self.q**j
+            if not self._basic:
+                value = theta(x, self.p)
+            elif x == 0:
+                raise ZeroArgumentError("theta(x; p) requires x != 0")
+            else:
+                value = 1 - x
+            self._values[j] = value
         return value
 
     def den(self, j: int):

@@ -141,13 +141,78 @@ class TestThetaTruncation:
             x = cmath.rect(math.exp(rng.uniform(-3.0, 3.0)), rng.uniform(0.0, 2.0 * math.pi))
             assert theta(x, p) == _theta_reference(x, p)
 
-    def test_matches_per_factor_loop_at_40_digits(self):
+    def test_within_four_units_of_a_wider_reference_at_40_digits(self):
         rng = Random(8)
         with mpmath.workdps(40):
             for _ in range(60):
                 p = mpmath.mpc(cmath.rect(rng.uniform(0.05, 0.5), rng.uniform(0.0, 6.28)))
                 x = mpmath.mpc(cmath.rect(rng.uniform(0.2, 3.0), rng.uniform(0.0, 6.28)))
-                assert theta(x, p) == _theta_reference(x, p)
+                _assert_units_of_reference(theta(x, p), x, p, 4)
+
+
+def _assert_units_of_reference(value, x, p, units):
+    """|value - ref| <= units * 2^-prec * |ref|, with ref the per-factor
+    loop at the working precision plus 200 bits."""
+    prec = mpmath.mp.prec
+    with mpmath.workprec(prec + 200):
+        ref = _theta_reference(x, p)
+        assert abs(value - ref) <= units * mpmath.ldexp(abs(ref), -prec)
+
+
+class TestThetaAt40Digits:
+    def test_zero_at_one_is_exact(self):
+        q, p = mpmath.mpc(0.55, 0.3), mpmath.mpc(0.2, -0.1)
+        with mpmath.workdps(40):
+            assert theta(mpmath.mpc(1), p) == 0
+            ladder = ThetaLadder(mpmath.mpc(1), q, p)
+            with pytest.raises(DegenerateParameterError):
+                ladder.den(0)
+
+    def test_relative_accuracy_next_to_the_zero_at_one(self):
+        p = mpmath.mpc(0.3, 0.2)
+        with mpmath.workdps(40):
+            tiny = mpmath.mpf("6e-21")
+            for x in (mpmath.mpc(1 + tiny), mpmath.mpc(1, tiny**1.5),
+                      mpmath.mpc(1 - tiny**1.7, -tiny**1.7)):
+                _assert_units_of_reference(theta(x, p), x, p, 4)
+
+    def test_symmetry_inversion_quasi_periodicity(self):
+        rng = Random(9)
+        with mpmath.workdps(40):
+            for _ in range(20):
+                p = mpmath.mpc(cmath.rect(rng.uniform(0.05, 0.5), rng.uniform(0.0, 6.28)))
+                x = mpmath.mpc(cmath.rect(rng.uniform(0.1, 3.0), rng.uniform(0.0, 6.28)))
+                t = theta(x, p)
+                assert relative_residual(theta(p / x, p), t) < 1e-37
+                assert relative_residual(theta(1 / x, p), -t / x) < 1e-37
+                assert relative_residual(theta(p * x, p), -t / x) < 1e-37
+
+    def test_large_argument_reduction(self):
+        # the quasi-periodicity ladder applied by hand, 200 bits wider
+        with mpmath.workdps(40):
+            x, p = mpmath.mpc(2.3, -1.1), mpmath.mpc(0.4, 0.1)
+            big = x * mpmath.mpf(0.3) ** -12
+            got = theta(big, p)
+            with mpmath.workprec(mpmath.mp.prec + 200):
+                z, steps = big, 0
+                while abs(z) > 1.5:
+                    z *= p
+                    steps += 1
+                ref = (-1) ** steps * big**steps * p ** (steps * (steps - 1) // 2)
+                ref *= _theta_reference(z, p)
+            assert abs(got - ref) / abs(ref) < 1e-37
+
+    def test_each_precision_matches_its_own_reference(self):
+        # one set of mpc inputs at 15, then 40, then 60 digits: nothing
+        # computed at one precision may leak into the next
+        rng = Random(10)
+        points = [(mpmath.mpc(cmath.rect(rng.uniform(0.2, 3.0), rng.uniform(0.0, 6.28))),
+                   mpmath.mpc(cmath.rect(rng.uniform(0.05, 0.5), rng.uniform(0.0, 6.28))))
+                  for _ in range(10)]
+        for dps in (15, 40, 60):
+            with mpmath.workdps(dps):
+                for x, p in points:
+                    _assert_units_of_reference(theta(x, p), x, p, 4)
 
 
 class TestThetaLadder:
@@ -177,6 +242,18 @@ class TestThetaLadder:
         assert len(calls) == 7
         assert len(ladders) == 2
 
+    def test_p_zero_entries_skip_the_theta_call(self, monkeypatch):
+        import thetacb.special as special
+
+        inner = special.theta
+        monkeypatch.setattr(special, "theta", lambda x, p: pytest.fail("theta called"))
+        z, q = 0.7 - 0.4j, 0.55 + 0.3j
+        for p in (0j, mpmath.mpc(0)):
+            ladder = ThetaLadder(z, q, p)
+            for j in range(-3, 6):
+                assert ladder[j] == inner(z * q**j, p) == 1 - z * q**j
+        with pytest.raises(ZeroArgumentError):
+            ThetaLadder(0j, q, 0j)[2]
 
     def test_den_guards_each_entry(self):
         q, p = 0.55 + 0.3j, 0.2 - 0.1j
