@@ -40,10 +40,10 @@ def cb_term_elliptic(pp: ParamPoint, m: int, n: int):
     returned with the magnitude it was summed from: |prefactor| times the
     largest series term.  At p = 0 every theta is the exact factor 1 - z,
     so this value *is* the (a, b, c; q)-family value, bit for bit.  All
-    factors are read off one set of theta ladders.
+    factors are read off the point's theta store.
     """
     x, a, b, c, q = pp.x, pp.a, pp.b, pp.c, pp.q
-    lad = ThetaLadders(q, pp.p)
+    lad = pp.thetas
     ac, c_a, bx, b_x = lad[a * c], lad[c / a], lad[b * x], lad[b / x]
     ab, b_a, cx, c_x = lad[a * b], lad[b / a], lad[c * x], lad[c / x]
     pre = theta_ratio(((ac, 0, n + 1), (c_a, 0, n + 1), (bx, 0, n + 1), (b_x, 0, n + 1)),
@@ -71,7 +71,7 @@ def cb_term_abq2(pp: ParamPoint, m: int, n: int):
         * sum_{k<=m} (q^(n+1), ax, a/x; q)_k / (q, aq/b, ab q^(n+1); q)_k * q^k.
     """
     x, a, b, q = pp.x, pp.a, pp.b, pp.q
-    lad = ThetaLadders(q, 0j)
+    lad = pp.replace(p=0j).thetas
     ab, qq = lad[a * b], lad[q]
     pre = theta_ratio(((lad[b * x], 0, n + 1), (lad[b / x], 0, n + 1)),
                       ((ab, 0, n + 1), (lad[b / a], 0, n + 1)))

@@ -18,13 +18,13 @@ obtained by splitting paths at their last free step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from itertools import combinations
 
 from .errors import CapExceededError, HConditionError, OutOfRegionError
 from .params import IdentitySize, ParamPoint
-from .special import DENOMINATOR_GUARD, ThetaLadders, relative_residual, theta_ratio
-from .weights import h_cells, h_table
+from .special import DENOMINATOR_GUARD, relative_residual, theta_ratio
+from .weights import elliptic_weight, h_table
 
 #: Endpoints with m + n beyond this are refused by the brute-force routes.
 BRUTE_FORCE_CAP = 12
@@ -165,7 +165,7 @@ def a_table_dp(pp: ParamPoint, size: IdentitySize) -> WeightTable:
     return WeightTable(m, n, tuple(map(tuple, a)), tuple(map(tuple, b)))
 
 
-def b_closed(pp: ParamPoint, k: int, l: int, ladders: ThetaLadders | None = None):
+def b_closed(pp: ParamPoint, k: int, l: int):
     """Closed form of the normalised table:
 
         B(k, l) = theta((a/b) q^(k-l), b/a; p) (bc q^l; q, p)_k
@@ -175,15 +175,14 @@ def b_closed(pp: ParamPoint, k: int, l: int, ladders: ThetaLadders | None = None
 
     The l = 0 boundary is the system's boundary condition B(k, 0) = 1 and
     is returned exactly; at k = 0 the value is computed (the factors only
-    cancel through the theta inversion identity there).  Cells evaluated
-    with shared ``ladders`` of the same point share their theta calls.
+    cancel through the theta inversion identity there).
     """
     if k < 0 or l < 0:
         raise OutOfRegionError("table indices must be nonnegative")
     if l == 0:
         return 1
     x, a, b, c, q = pp.x, pp.a, pp.b, pp.c, pp.q
-    lad = ThetaLadders(q, pp.p) if ladders is None else ladders
+    lad = pp.thetas
     a_b, b_a, bc, ac = lad[a / b], lad[b / a], lad[b * c], lad[a * c]
     ab, cx, c_x, qq = lad[a * b], lad[c * x], lad[c / x], lad[q]
     num = ((ac, k, l), (qq, k, l), (ab, 0, l), (cx, 0, l),
@@ -193,21 +192,18 @@ def b_closed(pp: ParamPoint, k: int, l: int, ladders: ThetaLadders | None = None
     return theta_ratio(num, den) * q**l
 
 
-def a_closed(pp: ParamPoint, k: int, l: int, ladders: ThetaLadders | None = None):
+def a_closed(pp: ParamPoint, k: int, l: int):
     """First factorised closed form of A(k, l):
 
         A(k, l) = theta((a/b) q^(k-l); p) (bc q^l, c/b, ax, a/x; q, p)_k
                   (q^(k+1), ac q^k, c/a, bx, b/x; q, p)_l
                 / [(a/b; q, p)_(k+1) (q, qb/a; q, p)_l
                    (ab, cx, c/x; q, p)_(k+l)] * q^l.
-
-    Cells evaluated with shared ``ladders`` of the same point share their
-    theta calls.
     """
     if k < 0 or l < 0:
         raise OutOfRegionError("table indices must be nonnegative")
     x, a, b, c, q = pp.x, pp.a, pp.b, pp.c, pp.q
-    lad = ThetaLadders(q, pp.p) if ladders is None else ladders
+    lad = pp.thetas
     a_b, b_a, bc, cb = lad[a / b], lad[b / a], lad[b * c], lad[c / b]
     ax, a_x, bx, b_x = lad[a * x], lad[a / x], lad[b * x], lad[b / x]
     ac, c_a, qq = lad[a * c], lad[c / a], lad[q]
@@ -231,7 +227,7 @@ def a_closed_alt(pp: ParamPoint, k: int, l: int):
     if k < 0 or l < 0:
         raise OutOfRegionError("table indices must be nonnegative")
     x, a, b, c, q = pp.x, pp.a, pp.b, pp.c, pp.q
-    lad = ThetaLadders(q, pp.p)
+    lad = pp.thetas
     a_b, b_a, bc, cb = lad[a / b], lad[b / a], lad[b * c], lad[c / b]
     ax, a_x, bx, b_x = lad[a * x], lad[a / x], lad[b * x], lad[b / x]
     ac, c_a, qq = lad[a * c], lad[c / a], lad[q]
@@ -245,19 +241,16 @@ def a_closed_alt(pp: ParamPoint, k: int, l: int):
 
 def master_equality_total(pp: ParamPoint, size: IdentitySize):
     """The boundary split sum_k (1 - h(k, n)) A(k, n) + sum_l h(m, l) A(m, l)
-    with A taken from the closed form; equals 1 when the identity holds.
-    All m + n + 2 boundary cells read one shared set of theta ladders."""
+    with A taken from the closed form; equals 1 when the identity holds."""
     m, n = size.m, size.n
-    lad = ThetaLadders(pp.q, pp.p)
-    h = h_cells(pp, ladders=lad)
     total = 0
     scale = 0.0
     for k in range(m + 1):
-        term = (1 - h(k, n)) * a_closed(pp, k, n, ladders=lad)
+        term = (1 - elliptic_weight(pp, k, n)) * a_closed(pp, k, n)
         total = total + term
         scale = max(scale, abs(term))
     for l in range(n + 1):
-        term = h(m, l) * a_closed(pp, m, l, ladders=lad)
+        term = elliptic_weight(pp, m, l) * a_closed(pp, m, l)
         total = total + term
         scale = max(scale, abs(term))
     return total, scale
@@ -277,12 +270,11 @@ def b_system_residual(pp: ParamPoint, size: IdentitySize) -> float:
         B(k, l) = h(k-1, l)/h(k-1, 0) B(k-1, l)
                   + (1 - h(k, l-1))/(1 - h(0, l-1)) B(k, l-1).
 
-    The closed-form cells and the weights read one shared set of theta
-    ladders, so the check costs O(m + n) theta calls."""
+    The closed-form cells and the weights read the point's theta store,
+    so the check costs O(m + n) theta calls."""
     m, n = size.m, size.n
-    lad = ThetaLadders(pp.q, pp.p)
-    h = h_cells(pp, ladders=lad)
-    bt = [[b_closed(pp, k, l, ladders=lad) for l in range(n + 1)] for k in range(m + 1)]
+    bt = [[b_closed(pp, k, l) for l in range(n + 1)] for k in range(m + 1)]
+    h = cache(partial(elliptic_weight, pp))
     worst = 0.0
     for k in range(1, m + 1):
         for l in range(1, n + 1):

@@ -4,12 +4,18 @@ A :class:`ParamPoint` fixes one numeric instance of the six quantities
 (x, a, b, c, q, p) at which all series, weights and normal forms are
 evaluated.  Scalars may be built-in ``complex`` or ``mpmath.mpc``; the
 evaluators are agnostic as long as the usual arithmetic works.
+
+A point also owns the theta values read at it (:attr:`ParamPoint.thetas`),
+so every evaluator that reads the same theta at the same point computes it
+once.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+
+from .special import ThetaLadders
 
 
 def _is_zero(z) -> bool:
@@ -21,8 +27,7 @@ class ParamPoint:
     """One sampled evaluation point.
 
     Invariants: x, a, b, c, q nonzero; |p| < 1 with p = 0 only for the
-    basic (theta-free) specialisation.  ``generic`` is set by the sampler
-    after a genericity scan passed; evaluators never set it themselves.
+    basic (theta-free) specialisation.
     """
 
     x: complex
@@ -31,7 +36,6 @@ class ParamPoint:
     c: complex
     q: complex
     p: complex
-    generic: bool = False
 
     def __post_init__(self):
         for name in ("x", "a", "b", "c", "q"):
@@ -39,31 +43,54 @@ class ParamPoint:
                 raise ValueError(f"parameter {name!r} must be nonzero")
         if abs(self.p) >= 1:
             raise ValueError("nome p must satisfy |p| < 1")
+        # mpmath scalars carry the context whose precision their values follow
+        ctx = next((v.context for v in (self.x, self.a, self.b, self.c, self.q, self.p)
+                    if hasattr(v, "context")), None)
+        object.__setattr__(self, "_context", ctx)
 
     @property
     def is_basic(self) -> bool:
         """True when p = 0 exactly (q-series specialisation)."""
         return _is_zero(self.p)
 
+    @property
+    def thetas(self) -> ThetaLadders:
+        """The point's theta store: ``thetas[z][j]`` is theta(z q^j; p),
+        evaluated on first read and then kept for the point's lifetime.
+
+        The store is not a field, so equality, hashing and records ignore
+        it.  It belongs to the working precision it was filled at
+        (``mpmath``'s precision for mpmath scalars, none for doubles); a
+        read at another precision starts a fresh store, so no value
+        computed at one precision is handed out at another.
+        """
+        prec = None if self._context is None else self._context.prec
+        held = self.__dict__.get("_thetas")
+        if held is None or held[0] != prec:
+            held = (prec, ThetaLadders(self.q, self.p))
+            object.__setattr__(self, "_thetas", held)
+        return held[1]
+
     def swap_ab(self) -> "ParamPoint":
         """The point with the roles of a and b exchanged."""
-        return dataclasses.replace(self, a=self.b, b=self.a, generic=self.generic)
+        return self.replace(a=self.b, b=self.a)
 
     def shift(self, alpha: int, beta: int, gamma: int) -> "ParamPoint":
         """Substitute (a, b, c) -> (a q^alpha, b q^beta, c q^gamma)."""
         if alpha == beta == gamma == 0:
             return self
         q = self.q
-        return dataclasses.replace(
-            self,
-            a=self.a * q**alpha,
-            b=self.b * q**beta,
-            c=self.c * q**gamma,
-            generic=False,
-        )
+        return self.replace(a=self.a * q**alpha, b=self.b * q**beta, c=self.c * q**gamma)
 
     def replace(self, **changes) -> "ParamPoint":
-        return dataclasses.replace(self, **changes)
+        """The point with some scalars changed.  It shares this point's
+        theta store when q and p are unchanged: every entry depends on q,
+        p and its own argument only."""
+        out = dataclasses.replace(self, **changes)
+        held = self.__dict__.get("_thetas")
+        if held is not None and "q" not in changes and "p" not in changes:
+            object.__setattr__(out, "_thetas", held)
+        return out
 
 
 @dataclass(frozen=True)

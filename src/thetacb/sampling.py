@@ -14,8 +14,8 @@ from random import Random
 
 from .errors import DegenerateParameterError, ResamplingExhaustedError
 from .params import IdentitySize, ParamPoint
-from .special import theta
-from .weights import h_cells
+from .special import ThetaLadder
+from .weights import elliptic_weight
 
 #: Default width of the denominator safety margin used while sampling.
 DEFAULT_GUARD = 1e-6
@@ -31,38 +31,46 @@ Q_LO, Q_HI = 0.3, 0.9
 P_LO, P_HI = 0.05, 0.5
 
 
-def theta_margin(arg, p) -> float:
-    """Scale-free magnitude |theta(arg; p)| / (1 + |arg|); ~0 near a zero.
-    Arguments deep in a quasi-period make theta astronomically large;
-    overflow therefore counts as an infinite (safe) margin."""
+def theta_margin(ladder: ThetaLadder, j: int) -> float:
+    """Scale-free magnitude |theta(arg; p)| / (1 + |arg|) of ladder entry j,
+    arg = z q^j; ~0 near a zero.  Arguments deep in a quasi-period make
+    theta astronomically large; overflow therefore counts as an infinite
+    (safe) margin."""
+    arg = ladder.z * ladder.q**j
     if arg == 0:
         return 0.0
     try:
-        return float(abs(theta(arg, p))) / (1.0 + float(abs(arg)))
+        return float(abs(ladder[j])) / (1.0 + float(abs(arg)))
     except OverflowError:
         return math.inf
 
 
 def _denominator_args(pp: ParamPoint, m: int, n: int):
-    """Arguments whose theta factors can appear in a denominator for
-    truncation depths up to (m, n), including the a <-> b mirror and the
-    shifted contexts used by the non-commutative expansions."""
+    """Theta factors that can appear in a denominator for truncation depths
+    up to (m, n), including the a <-> b mirror and the shifted contexts
+    used by the non-commutative expansions, as (ladder, index) pairs of
+    the point's theta store."""
     x, a, b, c, q = pp.x, pp.a, pp.b, pp.c, pp.q
+    lad = pp.thetas
     top = m + n + 1
     wide = 2 * (m + n) + 2
-    for t in range(1, top + 2):
-        yield q**t
+    qq = lad[q]
     for t in range(top + 1):
-        yield a * b * q**t
-        yield c * x * q**t
-        yield (c / x) * q**t
-        yield a * c * q**t
-        yield b * c * q**t
+        yield qq, t  # q^(t+1)
+    ab, cx, c_x, ac, bc = lad[a * b], lad[c * x], lad[c / x], lad[a * c], lad[b * c]
+    for t in range(top + 1):
+        yield ab, t
+        yield cx, t
+        yield c_x, t
+        yield ac, t
+        yield bc, t
+    a_b = lad[a / b]
     for t in range(-(top + 1), top + 2):
-        yield (a / b) * q**t
+        yield a_b, t
+    la, lb = lad[a], lad[b]
     for t in range(wide + 1):
-        yield a * q**t
-        yield b * q**t
+        yield la, t
+        yield lb, t
 
 
 def check_genericity(pp: ParamPoint, size: IdentitySize, guard: float = DEFAULT_GUARD) -> bool:
@@ -73,16 +81,15 @@ def check_genericity(pp: ParamPoint, size: IdentitySize, guard: float = DEFAULT_
     for z in (pp.x, pp.a, pp.b, pp.c, pp.q):
         if abs(z) < tiny:
             return False
-    for arg in _denominator_args(pp, m, n):
-        if theta_margin(arg, pp.p) <= guard:
+    for ladder, j in _denominator_args(pp, m, n):
+        if theta_margin(ladder, j) <= guard:
             return False
-    h = h_cells(pp)
     try:
         for i in range(m + 1):
-            if abs(h(i, 0)) <= guard:
+            if abs(elliptic_weight(pp, i, 0)) <= guard:
                 return False
         for j in range(n + 1):
-            if abs(1 - h(0, j)) <= guard:
+            if abs(1 - elliptic_weight(pp, 0, j)) <= guard:
                 return False
     except DegenerateParameterError:
         return False
@@ -124,9 +131,9 @@ def sample_param_point(
             p=_log_uniform(rng, P_LO, p_hi) * _unit_complex(rng),
         )
         if check_genericity(pp, size, guard):
-            if precision_digits > 0:
-                pp = _to_mp(pp)
-            return pp.replace(generic=True)
+            # a double point keeps the thetas its scan computed; an mpmath
+            # point is new and starts its own store
+            return _to_mp(pp) if precision_digits > 0 else pp
     raise ResamplingExhaustedError(
         f"no generic point found in {MAX_ATTEMPTS} attempts (guard {guard})")
 
@@ -138,4 +145,4 @@ def _to_mp(pp: ParamPoint) -> ParamPoint:
         return mpmath.mpc(z.real, z.imag)
 
     return ParamPoint(conv(pp.x), conv(pp.a), conv(pp.b), conv(pp.c),
-                      conv(pp.q), conv(pp.p), generic=pp.generic)
+                      conv(pp.q), conv(pp.p))

@@ -242,8 +242,10 @@ class ThetaLadder:
     call per distinct index instead of one per factor and cell.  The
     argument of entry j is ``z * q**j``, the association the weight
     formulas use, so values read off a ladder match direct evaluation bit
-    for bit.  A ladder belongs to one parameter point and one working
-    precision; callers build fresh ladders for every evaluation.
+    for bit.  A ladder belongs to one (q, p) and one working precision:
+    a parameter point keeps its ladders (``ParamPoint.thetas``) and drops
+    them when read at another precision; callers with bare scalars build
+    fresh ladders for every evaluation.
     """
 
     __slots__ = ("z", "q", "p", "_basic", "_values")
@@ -281,8 +283,8 @@ class ThetaLadder:
 
 
 class ThetaLadders(dict):
-    """The ladders of one parameter point, keyed by base: ``ladders[z]``
-    is the :class:`ThetaLadder` of base z, created on first use."""
+    """The ladders of one (q, p), keyed by base: ``ladders[z]`` is the
+    :class:`ThetaLadder` of base z, created on first use."""
 
     def __init__(self, q, p):
         super().__init__()

@@ -15,65 +15,28 @@ parameter leaves them unchanged.
 
 from __future__ import annotations
 
-from functools import cache
-
 from .errors import HConditionError, OutOfRegionError
 from .params import ParamPoint
-from .special import DENOMINATOR_GUARD, ThetaLadders, guarded, theta
-
-
-def _theta_ratio(num_args, den_args, p):
-    num = 1
-    for z in num_args:
-        num = num * theta(z, p)
-    den = 1
-    for z in den_args:
-        den = den * guarded(theta(z, p), "denominator theta(%r)", z)
-    return num / den
+from .special import DENOMINATOR_GUARD, ThetaLadders
 
 
 def elliptic_weight(pp: ParamPoint, i: int, j: int):
-    """East-step weight h(i, j): the eight-theta ratio above."""
+    """East-step weight h(i, j): the eight-theta ratio above, read off the
+    point's theta store (:attr:`ParamPoint.thetas`), so a set of cells
+    costs one theta call per distinct ladder index.  Every denominator
+    theta is checked on its own by :meth:`ThetaLadder.den`."""
     if i < 0 or j < 0:
         raise OutOfRegionError("weight indices must be nonnegative")
-    x, a, b, c, q, p = pp.x, pp.a, pp.b, pp.c, pp.q, pp.p
-    qi = q**i
-    qij = q ** (i + j)
-    return _theta_ratio(
-        (b * c * q ** (i + 2 * j), (c / b) * qi, a * x * qi, (a / x) * qi),
-        (a * b * qij, (a / b) * q ** (i - j), c * x * qij, (c / x) * qij),
-        p,
-    )
-
-
-def h_cells(pp: ParamPoint, ladders: ThetaLadders | None = None):
-    """h(i, j) as a memoised function of the cell, read off theta ladders.
-
-    Every cell takes its eight thetas from eight ladders shared by all
-    cells, so any set of cells costs one theta call per distinct ladder
-    index.  Values equal :func:`elliptic_weight` bit for bit, and every
-    denominator theta is checked by the same guard as there.
-    """
     x, a, b, c = pp.x, pp.a, pp.b, pp.c
-    lad = ThetaLadders(pp.q, pp.p) if ladders is None else ladders
-    bc, cb, ax, a_x = lad[b * c], lad[c / b], lad[a * x], lad[a / x]
-    ab, a_b, cx, c_x = lad[a * b], lad[a / b], lad[c * x], lad[c / x]
-
-    @cache
-    def h(i: int, j: int):
-        if i < 0 or j < 0:
-            raise OutOfRegionError("weight indices must be nonnegative")
-        num = bc[i + 2 * j] * cb[i] * ax[i] * a_x[i]
-        return num / (ab.den(i + j) * a_b.den(i - j) * cx.den(i + j) * c_x.den(i + j))
-
-    return h
+    lad = pp.thetas
+    num = lad[b * c][i + 2 * j] * lad[c / b][i] * lad[a * x][i] * lad[a / x][i]
+    return num / (lad[a * b].den(i + j) * lad[a / b].den(i - j)
+                  * lad[c * x].den(i + j) * lad[c / x].den(i + j))
 
 
 def h_table(pp: ParamPoint, m: int, n: int) -> list[list]:
-    """The weights h(i, j) over the grid {0..m} x {0..n}, rows indexed by i,
-    from one set of theta ladders."""
-    h = h_cells(pp)
-    return [[h(i, j) for j in range(n + 1)] for i in range(m + 1)]
+    """The weights h(i, j) over the grid {0..m} x {0..n}, rows indexed by i."""
+    return [[elliptic_weight(pp, i, j) for j in range(n + 1)] for i in range(m + 1)]
 
 
 def elliptic_weight_complement(pp: ParamPoint, i: int, j: int):
@@ -108,13 +71,10 @@ def binomial_weight(a, b, q, p, s: int, t: int):
         raise OutOfRegionError("weight indices must be nonnegative")
     if t == 0:
         return a * 0 + b * 0 + 1
-    ab = a / b
-    ratio = _theta_ratio(
-        (a * q ** (s + 2 * t), b * q ** (2 * s), b * q ** (2 * s - 1),
-         ab * q ** (1 - s), ab * q ** (-s)),
-        (a * q**s, b * q ** (2 * s + t), b * q ** (2 * s + t - 1),
-         ab * q ** (1 + t - s), ab * q ** (t - s)),
-        p,
-    )
-    return ratio * q**t
+    lad = ThetaLadders(q, p)
+    la, lb, a_b = lad[a], lad[b], lad[a / b]
+    num = la[s + 2 * t] * lb[2 * s] * lb[2 * s - 1] * a_b[1 - s] * a_b[-s]
+    den = la.den(s) * lb.den(2 * s + t) * lb.den(2 * s + t - 1) * a_b.den(1 + t - s) \
+        * a_b.den(t - s)
+    return num / den * q**t
 

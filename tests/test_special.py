@@ -357,7 +357,8 @@ class TestAdditionFormula:
         # draws avoid it almost surely, so non-generic ones are discarded
         args = (x * y, x / y, u * v, u / v, x * v, x / v, u * y, u / y,
                 y * v, y / v, x * u, x / u)
-        assume(min(theta_margin(arg, p) for arg in args) > 1e-6)
+        # entry 0 of a ladder with q = 1 is theta(arg; p) itself
+        assume(min(theta_margin(ThetaLadder(arg, 1, p), 0) for arg in args) > 1e-6)
         assert addition_formula_residual(x, y, u, v, p) < 1e-10
 
 
