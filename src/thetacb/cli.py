@@ -23,7 +23,8 @@ from typing import Callable
 from . import bezout, identities, lattice, noncomm
 from .errors import DegenerateParameterError, ResamplingExhaustedError
 from .params import IdentitySize, ParamPoint
-from .sampling import P_HI, P_LO, sample_param_point
+from .sampling import DEFAULT_GUARD, P_HI, P_LO, sample_param_point
+from .special import relative_residual
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class CampaignConfig:
     tol: float = 1e-8
     p_max: float = 0.5
     precision: int = 0
-    guard: float = 1e-6
+    guard: float = DEFAULT_GUARD
     out: str | None = None
 
     def __post_init__(self):
@@ -83,7 +84,7 @@ def _convolution(pp, m, n):
 def _frenkel_turaev(pp, m, n):
     lhs, rhs = noncomm.frenkel_turaev(pp.a, pp.b, pp.c, pp.x, min(m + n, 6),
                                       pp.q, pp.p)
-    return float(abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+    return relative_residual(lhs, rhs)
 
 
 def _theta_addition(pp, m, n):
@@ -93,7 +94,7 @@ def _theta_addition(pp, m, n):
 
 
 def _qbinom_pascal(pp, m, n):
-    from .special import qbinom, relative_residual
+    from .special import qbinom
 
     q = pp.q
     worst = 0.0
@@ -105,7 +106,6 @@ def _qbinom_pascal(pp, m, n):
 
 
 def _h_complement(pp, m, n):
-    from .special import relative_residual
     from .weights import elliptic_weight, elliptic_weight_complement
 
     worst = 0.0

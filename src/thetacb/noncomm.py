@@ -28,7 +28,8 @@ from functools import lru_cache
 from .identities import IdentityReport
 from .lattice import b_closed
 from .params import ParamPoint
-from .special import ThetaLadders, qbinom, series_with_running_products, theta_ratio
+from .special import (ThetaLadders, qbinom, relative_residual, series_with_running_products,
+                      theta_ratio)
 from .weights import binomial_weight, elliptic_weight, normalized_weight
 
 #: Coefficients below this fraction of the row maximum count as structural
@@ -81,7 +82,7 @@ def elliptic_binomial_recursion_residual(a, b, q, p, n: int, k: int) -> float:
     if 0 < k <= n + 1:
         rhs = rhs + elliptic_binomial(a, b, q, p, n, k - 1) \
             * binomial_weight(a, b, q, p, k, n + 1 - k)
-    return float(abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+    return relative_residual(lhs, rhs)
 
 
 def path_binomial_recursion_residual(pp: ParamPoint, n: int, k: int) -> float:
@@ -96,7 +97,7 @@ def path_binomial_recursion_residual(pp: ParamPoint, n: int, k: int) -> float:
         rhs = rhs + path_binomial(pp, n, k - 1) * normalized_weight(pp, k - 1, n + 1 - k)
     if k <= n:
         rhs = rhs + path_binomial(pp, n, k) * normalized_weight(pp.swap_ab(), n - k, k)
-    return float(abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+    return relative_residual(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +651,7 @@ def convolution_nf_cross_check(pp: ParamPoint, n: int, m: int, k: int) -> float:
     whole = binomial_power(tag, pp, n + m)
     v1 = ctx.value(prod.coefficient(k, n + m - k))
     v2 = ctx.value(whole.coefficient(k, n + m - k))
-    return float(abs(v1 - v2) / max(1.0, abs(v1), abs(v2)))
+    return relative_residual(v1, v2)
 
 
 def frenkel_turaev(a, b, c, d, n: int, q, p):

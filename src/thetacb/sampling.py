@@ -53,24 +53,14 @@ def _denominator_args(pp: ParamPoint, m: int, n: int):
     x, a, b, c, q = pp.x, pp.a, pp.b, pp.c, pp.q
     lad = pp.thetas
     top = m + n + 1
-    wide = 2 * (m + n) + 2
     qq = lad[q]
-    for t in range(top + 1):
-        yield qq, t  # q^(t+1)
-    ab, cx, c_x, ac, bc = lad[a * b], lad[c * x], lad[c / x], lad[a * c], lad[b * c]
-    for t in range(top + 1):
-        yield ab, t
-        yield cx, t
-        yield c_x, t
-        yield ac, t
-        yield bc, t
+    yield from ((qq, t) for t in range(top + 1))  # q^(t+1)
+    five = [lad[z] for z in (a * b, c * x, c / x, a * c, b * c)]
+    yield from ((ladder, t) for t in range(top + 1) for ladder in five)
     a_b = lad[a / b]
-    for t in range(-(top + 1), top + 2):
-        yield a_b, t
-    la, lb = lad[a], lad[b]
-    for t in range(wide + 1):
-        yield la, t
-        yield lb, t
+    yield from ((a_b, t) for t in range(-(top + 1), top + 2))
+    pair = (lad[a], lad[b])
+    yield from ((ladder, t) for t in range(2 * top + 1) for ladder in pair)
 
 
 def check_genericity(pp: ParamPoint, size: IdentitySize, guard: float = DEFAULT_GUARD) -> bool:

@@ -89,7 +89,7 @@ def _default_tol(x, p) -> float:
     return min(DEFAULT_THETA_TOL, float(mpmath.mp.eps) * 1e-2)
 
 
-def theta(x, p, tol: float | None = None):
+def theta(x, p):
     """Modified Jacobi theta function theta(x; p) = (x, p/x; p)_infinity.
 
     p = 0 returns the exact closed form 1 - x.  For p != 0 the argument is
@@ -105,8 +105,6 @@ def theta(x, p, tol: float | None = None):
     ap = abs(p)
     if ap >= 1:
         raise DivergenceError("theta(x; p) requires |p| < 1")
-    if tol is None:
-        tol = _default_tol(x, p)
 
     log_ap = math.log(float(ap))
     ax = float(abs(x))
@@ -126,9 +124,9 @@ def theta(x, p, tol: float | None = None):
         ax = float(abs(x))
 
     # Factors k = 0 .. count-1 are exactly those with |p|^k >= stop.
-    stop = tol * (1 + ax)
+    stop = _default_tol(x, p) * (1 + ax)
     count = math.floor(math.log(stop) / log_ap) + 1
-    if count > 0 and _all_mpc(x, p):
+    if count > 0 and _mp_complex(x, p):
         acc = _mp_theta_product(x, p, count)
         return pref * acc if n else acc
     px = p / x
@@ -140,14 +138,17 @@ def theta(x, p, tol: float | None = None):
     return pref * acc
 
 
-def _all_mpc(*values) -> bool:
-    """True when every value is an ``mpmath`` complex of one context."""
-    ctx = getattr(values[0], "context", None)
-    return ctx is not None and all(hasattr(v, "_mpc_") and v.context is ctx for v in values)
+def _mp_complex(x, p) -> bool:
+    """True when p is an ``mpmath`` complex and x an ``mpmath`` real or
+    complex of the same context."""
+    ctx = getattr(p, "context", None)
+    return (hasattr(p, "_mpc_") and getattr(x, "context", None) is ctx
+            and (hasattr(x, "_mpc_") or hasattr(x, "_mpf_")))
 
 
 def _mp_theta_product(x, p, count: int):
-    """prod_{k<count} (1 - x p^k)(1 - (p/x) p^k) for ``mpmath.mpc`` x and p,
+    """prod_{k<count} (1 - x p^k)(1 - (p/x) p^k) for an ``mpmath.mpc`` p and
+    an ``mpmath`` real or complex x,
     evaluated on Python integers in fixed point with ``MP_THETA_GUARD_BITS``
     bits beyond the working precision and rounded once to it.
 
@@ -157,14 +158,15 @@ def _mp_theta_product(x, p, count: int):
     truncation, so the relative error stays a few units of the working
     precision however small the product is; at x = 1 it is exactly 0.
     """
-    from mpmath.libmp import from_man_exp, mpc_div, to_fixed
+    from mpmath.libmp import from_man_exp, fzero, mpc_div, to_fixed
 
     ctx = x.context
     prec, rnd = ctx._prec_rounding
     wp = prec + MP_THETA_GUARD_BITS
     one = 1 << wp
-    xr, xi = (to_fixed(t, wp) for t in x._mpc_)
-    yr, yi = (to_fixed(t, wp) for t in mpc_div(p._mpc_, x._mpc_, wp, rnd))
+    xc = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
+    xr, xi = (to_fixed(t, wp) for t in xc)
+    yr, yi = (to_fixed(t, wp) for t in mpc_div(p._mpc_, xc, wp, rnd))
     pr, pi = (to_fixed(t, wp) for t in p._mpc_)
     # k = 0 contributes 1 - p/x here and 1 - x at the end
     ar, ai = one - yr, -yi
@@ -180,9 +182,9 @@ def _mp_theta_product(x, p, count: int):
         kr, ki = (kr * pr - ki * pi) >> wp, (kr * pi + ki * pr) >> wp
     # 1 - x = f0r - i f0i exactly, in fixed point fine enough for both
     # parts of x
-    s = max(wp, -x._mpc_[0][2], -x._mpc_[1][2])
-    f0r = (1 << s) - to_fixed(x._mpc_[0], s)
-    f0i = to_fixed(x._mpc_[1], s)
+    s = max(wp, -xc[0][2], -xc[1][2])
+    f0r = (1 << s) - to_fixed(xc[0], s)
+    f0i = to_fixed(xc[1], s)
     re = from_man_exp(ar * f0r + ai * f0i, -wp - s, prec, rnd)
     im = from_man_exp(ai * f0r - ar * f0i, -wp - s, prec, rnd)
     return ctx.make_mpc((re, im))
@@ -204,11 +206,11 @@ def _exp(z):
     return mpmath.exp(z)
 
 
-def theta_prod(args, p, tol: float | None = None):
+def theta_prod(args, p):
     """Product of theta functions theta(x1, ..., xs; p)."""
     acc = 1
     for x in args:
-        acc = acc * theta(x, p, tol)
+        acc = acc * theta(x, p)
     return acc
 
 

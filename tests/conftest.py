@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from random import Random
 
 import pytest
 from hypothesis import strategies as st
 
-from thetacb.params import IdentitySize
+from thetacb.params import IdentitySize, ParamPoint
 from thetacb.sampling import sample_param_point
 
 
@@ -25,6 +26,33 @@ def ring_complex(lo: float, hi: float) -> st.SearchStrategy:
 def unit_complex(rng: Random, lo: float, hi: float) -> complex:
     mag = math.exp(rng.uniform(math.log(lo), math.log(hi)))
     return cmath.rect(mag, rng.uniform(0.0, 2.0 * math.pi))
+
+
+def count_theta_calls(monkeypatch, run) -> int:
+    """How many times ``run()`` calls ``special.theta``, under every name
+    a ``thetacb`` module binds it to."""
+    import thetacb.special as special
+
+    inner = special.theta
+    calls = [0]
+
+    def counting(x, *args):
+        calls[0] += 1
+        return inner(x, *args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("thetacb") and getattr(module, "theta", None) is inner:
+            monkeypatch.setattr(module, "theta", counting)
+    try:
+        run()
+    finally:
+        monkeypatch.undo()
+    return calls[0]
+
+
+def fresh_copy(pp: ParamPoint) -> ParamPoint:
+    """The same point with an empty theta store."""
+    return ParamPoint(pp.x, pp.a, pp.b, pp.c, pp.q, pp.p)
 
 
 @pytest.fixture

@@ -4,7 +4,6 @@ generating function, the normalised table, and the partition of unity."""
 from __future__ import annotations
 
 import math
-import sys
 from random import Random
 
 import mpmath
@@ -12,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import count_theta_calls, fresh_copy
 from thetacb.errors import CapExceededError, DegenerateParameterError
 from thetacb.lattice import (
     a_bruteforce,
@@ -220,34 +220,15 @@ def test_weights_follow_the_working_precision():
         assert relative_residual(got, want) < 1e-35
 
 
-def _count_theta_calls(monkeypatch, run) -> int:
-    import thetacb.special as special
-
-    inner = special.theta
-    calls = [0]
-
-    def counting(x, p, tol=None):
-        calls[0] += 1
-        return inner(x, p, tol)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("thetacb") and getattr(module, "theta", None) is inner:
-            monkeypatch.setattr(module, "theta", counting)
-    try:
-        run()
-    finally:
-        monkeypatch.undo()
-    return calls[0]
-
-
 @pytest.mark.parametrize("check", [b_system_residual, master_equality_total])
 def test_theta_calls_grow_linearly_with_depth(monkeypatch, check):
-    # closed-form cells and weights share one set of theta ladders per
-    # call, so doubling the depth at most about doubles the theta calls
-    # (per-cell rebuilds grow them by 4x or more)
+    # closed-form cells and weights share the point's theta store, so
+    # doubling the depth at most about doubles the theta calls (per-cell
+    # rebuilds grow them by 4x or more); each depth starts from an empty
+    # store
     pp = sample_param_point(Random(31), IdentitySize(8, 8))
-    small = _count_theta_calls(monkeypatch, lambda: check(pp, IdentitySize(4, 4)))
-    large = _count_theta_calls(monkeypatch, lambda: check(pp, IdentitySize(8, 8)))
+    small = count_theta_calls(monkeypatch, lambda: check(fresh_copy(pp), IdentitySize(4, 4)))
+    large = count_theta_calls(monkeypatch, lambda: check(fresh_copy(pp), IdentitySize(8, 8)))
     assert 0 < small and large <= 2.5 * small
 
 

@@ -1,0 +1,69 @@
+"""The theta store a parameter point owns: who shares it, and when a
+point starts a fresh one."""
+
+from __future__ import annotations
+
+from random import Random
+
+import mpmath
+
+from conftest import count_theta_calls, fresh_copy
+from thetacb.identities import cb_residual, cb_term_abcq, cb_term_elliptic
+from thetacb.lattice import master_equality_residual
+from thetacb.params import IdentitySize
+from thetacb.sampling import sample_param_point
+
+
+def test_store_is_not_part_of_the_point(generic_point):
+    before = (repr(generic_point), hash(generic_point))
+    cb_residual("elliptic", generic_point, 2, 2)
+    assert len(generic_point.thetas) > 0
+    copy = fresh_copy(generic_point)
+    assert copy == generic_point and (repr(copy), hash(copy)) == before
+    assert len(copy.thetas) == 0
+
+
+def test_derived_points_share_the_store_only_at_the_same_q_and_p(generic_point):
+    pp = generic_point
+    store = pp.thetas
+    assert pp.swap_ab().thetas is store
+    assert pp.shift(1, 0, 2).thetas is store
+    assert pp.replace(x=2 * pp.x).thetas is store
+    assert pp.replace(p=0j).thetas is not store
+    assert pp.replace(q=1 / pp.q).thetas is not store
+
+
+def test_check_reuses_the_thetas_of_the_genericity_scan(monkeypatch):
+    pp = sample_param_point(Random(41), IdentitySize(3, 3))
+    copy = fresh_copy(pp)
+    after_scan = count_theta_calls(monkeypatch, lambda: cb_residual("elliptic", pp, 3, 3))
+    fresh = count_theta_calls(monkeypatch, lambda: cb_residual("elliptic", copy, 3, 3))
+    assert after_scan < fresh
+
+
+def test_mirror_term_reads_the_thetas_of_the_first(monkeypatch):
+    pp = fresh_copy(sample_param_point(Random(42), IdentitySize(3, 3)))
+    first = count_theta_calls(monkeypatch, lambda: cb_term_elliptic(pp, 3, 3))
+    mirror = count_theta_calls(monkeypatch, lambda: cb_term_elliptic(pp.swap_ab(), 3, 3))
+    assert 0 < mirror < first
+
+
+def test_a_changed_nome_never_reads_the_store():
+    pp = sample_param_point(Random(43), IdentitySize(3, 3))
+    cb_residual("elliptic", pp, 3, 3)
+    got = cb_term_abcq(pp, 3, 3)
+    want = cb_term_abcq(fresh_copy(pp), 3, 3)
+    assert got == want
+
+
+def test_store_follows_the_working_precision():
+    # one mpmath point read at 15 digits and then at 40 must give the
+    # 40-digit value of a point that was never read at 15
+    pp = sample_param_point(Random(44), IdentitySize(2, 2), precision_digits=40)
+    size = IdentitySize(2, 2)
+    with mpmath.workdps(15):
+        master_equality_residual(pp, size)
+    with mpmath.workdps(40):
+        got = master_equality_residual(pp, size)
+        want = master_equality_residual(fresh_copy(pp), size)
+    assert got == want

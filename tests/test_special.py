@@ -176,6 +176,13 @@ class TestThetaAt40Digits:
                       mpmath.mpc(1 - tiny**1.7, -tiny**1.7)):
                 _assert_units_of_reference(theta(x, p), x, p, 4)
 
+    def test_real_argument_next_to_the_zero_at_one(self):
+        # an mpf argument with an mpc nome takes the fixed-point product too
+        p = mpmath.mpc(0.3, 0.2)
+        with mpmath.workdps(40):
+            x = 1 + mpmath.mpf("6e-21")
+            _assert_units_of_reference(theta(x, p), x, p, 4)
+
     def test_symmetry_inversion_quasi_periodicity(self):
         rng = Random(9)
         with mpmath.workdps(40):
