@@ -27,7 +27,7 @@ from .errors import (
 from .identities import IdentityReport, cb_residual
 from .params import IdentitySize, ParamPoint
 from .sampling import check_genericity, sample_param_point
-from .special import addition_formula_residual, qbinom, qpoch, qpoch_inf, theta, theta_fact
+from .special import addition_formula_residual, qbinom, qpoch, theta, theta_fact
 
 __all__ = [
     "CapExceededError",
@@ -49,7 +49,6 @@ __all__ = [
     "check_genericity",
     "qbinom",
     "qpoch",
-    "qpoch_inf",
     "sample_param_point",
     "theta",
     "theta_fact",

@@ -130,7 +130,8 @@ def _b_system(pp, m, n):
 
 
 def _cb_variant(pp, m, n):
-    return identities.cb_variant_residual(pp.x, m, n)
+    # (1-x)^(m+n+1) expanded with signs: the homogeneous form at (-x, 1)
+    return identities.cb_homogeneous_residual(-pp.x, 1, m, n)
 
 
 def _cb_homogeneous(pp, m, n):
@@ -138,18 +139,11 @@ def _cb_homogeneous(pp, m, n):
 
 
 def _w_recursion(pp, m, n):
-    worst = 0.0
-    for k in range(m + 2):
-        worst = max(worst, noncomm.elliptic_binomial_recursion_residual(
-            pp.a, pp.b, pp.q, pp.p, m, k))
-    return worst
+    return max(noncomm.elliptic_binomial_recursion_residual(pp, m, k) for k in range(m + 2))
 
 
 def _h_recursion(pp, m, n):
-    worst = 0.0
-    for k in range(m + 2):
-        worst = max(worst, noncomm.path_binomial_recursion_residual(pp, m, k))
-    return worst
+    return max(noncomm.path_binomial_recursion_residual(pp, m, k) for k in range(m + 2))
 
 
 def _connection(kind: str) -> Callable:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .errors import UnknownIdentityError
 from .params import ParamPoint
 from .special import (
-    ThetaLadders,
     qbinom,
     qpoch,
     relative_residual,
@@ -27,6 +26,11 @@ from .special import (
 
 #: Family names accepted by :func:`cb_residual`, most general first.
 FAMILIES = ("elliptic", "abcq", "abq2", "abq1", "qcb", "classical")
+
+#: The families summed by the series kernel: each has a term function
+#: ``cb_term_<family>(pp, m, n)`` whose mirror is the same function at the
+#: point with a and b exchanged and the depths swapped.
+_SERIES_FAMILIES = ("elliptic", "abcq", "abq2", "abq1")
 
 
 def cb_term_elliptic(pp: ParamPoint, m: int, n: int):
@@ -82,7 +86,7 @@ def cb_term_abq2(pp: ParamPoint, m: int, n: int):
     return pre * total, abs(pre) * scale
 
 
-def cb_term_abq1(x, a, b, q, m: int, n: int):
+def cb_term_abq1(pp: ParamPoint, m: int, n: int):
     """First-kind two-parameter addend and its summed magnitude:
 
         (bx; q)_{n+1} / (b/a; q)_{n+1}
@@ -91,7 +95,8 @@ def cb_term_abq1(x, a, b, q, m: int, n: int):
     The b variable is redundant (a -> ab, x -> x/b eliminates it) but kept
     for the a <-> b mirror symmetry.
     """
-    lad = ThetaLadders(q, 0j)
+    x, a, b, q = pp.x, pp.a, pp.b, pp.q
+    lad = pp.replace(p=0j).thetas
     qq = lad[q]
     pre = theta_ratio(((lad[b * x], 0, n + 1),), ((lad[b / a], 0, n + 1),))
     total, scale = series_with_running_products(
@@ -153,15 +158,10 @@ def cb_terms_classical(x, m: int, n: int):
 def _scaled_terms(family: str, pp: ParamPoint, m: int, n: int):
     """((termA, scaleA), (termB, scaleB)) of the named family, each term
     with the largest magnitude that was summed to form it."""
-    if family == "elliptic":
-        return cb_term_elliptic(pp, m, n), cb_term_elliptic(pp.swap_ab(), n, m)
-    if family == "abcq":
-        return cb_term_abcq(pp, m, n), cb_term_abcq(pp.swap_ab(), n, m)
-    if family == "abq2":
-        return cb_term_abq2(pp, m, n), cb_term_abq2(pp.swap_ab(), n, m)
-    if family == "abq1":
-        return (cb_term_abq1(pp.x, pp.a, pp.b, pp.q, m, n),
-                cb_term_abq1(pp.x, pp.b, pp.a, pp.q, n, m))
+    if family in _SERIES_FAMILIES:
+        # looked up when called, so a rebound module global is honoured
+        term = globals()[f"cb_term_{family}"]
+        return term(pp, m, n), term(pp.swap_ab(), n, m)
     if family == "qcb":
         term_a, term_b = cb_terms_qcb(pp.x, pp.q, m, n)
     elif family == "classical":
@@ -185,29 +185,6 @@ def cb_residual(family: str, pp: ParamPoint, m: int, n: int) -> float:
     sum carries their rounding, not an identity error."""
     (term_a, scale_a), (term_b, scale_b) = _scaled_terms(family, pp, m, n)
     return relative_residual(1, term_a + term_b, abs(term_a), abs(term_b), scale_a, scale_b)
-
-
-def cb_variant_residual(x, m: int, n: int) -> float:
-    """Residual of the signed variant obtained from the classical form by
-    x -> x/(x-1) and clearing denominators:
-
-        (1-x)^(m+n+1) = sum_{k<=m} C(n+k, k) (-1)^k x^k (1-x)^(m-k)
-                        + (-1)^(m+1) x^(m+1) sum_{k<=n} C(m+k, k) (1-x)^(n-k).
-    """
-    y = 1 - x
-    lhs = y ** (m + n + 1)
-    term_a = 0
-    sign = 1
-    xk = 1
-    for k in range(m + 1):
-        term_a = term_a + math.comb(n + k, k) * sign * xk * y ** (m - k)
-        sign = -sign
-        xk = xk * x
-    term_b = 0
-    for k in range(n + 1):
-        term_b = term_b + math.comb(m + k, k) * y ** (n - k)
-    term_b = (-1) ** (m + 1) * x ** (m + 1) * term_b
-    return relative_residual(lhs, term_a + term_b, abs(term_a), abs(term_b))
 
 
 def cb_homogeneous_residual(x, y, m: int, n: int) -> float:
@@ -274,12 +251,12 @@ def degeneration_consistency(pp: ParamPoint, m: int, n: int, eps: float) -> Dege
     delta = eps
     pp_delta = pp.replace(x=x / delta, a=delta * a, b=b * delta)
     gaps["abq2_to_abq1"] = float(abs(
-        cb_term_abq2(pp_delta, m, n)[0] - cb_term_abq1(x, a, b, q, m, n)[0]))
+        cb_term_abq2(pp_delta, m, n)[0] - cb_term_abq1(pp, m, n)[0]))
 
     b_small = eps * _unit(b)
     qcb_a, _ = cb_terms_qcb(x, q, m, n)
     gaps["abq1_to_qcb"] = float(abs(
-        cb_term_abq1(x / b_small, a, b_small, q, m, n)[0] - qcb_a))
+        cb_term_abq1(pp.replace(x=x / b_small, b=b_small), m, n)[0] - qcb_a))
 
     q_near_1 = 1 - eps
     qcb_a_limit, _ = cb_terms_qcb(x, q_near_1, m, n)
@@ -303,11 +280,12 @@ def degeneration_decay(pp: ParamPoint, m: int, n: int,
     return seqs
 
 
-def abq1_q_to_1_gap(x, a, b, eps: float, m: int, n: int) -> float:
+def abq1_q_to_1_gap(pp: ParamPoint, eps: float, m: int, n: int) -> float:
     """Gap between the first-kind addend at q = 1 - eps and the classical
     addend at the substituted argument x' = (1 - ax)/(1 - a/b); the q -> 1
     limit of the first-kind family is the classical identity in x'."""
-    val, _ = cb_term_abq1(x, a, b, 1 - eps, m, n)
+    x, a, b = pp.x, pp.a, pp.b
+    val, _ = cb_term_abq1(pp.replace(q=1 - eps), m, n)
     x_sub = (1 - a * x) / (1 - a / b)
     cl_a, _ = cb_terms_classical(x_sub, m, n)
     return float(abs(val - cl_a))

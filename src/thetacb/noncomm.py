@@ -44,8 +44,9 @@ REPORT_TOL = 1e-9
 # ---------------------------------------------------------------------------
 # Elliptic binomial coefficients of both kinds.
 
-def elliptic_binomial(a, b, q, p, n: int, k: int):
-    """Two-parameter elliptic binomial coefficient
+def elliptic_binomial(pp: ParamPoint, n: int, k: int):
+    """Two-parameter elliptic binomial coefficient at the point's a, b, q
+    and p, read off its theta store:
 
         [n, k]_(a,b) = (q^(1+k), a q^(1+k), b q^(1+k), a q^(1-k)/b; q, p)_(n-k)
                      / (q, aq, b q^(1+2k), aq/b; q, p)_(n-k),
@@ -57,7 +58,8 @@ def elliptic_binomial(a, b, q, p, n: int, k: int):
         return 0
     if k == 0 or k == n:
         return 1
-    lad = ThetaLadders(q, p)
+    a, b, q = pp.a, pp.b, pp.q
+    lad = pp.thetas
     qq, la, lb, a_b = lad[q], lad[a], lad[b], lad[a / b]
     t = n - k
     return theta_ratio(((qq, k, t), (la, 1 + k, t), (lb, 1 + k, t), (a_b, 1 - k, t)),
@@ -75,13 +77,12 @@ def path_binomial(pp: ParamPoint, n: int, k: int):
     return b_closed(pp, k, n - k)
 
 
-def elliptic_binomial_recursion_residual(a, b, q, p, n: int, k: int) -> float:
+def elliptic_binomial_recursion_residual(pp: ParamPoint, n: int, k: int) -> float:
     """Residual of [n+1, k] = [n, k] + [n, k-1] W(k, n+1-k)."""
-    lhs = elliptic_binomial(a, b, q, p, n + 1, k)
-    rhs = elliptic_binomial(a, b, q, p, n, k)
+    lhs = elliptic_binomial(pp, n + 1, k)
+    rhs = elliptic_binomial(pp, n, k)
     if 0 < k <= n + 1:
-        rhs = rhs + elliptic_binomial(a, b, q, p, n, k - 1) \
-            * binomial_weight(a, b, q, p, k, n + 1 - k)
+        rhs = rhs + elliptic_binomial(pp, n, k - 1) * binomial_weight(pp, k, n + 1 - k)
     return relative_residual(lhs, rhs)
 
 
@@ -219,18 +220,14 @@ def coeff_elliptic_binomial(n: int, k: int) -> Coefficient:
     """The two-parameter elliptic binomial as a field element."""
     return Coefficient(_Leaf(
         ("wbin", n, k),
-        lambda pp, s: elliptic_binomial(*_ab_of(pp.shift(*s)), n, k)))
+        lambda pp, s: elliptic_binomial(pp.shift(*s), n, k)))
 
 
 def coeff_binomial_weight(s_idx: int, t_idx: int) -> Coefficient:
     """The recursion weight W(s, t) as a field element."""
     return Coefficient(_Leaf(
         ("W", s_idx, t_idx),
-        lambda pp, s: binomial_weight(*_ab_of(pp.shift(*s)), s_idx, t_idx)))
-
-
-def _ab_of(pp: ParamPoint):
-    return pp.a, pp.b, pp.q, pp.p
+        lambda pp, s: binomial_weight(pp.shift(*s), s_idx, t_idx)))
 
 
 class EvalContext:
@@ -475,7 +472,7 @@ def closed_binomial_coefficients(tag: AlgebraTag, pp: ParamPoint, n: int) -> dic
             out[(k, n - k)] = qbinom(n, k, pp.q)
     elif tag is AlgebraTag.ELLIPTIC_AB:
         for k in range(n + 1):
-            out[(k, n - k)] = elliptic_binomial(pp.a, pp.b, pp.q, pp.p, n, k)
+            out[(k, n - k)] = elliptic_binomial(pp, n, k)
     else:
         swapped = pp.swap_ab()
         prods = [1]

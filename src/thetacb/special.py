@@ -63,24 +63,6 @@ def qpoch(x, q, k: int):
     return acc
 
 
-def qpoch_inf(x, q, tol: float = 1e-15):
-    """Convergent infinite product (x; q)_infinity, |q| < 1.
-
-    The truncation point is chosen so the relative tail error
-    sum_{j>=N} |x q^j| <= |x q^N| / (1 - |q|) stays below ``tol``.
-    """
-    aq = abs(q)
-    if aq >= 1:
-        raise DivergenceError("(x; q)_infinity diverges for |q| >= 1")
-    bound = tol * (1 - aq)
-    acc = 1
-    xq = x
-    while abs(xq) > bound:
-        acc = acc * (1 - xq)
-        xq = xq * q
-    return acc
-
-
 def _default_tol(x, p) -> float:
     if isinstance(x, complex) and isinstance(p, complex):
         return DEFAULT_THETA_TOL
@@ -246,8 +228,9 @@ class ThetaLadder:
     formulas use, so values read off a ladder match direct evaluation bit
     for bit.  A ladder belongs to one (q, p) and one working precision:
     a parameter point keeps its ladders (``ParamPoint.thetas``) and drops
-    them when read at another precision; callers with bare scalars build
-    fresh ladders for every evaluation.
+    them when read at another precision.  Only :func:`noncomm.frenkel_turaev`,
+    which takes derived scalars rather than a point, builds fresh ladders
+    for every evaluation.
     """
 
     __slots__ = ("z", "q", "p", "_basic", "_values")

@@ -9,15 +9,16 @@ lattice position (i, j):
 ``normalized_weight`` is the row-normalised form H(i, j) = h(i, j)/h(i, 0),
 and ``binomial_weight`` is the five-theta weight W(s, t) driving the
 Pascal-style recursion of the two-parameter elliptic binomial coefficients.
-All three are elliptic: substituting p*x, p*a, p*b or p*c for the matching
-parameter leaves them unchanged.
+All three take a :class:`ParamPoint` and read their thetas off its store
+(:attr:`ParamPoint.thetas`).  All three are elliptic: substituting p*x,
+p*a, p*b or p*c for the matching parameter leaves them unchanged.
 """
 
 from __future__ import annotations
 
 from .errors import HConditionError, OutOfRegionError
 from .params import ParamPoint
-from .special import DENOMINATOR_GUARD, ThetaLadders
+from .special import DENOMINATOR_GUARD
 
 
 def elliptic_weight(pp: ParamPoint, i: int, j: int):
@@ -56,8 +57,9 @@ def normalized_weight(pp: ParamPoint, i: int, j: int):
     return elliptic_weight(pp, i, j) / h_i0
 
 
-def binomial_weight(a, b, q, p, s: int, t: int):
-    """Recursion weight W(s, t) of the (a, b)-elliptic binomial family:
+def binomial_weight(pp: ParamPoint, s: int, t: int):
+    """Recursion weight W(s, t) of the (a, b)-elliptic binomial family at
+    the point's a, b, q and p, read off its theta store:
 
         W(s, t) = theta(a q^(s+2t), b q^(2s), b q^(2s-1),
                         (a/b) q^(1-s), (a/b) q^(-s); p)
@@ -69,9 +71,10 @@ def binomial_weight(a, b, q, p, s: int, t: int):
     """
     if s < 0 or t < 0:
         raise OutOfRegionError("weight indices must be nonnegative")
+    a, b, q = pp.a, pp.b, pp.q
     if t == 0:
         return a * 0 + b * 0 + 1
-    lad = ThetaLadders(q, p)
+    lad = pp.thetas
     la, lb, a_b = lad[a], lad[b], lad[a / b]
     num = la[s + 2 * t] * lb[2 * s] * lb[2 * s - 1] * a_b[1 - s] * a_b[-s]
     den = la.den(s) * lb.den(2 * s + t) * lb.den(2 * s + t - 1) * a_b.den(1 + t - s) \

@@ -50,6 +50,12 @@ def count_theta_calls(monkeypatch, run) -> int:
     return calls[0]
 
 
+def ab_point(a, b, q, p) -> ParamPoint:
+    """A point for the two-parameter (a, b) evaluators, which read a, b, q
+    and p only; x and c are set to 1."""
+    return ParamPoint(1, a, b, 1, q, p)
+
+
 def fresh_copy(pp: ParamPoint) -> ParamPoint:
     """The same point with an empty theta store."""
     return ParamPoint(pp.x, pp.a, pp.b, pp.c, pp.q, pp.p)

@@ -3,12 +3,14 @@ variant and homogeneous forms, the limit arrows, and report plumbing."""
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from random import Random
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ring_complex, unit_complex
@@ -24,7 +26,6 @@ from thetacb.identities import (
     cb_term_elliptic,
     cb_terms,
     cb_terms_classical,
-    cb_variant_residual,
     degeneration_consistency,
     degeneration_decay,
 )
@@ -136,12 +137,13 @@ class TestMirrorSymmetry:
 
 
 class TestVariantAndHomogeneous:
+    # the signed variant is the homogeneous form at (X, Y) = (-x, 1)
     def test_variant_smallest_case(self):
-        assert cb_variant_residual(0.5, 0, 0) < 1e-16
+        assert cb_homogeneous_residual(-0.5, 1, 0, 0) < 1e-16
 
     def test_variant_fixed_cases(self):
-        assert cb_variant_residual(2.5, 3, 2) < 1e-12
-        assert cb_variant_residual(-1.2, 1, 4) < 1e-12
+        assert cb_homogeneous_residual(-2.5, 1, 3, 2) < 1e-12
+        assert cb_homogeneous_residual(1.2, 1, 1, 4) < 1e-12
 
     @settings(max_examples=100, deadline=None)
     @given(x=ring_complex(0.1, 2.5), m=st.integers(0, 6), n=st.integers(0, 6))
@@ -172,13 +174,19 @@ class TestVariantAndHomogeneous:
     @settings(max_examples=100, deadline=None)
     @given(x=ring_complex(0.1, 2.5), y=ring_complex(0.1, 2.5),
            m=st.integers(0, 6), n=st.integers(0, 6))
+    # |x/s| about 3.1: the double-precision sum cancels to 1.09e-10
+    @example(x=1.6487212707001282 + 0j, y=cmath.rect(math.exp(0.75), 3.0), m=5, n=5)
     def test_homogeneous_is_scaled_classical(self, x, y, m, n):
-        s = x + y
-        if abs(s) < 0.05:
-            return
-        term_a_cl, term_b_cl = cb_terms_classical(x / s, m, n)
-        scale = s ** (m + n + 1)
-        assert relative_residual(scale * (term_a_cl + term_b_cl), scale) < 1e-10
+        # evaluated at 30 digits, so the bound tests the identity rather
+        # than the cancellation of the classical sums at large |x/s|
+        with mpmath.workdps(30):
+            x, y = mpmath.mpc(x), mpmath.mpc(y)
+            s = x + y
+            if abs(s) < 0.05:
+                return
+            term_a_cl, term_b_cl = cb_terms_classical(x / s, m, n)
+            scale = s ** (m + n + 1)
+            assert relative_residual(scale * (term_a_cl + term_b_cl), scale) < 1e-10
 
 
 # one pinned, moderately-scaled point keeps the literal gap bounds stable
@@ -215,8 +223,8 @@ class TestDegenerationChain:
     def test_q_to_one_limit_with_substituted_argument(self):
         # the first-kind family at q -> 1 is the classical identity in
         # x' = (1 - ax)/(1 - a/b); the gap decays linearly in eps
-        gap_coarse = abq1_q_to_1_gap(_PINNED.x, _PINNED.a, _PINNED.b, 1e-4, 2, 1)
-        gap_fine = abq1_q_to_1_gap(_PINNED.x, _PINNED.a, _PINNED.b, 1e-5, 2, 1)
+        gap_coarse = abq1_q_to_1_gap(_PINNED, 1e-4, 2, 1)
+        gap_fine = abq1_q_to_1_gap(_PINNED, 1e-5, 2, 1)
         assert gap_fine < gap_coarse / 5
         assert gap_fine < 1e-3
 

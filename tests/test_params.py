@@ -6,10 +6,13 @@ from __future__ import annotations
 from random import Random
 
 import mpmath
+import pytest
 
 from conftest import count_theta_calls, fresh_copy
 from thetacb.identities import cb_residual, cb_term_abcq, cb_term_elliptic
 from thetacb.lattice import master_equality_residual
+from thetacb.noncomm import (AlgebraTag, binomial_theorem_residual,
+                             elliptic_binomial_recursion_residual)
 from thetacb.params import IdentitySize
 from thetacb.sampling import sample_param_point
 
@@ -33,12 +36,21 @@ def test_derived_points_share_the_store_only_at_the_same_q_and_p(generic_point):
     assert pp.replace(q=1 / pp.q).thetas is not store
 
 
-def test_check_reuses_the_thetas_of_the_genericity_scan(monkeypatch):
+@pytest.mark.parametrize("check", [
+    pytest.param(lambda pp: cb_residual("elliptic", pp, 3, 3), id="elliptic_cb"),
+    pytest.param(lambda pp: elliptic_binomial_recursion_residual(pp, 3, 2),
+                 id="w_binomial_recursion"),
+    pytest.param(lambda pp: binomial_theorem_residual(AlgebraTag.ELLIPTIC_AB, pp, 3),
+                 id="binomial_elliptic_ab"),
+])
+def test_check_reuses_the_thetas_of_the_genericity_scan(monkeypatch, check):
     pp = sample_param_point(Random(41), IdentitySize(3, 3))
     copy = fresh_copy(pp)
-    after_scan = count_theta_calls(monkeypatch, lambda: cb_residual("elliptic", pp, 3, 3))
-    fresh = count_theta_calls(monkeypatch, lambda: cb_residual("elliptic", copy, 3, 3))
+    got, want = [], []
+    after_scan = count_theta_calls(monkeypatch, lambda: got.append(check(pp)))
+    fresh = count_theta_calls(monkeypatch, lambda: want.append(check(copy)))
     assert after_scan < fresh
+    assert got == want
 
 
 def test_mirror_term_reads_the_thetas_of_the_first(monkeypatch):

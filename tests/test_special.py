@@ -25,7 +25,6 @@ from thetacb.special import (
     addition_formula_residual,
     qbinom,
     qpoch,
-    qpoch_inf,
     ThetaLadder,
     ThetaLadders,
     relative_residual,
@@ -51,20 +50,9 @@ class TestQPoch:
         with pytest.raises(ValueError):
             qpoch(0.5, 0.5, -1)
 
-    def test_infinite_product_trivial_cases(self):
-        assert qpoch_inf(0.0, 0.5) == 1
-        assert qpoch_inf(0.5, 0.0) == 0.5
-
-    def test_infinite_product_against_long_partial_product(self):
-        x, q = 0.3, 0.4
-        acc = 1.0
-        for ell in range(200):
-            acc *= 1 - x * q**ell
-        assert abs(qpoch_inf(x, q) - acc) < 1e-14
-
     def test_infinite_product_divergence(self):
         with pytest.raises(DivergenceError):
-            qpoch_inf(0.5, 1.0)
+            theta(0.5, 1.0)
 
 
 class TestTheta:

@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from conftest import unit_complex
+from conftest import ab_point, unit_complex
 from thetacb.errors import DegenerateParameterError
 from thetacb.params import IdentitySize, ParamPoint
 from thetacb.sampling import sample_param_point
@@ -95,7 +95,7 @@ class TestBinomialWeight:
         for _ in range(20):
             a, b = unit_complex(rng, 0.2, 2), unit_complex(rng, 0.2, 2)
             q, p = unit_complex(rng, 0.3, 0.9), unit_complex(rng, 0.05, 0.5)
-            assert binomial_weight(a, b, q, p, rng.randint(0, 5), 0) == 1
+            assert binomial_weight(ab_point(a, b, q, p), rng.randint(0, 5), 0) == 1
 
     def test_ellipticity(self):
         rng = Random(8)
@@ -105,9 +105,11 @@ class TestBinomialWeight:
             q, p = unit_complex(rng, 0.3, 0.9), unit_complex(rng, 0.05, 0.5)
             s, t = rng.randint(0, 4), rng.randint(1, 4)
             try:
-                w = binomial_weight(a, b, q, p, s, t)
-                worst = max(worst, relative_residual(binomial_weight(a * p, b, q, p, s, t), w))
-                worst = max(worst, relative_residual(binomial_weight(a, b * p, q, p, s, t), w))
+                w = binomial_weight(ab_point(a, b, q, p), s, t)
+                worst = max(worst, relative_residual(
+                    binomial_weight(ab_point(a * p, b, q, p), s, t), w))
+                worst = max(worst, relative_residual(
+                    binomial_weight(ab_point(a, b * p, q, p), s, t), w))
             except DegenerateParameterError:
                 continue
         assert worst < 1e-9
@@ -117,7 +119,7 @@ class TestBinomialWeight:
         # probe point needs |a| << |b| << 1 (a = b sits on the degenerate
         # a/b = 1 locus where the weight vanishes instead).
         q = 0.55
-        worst = max(abs(binomial_weight(1e-14, 1e-7, q, 0, s, t) - q**t)
+        worst = max(abs(binomial_weight(ab_point(1e-14, 1e-7, q, 0), s, t) - q**t)
                     for s in range(4) for t in range(5))
         assert worst < 1e-6
 
