@@ -77,8 +77,16 @@ def _homogeneous_runner(tag: noncomm.AlgebraTag) -> Callable:
     return lambda pp, m, n: noncomm.verify_homogeneous_cb(tag, pp, m, n).residual
 
 
+def _worst(residuals) -> float:
+    """The largest residual, or NaN when any residual is NaN: ``max`` keeps
+    whichever of a NaN and a number comes first, so it would drop a NaN
+    that is not the first residual."""
+    values = list(residuals)
+    return math.nan if any(math.isnan(r) for r in values) else max(values)
+
+
 def _convolution(pp, m, n):
-    return max(noncomm.convolution_residual(pp, n, m, k) for k in range(n + m + 1))
+    return _worst(noncomm.convolution_residual(pp, n, m, k) for k in range(n + m + 1))
 
 
 def _frenkel_turaev(pp, m, n):
@@ -97,24 +105,17 @@ def _qbinom_pascal(pp, m, n):
     from .special import qbinom
 
     q = pp.q
-    worst = 0.0
-    for k in range(m + 2):
-        lhs = qbinom(m + 1, k, q)
-        rhs = qbinom(m, k, q) + q ** (m + 1 - k) * qbinom(m, k - 1, q)
-        worst = max(worst, relative_residual(lhs, rhs))
-    return worst
+    return _worst(relative_residual(qbinom(m + 1, k, q),
+                                    qbinom(m, k, q) + q ** (m + 1 - k) * qbinom(m, k - 1, q))
+                  for k in range(m + 2))
 
 
 def _h_complement(pp, m, n):
     from .weights import elliptic_weight, elliptic_weight_complement
 
-    worst = 0.0
-    for i in range(min(m, 4) + 1):
-        for j in range(min(n, 4) + 1):
-            worst = max(worst, relative_residual(
-                1 - elliptic_weight(pp, i, j),
-                elliptic_weight_complement(pp, i, j)))
-    return worst
+    return _worst(relative_residual(1 - elliptic_weight(pp, i, j),
+                                    elliptic_weight_complement(pp, i, j))
+                  for i in range(min(m, 4) + 1) for j in range(min(n, 4) + 1))
 
 
 def _lattice_sum(pp, m, n):
@@ -139,11 +140,11 @@ def _cb_homogeneous(pp, m, n):
 
 
 def _w_recursion(pp, m, n):
-    return max(noncomm.elliptic_binomial_recursion_residual(pp, m, k) for k in range(m + 2))
+    return _worst(noncomm.elliptic_binomial_recursion_residual(pp, m, k) for k in range(m + 2))
 
 
 def _h_recursion(pp, m, n):
-    return max(noncomm.path_binomial_recursion_residual(pp, m, k) for k in range(m + 2))
+    return _worst(noncomm.path_binomial_recursion_residual(pp, m, k) for k in range(m + 2))
 
 
 def _connection(kind: str) -> Callable:
@@ -188,8 +189,8 @@ def _matrix_pair(pp, m, n):
 
 
 def _mod_reduction(pp, m, n):
-    return max(bezout.mod_reduction_check("first", pp.a, pp.b, pp.q, m, n),
-               bezout.mod_reduction_check("second", pp.a, pp.b, pp.q, m, n))
+    return _worst(bezout.mod_reduction_check(family, pp.a, pp.b, pp.q, m, n)
+                  for family in ("first", "second"))
 
 
 #: name -> (description, size cap (m+n), runner)

@@ -5,11 +5,19 @@ theta or q-factorial denominator reachable by the in-scope formulas keeps
 a safe margin from zero, and the lattice-weight normalisation condition
 (h(i, 0) away from 0, h(0, j) away from 1) holds.  Points failing the
 scan are resampled, never silently evaluated.
+
+Every theta the scan reads is a read of the point's theta store
+(``ParamPoint.thetas``).  At a double-precision point with p != 0 the
+scan first fills the store in one batch (``special.theta_many``, bit for
+bit the values of ``special.theta``), so the scan itself makes no
+scalar theta call except for an argument whose reduction overflows, and
+the checks that run at the accepted point read the same values.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from random import Random
 
 from .errors import DegenerateParameterError, ResamplingExhaustedError
@@ -63,15 +71,36 @@ def _denominator_args(pp: ParamPoint, m: int, n: int):
     yield from ((ladder, t) for t in range(2 * top + 1) for ladder in pair)
 
 
+def _weight_numerator_args(pp: ParamPoint, m: int, n: int):
+    """The numerator thetas of the weights h(i, 0), i <= m, and h(0, j),
+    j <= n, that the weight-normalisation condition reads, as (ladder,
+    index) pairs of the point's theta store; their denominators are among
+    :func:`_denominator_args`."""
+    x, a, b, c = pp.x, pp.a, pp.b, pp.c
+    lad = pp.thetas
+    bc = lad[b * c]
+    yield from ((bc, i) for i in range(m + 1))
+    yield from ((bc, 2 * j) for j in range(n + 1))
+    for z in (c / b, a * x, a / x):
+        ladder = lad[z]
+        yield from ((ladder, i) for i in range(m + 1))
+
+
 def check_genericity(pp: ParamPoint, size: IdentitySize, guard: float = DEFAULT_GUARD) -> bool:
     """True when every reachable denominator keeps margin ``guard`` and the
-    weight-normalisation condition holds with the same margin."""
+    weight-normalisation condition holds with the same margin.
+
+    For a double-precision point with p != 0 the thetas of both checks
+    are evaluated first, in one batch (:meth:`ThetaLadders.fill`); the
+    checks then read them from the point's store."""
     m, n = size.m, size.n
     tiny = 1e-12
     for z in (pp.x, pp.a, pp.b, pp.c, pp.q):
         if abs(z) < tiny:
             return False
-    for ladder, j in _denominator_args(pp, m, n):
+    scan = list(_denominator_args(pp, m, n))
+    pp.thetas.fill(chain(scan, _weight_numerator_args(pp, m, n)))
+    for ladder, j in scan:
         if theta_margin(ladder, j) <= guard:
             return False
     try:
@@ -95,6 +124,18 @@ def _log_uniform(rng: Random, lo: float, hi: float) -> float:
     return math.exp(rng.uniform(math.log(lo), math.log(hi)))
 
 
+def _draw(rng: Random, p_hi: float) -> ParamPoint:
+    """One candidate point of the sampler, with |p| <= p_hi."""
+    return ParamPoint(
+        x=_log_uniform(rng, MAG_LO, MAG_HI) * _unit_complex(rng),
+        a=_log_uniform(rng, MAG_LO, MAG_HI) * _unit_complex(rng),
+        b=_log_uniform(rng, MAG_LO, MAG_HI) * _unit_complex(rng),
+        c=_log_uniform(rng, MAG_LO, MAG_HI) * _unit_complex(rng),
+        q=_log_uniform(rng, Q_LO, Q_HI) * _unit_complex(rng),
+        p=_log_uniform(rng, P_LO, p_hi) * _unit_complex(rng),
+    )
+
+
 def sample_param_point(
     rng: Random,
     size: IdentitySize,
@@ -112,14 +153,7 @@ def sample_param_point(
     """
     p_hi = P_HI if p_max is None else min(P_HI, p_max)
     for _ in range(MAX_ATTEMPTS):
-        pp = ParamPoint(
-            x=_log_uniform(rng, MAG_LO, MAG_HI) * _unit_complex(rng),
-            a=_log_uniform(rng, MAG_LO, MAG_HI) * _unit_complex(rng),
-            b=_log_uniform(rng, MAG_LO, MAG_HI) * _unit_complex(rng),
-            c=_log_uniform(rng, MAG_LO, MAG_HI) * _unit_complex(rng),
-            q=_log_uniform(rng, Q_LO, Q_HI) * _unit_complex(rng),
-            p=_log_uniform(rng, P_LO, p_hi) * _unit_complex(rng),
-        )
+        pp = _draw(rng, p_hi)
         if check_genericity(pp, size, guard):
             # a double point keeps the thetas its scan computed; an mpmath
             # point is new and starts its own store

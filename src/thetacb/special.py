@@ -22,6 +22,8 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 from .errors import DegenerateParameterError, DivergenceError, RootOfUnityError, ZeroArgumentError
 
 #: Truncation control for infinite products: factors are kept while
@@ -88,26 +90,7 @@ def theta(x, p):
     if ap >= 1:
         raise DivergenceError("theta(x; p) requires |p| < 1")
 
-    log_ap = math.log(float(ap))
-    ax = float(abs(x))
-    log_ax = math.log(ax)
-    n = round(-log_ax / log_ap)
-    pref = 1
-    if n:
-        e = n * (n - 1) // 2
-        # The two power factors can overflow doubles separately even when
-        # their product is representable; switch to log space when large.
-        mag = abs(n) * abs(log_ax) + abs(e) * abs(log_ap)
-        if mag < 500.0:
-            pref = (-1) ** n * x**n * p**e
-        else:
-            pref = (-1) ** n * _exp(n * _log(x) + e * _log(p))
-        x = x * p**n
-        ax = float(abs(x))
-
-    # Factors k = 0 .. count-1 are exactly those with |p|^k >= stop.
-    stop = _default_tol(x, p) * (1 + ax)
-    count = math.floor(math.log(stop) / log_ap) + 1
+    x, n, pref, count = _reduce(x, p, math.log(float(ap)), {})
     if count > 0 and _mp_complex(x, p):
         acc = _mp_theta_product(x, p, count)
         return pref * acc if n else acc
@@ -118,6 +101,129 @@ def theta(x, p):
         acc = acc * (1 - x * pk) * (1 - px * pk)
         pk = pk * p
     return pref * acc
+
+
+def _reduce(x, p, log_ap: float, powers: dict):
+    """theta's argument reduction: (x', n, pref, count) with x' = x p^n in
+    the annulus, pref = (-1)^n x^n p^(n(n-1)/2) (1 when n = 0) and count
+    the number of factor pairs of the truncated product, so that
+    theta(x; p) = pref * prod_{k<count} (1 - x' p^k)(1 - (p/x') p^k).
+
+    ``powers`` caches n -> ((-1)^n, p^(n(n-1)/2), p^n) for one nome; the
+    cached values are the same expressions, so they have the same bits.
+    """
+    ax = float(abs(x))
+    log_ax = math.log(ax)
+    n = round(-log_ax / log_ap)
+    pref = 1
+    if n:
+        e = n * (n - 1) // 2
+        cached = powers.get(n)
+        if cached is None:
+            cached = powers[n] = ((-1) ** n, p**e, p**n)
+        sign, pe, pn = cached
+        # The two power factors can overflow doubles separately even when
+        # their product is representable; switch to log space when large.
+        mag = abs(n) * abs(log_ax) + abs(e) * abs(log_ap)
+        if mag < 500.0:
+            pref = sign * x**n * pe
+        else:
+            pref = sign * _exp(n * _log(x) + e * _log(p))
+        x = x * pn
+        ax = float(abs(x))
+
+    # Factors k = 0 .. count-1 are exactly those with |p|^k >= stop.
+    stop = _default_tol(x, p) * (1 + ax)
+    count = math.floor(math.log(stop) / log_ap) + 1
+    return x, n, pref, count
+
+
+def theta_many(xs, p) -> list:
+    """[theta(x, p) for x in xs], bit for bit, for built-in ``complex``
+    arguments and one built-in ``complex`` nome with 0 < |p| < 1; an
+    argument whose reduction raises ``OverflowError`` gives None instead.
+
+    Each argument goes through theta's own reduction (:func:`_reduce`).
+    The truncated products then run side by side on float64 arrays of
+    real and imaginary parts, one IEEE operation for each operation of
+    Python's complex arithmetic: a product (a, b) * (c, d) is
+    (a*c - b*d, a*d + b*c), 1 - (c, d) is (1.0 - c, 0.0 - d), and the
+    powers p^k are Python's own.  numpy's complex multiply is not used:
+    it rounds differently from Python's.  Arguments are sorted by factor
+    count and the active prefix shrinks as k grows, so no argument is
+    multiplied by a padding factor (1 * z can flip a signed zero).
+    """
+    if p == 0:
+        return [theta(x, p) for x in xs]
+    if abs(p) >= 1:
+        raise DivergenceError("theta(x; p) requires |p| < 1")
+    log_ap = math.log(float(abs(p)))
+    powers: dict = {}
+    out: list = [None] * len(xs)
+    batch = []
+    for i, x in enumerate(xs):
+        if x == 0:
+            raise ZeroArgumentError("theta(x; p) requires x != 0")
+        try:
+            x, _, pref, count = _reduce(x, p, log_ap, powers)
+        except OverflowError:
+            continue
+        if count > 0:
+            batch.append((count, i, x, pref))
+        else:
+            out[i] = pref * 1
+    if batch:
+        batch.sort(key=lambda item: item[0], reverse=True)
+        counts, slots, args, prefs = zip(*batch)
+        for i, pref, acc in zip(slots, prefs, _theta_products(args, counts, p)):
+            out[i] = pref * acc
+    return out
+
+
+def _theta_products(xs, counts, p) -> list:
+    """prod_{k<count} (1 - x p^k)(1 - (p/x) p^k) for reduced complex x,
+    counts in descending order, as theta's loop computes it (see
+    :func:`theta_many`)."""
+    size = len(xs)
+    pks = [1]
+    for _ in range(counts[0] - 1):
+        pks.append(pks[-1] * p)
+    # y = (x, p/x) and pk as split parts, then every factor 1 - y * pk:
+    # fr[k, s, i] + i fi[k, s, i], with s = 0 for x and s = 1 for p/x
+    y = np.array([*xs, *(p / x for x in xs)]).reshape(2, size)
+    pk = np.array(pks, dtype=complex).reshape(-1, 1, 1)
+    fr = 1.0 - (y.real * pk.real - y.imag * pk.imag)
+    fi = 0.0 - (y.real * pk.imag + y.imag * pk.real)
+    # acc * f as one multiply and one add: with acc = (ar, ai) broadcast
+    # over [[fr, fi], [-fi, fr]], the products are [[ar fr, ar fi],
+    # [ai (-fi), ai fr]] and their column sums are (ar fr - ai fi,
+    # ar fi + ai fr); ai * (-fi) is exactly -(ai fi)
+    steps = np.empty((len(pks), 2, 2, 2, size))
+    steps[:, :, 0, 0] = fr
+    steps[:, :, 0, 1] = fi
+    np.negative(fi, out=steps[:, :, 1, 0])
+    steps[:, :, 1, 1] = fr
+    steps = steps.reshape(-1, 2, 2, size)
+    acc = np.zeros((2, 1, size))
+    acc[0] = 1.0
+    prod = np.empty((2, 2, size))
+    # factor pairs k in [k, stop) multiply the first `active` arguments,
+    # those with count > k
+    active, k = size, 0
+    while k < counts[0]:
+        while counts[active - 1] <= k:
+            active -= 1
+        stop = counts[active - 1]
+        acc_in, acc_out = acc[:, :, :active], acc[:, 0, :active]
+        out, out0, out1 = prod[:, :, :active], prod[0, :, :active], prod[1, :, :active]
+        for factor in steps[2 * k:2 * stop, :, :, :active]:
+            np.multiply(acc_in, factor, out=out)
+            np.add(out0, out1, out=acc_out)
+        k = stop
+    values = np.empty(size, dtype=complex)
+    values.real = acc[0, 0]
+    values.imag = acc[1, 0]
+    return values.tolist()
 
 
 def _mp_complex(x, p) -> bool:
@@ -218,8 +324,11 @@ def theta_fact(x, q, p, k: int):
 
 class ThetaLadder:
     """The values j -> theta(z q^j; p) for integer j (negative j allowed),
-    each evaluated once by :func:`theta` on first use and then memoised.
-    At p = 0 an entry is theta's closed form 1 - z q^j, formed in place.
+    each evaluated once and then memoised.  An entry is filled in one of
+    two ways: on first read, by :func:`theta` (at p = 0 by theta's closed
+    form 1 - z q^j, formed in place), or ahead of any read, by
+    :meth:`ThetaLadders.fill`, which evaluates many entries of a store in
+    one :func:`theta_many` batch with the same bits a read would give.
 
     Every theta-shifted factorial (z q^s; q, p)_L is a window of this
     ladder, so a table of such factorials over many cells costs one theta
@@ -279,6 +388,26 @@ class ThetaLadders(dict):
     def __missing__(self, z):
         ladder = self[z] = ThetaLadder(z, self.q, self.p)
         return ladder
+
+    def fill(self, entries) -> None:
+        """Evaluate the missing entries among ``entries``, (ladder, index)
+        pairs of this store, in one :func:`theta_many` batch, with the
+        values a read would compute.  Only a built-in complex nome p != 0
+        batches, and only built-in complex arguments; anything else, and
+        an entry whose reduction overflows, is left to be computed when
+        read."""
+        p = self.p
+        if type(p) is not complex or p == 0:
+            return
+        todo = {}
+        for ladder, j in entries:
+            if j not in ladder._values:
+                x = ladder.z * ladder.q**j
+                if type(x) is complex and x != 0:
+                    todo[ladder, j] = x
+        for (ladder, j), value in zip(todo, theta_many(list(todo.values()), p)):
+            if value is not None:
+                ladder._values[j] = value
 
 
 def theta_ratio(num, den):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from thetacb import cli
+from thetacb import bezout, cli, noncomm
 from thetacb.cli import (
     REGISTRY,
     CampaignConfig,
@@ -188,6 +188,49 @@ class TestCampaign:
         assert set(report.summary) == set(REGISTRY)
         failing = {name: s for name, s in report.summary.items() if s["failures"]}
         assert not failing
+
+
+#: runner name -> (module, name) of the residual function it folds
+_FOLDED = {
+    "convolution": (noncomm, "convolution_residual"),
+    "w_binomial_recursion": (noncomm, "elliptic_binomial_recursion_residual"),
+    "h_binomial_recursion": (noncomm, "path_binomial_recursion_residual"),
+    "qbinom_pascal": (cli, "relative_residual"),
+    "h_complement": (cli, "relative_residual"),
+    "mod_reduction": (bezout, "mod_reduction_check"),
+}
+
+
+class TestResidualFolds:
+    """A runner that folds several residuals into one reports NaN when any
+    of them is NaN, not only the first."""
+
+    @pytest.mark.parametrize("name", sorted(_FOLDED))
+    def test_a_nan_second_residual_reaches_the_record(self, monkeypatch, name):
+        config = CampaignConfig(identities=(name,), m_max=1, n_max=1, trials=1, seed=8)
+        plain = run_campaign(config).records
+        assert all(math.isfinite(rec["residual"]) for rec in plain)
+
+        module, attr = _FOLDED[name]
+        residual = getattr(module, attr)
+        description, cap, runner = REGISTRY[name]
+        calls = [0]
+
+        def second_is_nan(*args):
+            calls[0] += 1
+            value = residual(*args)
+            return math.nan if calls[0] == 2 else value
+
+        def counted_runner(pp, m, n):
+            calls[0] = 0
+            return runner(pp, m, n)
+
+        monkeypatch.setattr(module, attr, second_is_nan)
+        monkeypatch.setitem(REGISTRY, name, (description, cap, counted_runner))
+        records = {(rec["m"], rec["n"]): rec for rec in run_campaign(config).records}
+        # (1, 1) folds at least two residuals in every one of these runners
+        assert math.isnan(records[1, 1]["residual"])
+        assert records[1, 1]["verdict"] == "fail"
 
 
 class TestBenchmarkContract:

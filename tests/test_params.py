@@ -1,5 +1,5 @@
-"""The theta store a parameter point owns: who shares it, and when a
-point starts a fresh one."""
+"""The theta store a parameter point owns: who shares it, when a point
+starts a fresh one, and how the genericity scan fills it."""
 
 from __future__ import annotations
 
@@ -14,7 +14,9 @@ from thetacb.lattice import master_equality_residual
 from thetacb.noncomm import (AlgebraTag, binomial_theorem_residual,
                              elliptic_binomial_recursion_residual)
 from thetacb.params import IdentitySize
-from thetacb.sampling import sample_param_point
+from thetacb.sampling import (DEFAULT_GUARD, P_HI, _denominator_args, _draw,
+                              _weight_numerator_args, check_genericity, sample_param_point)
+from thetacb.special import ThetaLadders
 
 
 def test_store_is_not_part_of_the_point(generic_point):
@@ -79,3 +81,47 @@ def test_store_follows_the_working_precision():
         got = master_equality_residual(pp, size)
         want = master_equality_residual(fresh_copy(pp), size)
     assert got == want
+
+
+def _store(pp):
+    """The point's theta store as {(base, index): repr(value)}."""
+    return {(z, j): repr(value) for z, ladder in pp.thetas.items()
+            for j, value in ladder._values.items()}
+
+
+def _verdict(pp, size, guard):
+    try:
+        return check_genericity(pp, size, guard)
+    except OverflowError:
+        return OverflowError
+
+
+@pytest.mark.parametrize("depth", [0, 3, 8, 14])
+@pytest.mark.parametrize("guard", [DEFAULT_GUARD, 0.05])
+def test_genericity_scan_fills_the_store_with_the_values_of_scalar_reads(
+        monkeypatch, depth, guard):
+    size = IdentitySize(depth, depth)
+    for seed in range(6):
+        pp = _draw(Random(seed), P_HI)
+        verdict = _verdict(pp, size, guard)
+        # every pair the scan reads, read one at a time on a fresh copy; a
+        # read whose reduction overflows leaves no entry, as in the scan
+        reads = fresh_copy(pp)
+        for ladder, j in [*_denominator_args(reads, depth, depth),
+                          *_weight_numerator_args(reads, depth, depth)]:
+            try:
+                ladder[j]
+            except OverflowError:
+                pass
+        assert _store(pp) == _store(reads)
+        # the scan without the batch, on scalar reads alone
+        with monkeypatch.context() as patch:
+            patch.setattr(ThetaLadders, "fill", lambda self, entries: None)
+            assert _verdict(fresh_copy(pp), size, guard) == verdict
+
+
+def test_the_scan_makes_no_scalar_theta_call(monkeypatch):
+    size = IdentitySize(3, 3)
+    for seed in range(4):
+        pp = _draw(Random(seed), P_HI)
+        assert count_theta_calls(monkeypatch, lambda: check_genericity(pp, size)) == 0

@@ -19,7 +19,8 @@ from thetacb.errors import (
     RootOfUnityError,
     ZeroArgumentError,
 )
-from thetacb.sampling import theta_margin
+from thetacb.sampling import (P_HI, _denominator_args, _draw, _weight_numerator_args,
+                              theta_margin)
 from thetacb.special import (
     DENOMINATOR_GUARD,
     addition_formula_residual,
@@ -31,6 +32,7 @@ from thetacb.special import (
     series_with_running_products,
     theta,
     theta_fact,
+    theta_many,
     theta_ratio,
 )
 
@@ -120,13 +122,19 @@ def _theta_reference(x, p):
     return pref * acc
 
 
+def _double_points():
+    """2000 seeded (x, p) pairs: |p| in [0.01, 0.9], |x| in [e^-3, e^3]."""
+    rng = Random(7)
+    for _ in range(2000):
+        p = cmath.rect(math.exp(rng.uniform(math.log(0.01), math.log(0.9))),
+                       rng.uniform(0.0, 2.0 * math.pi))
+        x = cmath.rect(math.exp(rng.uniform(-3.0, 3.0)), rng.uniform(0.0, 2.0 * math.pi))
+        yield x, p
+
+
 class TestThetaTruncation:
     def test_matches_per_factor_loop_in_doubles(self):
-        rng = Random(7)
-        for _ in range(2000):
-            p = cmath.rect(math.exp(rng.uniform(math.log(0.01), math.log(0.9))),
-                           rng.uniform(0.0, 2.0 * math.pi))
-            x = cmath.rect(math.exp(rng.uniform(-3.0, 3.0)), rng.uniform(0.0, 2.0 * math.pi))
+        for x, p in _double_points():
             assert theta(x, p) == _theta_reference(x, p)
 
     def test_within_four_units_of_a_wider_reference_at_40_digits(self):
@@ -136,6 +144,79 @@ class TestThetaTruncation:
                 p = mpmath.mpc(cmath.rect(rng.uniform(0.05, 0.5), rng.uniform(0.0, 6.28)))
                 x = mpmath.mpc(cmath.rect(rng.uniform(0.2, 3.0), rng.uniform(0.0, 6.28)))
                 _assert_units_of_reference(theta(x, p), x, p, 4)
+
+
+def _assert_same_bits(xs, p):
+    """theta_many(xs, p) equals theta at every x, compared by repr so that
+    the sign of a zero part counts."""
+    got = theta_many(xs, p)
+    assert len(got) == len(xs)
+    for x, value in zip(xs, got):
+        assert repr(value) == repr(theta(x, p)), (x, p)
+
+
+class TestThetaMany:
+    def test_seeded_points_batched_per_nome(self):
+        points = list(_double_points())
+        for x, p in points:
+            _assert_same_bits([x], p)
+        # every argument under a few of the nomes: factor counts differ
+        # across a batch, so the active prefix shrinks
+        xs = [x for x, _ in points]
+        for _, p in points[::250]:
+            _assert_same_bits(xs, p)
+
+    def test_arguments_and_nomes_on_the_axes(self):
+        # zero parts make the sign of a zero part of the value depend on
+        # every operation
+        xs = [complex(r, 0.0) for r in (0.5, -0.5, 1.5, -1.5, 2.0, -2.0, 1e-3, -40.0)]
+        xs += [complex(0.0, r) for r in (0.5, -0.5, 2.0, -2.0)]
+        xs += [complex(-0.0, 0.7), complex(0.7, -0.0), complex(1.0, 0.0)]
+        for p in (0.3 + 0j, -0.3 + 0j, 0.3j, -0.3j, complex(0.2, -0.0), complex(-0.0, 0.6)):
+            _assert_same_bits(xs, p)
+
+    @pytest.mark.parametrize("depth", [0, 3, 8, 14])
+    def test_the_genericity_scans_arguments(self, depth):
+        for seed in range(4):
+            pp = _draw(Random(seed), P_HI)
+            pairs = [*_denominator_args(pp, depth, depth),
+                     *_weight_numerator_args(pp, depth, depth)]
+            xs = [ladder.z * ladder.q**j for ladder, j in pairs]
+            for x, value in zip(xs, theta_many(xs, pp.p)):
+                if value is None:
+                    with pytest.raises(OverflowError):
+                        theta(x, pp.p)
+                else:
+                    assert repr(value) == repr(theta(x, pp.p)), x
+
+    def test_an_overflowing_reduction_is_left_unfilled(self):
+        p = 0.5 + 0.1j
+        big, fine = 1e-300 + 0j, 0.4 - 0.2j
+        with pytest.raises(OverflowError):
+            theta(big, p)
+        assert theta_many([big, fine, big], p) == [None, theta(fine, p), None]
+
+    def test_domain_matches_theta(self):
+        assert theta_many([0.5 + 0j, 2j], 0j) == [0.5 + 0j, 1 - 2j]
+        # a nome so small that the product keeps no factor: theta returns
+        # its prefactor times the int 1
+        _assert_same_bits([1e19 + 0j, 1e-19 + 0j, 0.5 + 0j], 1e-40 + 0j)
+        with pytest.raises(ZeroArgumentError):
+            theta_many([0.5 + 0j, 0j], 0.3j)
+        with pytest.raises(DivergenceError):
+            theta_many([0.5 + 0j], 1.0 + 0j)
+
+    def test_fill_batches_double_points_with_a_nome_only(self):
+        q = 0.6 + 0.2j
+        for p in (0j, mpmath.mpc(0.3, 0.1)):
+            store = ThetaLadders(q, p)
+            store.fill([(store[0.5 + 0.5j], j) for j in range(4)])
+            assert not store[0.5 + 0.5j]._values
+        store = ThetaLadders(q, 0.3 + 0.1j)
+        ladder = store[0.5 + 0.5j]
+        store.fill([(ladder, j) for j in (-2, 0, 3, 3)])
+        assert {j: repr(v) for j, v in ladder._values.items()} == {
+            j: repr(theta(ladder.z * q**j, 0.3 + 0.1j)) for j in (-2, 0, 3)}
 
 
 def _assert_units_of_reference(value, x, p, units):
