@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CommonRootError, SingularSystemError
-from .special import qbinom, qpoch
+from .special import qbinom, qpoch, worst_residual
 
 ROOT_SEPARATION = 1e-6
 
@@ -261,15 +261,15 @@ def bezout_solve_symmetric(a, b, q, m: int, n: int) -> tuple[tuple, tuple]:
 def symmetric_identity_residual(a, b, q, m: int, n: int, u, v, points) -> float:
     """Max |1 - P1(x) Q1(x) - P2(x) Q2(x)| over the given sample points;
     the cross-check points should include x <-> 1/x pairs."""
-    worst = 0.0
+    gaps = []
     for x in points:
         pb = qpoch(b * x, q, n + 1) * qpoch(b / x, q, n + 1)
         pa = qpoch(a * x, q, m + 1) * qpoch(a / x, q, m + 1)
         s1 = sum(uk * symmetric_base_value(a, q, k, x) for k, uk in enumerate(u))
         s2 = sum(vl * symmetric_base_value(b, q, l, x) for l, vl in enumerate(v))
         val = pb * s1 + pa * s2
-        worst = max(worst, abs(1 - val) / max(1.0, abs(pb * s1), abs(pa * s2)))
-    return worst
+        gaps.append(abs(1 - val) / max(1.0, abs(pb * s1), abs(pa * s2)))
+    return worst_residual(gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +297,15 @@ def matrix_pair_check(size: int, q) -> float:
     dim = size + 1
     f = [[f_entry(r, k, q) if k <= r else 0 for k in range(dim)] for r in range(dim)]
     g = [[g_entry(r, k, q) if k <= r else 0 for k in range(dim)] for r in range(dim)]
-    worst = 0.0
+    gaps = []
     for r in range(dim):
         for c in range(dim):
             acc = 0
             for k in range(c, r + 1):
                 acc = acc + f[r][k] * g[k][c]
             acc = acc - (1 if r == c else 0)
-            worst = max(worst, float(abs(acc)))
-    return worst
+            gaps.append(float(abs(acc)))
+    return worst_residual(gaps)
 
 
 @dataclass(frozen=True)
@@ -402,26 +402,22 @@ def mod_reduction_check(family: str, a, b, q, m: int, n: int) -> float:
                 out.append(coeff)
             return out
 
-        worst = 0.0
-        for i in range(m + 1):
-            x = q ** (-i) / a
-            p1 = qpoch(b * x, q, n + 1)
-            terms = q1_terms(x)
-            val = p1 * sum(terms)
-            scale = max(1.0, *(float(abs(p1 * t)) for t in terms))
-            worst = max(worst, float(abs(1 - val)) / scale)
-        return worst
+        return worst_residual(_cofactor_gap(qpoch(b * x, q, n + 1), q1_terms(x))
+                              for x in (q ** (-i) / a for i in range(m + 1)))
 
     if family == "second":
         u, _ = abq2_cofactor_coeffs(a, b, q, m, n)
-        worst = 0.0
         roots = [q ** (-i) / a for i in range(m + 1)] + [a * q**i for i in range(m + 1)]
-        for x in roots:
-            p1 = qpoch(b * x, q, n + 1) * qpoch(b / x, q, n + 1)
-            terms = [uk * symmetric_base_value(a, q, k, x) for k, uk in enumerate(u)]
-            val = p1 * sum(terms)
-            scale = max(1.0, *(float(abs(p1 * t)) for t in terms))
-            worst = max(worst, float(abs(1 - val)) / scale)
-        return worst
+        return worst_residual(
+            _cofactor_gap(qpoch(b * x, q, n + 1) * qpoch(b / x, q, n + 1),
+                          [uk * symmetric_base_value(a, q, k, x) for k, uk in enumerate(u)])
+            for x in roots)
 
     raise ValueError(f"unknown family {family!r}; expected 'first' or 'second'")
+
+
+def _cofactor_gap(p1, terms) -> float:
+    """|1 - p1 sum(terms)| over the largest of 1 and the |p1 t|."""
+    val = p1 * sum(terms)
+    scale = max(1.0, *(float(abs(p1 * t)) for t in terms))
+    return float(abs(1 - val)) / scale

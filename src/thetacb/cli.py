@@ -24,7 +24,7 @@ from . import bezout, identities, lattice, noncomm
 from .errors import DegenerateParameterError, ResamplingExhaustedError
 from .params import IdentitySize, ParamPoint
 from .sampling import DEFAULT_GUARD, P_HI, P_LO, sample_param_point
-from .special import relative_residual
+from .special import relative_residual, worst_residual
 
 
 @dataclass(frozen=True)
@@ -77,16 +77,8 @@ def _homogeneous_runner(tag: noncomm.AlgebraTag) -> Callable:
     return lambda pp, m, n: noncomm.verify_homogeneous_cb(tag, pp, m, n).residual
 
 
-def _worst(residuals) -> float:
-    """The largest residual, or NaN when any residual is NaN: ``max`` keeps
-    whichever of a NaN and a number comes first, so it would drop a NaN
-    that is not the first residual."""
-    values = list(residuals)
-    return math.nan if any(math.isnan(r) for r in values) else max(values)
-
-
 def _convolution(pp, m, n):
-    return _worst(noncomm.convolution_residual(pp, n, m, k) for k in range(n + m + 1))
+    return worst_residual(noncomm.convolution_residual(pp, n, m, k) for k in range(n + m + 1))
 
 
 def _frenkel_turaev(pp, m, n):
@@ -105,17 +97,18 @@ def _qbinom_pascal(pp, m, n):
     from .special import qbinom
 
     q = pp.q
-    return _worst(relative_residual(qbinom(m + 1, k, q),
-                                    qbinom(m, k, q) + q ** (m + 1 - k) * qbinom(m, k - 1, q))
-                  for k in range(m + 2))
+    return worst_residual(
+        relative_residual(qbinom(m + 1, k, q),
+                          qbinom(m, k, q) + q ** (m + 1 - k) * qbinom(m, k - 1, q))
+        for k in range(m + 2))
 
 
 def _h_complement(pp, m, n):
     from .weights import elliptic_weight, elliptic_weight_complement
 
-    return _worst(relative_residual(1 - elliptic_weight(pp, i, j),
-                                    elliptic_weight_complement(pp, i, j))
-                  for i in range(min(m, 4) + 1) for j in range(min(n, 4) + 1))
+    return worst_residual(relative_residual(1 - elliptic_weight(pp, i, j),
+                                            elliptic_weight_complement(pp, i, j))
+                          for i in range(min(m, 4) + 1) for j in range(min(n, 4) + 1))
 
 
 def _lattice_sum(pp, m, n):
@@ -140,11 +133,13 @@ def _cb_homogeneous(pp, m, n):
 
 
 def _w_recursion(pp, m, n):
-    return _worst(noncomm.elliptic_binomial_recursion_residual(pp, m, k) for k in range(m + 2))
+    return worst_residual(noncomm.elliptic_binomial_recursion_residual(pp, m, k)
+                          for k in range(m + 2))
 
 
 def _h_recursion(pp, m, n):
-    return _worst(noncomm.path_binomial_recursion_residual(pp, m, k) for k in range(m + 2))
+    return worst_residual(noncomm.path_binomial_recursion_residual(pp, m, k)
+                          for k in range(m + 2))
 
 
 def _connection(kind: str) -> Callable:
@@ -174,13 +169,11 @@ def _bezout_qcb(pp, m, n):
                                  bezout.poly_monomial(m + 1), m, n)
     c1, c2 = bezout.qcb_cofactors(pp.q, m, n)
     scale = max([1.0] + [abs(z) for z in c1.coeffs + c2.coeffs])
-    diff = 0.0
-    for got, want in ((q1, c1), (q2, c2)):
-        pad = max(len(got.coeffs), len(want.coeffs))
-        for i in range(pad):
-            g = got.coeffs[i] if i < len(got.coeffs) else 0
-            w = want.coeffs[i] if i < len(want.coeffs) else 0
-            diff = max(diff, abs(g - w))
+    diff = worst_residual(
+        abs((got.coeffs[i] if i < len(got.coeffs) else 0)
+            - (want.coeffs[i] if i < len(want.coeffs) else 0))
+        for got, want in ((q1, c1), (q2, c2))
+        for i in range(max(len(got.coeffs), len(want.coeffs))))
     return diff / scale
 
 
@@ -189,8 +182,8 @@ def _matrix_pair(pp, m, n):
 
 
 def _mod_reduction(pp, m, n):
-    return _worst(bezout.mod_reduction_check(family, pp.a, pp.b, pp.q, m, n)
-                  for family in ("first", "second"))
+    return worst_residual(bezout.mod_reduction_check(family, pp.a, pp.b, pp.q, m, n)
+                          for family in ("first", "second"))
 
 
 #: name -> (description, size cap (m+n), runner)

@@ -23,7 +23,7 @@ from itertools import combinations
 
 from .errors import CapExceededError, HConditionError, OutOfRegionError
 from .params import IdentitySize, ParamPoint
-from .special import DENOMINATOR_GUARD, relative_residual, theta_ratio
+from .special import DENOMINATOR_GUARD, relative_residual, theta_ratio, worst_residual
 from .weights import elliptic_weight, h_table
 
 #: Endpoints with m + n beyond this are refused by the brute-force routes.
@@ -275,10 +275,7 @@ def b_system_residual(pp: ParamPoint, size: IdentitySize) -> float:
     m, n = size.m, size.n
     bt = [[b_closed(pp, k, l) for l in range(n + 1)] for k in range(m + 1)]
     h = cache(partial(elliptic_weight, pp))
-    worst = 0.0
-    for k in range(1, m + 1):
-        for l in range(1, n + 1):
-            rhs = h(k - 1, l) / h(k - 1, 0) * bt[k - 1][l] \
-                + (1 - h(k, l - 1)) / (1 - h(0, l - 1)) * bt[k][l - 1]
-            worst = max(worst, relative_residual(bt[k][l], rhs))
-    return worst
+    return worst_residual(
+        relative_residual(bt[k][l], h(k - 1, l) / h(k - 1, 0) * bt[k - 1][l]
+                          + (1 - h(k, l - 1)) / (1 - h(0, l - 1)) * bt[k][l - 1])
+        for k in range(1, m + 1) for l in range(1, n + 1))

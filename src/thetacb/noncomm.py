@@ -29,7 +29,7 @@ from .identities import IdentityReport
 from .lattice import b_closed
 from .params import ParamPoint
 from .special import (ThetaLadders, qbinom, relative_residual, series_with_running_products,
-                      theta_ratio)
+                      theta_ratio, worst_residual)
 from .weights import binomial_weight, elliptic_weight, normalized_weight
 
 #: Coefficients below this fraction of the row maximum count as structural
@@ -445,15 +445,15 @@ def compare_maps(map1: dict, map2: dict) -> float:
               default=0.0)
     if row == 0:
         return 0.0
-    worst = 0.0
+    gaps = []
     for key in keys:
         v1 = map1.get(key, 0)
         v2 = map2.get(key, 0)
         big = max(abs(v1), abs(v2))
         if big <= STRUCTURAL_ZERO * row:
             continue
-        worst = max(worst, float(abs(v1 - v2) / big))
-    return worst
+        gaps.append(float(abs(v1 - v2) / big))
+    return worst_residual(gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -593,9 +593,9 @@ def verify_homogeneous_cb(tag: AlgebraTag, pp: ParamPoint, m: int, n: int):
         rhs_sw = _homogeneous_rhs(tag, n, m)
         lhs_img = _qcomm_swap_image(evaluate_element(lhs_sw, pp_inv, ctx_inv), pp.q)
         rhs_img = _qcomm_swap_image(evaluate_element(rhs_sw, pp_inv, ctx_inv), pp.q)
-        residual = max(residual,
-                       compare_maps(lhs_img, evaluate_element(lhs, pp, ctx)),
-                       compare_maps(rhs_img, evaluate_element(rhs, pp, ctx)))
+        residual = worst_residual((residual,
+                                   compare_maps(lhs_img, evaluate_element(lhs, pp, ctx)),
+                                   compare_maps(rhs_img, evaluate_element(rhs, pp, ctx))))
 
     return _report(f"homogeneous_cb_{tag.value}", pp, m, n, residual)
 

@@ -62,7 +62,9 @@ class ParamPoint:
         it.  It belongs to the working precision it was filled at
         (``mpmath``'s precision for mpmath scalars, none for doubles); a
         read at another precision starts a fresh store, so no value
-        computed at one precision is handed out at another.
+        computed at one precision is handed out at another.  The nome's
+        values the store's thetas share (``ThetaLadders.nome``) are
+        tied to one precision the same way.
         """
         prec = None if self._context is None else self._context.prec
         held = self.__dict__.get("_thetas")

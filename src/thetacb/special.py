@@ -35,7 +35,8 @@ from .errors import DegenerateParameterError, DivergenceError, RootOfUnityError,
 DEFAULT_THETA_TOL = 1e-18
 
 #: Bits beyond the working precision carried by the fixed-point theta
-#: product for ``mpmath`` scalars.
+#: product for ``mpmath`` scalars, on top of those the product can lose
+#: by shrinking (:func:`_product_floor_bits`).
 MP_THETA_GUARD_BITS = 64
 
 #: Runtime backstop: a denominator factor (one theta, or one 1 - z at
@@ -73,7 +74,7 @@ def _default_tol(x, p) -> float:
     return min(DEFAULT_THETA_TOL, float(mpmath.mp.eps) * 1e-2)
 
 
-def theta(x, p):
+def theta(x, p, _nome=None):
     """Modified Jacobi theta function theta(x; p) = (x, p/x; p)_infinity.
 
     p = 0 returns the exact closed form 1 - x.  For p != 0 the argument is
@@ -81,18 +82,22 @@ def theta(x, p):
     quasi-periodicity theta(x; p) = (-1)^n x^n p^(n(n-1)/2) theta(p^n x; p),
     which keeps the truncated product accurate for very large or very
     small arguments.
-    """
-    if x == 0:
-        raise ZeroArgumentError("theta(x; p) requires x != 0")
-    if p == 0:
-        return 1 - x
-    ap = abs(p)
-    if ap >= 1:
-        raise DivergenceError("theta(x; p) requires |p| < 1")
 
-    x, n, pref, count = _reduce(x, p, math.log(float(ap)), {})
+    ``_nome`` is internal: a theta ladder passes the values of p its
+    store shares between its thetas (:class:`_Nome`), so that they are
+    computed once per store and precision instead of once per call.  The
+    value does not depend on it.
+    """
+    if not x:
+        raise ZeroArgumentError("theta(x; p) requires x != 0")
+    if _nome is None:
+        if p == 0:
+            return 1 - x
+        _nome = _Nome(p)
+    nome = _nome.current()
+    x, n, pref, count = _reduce(x, nome)
     if count > 0 and _mp_complex(x, p):
-        acc = _mp_theta_product(x, p, count)
+        acc = _mp_theta_product(x, nome, count)
         return pref * acc if n else acc
     px = p / x
     acc = 1
@@ -103,15 +108,100 @@ def theta(x, p):
     return pref * acc
 
 
-def _reduce(x, p, log_ap: float, powers: dict):
+class _Nome:
+    """The values of one nome p that all thetas theta(x; p) share, tied to
+    the working precision ``prec`` they were computed at (the ``mpmath``
+    context's for mpmath scalars, None for built-in ones):
+
+    * ``log_ap`` = log |p|, and ``powers``: the reduction's
+      n -> ((-1)^n, p^(n(n-1)/2), p^n), filled as arguments need them
+      (:func:`_reduce`);
+    * for an ``mpmath.mpc`` nome, the fixed-point table of the product's
+      powers (p^k, p^(2k+1)) for k >= 1, grown on demand
+      (:meth:`fixed_table`).
+
+    The values are computed on first use (:meth:`current`), so a nome can
+    be made for p = 0, which no theta reads.  Every value is the same
+    expression however many thetas read it and in whatever order, so
+    sharing one instance changes no bit of any theta.
+    """
+
+    __slots__ = ("p", "prec", "log_ap", "powers", "wp", "table", "_step")
+
+    def __init__(self, p):
+        self.p = p
+        self.log_ap = None
+
+    def current(self) -> _Nome:
+        """This nome, its values computed afresh when there are none yet or
+        when they belong to another working precision than the current."""
+        ctx = getattr(self.p, "context", None)
+        prec = None if ctx is None else ctx.prec
+        if self.log_ap is None or self.prec != prec:
+            ap = abs(self.p)
+            if ap >= 1:
+                raise DivergenceError("theta(x; p) requires |p| < 1")
+            self.prec = prec
+            self.log_ap = math.log(float(ap))
+            self.powers = {}
+            self.wp = None
+            self.table = []
+        return self
+
+    def fixed_table(self, size: int) -> list:
+        """The table with at least ``size`` entries: entry k - 1 is
+        (Re p^k, Im p^k, Re p^(2k+1), Im p^(2k+1)) in fixed point with
+        ``wp`` fractional bits, each power one truncated product from the
+        previous one.  ``wp`` is the working precision plus
+        ``MP_THETA_GUARD_BITS`` plus the bits the product can lose to its
+        own smallness (:func:`_product_floor_bits`)."""
+        table = self.table
+        if len(table) >= size:
+            return table
+        if not table:
+            from mpmath.libmp import to_fixed
+
+            wp = self.wp = (self.prec + MP_THETA_GUARD_BITS
+                            + _product_floor_bits(float(abs(self.p))))
+            pr, pi = (to_fixed(t, wp) for t in self.p._mpc_)
+            p2r, p2i = (pr * pr - pi * pi) >> wp, (2 * pr * pi) >> wp
+            self._step = pr, pi, p2r, p2i
+            table.append((pr, pi, (pr * p2r - pi * p2i) >> wp, (pr * p2i + pi * p2r) >> wp))
+        wp = self.wp
+        pr, pi, p2r, p2i = self._step
+        kr, ki, er, ei = table[-1]
+        for _ in range(size - len(table)):
+            kr, ki = (kr * pr - ki * pi) >> wp, (kr * pi + ki * pr) >> wp
+            er, ei = (er * p2r - ei * p2i) >> wp, (er * p2i + ei * p2r) >> wp
+            table.append((kr, ki, er, ei))
+        return table
+
+
+def _product_floor_bits(r: float) -> int:
+    """Bits of a fixed-point accumulator that theta's product can use up
+    by shrinking, for |p| = r: the factors other than 1 - x have moduli
+    at least 1 - r^(j+1/2) in the annulus, each exponent j >= 0 twice
+    (|x p^(j+1)| and |(p/x) p^j| are at most r^(j+1/2)), so the running
+    product never falls below prod_j (1 - r^(j+1/2))^2.  The bound is
+    nearly 1 for small r and about 2^-92 at r = 0.95."""
+    bits = 0.0
+    e = math.sqrt(r)
+    while e > 1e-20:
+        bits -= 2.0 * math.log2(1.0 - e)
+        e *= r
+    return math.ceil(bits)
+
+
+def _reduce(x, nome: _Nome):
     """theta's argument reduction: (x', n, pref, count) with x' = x p^n in
     the annulus, pref = (-1)^n x^n p^(n(n-1)/2) (1 when n = 0) and count
     the number of factor pairs of the truncated product, so that
     theta(x; p) = pref * prod_{k<count} (1 - x' p^k)(1 - (p/x') p^k).
 
-    ``powers`` caches n -> ((-1)^n, p^(n(n-1)/2), p^n) for one nome; the
-    cached values are the same expressions, so they have the same bits.
+    The powers of p come from the nome's ``powers`` cache; the cached
+    values are the same expressions, so they have the same bits.
     """
+    p, log_ap, powers = nome.p, nome.log_ap, nome.powers
     ax = float(abs(x))
     log_ax = math.log(ax)
     n = round(-log_ax / log_ap)
@@ -138,7 +228,7 @@ def _reduce(x, p, log_ap: float, powers: dict):
     return x, n, pref, count
 
 
-def theta_many(xs, p) -> list:
+def theta_many(xs, p, _nome=None) -> list:
     """[theta(x, p) for x in xs], bit for bit, for built-in ``complex``
     arguments and one built-in ``complex`` nome with 0 < |p| < 1; an
     argument whose reduction raises ``OverflowError`` gives None instead.
@@ -152,20 +242,18 @@ def theta_many(xs, p) -> list:
     it rounds differently from Python's.  Arguments are sorted by factor
     count and the active prefix shrinks as k grows, so no argument is
     multiplied by a padding factor (1 * z can flip a signed zero).
+    ``_nome`` is internal, as for :func:`theta`.
     """
     if p == 0:
         return [theta(x, p) for x in xs]
-    if abs(p) >= 1:
-        raise DivergenceError("theta(x; p) requires |p| < 1")
-    log_ap = math.log(float(abs(p)))
-    powers: dict = {}
+    nome = (_Nome(p) if _nome is None else _nome).current()
     out: list = [None] * len(xs)
     batch = []
     for i, x in enumerate(xs):
         if x == 0:
             raise ZeroArgumentError("theta(x; p) requires x != 0")
         try:
-            x, _, pref, count = _reduce(x, p, log_ap, powers)
+            x, _, pref, count = _reduce(x, nome)
         except OverflowError:
             continue
         if count > 0:
@@ -234,40 +322,48 @@ def _mp_complex(x, p) -> bool:
             and (hasattr(x, "_mpc_") or hasattr(x, "_mpf_")))
 
 
-def _mp_theta_product(x, p, count: int):
-    """prod_{k<count} (1 - x p^k)(1 - (p/x) p^k) for an ``mpmath.mpc`` p and
-    an ``mpmath`` real or complex x,
-    evaluated on Python integers in fixed point with ``MP_THETA_GUARD_BITS``
-    bits beyond the working precision and rounded once to it.
+def _mp_theta_product(x, nome: _Nome, count: int):
+    """prod_{k<count} (1 - x p^k)(1 - (p/x) p^k) for the ``mpmath.mpc``
+    nome p of ``nome`` and an ``mpmath`` real or complex x, evaluated on
+    Python integers in fixed point with the nome's ``wp`` fractional bits
+    (see :meth:`_Nome.fixed_table`) and rounded once to the working
+    precision.
 
     x lies in the reduced annulus, so 1 - x is the only factor that can
-    come near zero (every other factor has modulus at least
-    1 - |p|^(1/2)).  It is formed exactly and multiplied in last without
+    come near zero.  It is formed exactly and multiplied in last without
     truncation, so the relative error stays a few units of the working
     precision however small the product is; at x = 1 it is exactly 0.
+    The other factor of k = 0, 1 - p/x, is multiplied in first.  Each
+    later pair is one factor 1 - s p^k + p^(2k+1) with s = x + p/x and
+    the powers read from the nome's table (:meth:`_Nome.fixed_table`):
+    two complex products per pair.  Its rounding is absolute, but every
+    such factor has modulus at least (1 - |p|^(1/2))(1 - |p|^(3/2)) in the
+    annulus, so the guard bits keep it relative.
     """
-    from mpmath.libmp import from_man_exp, fzero, mpc_div, to_fixed
+    from mpmath.libmp import from_man_exp, fzero, to_fixed
 
     ctx = x.context
     prec, rnd = ctx._prec_rounding
-    wp = prec + MP_THETA_GUARD_BITS
+    table = nome.fixed_table(max(count - 1, 1))
+    wp = nome.wp
     one = 1 << wp
     xc = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
     xr, xi = (to_fixed(t, wp) for t in xc)
-    yr, yi = (to_fixed(t, wp) for t in mpc_div(p._mpc_, xc, wp, rnd))
-    pr, pi = (to_fixed(t, wp) for t in p._mpc_)
+    # p/x = p conj(x) / |x|^2, with the table's p; |p/x| <= |x| in the
+    # annulus, so it is 0 in fixed point when x is
+    pr, pi = table[0][:2]
+    mod2 = xr * xr + xi * xi
+    yr = ((pr * xr + pi * xi) << wp) // mod2 if mod2 else 0
+    yi = ((pi * xr - pr * xi) << wp) // mod2 if mod2 else 0
     # k = 0 contributes 1 - p/x here and 1 - x at the end
     ar, ai = one - yr, -yi
-    kr, ki = pr, pi
-    for _ in range(count - 1):
-        # (1 - x p^k) = ur - i ui and (1 - (p/x) p^k) = vr - i vi
-        ur = one - ((xr * kr - xi * ki) >> wp)
-        ui = (xr * ki + xi * kr) >> wp
-        ar, ai = (ar * ur + ai * ui) >> wp, (ai * ur - ar * ui) >> wp
-        vr = one - ((yr * kr - yi * ki) >> wp)
-        vi = (yr * ki + yi * kr) >> wp
-        ar, ai = (ar * vr + ai * vi) >> wp, (ai * vr - ar * vi) >> wp
-        kr, ki = (kr * pr - ki * pi) >> wp, (kr * pi + ki * pr) >> wp
+    sr, si = xr + yr, xi + yi
+    for kr, ki, er, ei in table[:count - 1]:
+        # acc * (1 + d) with d = p^(2k+1) - s p^k, as acc + acc d: the same
+        # bits as the product, since acc * 2^wp is exact, but d is small
+        dr = er - ((sr * kr - si * ki) >> wp)
+        di = ei - ((sr * ki + si * kr) >> wp)
+        ar, ai = ar + ((ar * dr - ai * di) >> wp), ai + ((ar * di + ai * dr) >> wp)
     # 1 - x = f0r - i f0i exactly, in fixed point fine enough for both
     # parts of x
     s = max(wp, -xc[0][2], -xc[1][2])
@@ -340,23 +436,29 @@ class ThetaLadder:
     them when read at another precision.  Only :func:`noncomm.frenkel_turaev`,
     which takes derived scalars rather than a point, builds fresh ladders
     for every evaluation.
+
+    The values of p that its thetas share (``nome``, see :class:`_Nome`)
+    are the store's for a ladder of a store (:class:`ThetaLadders`), the
+    ladder's own otherwise; they give every entry the bits of a direct
+    :func:`theta` call.
     """
 
-    __slots__ = ("z", "q", "p", "_basic", "_values")
+    __slots__ = ("z", "q", "p", "_basic", "_values", "_nome")
 
-    def __init__(self, z, q, p):
+    def __init__(self, z, q, p, nome: _Nome | None = None):
         self.z = z
         self.q = q
         self.p = p
         self._basic = p == 0
         self._values: dict[int, object] = {}
+        self._nome = _Nome(p) if nome is None else nome
 
     def __getitem__(self, j: int):
         value = self._values.get(j)
         if value is None:
             x = self.z * self.q**j
             if not self._basic:
-                value = theta(x, self.p)
+                value = theta(x, self.p, self._nome)
             elif x == 0:
                 raise ZeroArgumentError("theta(x; p) requires x != 0")
             else:
@@ -378,15 +480,23 @@ class ThetaLadder:
 
 class ThetaLadders(dict):
     """The ladders of one (q, p), keyed by base: ``ladders[z]`` is the
-    :class:`ThetaLadder` of base z, created on first use."""
+    :class:`ThetaLadder` of base z, created on first use.
+
+    The store also owns what its thetas share of the nome p (``nome``, a
+    :class:`_Nome` its ladders hold too): log |p|, the reduction's powers
+    of p and, for an ``mpmath.mpc`` nome, the fixed-point table of the
+    product's powers.  These are tied to the working precision they were
+    computed at; a read at another precision computes them afresh, so no
+    power computed at 15 digits enters a 40-digit theta."""
 
     def __init__(self, q, p):
         super().__init__()
         self.q = q
         self.p = p
+        self.nome = _Nome(p)
 
     def __missing__(self, z):
-        ladder = self[z] = ThetaLadder(z, self.q, self.p)
+        ladder = self[z] = ThetaLadder(z, self.q, self.p, self.nome)
         return ladder
 
     def fill(self, entries) -> None:
@@ -405,7 +515,7 @@ class ThetaLadders(dict):
                 x = ladder.z * ladder.q**j
                 if type(x) is complex and x != 0:
                     todo[ladder, j] = x
-        for (ladder, j), value in zip(todo, theta_many(list(todo.values()), p)):
+        for (ladder, j), value in zip(todo, theta_many(list(todo.values()), p, self.nome)):
             if value is not None:
                 ladder._values[j] = value
 
@@ -513,3 +623,11 @@ def relative_residual(lhs, rhs, *scales) -> float:
     """
     denom = max(1.0, float(abs(lhs)), float(abs(rhs)), *(float(s) for s in scales))
     return float(abs(lhs - rhs)) / denom
+
+
+def worst_residual(residuals) -> float:
+    """The largest of ``residuals`` (0.0 when there are none), or NaN when
+    any is NaN: ``max`` keeps whichever of a NaN and a number comes first,
+    so a running ``max`` would drop a NaN that is not the first residual."""
+    values = list(residuals)
+    return math.nan if any(math.isnan(r) for r in values) else max(values, default=0.0)

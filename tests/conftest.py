@@ -50,6 +50,18 @@ def count_theta_calls(monkeypatch, run) -> int:
     return calls[0]
 
 
+def nan_on_second_call(fn):
+    """``fn``, except that its second call returns NaN."""
+    calls = [0]
+
+    def wrapped(*args):
+        calls[0] += 1
+        value = fn(*args)
+        return math.nan if calls[0] == 2 else value
+
+    return wrapped
+
+
 def ab_point(a, b, q, p) -> ParamPoint:
     """A point for the two-parameter (a, b) evaluators, which read a, b, q
     and p only; x and c are set to 1."""

@@ -4,6 +4,7 @@ inversion, connection sums, and root-evaluation divisibility."""
 
 from __future__ import annotations
 
+import math
 from random import Random
 
 import mpmath
@@ -254,6 +255,34 @@ class TestConnectionCoefficients:
     def test_terminates_above_n(self):
         # the (q^-n; q)_k factor vanishes for k > n, up to rounding in q^-n q^n
         assert abs(connection_first(3, 5, 0.8, 1.3, 0.6)) < 1e-15
+
+
+class TestNanReachesTheResidual:
+    """A residual fold keeps a NaN wherever it stands, not only first."""
+
+    def test_symmetric_identity_residual(self):
+        rng = Random(74)
+        a, b = unit_complex(rng, 0.2, 2), unit_complex(rng, 0.2, 2)
+        q = unit_complex(rng, 0.3, 0.9)
+        u, v = abq2_cofactor_coeffs(a, b, q, 3, 2)
+        points = [0.8 + 0.3j, complex(math.nan, 0.0), 1.2 - 0.1j]
+        assert math.isnan(symmetric_identity_residual(a, b, q, 3, 2, u, v, points))
+
+    def test_matrix_pair_check(self):
+        # q^0 = 1 even at q = NaN, so the first entries stay finite
+        assert math.isnan(matrix_pair_check(2, math.nan))
+
+    @pytest.mark.parametrize("family", ["first", "second"])
+    def test_mod_reduction_check(self, monkeypatch, family):
+        import thetacb.bezout as bezout
+
+        a, b, q = 0.9, 1.4, 0.6
+        inner = bezout.qpoch
+        # the modulus factor (b x; q) at the second root x = q^-1 / a
+        second = b * (q ** (-1) / a)
+        monkeypatch.setattr(bezout, "qpoch",
+                            lambda x, q, k: math.nan if x == second else inner(x, q, k))
+        assert math.isnan(mod_reduction_check(family, a, b, q, 1, 1))
 
 
 class TestModReduction:

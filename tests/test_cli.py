@@ -233,6 +233,19 @@ class TestResidualFolds:
         assert records[1, 1]["verdict"] == "fail"
 
 
+def test_bezout_qcb_keeps_a_nan_coefficient_gap(monkeypatch, generic_point):
+    # the first coefficient agrees; a NaN in the second must reach the residual
+    inner = bezout.qcb_cofactors
+
+    def nan_second_coefficient(q, m, n):
+        c1, c2 = inner(q, m, n)
+        return bezout.Poly((c1.coeffs[0], math.nan, *c1.coeffs[2:])), c2
+
+    monkeypatch.setattr(bezout, "qcb_cofactors", nan_second_coefficient)
+    runner = REGISTRY["bezout_qcb"][2]
+    assert math.isnan(runner(generic_point, 2, 2))
+
+
 class TestBenchmarkContract:
     """What the campaign benchmark under perfbench/ relies on: it rebuilds
     registry entries around their runner and wraps library functions by

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_theta_calls, fresh_copy
+from conftest import count_theta_calls, fresh_copy, nan_on_second_call
 from thetacb.errors import CapExceededError, DegenerateParameterError
 from thetacb.lattice import (
     a_bruteforce,
@@ -238,3 +238,12 @@ def test_b_system_residual_is_small_at_generic_points():
         pp = sample_param_point(rng, IdentitySize(m, n))
         assert b_system_residual(pp, IdentitySize(m, n)) < 1e-10
 
+
+
+def test_b_system_residual_keeps_a_nan_that_is_not_first(monkeypatch):
+    import thetacb.lattice as lattice
+
+    pp = sample_param_point(Random(57), IdentitySize(2, 2))
+    monkeypatch.setattr(lattice, "relative_residual",
+                        nan_on_second_call(lattice.relative_residual))
+    assert math.isnan(b_system_residual(pp, IdentitySize(2, 2)))

@@ -4,12 +4,13 @@ convolution, and the terminating very-well-poised summation."""
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 from random import Random
 
 import pytest
 
-from conftest import ab_point, unit_complex
+from conftest import ab_point, nan_on_second_call, unit_complex
 from thetacb.errors import DegenerateParameterError
 from thetacb.noncomm import (
     AlgebraTag,
@@ -274,6 +275,22 @@ class TestHomogeneousTheorems:
                     worst = max(worst, verify_homogeneous_cb(
                         tag, generic_point, m, n).residual)
         assert worst < 1e-9
+
+
+class TestNanReachesTheResidual:
+    """A residual fold keeps a NaN wherever it stands, not only first."""
+
+    def test_compare_maps(self):
+        left = {(0, 0): 1.0, (1, 0): 2.0, (0, 1): 1.0}
+        right = {(0, 0): 1.001, (1, 0): math.nan, (0, 1): 1.0}
+        assert math.isnan(compare_maps(left, right))
+
+    def test_q_commuting_swap_fold(self, monkeypatch, generic_point):
+        import thetacb.noncomm as noncomm
+
+        monkeypatch.setattr(noncomm, "compare_maps", nan_on_second_call(noncomm.compare_maps))
+        report = verify_homogeneous_cb(AlgebraTag.Q_COMMUTING, generic_point, 1, 1)
+        assert math.isnan(report.residual)
 
 
 class TestConvolution:

@@ -34,6 +34,7 @@ from thetacb.special import (
     theta_fact,
     theta_many,
     theta_ratio,
+    worst_residual,
 )
 
 
@@ -138,12 +139,19 @@ class TestThetaTruncation:
             assert theta(x, p) == _theta_reference(x, p)
 
     def test_within_four_units_of_a_wider_reference_at_40_digits(self):
-        rng = Random(8)
         with mpmath.workdps(40):
-            for _ in range(60):
-                p = mpmath.mpc(cmath.rect(rng.uniform(0.05, 0.5), rng.uniform(0.0, 6.28)))
-                x = mpmath.mpc(cmath.rect(rng.uniform(0.2, 3.0), rng.uniform(0.0, 6.28)))
+            for x, p in _mp_points():
                 _assert_units_of_reference(theta(x, p), x, p, 4)
+
+
+def _mp_points():
+    """60 seeded mpc (x, p) pairs, exact doubles: |p| in [0.05, 0.5],
+    |x| in [0.2, 3]."""
+    rng = Random(8)
+    for _ in range(60):
+        p = mpmath.mpc(cmath.rect(rng.uniform(0.05, 0.5), rng.uniform(0.0, 6.28)))
+        x = mpmath.mpc(cmath.rect(rng.uniform(0.2, 3.0), rng.uniform(0.0, 6.28)))
+        yield x, p
 
 
 def _assert_same_bits(xs, p):
@@ -291,6 +299,60 @@ class TestThetaAt40Digits:
                     _assert_units_of_reference(theta(x, p), x, p, 4)
 
 
+    def test_edge_of_the_annulus_at_a_nome_near_the_unit_circle(self):
+        # |p| = 0.95, |x| just inside |p|^(-1/2) with x p real and positive:
+        # the pair 1 - s p + p^3 is as small as it gets, and the product of
+        # about 1,900 factors is about 3e-28, far below the fixed-point unit
+        # of the working precision plus the guard bits
+        with mpmath.workdps(40):
+            p = mpmath.mpc(0.95)
+            x = mpmath.sqrt(abs(p)) / p * (1 - mpmath.mpf(2) ** -30)
+            assert abs(theta(x, p)) < 1e-27
+            _assert_units_of_reference(theta(x, p), x, p, 4)
+
+
+class TestThetaStore:
+    """A store's shared values of the nome against theta's own per call."""
+
+    def test_shared_table_matches_a_per_call_table_bit_for_bit(self):
+        # each store reads arguments z q^j in shuffled order of j: their
+        # reductions differ, so the fixed-point table grows in steps
+        q = mpmath.mpc(cmath.rect(0.7, 1.3))
+        order = list(range(-4, 5))
+        growths = stores = 0
+        for dps in (15, 40, 60):
+            with mpmath.workdps(dps):
+                for x, p in _mp_points():
+                    Random(dps).shuffle(order)
+                    store = ThetaLadders(q, p)
+                    sizes = set()
+                    for j in order:
+                        value = store[x][j]
+                        assert repr(value) == repr(theta(x * q**j, p)), (dps, x, p, j)
+                        sizes.add(len(store.nome.table))
+                    growths += len(sizes)
+                    stores += 1
+        assert growths > stores
+
+    def test_a_read_at_another_precision_computes_the_nome_afresh(self):
+        # z is far outside the annulus, so the reads use the reduction's
+        # powers of p as well as the product's table
+        q, p = mpmath.mpc(0.55, 0.3), mpmath.mpc(0.3, 0.2)
+        z = mpmath.mpc(2.3, -1.1) * mpmath.mpf(0.3) ** -12
+        store = ThetaLadders(q, p)
+        with mpmath.workdps(15):
+            store[z][0]
+            store[z][1]
+            low = store.nome.powers, store.nome.table
+            assert all(low)
+        with mpmath.workdps(40):
+            value = store[z][2]
+            assert store.nome.prec == mpmath.mp.prec
+            assert store.nome.powers is not low[0] and store.nome.table is not low[1]
+            assert repr(value) == repr(theta(z * q**2, p))
+            _assert_units_of_reference(value, z * q**2, p, 4)
+
+
 class TestThetaLadder:
     def test_entries_are_theta_at_shifted_arguments(self):
         z, q, p = 0.7 - 0.4j, 0.55 + 0.3j, 0.2 - 0.1j
@@ -310,7 +372,8 @@ class TestThetaLadder:
 
         calls = []
         inner = special.theta
-        monkeypatch.setattr(special, "theta", lambda x, p: calls.append(x) or inner(x, p))
+        monkeypatch.setattr(special, "theta",
+                            lambda x, p, *nome: calls.append(x) or inner(x, p, *nome))
         ladders = ThetaLadders(0.6 + 0.2j, 0.3j)
         for _ in range(3):
             ladders[1.5 + 0j].fact(-2, 6)
@@ -442,3 +505,10 @@ def test_relative_residual_floor():
     assert relative_residual(1e-20, 0.0) == 1e-20
     assert relative_residual(2.0, 0.0) == 1.0
     assert relative_residual(1.0, 1.0, 1e6) == 0.0
+
+
+def test_worst_residual_keeps_a_nan_wherever_it_stands():
+    assert worst_residual([]) == 0.0
+    assert worst_residual(iter([0.1, 0.3, 0.2])) == 0.3
+    for residuals in ([math.nan, 0.1], [0.1, math.nan, 0.2], [0.1, math.inf, math.nan]):
+        assert math.isnan(worst_residual(residuals))
