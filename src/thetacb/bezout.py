@@ -43,10 +43,6 @@ class Poly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def leading(self) -> complex:
-        return self.coeffs[-1] if self.coeffs else 0j
-
     def __call__(self, x):
         acc = 0
         for c in reversed(self.coeffs):
@@ -82,23 +78,6 @@ class Poly:
         if not self.coeffs:
             return self
         return Poly((0j,) * k + self.coeffs)
-
-    def __divmod__(self, other: "Poly"):
-        if not other.coeffs:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [0j] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = other.degree
-        lead = other.leading
-        for i in range(len(rem) - 1, d - 1, -1):
-            f = rem[i] / lead
-            quo[i - d] = f
-            for j, c in enumerate(other.coeffs):
-                rem[i - d + j] -= f * c
-        return Poly(tuple(quo)), Poly(tuple(rem[:d]))
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
 
 
 def poly_one() -> Poly:

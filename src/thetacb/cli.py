@@ -17,14 +17,17 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
+from functools import partial
 from random import Random
 from typing import Callable
 
 from . import bezout, identities, lattice, noncomm
 from .errors import DegenerateParameterError, ResamplingExhaustedError
+from .noncomm import AlgebraTag
 from .params import IdentitySize, ParamPoint
 from .sampling import DEFAULT_GUARD, P_HI, P_LO, sample_param_point
-from .special import relative_residual, worst_residual
+from .special import addition_formula_residual, qbinom, qpoch, relative_residual, worst_residual
+from .weights import elliptic_weight, elliptic_weight_complement
 
 
 @dataclass(frozen=True)
@@ -65,16 +68,8 @@ class CampaignConfig:
 # ---------------------------------------------------------------------------
 # Identity registry: name -> (description, runner(pp, m, n) -> residual).
 
-def _family_runner(family: str) -> Callable:
-    return lambda pp, m, n: identities.cb_residual(family, pp, m, n)
-
-
-def _binomial_runner(tag: noncomm.AlgebraTag) -> Callable:
+def _binomial_runner(tag: AlgebraTag) -> Callable:
     return lambda pp, m, n: noncomm.binomial_theorem_residual(tag, pp, m)
-
-
-def _homogeneous_runner(tag: noncomm.AlgebraTag) -> Callable:
-    return lambda pp, m, n: noncomm.verify_homogeneous_cb(tag, pp, m, n).residual
 
 
 def _convolution(pp, m, n):
@@ -88,14 +83,10 @@ def _frenkel_turaev(pp, m, n):
 
 
 def _theta_addition(pp, m, n):
-    from .special import addition_formula_residual
-
     return addition_formula_residual(pp.x, pp.a, pp.b, pp.c, pp.p)
 
 
 def _qbinom_pascal(pp, m, n):
-    from .special import qbinom
-
     q = pp.q
     return worst_residual(
         relative_residual(qbinom(m + 1, k, q),
@@ -104,8 +95,6 @@ def _qbinom_pascal(pp, m, n):
 
 
 def _h_complement(pp, m, n):
-    from .weights import elliptic_weight, elliptic_weight_complement
-
     return worst_residual(relative_residual(1 - elliptic_weight(pp, i, j),
                                             elliptic_weight_complement(pp, i, j))
                           for i in range(min(m, 4) + 1) for j in range(min(n, 4) + 1))
@@ -144,11 +133,8 @@ def _h_recursion(pp, m, n):
 
 def _connection(kind: str) -> Callable:
     def run(pp, m, n):
-        from .special import qpoch
-
         a, b, q, x = pp.a, pp.b, pp.q, pp.x
         size = min(max(m, n), 6)
-        terms = []
         if kind == "first":
             terms = [bezout.connection_first(size, k, a, b, q) * qpoch(a * x, q, k)
                      for k in range(size + 1)]
@@ -169,12 +155,7 @@ def _bezout_qcb(pp, m, n):
                                  bezout.poly_monomial(m + 1), m, n)
     c1, c2 = bezout.qcb_cofactors(pp.q, m, n)
     scale = max([1.0] + [abs(z) for z in c1.coeffs + c2.coeffs])
-    diff = worst_residual(
-        abs((got.coeffs[i] if i < len(got.coeffs) else 0)
-            - (want.coeffs[i] if i < len(want.coeffs) else 0))
-        for got, want in ((q1, c1), (q2, c2))
-        for i in range(max(len(got.coeffs), len(want.coeffs))))
-    return diff / scale
+    return worst_residual(abs(z) for gap in (q1 - c1, q2 - c2) for z in gap.coeffs) / scale
 
 
 def _matrix_pair(pp, m, n):
@@ -189,16 +170,17 @@ def _mod_reduction(pp, m, n):
 #: name -> (description, size cap (m+n), runner)
 REGISTRY: dict[str, tuple[str, int | None, Callable]] = {
     "classical_cb": ("classical two-term binomial expansion of unity",
-                     None, _family_runner("classical")),
-    "qcb": ("one-parameter basic expansion of unity", None, _family_runner("qcb")),
+                     None, partial(identities.cb_residual, "classical")),
+    "qcb": ("one-parameter basic expansion of unity",
+            None, partial(identities.cb_residual, "qcb")),
     "abq1_cb": ("two-parameter basic expansion, first kind",
-                None, _family_runner("abq1")),
+                None, partial(identities.cb_residual, "abq1")),
     "abq2_cb": ("two-parameter basic expansion, second kind",
-                None, _family_runner("abq2")),
+                None, partial(identities.cb_residual, "abq2")),
     "abcq_cb": ("three-parameter basic expansion of unity",
-                None, _family_runner("abcq")),
+                None, partial(identities.cb_residual, "abcq")),
     "elliptic_cb": ("four-parameter theta-function expansion of unity",
-                    None, _family_runner("elliptic")),
+                    None, partial(identities.cb_residual, "elliptic")),
     "cb_variant": ("signed variant expanding (1-x)^(m+n+1)", None, _cb_variant),
     "cb_homogeneous": ("two-variable homogeneous expansion of (x+y)^(m+n+1)",
                        None, _cb_homogeneous),
@@ -215,17 +197,18 @@ REGISTRY: dict[str, tuple[str, int | None, Callable]] = {
     "h_binomial_recursion": ("recursion of the four-parameter elliptic binomial",
                              8, _h_recursion),
     "binomial_q_commuting": ("binomial theorem for q-commuting variables",
-                             8, _binomial_runner(noncomm.AlgebraTag.Q_COMMUTING)),
+                             8, _binomial_runner(AlgebraTag.Q_COMMUTING)),
     "binomial_elliptic_ab": ("binomial theorem for (a,b)-elliptic variables",
-                             8, _binomial_runner(noncomm.AlgebraTag.ELLIPTIC_AB)),
+                             8, _binomial_runner(AlgebraTag.ELLIPTIC_AB)),
     "binomial_elliptic_xabc": ("binomial theorem for (x,a,b,c)-elliptic variables",
-                               8, _binomial_runner(noncomm.AlgebraTag.ELLIPTIC_XABC)),
-    "homogeneous_q_commuting": ("homogeneous expansion, q-commuting variables",
-                                8, _homogeneous_runner(noncomm.AlgebraTag.Q_COMMUTING)),
-    "homogeneous_elliptic_ab": ("homogeneous expansion, (a,b)-elliptic variables",
-                                8, _homogeneous_runner(noncomm.AlgebraTag.ELLIPTIC_AB)),
-    "homogeneous_elliptic_xabc": ("homogeneous expansion, (x,a,b,c)-elliptic variables",
-                                  8, _homogeneous_runner(noncomm.AlgebraTag.ELLIPTIC_XABC)),
+                               8, _binomial_runner(AlgebraTag.ELLIPTIC_XABC)),
+    "homogeneous_q_commuting": ("homogeneous expansion, q-commuting variables", 8,
+                                partial(noncomm.homogeneous_cb_residual, AlgebraTag.Q_COMMUTING)),
+    "homogeneous_elliptic_ab": ("homogeneous expansion, (a,b)-elliptic variables", 8,
+                                partial(noncomm.homogeneous_cb_residual, AlgebraTag.ELLIPTIC_AB)),
+    "homogeneous_elliptic_xabc": (
+        "homogeneous expansion, (x,a,b,c)-elliptic variables", 8,
+        partial(noncomm.homogeneous_cb_residual, AlgebraTag.ELLIPTIC_XABC)),
     "convolution": ("elliptic binomial convolution formula", 8, _convolution),
     "frenkel_turaev": ("terminating very-well-poised theta summation",
                        None, _frenkel_turaev),

@@ -64,24 +64,9 @@ def total_weight_residual(pp: ParamPoint, size: IdentitySize) -> float:
 
 
 def _total_weight_scaled(pp: ParamPoint, size: IdentitySize):
-    m, n = size.m, size.n
-    if m + n > BRUTE_FORCE_CAP:
-        raise CapExceededError(f"m + n = {m + n} exceeds cap {BRUTE_FORCE_CAP}")
-    h = h_table(pp, m, n)
     total = 0
     scale = 0.0
-    for bits in _bit_paths(m + 1, n + 1):
-        acc = 1
-        i = j = 0
-        for s in bits:
-            if s:
-                if j <= n:
-                    acc = acc * h[i][j]
-                i += 1
-            else:
-                if i <= m:
-                    acc = acc * (1 - h[i][j])
-                j += 1
+    for acc in _path_weights(pp, size.m + 1, size.n + 1, size.m, size.n):
         total = total + acc
         scale = max(scale, abs(acc))
     return total, scale
@@ -93,21 +78,30 @@ def endpoint_weights(pp: ParamPoint, k: int, l: int):
     The largest magnitude in this list is the natural cancellation scale
     for comparing the summed routes to A(k, l) in floating point.
     """
-    if k + l > BRUTE_FORCE_CAP:
-        raise CapExceededError(f"k + l = {k + l} exceeds cap {BRUTE_FORCE_CAP}")
-    h = h_table(pp, k, l)
-    out = []
-    for bits in _bit_paths(k, l):
+    return list(_path_weights(pp, k, l, k, l))
+
+
+def _path_weights(pp: ParamPoint, east: int, north: int, m: int, n: int):
+    """Weight of every monotone path with the given step counts, in the
+    order of :func:`_bit_paths`.  An east step at (i, j) carries h(i, j)
+    and a north step 1 - h(i, j) while (i, j) lies in the weight grid
+    {0..m} x {0..n}; steps beyond it carry 1."""
+    if m + n > BRUTE_FORCE_CAP:
+        raise CapExceededError(f"m + n = {m + n} exceeds cap {BRUTE_FORCE_CAP}")
+    h = h_table(pp, m, n)
+    for bits in _bit_paths(east, north):
         acc = 1
         i = j = 0
         for s in bits:
-            acc = acc * (h[i][j] if s else 1 - h[i][j])
             if s:
+                if j <= n:
+                    acc = acc * h[i][j]
                 i += 1
             else:
+                if i <= m:
+                    acc = acc * (1 - h[i][j])
                 j += 1
-        out.append(acc)
-    return out
+        yield acc
 
 
 def a_bruteforce(pp: ParamPoint, k: int, l: int):

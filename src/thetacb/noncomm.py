@@ -24,8 +24,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, repeat
 
-from .identities import IdentityReport
 from .lattice import b_closed
 from .params import ParamPoint
 from .special import (ThetaLadders, qbinom, relative_residual, series_with_running_products,
@@ -35,10 +35,6 @@ from .weights import binomial_weight, elliptic_weight, normalized_weight
 #: Coefficients below this fraction of the row maximum count as structural
 #: zeros when two normal forms are compared.
 STRUCTURAL_ZERO = 1e-14
-
-#: Tolerance of the reports returned by the binomial and homogeneous
-#: theorem drivers.
-REPORT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +219,11 @@ def coeff_elliptic_binomial(n: int, k: int) -> Coefficient:
         lambda pp, s: elliptic_binomial(pp.shift(*s), n, k)))
 
 
+def coeff_qbinom(n: int, k: int) -> Coefficient:
+    """The constant q-binomial [n, k]_q."""
+    return Coefficient(_Leaf(("qbinom", n, k), lambda pp, s: qbinom(n, k, pp.q)))
+
+
 def coeff_binomial_weight(s_idx: int, t_idx: int) -> Coefficient:
     """The recursion weight W(s, t) as a field element."""
     return Coefficient(_Leaf(
@@ -276,33 +277,13 @@ class AlgebraTag(enum.Enum):
     ELLIPTIC_AB = "elliptic_ab"
     ELLIPTIC_XABC = "elliptic_xabc"
 
-    @property
-    def x_shift(self) -> tuple[int, int, int]:
-        return _X_SHIFT[self]
 
-    @property
-    def y_shift(self) -> tuple[int, int, int]:
-        return _Y_SHIFT[self]
-
-    @property
-    def yx_coefficient(self) -> Coefficient:
-        return _YX[self]
-
-
-_X_SHIFT = {
-    AlgebraTag.Q_COMMUTING: _ZERO_SHIFT,
-    AlgebraTag.ELLIPTIC_AB: (1, 2, 0),
-    AlgebraTag.ELLIPTIC_XABC: (1, 0, 1),
-}
-_Y_SHIFT = {
-    AlgebraTag.Q_COMMUTING: _ZERO_SHIFT,
-    AlgebraTag.ELLIPTIC_AB: (2, 1, 0),
-    AlgebraTag.ELLIPTIC_XABC: (0, 1, 1),
-}
-_YX = {
-    AlgebraTag.Q_COMMUTING: coeff_qpow(1),
-    AlgebraTag.ELLIPTIC_AB: coeff_binomial_weight(1, 1),
-    AlgebraTag.ELLIPTIC_XABC: coeff_big_h(0, 1),
+#: tag -> (shift of X past a coefficient, shift of Y past a coefficient,
+#: the coefficient w of Y X = w X Y)
+_RULES = {
+    AlgebraTag.Q_COMMUTING: (_ZERO_SHIFT, _ZERO_SHIFT, coeff_qpow(1)),
+    AlgebraTag.ELLIPTIC_AB: ((1, 2, 0), (2, 1, 0), coeff_binomial_weight(1, 1)),
+    AlgebraTag.ELLIPTIC_XABC: ((1, 0, 1), (0, 1, 1), coeff_big_h(0, 1)),
 }
 
 
@@ -313,8 +294,7 @@ def reorder_coefficient(tag: AlgebraTag, s: int, r: int) -> Coefficient:
     base YX coefficient shifted by i steps of X and j steps of Y."""
     if tag is AlgebraTag.Q_COMMUTING:
         return coeff_qpow(s * r) if s * r else COEFF_ONE
-    dx, dy = tag.x_shift, tag.y_shift
-    base = tag.yx_coefficient
+    dx, dy, base = _RULES[tag]
     out = COEFF_ONE
     for j in range(s):
         for i in range(r):
@@ -384,7 +364,7 @@ def nf_mul(e1: NormalFormElement, e2: NormalFormElement) -> NormalFormElement:
     if e1.tag is not e2.tag:
         raise ValueError("cannot multiply elements of different algebras")
     tag = e1.tag
-    dx, dy = tag.x_shift, tag.y_shift
+    dx, dy, _ = _RULES[tag]
     out: dict = {}
     for (k1, l1), f in e1.terms:
         move = (k1 * dx[0] + l1 * dy[0], k1 * dx[1] + l1 * dy[1], k1 * dx[2] + l1 * dy[2])
@@ -459,10 +439,6 @@ def compare_maps(map1: dict, map2: dict) -> float:
 # ---------------------------------------------------------------------------
 # Verification drivers.
 
-def _report(identity, pp, m, n, residual):
-    return IdentityReport.from_residual(identity, pp, m, n, residual, REPORT_TOL)
-
-
 def closed_binomial_coefficients(tag: AlgebraTag, pp: ParamPoint, n: int) -> dict:
     """The factorised normal-form coefficients the binomial theorems
     assert for binomial_base(tag)^n, keyed like evaluate_element."""
@@ -491,77 +467,52 @@ def binomial_theorem_residual(tag: AlgebraTag, pp: ParamPoint, n: int) -> float:
     return compare_maps(expanded, closed_binomial_coefficients(tag, pp, n))
 
 
-def verify_binomial_theorems(pp: ParamPoint, n_max: int) -> list:
-    """One binomial-theorem report for every algebra and every n <= n_max."""
-    return [_report(f"binomial_theorem_{tag.value}", pp, n, 0,
-                    binomial_theorem_residual(tag, pp, n))
-            for tag in AlgebraTag for n in range(n_max + 1)]
+def _coeff_swap_product(count: int) -> Coefficient:
+    """prod_{j<count} h~(j, 0) as a field element."""
+    out = COEFF_ONE
+    for j in range(count):
+        out = out * coeff_h(j, 0, swap=True)
+    return out
 
 
-def _homogeneous_rhs(tag: AlgebraTag, m: int, n: int) -> NormalFormElement:
+#: tag -> (left(m, n, k), right(m, n, k)): the coefficients of the two sums
+#: of _homogeneous_rhs.  The q-commuting pair is the paper's
+#: [n+k, k]_q q^(-(n+1)k) and [m+k, k]_(1/q) q^((m+1)k), with Y^(n+1) moved
+#: past X^k (a factor q^((n+1)k)) and [m+k, k]_(1/q) = q^(-mk) [m+k, k]_q.
+#: In the four-parameter algebra the first sum splits each word at its
+#: (n+1)-th Y and the second at its (m+1)-th X; moving that X past the k
+#: leading Y's of the tail costs the telescoped reorder factor H(m, k).
+_HOMOGENEOUS = {
+    AlgebraTag.Q_COMMUTING: (
+        lambda m, n, k: coeff_qbinom(n + k, k),
+        lambda m, n, k: coeff_qpow(k) * coeff_qbinom(m + k, k)),
+    AlgebraTag.ELLIPTIC_AB: (
+        lambda m, n, k: coeff_elliptic_binomial(n + k, k),
+        lambda m, n, k: coeff_elliptic_binomial(m + k, m) * coeff_binomial_weight(m + 1, k)),
+    AlgebraTag.ELLIPTIC_XABC: (
+        lambda m, n, k: (coeff_path_binomial(n + k, k) * _coeff_swap_product(n)
+                         * coeff_h(n, k, swap=True)),
+        lambda m, n, k: (coeff_path_binomial(m + k, m) * _coeff_swap_product(k)
+                         * (coeff_big_h(m, k) if k else COEFF_ONE))),
+}
+
+
+def _homogeneous_rhs(tag: AlgebraTag, m: int, n: int, powers: list) -> NormalFormElement:
     """Right-hand side of the homogeneous two-sum expansion of
-    binomial_base^(m+n+1) in the given algebra."""
-    base = binomial_base(tag)
-    powers = [nf_unit(tag)]
-    for _ in range(max(m, n)):
-        powers.append(nf_mul(powers[-1], base))
+    binomial_base^(m+n+1) in the given algebra,
 
+        sum_{k<=m} left(k) X^k Y^(n+1) base^(m-k)
+          + sum_{k<=n} right(k) X^(m+1) Y^k base^(n-k),
+
+    where ``powers[j]`` is base^j."""
+    left, right = _HOMOGENEOUS[tag]
     total = nf_element(tag, {})
-    if tag is AlgebraTag.Q_COMMUTING:
-        # Y^(n+1) sum_k [n+k,k]_q q^(-(n+1)k) X^k (X+Y)^(m-k)
-        # + X^(m+1) sum_k [m+k,k]_(1/q) q^((m+1)k) Y^k (X+Y)^(n-k);
-        # the leading Y block does not commute freely with X^k, so the
-        # first sum is built as an explicit product.
-        y_head = nf_monomial(tag, 0, n + 1)
-        for k in range(m + 1):
-            term = nf_mul(y_head, nf_mul(nf_monomial(tag, k, 0), powers[m - k]))
-            term = nf_scale(term, coeff_qpow(-(n + 1) * k))
-            term = nf_scale(term, Coefficient(_Leaf(("qbinom", n + k, k),
-                                                    lambda pp, s, nn=n + k, kk=k: qbinom(nn, kk, pp.q))))
-            total = nf_add(total, term)
-        for k in range(n + 1):
-            term = nf_mul(nf_monomial(tag, m + 1, k), powers[n - k])
-            term = nf_scale(term, coeff_qpow((m + 1) * k))
-            term = nf_scale(term, Coefficient(_Leaf(("qbinom_inv", m + k, k),
-                                                    lambda pp, s, nn=m + k, kk=k: qbinom(nn, kk, 1 / pp.q))))
-            total = nf_add(total, term)
-        return total
-
-    if tag is AlgebraTag.ELLIPTIC_AB:
-        for k in range(m + 1):
-            head = nf_monomial(tag, k, n + 1)
-            term = nf_mul(head, powers[m - k])
-            term = nf_scale(term, coeff_elliptic_binomial(n + k, k))
-            total = nf_add(total, term)
-        for k in range(n + 1):
-            head = nf_monomial(tag, m + 1, k)
-            term = nf_mul(head, powers[n - k])
-            term = nf_scale(term, coeff_elliptic_binomial(m + k, m)
-                            * coeff_binomial_weight(m + 1, k))
-            total = nf_add(total, term)
-        return total
-
-    # Splitting each length-(m+n+1) word at its (n+1)-th Y gives the first
-    # sum; splitting at the (m+1)-th X gives the second.  Moving that X
-    # past the k leading Y's of the tail costs the telescoped reorder
-    # factor H(m, k), without which the expansion fails for every k >= 1.
-    swap_prod = [COEFF_ONE]
-    for j in range(max(m, n) + 1):
-        swap_prod.append(swap_prod[-1] * coeff_h(j, 0, swap=True))
     for k in range(m + 1):
-        head = nf_monomial(tag, k, n + 1)
-        term = nf_mul(head, powers[m - k])
-        left = coeff_path_binomial(n + k, k) * swap_prod[n] * coeff_h(n, k, swap=True)
-        term = nf_scale(term, left)
-        total = nf_add(total, term)
+        term = nf_mul(nf_monomial(tag, k, n + 1), powers[m - k])
+        total = nf_add(total, nf_scale(term, left(m, n, k)))
     for k in range(n + 1):
-        head = nf_monomial(tag, m + 1, k)
-        term = nf_mul(head, powers[n - k])
-        left = coeff_path_binomial(m + k, m) * swap_prod[k]
-        if k:
-            left = left * coeff_big_h(m, k)
-        term = nf_scale(term, left)
-        total = nf_add(total, term)
+        term = nf_mul(nf_monomial(tag, m + 1, k), powers[n - k])
+        total = nf_add(total, nf_scale(term, right(m, n, k)))
     return total
 
 
@@ -571,33 +522,32 @@ def _qcomm_swap_image(values: dict, q) -> dict:
     return {(l, k): v * q ** (k * l) for (k, l), v in values.items()}
 
 
-def verify_homogeneous_cb(tag: AlgebraTag, pp: ParamPoint, m: int, n: int):
-    """Expand both sides of the homogeneous two-sum identity to normal
-    form and compare coefficients.
+def homogeneous_cb_residual(tag: AlgebraTag, pp: ParamPoint, m: int, n: int) -> float:
+    """Worst relative gap between the normal forms of the two sides of the
+    homogeneous two-sum identity for binomial_base(tag)^(m+n+1).
 
     For the q-commuting algebra the identity is additionally invariant
-    under (X, Y, q, m, n) -> (Y, X, 1/q, n, m); the check maps the
-    expansion at (1/q, n, m) through the swap isomorphism and compares it
-    with the direct expansion, for both sides.
+    under (X, Y, q, m, n) -> (Y, X, 1/q, n, m); the check maps both sides
+    at (1/q, n, m) through the swap isomorphism and compares them with the
+    direct expansions.
     """
-    lhs = nf_pow(binomial_base(tag), m + n + 1)
-    rhs = _homogeneous_rhs(tag, m, n)
+    powers = list(accumulate(repeat(binomial_base(tag), m + n + 1), nf_mul,
+                             initial=nf_unit(tag)))
+    lhs = powers[-1]
     ctx = EvalContext(pp)
-    residual = compare_maps(evaluate_element(lhs, pp, ctx),
-                            evaluate_element(rhs, pp, ctx))
+    lhs_values = evaluate_element(lhs, pp, ctx)
+    rhs_values = evaluate_element(_homogeneous_rhs(tag, m, n, powers), pp, ctx)
+    residual = compare_maps(lhs_values, rhs_values)
+    if tag is not AlgebraTag.Q_COMMUTING:
+        return residual
 
-    if tag is AlgebraTag.Q_COMMUTING:
-        pp_inv = pp.replace(q=1 / pp.q)
-        ctx_inv = EvalContext(pp_inv)
-        lhs_sw = nf_pow(binomial_base(tag), m + n + 1)
-        rhs_sw = _homogeneous_rhs(tag, n, m)
-        lhs_img = _qcomm_swap_image(evaluate_element(lhs_sw, pp_inv, ctx_inv), pp.q)
-        rhs_img = _qcomm_swap_image(evaluate_element(rhs_sw, pp_inv, ctx_inv), pp.q)
-        residual = worst_residual((residual,
-                                   compare_maps(lhs_img, evaluate_element(lhs, pp, ctx)),
-                                   compare_maps(rhs_img, evaluate_element(rhs, pp, ctx))))
-
-    return _report(f"homogeneous_cb_{tag.value}", pp, m, n, residual)
+    pp_inv = pp.replace(q=1 / pp.q)
+    ctx_inv = EvalContext(pp_inv)
+    lhs_img = _qcomm_swap_image(evaluate_element(lhs, pp_inv, ctx_inv), pp.q)
+    rhs_img = _qcomm_swap_image(
+        evaluate_element(_homogeneous_rhs(tag, n, m, powers), pp_inv, ctx_inv), pp.q)
+    return worst_residual((residual, compare_maps(lhs_img, lhs_values),
+                           compare_maps(rhs_img, rhs_values)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,6 @@ from random import Random
 
 import mpmath
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import unit_complex
 from thetacb.bezout import (
@@ -56,22 +54,6 @@ class TestPoly:
     def test_eval_horner(self):
         p = Poly((1, -2, 3))
         assert p(2.0) == 1 - 4 + 12
-
-    @settings(max_examples=60, deadline=None)
-    @given(a=st.lists(st.integers(-5, 5), min_size=1, max_size=6),
-           b=st.lists(st.integers(-5, 5), min_size=1, max_size=5))
-    def test_divmod_round_trip(self, a, b):
-        num, den = Poly(tuple(map(complex, a))), Poly(tuple(map(complex, b)))
-        if den.degree < 0:
-            return
-        quo, rem = divmod(num, den)
-        back = quo * den + rem
-        pad = max(len(back.coeffs), len(num.coeffs))
-        for i in range(pad):
-            x = back.coeffs[i] if i < len(back.coeffs) else 0
-            y = num.coeffs[i] if i < len(num.coeffs) else 0
-            assert abs(x - y) < 1e-9
-        assert rem.degree < den.degree
 
 
 class TestSeries:

@@ -11,11 +11,14 @@ from random import Random
 import pytest
 
 from conftest import ab_point, nan_on_second_call, unit_complex
+from thetacb import noncomm
 from thetacb.errors import DegenerateParameterError
 from thetacb.noncomm import (
     AlgebraTag,
     EvalContext,
+    binomial_base,
     binomial_power,
+    binomial_theorem_residual,
     coeff_binomial_weight,
     coeff_const,
     coeff_h,
@@ -27,19 +30,21 @@ from thetacb.noncomm import (
     evaluate_element,
     frenkel_turaev,
     frenkel_turaev_from_convolution,
+    homogeneous_cb_residual,
+    nf_add,
     nf_element,
     nf_monomial,
     nf_mul,
+    nf_pow,
+    nf_scale,
     nf_unit,
     path_binomial,
     path_binomial_recursion_residual,
-    verify_binomial_theorems,
-    verify_homogeneous_cb,
 )
 from thetacb.lattice import b_closed
 from thetacb.params import IdentitySize
 from thetacb.sampling import sample_param_point
-from thetacb.special import qbinom, relative_residual
+from thetacb.special import qbinom, relative_residual, worst_residual
 from thetacb.weights import binomial_weight, elliptic_weight, normalized_weight
 
 
@@ -243,28 +248,27 @@ class TestBinomialTheorems:
         assert worst < 1e-9
 
     def test_all_theorems_to_degree_six(self, generic_point):
-        reports = verify_binomial_theorems(generic_point, 6)
-        assert len(reports) == 21
-        assert all(r.verdict for r in reports)
-        assert max(r.residual for r in reports) < 1e-9
+        # worst_residual keeps a NaN, which a plain max could drop
+        worst = worst_residual(binomial_theorem_residual(tag, generic_point, n)
+                               for tag in AlgebraTag for n in range(7))
+        assert worst < 1e-9
 
 
 class TestHomogeneousTheorems:
     def test_smallest_case_all_algebras(self, generic_point):
         for tag in AlgebraTag:
-            report = verify_homogeneous_cb(tag, generic_point, 0, 0)
-            assert report.residual < 1e-14
+            assert homogeneous_cb_residual(tag, generic_point, 0, 0) < 1e-14
 
     def test_fixed_cases(self, generic_point):
-        assert verify_homogeneous_cb(AlgebraTag.ELLIPTIC_AB, generic_point, 2, 2).residual < 1e-9
-        assert verify_homogeneous_cb(AlgebraTag.ELLIPTIC_XABC, generic_point, 3, 1).residual < 1e-9
+        assert homogeneous_cb_residual(AlgebraTag.ELLIPTIC_AB, generic_point, 2, 2) < 1e-9
+        assert homogeneous_cb_residual(AlgebraTag.ELLIPTIC_XABC, generic_point, 3, 1) < 1e-9
 
     def test_q_commuting_with_swap_invariance(self, generic_point):
         worst = 0.0
         for m in range(3):
             for n in range(3):
-                worst = max(worst, verify_homogeneous_cb(
-                    AlgebraTag.Q_COMMUTING, generic_point, m, n).residual)
+                worst = max(worst, homogeneous_cb_residual(
+                    AlgebraTag.Q_COMMUTING, generic_point, m, n))
         assert worst < 1e-10
 
     def test_sweep_small_sizes(self, generic_point):
@@ -272,9 +276,34 @@ class TestHomogeneousTheorems:
         for tag in AlgebraTag:
             for m in range(3):
                 for n in range(3):
-                    worst = max(worst, verify_homogeneous_cb(
-                        tag, generic_point, m, n).residual)
+                    worst = max(worst, homogeneous_cb_residual(tag, generic_point, m, n))
         assert worst < 1e-9
+
+    def test_q_commuting_rhs_is_the_paper_form_in_normal_order(self, generic_point):
+        # the paper's first sum leads with Y^(n+1):
+        #   Y^(n+1) sum_k [n+k, k]_q q^(-(n+1)k) X^k (X+Y)^(m-k)
+        #   + X^(m+1) sum_k [m+k, k]_(1/q) q^((m+1)k) Y^k (X+Y)^(n-k)
+        tag = AlgebraTag.Q_COMMUTING
+        q = generic_point.q
+        base = binomial_base(tag)
+        worst = 0.0
+        for m in range(4):
+            for n in range(4):
+                paper = nf_element(tag, {})
+                for k in range(m + 1):
+                    tail = nf_mul(nf_monomial(tag, k, 0), nf_pow(base, m - k))
+                    term = nf_mul(nf_monomial(tag, 0, n + 1), tail)
+                    c = q ** (-(n + 1) * k) * qbinom(n + k, k, q)
+                    paper = nf_add(paper, nf_scale(term, coeff_const(c)))
+                for k in range(n + 1):
+                    term = nf_mul(nf_monomial(tag, m + 1, k), nf_pow(base, n - k))
+                    c = q ** ((m + 1) * k) * qbinom(m + k, k, 1 / q)
+                    paper = nf_add(paper, nf_scale(term, coeff_const(c)))
+                powers = [nf_pow(base, j) for j in range(max(m, n) + 1)]
+                ours = noncomm._homogeneous_rhs(tag, m, n, powers)
+                worst = max(worst, compare_maps(evaluate_element(paper, generic_point),
+                                                evaluate_element(ours, generic_point)))
+        assert worst <= 1e-13
 
 
 class TestNanReachesTheResidual:
@@ -286,11 +315,8 @@ class TestNanReachesTheResidual:
         assert math.isnan(compare_maps(left, right))
 
     def test_q_commuting_swap_fold(self, monkeypatch, generic_point):
-        import thetacb.noncomm as noncomm
-
         monkeypatch.setattr(noncomm, "compare_maps", nan_on_second_call(noncomm.compare_maps))
-        report = verify_homogeneous_cb(AlgebraTag.Q_COMMUTING, generic_point, 1, 1)
-        assert math.isnan(report.residual)
+        assert math.isnan(homogeneous_cb_residual(AlgebraTag.Q_COMMUTING, generic_point, 1, 1))
 
 
 class TestConvolution:
