@@ -8,10 +8,11 @@ scan are resampled, never silently evaluated.
 
 Every theta the scan reads is a read of the point's theta store
 (``ParamPoint.thetas``).  At a double-precision point with p != 0 the
-scan first fills the store in one batch (``special.theta_many``, bit for
-bit the values of ``special.theta``), so the scan itself makes no
-scalar theta call except for an argument whose reduction overflows, and
-the checks that run at the accepted point read the same values.
+scan first fills the store in one batch (``special.theta_many``, each
+value within its stated error bound of ``special.theta``'s), so the scan
+itself makes no scalar theta call except for an argument whose reduction
+overflows, and the checks that run at the accepted point read the same
+values.
 """
 
 from __future__ import annotations

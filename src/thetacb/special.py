@@ -27,8 +27,9 @@ import numpy as np
 from .errors import DegenerateParameterError, DivergenceError, RootOfUnityError, ZeroArgumentError
 
 #: Truncation control for infinite products: factors are kept while
-#: |p|^k >= tol * (1 + |x|), which bounds the relative tail error by
-#: roughly |x| * tol for arguments in the reduced annulus.  For mpmath
+#: |p|^k >= tol * (1 + |x|) * (1 - |p|), so the dropped tail, about
+#: |x| |p|^count / (1 - |p|), stays below tol * (1 + |x|) for arguments
+#: in the reduced annulus, however near |p| is to 1.  For mpmath
 #: scalars the default follows the working precision instead (see
 #: :func:`_default_tol`), so extended-precision runs are not truncation
 #: limited.
@@ -222,27 +223,26 @@ def _reduce(x, nome: _Nome):
         x = x * pn
         ax = float(abs(x))
 
-    # Factors k = 0 .. count-1 are exactly those with |p|^k >= stop.
-    stop = _default_tol(x, p) * (1 + ax)
+    # Factors k = 0 .. count-1 are exactly those with |p|^k >= stop; the
+    # factor 1 - |p| accounts for the tail's geometric sum.
+    stop = _default_tol(x, p) * (1 + ax) * (1 - math.exp(log_ap))
     count = math.floor(math.log(stop) / log_ap) + 1
     return x, n, pref, count
 
 
 def theta_many(xs, p, _nome=None) -> list:
-    """[theta(x, p) for x in xs], bit for bit, for built-in ``complex``
-    arguments and one built-in ``complex`` nome with 0 < |p| < 1; an
-    argument whose reduction raises ``OverflowError`` gives None instead.
+    """[theta(x, p) for x in xs] for built-in ``complex`` arguments and one
+    built-in ``complex`` nome with 0 < |p| < 1, each value within
+    gamma_(8 count) |theta(x, p)| of theta's, count being the argument's
+    factor pairs and gamma_k = k u / (1 - k u) with u = 2^-53 (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 3); an argument
+    whose reduction raises ``OverflowError`` gives None instead.
 
     Each argument goes through theta's own reduction (:func:`_reduce`).
-    The truncated products then run side by side on float64 arrays of
-    real and imaginary parts, one IEEE operation for each operation of
-    Python's complex arithmetic: a product (a, b) * (c, d) is
-    (a*c - b*d, a*d + b*c), 1 - (c, d) is (1.0 - c, 0.0 - d), and the
-    powers p^k are Python's own.  numpy's complex multiply is not used:
-    it rounds differently from Python's.  Arguments are sorted by factor
-    count and the active prefix shrinks as k grows, so no argument is
-    multiplied by a padding factor (1 * z can flip a signed zero).
-    ``_nome`` is internal, as for :func:`theta`.
+    The truncated products then run as one complex128 product: the
+    powers p^k are formed once, the factor matrix
+    (1 - x p^k)(1 - (p/x) p^k) is set to 1 where k >= count, and its rows
+    are multiplied out.  ``_nome`` is internal, as for :func:`theta`.
     """
     if p == 0:
         return [theta(x, p) for x in xs]
@@ -253,65 +253,20 @@ def theta_many(xs, p, _nome=None) -> list:
         if x == 0:
             raise ZeroArgumentError("theta(x; p) requires x != 0")
         try:
-            x, _, pref, count = _reduce(x, nome)
+            batch.append((i, *_reduce(x, nome)))
         except OverflowError:
-            continue
-        if count > 0:
-            batch.append((count, i, x, pref))
-        else:
-            out[i] = pref * 1
+            pass
     if batch:
-        batch.sort(key=lambda item: item[0], reverse=True)
-        counts, slots, args, prefs = zip(*batch)
-        for i, pref, acc in zip(slots, prefs, _theta_products(args, counts, p)):
+        slots, args, _, prefs, counts = zip(*batch)
+        pk = np.full(max(counts), p)
+        pk[:1] = 1
+        pk = np.cumprod(pk)
+        x = np.array(args).reshape(-1, 1)
+        factors = (1 - x * pk) * (1 - (p / x) * pk)
+        factors[np.arange(pk.size) >= np.array(counts).reshape(-1, 1)] = 1
+        for i, pref, acc in zip(slots, prefs, factors.prod(axis=1).tolist()):
             out[i] = pref * acc
     return out
-
-
-def _theta_products(xs, counts, p) -> list:
-    """prod_{k<count} (1 - x p^k)(1 - (p/x) p^k) for reduced complex x,
-    counts in descending order, as theta's loop computes it (see
-    :func:`theta_many`)."""
-    size = len(xs)
-    pks = [1]
-    for _ in range(counts[0] - 1):
-        pks.append(pks[-1] * p)
-    # y = (x, p/x) and pk as split parts, then every factor 1 - y * pk:
-    # fr[k, s, i] + i fi[k, s, i], with s = 0 for x and s = 1 for p/x
-    y = np.array([*xs, *(p / x for x in xs)]).reshape(2, size)
-    pk = np.array(pks, dtype=complex).reshape(-1, 1, 1)
-    fr = 1.0 - (y.real * pk.real - y.imag * pk.imag)
-    fi = 0.0 - (y.real * pk.imag + y.imag * pk.real)
-    # acc * f as one multiply and one add: with acc = (ar, ai) broadcast
-    # over [[fr, fi], [-fi, fr]], the products are [[ar fr, ar fi],
-    # [ai (-fi), ai fr]] and their column sums are (ar fr - ai fi,
-    # ar fi + ai fr); ai * (-fi) is exactly -(ai fi)
-    steps = np.empty((len(pks), 2, 2, 2, size))
-    steps[:, :, 0, 0] = fr
-    steps[:, :, 0, 1] = fi
-    np.negative(fi, out=steps[:, :, 1, 0])
-    steps[:, :, 1, 1] = fr
-    steps = steps.reshape(-1, 2, 2, size)
-    acc = np.zeros((2, 1, size))
-    acc[0] = 1.0
-    prod = np.empty((2, 2, size))
-    # factor pairs k in [k, stop) multiply the first `active` arguments,
-    # those with count > k
-    active, k = size, 0
-    while k < counts[0]:
-        while counts[active - 1] <= k:
-            active -= 1
-        stop = counts[active - 1]
-        acc_in, acc_out = acc[:, :, :active], acc[:, 0, :active]
-        out, out0, out1 = prod[:, :, :active], prod[0, :, :active], prod[1, :, :active]
-        for factor in steps[2 * k:2 * stop, :, :, :active]:
-            np.multiply(acc_in, factor, out=out)
-            np.add(out0, out1, out=acc_out)
-        k = stop
-    values = np.empty(size, dtype=complex)
-    values.real = acc[0, 0]
-    values.imag = acc[1, 0]
-    return values.tolist()
 
 
 def _mp_complex(x, p) -> bool:
@@ -424,23 +379,25 @@ class ThetaLadder:
     two ways: on first read, by :func:`theta` (at p = 0 by theta's closed
     form 1 - z q^j, formed in place), or ahead of any read, by
     :meth:`ThetaLadders.fill`, which evaluates many entries of a store in
-    one :func:`theta_many` batch with the same bits a read would give.
+    one :func:`theta_many` batch, within that batch's error bound of the
+    value a read would give.
 
     Every theta-shifted factorial (z q^s; q, p)_L is a window of this
     ladder, so a table of such factorials over many cells costs one theta
     call per distinct index instead of one per factor and cell.  The
     argument of entry j is ``z * q**j``, the association the weight
     formulas use, so values read off a ladder match direct evaluation bit
-    for bit.  A ladder belongs to one (q, p) and one working precision:
-    a parameter point keeps its ladders (``ParamPoint.thetas``) and drops
-    them when read at another precision.  Only :func:`noncomm.frenkel_turaev`,
+    for bit (entries a batch filled: within its error bound).  A ladder
+    belongs to one (q, p) and one working precision: a parameter point
+    keeps its ladders (``ParamPoint.thetas``) and drops them when read at
+    another precision.  Only :func:`noncomm.frenkel_turaev`,
     which takes derived scalars rather than a point, builds fresh ladders
     for every evaluation.
 
     The values of p that its thetas share (``nome``, see :class:`_Nome`)
     are the store's for a ladder of a store (:class:`ThetaLadders`), the
-    ladder's own otherwise; they give every entry the bits of a direct
-    :func:`theta` call.
+    ladder's own otherwise; they give every entry read the bits of a
+    direct :func:`theta` call.
     """
 
     __slots__ = ("z", "q", "p", "_basic", "_values", "_nome")
@@ -501,11 +458,11 @@ class ThetaLadders(dict):
 
     def fill(self, entries) -> None:
         """Evaluate the missing entries among ``entries``, (ladder, index)
-        pairs of this store, in one :func:`theta_many` batch, with the
-        values a read would compute.  Only a built-in complex nome p != 0
-        batches, and only built-in complex arguments; anything else, and
-        an entry whose reduction overflows, is left to be computed when
-        read."""
+        pairs of this store, in one :func:`theta_many` batch, each within
+        its error bound of the value a read would compute.  Only a
+        built-in complex nome p != 0 batches, and only built-in complex
+        arguments; anything else, and an entry whose reduction overflows,
+        is left to be computed when read."""
         p = self.p
         if type(p) is not complex or p == 0:
             return

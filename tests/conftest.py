@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from thetacb.params import IdentitySize, ParamPoint
 from thetacb.sampling import sample_param_point
+from thetacb.special import _Nome, _reduce, theta
 
 
 def ring_complex(lo: float, hi: float) -> st.SearchStrategy:
@@ -48,6 +49,21 @@ def count_theta_calls(monkeypatch, run) -> int:
     finally:
         monkeypatch.undo()
     return calls[0]
+
+
+def theta_batch_bound(x, p) -> float:
+    """gamma_(8 count) |theta(x; p)|, the bound on how far a batched double
+    theta (``special.theta_many``) may lie from scalar ``theta``, with
+    count the argument's factor pairs and gamma_k = k u / (1 - k u),
+    u = 2^-53 (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 3).  Counting each rounded complex operation once, each kernel
+    rounds four times per pair (the factors 1 - x p^k and 1 - (p/x) p^k,
+    each carrying its power's error, and their two products into the
+    running product), so each lies within gamma_(4 count) of the exact
+    truncated product and the two within gamma_(8 count) of each other.
+    It is 0 when there is no factor."""
+    k = 8 * _reduce(x, _Nome(p).current())[3] * 2.0**-53
+    return k / (1 - k) * abs(theta(x, p))
 
 
 def nan_on_second_call(fn):
