@@ -10,13 +10,15 @@ direction, the non-finite residual count of each side, and per identity
 the largest residual move with the trial where it happened.
 
 Exit status: 0 when the trial coordinates match, 1 when they differ, 2
-on a usage error.
+on a usage error.  A reader that closes the pipe early (``| head``) ends
+the output quietly, with the same status.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 
 
@@ -81,7 +83,12 @@ def main(argv: list[str] | None = None) -> int:
         print("usage: compare_reports.py PARENT CHANGE", file=sys.stderr)
         return 2
     lines, same_coords = compare(load_trials(args[0]), load_trials(args[1]))
-    print("\n".join(lines))
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if same_coords else 1
 
 

@@ -8,17 +8,20 @@ scan are resampled, never silently evaluated.
 
 Every theta the scan reads is a read of the point's theta store
 (``ParamPoint.thetas``).  At a double-precision point with p != 0 the
-scan first fills the store in one batch (``special.theta_many``, each
-value within its stated error bound of ``special.theta``'s), so the scan
-itself makes no scalar theta call except for an argument whose reduction
-overflows, and the checks that run at the accepted point read the same
+scan first fills the store in one batch (:meth:`ThetaLadders.fill`, each
+value within its stated error bound of ``special.theta``'s), which forms
+each argument once and hands back the margins of the denominators as an
+array; the scan compares them with the guard, with no scalar theta call
+(only a weight read of an entry whose reduction overflowed makes one, and
+raises), and the checks that run at the accepted point read the same
 values.
+mpmath points and p = 0 are not batched: their scan reads entry by entry
+through :func:`theta_margin`.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
 from random import Random
 
 from .errors import DegenerateParameterError, ResamplingExhaustedError
@@ -44,7 +47,9 @@ def theta_margin(ladder: ThetaLadder, j: int) -> float:
     """Scale-free magnitude |theta(arg; p)| / (1 + |arg|) of ladder entry j,
     arg = z q^j; ~0 near a zero.  Arguments deep in a quasi-period make
     theta astronomically large; overflow therefore counts as an infinite
-    (safe) margin."""
+    (safe) margin.  The scan of a point the store does not batch (mpmath
+    scalars, p = 0) reads its margins here; a batched scan has the same
+    rule from :meth:`ThetaLadders.fill`."""
     arg = ladder.z * ladder.q**j
     if arg == 0:
         return 0.0
@@ -92,18 +97,22 @@ def check_genericity(pp: ParamPoint, size: IdentitySize, guard: float = DEFAULT_
     weight-normalisation condition holds with the same margin.
 
     For a double-precision point with p != 0 the thetas of both checks
-    are evaluated first, in one batch (:meth:`ThetaLadders.fill`); the
-    checks then read them from the point's store."""
+    are evaluated first, in one batch (:meth:`ThetaLadders.fill`), which
+    also gives the denominators' margins; the weight check then reads the
+    thetas from the point's store.  Other points read each margin by
+    :func:`theta_margin`."""
     m, n = size.m, size.n
     tiny = 1e-12
     for z in (pp.x, pp.a, pp.b, pp.c, pp.q):
         if abs(z) < tiny:
             return False
     scan = list(_denominator_args(pp, m, n))
-    pp.thetas.fill(chain(scan, _weight_numerator_args(pp, m, n)))
-    for ladder, j in scan:
-        if theta_margin(ladder, j) <= guard:
+    margins = pp.thetas.fill([*scan, *_weight_numerator_args(pp, m, n)])
+    if margins is not None:
+        if (margins[:len(scan)] <= guard).any():
             return False
+    elif any(theta_margin(ladder, j) <= guard for ladder, j in scan):
+        return False
     try:
         for i in range(m + 1):
             if abs(elliptic_weight(pp, i, 0)) <= guard:

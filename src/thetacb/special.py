@@ -35,6 +35,12 @@ from .errors import DegenerateParameterError, DivergenceError, RootOfUnityError,
 #: limited.
 DEFAULT_THETA_TOL = 1e-18
 
+#: theta's argument reduction forms the prefactor (-1)^n x^n p^(n(n-1)/2)
+#: directly while :func:`_prefactor_mag` stays below this, and as
+#: exp(log) at or above it: the two power factors can overflow doubles
+#: separately even when their product is representable.
+LOG_SPACE_MAG = 500.0
+
 #: Bits beyond the working precision carried by the fixed-point theta
 #: product for ``mpmath`` scalars, on top of those the product can lose
 #: by shrinking (:func:`_product_floor_bits`).
@@ -116,7 +122,7 @@ class _Nome:
 
     * ``log_ap`` = log |p|, and ``powers``: the reduction's
       n -> ((-1)^n, p^(n(n-1)/2), p^n), filled as arguments need them
-      (:func:`_reduce`);
+      (:func:`_powers`), by scalar reductions and batches alike;
     * for an ``mpmath.mpc`` nome, the fixed-point table of the product's
       powers (p^k, p^(2k+1)) for k >= 1, grown on demand
       (:meth:`fixed_table`).
@@ -199,73 +205,137 @@ def _reduce(x, nome: _Nome):
     the number of factor pairs of the truncated product, so that
     theta(x; p) = pref * prod_{k<count} (1 - x' p^k)(1 - (p/x') p^k).
 
-    The powers of p come from the nome's ``powers`` cache; the cached
-    values are the same expressions, so they have the same bits.
+    The powers of p come from the nome's ``powers`` cache
+    (:func:`_powers`); the cached values are the same expressions, so they
+    have the same bits.
     """
-    p, log_ap, powers = nome.p, nome.log_ap, nome.powers
+    p, log_ap = nome.p, nome.log_ap
     ax = float(abs(x))
     log_ax = math.log(ax)
     n = round(-log_ax / log_ap)
     pref = 1
     if n:
-        e = n * (n - 1) // 2
-        cached = powers.get(n)
-        if cached is None:
-            cached = powers[n] = ((-1) ** n, p**e, p**n)
-        sign, pe, pn = cached
-        # The two power factors can overflow doubles separately even when
-        # their product is representable; switch to log space when large.
-        mag = abs(n) * abs(log_ax) + abs(e) * abs(log_ap)
-        if mag < 500.0:
+        sign, pe, pn = _powers(nome, n)
+        if _prefactor_mag(n, log_ax, log_ap) < LOG_SPACE_MAG:
             pref = sign * x**n * pe
         else:
+            e = n * (n - 1) // 2
             pref = sign * _exp(n * _log(x) + e * _log(p))
         x = x * pn
         ax = float(abs(x))
+    return x, n, pref, _factor_count(ax, log_ap, _default_tol(x, p))
 
-    # Factors k = 0 .. count-1 are exactly those with |p|^k >= stop; the
-    # factor 1 - |p| accounts for the tail's geometric sum.
-    stop = _default_tol(x, p) * (1 + ax) * (1 - math.exp(log_ap))
-    count = math.floor(math.log(stop) / log_ap) + 1
-    return x, n, pref, count
+
+def _prefactor_mag(n, log_ax, log_ap):
+    """|n| |log |x|| + |n(n-1)/2| |log |p||, at least the log of the larger
+    of |x^n| and |p^(n(n-1)/2)|, for an integer n or an array of them."""
+    return abs(n) * abs(log_ax) + abs(n * (n - 1) / 2) * abs(log_ap)
+
+
+def _factor_count(ax, log_ap: float, tol: float):
+    """The number of factor pairs theta's truncated product keeps for a
+    reduced argument of modulus ax (a float, or an array of them): factors
+    k = 0 .. count-1 are exactly those with |p|^k >= stop, where
+    stop = tol (1 + ax)(1 - |p|); the factor 1 - |p| accounts for the
+    tail's geometric sum."""
+    stop = tol * (1 + ax) * (1 - math.exp(log_ap))
+    lib = np if isinstance(stop, np.ndarray) else math
+    return lib.floor(lib.log(stop) / log_ap) + 1
+
+
+def _powers(nome: _Nome, n: int) -> tuple:
+    """((-1)^n, p^(n(n-1)/2), p^n) from the nome's ``powers`` cache."""
+    cached = nome.powers.get(n)
+    if cached is None:
+        p = nome.p
+        cached = nome.powers[n] = ((-1) ** n, p ** (n * (n - 1) // 2), p**n)
+    return cached
+
+
+def _reduce_many(x, nome: _Nome):
+    """:func:`_reduce` on a complex128 array of nonzero arguments and a
+    built-in complex nome: arrays (x', n, pref, count, ok), ok False where
+    the reduction overflowed.
+
+    n, x' and count are computed on the arrays.  The powers of p for each
+    n come from the nome's ``powers`` cache, and x' = x p^n is formed from
+    split float64 parts as Python forms a complex product, so x' has the
+    bits :func:`_reduce` gives it (next to a zero of theta outside the
+    annulus one unit of x' is the whole value).  The prefactor takes x^n
+    from numpy's integer power, which may differ from Python's in the
+    last units.  An argument whose prefactor needs log space
+    (:data:`LOG_SPACE_MAG`) goes through :func:`_reduce` itself.
+    """
+    log_ap = nome.log_ap
+    log_ax = np.log(np.hypot(x.real, x.imag))
+    n = np.rint(-log_ax / log_ap)
+    in_log_space = _prefactor_mag(n, log_ax, log_ap) >= LOG_SPACE_MAG
+    # the arrays reduce an argument in log space by 0; _reduce redoes it
+    k = np.where(in_log_space, 0, n).astype(np.int64)
+    lo = int(k.min(initial=0))
+    powers = [_powers(nome, j) for j in range(lo, int(k.max(initial=0)) + 1)]
+    at = k - lo
+    sign_pe = np.array([sign * pe for sign, pe, _ in powers])[at]
+    pn = np.array([pn for _, _, pn in powers])[at]
+    y = np.empty_like(x)
+    y.real = x.real * pn.real - x.imag * pn.imag
+    y.imag = x.real * pn.imag + x.imag * pn.real
+    # at n = 0 the argument stays as it is, signs of zero parts included
+    y = np.where(k == 0, x, y)
+    pref = np.power(x, k) * sign_pe
+    count = _factor_count(np.hypot(y.real, y.imag), log_ap, DEFAULT_THETA_TOL)
+    ok = np.ones(x.size, dtype=bool)
+    for i in in_log_space.nonzero()[0].tolist():
+        try:
+            y[i], _, pref[i], count[i] = _reduce(complex(x[i]), nome)
+        except OverflowError:
+            ok[i] = False
+            y[i], count[i] = 1, 0
+    return y, n, pref, count, ok
+
+
+def _theta_batch(x, nome: _Nome):
+    """theta_many's values for a complex128 array of nonzero arguments, as
+    a complex128 array, and where each reduction succeeded."""
+    y, _, pref, count, ok = _reduce_many(x, nome)
+    p = nome.p
+    pk = np.full(int(count.max(initial=0)), p)
+    pk[:1] = 1
+    pk = np.cumprod(pk)
+    col = y.reshape(-1, 1)
+    factors = 1 - col * pk
+    factors *= 1 - (p / col) * pk
+    factors[np.arange(pk.size) >= count.reshape(-1, 1)] = 1
+    return pref * factors.prod(axis=1), ok
 
 
 def theta_many(xs, p, _nome=None) -> list:
     """[theta(x, p) for x in xs] for built-in ``complex`` arguments and one
     built-in ``complex`` nome with 0 < |p| < 1, each value within
-    gamma_(8 count) |theta(x, p)| of theta's, count being the argument's
-    factor pairs and gamma_k = k u / (1 - k u) with u = 2^-53 (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, ch. 3); an argument
-    whose reduction raises ``OverflowError`` gives None instead.
+    gamma_(8 count + 2 s) |theta(x, p)| of theta's, count being the
+    argument's factor pairs, s the prefactor's rounded operations (0 when
+    the reduction exponent n is 0, |n| + 2 otherwise) and
+    gamma_k = k u / (1 - k u) with u = 2^-53 (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 3); an argument whose
+    reduction raises ``OverflowError`` gives None instead.
 
-    Each argument goes through theta's own reduction (:func:`_reduce`).
-    The truncated products then run as one complex128 product: the
-    powers p^k are formed once, the factor matrix
-    (1 - x p^k)(1 - (p/x) p^k) is set to 1 where k >= count, and its rows
-    are multiplied out.  ``_nome`` is internal, as for :func:`theta`.
+    The arguments are reduced on arrays (:func:`_reduce_many`), with the
+    reduced arguments x' bit for bit those of :func:`theta`.  The
+    truncated products then run as one complex128 product: the powers p^k
+    are formed once, the factor matrix (1 - x' p^k)(1 - (p/x') p^k) is set
+    to 1 where k >= count, and its rows are multiplied out.  ``_nome`` is
+    internal, as for :func:`theta`.
     """
     if p == 0:
         return [theta(x, p) for x in xs]
     nome = (_Nome(p) if _nome is None else _nome).current()
-    out: list = [None] * len(xs)
-    batch = []
-    for i, x in enumerate(xs):
-        if x == 0:
-            raise ZeroArgumentError("theta(x; p) requires x != 0")
-        try:
-            batch.append((i, *_reduce(x, nome)))
-        except OverflowError:
-            pass
-    if batch:
-        slots, args, _, prefs, counts = zip(*batch)
-        pk = np.full(max(counts), p)
-        pk[:1] = 1
-        pk = np.cumprod(pk)
-        x = np.array(args).reshape(-1, 1)
-        factors = (1 - x * pk) * (1 - (p / x) * pk)
-        factors[np.arange(pk.size) >= np.array(counts).reshape(-1, 1)] = 1
-        for i, pref, acc in zip(slots, prefs, factors.prod(axis=1).tolist()):
-            out[i] = pref * acc
+    x = np.asarray(xs, dtype=complex)
+    if not x.all():
+        raise ZeroArgumentError("theta(x; p) requires x != 0")
+    values, ok = _theta_batch(x, nome)
+    out = values.tolist()
+    for i in (~ok).nonzero()[0].tolist():
+        out[i] = None
     return out
 
 
@@ -456,25 +526,35 @@ class ThetaLadders(dict):
         ladder = self[z] = ThetaLadder(z, self.q, self.p, self.nome)
         return ladder
 
-    def fill(self, entries) -> None:
-        """Evaluate the missing entries among ``entries``, (ladder, index)
-        pairs of this store, in one :func:`theta_many` batch, each within
-        its error bound of the value a read would compute.  Only a
-        built-in complex nome p != 0 batches, and only built-in complex
-        arguments; anything else, and an entry whose reduction overflows,
-        is left to be computed when read."""
+    def fill(self, entries):
+        """Evaluate ``entries``, (ladder, index) pairs of this store, in one
+        batch (:func:`theta_many`'s), each within its error bound of the
+        value a read would compute, and store the entries that are still
+        missing.  Returns the margins |theta(arg; p)| / (1 + |arg|) of the
+        entries in order, arg = z q^j formed once per entry as a read forms
+        it: 0 for a zero argument, inf for an entry whose reduction
+        overflowed (left to be computed, and raise, when read).
+
+        Only a built-in complex nome p != 0 batches, and only when the
+        arguments make a complex128 array (built-in complex ones do, mpmath
+        ones do not); otherwise nothing is evaluated and the result is
+        None."""
         p = self.p
         if type(p) is not complex or p == 0:
-            return
-        todo = {}
-        for ladder, j in entries:
-            if j not in ladder._values:
-                x = ladder.z * ladder.q**j
-                if type(x) is complex and x != 0:
-                    todo[ladder, j] = x
-        for (ladder, j), value in zip(todo, theta_many(list(todo.values()), p, self.nome)):
-            if value is not None:
-                ladder._values[j] = value
+            return None
+        entries = list(entries)
+        x = np.array([ladder.z * ladder.q**j for ladder, j in entries])
+        if x.dtype != complex:
+            return None
+        # a zero argument is batched as 1 and marked failed: margin 0
+        live = x != 0
+        values, ok = _theta_batch(np.where(live, x, 1), self.nome.current())
+        ok &= live
+        for (ladder, j), value, good in zip(entries, values.tolist(), ok.tolist()):
+            if good:
+                ladder._values.setdefault(j, value)
+        size = np.where(ok, np.hypot(values.real, values.imag), np.where(live, np.inf, 0.0))
+        return size / (1 + np.hypot(x.real, x.imag))
 
 
 def theta_ratio(num, den):

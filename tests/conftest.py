@@ -52,17 +52,29 @@ def count_theta_calls(monkeypatch, run) -> int:
 
 
 def theta_batch_bound(x, p) -> float:
-    """gamma_(8 count) |theta(x; p)|, the bound on how far a batched double
-    theta (``special.theta_many``) may lie from scalar ``theta``, with
-    count the argument's factor pairs and gamma_k = k u / (1 - k u),
-    u = 2^-53 (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    ch. 3).  Counting each rounded complex operation once, each kernel
-    rounds four times per pair (the factors 1 - x p^k and 1 - (p/x) p^k,
-    each carrying its power's error, and their two products into the
-    running product), so each lies within gamma_(4 count) of the exact
-    truncated product and the two within gamma_(8 count) of each other.
-    It is 0 when there is no factor."""
-    k = 8 * _reduce(x, _Nome(p).current())[3] * 2.0**-53
+    """gamma_(8 count + 2 s) |theta(x; p)|, the bound on how far a batched
+    double theta (``special.theta_many``) may lie from scalar ``theta``,
+    with count the argument's factor pairs, s the rounded operations of
+    its prefactor and gamma_k = k u / (1 - k u), u = 2^-53 (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 3).  Counting
+    each rounded complex operation once:
+
+    * each kernel rounds four times per pair (the factors 1 - x p^k and
+      1 - (p/x) p^k, each carrying its power's error, and their two
+      products into the running product), so each lies within
+      gamma_(4 count) of the exact truncated product;
+    * the two share x' = x p^n and the powers of p bit for bit, but may
+      form x^n differently (Python's and numpy's integer powers).  With
+      the reduction exponent n != 0, s = |n| + 2 powering steps: |n| - 1
+      products for x^|n|, its reciprocal (counted for either sign of n),
+      the product by p^(n(n-1)/2) and the product by the truncated
+      product; s = 0 at n = 0.
+
+    So the two lie within gamma_(8 count + 2 s) of each other.  It is 0
+    when there is neither a factor nor a prefactor."""
+    _, n, _, count = _reduce(x, _Nome(p).current())
+    steps = abs(n) + 2 if n else 0
+    k = (8 * count + 2 * steps) * 2.0**-53
     return k / (1 - k) * abs(theta(x, p))
 
 

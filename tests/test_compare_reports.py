@@ -5,6 +5,9 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
@@ -57,3 +60,18 @@ def test_differing_coordinates_exit_one(tmp_path, capsys):
     assert out[0] == "trials: parent 2, change 1, coordinates DIFFER"
     assert out[1] == "  only in parent: 1, only in change: 0"
     assert out[-1] == "  qcb: unchanged"
+
+
+def test_a_closed_pipe_ends_the_output_quietly(tmp_path):
+    # as in `compare_reports.py A B | head` once head has exited: every
+    # write to stdout fails with EPIPE
+    report = _write(tmp_path / "report.jsonl",
+                    [_trial("qcb", m, t, 1e-16, "pass") for m in range(4) for t in range(3)])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, str(_PATH), report, report], stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (0, "")

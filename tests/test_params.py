@@ -3,6 +3,7 @@ starts a fresh one, and how the genericity scan fills it."""
 
 from __future__ import annotations
 
+import math
 from random import Random
 
 import mpmath
@@ -15,9 +16,13 @@ from thetacb.lattice import master_equality_residual
 from thetacb.noncomm import (AlgebraTag, binomial_theorem_residual,
                              elliptic_binomial_recursion_residual)
 from thetacb.params import IdentitySize
-from thetacb.sampling import (DEFAULT_GUARD, P_HI, _denominator_args, _draw,
-                              _weight_numerator_args, check_genericity, sample_param_point)
+import thetacb.sampling as sampling
+from thetacb.errors import DegenerateParameterError
+from thetacb.sampling import (DEFAULT_GUARD, P_HI, _denominator_args, _draw, _to_mp,
+                              _weight_numerator_args, check_genericity, sample_param_point,
+                              theta_margin)
 from thetacb.special import ThetaLadders
+from thetacb.weights import elliptic_weight
 
 
 def test_store_is_not_part_of_the_point(generic_point):
@@ -139,3 +144,66 @@ def test_the_scan_makes_no_scalar_theta_call(monkeypatch):
     for seed in range(4):
         pp = _draw(Random(seed), P_HI)
         assert count_theta_calls(monkeypatch, lambda: check_genericity(pp, size)) == 0
+
+
+def _reference_verdict(pp, size, guard):
+    """check_genericity's rule on a fresh copy of ``pp``, read entry by
+    entry: every denominator's :func:`theta_margin` above ``guard``, then
+    the weight-normalisation condition."""
+    pp = fresh_copy(pp)
+    try:
+        if any(theta_margin(ladder, j) <= guard
+               for ladder, j in _denominator_args(pp, size.m, size.n)):
+            return False
+        return (all(abs(elliptic_weight(pp, i, 0)) > guard for i in range(size.m + 1))
+                and all(abs(1 - elliptic_weight(pp, 0, j)) > guard for j in range(size.n + 1)))
+    except DegenerateParameterError:
+        return False
+    except OverflowError:
+        return OverflowError
+
+
+@pytest.mark.parametrize("depth", [0, 3, 8, 14])
+def test_genericity_scan_margins_and_verdicts_match_a_per_entry_loop(monkeypatch, depth):
+    size = IdentitySize(depth, depth)
+    verdicts, overflowed = set(), 0
+    for seed in range(8):
+        pp = _draw(Random(seed), P_HI)
+        scan = list(_denominator_args(pp, depth, depth))
+        margins = pp.thetas.fill([*scan, *_weight_numerator_args(pp, depth, depth)])
+        reads = fresh_copy(pp)
+        for got, (ladder, j) in zip(margins[:len(scan)], _denominator_args(reads, depth, depth)):
+            want = theta_margin(ladder, j)
+            if want == math.inf:
+                assert got == math.inf
+                overflowed += 1
+            else:
+                x = ladder.z * ladder.q**j
+                slack = theta_batch_bound(x, pp.p) / (1 + abs(x)) + 4 * 2.0**-53 * want
+                assert abs(got - want) <= slack, (ladder.z, j)
+        for guard in (DEFAULT_GUARD, 0.05):
+            got = []
+            scan_point = fresh_copy(pp)
+            assert count_theta_calls(
+                monkeypatch, lambda: got.append(_verdict(scan_point, size, guard))) == 0
+            assert got[0] == _reference_verdict(pp, size, guard)
+            verdicts.add(got[0])
+    assert {True, False} <= verdicts
+    assert overflowed or depth < 14
+
+
+@pytest.mark.parametrize("point", [
+    pytest.param(lambda pp: _to_mp(pp), id="mpmath"),
+    pytest.param(lambda pp: pp.replace(p=0j), id="p_zero"),
+])
+def test_genericity_scan_reads_entry_by_entry_without_a_batch(monkeypatch, point):
+    size = IdentitySize(2, 2)
+    for seed in range(3):
+        pp = point(_draw(Random(seed), P_HI))
+        assert pp.thetas.fill(_denominator_args(pp, 2, 2)) is None
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(sampling, "theta_margin",
+                          lambda ladder, j: calls.append(j) or theta_margin(ladder, j))
+            verdict = check_genericity(fresh_copy(pp), size)
+        assert calls and verdict == _reference_verdict(pp, size, DEFAULT_GUARD)

@@ -8,6 +8,7 @@ import math
 from random import Random
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -21,15 +22,19 @@ from thetacb.errors import (
 )
 from thetacb.sampling import (P_HI, _denominator_args, _draw, _weight_numerator_args,
                               theta_margin)
+import thetacb.special as special
 from thetacb.special import (
     DENOMINATOR_GUARD,
+    LOG_SPACE_MAG,
     addition_formula_residual,
     qbinom,
     qpoch,
     ThetaLadder,
     ThetaLadders,
     _Nome,
+    _prefactor_mag,
     _reduce,
+    _reduce_many,
     relative_residual,
     series_with_running_products,
     theta,
@@ -156,6 +161,19 @@ def _mp_points():
         yield x, p
 
 
+def _far_points():
+    """60 seeded nomes |p| in [0.3, 0.9], each with 10 arguments
+    x = p^-n u, n in [-40, 40] and u in the reduced annulus: reductions of
+    up to forty quasi-periods, on both sides of the log-space threshold."""
+    rng = Random(12)
+    for _ in range(60):
+        p = cmath.rect(rng.uniform(0.3, 0.9), rng.uniform(0.0, 2.0 * math.pi))
+        xs = [p**-rng.randint(-40, 40)
+              * cmath.rect(abs(p) ** rng.uniform(-0.5, 0.5), rng.uniform(0.0, 2.0 * math.pi))
+              for _ in range(10)]
+        yield p, xs
+
+
 def _assert_within_bound(xs, p):
     """theta_many(xs, p) lies within :func:`conftest.theta_batch_bound` of
     theta at every x."""
@@ -218,6 +236,80 @@ class TestThetaMany:
                 assert abs(value - theta(x, p)) > theta_batch_bound(x, p), (x, p)
                 skipped += 1
         assert skipped > 1900
+
+    def test_reductions_of_up_to_forty_quasi_periods(self):
+        # n, x' and the factor count of every argument equal _reduce's, x'
+        # bit for bit; the values lie within the bound, or the reduction
+        # overflows in both
+        exponents = set()
+        for p, xs in _far_points():
+            nome = _Nome(p).current()
+            y, n, _, count, ok = _reduce_many(np.array(xs), nome)
+            for i, (x, value) in enumerate(zip(xs, theta_many(xs, p))):
+                try:
+                    want = _reduce(x, nome)
+                except OverflowError:
+                    assert value is None and not ok[i]
+                    continue
+                assert (y[i], n[i], count[i]) == (want[0], want[1], want[3]), (x, p)
+                assert abs(value - theta(x, p)) <= theta_batch_bound(x, p), (x, p)
+                exponents.add(want[1])
+        assert min(exponents) <= -38 and max(exponents) >= 38
+
+    def test_next_to_zeros_outside_the_annulus(self):
+        # x = p^-k (1 + eps), next to the zero of theta at p^-k: x' = x p^k
+        # is 1 + eps up to rounding and 1 - x' is exact, so one unit in the
+        # last place of x' moves theta by about u / eps relative
+        for p in (0.3 + 0.2j, -0.45 + 0.1j, 0.05 - 0.6j, 0.7j, 0.2 - 0.1j):
+            xs = [p**-k * (1 + eps) for k in (1, 2)
+                  for eps in (1e-7, -3e-9, 2e-10j, 1e-11 - 1e-11j, 4e-12)]
+            nome = _Nome(p).current()
+            assert [n for _, n, _, _ in map(lambda x: _reduce(x, nome), xs)] == [1] * 5 + [2] * 5
+            _assert_within_bound(xs, p)
+
+    def test_both_sides_of_the_log_space_threshold(self, monkeypatch):
+        # an argument whose prefactor needs log space goes through _reduce
+        # inside the batch, the others are reduced on the arrays
+        p = 0.5 + 0.2j
+        nome = _Nome(p).current()
+        xs, above = [], []
+        for n in (-25, -24, -23, -22, 22, 23, 24, 25):
+            for r in (0.8, 1.0, 1.25):
+                x = p**-n * cmath.rect(r, n)
+                mag = _prefactor_mag(n, math.log(abs(x)), nome.log_ap)
+                if 440 < mag < 560:
+                    xs.append(x)
+                    if mag >= LOG_SPACE_MAG:
+                        above.append(x)
+        assert 3 <= len(above) <= len(xs) - 3
+        calls = []
+        inner = special._reduce
+        with monkeypatch.context() as patch:
+            patch.setattr(special, "_reduce", lambda x, nome: calls.append(x) or inner(x, nome))
+            got = theta_many(xs, p)
+        assert calls == above
+        for x, value in zip(xs, got):
+            assert abs(value - theta(x, p)) <= theta_batch_bound(x, p), x
+
+    def test_the_bound_rejects_a_dropped_sign_or_a_shifted_exponent(self):
+        # a batch that dropped (-1)^n gives -theta at odd n; one that took
+        # the prefactor at n + 1 or n - 1 with x' at n gives theta (-x') or
+        # theta (-p / x'): each lies outside the bound
+        odd = 0
+        points = [(x, p) for p, xs in _far_points() for x in xs]
+        for x, p in points + list(_double_points())[::4]:
+            try:
+                y, n, _, _ = _reduce(x, _Nome(p).current())
+                value = theta(x, p)
+            except OverflowError:
+                continue
+            wrong = [value * -y, value * (-p / y)]
+            if n % 2:
+                wrong.append(-value)
+                odd += 1
+            for w in wrong:
+                assert abs(w - value) > theta_batch_bound(x, p), (x, p, n)
+        assert odd > 200
 
     def test_domain_matches_theta(self):
         assert theta_many([0.5 + 0j, 2j], 0j) == [0.5 + 0j, 1 - 2j]
