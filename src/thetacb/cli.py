@@ -51,6 +51,9 @@ class CampaignConfig:
         unknown = [name for name in self.identities if name not in REGISTRY]
         if unknown:
             raise ValueError(f"unknown identities: {', '.join(unknown)}")
+        repeated = sorted({name for name in self.identities if self.identities.count(name) > 1})
+        if repeated:
+            raise ValueError(f"repeated identities: {', '.join(repeated)}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not (math.isfinite(self.tol) and self.tol >= 0):
@@ -77,8 +80,7 @@ def _convolution(pp, m, n):
 
 
 def _frenkel_turaev(pp, m, n):
-    lhs, rhs = noncomm.frenkel_turaev(pp.a, pp.b, pp.c, pp.x, min(m + n, 6),
-                                      pp.q, pp.p)
+    lhs, rhs = noncomm.frenkel_turaev(pp, min(m + n, 6))
     return relative_residual(lhs, rhs)
 
 

@@ -28,8 +28,8 @@ from itertools import accumulate, repeat
 
 from .lattice import b_closed
 from .params import ParamPoint
-from .special import (ThetaLadders, qbinom, relative_residual, series_with_running_products,
-                      theta_ratio, worst_residual)
+from .special import (qbinom, relative_residual, series_with_running_products, theta_ratio,
+                      worst_residual)
 from .weights import binomial_weight, elliptic_weight, normalized_weight
 
 #: Coefficients below this fraction of the row maximum count as structural
@@ -601,31 +601,42 @@ def convolution_nf_cross_check(pp: ParamPoint, n: int, m: int, k: int) -> float:
     return relative_residual(v1, v2)
 
 
-def frenkel_turaev(a, b, c, d, n: int, q, p):
-    """Both sides of the terminating very-well-poised 10V9 summation with
-    e = a^2 q^(n+1) / (bcd) enforcing the balancing condition:
+def frenkel_turaev(pp: ParamPoint, n: int):
+    """Both sides of the terminating very-well-poised 10V9 summation at
+    (a, b, c, d) = (pp.a, pp.b, pp.c, pp.x), with e = a^2 q^(n+1) / (bcd)
+    enforcing the balancing condition:
 
         sum_{k<=n} theta(a q^(2k); p)/theta(a; p)
             * (a, b, c, d, e, q^-n; q, p)_k
             / (q, aq/b, aq/c, aq/d, aq/e, a q^(n+1); q, p)_k * q^k
         = (aq, aq/bc, aq/bd, aq/cd; q, p)_n
         / (aq/b, aq/c, aq/d, aq/bcd; q, p)_n.
+
+    Every theta is read from the point's store (``pp.thetas``).  The
+    entries of the sum's windows that the store does not hold yet are
+    filled first, in one batch (:meth:`ThetaLadders.fill`, which
+    evaluates nothing at an mpmath point: there each entry is read by
+    :func:`theta`).
     """
+    a, b, c, d, q = pp.a, pp.b, pp.c, pp.x, pp.q
     e = a * a * q ** (n + 1) / (b * c * d)
-    lad = ThetaLadders(q, p)
+    lad = pp.thetas
     la, a_b, a_c, a_d = lad[a], lad[a / b], lad[a / c], lad[a / d]
+    num = ((la, 0), (lad[b], 0), (lad[c], 0), (lad[d], 0), (lad[e], 0), (lad[q], -n - 1))
+    den = ((lad[q], 0), (a_b, 1), (a_c, 1), (a_d, 1), (lad[a / e], 1), (la, n + 1))
+    rhs_num = ((la, 1, n), (lad[a / (b * c)], 1, n), (lad[a / (b * d)], 1, n),
+               (lad[a / (c * d)], 1, n))
+    rhs_den = ((a_b, 1, n), (a_c, 1, n), (a_d, 1, n), (lad[a / (b * c * d)], 1, n))
+
+    windows = [*((ladder, start, n) for ladder, start in num + den), *rhs_num, *rhs_den]
+    reads = [(ladder, j) for ladder, start, length in windows
+             for j in range(start, start + length)]
+    reads += [(la, 2 * k) for k in range(n + 1)]
+    lad.fill([(ladder, j) for ladder, j in dict.fromkeys(reads) if j not in ladder])
+
     th_a = la.den(0)
-
-    lhs, _ = series_with_running_products(
-        ((la, 0), (lad[b], 0), (lad[c], 0), (lad[d], 0), (lad[e], 0), (lad[q], -n - 1)),
-        ((lad[q], 0), (a_b, 1), (a_c, 1), (a_d, 1), (lad[a / e], 1), (la, n + 1)),
-        q, n, lambda k: la[2 * k] / th_a)
-
-    rhs = theta_ratio(
-        ((la, 1, n), (lad[a / (b * c)], 1, n), (lad[a / (b * d)], 1, n),
-         (lad[a / (c * d)], 1, n)),
-        ((a_b, 1, n), (a_c, 1, n), (a_d, 1, n), (lad[a / (b * c * d)], 1, n)))
-    return lhs, rhs
+    lhs, _ = series_with_running_products(num, den, q, n, lambda k: la[2 * k] / th_a)
+    return lhs, theta_ratio(rhs_num, rhs_den)
 
 
 def frenkel_turaev_from_convolution(pp: ParamPoint, n: int, m: int, k: int):
@@ -633,11 +644,12 @@ def frenkel_turaev_from_convolution(pp: ParamPoint, n: int, m: int, k: int):
     terminating very-well-poised sum: evaluate that sum at
 
         (a, b, c, d, n) -> (a q^-n / b, a c q^(n+m), q^(1-n)/(b c),
-                            a q^(k-n-m) / b, k).
+                            a q^(k-n-m) / b, k),
+
+    on the point with (a, b, c, x) replaced, which shares pp's store.
     """
-    x, a, b, c, q, p = pp.x, pp.a, pp.b, pp.c, pp.q, pp.p
-    return frenkel_turaev(a * q ** (-n) / b,
-                          a * c * q ** (n + m),
-                          q ** (1 - n) / (b * c),
-                          a * q ** (k - n - m) / b,
-                          k, q, p)
+    a, b, c, q = pp.a, pp.b, pp.c, pp.q
+    return frenkel_turaev(pp.replace(a=a * q ** (-n) / b,
+                                     b=a * c * q ** (n + m),
+                                     c=q ** (1 - n) / (b * c),
+                                     x=a * q ** (k - n - m) / b), k)

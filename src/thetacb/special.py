@@ -460,9 +460,7 @@ class ThetaLadder:
     for bit (entries a batch filled: within its error bound).  A ladder
     belongs to one (q, p) and one working precision: a parameter point
     keeps its ladders (``ParamPoint.thetas``) and drops them when read at
-    another precision.  Only :func:`noncomm.frenkel_turaev`,
-    which takes derived scalars rather than a point, builds fresh ladders
-    for every evaluation.
+    another precision.
 
     The values of p that its thetas share (``nome``, see :class:`_Nome`)
     are the store's for a ladder of a store (:class:`ThetaLadders`), the
@@ -492,6 +490,10 @@ class ThetaLadder:
                 value = 1 - x
             self._values[j] = value
         return value
+
+    def __contains__(self, j: int) -> bool:
+        """True when entry j is stored."""
+        return j in self._values
 
     def den(self, j: int):
         """Entry j read as a denominator factor, checked by :func:`guarded`."""

@@ -33,7 +33,7 @@ from thetacb.lattice import (
     master_equality_total,
     total_weight,
 )
-from thetacb.params import IdentitySize
+from thetacb.params import IdentitySize, ParamPoint
 from thetacb.sampling import sample_param_point
 from thetacb.special import addition_formula_residual, relative_residual, theta
 from thetacb.cli import CampaignConfig, run_campaign
@@ -316,9 +316,10 @@ def test_criterion_6_noncommutative_suite():
     while checked < 100:
         a, b, c, d = (unit_complex(rng, 0.2, 2) for _ in range(4))
         q, p = unit_complex(rng, 0.3, 0.9), unit_complex(rng, 0.05, 0.5)
+        pp = ParamPoint(d, a, b, c, q, p)
         for n in range(7):
             try:
-                lhs, rhs = noncomm.frenkel_turaev(a, b, c, d, n, q, p)
+                lhs, rhs = noncomm.frenkel_turaev(pp, n)
             except DegenerateParameterError:
                 continue
             residual = relative_residual(lhs, rhs)
@@ -326,8 +327,7 @@ def test_criterion_6_noncommutative_suite():
                 rescued += 1
                 with mpmath.workdps(40):
                     lhs, rhs = noncomm.frenkel_turaev(
-                        mpmath.mpc(a), mpmath.mpc(b), mpmath.mpc(c),
-                        mpmath.mpc(d), n, mpmath.mpc(q), mpmath.mpc(p))
+                        ParamPoint(*(mpmath.mpc(v) for v in (d, a, b, c, q, p))), n)
                 residual = relative_residual(lhs, rhs)
             worst_sum = max(worst_sum, residual)
         checked += 1

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import count_theta_calls
 from thetacb import bezout, cli, noncomm
 from thetacb.cli import (
     REGISTRY,
@@ -157,6 +158,16 @@ class TestCampaign:
         residuals = [rec["residual"] for rec in lines[:-1] if rec["identity"] == "nan_check"]
         assert len(residuals) == 4 and all(math.isnan(r) for r in residuals)
 
+    def test_repeated_identity_rejected_at_config_time(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="repeated identities: qcb"):
+            CampaignConfig(identities=("qcb", "classical_cb", "qcb"))
+        assert main(["--identities", "qcb,qcb", "--m-max", "0", "--n-max", "0",
+                     "--trials", "1"]) == 2
+        assert capsys.readouterr() == ("", "configuration error: repeated identities: qcb\n")
+        cfg = tmp_path / "campaign.cfg"
+        cfg.write_text("identities = qcb, qcb\ntrials = 1\n")
+        assert main(["--config", str(cfg)]) == 2
+
     def test_unknown_identity_exits_two(self):
         assert main(["--identities", "not_a_thing"]) == 2
 
@@ -175,6 +186,13 @@ class TestCampaign:
         summary = json.loads(lines[-1])
         assert summary["config"]["seed"] == 4
         assert summary["identities"]["classical_cb"]["failures"] == 0
+
+    def test_double_frenkel_turaev_campaign_reads_no_scalar_theta(self, monkeypatch):
+        # the scan's batch and the sum's own batch fill every entry it reads
+        config = CampaignConfig(identities=("frenkel_turaev",), m_max=3, n_max=3, seed=0)
+        report = []
+        assert count_theta_calls(monkeypatch, lambda: report.append(run_campaign(config))) == 0
+        assert report[0].all_pass
 
     def test_extended_precision_campaign(self):
         config = CampaignConfig(identities=("matrix_pair",), m_max=1, n_max=1,

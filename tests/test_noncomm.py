@@ -8,9 +8,11 @@ import math
 from itertools import combinations
 from random import Random
 
+import mpmath
 import pytest
 
-from conftest import ab_point, nan_on_second_call, unit_complex
+from conftest import (ab_point, count_theta_calls, fresh_copy, nan_on_second_call,
+                      unit_complex)
 from thetacb import noncomm
 from thetacb.errors import DegenerateParameterError
 from thetacb.noncomm import (
@@ -42,8 +44,8 @@ from thetacb.noncomm import (
     path_binomial_recursion_residual,
 )
 from thetacb.lattice import b_closed
-from thetacb.params import IdentitySize
-from thetacb.sampling import sample_param_point
+from thetacb.params import IdentitySize, ParamPoint
+from thetacb.sampling import check_genericity, sample_param_point
 from thetacb.special import qbinom, relative_residual, worst_residual
 from thetacb.weights import binomial_weight, elliptic_weight, normalized_weight
 
@@ -347,37 +349,56 @@ class TestConvolution:
 
 class TestVeryWellPoisedSum:
     def test_empty_case(self):
-        lhs, rhs = frenkel_turaev(0.8, 1.2, 0.7, 1.1, 0, 0.5, 0.2)
+        lhs, rhs = frenkel_turaev(ParamPoint(1.1, 0.8, 1.2, 0.7, 0.5, 0.2), 0)
         assert lhs == 1 and rhs == 1
 
     def test_vanished_denominator_factor_raises(self, generic_point):
         # b = aq puts theta(aq/b; p) = theta(1; p) into both sides
         pp = generic_point
         with pytest.raises(DegenerateParameterError):
-            frenkel_turaev(pp.a, pp.a * pp.q, pp.c, pp.x, 4, pp.q, pp.p)
+            frenkel_turaev(pp.replace(b=pp.a * pp.q), 4)
 
     def test_fixed_depth_three(self, rng):
-        lhs, rhs = frenkel_turaev(
-            unit_complex(rng, 0.2, 2), unit_complex(rng, 0.2, 2),
-            unit_complex(rng, 0.2, 2), unit_complex(rng, 0.2, 2),
-            3, unit_complex(rng, 0.3, 0.9), unit_complex(rng, 0.05, 0.5))
+        a, b, c, d = (unit_complex(rng, 0.2, 2) for _ in range(4))
+        q, p = unit_complex(rng, 0.3, 0.9), unit_complex(rng, 0.05, 0.5)
+        lhs, rhs = frenkel_turaev(ParamPoint(d, a, b, c, q, p), 3)
         assert relative_residual(lhs, rhs) < 1e-9
 
     def test_random_sweep(self, rng):
         worst = 0.0
         checked = 0
         while checked < 40:
+            a, b, c, d = (unit_complex(rng, 0.2, 2) for _ in range(4))
+            n = rng.randint(0, 6)
+            q, p = unit_complex(rng, 0.3, 0.9), unit_complex(rng, 0.05, 0.5)
             try:
-                lhs, rhs = frenkel_turaev(
-                    unit_complex(rng, 0.2, 2), unit_complex(rng, 0.2, 2),
-                    unit_complex(rng, 0.2, 2), unit_complex(rng, 0.2, 2),
-                    rng.randint(0, 6), unit_complex(rng, 0.3, 0.9),
-                    unit_complex(rng, 0.05, 0.5))
+                lhs, rhs = frenkel_turaev(ParamPoint(d, a, b, c, q, p), n)
             except DegenerateParameterError:
                 continue
             worst = max(worst, relative_residual(lhs, rhs))
             checked += 1
         assert worst < 1e-9
+
+    def test_double_point_reads_no_scalar_theta(self, monkeypatch, generic_point):
+        # every entry the sum reads is filled by one batch, whether or not
+        # the sampler's scan has filled the store before
+        for n in range(7):
+            for pp in (generic_point, fresh_copy(generic_point)):
+                sides = []
+                assert count_theta_calls(
+                    monkeypatch, lambda: sides.extend(frenkel_turaev(pp, n))) == 0
+                assert relative_residual(*sides) < 1e-9
+
+    def test_mp_point_reads_the_store_bit_for_bit(self, generic_point):
+        # at an mpmath point nothing is batched: the store hands out the
+        # bits of a direct theta call, whatever read it first
+        with mpmath.workdps(40):
+            pp = ParamPoint(*(mpmath.mpc(v) for v in (
+                generic_point.x, generic_point.a, generic_point.b,
+                generic_point.c, generic_point.q, generic_point.p)))
+            check_genericity(pp, IdentitySize(3, 3))
+            for n in (2, 4):
+                assert frenkel_turaev(pp, n) == frenkel_turaev(fresh_copy(pp), n)
 
     def test_convolution_specialisation(self, rng):
         # (i) on the window k <= m every factor of the substituted sum is
