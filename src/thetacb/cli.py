@@ -279,12 +279,6 @@ def run_campaign(config: CampaignConfig) -> "CampaignReport":
                           all_pass=all_pass)
 
 
-def _sample_for_trial(rng: Random, config: CampaignConfig, m: int, n: int) -> ParamPoint:
-    return sample_param_point(
-        rng, IdentitySize(m, n), guard=config.guard, p_max=config.p_max,
-        precision_digits=config.precision)
-
-
 def _run_trial(rng: Random, config: CampaignConfig, runner: Callable,
                m: int, n: int) -> tuple[ParamPoint, float]:
     """Sample and evaluate, resampling when an identity-specific
@@ -292,7 +286,8 @@ def _run_trial(rng: Random, config: CampaignConfig, runner: Callable,
     family's denominators); the retry consumes the same deterministic
     stream, so reports stay reproducible and trial counts unchanged."""
     for _ in range(20):
-        pp = _sample_for_trial(rng, config, m, n)
+        pp = sample_param_point(rng, IdentitySize(m, n), guard=config.guard,
+                                p_max=config.p_max, precision_digits=config.precision)
         try:
             return pp, float(runner(pp, m, n))
         except DegenerateParameterError:
@@ -330,8 +325,8 @@ _CONFIG_KEYS = {f.name for f in fields(CampaignConfig)}
 
 
 def parse_config_file(text: str) -> dict:
-    """Flat key = value lines; '#' starts a comment; identities is a
-    comma-separated list."""
+    """Flat key = value lines, each key at most once; '#' starts a
+    comment; identities is a comma-separated list."""
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -342,6 +337,8 @@ def parse_config_file(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
+        if key in out:
+            raise ValueError(f"line {lineno}: repeated key {key!r}")
         out[key] = value
     return out
 

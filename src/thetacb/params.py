@@ -18,10 +18,6 @@ from dataclasses import dataclass
 from .special import ThetaLadders
 
 
-def _is_zero(z) -> bool:
-    return z == 0
-
-
 @dataclass(frozen=True)
 class ParamPoint:
     """One sampled evaluation point.
@@ -39,7 +35,7 @@ class ParamPoint:
 
     def __post_init__(self):
         for name in ("x", "a", "b", "c", "q"):
-            if _is_zero(getattr(self, name)):
+            if getattr(self, name) == 0:
                 raise ValueError(f"parameter {name!r} must be nonzero")
         if abs(self.p) >= 1:
             raise ValueError("nome p must satisfy |p| < 1")
@@ -47,11 +43,6 @@ class ParamPoint:
         ctx = next((v.context for v in (self.x, self.a, self.b, self.c, self.q, self.p)
                     if hasattr(v, "context")), None)
         object.__setattr__(self, "_context", ctx)
-
-    @property
-    def is_basic(self) -> bool:
-        """True when p = 0 exactly (q-series specialisation)."""
-        return _is_zero(self.p)
 
     @property
     def thetas(self) -> ThetaLadders:

@@ -160,7 +160,10 @@ def sample_param_point(
     at the caller's working precision (the CLI runs the whole campaign
     under ``mpmath.workdps(precision_digits)``); the draw itself is
     identical, so reports stay reproducible across precision modes.
+    ``p_max`` below ``P_LO`` raises ``ValueError``.
     """
+    if p_max is not None and p_max < P_LO:
+        raise ValueError(f"p_max must be at least {P_LO}")
     p_hi = P_HI if p_max is None else min(P_HI, p_max)
     for _ in range(MAX_ATTEMPTS):
         pp = _draw(rng, p_hi)

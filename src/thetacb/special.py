@@ -295,8 +295,23 @@ def _reduce_many(x, nome: _Nome):
 
 
 def _theta_batch(x, nome: _Nome):
-    """theta_many's values for a complex128 array of nonzero arguments, as
-    a complex128 array, and where each reduction succeeded."""
+    """theta(x, p) at a complex128 array of nonzero arguments x, p the
+    built-in ``complex`` nome of ``nome`` (current, 0 < |p| < 1): the
+    values as a complex128 array, and a boolean array that is False where
+    the argument's reduction raised ``OverflowError``.
+
+    Each value lies within gamma_(8 count + 2 s) |theta(x, p)| of
+    :func:`theta`'s, count being the argument's factor pairs, s the
+    prefactor's rounded operations (0 when the reduction exponent n is 0,
+    |n| + 2 otherwise) and gamma_k = k u / (1 - k u) with u = 2^-53
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3).
+
+    The arguments are reduced on arrays (:func:`_reduce_many`), with the
+    reduced arguments x' bit for bit those of :func:`theta`.  The
+    truncated products then run as one complex128 product: the powers p^k
+    are formed once, the factor matrix (1 - x' p^k)(1 - (p/x') p^k) is set
+    to 1 where k >= count, and its rows are multiplied out.
+    """
     y, _, pref, count, ok = _reduce_many(x, nome)
     p = nome.p
     pk = np.full(int(count.max(initial=0)), p)
@@ -307,36 +322,6 @@ def _theta_batch(x, nome: _Nome):
     factors *= 1 - (p / col) * pk
     factors[np.arange(pk.size) >= count.reshape(-1, 1)] = 1
     return pref * factors.prod(axis=1), ok
-
-
-def theta_many(xs, p, _nome=None) -> list:
-    """[theta(x, p) for x in xs] for built-in ``complex`` arguments and one
-    built-in ``complex`` nome with 0 < |p| < 1, each value within
-    gamma_(8 count + 2 s) |theta(x, p)| of theta's, count being the
-    argument's factor pairs, s the prefactor's rounded operations (0 when
-    the reduction exponent n is 0, |n| + 2 otherwise) and
-    gamma_k = k u / (1 - k u) with u = 2^-53 (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, ch. 3); an argument whose
-    reduction raises ``OverflowError`` gives None instead.
-
-    The arguments are reduced on arrays (:func:`_reduce_many`), with the
-    reduced arguments x' bit for bit those of :func:`theta`.  The
-    truncated products then run as one complex128 product: the powers p^k
-    are formed once, the factor matrix (1 - x' p^k)(1 - (p/x') p^k) is set
-    to 1 where k >= count, and its rows are multiplied out.  ``_nome`` is
-    internal, as for :func:`theta`.
-    """
-    if p == 0:
-        return [theta(x, p) for x in xs]
-    nome = (_Nome(p) if _nome is None else _nome).current()
-    x = np.asarray(xs, dtype=complex)
-    if not x.all():
-        raise ZeroArgumentError("theta(x; p) requires x != 0")
-    values, ok = _theta_batch(x, nome)
-    out = values.tolist()
-    for i in (~ok).nonzero()[0].tolist():
-        out[i] = None
-    return out
 
 
 def _mp_complex(x, p) -> bool:
@@ -449,8 +434,8 @@ class ThetaLadder:
     two ways: on first read, by :func:`theta` (at p = 0 by theta's closed
     form 1 - z q^j, formed in place), or ahead of any read, by
     :meth:`ThetaLadders.fill`, which evaluates many entries of a store in
-    one :func:`theta_many` batch, within that batch's error bound of the
-    value a read would give.
+    one batch (:func:`_theta_batch`), within that batch's error bound of
+    the value a read would give.
 
     Every theta-shifted factorial (z q^s; q, p)_L is a window of this
     ladder, so a table of such factorials over many cells costs one theta
@@ -462,21 +447,21 @@ class ThetaLadder:
     keeps its ladders (``ParamPoint.thetas``) and drops them when read at
     another precision.
 
-    The values of p that its thetas share (``nome``, see :class:`_Nome`)
-    are the store's for a ladder of a store (:class:`ThetaLadders`), the
-    ladder's own otherwise; they give every entry read the bits of a
-    direct :func:`theta` call.
+    A ladder lives in a store: ``ThetaLadders(q, p)[z]`` makes it, with
+    the store's ``nome`` (see :class:`_Nome`), the values of p its thetas
+    share, which give every entry read the bits of a direct :func:`theta`
+    call.
     """
 
     __slots__ = ("z", "q", "p", "_basic", "_values", "_nome")
 
-    def __init__(self, z, q, p, nome: _Nome | None = None):
+    def __init__(self, z, q, p, nome: _Nome):
         self.z = z
         self.q = q
         self.p = p
         self._basic = p == 0
         self._values: dict[int, object] = {}
-        self._nome = _Nome(p) if nome is None else nome
+        self._nome = nome
 
     def __getitem__(self, j: int):
         value = self._values.get(j)
@@ -498,13 +483,6 @@ class ThetaLadder:
     def den(self, j: int):
         """Entry j read as a denominator factor, checked by :func:`guarded`."""
         return guarded(self[j], "denominator theta(%r * q^%d)", self.z, j)
-
-    def fact(self, start: int, length: int):
-        """(z q^start; q, p)_length as a product of ladder entries."""
-        acc = 1
-        for j in range(start, start + length):
-            acc = acc * self[j]
-        return acc
 
 
 class ThetaLadders(dict):
@@ -530,12 +508,13 @@ class ThetaLadders(dict):
 
     def fill(self, entries):
         """Evaluate ``entries``, (ladder, index) pairs of this store, in one
-        batch (:func:`theta_many`'s), each within its error bound of the
-        value a read would compute, and store the entries that are still
-        missing.  Returns the margins |theta(arg; p)| / (1 + |arg|) of the
-        entries in order, arg = z q^j formed once per entry as a read forms
-        it: 0 for a zero argument, inf for an entry whose reduction
-        overflowed (left to be computed, and raise, when read).
+        batch (:func:`_theta_batch`, the store's only batch entry), each
+        within its error bound of the value a read would compute, and store
+        the entries that are still missing.  Returns the margins
+        |theta(arg; p)| / (1 + |arg|) of the entries in order, arg = z q^j
+        formed once per entry as a read forms it: 0 for a zero argument, inf
+        for an entry whose reduction overflowed (left to be computed, and
+        raise, when read); |p| >= 1 raises ``DivergenceError``.
 
         Only a built-in complex nome p != 0 batches, and only when the
         arguments make a complex128 array (built-in complex ones do, mpmath
@@ -561,7 +540,8 @@ class ThetaLadders(dict):
 
 def theta_ratio(num, den):
     """prod(num) / prod(den), where num and den are sequences of ladder
-    windows (ladder, start, length) holding the same number of factors.
+    windows (ladder, start, length) holding the same number of factors
+    (``ValueError`` otherwise).
 
     The ratio is built factor by factor, num[t] / den[t], with callers
     ordering the windows so that paired factors carry nearly the same
@@ -571,17 +551,13 @@ def theta_ratio(num, den):
     the product of the factors is never formed, so a product that
     underflows or overflows neither trips nor hides the check.
     """
+    tops = [ladder[j] for ladder, start, length in num for j in range(start, start + length)]
+    bottoms = [ladder.den(j) for ladder, start, length in den
+               for j in range(start, start + length)]
     acc = 1
-    for t, d in zip(_window_entries(num, False), _window_entries(den, True), strict=True):
+    for t, d in zip(tops, bottoms, strict=True):
         acc = acc * (t / d)
     return acc
-
-
-def _window_entries(windows, denominator: bool):
-    for ladder, start, length in windows:
-        read = ladder.den if denominator else ladder.__getitem__
-        for j in range(start, start + length):
-            yield read(j)
 
 
 def series_with_running_products(num, den, q, m: int, top_ratio):

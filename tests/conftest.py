@@ -53,7 +53,8 @@ def count_theta_calls(monkeypatch, run) -> int:
 
 def theta_batch_bound(x, p) -> float:
     """gamma_(8 count + 2 s) |theta(x; p)|, the bound on how far a batched
-    double theta (``special.theta_many``) may lie from scalar ``theta``,
+    double theta (``special._theta_batch``, the kernel of the store's
+    ``ThetaLadders.fill``) may lie from scalar ``theta``,
     with count the argument's factor pairs, s the rounded operations of
     its prefactor and gamma_k = k u / (1 - k u), u = 2^-53 (Higham,
     *Accuracy and Stability of Numerical Algorithms*, ch. 3).  Counting

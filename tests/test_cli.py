@@ -65,6 +65,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_config_file("nope = 3")
 
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="line 3: repeated key 'seed'"):
+            parse_config_file("seed = 1\nm_max = 0\nseed = 5\n")
+        cfg = tmp_path / "campaign.cfg"
+        cfg.write_text("identities = qcb\nseed = 1\nm_max = 0\nn_max = 0\n"
+                       "trials = 1\nseed = 5\n")
+        assert main(["--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", "configuration error: line 6: repeated key 'seed'\n")
+
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             CampaignConfig(trials=0)

@@ -18,7 +18,7 @@ from thetacb.noncomm import (AlgebraTag, binomial_theorem_residual,
 from thetacb.params import IdentitySize
 import thetacb.sampling as sampling
 from thetacb.errors import DegenerateParameterError
-from thetacb.sampling import (DEFAULT_GUARD, P_HI, _denominator_args, _draw, _to_mp,
+from thetacb.sampling import (DEFAULT_GUARD, P_HI, P_LO, _denominator_args, _draw, _to_mp,
                               _weight_numerator_args, check_genericity, sample_param_point,
                               theta_margin)
 from thetacb.special import ThetaLadders
@@ -207,3 +207,17 @@ def test_genericity_scan_reads_entry_by_entry_without_a_batch(monkeypatch, point
                           lambda ladder, j: calls.append(j) or theta_margin(ladder, j))
             verdict = check_genericity(fresh_copy(pp), size)
         assert calls and verdict == _reference_verdict(pp, size, DEFAULT_GUARD)
+
+
+def test_a_nome_bound_below_the_sampled_range_is_rejected():
+    # |p| is drawn log-uniformly between P_LO and p_max; a bound below P_LO
+    # would put every draw between the two, above the bound asked for
+    with pytest.raises(ValueError, match="p_max"):
+        sample_param_point(Random(0), IdentitySize(1, 1), p_max=0.01)
+    with pytest.raises(ValueError, match="p_max"):
+        sample_param_point(Random(0), IdentitySize(1, 1), p_max=0.0)
+    pp = sample_param_point(Random(0), IdentitySize(1, 1), p_max=P_LO)
+    assert math.isclose(abs(pp.p), P_LO, rel_tol=1e-12)
+    for seed in range(20):
+        pp = sample_param_point(Random(seed), IdentitySize(1, 1), p_max=0.1)
+        assert P_LO * (1 - 1e-12) <= abs(pp.p) <= 0.1 * (1 + 1e-12)

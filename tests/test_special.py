@@ -29,17 +29,16 @@ from thetacb.special import (
     addition_formula_residual,
     qbinom,
     qpoch,
-    ThetaLadder,
     ThetaLadders,
     _Nome,
     _prefactor_mag,
     _reduce,
     _reduce_many,
+    _theta_batch,
     relative_residual,
     series_with_running_products,
     theta,
     theta_fact,
-    theta_many,
     theta_ratio,
     worst_residual,
 )
@@ -174,16 +173,25 @@ def _far_points():
         yield p, xs
 
 
+def _batch(xs, p) -> list:
+    """The store's batch kernel at the arguments ``xs`` and nome p, as a
+    list: None where the argument's reduction overflowed."""
+    values, ok = _theta_batch(np.array(xs, dtype=complex), _Nome(p).current())
+    return [value if good else None for value, good in zip(values.tolist(), ok.tolist())]
+
+
 def _assert_within_bound(xs, p):
-    """theta_many(xs, p) lies within :func:`conftest.theta_batch_bound` of
-    theta at every x."""
-    got = theta_many(xs, p)
+    """The batch at xs and p lies within :func:`conftest.theta_batch_bound`
+    of theta at every x."""
+    got = _batch(xs, p)
     assert len(got) == len(xs)
     for x, value in zip(xs, got):
         assert abs(value - theta(x, p)) <= theta_batch_bound(x, p), (x, p)
 
 
 class TestThetaMany:
+    """The batch behind :meth:`ThetaLadders.fill` against scalar theta."""
+
     def test_seeded_points_batched_per_nome(self):
         points = list(_double_points())
         for x, p in points:
@@ -209,7 +217,7 @@ class TestThetaMany:
             pairs = [*_denominator_args(pp, depth, depth),
                      *_weight_numerator_args(pp, depth, depth)]
             xs = [ladder.z * ladder.q**j for ladder, j in pairs]
-            for x, value in zip(xs, theta_many(xs, pp.p)):
+            for x, value in zip(xs, _batch(xs, pp.p)):
                 if value is None:
                     with pytest.raises(OverflowError):
                         theta(x, pp.p)
@@ -221,7 +229,7 @@ class TestThetaMany:
         big, fine = 1e-300 + 0j, 0.4 - 0.2j
         with pytest.raises(OverflowError):
             theta(big, p)
-        first, value, last = theta_many([big, fine, big], p)
+        first, value, last = _batch([big, fine, big], p)
         assert first is None and last is None
         assert abs(value - theta(fine, p)) <= theta_batch_bound(fine, p)
 
@@ -245,7 +253,7 @@ class TestThetaMany:
         for p, xs in _far_points():
             nome = _Nome(p).current()
             y, n, _, count, ok = _reduce_many(np.array(xs), nome)
-            for i, (x, value) in enumerate(zip(xs, theta_many(xs, p))):
+            for i, (x, value) in enumerate(zip(xs, _batch(xs, p))):
                 try:
                     want = _reduce(x, nome)
                 except OverflowError:
@@ -286,7 +294,7 @@ class TestThetaMany:
         inner = special._reduce
         with monkeypatch.context() as patch:
             patch.setattr(special, "_reduce", lambda x, nome: calls.append(x) or inner(x, nome))
-            got = theta_many(xs, p)
+            got = _batch(xs, p)
         assert calls == above
         for x, value in zip(xs, got):
             assert abs(value - theta(x, p)) <= theta_batch_bound(x, p), x
@@ -312,13 +320,17 @@ class TestThetaMany:
         assert odd > 200
 
     def test_domain_matches_theta(self):
-        assert theta_many([0.5 + 0j, 2j], 0j) == [0.5 + 0j, 1 - 2j]
         # a nome so small that the product keeps no factor: the bound is 0
         _assert_within_bound([1e19 + 0j, 1e-19 + 0j, 0.5 + 0j], 1e-40 + 0j)
+        # a zero argument has margin 0 and is left for a read, which raises
+        store = ThetaLadders(0.6 + 0.2j, 0.3j)
+        margins = store.fill([(store[0.5 + 0j], 0), (store[0j], 1)])
+        assert margins[0] > 0 and margins[1] == 0 and 1 not in store[0j]
         with pytest.raises(ZeroArgumentError):
-            theta_many([0.5 + 0j, 0j], 0.3j)
+            store[0j][1]
+        store = ThetaLadders(0.6 + 0.2j, 1.0 + 0j)
         with pytest.raises(DivergenceError):
-            theta_many([0.5 + 0j], 1.0 + 0j)
+            store.fill([(store[0.5 + 0j], 0)])
 
     def test_fill_batches_double_points_with_a_nome_only(self):
         q = 0.6 + 0.2j
@@ -349,7 +361,7 @@ class TestThetaAt40Digits:
         q, p = mpmath.mpc(0.55, 0.3), mpmath.mpc(0.2, -0.1)
         with mpmath.workdps(40):
             assert theta(mpmath.mpc(1), p) == 0
-            ladder = ThetaLadder(mpmath.mpc(1), q, p)
+            ladder = ThetaLadders(q, p)[mpmath.mpc(1)]
             with pytest.raises(DegenerateParameterError):
                 ladder.den(0)
 
@@ -473,16 +485,16 @@ class TestThetaStore:
 class TestThetaLadder:
     def test_entries_are_theta_at_shifted_arguments(self):
         z, q, p = 0.7 - 0.4j, 0.55 + 0.3j, 0.2 - 0.1j
-        ladder = ThetaLadder(z, q, p)
+        ladder = ThetaLadders(q, p)[z]
         for j in range(-4, 9):
             assert ladder[j] == theta(z * q**j, p)
 
     def test_window_is_the_theta_factorial(self):
         z, q, p = 0.7 - 0.4j, 0.55 + 0.3j, 0.2 - 0.1j
-        ladder = ThetaLadder(z, q, p)
-        assert ladder.fact(3, 0) == 1
+        ladder = ThetaLadders(q, p)[z]
+        assert theta_ratio(((ladder, 3, 0),), ()) == 1
         want = theta_fact(z * q**2, q, p, 5)
-        assert relative_residual(ladder.fact(2, 5), want) < 1e-14
+        assert relative_residual(math.prod(ladder[j] for j in range(2, 7)), want) < 1e-14
 
     def test_each_entry_is_evaluated_once(self, monkeypatch):
         import thetacb.special as special
@@ -493,7 +505,8 @@ class TestThetaLadder:
                             lambda x, p, *nome: calls.append(x) or inner(x, p, *nome))
         ladders = ThetaLadders(0.6 + 0.2j, 0.3j)
         for _ in range(3):
-            ladders[1.5 + 0j].fact(-2, 6)
+            for j in range(-2, 4):
+                ladders[1.5 + 0j][j]
             ladders[0.4 + 0.1j][5]
         assert len(calls) == 7
         assert len(ladders) == 2
@@ -505,15 +518,15 @@ class TestThetaLadder:
         monkeypatch.setattr(special, "theta", lambda x, p: pytest.fail("theta called"))
         z, q = 0.7 - 0.4j, 0.55 + 0.3j
         for p in (0j, mpmath.mpc(0)):
-            ladder = ThetaLadder(z, q, p)
+            ladder = ThetaLadders(q, p)[z]
             for j in range(-3, 6):
                 assert ladder[j] == inner(z * q**j, p) == 1 - z * q**j
         with pytest.raises(ZeroArgumentError):
-            ThetaLadder(0j, q, 0j)[2]
+            ThetaLadders(q, 0j)[0j][2]
 
     def test_den_guards_each_entry(self):
         q, p = 0.55 + 0.3j, 0.2 - 0.1j
-        ladder = ThetaLadder(1 + 0j, q, p)  # entry 0 is theta(1; p) = 0
+        ladder = ThetaLadders(q, p)[1 + 0j]  # entry 0 is theta(1; p) = 0
         with pytest.raises(DegenerateParameterError):
             ladder.den(0)
         assert ladder.den(1) == ladder[1]
@@ -531,6 +544,14 @@ class TestLadderKernels:
         got = theta_ratio(((free, 0, 2),), ((near_lo, 0, 1), (near_hi, 0, 1)))
         want = free[0] * free[1] / (near_lo[0] * near_hi[0])
         assert relative_residual(got, want) < 1e-13
+
+    def test_ratio_rejects_windows_of_unequal_length(self):
+        lad = ThetaLadders(0.55 + 0.3j, 0.2 - 0.1j)
+        free, other = lad[0.6 + 0.2j], lad[1.3 + 0j]
+        for num, den in ((((free, 0, 3),), ((other, 0, 2),)),
+                         (((free, 0, 1),), ((other, 0, 1), (free, 4, 1)))):
+            with pytest.raises(ValueError, match="zip"):
+                theta_ratio(num, den)
 
     def test_ratio_raises_on_a_vanished_factor(self):
         lad = ThetaLadders(0.55 + 0.3j, 0.2 - 0.1j)
@@ -614,7 +635,8 @@ class TestAdditionFormula:
         args = (x * y, x / y, u * v, u / v, x * v, x / v, u * y, u / y,
                 y * v, y / v, x * u, x / u)
         # entry 0 of a ladder with q = 1 is theta(arg; p) itself
-        assume(min(theta_margin(ThetaLadder(arg, 1, p), 0) for arg in args) > 1e-6)
+        lad = ThetaLadders(1, p)
+        assume(min(theta_margin(lad[arg], 0) for arg in args) > 1e-6)
         assert addition_formula_residual(x, y, u, v, p) < 1e-10
 
 

@@ -130,7 +130,7 @@ def test_param_point_validation():
     with pytest.raises(ValueError):
         ParamPoint(1, 1, 1, 1, 0.5, 1.2)
     pp = ParamPoint(1 + 0j, 2, 3, 4, 0.5, 0)
-    assert pp.is_basic
+    assert pp.p == 0
     assert pp.swap_ab().a == 3
     shifted = pp.shift(1, 0, 2)
     assert shifted.a == 2 * 0.5 and shifted.c == 4 * 0.25
