@@ -5,9 +5,12 @@
 PARENT and CHANGE are JSONL reports written by ``thetacb`` (``--out``).
 Trials are matched by their coordinates (identity, m, n, trial).  The
 script prints whether both reports hold the same coordinates, how many
-matched records have identical parameters, the verdict changes split by
+matched records have identical parameters and the coordinates of those
+that differ (the first ``MAX_LISTED``), the verdict changes split by
 direction, the non-finite residual count of each side, and per identity
-the largest residual move with the trial where it happened.
+the largest residual move with the trial where it happened.  A move is
+read only between records at identical parameters: elsewhere the two
+residuals come from different points.
 
 Exit status: 0 when the trial coordinates match, 1 when they differ, 2
 on a usage error.  A reader that closes the pipe early (``| head``) ends
@@ -20,6 +23,9 @@ import json
 import math
 import os
 import sys
+
+#: How many trials with differing parameters are listed by coordinate.
+MAX_LISTED = 20
 
 
 def load_trials(path: str) -> dict:
@@ -41,8 +47,12 @@ def compare(parent: dict, change: dict) -> tuple[list[str], bool]:
         lines.append(f"  only in parent: {len(parent.keys() - change.keys())}, "
                      f"only in change: {len(change.keys() - parent.keys())}")
 
-    same_params = sum(parent[key]["params"] == change[key]["params"] for key in common)
-    lines.append(f"identical parameters: {same_params}/{len(common)}")
+    moved = [key for key in common if parent[key]["params"] != change[key]["params"]]
+    lines.append(f"identical parameters: {len(common) - len(moved)}/{len(common)}")
+    lines.extend(f"  parameters differ: {identity} ({m}, {n}) trial {trial}"
+                 for identity, m, n, trial in moved[:MAX_LISTED])
+    if len(moved) > MAX_LISTED:
+        lines.append(f"  ... and {len(moved) - MAX_LISTED} more")
 
     flips = {("pass", "fail"): 0, ("fail", "pass"): 0}
     for key in common:
@@ -59,6 +69,8 @@ def compare(parent: dict, change: dict) -> tuple[list[str], bool]:
 
     largest: dict[str, tuple] = {}
     for key in common:
+        if parent[key]["params"] != change[key]["params"]:
+            continue  # two different points: no move to read
         before, after = parent[key]["residual"], change[key]["residual"]
         if not (math.isfinite(before) and math.isfinite(after)):
             continue

@@ -227,6 +227,16 @@ REGISTRY: dict[str, tuple[str, int | None, Callable]] = {
 }
 
 
+#: The checks that read no theta at p != 0: they divide only by factors
+#: 1 - z q^j, so their trials scan the draw's p = 0 point
+#: (``sample_param_point(theta_free=True)``), where no theta is evaluated.
+THETA_FREE = frozenset({
+    "classical_cb", "qcb", "abq1_cb", "abq2_cb", "abcq_cb", "cb_variant", "cb_homogeneous",
+    "qbinom_pascal", "binomial_q_commuting", "homogeneous_q_commuting",
+    "connection_first", "connection_second", "bezout_qcb", "matrix_pair", "mod_reduction",
+})
+
+
 def list_identities() -> list[tuple[str, str]]:
     """All registered identity names with one-line descriptions."""
     return [(name, entry[0]) for name, entry in sorted(REGISTRY.items())]
@@ -259,7 +269,8 @@ def run_campaign(config: CampaignConfig) -> "CampaignReport":
                     continue
                 for trial in range(config.trials):
                     tseed = _trial_seed(config.seed, name, m, n, trial)
-                    pp, residual = _run_trial(Random(tseed), config, runner, m, n)
+                    pp, residual = _run_trial(Random(tseed), config, runner, m, n,
+                                              theta_free=name in THETA_FREE)
                     report = identities.IdentityReport.from_residual(
                         name, pp, m, n, residual, config.tol)
                     rec = report.to_record()
@@ -280,14 +291,17 @@ def run_campaign(config: CampaignConfig) -> "CampaignReport":
 
 
 def _run_trial(rng: Random, config: CampaignConfig, runner: Callable,
-               m: int, n: int) -> tuple[ParamPoint, float]:
+               m: int, n: int, theta_free: bool = False) -> tuple[ParamPoint, float]:
     """Sample and evaluate, resampling when an identity-specific
     denominator turns out degenerate (the generic scan cannot know every
     family's denominators); the retry consumes the same deterministic
-    stream, so reports stay reproducible and trial counts unchanged."""
+    stream, so reports stay reproducible and trial counts unchanged.
+    A ``theta_free`` check (:data:`THETA_FREE`) has the sampler scan the
+    draw's p = 0 point, and is evaluated at the draw itself."""
     for _ in range(20):
         pp = sample_param_point(rng, IdentitySize(m, n), guard=config.guard,
-                                p_max=config.p_max, precision_digits=config.precision)
+                                p_max=config.p_max, precision_digits=config.precision,
+                                theta_free=theta_free)
         try:
             return pp, float(runner(pp, m, n))
         except DegenerateParameterError:

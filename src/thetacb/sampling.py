@@ -17,6 +17,13 @@ raises), and the checks that run at the accepted point read the same
 values.
 mpmath points and p = 0 are not batched: their scan reads entry by entry
 through :func:`theta_margin`.
+
+The theta-free checks (``cli.THETA_FREE``: the basic p = 0
+specialisations and the q-commuting, q-binomial, connection and Bezout
+checks) divide only by factors 1 - z q^j, never by a theta at p != 0.  For them the sampler scans the
+draw's p = 0 point, where every margin is that closed form and the
+weight condition reads the basic weights, and costs no theta; the point
+it returns is still the one drawn, p included.
 """
 
 from __future__ import annotations
@@ -152,24 +159,31 @@ def sample_param_point(
     guard: float = DEFAULT_GUARD,
     p_max: float | None = None,
     precision_digits: int = 0,
+    theta_free: bool = False,
 ) -> ParamPoint:
     """Draw a generic parameter point (log-uniform magnitudes, uniform
     arguments), resampling until the genericity scan passes.
+
+    ``theta_free`` scans each draw's p = 0 point ``pp.replace(p=0j)``
+    instead of the draw, for a check that reads no theta at p != 0.  A
+    draw takes the same six random scalars either way, p included, and the
+    point returned is the draw itself; only which draws pass can differ.
 
     ``precision_digits`` > 0 converts the sampled scalars to ``mpmath.mpc``
     at the caller's working precision (the CLI runs the whole campaign
     under ``mpmath.workdps(precision_digits)``); the draw itself is
     identical, so reports stay reproducible across precision modes.
-    ``p_max`` below ``P_LO`` raises ``ValueError``.
+    ``p_max`` outside [``P_LO``, ``P_HI``] raises ``ValueError``.
     """
-    if p_max is not None and p_max < P_LO:
-        raise ValueError(f"p_max must be at least {P_LO}")
-    p_hi = P_HI if p_max is None else min(P_HI, p_max)
+    if p_max is not None and not P_LO <= p_max <= P_HI:
+        raise ValueError(f"p_max must lie in [{P_LO}, {P_HI}]")
+    p_hi = P_HI if p_max is None else p_max
     for _ in range(MAX_ATTEMPTS):
         pp = _draw(rng, p_hi)
-        if check_genericity(pp, size, guard):
-            # a double point keeps the thetas its scan computed; an mpmath
-            # point is new and starts its own store
+        if check_genericity(pp.replace(p=0j) if theta_free else pp, size, guard):
+            # a double point keeps the thetas its scan computed (none for a
+            # theta-free scan, which filled the p = 0 point's store); an
+            # mpmath point is new and starts its own store
             return _to_mp(pp) if precision_digits > 0 else pp
     raise ResamplingExhaustedError(
         f"no generic point found in {MAX_ATTEMPTS} attempts (guard {guard})")

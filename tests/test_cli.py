@@ -8,13 +8,15 @@ import inspect
 import json
 import math
 from pathlib import Path
+from random import Random
 
 import pytest
 
 from conftest import count_theta_calls
-from thetacb import bezout, cli, noncomm
+from thetacb import bezout, cli, noncomm, special
 from thetacb.cli import (
     REGISTRY,
+    THETA_FREE,
     CampaignConfig,
     build_config,
     list_identities,
@@ -23,6 +25,8 @@ from thetacb.cli import (
     run_campaign,
 )
 from thetacb.identities import IdentityReport
+from thetacb.params import IdentitySize
+from thetacb.sampling import sample_param_point
 
 
 class TestRegistry:
@@ -203,6 +207,22 @@ class TestCampaign:
         assert count_theta_calls(monkeypatch, lambda: report.append(run_campaign(config))) == 0
         assert report[0].all_pass
 
+    def test_theta_free_campaign_evaluates_no_theta(self, monkeypatch):
+        # their scans read the p = 0 point's closed forms, and the checks
+        # read no theta at p != 0
+        batch, batches = special._theta_batch, [0]
+
+        def counting(*args):
+            batches[0] += 1
+            return batch(*args)
+
+        monkeypatch.setattr(special, "_theta_batch", counting)
+        config = CampaignConfig(identities=tuple(sorted(THETA_FREE)), m_max=2, n_max=2, seed=0)
+        report = []
+        assert count_theta_calls(monkeypatch, lambda: report.append(run_campaign(config))) == 0
+        assert batches[0] == 0
+        assert report[0].all_pass and len(report[0].records) == 15 * 9 * 3
+
     def test_extended_precision_campaign(self):
         config = CampaignConfig(identities=("matrix_pair",), m_max=1, n_max=1,
                                 trials=1, seed=3, precision=30, tol=1e-12)
@@ -215,6 +235,24 @@ class TestCampaign:
         assert set(report.summary) == set(REGISTRY)
         failing = {name: s for name, s in report.summary.items() if s["failures"]}
         assert not failing
+
+
+class TestThetaFree:
+    """The checks whose trials scan the p = 0 point must not read p."""
+
+    def test_every_name_is_registered(self):
+        assert THETA_FREE <= REGISTRY.keys()
+        assert len(THETA_FREE) == 15
+
+    @pytest.mark.parametrize("name", sorted(THETA_FREE))
+    def test_residual_is_the_same_at_every_nome(self, name):
+        runner = REGISTRY[name][2]
+        for seed, (m, n) in enumerate([(0, 0), (2, 1), (3, 3)]):
+            pp = sample_param_point(Random(seed), IdentitySize(m, n), theta_free=True)
+            want = runner(pp, m, n)
+            assert math.isfinite(want)
+            for p in (-0.7 * pp.p.conjugate(), 0j):
+                assert runner(pp.replace(p=p), m, n) == want, (m, n, p)
 
 
 #: runner name -> (module, name) of the residual function it folds

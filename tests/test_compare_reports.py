@@ -75,3 +75,40 @@ def test_a_closed_pipe_ends_the_output_quietly(tmp_path):
     finally:
         os.close(write)
     assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_trials_at_differing_parameters_are_listed_and_not_read_as_moves(tmp_path, capsys):
+    parent = _write(tmp_path / "parent.jsonl", [
+        _trial("qcb", 0, 0, 1e-16, "pass"),
+        _trial("qcb", 1, 0, 2e-16, "pass"),
+        _trial("qcb", 2, 1, 1e-16, "pass"),
+    ])
+    change = _write(tmp_path / "change.jsonl", [
+        _trial("qcb", 0, 0, 5e-9, "pass", x=0.25),
+        _trial("qcb", 1, 0, 3e-16, "pass"),
+        _trial("qcb", 2, 1, 1e-16, "pass", x=0.75),
+    ])
+    assert compare_reports.main([parent, change]) == 0
+    out = capsys.readouterr().out.splitlines()
+    listed = out.index("identical parameters: 1/3")
+    assert out[listed + 1:listed + 3] == ["  parameters differ: qcb (0, 0) trial 0",
+                                          "  parameters differ: qcb (2, 0) trial 1"]
+    # the 5e-9 move is between two different points; the largest move read
+    # is the one at identical parameters
+    assert out[-1] == "  qcb (1, 0) trial 0: 2e-16 -> 3e-16 (move 1e-16)"
+
+
+def test_the_listing_stops_at_its_cap(tmp_path, capsys):
+    count = compare_reports.MAX_LISTED + 5
+    parent = _write(tmp_path / "parent.jsonl",
+                    [_trial("qcb", m, 0, 1e-16, "pass") for m in range(count)])
+    change = _write(tmp_path / "change.jsonl",
+                    [_trial("qcb", m, 0, 1e-16, "pass", x=0.25) for m in range(count)])
+    assert compare_reports.main([parent, change]) == 0
+    out = capsys.readouterr().out.splitlines()
+    listed = [line for line in out if line.startswith("  parameters differ: ")]
+    assert len(listed) == compare_reports.MAX_LISTED
+    assert listed[0] == "  parameters differ: qcb (0, 0) trial 0"
+    assert "  ... and 5 more" in out
+    # no matched trial at identical parameters: no move is read for qcb
+    assert out[-1] == "largest residual move per identity:"

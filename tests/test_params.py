@@ -15,9 +15,9 @@ from thetacb.identities import cb_residual, cb_term_abcq, cb_term_elliptic
 from thetacb.lattice import master_equality_residual
 from thetacb.noncomm import (AlgebraTag, binomial_theorem_residual,
                              elliptic_binomial_recursion_residual)
-from thetacb.params import IdentitySize
+from thetacb.params import IdentitySize, ParamPoint
 import thetacb.sampling as sampling
-from thetacb.errors import DegenerateParameterError
+from thetacb.errors import DegenerateParameterError, ResamplingExhaustedError
 from thetacb.sampling import (DEFAULT_GUARD, P_HI, P_LO, _denominator_args, _draw, _to_mp,
                               _weight_numerator_args, check_genericity, sample_param_point,
                               theta_margin)
@@ -221,3 +221,33 @@ def test_a_nome_bound_below_the_sampled_range_is_rejected():
     for seed in range(20):
         pp = sample_param_point(Random(seed), IdentitySize(1, 1), p_max=0.1)
         assert P_LO * (1 - 1e-12) <= abs(pp.p) <= 0.1 * (1 + 1e-12)
+
+
+def test_a_nome_bound_above_the_sampled_range_is_rejected():
+    # |p| is drawn at most P_HI; a wider bound would be narrowed without notice
+    for p_max in (0.9, math.nextafter(P_HI, 1), math.nan):
+        with pytest.raises(ValueError, match="p_max"):
+            sample_param_point(Random(0), IdentitySize(1, 1), p_max=p_max)
+    pp = sample_param_point(Random(0), IdentitySize(1, 1), p_max=P_HI)
+    assert pp == sample_param_point(Random(0), IdentitySize(1, 1))
+
+
+def test_a_theta_free_scan_keeps_a_draw_lost_only_to_a_theta_at_p(monkeypatch):
+    # c x = p: theta(c x; p) = theta(p; p) = 0, so the elliptic scan rejects
+    # the draw; at p = 0 the same factor is 1 - c x = 1 - p, clear of zero
+    p, x = 0.3 + 0.1j, 2 + 0j
+    pp = ParamPoint(x=x, a=0.7 + 0.4j, b=-0.5 + 0.9j, c=p / x, q=0.2 + 0.6j, p=p)
+    assert pp.c * pp.x == p and pp.thetas[p][0] == 0
+    assert abs(1 - pp.c * pp.x) > DEFAULT_GUARD
+    for depth in [(0, 0), (2, 1), (3, 3)]:
+        size = IdentitySize(*depth)
+        assert not check_genericity(fresh_copy(pp), size)
+        # that zero alone is what the elliptic scan rejects
+        assert check_genericity(pp.replace(c=1.1 * pp.c), size)
+        assert check_genericity(pp.replace(p=0j), size)
+        with monkeypatch.context() as patch:
+            patch.setattr(sampling, "_draw", lambda rng, p_hi: fresh_copy(pp))
+            got = sample_param_point(Random(0), size, theta_free=True)
+            assert got == pp and got.p == p
+            with pytest.raises(ResamplingExhaustedError):
+                sample_param_point(Random(0), size)
