@@ -6,11 +6,13 @@ PARENT and CHANGE are JSONL reports written by ``thetacb`` (``--out``).
 Trials are matched by their coordinates (identity, m, n, trial).  The
 script prints whether both reports hold the same coordinates, how many
 matched records have identical parameters and the coordinates of those
-that differ (the first ``MAX_LISTED``), the verdict changes split by
-direction, the non-finite residual count of each side, and per identity
+that differ, the verdict changes split by direction, each with its
+coordinates and both residuals, the non-finite residual count of each
+side, and per identity
 the largest residual move with the trial where it happened.  A move is
 read only between records at identical parameters: elsewhere the two
-residuals come from different points.
+residuals come from different points.  Each listing stops after
+``MAX_LISTED`` trials and says how many it left out.
 
 Exit status: 0 when the trial coordinates match, 1 when they differ, 2
 on a usage error.  A reader that closes the pipe early (``| head``) ends
@@ -24,7 +26,8 @@ import math
 import os
 import sys
 
-#: How many trials with differing parameters are listed by coordinate.
+#: How many trials each listing (differing parameters, each direction of
+#: verdict change) names by coordinate.
 MAX_LISTED = 20
 
 
@@ -34,6 +37,20 @@ def load_trials(path: str) -> dict:
         records = [json.loads(line) for line in handle if line.strip()]
     return {(rec["identity"], rec["m"], rec["n"], rec["trial"]): rec
             for rec in records if rec.get("type") == "trial"}
+
+
+def _listing(entries: list[str]) -> list[str]:
+    """The first ``MAX_LISTED`` entries as indented lines, then how many
+    were left out."""
+    lines = [f"  {entry}" for entry in entries[:MAX_LISTED]]
+    if len(entries) > MAX_LISTED:
+        lines.append(f"  ... and {len(entries) - MAX_LISTED} more")
+    return lines
+
+
+def _where(key) -> str:
+    identity, m, n, trial = key
+    return f"{identity} ({m}, {n}) trial {trial}"
 
 
 def compare(parent: dict, change: dict) -> tuple[list[str], bool]:
@@ -49,18 +66,20 @@ def compare(parent: dict, change: dict) -> tuple[list[str], bool]:
 
     moved = [key for key in common if parent[key]["params"] != change[key]["params"]]
     lines.append(f"identical parameters: {len(common) - len(moved)}/{len(common)}")
-    lines.extend(f"  parameters differ: {identity} ({m}, {n}) trial {trial}"
-                 for identity, m, n, trial in moved[:MAX_LISTED])
-    if len(moved) > MAX_LISTED:
-        lines.append(f"  ... and {len(moved) - MAX_LISTED} more")
+    lines.extend(_listing([f"parameters differ: {_where(key)}" for key in moved]))
 
-    flips = {("pass", "fail"): 0, ("fail", "pass"): 0}
+    flips: dict[tuple, list] = {("pass", "fail"): [], ("fail", "pass"): []}
     for key in common:
         move = (parent[key]["verdict"], change[key]["verdict"])
         if move in flips:
-            flips[move] += 1
-    lines.append(f"verdict changes: pass -> fail {flips['pass', 'fail']}, "
-                 f"fail -> pass {flips['fail', 'pass']}")
+            flips[move].append(key)
+    lines.append(f"verdict changes: pass -> fail {len(flips['pass', 'fail'])}, "
+                 f"fail -> pass {len(flips['fail', 'pass'])}")
+    for (before, after), keys in flips.items():
+        lines.extend(_listing([
+            f"{before} -> {after}: {_where(key)}: "
+            f"{parent[key]['residual']:.3g} -> {change[key]['residual']:.3g}"
+            for key in keys]))
 
     def nonfinite(trials):
         return sum(not math.isfinite(rec["residual"]) for rec in trials.values())
@@ -80,12 +99,11 @@ def compare(parent: dict, change: dict) -> tuple[list[str], bool]:
             largest[key[0]] = (move, key, before, after)
     lines.append("largest residual move per identity:")
     for identity in sorted(largest):
-        move, (_, m, n, trial), before, after = largest[identity]
+        move, key, before, after = largest[identity]
         if move == 0:
             lines.append(f"  {identity}: unchanged")
             continue
-        lines.append(f"  {identity} ({m}, {n}) trial {trial}: "
-                     f"{before:.3g} -> {after:.3g} (move {move:.3g})")
+        lines.append(f"  {_where(key)}: {before:.3g} -> {after:.3g} (move {move:.3g})")
     return lines, same_coords
 
 

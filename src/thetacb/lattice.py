@@ -24,7 +24,7 @@ from itertools import combinations
 from .errors import CapExceededError, HConditionError, OutOfRegionError
 from .params import IdentitySize, ParamPoint
 from .special import DENOMINATOR_GUARD, relative_residual, theta_ratio, worst_residual
-from .weights import elliptic_weight, h_table
+from .weights import ZERO_SHIFT, elliptic_weight, h_table
 
 #: Endpoints with m + n beyond this are refused by the brute-force routes.
 BRUTE_FORCE_CAP = 12
@@ -159,7 +159,7 @@ def a_table_dp(pp: ParamPoint, size: IdentitySize) -> WeightTable:
     return WeightTable(m, n, tuple(map(tuple, a)), tuple(map(tuple, b)))
 
 
-def b_closed(pp: ParamPoint, k: int, l: int):
+def b_closed(pp: ParamPoint, k: int, l: int, shift=ZERO_SHIFT):
     """Closed form of the normalised table:
 
         B(k, l) = theta((a/b) q^(k-l), b/a; p) (bc q^l; q, p)_k
@@ -169,20 +169,22 @@ def b_closed(pp: ParamPoint, k: int, l: int):
 
     The l = 0 boundary is the system's boundary condition B(k, 0) = 1 and
     is returned exactly; at k = 0 the value is computed (the factors only
-    cancel through the theta inversion identity there).
+    cancel through the theta inversion identity there).  ``shift`` reads
+    B at (a q^alpha, b q^beta, c q^gamma), as the weights read h.
     """
     if k < 0 or l < 0:
         raise OutOfRegionError("table indices must be nonnegative")
     if l == 0:
         return 1
     x, a, b, c, q = pp.x, pp.a, pp.b, pp.c, pp.q
+    al, be, ga = shift
     lad = pp.thetas
     a_b, b_a, bc, ac = lad[a / b], lad[b / a], lad[b * c], lad[a * c]
     ab, cx, c_x, qq = lad[a * b], lad[c * x], lad[c / x], lad[q]
-    num = ((ac, k, l), (qq, k, l), (ab, 0, l), (cx, 0, l),
-           (c_x, 0, l), (bc, l, k), (a_b, k - l, 1), (b_a, 0, 1))
-    den = ((ab, k, l), (cx, k, l), (ac, 0, l), (qq, 0, l),
-           (bc, 0, k), (c_x, k, l), (a_b, k, 1), (b_a, l, 1))
+    num = ((ac, al + ga + k, l), (qq, k, l), (ab, al + be, l), (cx, ga, l),
+           (c_x, ga, l), (bc, be + ga + l, k), (a_b, al - be + k - l, 1), (b_a, be - al, 1))
+    den = ((ab, al + be + k, l), (cx, ga + k, l), (ac, al + ga, l), (qq, 0, l),
+           (bc, be + ga, k), (c_x, ga + k, l), (a_b, al - be + k, 1), (b_a, be - al + l, 1))
     return theta_ratio(num, den) * q**l
 
 

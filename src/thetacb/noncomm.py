@@ -16,12 +16,16 @@ kept as lazy expression trees carrying an integer substitution state
 (alpha, beta, gamma) for (a, b, c) -> (a q^alpha, b q^beta, c q^gamma), so
 moving a generator past a coefficient is an O(1) shift update and the
 commutation rules stay auditably exact; numbers appear only when a
-normal form is evaluated at a parameter point.
+normal form is evaluated at a parameter point.  A leaf then passes its
+state to its kernel as ``shift``, and the kernel reads the point's own
+theta ladders at offset indices (see ``weights``), so every state shares
+the one point's ladders.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
@@ -30,7 +34,7 @@ from .lattice import b_closed
 from .params import ParamPoint
 from .special import (qbinom, relative_residual, series_with_running_products, theta_ratio,
                       worst_residual)
-from .weights import binomial_weight, elliptic_weight, normalized_weight
+from .weights import ZERO_SHIFT, binomial_weight, elliptic_weight, normalized_weight
 
 #: Coefficients below this fraction of the row maximum count as structural
 #: zeros when two normal forms are compared.
@@ -40,7 +44,7 @@ STRUCTURAL_ZERO = 1e-14
 # ---------------------------------------------------------------------------
 # Elliptic binomial coefficients of both kinds.
 
-def elliptic_binomial(pp: ParamPoint, n: int, k: int):
+def elliptic_binomial(pp: ParamPoint, n: int, k: int, shift=ZERO_SHIFT):
     """Two-parameter elliptic binomial coefficient at the point's a, b, q
     and p, read off its theta store:
 
@@ -49,28 +53,30 @@ def elliptic_binomial(pp: ParamPoint, n: int, k: int):
 
     zero outside 0 <= k <= n and exactly 1 on the boundary (coded, not
     computed).  Reduces to [n, k]_q under p -> 0, a -> 0, then b -> 0.
+    ``shift`` reads it at (a q^alpha, b q^beta).
     """
     if k < 0 or k > n:
         return 0
     if k == 0 or k == n:
         return 1
     a, b, q = pp.a, pp.b, pp.q
+    al, be, _ = shift
     lad = pp.thetas
     qq, la, lb, a_b = lad[q], lad[a], lad[b], lad[a / b]
-    t = n - k
-    return theta_ratio(((qq, k, t), (la, 1 + k, t), (lb, 1 + k, t), (a_b, 1 - k, t)),
-                       ((qq, 0, t), (la, 1, t), (lb, 1 + 2 * k, t), (a_b, 1, t)))
+    t, d = n - k, al - be
+    return theta_ratio(((qq, k, t), (la, al + 1 + k, t), (lb, be + 1 + k, t), (a_b, d + 1 - k, t)),
+                       ((qq, 0, t), (la, al + 1, t), (lb, be + 1 + 2 * k, t), (a_b, d + 1, t)))
 
 
-def path_binomial(pp: ParamPoint, n: int, k: int):
+def path_binomial(pp: ParamPoint, n: int, k: int, shift=ZERO_SHIFT):
     """Four-parameter elliptic binomial coefficient: the normalised
-    generating function B(k, n-k) of weighted paths to (k, n-k); zero
-    outside 0 <= k <= n, exactly 1 on the boundary."""
+    generating function B(k, n-k) of weighted paths to (k, n-k) at ``shift``
+    (:func:`lattice.b_closed`); zero outside 0 <= k <= n, exactly 1 on the boundary."""
     if k < 0 or k > n:
         return 0
     if k == 0 or k == n:
         return 1
-    return b_closed(pp, k, n - k)
+    return b_closed(pp, k, n - k, shift)
 
 
 def elliptic_binomial_recursion_residual(pp: ParamPoint, n: int, k: int) -> float:
@@ -93,7 +99,7 @@ def path_binomial_recursion_residual(pp: ParamPoint, n: int, k: int) -> float:
     if 0 < k <= n + 1:
         rhs = rhs + path_binomial(pp, n, k - 1) * normalized_weight(pp, k - 1, n + 1 - k)
     if k <= n:
-        rhs = rhs + path_binomial(pp, n, k) * normalized_weight(pp.swap_ab(), n - k, k)
+        rhs = rhs + path_binomial(pp, n, k) * normalized_weight(pp, n - k, k, swap=True)
     return relative_residual(lhs, rhs)
 
 
@@ -130,9 +136,6 @@ class _Sum:
         self.parts = parts
 
 
-_ZERO_SHIFT = (0, 0, 0)
-
-
 @dataclass(frozen=True)
 class Coefficient:
     """A member of the coefficient field: an expression tree plus the
@@ -140,10 +143,10 @@ class Coefficient:
     Shifts compose additively and distribute over products and sums."""
 
     node: object
-    shift: tuple[int, int, int] = _ZERO_SHIFT
+    shift: tuple[int, int, int] = ZERO_SHIFT
 
     def shifted(self, delta: tuple[int, int, int]) -> "Coefficient":
-        if delta == _ZERO_SHIFT:
+        if delta == ZERO_SHIFT:
             return self
         s = self.shift
         return Coefficient(self.node, (s[0] + delta[0], s[1] + delta[1], s[2] + delta[2]))
@@ -152,12 +155,12 @@ class Coefficient:
         return isinstance(self.node, _Const) and self.node.value == 0
 
     def __mul__(self, other: "Coefficient") -> "Coefficient":
-        if isinstance(self.node, _Const) and self.shift == _ZERO_SHIFT:
+        if isinstance(self.node, _Const) and self.shift == ZERO_SHIFT:
             if self.node.value == 0:
                 return self
             if self.node.value == 1:
                 return other
-        if isinstance(other.node, _Const) and other.shift == _ZERO_SHIFT:
+        if isinstance(other.node, _Const) and other.shift == ZERO_SHIFT:
             if other.node.value == 0:
                 return other
             if other.node.value == 1:
@@ -185,38 +188,26 @@ def coeff_qpow(e: int) -> Coefficient:
     return Coefficient(_Leaf(("qpow", e), lambda pp, s: pp.q**e))
 
 
-def _shifted_pp(pp: ParamPoint, s, swap: bool) -> ParamPoint:
-    out = pp.shift(*s)
-    return out.swap_ab() if swap else out
-
-
 def coeff_h(i: int, j: int, swap: bool = False) -> Coefficient:
     """The lattice weight h(i, j) as a field element; ``swap`` reads the
     weight with the roles of a and b exchanged (after substitution)."""
-    return Coefficient(_Leaf(
-        ("h", i, j, swap),
-        lambda pp, s: elliptic_weight(_shifted_pp(pp, s, swap), i, j)))
+    return Coefficient(_Leaf(("h", i, j, swap), lambda pp, s: elliptic_weight(pp, i, j, s, swap)))
 
 
 def coeff_big_h(i: int, j: int, swap: bool = False) -> Coefficient:
     """The normalised weight H(i, j) as a field element."""
-    return Coefficient(_Leaf(
-        ("H", i, j, swap),
-        lambda pp, s: normalized_weight(_shifted_pp(pp, s, swap), i, j)))
+    return Coefficient(_Leaf(("H", i, j, swap),
+                             lambda pp, s: normalized_weight(pp, i, j, s, swap)))
 
 
 def coeff_path_binomial(n: int, k: int) -> Coefficient:
     """The four-parameter elliptic binomial as a field element."""
-    return Coefficient(_Leaf(
-        ("pbin", n, k),
-        lambda pp, s: path_binomial(pp.shift(*s), n, k)))
+    return Coefficient(_Leaf(("pbin", n, k), lambda pp, s: path_binomial(pp, n, k, s)))
 
 
 def coeff_elliptic_binomial(n: int, k: int) -> Coefficient:
     """The two-parameter elliptic binomial as a field element."""
-    return Coefficient(_Leaf(
-        ("wbin", n, k),
-        lambda pp, s: elliptic_binomial(pp.shift(*s), n, k)))
+    return Coefficient(_Leaf(("wbin", n, k), lambda pp, s: elliptic_binomial(pp, n, k, s)))
 
 
 def coeff_qbinom(n: int, k: int) -> Coefficient:
@@ -226,9 +217,8 @@ def coeff_qbinom(n: int, k: int) -> Coefficient:
 
 def coeff_binomial_weight(s_idx: int, t_idx: int) -> Coefficient:
     """The recursion weight W(s, t) as a field element."""
-    return Coefficient(_Leaf(
-        ("W", s_idx, t_idx),
-        lambda pp, s: binomial_weight(pp.shift(*s), s_idx, t_idx)))
+    return Coefficient(_Leaf(("W", s_idx, t_idx),
+                             lambda pp, s: binomial_weight(pp, s_idx, t_idx, s)))
 
 
 class EvalContext:
@@ -244,7 +234,7 @@ class EvalContext:
         self.pp = pp
         self._memo: dict = {}
 
-    def value(self, coeff: Coefficient, outer: tuple[int, int, int] = _ZERO_SHIFT):
+    def value(self, coeff: Coefficient, outer: tuple[int, int, int] = ZERO_SHIFT):
         s = coeff.shift
         total = (outer[0] + s[0], outer[1] + s[1], outer[2] + s[2])
         node = coeff.node
@@ -281,7 +271,7 @@ class AlgebraTag(enum.Enum):
 #: tag -> (shift of X past a coefficient, shift of Y past a coefficient,
 #: the coefficient w of Y X = w X Y)
 _RULES = {
-    AlgebraTag.Q_COMMUTING: (_ZERO_SHIFT, _ZERO_SHIFT, coeff_qpow(1)),
+    AlgebraTag.Q_COMMUTING: (ZERO_SHIFT, ZERO_SHIFT, coeff_qpow(1)),
     AlgebraTag.ELLIPTIC_AB: ((1, 2, 0), (2, 1, 0), coeff_binomial_weight(1, 1)),
     AlgebraTag.ELLIPTIC_XABC: ((1, 0, 1), (0, 1, 1), coeff_big_h(0, 1)),
 }
@@ -411,7 +401,7 @@ def binomial_power(tag: AlgebraTag, pp: ParamPoint, n: int) -> NormalFormElement
     """
     base = binomial_base(tag)
     if tag is AlgebraTag.ELLIPTIC_XABC:
-        elliptic_weight(pp.swap_ab(), 0, 0)
+        elliptic_weight(pp, 0, 0, swap=True)
     return nf_pow(base, n)
 
 
@@ -450,10 +440,9 @@ def closed_binomial_coefficients(tag: AlgebraTag, pp: ParamPoint, n: int) -> dic
         for k in range(n + 1):
             out[(k, n - k)] = elliptic_binomial(pp, n, k)
     else:
-        swapped = pp.swap_ab()
         prods = [1]
         for j in range(n):
-            prods.append(prods[-1] * elliptic_weight(swapped, j, 0))
+            prods.append(prods[-1] * elliptic_weight(pp, j, 0, swap=True))
         for k in range(n + 1):
             out[(k, n - k)] = path_binomial(pp, n, k) * prods[n - k]
     return out
@@ -555,11 +544,7 @@ def homogeneous_cb_residual(tag: AlgebraTag, pp: ParamPoint, m: int, n: int) -> 
 
 def _swap_weight_products(pp: ParamPoint, count: int, start: int = 0, row: int = 0):
     """prod_{s<count} h~(start + s, row) with h~ the a<->b swapped weight."""
-    swapped = pp.swap_ab()
-    acc = 1
-    for s in range(count):
-        acc = acc * elliptic_weight(swapped, start + s, row)
-    return acc
+    return math.prod(elliptic_weight(pp, start + s, row, swap=True) for s in range(count))
 
 
 def convolution_residual(pp: ParamPoint, n: int, m: int, k: int) -> float:
@@ -579,7 +564,7 @@ def convolution_residual(pp: ParamPoint, n: int, m: int, k: int) -> float:
     scale = abs(lhs)
     for j in range(max(0, k - m), min(k, n) + 1):
         term = path_binomial(pp, n, j)
-        term = term * path_binomial(pp.shift(j, n - j, n), m, k - j)
+        term = term * path_binomial(pp, m, k - j, (j, n - j, n))
         term = term * _swap_weight_products(pp, n - j)
         term = term * _swap_weight_products(pp, m + j - k, start=n - j, row=j)
         for i in range(k - j):

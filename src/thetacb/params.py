@@ -68,13 +68,6 @@ class ParamPoint:
         """The point with the roles of a and b exchanged."""
         return self.replace(a=self.b, b=self.a)
 
-    def shift(self, alpha: int, beta: int, gamma: int) -> "ParamPoint":
-        """Substitute (a, b, c) -> (a q^alpha, b q^beta, c q^gamma)."""
-        if alpha == beta == gamma == 0:
-            return self
-        q = self.q
-        return self.replace(a=self.a * q**alpha, b=self.b * q**beta, c=self.c * q**gamma)
-
     def replace(self, **changes) -> "ParamPoint":
         """The point with some scalars changed.  It shares this point's
         theta store when q and p are unchanged: every entry depends on q,

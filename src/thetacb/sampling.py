@@ -67,10 +67,13 @@ def theta_margin(ladder: ThetaLadder, j: int) -> float:
 
 
 def _denominator_args(pp: ParamPoint, m: int, n: int):
-    """Theta factors that can appear in a denominator for truncation depths
-    up to (m, n), including the a <-> b mirror and the shifted contexts
-    used by the non-commutative expansions, as (ladder, index) pairs of
-    the point's theta store."""
+    """The denominator thetas the scan checks at depths (m, n), as (ladder,
+    index) pairs of the point's store, top = m + n + 1: ladders q, ab, cx,
+    c/x, ac and bc at 0..top, a/b at -(top+1)..top+1, a and b at 0..2 top.
+    b/a is covered through a/b by theta inversion (theta(1/z) = -theta(z)/z).
+    At m, n <= 3 every denominator that the weights, closed forms and
+    normal-form leaves read is in this set; the very-well-poised sum's
+    own bases are not."""
     x, a, b, c, q = pp.x, pp.a, pp.b, pp.c, pp.q
     lad = pp.thetas
     top = m + n + 1

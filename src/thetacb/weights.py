@@ -12,6 +12,9 @@ Pascal-style recursion of the two-parameter elliptic binomial coefficients.
 All three take a :class:`ParamPoint` and read their thetas off its store
 (:attr:`ParamPoint.thetas`).  All three are elliptic: substituting p*x,
 p*a, p*b or p*c for the matching parameter leaves them unchanged.
+A ``shift`` (alpha, beta, gamma) reads a weight at (a q^alpha, b q^beta,
+c q^gamma) off the same ladders at offset indices: every base moves by a
+power of q (ab -> ab q^(alpha+beta), a/b -> (a/b) q^(alpha-beta), ...).
 """
 
 from __future__ import annotations
@@ -20,19 +23,28 @@ from .errors import HConditionError, OutOfRegionError
 from .params import ParamPoint
 from .special import DENOMINATOR_GUARD
 
+#: The substitution (alpha, beta, gamma) that leaves a, b and c as they are.
+ZERO_SHIFT = (0, 0, 0)
 
-def elliptic_weight(pp: ParamPoint, i: int, j: int):
+
+def elliptic_weight(pp: ParamPoint, i: int, j: int, shift=ZERO_SHIFT, swap: bool = False):
     """East-step weight h(i, j): the eight-theta ratio above, read off the
     point's theta store (:attr:`ParamPoint.thetas`), so a set of cells
     costs one theta call per distinct ladder index.  Every denominator
-    theta is checked on its own by :meth:`ThetaLadder.den`."""
+    theta is checked on its own by :meth:`ThetaLadder.den`.  ``swap``
+    exchanges the roles of a and b after the ``shift``, alpha's and beta's
+    with them."""
     if i < 0 or j < 0:
         raise OutOfRegionError("weight indices must be nonnegative")
     x, a, b, c = pp.x, pp.a, pp.b, pp.c
+    al, be, ga = shift
+    if swap:
+        a, b, al, be = b, a, be, al
     lad = pp.thetas
-    num = lad[b * c][i + 2 * j] * lad[c / b][i] * lad[a * x][i] * lad[a / x][i]
-    return num / (lad[a * b].den(i + j) * lad[a / b].den(i - j)
-                  * lad[c * x].den(i + j) * lad[c / x].den(i + j))
+    num = lad[b * c][be + ga + i + 2 * j] * lad[c / b][ga - be + i] \
+        * lad[a * x][al + i] * lad[a / x][al + i]
+    return num / (lad[a * b].den(al + be + i + j) * lad[a / b].den(al - be + i - j)
+                  * lad[c * x].den(ga + i + j) * lad[c / x].den(ga + i + j))
 
 
 def h_table(pp: ParamPoint, m: int, n: int) -> list[list]:
@@ -44,20 +56,21 @@ def elliptic_weight_complement(pp: ParamPoint, i: int, j: int):
     """Closed form of 1 - h(i, j), which equals h(j, i) with a and b
     exchanged.  Kept as an independent route for cross-checks; production
     paths compute 1 - elliptic_weight directly."""
-    return elliptic_weight(pp.swap_ab(), j, i)
+    return elliptic_weight(pp, j, i, swap=True)
 
 
-def normalized_weight(pp: ParamPoint, i: int, j: int):
-    """Row-normalised weight H(i, j) = h(i, j) / h(i, 0)."""
-    h_i0 = elliptic_weight(pp, i, 0)
+def normalized_weight(pp: ParamPoint, i: int, j: int, shift=ZERO_SHIFT, swap: bool = False):
+    """Row-normalised weight H(i, j) = h(i, j) / h(i, 0), with ``shift`` and
+    ``swap`` as in :func:`elliptic_weight`."""
+    h_i0 = elliptic_weight(pp, i, 0, shift, swap)
     if abs(h_i0) <= DENOMINATOR_GUARD:
         raise HConditionError(f"h({i}, 0) vanished; H(i, j) undefined")
     if j == 0:
         return 1
-    return elliptic_weight(pp, i, j) / h_i0
+    return elliptic_weight(pp, i, j, shift, swap) / h_i0
 
 
-def binomial_weight(pp: ParamPoint, s: int, t: int):
+def binomial_weight(pp: ParamPoint, s: int, t: int, shift=ZERO_SHIFT):
     """Recursion weight W(s, t) of the (a, b)-elliptic binomial family at
     the point's a, b, q and p, read off its theta store:
 
@@ -67,17 +80,20 @@ def binomial_weight(pp: ParamPoint, s: int, t: int):
                         (a/b) q^(1+t-s), (a/b) q^(t-s); p) * q^t.
 
     W(s, 0) = 1 exactly (coded fast path); the iterated limit p -> 0,
-    a -> 0, b -> 0 recovers the plain q-weight q^t.
+    a -> 0, b -> 0 recovers the plain q-weight q^t.  ``shift`` reads W at
+    (a q^alpha, b q^beta); c plays no part.
     """
     if s < 0 or t < 0:
         raise OutOfRegionError("weight indices must be nonnegative")
     a, b, q = pp.a, pp.b, pp.q
     if t == 0:
         return a * 0 + b * 0 + 1
+    al, be, _ = shift
+    d = al - be
     lad = pp.thetas
     la, lb, a_b = lad[a], lad[b], lad[a / b]
-    num = la[s + 2 * t] * lb[2 * s] * lb[2 * s - 1] * a_b[1 - s] * a_b[-s]
-    den = la.den(s) * lb.den(2 * s + t) * lb.den(2 * s + t - 1) * a_b.den(1 + t - s) \
-        * a_b.den(t - s)
+    num = la[al + s + 2 * t] * lb[be + 2 * s] * lb[be + 2 * s - 1] * a_b[d + 1 - s] * a_b[d - s]
+    den = la.den(al + s) * lb.den(be + 2 * s + t) * lb.den(be + 2 * s + t - 1) \
+        * a_b.den(d + 1 + t - s) * a_b.den(d + t - s)
     return num / den * q**t
 

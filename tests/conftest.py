@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from itertools import accumulate, repeat
 from random import Random
 
 import pytest
@@ -100,6 +101,53 @@ def ab_point(a, b, q, p) -> ParamPoint:
 def fresh_copy(pp: ParamPoint) -> ParamPoint:
     """The same point with an empty theta store."""
     return ParamPoint(pp.x, pp.a, pp.b, pp.c, pp.q, pp.p)
+
+
+def shifted_point(pp: ParamPoint, shift) -> ParamPoint:
+    """The substituted point (a q^alpha, b q^beta, c q^gamma), built as a
+    new point: the reference a kernel read at ``shift`` is compared with."""
+    alpha, beta, gamma = shift
+    q = pp.q
+    return pp.replace(a=pp.a * q**alpha, b=pp.b * q**beta, c=pp.c * q**gamma)
+
+
+def normal_form_leaves(depth: int = 3) -> dict:
+    """Every leaf that the homogeneous and binomial normal forms of the two
+    elliptic algebras reach at m, n <= depth, with each substitution state
+    it is read at, found by walking their coefficient trees without
+    evaluating them: {(leaf key, shift): leaf}, the key naming the kernel
+    and its indices."""
+    from thetacb.noncomm import (AlgebraTag, _homogeneous_rhs, _Leaf, _Prod, _Sum,
+                                 binomial_base, nf_mul, nf_unit)
+
+    found, seen = {}, set()
+
+    def walk(coeff, outer):
+        s = coeff.shift
+        total = (outer[0] + s[0], outer[1] + s[1], outer[2] + s[2])
+        node = coeff.node
+        if (id(node), total) in seen:
+            return
+        seen.add((id(node), total))
+        if isinstance(node, _Leaf):
+            found[node.key, total] = node
+        elif isinstance(node, _Prod):
+            walk(node.left, total)
+            walk(node.right, total)
+        elif isinstance(node, _Sum):
+            for part in node.parts:
+                walk(part, total)
+
+    for tag in (AlgebraTag.ELLIPTIC_AB, AlgebraTag.ELLIPTIC_XABC):
+        powers = list(accumulate(repeat(binomial_base(tag), 2 * depth + 1), nf_mul,
+                                 initial=nf_unit(tag)))
+        for m in range(depth + 1):
+            for n in range(depth + 1):
+                rhs = _homogeneous_rhs(tag, m, n, powers)
+                for element in (powers[m + n + 1], rhs):
+                    for _, coeff in element.terms:
+                        walk(coeff, (0, 0, 0))
+    return found
 
 
 @pytest.fixture

@@ -207,6 +207,14 @@ class TestCampaign:
         assert count_theta_calls(monkeypatch, lambda: report.append(run_campaign(config))) == 0
         assert report[0].all_pass
 
+    @pytest.mark.parametrize("name", ["homogeneous_elliptic_ab", "binomial_elliptic_ab"])
+    def test_ab_elliptic_campaign_reads_no_scalar_theta(self, monkeypatch, name):
+        # its shifted leaves read the entries the scan's batch filled
+        config = CampaignConfig(identities=(name,), m_max=3, n_max=3, seed=0)
+        report = []
+        assert count_theta_calls(monkeypatch, lambda: report.append(run_campaign(config))) == 0
+        assert report[0].all_pass
+
     def test_theta_free_campaign_evaluates_no_theta(self, monkeypatch):
         # their scans read the p = 0 point's closed forms, and the checks
         # read no theta at p != 0

@@ -45,7 +45,12 @@ def test_matching_reports(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "trials: parent 4, change 4, coordinates identical"
     assert "identical parameters: 3/4" in out
-    assert "verdict changes: pass -> fail 1, fail -> pass 2" in out
+    flips = out.index("verdict changes: pass -> fail 1, fail -> pass 2")
+    assert out[flips + 1:flips + 4] == [
+        "  pass -> fail: elliptic_cb (0, 0) trial 0: 3e-09 -> 2e-08",
+        "  fail -> pass: elliptic_cb (1, 0) trial 0: nan -> 1e-15",
+        "  fail -> pass: qcb (1, 0) trial 0: 2e-08 -> 4e-09",
+    ]
     assert "non-finite residuals: parent 1, change 0" in out
     assert "  elliptic_cb (0, 0) trial 0: 3e-09 -> 2e-08 (move 1.7e-08)" in out
     assert "  qcb (1, 0) trial 0: 2e-08 -> 4e-09 (move 1.6e-08)" in out
@@ -112,3 +117,23 @@ def test_the_listing_stops_at_its_cap(tmp_path, capsys):
     assert "  ... and 5 more" in out
     # no matched trial at identical parameters: no move is read for qcb
     assert out[-1] == "largest residual move per identity:"
+
+
+def test_each_direction_of_verdict_change_is_listed_up_to_the_cap(tmp_path, capsys):
+    count = compare_reports.MAX_LISTED + 3
+    parent = _write(tmp_path / "parent.jsonl",
+                    [_trial("qcb", m, 0, 1e-16, "pass") for m in range(count)]
+                    + [_trial("qcb", m, 1, 2e-8, "fail") for m in range(2)])
+    change = _write(tmp_path / "change.jsonl",
+                    [_trial("qcb", m, 0, 3e-8, "fail") for m in range(count)]
+                    + [_trial("qcb", m, 1, 1e-16, "pass") for m in range(2)])
+    assert compare_reports.main([parent, change]) == 0
+    out = capsys.readouterr().out.splitlines()
+    flips = out.index(f"verdict changes: pass -> fail {count}, fail -> pass 2")
+    worse = [line for line in out if line.startswith("  pass -> fail: ")]
+    assert len(worse) == compare_reports.MAX_LISTED
+    assert worse[0] == "  pass -> fail: qcb (0, 0) trial 0: 1e-16 -> 3e-08"
+    after = flips + compare_reports.MAX_LISTED + 1
+    assert out[after:after + 3] == ["  ... and 3 more",
+                                    "  fail -> pass: qcb (0, 0) trial 1: 2e-08 -> 1e-16",
+                                    "  fail -> pass: qcb (1, 0) trial 1: 2e-08 -> 1e-16"]

@@ -12,7 +12,7 @@ import mpmath
 import pytest
 
 from conftest import (ab_point, count_theta_calls, fresh_copy, nan_on_second_call,
-                      unit_complex)
+                      normal_form_leaves, shifted_point, unit_complex)
 from thetacb import noncomm
 from thetacb.errors import DegenerateParameterError
 from thetacb.noncomm import (
@@ -145,6 +145,41 @@ class TestEllipticBinomials:
 
 def _pp(rng):
     return sample_param_point(rng, IdentitySize(6, 6))
+
+
+class TestShiftedLeaves:
+    """A leaf at a substitution state reads the base point's ladders at
+    offset indices; the reference is the kernel at the substituted point."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_leaf_is_its_kernel_at_the_substituted_point(self, seed):
+        pp = sample_param_point(Random(seed), IdentitySize(3, 3))
+        for (_, shift), leaf in normal_form_leaves().items():
+            want = leaf.fn(shifted_point(pp, shift), (0, 0, 0))
+            assert abs(leaf.fn(pp, shift) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_binomials_are_read_at_the_substituted_point(self, seed):
+        # the normal forms' shifts and the convolution's (j, n - j, n)
+        pp = sample_param_point(Random(seed), IdentitySize(3, 3))
+        shifts = {shift for _, shift in normal_form_leaves()}
+        shifts |= {(j, n - j, n) for n in range(4) for j in range(n + 1)}
+        for shift in sorted(shifts):
+            ref = shifted_point(pp, shift)
+            for n in range(5):
+                for k in range(n + 1):
+                    for kernel in (elliptic_binomial, path_binomial):
+                        want = kernel(ref, n, k)
+                        assert abs(kernel(pp, n, k, shift) - want) <= 1e-12 * abs(want)
+
+    def test_shifted_leaves_add_no_ladders(self):
+        sizes = []
+        for depth in (1, 2, 3):
+            pp = sample_param_point(Random(depth), IdentitySize(depth, depth))
+            homogeneous_cb_residual(AlgebraTag.ELLIPTIC_XABC, pp, depth, depth)
+            convolution_residual(pp, depth, depth, depth)
+            sizes.append(len(pp.thetas))
+        assert sizes[0] == sizes[1] == sizes[2]
 
 
 class TestNormalForm:
@@ -420,7 +455,8 @@ class TestVeryWellPoisedSum:
 
         conv = {}
         for j in range(max(0, k - m), min(k, n) + 1):
-            t = path_binomial(pp, n, j) * path_binomial(pp.shift(j, n - j, n), m, k - j)
+            t = path_binomial(pp, n, j) \
+                * path_binomial(shifted_point(pp, (j, n - j, n)), m, k - j)
             for ell in range(n - j):
                 t *= elliptic_weight(swapped, ell, 0)
             for s in range(m + j - k):

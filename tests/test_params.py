@@ -38,7 +38,7 @@ def test_derived_points_share_the_store_only_at_the_same_q_and_p(generic_point):
     pp = generic_point
     store = pp.thetas
     assert pp.swap_ab().thetas is store
-    assert pp.shift(1, 0, 2).thetas is store
+    assert pp.replace(a=pp.a * pp.q, c=pp.c * pp.q**2).thetas is store
     assert pp.replace(x=2 * pp.x).thetas is store
     assert pp.replace(p=0j).thetas is not store
     assert pp.replace(q=1 / pp.q).thetas is not store

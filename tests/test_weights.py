@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from conftest import ab_point, unit_complex
+from conftest import ab_point, normal_form_leaves, shifted_point, unit_complex
 from thetacb.errors import DegenerateParameterError
 from thetacb.params import IdentitySize, ParamPoint
 from thetacb.sampling import sample_param_point
@@ -41,11 +41,31 @@ def test_complement_symmetry_sweep():
 
 
 def test_motivation_substitution(point_factory):
-    # h(i, j) equals h(0, 0) at the index-shifted parameter point
+    # h(i, j) equals h(0, 0) at the index-shifted parameter point, and read
+    # through the shift it is the same ladder entries bit for bit
     pp = point_factory()
     for i, j in ((0, 0), (1, 2), (3, 1), (4, 4)):
-        want = elliptic_weight(pp.shift(i, j, i + j), 0, 0)
-        assert relative_residual(elliptic_weight(pp, i, j), want) < 1e-12
+        h = elliptic_weight(pp, i, j)
+        want = elliptic_weight(shifted_point(pp, (i, j, i + j)), 0, 0)
+        assert relative_residual(h, want) < 1e-12
+        assert elliptic_weight(pp, 0, 0, (i, j, i + j)) == h
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_shifted_weights_are_the_weights_at_the_substituted_point(seed):
+    # read at every shift the normal forms reach at m, n <= 3, with and
+    # without swap, off the base point's ladders at offset indices
+    pp = sample_param_point(Random(seed), IdentitySize(3, 3))
+    for shift in sorted({shift for _, shift in normal_form_leaves()}):
+        ref = shifted_point(pp, shift)
+        for i in range(4):
+            for j in range(4):
+                for swap in (False, True):
+                    for kernel in (elliptic_weight, normalized_weight):
+                        want = kernel(ref, i, j, swap=swap)
+                        assert abs(kernel(pp, i, j, shift, swap) - want) <= 1e-12 * abs(want)
+                want = binomial_weight(ref, i, j)
+                assert abs(binomial_weight(pp, i, j, shift) - want) <= 1e-12 * abs(want)
 
 
 def test_total_ellipticity(point_factory):
@@ -132,5 +152,3 @@ def test_param_point_validation():
     pp = ParamPoint(1 + 0j, 2, 3, 4, 0.5, 0)
     assert pp.p == 0
     assert pp.swap_ab().a == 3
-    shifted = pp.shift(1, 0, 2)
-    assert shifted.a == 2 * 0.5 and shifted.c == 4 * 0.25
