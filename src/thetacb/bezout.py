@@ -185,7 +185,7 @@ def abq2_cofactor_coeffs(a, b, q, m: int, n: int) -> tuple[tuple, tuple]:
     def coeffs(aa, bb, mm, nn):
         pre = 1 / (qpoch(aa * bb, q, nn + 1) * qpoch(bb / aa, q, nn + 1))
         out = []
-        coeff = complex(pre)
+        coeff = pre
         for k in range(mm + 1):
             if k:
                 num = 1 - q ** (nn + k)

@@ -27,7 +27,7 @@ from .noncomm import AlgebraTag
 from .params import IdentitySize, ParamPoint
 from .sampling import DEFAULT_GUARD, P_HI, P_LO, sample_param_point
 from .special import addition_formula_residual, qbinom, qpoch, relative_residual, worst_residual
-from .weights import elliptic_weight, elliptic_weight_complement
+from .weights import elliptic_weight
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,9 @@ def _qbinom_pascal(pp, m, n):
 
 
 def _h_complement(pp, m, n):
+    # 1 - h(i, j) = h(j, i) with a and b exchanged
     return worst_residual(relative_residual(1 - elliptic_weight(pp, i, j),
-                                            elliptic_weight_complement(pp, i, j))
+                                            elliptic_weight(pp, j, i, swap=True))
                           for i in range(min(m, 4) + 1) for j in range(min(n, 4) + 1))
 
 
@@ -297,7 +298,9 @@ def _run_trial(rng: Random, config: CampaignConfig, runner: Callable,
     family's denominators); the retry consumes the same deterministic
     stream, so reports stay reproducible and trial counts unchanged.
     A ``theta_free`` check (:data:`THETA_FREE`) has the sampler scan the
-    draw's p = 0 point, and is evaluated at the draw itself."""
+    draw's p = 0 point, and is evaluated at the draw itself.  An
+    ``OverflowError`` of the check gives a NaN residual: the trial fails
+    and counts as non-finite, and the campaign goes on."""
     for _ in range(20):
         pp = sample_param_point(rng, IdentitySize(m, n), guard=config.guard,
                                 p_max=config.p_max, precision_digits=config.precision,
@@ -306,6 +309,8 @@ def _run_trial(rng: Random, config: CampaignConfig, runner: Callable,
             return pp, float(runner(pp, m, n))
         except DegenerateParameterError:
             continue
+        except OverflowError:
+            return pp, math.nan
     raise ResamplingExhaustedError(
         f"no evaluable point for this identity at depths ({m}, {n})")
 

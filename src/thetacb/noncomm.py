@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
+from typing import Callable, NamedTuple
 
 from .lattice import b_closed
 from .params import ParamPoint
@@ -221,6 +222,14 @@ def coeff_binomial_weight(s_idx: int, t_idx: int) -> Coefficient:
                              lambda pp, s: binomial_weight(pp, s_idx, t_idx, s)))
 
 
+def _coeff_swap_product(count: int) -> Coefficient:
+    """prod_{j<count} h~(j, 0) as a field element."""
+    out = COEFF_ONE
+    for j in range(count):
+        out = out * coeff_h(j, 0, swap=True)
+    return out
+
+
 class EvalContext:
     """Memoised evaluator for coefficient trees at one parameter point.
 
@@ -268,12 +277,39 @@ class AlgebraTag(enum.Enum):
     ELLIPTIC_XABC = "elliptic_xabc"
 
 
-#: tag -> (shift of X past a coefficient, shift of Y past a coefficient,
-#: the coefficient w of Y X = w X Y)
+class _Algebra(NamedTuple):
+    """One algebra's row of :data:`_RULES`: its commutation rules and the
+    closed coefficients its binomial and homogeneous theorems assert."""
+
+    dx: tuple[int, int, int]  # shift of X past a coefficient
+    dy: tuple[int, int, int]  # shift of Y past a coefficient
+    w: Coefficient  # Y X = w X Y
+    y: Coefficient  # binomial_base = X + y Y
+    closed: Callable[[int, int], Coefficient]  # (n, k) -> X^k Y^(n-k) coefficient of base^n
+    left: Callable[[int, int], Coefficient]  # (n, k) -> weight of the first homogeneous sum
+    right: Callable[[int, int], Coefficient]  # (m, k) -> weight of the second
+
+
+#: tag -> the algebra's row.  The homogeneous sums (:func:`_homogeneous_rhs`)
+#: are scaled by closed(n+k, k) left(n, k) and closed(m+k, m) right(m, k).
+#: The q-commuting pair is the paper's [n+k, k]_q q^(-(n+1)k) and
+#: [m+k, k]_(1/q) q^((m+1)k), with Y^(n+1) moved past X^k (a factor
+#: q^((n+1)k)) and [m+k, k]_(1/q) = q^(-mk) [m+k, k]_q.  In the
+#: four-parameter algebra the first sum splits each word at its (n+1)-th Y
+#: and the second at its (m+1)-th X; moving that X past the k leading Y's
+#: of the tail costs the telescoped reorder factor H(m, k).
 _RULES = {
-    AlgebraTag.Q_COMMUTING: (ZERO_SHIFT, ZERO_SHIFT, coeff_qpow(1)),
-    AlgebraTag.ELLIPTIC_AB: ((1, 2, 0), (2, 1, 0), coeff_binomial_weight(1, 1)),
-    AlgebraTag.ELLIPTIC_XABC: ((1, 0, 1), (0, 1, 1), coeff_big_h(0, 1)),
+    AlgebraTag.Q_COMMUTING: _Algebra(
+        ZERO_SHIFT, ZERO_SHIFT, coeff_qpow(1), COEFF_ONE, coeff_qbinom,
+        lambda n, k: COEFF_ONE, lambda m, k: coeff_qpow(k)),
+    AlgebraTag.ELLIPTIC_AB: _Algebra(
+        (1, 2, 0), (2, 1, 0), coeff_binomial_weight(1, 1), COEFF_ONE, coeff_elliptic_binomial,
+        lambda n, k: COEFF_ONE, lambda m, k: coeff_binomial_weight(m + 1, k)),
+    AlgebraTag.ELLIPTIC_XABC: _Algebra(
+        (1, 0, 1), (0, 1, 1), coeff_big_h(0, 1), coeff_h(0, 0, swap=True),
+        lambda n, k: coeff_path_binomial(n, k) * _coeff_swap_product(n - k),
+        lambda n, k: coeff_h(n, k, swap=True),
+        lambda m, k: coeff_big_h(m, k) if k else COEFF_ONE),
 }
 
 
@@ -284,12 +320,13 @@ def reorder_coefficient(tag: AlgebraTag, s: int, r: int) -> Coefficient:
     base YX coefficient shifted by i steps of X and j steps of Y."""
     if tag is AlgebraTag.Q_COMMUTING:
         return coeff_qpow(s * r) if s * r else COEFF_ONE
-    dx, dy, base = _RULES[tag]
+    rule = _RULES[tag]
+    dx, dy = rule.dx, rule.dy
     out = COEFF_ONE
     for j in range(s):
         for i in range(r):
             delta = (i * dx[0] + j * dy[0], i * dx[1] + j * dy[1], i * dx[2] + j * dy[2])
-            out = out * base.shifted(delta)
+            out = out * rule.w.shifted(delta)
     return out
 
 
@@ -354,7 +391,8 @@ def nf_mul(e1: NormalFormElement, e2: NormalFormElement) -> NormalFormElement:
     if e1.tag is not e2.tag:
         raise ValueError("cannot multiply elements of different algebras")
     tag = e1.tag
-    dx, dy, _ = _RULES[tag]
+    rule = _RULES[tag]
+    dx, dy = rule.dx, rule.dy
     out: dict = {}
     for (k1, l1), f in e1.terms:
         move = (k1 * dx[0] + l1 * dy[0], k1 * dx[1] + l1 * dy[1], k1 * dx[2] + l1 * dy[2])
@@ -384,24 +422,29 @@ def evaluate_element(e: NormalFormElement, pp: ParamPoint,
 
 
 def binomial_base(tag: AlgebraTag) -> NormalFormElement:
-    """The binomial whose powers have factorising normal forms: X + Y in
-    the q-commuting and (a, b)-elliptic algebras, X + h~(0,0) Y in the
-    four-parameter algebra (h~ is the weight with a and b exchanged)."""
-    if tag is AlgebraTag.ELLIPTIC_XABC:
-        return nf_element(tag, {(1, 0): COEFF_ONE, (0, 1): coeff_h(0, 0, swap=True)})
-    return nf_element(tag, {(1, 0): COEFF_ONE, (0, 1): COEFF_ONE})
+    """The binomial whose powers have factorising normal forms, X + y Y
+    with the row's y: X + Y in the q-commuting and (a, b)-elliptic
+    algebras, X + h~(0,0) Y in the four-parameter algebra (h~ is the
+    weight with a and b exchanged)."""
+    return nf_element(tag, {(1, 0): COEFF_ONE, (0, 1): _RULES[tag].y})
+
+
+def closed_binomial(tag: AlgebraTag, n: int) -> NormalFormElement:
+    """The factorised normal form the binomial theorem asserts for
+    binomial_base(tag)^n: the row's closed(n, k) at X^k Y^(n-k)."""
+    closed = _RULES[tag].closed
+    return nf_element(tag, {(k, n - k): closed(n, k) for k in range(n + 1)})
 
 
 def binomial_power(tag: AlgebraTag, pp: ParamPoint, n: int) -> NormalFormElement:
     """Normal form of the n-th power of :func:`binomial_base`.
 
-    The point is used to reject degenerate bases up front (the four-
-    parameter base weight must be evaluable); coefficients themselves stay
-    lazy and surface degeneracies when evaluated.
+    The base is evaluated at the point to reject a degenerate one up front
+    (the four-parameter base weight must be evaluable); coefficients
+    themselves stay lazy and surface degeneracies when evaluated.
     """
     base = binomial_base(tag)
-    if tag is AlgebraTag.ELLIPTIC_XABC:
-        elliptic_weight(pp, 0, 0, swap=True)
+    evaluate_element(base, pp)
     return nf_pow(base, n)
 
 
@@ -429,79 +472,31 @@ def compare_maps(map1: dict, map2: dict) -> float:
 # ---------------------------------------------------------------------------
 # Verification drivers.
 
-def closed_binomial_coefficients(tag: AlgebraTag, pp: ParamPoint, n: int) -> dict:
-    """The factorised normal-form coefficients the binomial theorems
-    assert for binomial_base(tag)^n, keyed like evaluate_element."""
-    out = {}
-    if tag is AlgebraTag.Q_COMMUTING:
-        for k in range(n + 1):
-            out[(k, n - k)] = qbinom(n, k, pp.q)
-    elif tag is AlgebraTag.ELLIPTIC_AB:
-        for k in range(n + 1):
-            out[(k, n - k)] = elliptic_binomial(pp, n, k)
-    else:
-        prods = [1]
-        for j in range(n):
-            prods.append(prods[-1] * elliptic_weight(pp, j, 0, swap=True))
-        for k in range(n + 1):
-            out[(k, n - k)] = path_binomial(pp, n, k) * prods[n - k]
-    return out
-
-
 def binomial_theorem_residual(tag: AlgebraTag, pp: ParamPoint, n: int) -> float:
     """Worst relative gap between the normal form of binomial_base(tag)^n,
-    expanded by repeated multiplication, and the closed coefficient
-    formulas of the binomial theorem."""
-    expanded = evaluate_element(binomial_power(tag, pp, n), pp)
-    return compare_maps(expanded, closed_binomial_coefficients(tag, pp, n))
-
-
-def _coeff_swap_product(count: int) -> Coefficient:
-    """prod_{j<count} h~(j, 0) as a field element."""
-    out = COEFF_ONE
-    for j in range(count):
-        out = out * coeff_h(j, 0, swap=True)
-    return out
-
-
-#: tag -> (left(m, n, k), right(m, n, k)): the coefficients of the two sums
-#: of _homogeneous_rhs.  The q-commuting pair is the paper's
-#: [n+k, k]_q q^(-(n+1)k) and [m+k, k]_(1/q) q^((m+1)k), with Y^(n+1) moved
-#: past X^k (a factor q^((n+1)k)) and [m+k, k]_(1/q) = q^(-mk) [m+k, k]_q.
-#: In the four-parameter algebra the first sum splits each word at its
-#: (n+1)-th Y and the second at its (m+1)-th X; moving that X past the k
-#: leading Y's of the tail costs the telescoped reorder factor H(m, k).
-_HOMOGENEOUS = {
-    AlgebraTag.Q_COMMUTING: (
-        lambda m, n, k: coeff_qbinom(n + k, k),
-        lambda m, n, k: coeff_qpow(k) * coeff_qbinom(m + k, k)),
-    AlgebraTag.ELLIPTIC_AB: (
-        lambda m, n, k: coeff_elliptic_binomial(n + k, k),
-        lambda m, n, k: coeff_elliptic_binomial(m + k, m) * coeff_binomial_weight(m + 1, k)),
-    AlgebraTag.ELLIPTIC_XABC: (
-        lambda m, n, k: (coeff_path_binomial(n + k, k) * _coeff_swap_product(n)
-                         * coeff_h(n, k, swap=True)),
-        lambda m, n, k: (coeff_path_binomial(m + k, m) * _coeff_swap_product(k)
-                         * (coeff_big_h(m, k) if k else COEFF_ONE))),
-}
+    expanded by repeated multiplication, and :func:`closed_binomial`, the
+    two evaluated in one context."""
+    ctx = EvalContext(pp)
+    expanded = evaluate_element(binomial_power(tag, pp, n), pp, ctx)
+    return compare_maps(expanded, evaluate_element(closed_binomial(tag, n), pp, ctx))
 
 
 def _homogeneous_rhs(tag: AlgebraTag, m: int, n: int, powers: list) -> NormalFormElement:
     """Right-hand side of the homogeneous two-sum expansion of
     binomial_base^(m+n+1) in the given algebra,
 
-        sum_{k<=m} left(k) X^k Y^(n+1) base^(m-k)
-          + sum_{k<=n} right(k) X^(m+1) Y^k base^(n-k),
+        sum_{k<=m} closed(n+k, k) left(n, k) X^k Y^(n+1) base^(m-k)
+          + sum_{k<=n} closed(m+k, m) right(m, k) X^(m+1) Y^k base^(n-k),
 
-    where ``powers[j]`` is base^j."""
-    left, right = _HOMOGENEOUS[tag]
+    with the algebra's row of :data:`_RULES`, where ``powers[j]`` is base^j."""
+    row = _RULES[tag]
     total = nf_element(tag, {})
     for k in range(m + 1):
         term = nf_mul(nf_monomial(tag, k, n + 1), powers[m - k])
-        total = nf_add(total, nf_scale(term, left(m, n, k)))
+        total = nf_add(total, nf_scale(term, row.closed(n + k, k) * row.left(n, k)))
     for k in range(n + 1):
         term = nf_mul(nf_monomial(tag, m + 1, k), powers[n - k])
-        total = nf_add(total, nf_scale(term, right(m, n, k)))
+        total = nf_add(total, nf_scale(term, row.closed(m + k, m) * row.right(m, k)))
     return total
 
 
@@ -559,7 +554,7 @@ def convolution_residual(pp: ParamPoint, n: int, m: int, k: int) -> float:
     """
     if k < 0 or k > n + m:
         raise ValueError("need 0 <= k <= n + m")
-    lhs = path_binomial(pp, n + m, k) * _swap_weight_products(pp, n + m - k)
+    lhs = EvalContext(pp).value(_RULES[AlgebraTag.ELLIPTIC_XABC].closed(n + m, k))
     total = 0
     scale = abs(lhs)
     for j in range(max(0, k - m), min(k, n) + 1):

@@ -52,13 +52,6 @@ def h_table(pp: ParamPoint, m: int, n: int) -> list[list]:
     return [[elliptic_weight(pp, i, j) for j in range(n + 1)] for i in range(m + 1)]
 
 
-def elliptic_weight_complement(pp: ParamPoint, i: int, j: int):
-    """Closed form of 1 - h(i, j), which equals h(j, i) with a and b
-    exchanged.  Kept as an independent route for cross-checks; production
-    paths compute 1 - elliptic_weight directly."""
-    return elliptic_weight(pp, j, i, swap=True)
-
-
 def normalized_weight(pp: ParamPoint, i: int, j: int, shift=ZERO_SHIFT, swap: bool = False):
     """Row-normalised weight H(i, j) = h(i, j) / h(i, 0), with ``shift`` and
     ``swap`` as in :func:`elliptic_weight`."""

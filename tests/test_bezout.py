@@ -289,6 +289,20 @@ class TestModReduction:
             worst = max(worst, mod_reduction_check("second", a, b, q, 1, 1))
         assert worst < 1e-10
 
+    def test_second_kind_at_thirty_digits(self):
+        # the closed cofactors are built at the working precision: read in
+        # doubles they leave a gap near 1e-17
+        rng = Random(81)
+        worst = 0.0
+        with mpmath.workdps(30):
+            for _ in range(6):
+                a, b = (mpmath.mpc(unit_complex(rng, 0.2, 2)) for _ in range(2))
+                q = mpmath.mpc(unit_complex(rng, 0.3, 0.9))
+                for m in range(4):
+                    for n in range(4):
+                        worst = max(worst, mod_reduction_check("second", a, b, q, m, n))
+        assert worst < 1e-25
+
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             mod_reduction_check("third", 1, 2, 0.5, 1, 1)

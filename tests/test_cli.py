@@ -12,7 +12,7 @@ from random import Random
 
 import pytest
 
-from conftest import count_theta_calls
+from conftest import count_theta_calls, fresh_copy
 from thetacb import bezout, cli, noncomm, special
 from thetacb.cli import (
     REGISTRY,
@@ -170,6 +170,27 @@ class TestCampaign:
         # the trial records keep the residual as a JSON number
         residuals = [rec["residual"] for rec in lines[:-1] if rec["identity"] == "nan_check"]
         assert len(residuals) == 4 and all(math.isnan(r) for r in residuals)
+
+    def test_an_overflow_in_a_check_is_a_failed_nonfinite_trial(self, tmp_path):
+        # elliptic_cb at (12, 14), trial 0 of campaign seed 3: a theta
+        # reduction of the check overflows in cmath.exp
+        tseed = cli._trial_seed(3, "elliptic_cb", 12, 14, 0)
+        assert tseed == 7444341477398701693
+        runner = REGISTRY["elliptic_cb"][2]
+        pp, residual = cli._run_trial(Random(tseed), CampaignConfig(), runner, 12, 14)
+        assert math.isnan(residual)
+        with pytest.raises(OverflowError):
+            runner(fresh_copy(pp), 12, 14)
+
+        out = tmp_path / "report.jsonl"
+        code = main(["--identities", "elliptic_cb", "--m-max", "14", "--n-max", "14",
+                     "--trials", "1", "--seed", "3", "--out", str(out)])
+        assert code == 1
+        lines = [json.loads(line) for line in out.read_text().splitlines()]
+        failed = [(rec["m"], rec["n"]) for rec in lines[:-1] if rec["verdict"] == "fail"]
+        assert failed == [(12, 14)]
+        summary = lines[-1]["identities"]["elliptic_cb"]
+        assert (summary["trials"], summary["failures"], summary["nonfinite"]) == (225, 1, 1)
 
     def test_repeated_identity_rejected_at_config_time(self, tmp_path, capsys):
         with pytest.raises(ValueError, match="repeated identities: qcb"):

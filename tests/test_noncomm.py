@@ -21,6 +21,7 @@ from thetacb.noncomm import (
     binomial_base,
     binomial_power,
     binomial_theorem_residual,
+    closed_binomial,
     coeff_binomial_weight,
     coeff_const,
     coeff_h,
@@ -283,6 +284,24 @@ class TestBinomialTheorems:
             want = elliptic_binomial(pp, 4, k)
             worst = max(worst, relative_residual(values[(k, 4 - k)], want))
         assert worst < 1e-9
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_closed_binomial_is_the_numeric_closed_formula(self, seed):
+        # each row's closed coefficients, evaluated, are the formulas bit for bit
+        pp = sample_param_point(Random(seed), IdentitySize(6, 6))
+        for n in range(7):
+            prods = [1]
+            for j in range(n):
+                prods.append(prods[-1] * elliptic_weight(pp, j, 0, swap=True))
+            want = {
+                AlgebraTag.Q_COMMUTING: [qbinom(n, k, pp.q) for k in range(n + 1)],
+                AlgebraTag.ELLIPTIC_AB: [elliptic_binomial(pp, n, k) for k in range(n + 1)],
+                AlgebraTag.ELLIPTIC_XABC: [path_binomial(pp, n, k) * prods[n - k]
+                                           for k in range(n + 1)],
+            }
+            for tag, values in want.items():
+                got = evaluate_element(closed_binomial(tag, n), pp)
+                assert got == {(k, n - k): v for k, v in enumerate(values)}, (tag, n)
 
     def test_all_theorems_to_degree_six(self, generic_point):
         # worst_residual keeps a NaN, which a plain max could drop

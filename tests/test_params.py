@@ -10,7 +10,8 @@ import mpmath
 import pytest
 
 from conftest import count_theta_calls, fresh_copy, theta_batch_bound
-from thetacb.cli import CampaignConfig
+from thetacb import cli
+from thetacb.cli import REGISTRY, THETA_FREE, CampaignConfig
 from thetacb.identities import cb_residual, cb_term_abcq, cb_term_elliptic
 from thetacb.lattice import master_equality_residual
 from thetacb.noncomm import (AlgebraTag, binomial_theorem_residual,
@@ -21,7 +22,7 @@ from thetacb.errors import DegenerateParameterError, ResamplingExhaustedError
 from thetacb.sampling import (DEFAULT_GUARD, P_HI, P_LO, _denominator_args, _draw, _to_mp,
                               _weight_numerator_args, check_genericity, sample_param_point,
                               theta_margin)
-from thetacb.special import ThetaLadders
+from thetacb.special import ThetaLadder, ThetaLadders
 from thetacb.weights import elliptic_weight
 
 
@@ -251,3 +252,48 @@ def test_a_theta_free_scan_keeps_a_draw_lost_only_to_a_theta_at_p(monkeypatch):
             assert got == pp and got.p == p
             with pytest.raises(ResamplingExhaustedError):
                 sample_param_point(Random(0), size)
+
+
+def _unscanned_divisors(monkeypatch, name, m, n, seed):
+    """The denominator thetas that check ``name`` reads at a campaign point
+    for depths (m, n) and that the genericity scan of that point leaves
+    out: every :meth:`ThetaLadder.den` read of the check, as (base, index),
+    against :func:`_denominator_args` of the point its trial scans (the
+    p = 0 point for a theta-free check).  A read of b/a at j is matched
+    with a/b at -j, which the scan covers by theta inversion."""
+    reads, den = [], ThetaLadder.den
+    runner = REGISTRY[name][2]
+
+    def recording(pp, m, n):
+        # only the reads of the accepted point's evaluation
+        reads.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(ThetaLadder, "den",
+                          lambda ladder, j: reads.append((ladder.p, ladder.z, j))
+                          or den(ladder, j))
+            return runner(pp, m, n)
+
+    theta_free = name in THETA_FREE
+    pp, _ = cli._run_trial(Random(seed), CampaignConfig(), recording, m, n,
+                           theta_free=theta_free)
+    scanned = pp.replace(p=0j) if theta_free else pp
+    scan = {(ladder.p, ladder.z, j) for ladder, j in _denominator_args(scanned, m, n)}
+    b_a = pp.b / pp.a
+    return {(z, j) for p, z, j in reads
+            if ((p, pp.a / pp.b, -j) if z == b_a else (p, z, j)) not in scan}
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY.keys() - {"frenkel_turaev"}))
+def test_the_scan_covers_every_denominator_a_check_reads(monkeypatch, name):
+    # the very-well-poised sum divides by its own bases, which no scan reads
+    for m in range(4):
+        for n in range(4):
+            for seed in range(2):
+                assert not _unscanned_divisors(monkeypatch, name, m, n, seed), (m, n, seed)
+
+
+@pytest.mark.xfail(strict=True, reason="convolution's b_closed at shift (j, n - j, n) reads "
+                   "bc and ac past the scan's top index (ROADMAP item 5)")
+@pytest.mark.parametrize("m, n", [(2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (4, 4)])
+def test_the_scan_covers_the_convolutions_denominators_past_depth_three(monkeypatch, m, n):
+    assert not _unscanned_divisors(monkeypatch, "convolution", m, n, 0)
