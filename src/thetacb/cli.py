@@ -26,7 +26,7 @@ from .errors import DegenerateParameterError, ResamplingExhaustedError
 from .noncomm import AlgebraTag
 from .params import IdentitySize, ParamPoint
 from .sampling import DEFAULT_GUARD, P_HI, P_LO, sample_param_point
-from .special import addition_formula_residual, qbinom, qpoch, relative_residual, worst_residual
+from .special import addition_formula_residual, qpoch, relative_residual, worst_residual
 from .weights import elliptic_weight
 
 
@@ -71,8 +71,10 @@ class CampaignConfig:
 # ---------------------------------------------------------------------------
 # Identity registry: name -> (description, runner(pp, m, n) -> residual).
 
-def _binomial_runner(tag: AlgebraTag) -> Callable:
-    return lambda pp, m, n: noncomm.binomial_theorem_residual(tag, pp, m)
+def _at_m(check: Callable, tag: AlgebraTag) -> Callable:
+    """The runner of a check(tag, pp, m) that reads only m: its records carry
+    an n it never evaluates, until a size rule records what each evaluates."""
+    return lambda pp, m, n: check(tag, pp, m)
 
 
 def _convolution(pp, m, n):
@@ -86,14 +88,6 @@ def _frenkel_turaev(pp, m, n):
 
 def _theta_addition(pp, m, n):
     return addition_formula_residual(pp.x, pp.a, pp.b, pp.c, pp.p)
-
-
-def _qbinom_pascal(pp, m, n):
-    q = pp.q
-    return worst_residual(
-        relative_residual(qbinom(m + 1, k, q),
-                          qbinom(m, k, q) + q ** (m + 1 - k) * qbinom(m, k - 1, q))
-        for k in range(m + 2))
 
 
 def _h_complement(pp, m, n):
@@ -122,16 +116,6 @@ def _cb_variant(pp, m, n):
 
 def _cb_homogeneous(pp, m, n):
     return identities.cb_homogeneous_residual(pp.x, pp.a, m, n)
-
-
-def _w_recursion(pp, m, n):
-    return worst_residual(noncomm.elliptic_binomial_recursion_residual(pp, m, k)
-                          for k in range(m + 2))
-
-
-def _h_recursion(pp, m, n):
-    return worst_residual(noncomm.path_binomial_recursion_residual(pp, m, k)
-                          for k in range(m + 2))
 
 
 def _connection(kind: str) -> Callable:
@@ -194,17 +178,19 @@ REGISTRY: dict[str, tuple[str, int | None, Callable]] = {
                  None, _b_system),
     "h_complement": ("complement symmetry of the step weight", None, _h_complement),
     "theta_addition": ("four-term theta addition formula", None, _theta_addition),
-    "qbinom_pascal": ("Pascal recursion of the q-binomial", None, _qbinom_pascal),
-    "w_binomial_recursion": ("recursion of the two-parameter elliptic binomial",
-                             8, _w_recursion),
-    "h_binomial_recursion": ("recursion of the four-parameter elliptic binomial",
-                             8, _h_recursion),
-    "binomial_q_commuting": ("binomial theorem for q-commuting variables",
-                             8, _binomial_runner(AlgebraTag.Q_COMMUTING)),
-    "binomial_elliptic_ab": ("binomial theorem for (a,b)-elliptic variables",
-                             8, _binomial_runner(AlgebraTag.ELLIPTIC_AB)),
-    "binomial_elliptic_xabc": ("binomial theorem for (x,a,b,c)-elliptic variables",
-                               8, _binomial_runner(AlgebraTag.ELLIPTIC_XABC)),
+    "qbinom_pascal": ("Pascal recursion of the q-binomial", None,
+                      _at_m(noncomm.pascal_residual, AlgebraTag.Q_COMMUTING)),
+    "w_binomial_recursion": ("recursion of the two-parameter elliptic binomial", 8,
+                             _at_m(noncomm.pascal_residual, AlgebraTag.ELLIPTIC_AB)),
+    "h_binomial_recursion": ("recursion of the four-parameter elliptic binomial", 8,
+                             _at_m(noncomm.pascal_residual, AlgebraTag.ELLIPTIC_XABC)),
+    "binomial_q_commuting": ("binomial theorem for q-commuting variables", 8,
+                             _at_m(noncomm.binomial_theorem_residual, AlgebraTag.Q_COMMUTING)),
+    "binomial_elliptic_ab": ("binomial theorem for (a,b)-elliptic variables", 8,
+                             _at_m(noncomm.binomial_theorem_residual, AlgebraTag.ELLIPTIC_AB)),
+    "binomial_elliptic_xabc": ("binomial theorem for (x,a,b,c)-elliptic variables", 8,
+                               _at_m(noncomm.binomial_theorem_residual,
+                                     AlgebraTag.ELLIPTIC_XABC)),
     "homogeneous_q_commuting": ("homogeneous expansion, q-commuting variables", 8,
                                 partial(noncomm.homogeneous_cb_residual, AlgebraTag.Q_COMMUTING)),
     "homogeneous_elliptic_ab": ("homogeneous expansion, (a,b)-elliptic variables", 8,

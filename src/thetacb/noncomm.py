@@ -80,30 +80,6 @@ def path_binomial(pp: ParamPoint, n: int, k: int, shift=ZERO_SHIFT):
     return b_closed(pp, k, n - k, shift)
 
 
-def elliptic_binomial_recursion_residual(pp: ParamPoint, n: int, k: int) -> float:
-    """Residual of [n+1, k] = [n, k] + [n, k-1] W(k, n+1-k)."""
-    lhs = elliptic_binomial(pp, n + 1, k)
-    rhs = elliptic_binomial(pp, n, k)
-    if 0 < k <= n + 1:
-        rhs = rhs + elliptic_binomial(pp, n, k - 1) * binomial_weight(pp, k, n + 1 - k)
-    return relative_residual(lhs, rhs)
-
-
-def path_binomial_recursion_residual(pp: ParamPoint, n: int, k: int) -> float:
-    """Residual of the mixed-weight recursion
-
-        [n+1, k] = [n, k-1] H(k-1, n+1-k) + [n, k] H~(n-k, k),
-
-    where H~ reads the weight with a and b exchanged."""
-    lhs = path_binomial(pp, n + 1, k)
-    rhs = 0
-    if 0 < k <= n + 1:
-        rhs = rhs + path_binomial(pp, n, k - 1) * normalized_weight(pp, k - 1, n + 1 - k)
-    if k <= n:
-        rhs = rhs + path_binomial(pp, n, k) * normalized_weight(pp, n - k, k, swap=True)
-    return relative_residual(lhs, rhs)
-
-
 # ---------------------------------------------------------------------------
 # Lazy coefficients with substitution state.
 
@@ -184,49 +160,56 @@ COEFF_ONE = coeff_const(1)
 COEFF_ZERO = coeff_const(0)
 
 
+@lru_cache(maxsize=None)
 def coeff_qpow(e: int) -> Coefficient:
     """The constant q^e (unaffected by substitution of a, b, c)."""
     return Coefficient(_Leaf(("qpow", e), lambda pp, s: pp.q**e))
 
 
+@lru_cache(maxsize=None)
 def coeff_h(i: int, j: int, swap: bool = False) -> Coefficient:
     """The lattice weight h(i, j) as a field element; ``swap`` reads the
     weight with the roles of a and b exchanged (after substitution)."""
     return Coefficient(_Leaf(("h", i, j, swap), lambda pp, s: elliptic_weight(pp, i, j, s, swap)))
 
 
+@lru_cache(maxsize=None)
 def coeff_big_h(i: int, j: int, swap: bool = False) -> Coefficient:
     """The normalised weight H(i, j) as a field element."""
     return Coefficient(_Leaf(("H", i, j, swap),
                              lambda pp, s: normalized_weight(pp, i, j, s, swap)))
 
 
+@lru_cache(maxsize=None)
 def coeff_path_binomial(n: int, k: int) -> Coefficient:
     """The four-parameter elliptic binomial as a field element."""
     return Coefficient(_Leaf(("pbin", n, k), lambda pp, s: path_binomial(pp, n, k, s)))
 
 
+@lru_cache(maxsize=None)
 def coeff_elliptic_binomial(n: int, k: int) -> Coefficient:
     """The two-parameter elliptic binomial as a field element."""
     return Coefficient(_Leaf(("wbin", n, k), lambda pp, s: elliptic_binomial(pp, n, k, s)))
 
 
+@lru_cache(maxsize=None)
 def coeff_qbinom(n: int, k: int) -> Coefficient:
     """The constant q-binomial [n, k]_q."""
     return Coefficient(_Leaf(("qbinom", n, k), lambda pp, s: qbinom(n, k, pp.q)))
 
 
+@lru_cache(maxsize=None)
 def coeff_binomial_weight(s_idx: int, t_idx: int) -> Coefficient:
     """The recursion weight W(s, t) as a field element."""
     return Coefficient(_Leaf(("W", s_idx, t_idx),
                              lambda pp, s: binomial_weight(pp, s_idx, t_idx, s)))
 
 
-def _coeff_swap_product(count: int) -> Coefficient:
-    """prod_{j<count} h~(j, 0) as a field element."""
+def _coeff_swap_product(count: int, start: int = 0, row: int = 0) -> Coefficient:
+    """prod_{s<count} h~(start + s, row) as a field element."""
     out = COEFF_ONE
-    for j in range(count):
-        out = out * coeff_h(j, 0, swap=True)
+    for s in range(count):
+        out = out * coeff_h(start + s, row, swap=True)
     return out
 
 
@@ -278,20 +261,27 @@ class AlgebraTag(enum.Enum):
 
 
 class _Algebra(NamedTuple):
-    """One algebra's row of :data:`_RULES`: its commutation rules and the
-    closed coefficients its binomial and homogeneous theorems assert."""
+    """One algebra's row of :data:`_RULES`: its commutation rules, its
+    binomial with its Pascal weights, and the closed coefficients."""
 
     dx: tuple[int, int, int]  # shift of X past a coefficient
     dy: tuple[int, int, int]  # shift of Y past a coefficient
     w: Coefficient  # Y X = w X Y
     y: Coefficient  # binomial_base = X + y Y
-    closed: Callable[[int, int], Coefficient]  # (n, k) -> X^k Y^(n-k) coefficient of base^n
+    binom: Callable[[int, int], Coefficient]  # (n, k) -> the binomial coefficient
+    pascal: Callable[[int, int], tuple[Coefficient, Coefficient]]  # (n, k) -> Pascal weights
+    tail: Callable[[int], Coefficient]  # n - k -> the factor of closed(n, k) after binom(n, k)
     left: Callable[[int, int], Coefficient]  # (n, k) -> weight of the first homogeneous sum
     right: Callable[[int, int], Coefficient]  # (m, k) -> weight of the second
 
+    def closed(self, n: int, k: int) -> Coefficient:
+        """The X^k Y^(n-k) coefficient of binomial_base^n."""
+        return self.binom(n, k) * self.tail(n - k)
 
-#: tag -> the algebra's row.  The homogeneous sums (:func:`_homogeneous_rhs`)
-#: are scaled by closed(n+k, k) left(n, k) and closed(m+k, m) right(m, k).
+
+#: tag -> the algebra's row.  :func:`pascal_residual` checks its Pascal rule.
+#: The homogeneous sums (:func:`_homogeneous_rhs`) are scaled by
+#: closed(n+k, k) left(n, k) and closed(m+k, m) right(m, k).
 #: The q-commuting pair is the paper's [n+k, k]_q q^(-(n+1)k) and
 #: [m+k, k]_(1/q) q^((m+1)k), with Y^(n+1) moved past X^k (a factor
 #: q^((n+1)k)) and [m+k, k]_(1/q) = q^(-mk) [m+k, k]_q.  In the
@@ -301,14 +291,16 @@ class _Algebra(NamedTuple):
 _RULES = {
     AlgebraTag.Q_COMMUTING: _Algebra(
         ZERO_SHIFT, ZERO_SHIFT, coeff_qpow(1), COEFF_ONE, coeff_qbinom,
+        lambda n, k: (coeff_qpow(n + 1 - k), COEFF_ONE), lambda count: COEFF_ONE,
         lambda n, k: COEFF_ONE, lambda m, k: coeff_qpow(k)),
     AlgebraTag.ELLIPTIC_AB: _Algebra(
         (1, 2, 0), (2, 1, 0), coeff_binomial_weight(1, 1), COEFF_ONE, coeff_elliptic_binomial,
+        lambda n, k: (coeff_binomial_weight(k, n + 1 - k), COEFF_ONE), lambda count: COEFF_ONE,
         lambda n, k: COEFF_ONE, lambda m, k: coeff_binomial_weight(m + 1, k)),
     AlgebraTag.ELLIPTIC_XABC: _Algebra(
-        (1, 0, 1), (0, 1, 1), coeff_big_h(0, 1), coeff_h(0, 0, swap=True),
-        lambda n, k: coeff_path_binomial(n, k) * _coeff_swap_product(n - k),
-        lambda n, k: coeff_h(n, k, swap=True),
+        (1, 0, 1), (0, 1, 1), coeff_big_h(0, 1), coeff_h(0, 0, swap=True), coeff_path_binomial,
+        lambda n, k: (coeff_big_h(k - 1, n + 1 - k), coeff_big_h(n - k, k, swap=True)),
+        _coeff_swap_product, lambda n, k: coeff_h(n, k, swap=True),
         lambda m, k: coeff_big_h(m, k) if k else COEFF_ONE),
 }
 
@@ -481,6 +473,23 @@ def binomial_theorem_residual(tag: AlgebraTag, pp: ParamPoint, n: int) -> float:
     return compare_maps(expanded, evaluate_element(closed_binomial(tag, n), pp, ctx))
 
 
+def pascal_residual(tag: AlgebraTag, pp: ParamPoint, n: int) -> float:
+    """Worst relative gap over 0 <= k <= n+1 of the lattice-path split at
+    the last step, binom(n+1, k) = binom(n, k-1) u + binom(n, k) v with
+    (u, v) = pascal(n, k), evaluated in one context.  A term whose binomial
+    lies outside 0..n is left out, so no weight outside the grid is read."""
+    row = _RULES[tag]
+    value = EvalContext(pp).value
+    gaps = []
+    for k in range(n + 2):
+        u, v = row.pascal(n, k)
+        rhs = value(row.binom(n, k - 1)) * value(u) if k else 0
+        if k <= n:
+            rhs = rhs + value(row.binom(n, k)) * value(v)
+        gaps.append(relative_residual(value(row.binom(n + 1, k)), rhs))
+    return worst_residual(gaps)
+
+
 def _homogeneous_rhs(tag: AlgebraTag, m: int, n: int, powers: list) -> NormalFormElement:
     """Right-hand side of the homogeneous two-sum expansion of
     binomial_base^(m+n+1) in the given algebra,
@@ -537,11 +546,6 @@ def homogeneous_cb_residual(tag: AlgebraTag, pp: ParamPoint, m: int, n: int) -> 
 # ---------------------------------------------------------------------------
 # Convolution and the terminating very-well-poised sum.
 
-def _swap_weight_products(pp: ParamPoint, count: int, start: int = 0, row: int = 0):
-    """prod_{s<count} h~(start + s, row) with h~ the a<->b swapped weight."""
-    return math.prod(elliptic_weight(pp, start + s, row, swap=True) for s in range(count))
-
-
 def convolution_residual(pp: ParamPoint, n: int, m: int, k: int) -> float:
     """Residual of the elliptic binomial convolution
 
@@ -550,20 +554,20 @@ def convolution_residual(pp: ParamPoint, n: int, m: int, k: int) -> float:
             prod_{l<n-j} h~(l, 0) prod_{s<m+j-k} h~(s+n-j, j)
             prod_{i<k-j} H(i+j, n-j),
 
-    which splits a (n+m)-step binomial expansion at step n.
+    which splits a (n+m)-step binomial expansion at step n.  Both sides
+    are built from the four-parameter row's leaves, in one context.
     """
     if k < 0 or k > n + m:
         raise ValueError("need 0 <= k <= n + m")
-    lhs = EvalContext(pp).value(_RULES[AlgebraTag.ELLIPTIC_XABC].closed(n + m, k))
+    value = EvalContext(pp).value
+    lhs = value(_RULES[AlgebraTag.ELLIPTIC_XABC].closed(n + m, k))
     total = 0
     scale = abs(lhs)
     for j in range(max(0, k - m), min(k, n) + 1):
-        term = path_binomial(pp, n, j)
-        term = term * path_binomial(pp, m, k - j, (j, n - j, n))
-        term = term * _swap_weight_products(pp, n - j)
-        term = term * _swap_weight_products(pp, m + j - k, start=n - j, row=j)
-        for i in range(k - j):
-            term = term * normalized_weight(pp, i + j, n - j)
+        leaves = [coeff_path_binomial(n, j), coeff_path_binomial(m, k - j).shifted((j, n - j, n)),
+                  _coeff_swap_product(n - j), _coeff_swap_product(m + j - k, n - j, j),
+                  *(coeff_big_h(i + j, n - j) for i in range(k - j))]
+        term = math.prod(map(value, leaves))
         total = total + term
         scale = max(scale, abs(term))
     return float(abs(lhs - total) / max(1.0, scale))

@@ -7,16 +7,16 @@ a safe margin from zero, and the lattice-weight normalisation condition
 scan are resampled, never silently evaluated.
 
 Every theta the scan reads is a read of the point's theta store
-(``ParamPoint.thetas``).  At a double-precision point with p != 0 the
-scan first fills the store in one batch (:meth:`ThetaLadders.fill`, each
-value within its stated error bound of ``special.theta``'s), which forms
-each argument once and hands back the margins of the denominators as an
-array; the scan compares them with the guard, with no scalar theta call
-(only a weight read of an entry whose reduction overflowed makes one, and
-raises), and the checks that run at the accepted point read the same
-values.
-mpmath points and p = 0 are not batched: their scan reads entry by entry
-through :func:`theta_margin`.
+(``ParamPoint.thetas``).  At a double-precision point the scan first
+fills the store in one batch (:meth:`ThetaLadders.fill`: at p = 0 the
+closed form 1 - z q^j a read forms, otherwise each value within its
+stated error bound of ``special.theta``'s), which forms each argument
+once and hands back the margins of the denominators as an array; the
+scan compares them with the guard, with no scalar theta call (only a
+weight read of an entry that overflowed makes one, and raises, which
+rejects the draw), and the checks that run at the accepted point read
+the same values.  mpmath points are not batched: their scan reads entry
+by entry through :func:`theta_margin`.
 
 The theta-free checks (``cli.THETA_FREE``: the basic p = 0
 specialisations and the q-commuting, q-binomial, connection and Bezout
@@ -55,8 +55,8 @@ def theta_margin(ladder: ThetaLadder, j: int) -> float:
     arg = z q^j; ~0 near a zero.  Arguments deep in a quasi-period make
     theta astronomically large; overflow therefore counts as an infinite
     (safe) margin.  The scan of a point the store does not batch (mpmath
-    scalars, p = 0) reads its margins here; a batched scan has the same
-    rule from :meth:`ThetaLadders.fill`."""
+    scalars) reads its margins here; a batched scan has the same rule from
+    :meth:`ThetaLadders.fill`."""
     arg = ladder.z * ladder.q**j
     if arg == 0:
         return 0.0
@@ -106,11 +106,12 @@ def check_genericity(pp: ParamPoint, size: IdentitySize, guard: float = DEFAULT_
     """True when every reachable denominator keeps margin ``guard`` and the
     weight-normalisation condition holds with the same margin.
 
-    For a double-precision point with p != 0 the thetas of both checks
-    are evaluated first, in one batch (:meth:`ThetaLadders.fill`), which
-    also gives the denominators' margins; the weight check then reads the
-    thetas from the point's store.  Other points read each margin by
-    :func:`theta_margin`."""
+    For a double-precision point the thetas of both checks are evaluated
+    first, in one batch (:meth:`ThetaLadders.fill`), which also gives the
+    denominators' margins; the weight check then reads the thetas from the
+    point's store.  mpmath points read each margin by :func:`theta_margin`.
+    A point whose weights overflow doubles (``OverflowError``) is not
+    generic."""
     m, n = size.m, size.n
     tiny = 1e-12
     for z in (pp.x, pp.a, pp.b, pp.c, pp.q):
@@ -130,7 +131,7 @@ def check_genericity(pp: ParamPoint, size: IdentitySize, guard: float = DEFAULT_
         for j in range(n + 1):
             if abs(1 - elliptic_weight(pp, 0, j)) <= guard:
                 return False
-    except DegenerateParameterError:
+    except (DegenerateParameterError, OverflowError):
         return False
     return True
 

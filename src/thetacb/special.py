@@ -88,7 +88,8 @@ def theta(x, p, _nome=None):
     first moved into the annulus |p|^(1/2) <= |x'| < |p|^(-1/2) with the
     quasi-periodicity theta(x; p) = (-1)^n x^n p^(n(n-1)/2) theta(p^n x; p),
     which keeps the truncated product accurate for very large or very
-    small arguments.
+    small arguments.  A built-in complex value that is not finite raises
+    ``OverflowError``, as an overflow in the reduction does.
 
     ``_nome`` is internal: a theta ladder passes the values of p its
     store shares between its thetas (:class:`_Nome`), so that they are
@@ -112,7 +113,10 @@ def theta(x, p, _nome=None):
     for _ in range(count):
         acc = acc * (1 - x * pk) * (1 - px * pk)
         pk = pk * p
-    return pref * acc
+    value = pref * acc
+    if isinstance(value, complex) and not cmath.isfinite(value):
+        raise OverflowError("theta(x; p) overflowed double precision")
+    return value
 
 
 class _Nome:
@@ -294,11 +298,12 @@ def _reduce_many(x, nome: _Nome):
     return y, n, pref, count, ok
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _theta_batch(x, nome: _Nome):
     """theta(x, p) at a complex128 array of nonzero arguments x, p the
     built-in ``complex`` nome of ``nome`` (current, 0 < |p| < 1): the
     values as a complex128 array, and a boolean array that is False where
-    the argument's reduction raised ``OverflowError``.
+    :func:`theta` raises ``OverflowError``: in the reduction or at the end.
 
     Each value lies within gamma_(8 count + 2 s) |theta(x, p)| of
     :func:`theta`'s, count being the argument's factor pairs, s the
@@ -321,7 +326,8 @@ def _theta_batch(x, nome: _Nome):
     factors = 1 - col * pk
     factors *= 1 - (p / col) * pk
     factors[np.arange(pk.size) >= count.reshape(-1, 1)] = 1
-    return pref * factors.prod(axis=1), ok
+    values = pref * factors.prod(axis=1)
+    return values, ok & np.isfinite(values)
 
 
 def _mp_complex(x, p) -> bool:
@@ -434,8 +440,8 @@ class ThetaLadder:
     two ways: on first read, by :func:`theta` (at p = 0 by theta's closed
     form 1 - z q^j, formed in place), or ahead of any read, by
     :meth:`ThetaLadders.fill`, which evaluates many entries of a store in
-    one batch (:func:`_theta_batch`), within that batch's error bound of
-    the value a read would give.
+    one batch, within that batch's error bound (0 at p = 0) of the value
+    a read would give.
 
     Every theta-shifted factorial (z q^s; q, p)_L is a window of this
     ladder, so a table of such factorials over many cells costs one theta
@@ -506,31 +512,33 @@ class ThetaLadders(dict):
         ladder = self[z] = ThetaLadder(z, self.q, self.p, self.nome)
         return ladder
 
+    @np.errstate(over="ignore", invalid="ignore")
     def fill(self, entries):
         """Evaluate ``entries``, (ladder, index) pairs of this store, in one
-        batch (:func:`_theta_batch`, the store's only batch entry), each
-        within its error bound of the value a read would compute, and store
-        the entries that are still missing.  Returns the margins
+        batch, and store the entries that are still missing: at p = 0 the
+        values 1 - arg a read forms, otherwise :func:`_theta_batch`'s, each
+        within its error bound of a read's.  Returns the margins
         |theta(arg; p)| / (1 + |arg|) of the entries in order, arg = z q^j
         formed once per entry as a read forms it: 0 for a zero argument, inf
-        for an entry whose reduction overflowed (left to be computed, and
-        raise, when read); |p| >= 1 raises ``DivergenceError``.
+        for an entry that overflowed (left to be computed, and raise, when
+        read); |p| >= 1 raises ``DivergenceError``.
 
-        Only a built-in complex nome p != 0 batches, and only when the
-        arguments make a complex128 array (built-in complex ones do, mpmath
-        ones do not); otherwise nothing is evaluated and the result is
-        None."""
+        Only a built-in complex nome batches, and only when the arguments
+        make a complex128 array (built-in complex ones do, mpmath ones do
+        not); otherwise nothing is evaluated and the result is None."""
         p = self.p
-        if type(p) is not complex or p == 0:
+        if type(p) is not complex:
             return None
         entries = list(entries)
         x = np.array([ladder.z * ladder.q**j for ladder, j in entries])
         if x.dtype != complex:
             return None
-        # a zero argument is batched as 1 and marked failed: margin 0
         live = x != 0
-        values, ok = _theta_batch(np.where(live, x, 1), self.nome.current())
-        ok &= live
+        if p == 0:
+            values, ok = 1 - x, live
+        else:
+            values, ok = _theta_batch(np.where(live, x, 1), self.nome.current())
+            ok &= live
         for (ladder, j), value, good in zip(entries, values.tolist(), ok.tolist()):
             if good:
                 ladder._values.setdefault(j, value)

@@ -26,7 +26,8 @@ from thetacb.cli import (
 )
 from thetacb.identities import IdentityReport
 from thetacb.params import IdentitySize
-from thetacb.sampling import sample_param_point
+from thetacb.sampling import P_HI, _draw, check_genericity, sample_param_point
+from thetacb.weights import elliptic_weight
 
 
 class TestRegistry:
@@ -192,6 +193,21 @@ class TestCampaign:
         summary = lines[-1]["identities"]["elliptic_cb"]
         assert (summary["trials"], summary["failures"], summary["nonfinite"]) == (225, 1, 1)
 
+    def test_an_overflow_in_the_genericity_scan_rejects_the_draw(self):
+        # lattice_master_equality at (7, 14), trial 0 of campaign seed 4: a
+        # weight of the scan's normalisation condition overflows in cmath.exp
+        tseed = cli._trial_seed(4, "lattice_master_equality", 7, 14, 0)
+        assert tseed == 10894086853100150828
+        first = _draw(Random(tseed), P_HI)
+        reads = fresh_copy(first)
+        with pytest.raises(OverflowError):
+            for j in range(15):
+                elliptic_weight(reads, 0, j)
+        assert not check_genericity(first, IdentitySize(7, 14))
+        runner = REGISTRY["lattice_master_equality"][2]
+        pp, residual = cli._run_trial(Random(tseed), CampaignConfig(), runner, 7, 14)
+        assert pp != first and residual <= CampaignConfig().tol
+
     def test_repeated_identity_rejected_at_config_time(self, tmp_path, capsys):
         with pytest.raises(ValueError, match="repeated identities: qcb"):
             CampaignConfig(identities=("qcb", "classical_cb", "qcb"))
@@ -287,9 +303,9 @@ class TestThetaFree:
 #: runner name -> (module, name) of the residual function it folds
 _FOLDED = {
     "convolution": (noncomm, "convolution_residual"),
-    "w_binomial_recursion": (noncomm, "elliptic_binomial_recursion_residual"),
-    "h_binomial_recursion": (noncomm, "path_binomial_recursion_residual"),
-    "qbinom_pascal": (cli, "relative_residual"),
+    "w_binomial_recursion": (noncomm, "relative_residual"),
+    "h_binomial_recursion": (noncomm, "relative_residual"),
+    "qbinom_pascal": (noncomm, "relative_residual"),
     "h_complement": (cli, "relative_residual"),
     "mod_reduction": (bezout, "mod_reduction_check"),
 }

@@ -29,7 +29,6 @@ from thetacb.noncomm import (
     convolution_nf_cross_check,
     convolution_residual,
     elliptic_binomial,
-    elliptic_binomial_recursion_residual,
     evaluate_element,
     frenkel_turaev,
     frenkel_turaev_from_convolution,
@@ -41,8 +40,8 @@ from thetacb.noncomm import (
     nf_pow,
     nf_scale,
     nf_unit,
+    pascal_residual,
     path_binomial,
-    path_binomial_recursion_residual,
 )
 from thetacb.lattice import b_closed
 from thetacb.params import IdentitySize, ParamPoint
@@ -70,16 +69,15 @@ class TestEllipticBinomials:
     def test_recursion_fixed_case(self, rng):
         a, b = unit_complex(rng, 0.2, 2), unit_complex(rng, 0.2, 2)
         q, p = unit_complex(rng, 0.3, 0.9), unit_complex(rng, 0.05, 0.5)
-        assert elliptic_binomial_recursion_residual(ab_point(a, b, q, p), 3, 2) < 1e-10
+        assert pascal_residual(AlgebraTag.ELLIPTIC_AB, ab_point(a, b, q, p), 3) < 1e-10
 
     def test_recursion_sweep(self, rng):
         worst = 0.0
         for _ in range(30):
             a, b = unit_complex(rng, 0.2, 2), unit_complex(rng, 0.2, 2)
             q, p = unit_complex(rng, 0.3, 0.9), unit_complex(rng, 0.05, 0.5)
-            n = rng.randint(0, 5)
-            worst = max(worst, elliptic_binomial_recursion_residual(
-                ab_point(a, b, q, p), n, rng.randint(0, n + 1)))
+            worst = max(worst, pascal_residual(AlgebraTag.ELLIPTIC_AB, ab_point(a, b, q, p),
+                                               rng.randint(0, 5)))
         assert worst < 1e-10
 
     def test_limit_reaches_q_binomial(self):
@@ -130,8 +128,7 @@ class TestEllipticBinomials:
     def test_path_recursion_sweep(self, generic_point):
         worst = 0.0
         for n in range(5):
-            for k in range(n + 2):
-                worst = max(worst, path_binomial_recursion_residual(generic_point, n, k))
+            worst = max(worst, pascal_residual(AlgebraTag.ELLIPTIC_XABC, generic_point, n))
         assert worst < 1e-10
 
     def test_path_binomial_ellipticity(self, generic_point):
@@ -373,6 +370,67 @@ class TestNanReachesTheResidual:
     def test_q_commuting_swap_fold(self, monkeypatch, generic_point):
         monkeypatch.setattr(noncomm, "compare_maps", nan_on_second_call(noncomm.compare_maps))
         assert math.isnan(homogeneous_cb_residual(AlgebraTag.Q_COMMUTING, generic_point, 1, 1))
+
+
+def _pascal_reference(tag, pp, n):
+    """The three Pascal rules as the numeric formulas the row replaces,
+    worst over 0 <= k <= n+1."""
+    q, gaps = pp.q, []
+    for k in range(n + 2):
+        if tag is AlgebraTag.Q_COMMUTING:
+            lhs = qbinom(n + 1, k, q)
+            rhs = qbinom(n, k, q) + q ** (n + 1 - k) * qbinom(n, k - 1, q)
+        elif tag is AlgebraTag.ELLIPTIC_AB:
+            lhs = elliptic_binomial(pp, n + 1, k)
+            rhs = elliptic_binomial(pp, n, k)
+            if k:
+                rhs = rhs + elliptic_binomial(pp, n, k - 1) * binomial_weight(pp, k, n + 1 - k)
+        else:
+            lhs, rhs = path_binomial(pp, n + 1, k), 0
+            if k:
+                rhs = rhs + path_binomial(pp, n, k - 1) * normalized_weight(pp, k - 1, n + 1 - k)
+            if k <= n:
+                rhs = rhs + path_binomial(pp, n, k) * normalized_weight(pp, n - k, k, swap=True)
+        gaps.append(relative_residual(lhs, rhs))
+    return worst_residual(gaps)
+
+
+def _convolution_reference(pp, n, m, k):
+    """convolution_residual as the numeric sum with math.prod swap products."""
+    def swaps(count, start=0, row=0):
+        return math.prod(elliptic_weight(pp, start + s, row, swap=True) for s in range(count))
+
+    lhs = path_binomial(pp, n + m, k) * swaps(n + m - k)
+    total, scale = 0, abs(lhs)
+    for j in range(max(0, k - m), min(k, n) + 1):
+        term = path_binomial(pp, n, j) * path_binomial(pp, m, k - j, (j, n - j, n))
+        term = term * swaps(n - j) * swaps(m + j - k, n - j, j)
+        for i in range(k - j):
+            term = term * normalized_weight(pp, i + j, n - j)
+        total = total + term
+        scale = max(scale, abs(term))
+    return float(abs(lhs - total) / max(1.0, scale))
+
+
+class TestRowsAreTheNumericFormulas:
+    """The residuals built from the rows of noncomm._RULES give the numeric
+    formulas bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pascal_residual(self, seed):
+        pp = sample_param_point(Random(seed), IdentitySize(6, 6))
+        for tag in AlgebraTag:
+            for n in range(7):
+                assert pascal_residual(tag, pp, n) == _pascal_reference(tag, pp, n), (tag, n)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_convolution_residual(self, seed):
+        pp = sample_param_point(Random(seed), IdentitySize(4, 4))
+        for n in range(5):
+            for m in range(5):
+                for k in range(n + m + 1):
+                    got = convolution_residual(pp, n, m, k)
+                    assert got == _convolution_reference(pp, n, m, k), (n, m, k)
 
 
 class TestConvolution:

@@ -14,8 +14,7 @@ from thetacb import cli
 from thetacb.cli import REGISTRY, THETA_FREE, CampaignConfig
 from thetacb.identities import cb_residual, cb_term_abcq, cb_term_elliptic
 from thetacb.lattice import master_equality_residual
-from thetacb.noncomm import (AlgebraTag, binomial_theorem_residual,
-                             elliptic_binomial_recursion_residual)
+from thetacb.noncomm import AlgebraTag, binomial_theorem_residual, pascal_residual
 from thetacb.params import IdentitySize, ParamPoint
 import thetacb.sampling as sampling
 from thetacb.errors import DegenerateParameterError, ResamplingExhaustedError
@@ -47,7 +46,7 @@ def test_derived_points_share_the_store_only_at_the_same_q_and_p(generic_point):
 
 @pytest.mark.parametrize("check", [
     pytest.param(lambda pp: cb_residual("elliptic", pp, 3, 3), id="elliptic_cb"),
-    pytest.param(lambda pp: elliptic_binomial_recursion_residual(pp, 3, 2),
+    pytest.param(lambda pp: pascal_residual(AlgebraTag.ELLIPTIC_AB, pp, 3),
                  id="w_binomial_recursion"),
     pytest.param(lambda pp: binomial_theorem_residual(AlgebraTag.ELLIPTIC_AB, pp, 3),
                  id="binomial_elliptic_ab"),
@@ -193,21 +192,41 @@ def test_genericity_scan_margins_and_verdicts_match_a_per_entry_loop(monkeypatch
     assert overflowed or depth < 14
 
 
-@pytest.mark.parametrize("point", [
-    pytest.param(lambda pp: _to_mp(pp), id="mpmath"),
-    pytest.param(lambda pp: pp.replace(p=0j), id="p_zero"),
-])
+def _scan_with_counted_margins(monkeypatch, pp, size):
+    """check_genericity's verdict at a fresh copy of ``pp`` and the indices
+    it read through :func:`theta_margin`."""
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(sampling, "theta_margin",
+                      lambda ladder, j: calls.append(j) or theta_margin(ladder, j))
+        verdict = check_genericity(fresh_copy(pp), size)
+    return verdict, calls
+
+
+@pytest.mark.parametrize("point", [pytest.param(_to_mp, id="mpmath")])
 def test_genericity_scan_reads_entry_by_entry_without_a_batch(monkeypatch, point):
     size = IdentitySize(2, 2)
     for seed in range(3):
         pp = point(_draw(Random(seed), P_HI))
         assert pp.thetas.fill(_denominator_args(pp, 2, 2)) is None
-        calls = []
-        with monkeypatch.context() as patch:
-            patch.setattr(sampling, "theta_margin",
-                          lambda ladder, j: calls.append(j) or theta_margin(ladder, j))
-            verdict = check_genericity(fresh_copy(pp), size)
+        verdict, calls = _scan_with_counted_margins(monkeypatch, pp, size)
         assert calls and verdict == _reference_verdict(pp, size, DEFAULT_GUARD)
+
+
+def test_a_p_zero_scan_reads_its_margins_from_the_fill(monkeypatch):
+    # the fill stores the values a read forms and returns theta_margin's
+    # margins, so the scan reads none entry by entry
+    size = IdentitySize(2, 2)
+    for seed in range(3):
+        pp = _draw(Random(seed), P_HI).replace(p=0j)
+        scan = list(_denominator_args(pp, 2, 2))
+        margins = pp.thetas.fill(scan)
+        reads = fresh_copy(pp)
+        for got, (ladder, j), (read, _) in zip(margins.tolist(), scan,
+                                               _denominator_args(reads, 2, 2)):
+            assert ladder._values[j] == read[j] and got == theta_margin(read, j)
+        verdict, calls = _scan_with_counted_margins(monkeypatch, pp, size)
+        assert not calls and verdict == _reference_verdict(pp, size, DEFAULT_GUARD)
 
 
 def test_a_nome_bound_below_the_sampled_range_is_rejected():

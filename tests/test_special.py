@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from random import Random
 
 import mpmath
@@ -233,6 +234,19 @@ class TestThetaMany:
         assert first is None and last is None
         assert abs(value - theta(fine, p)) <= theta_batch_bound(fine, p)
 
+    def test_an_overflowing_product_raises_and_is_left_unfilled(self):
+        # the reduction stays finite; only its prefactor times the product
+        # overflows, to (-3.88e307+inf j) if it were returned
+        x = -2.167924892855616e-21 - 2.2750913679795645e-21j
+        p = -0.10693684382345969 + 0.19091458050564614j
+        with pytest.raises(OverflowError):
+            theta(x, p)
+        store = ThetaLadders(1 + 0j, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            margins = store.fill([(store[x], 0)])
+        assert margins.tolist() == [math.inf] and 0 not in store[x]
+
     def test_the_bound_rejects_a_skipped_factor_pair(self):
         # theta without its factor pair k = 1 is outside the bound at every
         # seeded point with more than one pair
@@ -334,10 +348,9 @@ class TestThetaMany:
 
     def test_fill_batches_double_points_with_a_nome_only(self):
         q = 0.6 + 0.2j
-        for p in (0j, mpmath.mpc(0.3, 0.1)):
-            store = ThetaLadders(q, p)
-            store.fill([(store[0.5 + 0.5j], j) for j in range(4)])
-            assert not store[0.5 + 0.5j]._values
+        store = ThetaLadders(q, mpmath.mpc(0.3, 0.1))
+        assert store.fill([(store[0.5 + 0.5j], j) for j in range(4)]) is None
+        assert not store[0.5 + 0.5j]._values
         store = ThetaLadders(q, 0.3 + 0.1j)
         ladder = store[0.5 + 0.5j]
         store.fill([(ladder, j) for j in (-2, 0, 3, 3)])
@@ -345,6 +358,23 @@ class TestThetaMany:
         for j, value in ladder._values.items():
             x = ladder.z * q**j
             assert abs(value - theta(x, 0.3 + 0.1j)) <= theta_batch_bound(x, 0.3 + 0.1j)
+
+    def test_fill_at_p_zero_stores_the_reads_and_their_margins(self):
+        q = 0.6 + 0.2j
+        for seed in range(3):
+            pp = _draw(Random(seed), P_HI).replace(p=0j)
+            entries = [*_denominator_args(pp, 3, 3), *_weight_numerator_args(pp, 3, 3)]
+            store = pp.thetas
+            margins = store.fill(entries)
+            reads = ThetaLadders(pp.q, 0j)
+            for got, (ladder, j) in zip(margins.tolist(), entries):
+                assert ladder._values[j] == reads[ladder.z][j]
+                assert got == theta_margin(reads[ladder.z], j)
+        # a zero argument is left unstored with margin 0
+        store = ThetaLadders(q, 0j)
+        margins = store.fill([(store[0.5 + 0j], 1), (store[0j], 1)])
+        assert margins[0] == theta_margin(ThetaLadders(q, 0j)[0.5 + 0j], 1)
+        assert margins[1] == 0 and 1 not in store[0j]
 
 
 def _assert_units_of_reference(value, x, p, units):
