@@ -12,40 +12,44 @@ configuration or I/O errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import partial
 from random import Random
-from typing import Callable
+from typing import Callable, get_args, get_origin, get_type_hints
 
 from . import bezout, identities, lattice, noncomm
 from .errors import DegenerateParameterError, ResamplingExhaustedError
 from .noncomm import AlgebraTag
 from .params import IdentitySize, ParamPoint
-from .sampling import DEFAULT_GUARD, P_HI, P_LO, sample_param_point
+from .sampling import DEFAULT_GUARD, P_HI, P_LO, sample_param_point, to_mp
 from .special import addition_formula_residual, qpoch, relative_residual, worst_residual
 from .weights import elliptic_weight
 
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Settings of one verification campaign; every field can come from a
-    flat key = value config file and be overridden by a CLI flag of the
-    same name."""
+    """Settings of one verification campaign.  Every field is a key of the
+    flat key = value config file and a CLI flag of the same name (``_``
+    written ``-``), read by the field's type; a flag overrides the file.
+    A field's ``help`` metadata is its flag's help text."""
 
-    identities: tuple[str, ...] = ()
+    identities: tuple[str, ...] = field(
+        default=(), metadata={"help": "comma-separated identity names (default: all)"})
     m_max: int = 3
     n_max: int = 3
     trials: int = 3
     seed: int = 0
     tol: float = 1e-8
     p_max: float = 0.5
-    precision: int = 0
+    precision: int = field(
+        default=0, metadata={"help": "decimal digits for extended precision (0 = double)"})
     guard: float = DEFAULT_GUARD
-    out: str | None = None
+    out: str | None = field(default=None, metadata={"help": "report path (default: stdout)"})
 
     def __post_init__(self):
         unknown = [name for name in self.identities if name not in REGISTRY]
@@ -240,38 +244,46 @@ def _trial_seed(seed: int, identity: str, m: int, n: int, trial: int) -> int:
 def run_campaign(config: CampaignConfig) -> "CampaignReport":
     """Run every (identity, m, n, trial), sampling one generic point per
     trial with a seed derived from the trial coordinates so the report is
-    reproducible and independent of execution order."""
-    names = config.identities or tuple(sorted(REGISTRY))
-    records = []
-    summary: dict[str, dict] = {}
-    for name in names:
-        _desc, cap, runner = REGISTRY[name]
-        worst = 0.0
-        failures = 0
-        nonfinite = 0
-        count = 0
-        for m in range(config.m_max + 1):
-            for n in range(config.n_max + 1):
-                if cap is not None and m + n > cap:
-                    continue
-                for trial in range(config.trials):
-                    tseed = _trial_seed(config.seed, name, m, n, trial)
-                    pp, residual = _run_trial(Random(tseed), config, runner, m, n,
-                                              theta_free=name in THETA_FREE)
-                    report = identities.IdentityReport.from_residual(
-                        name, pp, m, n, residual, config.tol)
-                    rec = report.to_record()
-                    rec["trial"] = trial
-                    rec["seed"] = tseed
-                    records.append(rec)
-                    if math.isfinite(residual):
-                        worst = max(worst, residual)
-                    else:
-                        nonfinite += 1
-                    failures += 0 if report.verdict else 1
-                    count += 1
-        summary[name] = {"trials": count, "failures": failures,
-                         "nonfinite": nonfinite, "max_residual": worst}
+    reproducible and independent of execution order.  A positive
+    ``precision`` runs the whole campaign under ``mpmath.workdps``, each
+    trial at its draw converted to mpmath scalars."""
+    digits = contextlib.nullcontext()
+    if config.precision > 0:
+        import mpmath  # only extended-precision campaigns load it
+
+        digits = mpmath.workdps(config.precision)
+    with digits:
+        names = config.identities or tuple(sorted(REGISTRY))
+        records = []
+        summary: dict[str, dict] = {}
+        for name in names:
+            _desc, cap, runner = REGISTRY[name]
+            worst = 0.0
+            failures = 0
+            nonfinite = 0
+            count = 0
+            for m in range(config.m_max + 1):
+                for n in range(config.n_max + 1):
+                    if cap is not None and m + n > cap:
+                        continue
+                    for trial in range(config.trials):
+                        tseed = _trial_seed(config.seed, name, m, n, trial)
+                        pp, residual = _run_trial(Random(tseed), config, runner, m, n,
+                                                  theta_free=name in THETA_FREE)
+                        report = identities.IdentityReport.from_residual(
+                            name, pp, m, n, residual, config.tol)
+                        rec = report.to_record()
+                        rec["trial"] = trial
+                        rec["seed"] = tseed
+                        records.append(rec)
+                        if math.isfinite(residual):
+                            worst = max(worst, residual)
+                        else:
+                            nonfinite += 1
+                        failures += 0 if report.verdict else 1
+                        count += 1
+            summary[name] = {"trials": count, "failures": failures,
+                             "nonfinite": nonfinite, "max_residual": worst}
     all_pass = all(s["failures"] == 0 for s in summary.values())
     return CampaignReport(config=config, records=records, summary=summary,
                           all_pass=all_pass)
@@ -289,8 +301,9 @@ def _run_trial(rng: Random, config: CampaignConfig, runner: Callable,
     and counts as non-finite, and the campaign goes on."""
     for _ in range(20):
         pp = sample_param_point(rng, IdentitySize(m, n), guard=config.guard,
-                                p_max=config.p_max, precision_digits=config.precision,
-                                theta_free=theta_free)
+                                p_max=config.p_max, theta_free=theta_free)
+        if config.precision > 0:
+            pp = to_mp(pp)
         try:
             return pp, float(runner(pp, m, n))
         except DegenerateParameterError:
@@ -326,7 +339,20 @@ class CampaignReport:
 # ---------------------------------------------------------------------------
 # Configuration file and flags.
 
-_CONFIG_KEYS = {f.name for f in fields(CampaignConfig)}
+def _split(value: str) -> tuple[str, ...]:
+    return tuple(name.strip() for name in value.split(",") if name.strip())
+
+
+def _reader(hint) -> Callable[[str], object]:
+    """The reader of a field's text: a tuple field is a comma-separated
+    list, an optional field reads as its type, others as the type itself."""
+    if get_origin(hint) is tuple:
+        return _split
+    return get_args(hint)[0] if get_origin(hint) else hint
+
+
+#: config key -> reader of its text, one per :class:`CampaignConfig` field
+_READERS = {name: _reader(hint) for name, hint in get_type_hints(CampaignConfig).items()}
 
 
 def parse_config_file(text: str) -> dict:
@@ -340,7 +366,7 @@ def parse_config_file(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _READERS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         if key in out:
             raise ValueError(f"line {lineno}: repeated key {key!r}")
@@ -348,25 +374,12 @@ def parse_config_file(text: str) -> dict:
     return out
 
 
-def _coerce(key: str, value):
-    if isinstance(value, str):
-        if key == "identities":
-            return tuple(name.strip() for name in value.split(",") if name.strip())
-        if key in ("m_max", "n_max", "trials", "seed", "precision"):
-            return int(value)
-        if key in ("tol", "p_max", "guard"):
-            return float(value)
-    return value
-
-
 def build_config(file_values: dict, flag_values: dict) -> CampaignConfig:
-    merged: dict = {}
-    for key, value in file_values.items():
-        merged[key] = _coerce(key, value)
-    for key, value in flag_values.items():
-        if value is not None:
-            merged[key] = _coerce(key, value)
-    return CampaignConfig(**merged)
+    """The file's values overridden by every flag value that is not None;
+    a text value is read by its field's type."""
+    merged = {**file_values, **{key: v for key, v in flag_values.items() if v is not None}}
+    return CampaignConfig(**{key: _READERS[key](value) if isinstance(value, str) else value
+                             for key, value in merged.items()})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -376,18 +389,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "elliptic two-term expansions of unity and their "
                     "surrounding identities.")
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--identities",
-                        help="comma-separated identity names (default: all)")
-    parser.add_argument("--m-max", dest="m_max", type=int)
-    parser.add_argument("--n-max", dest="n_max", type=int)
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--p-max", dest="p_max", type=float)
-    parser.add_argument("--precision", type=int,
-                        help="decimal digits for extended precision (0 = double)")
-    parser.add_argument("--guard", type=float)
-    parser.add_argument("--out", help="report path (default: stdout)")
+    for f in fields(CampaignConfig):
+        parser.add_argument("--" + f.name.replace("_", "-"), type=_READERS[f.name],
+                            help=f.metadata.get("help"))
     parser.add_argument("--list", action="store_true",
                         help="list identity names and exit")
     return parser
@@ -407,20 +411,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             with open(args.config, encoding="utf-8") as handle:
                 file_values = parse_config_file(handle.read())
-        flag_values = {key: getattr(args, key) for key in _CONFIG_KEYS}
+        flag_values = {key: getattr(args, key) for key in _READERS}
         config = build_config(file_values, flag_values)
     except (OSError, ValueError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
     try:
-        if config.precision > 0:
-            import mpmath
-
-            with mpmath.workdps(config.precision):
-                report = run_campaign(config)
-        else:
-            report = run_campaign(config)
+        report = run_campaign(config)
     except ResamplingExhaustedError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -131,28 +131,34 @@ def cb_terms_qcb(x, q, m: int, n: int):
     return term_a, term_b
 
 
-def cb_terms_classical(x, m: int, n: int):
-    """Both addends of the classical form, with exact integer binomial
+def _homogeneous_terms(x, y, s, m: int, n: int):
+    """Both addends of the homogeneous form, with exact integer binomial
     coefficients promoted to complex only on multiplication:
+
+        termA = y^(n+1) sum_{k<=m} C(n+k, k) x^k s^(m-k)
+        termB = x^(m+1) sum_{k<=n} C(m+k, k) y^k s^(n-k).
+    """
+    term_a = 0
+    xk = 1
+    for k in range(m + 1):
+        term_a = term_a + math.comb(n + k, k) * xk * s ** (m - k)
+        xk = xk * x
+    term_b = 0
+    yk = 1
+    for k in range(n + 1):
+        term_b = term_b + math.comb(m + k, k) * yk * s ** (n - k)
+        yk = yk * y
+    return y ** (n + 1) * term_a, x ** (m + 1) * term_b
+
+
+def cb_terms_classical(x, m: int, n: int):
+    """Both addends of the classical form, the homogeneous addends at
+    y = 1 - x and s = 1 (the int 1, so every power of s is exactly 1):
 
         termA = (1-x)^(n+1) sum_{k<=m} C(n+k, k) x^k
         termB = x^(m+1) sum_{k<=n} C(m+k, k) (1-x)^k.
     """
-    y = 1 - x
-    total_a = 0
-    xk = 1
-    for k in range(m + 1):
-        total_a = total_a + math.comb(n + k, k) * xk
-        xk = xk * x
-    term_a = y ** (n + 1) * total_a
-
-    total_b = 0
-    yk = 1
-    for k in range(n + 1):
-        total_b = total_b + math.comb(m + k, k) * yk
-        yk = yk * y
-    term_b = x ** (m + 1) * total_b
-    return term_a, term_b
+    return _homogeneous_terms(x, 1 - x, 1, m, n)
 
 
 def _scaled_terms(family: str, pp: ParamPoint, m: int, n: int):
@@ -194,20 +200,8 @@ def cb_homogeneous_residual(x, y, m: int, n: int) -> float:
                         + x^(m+1) sum_{k<=n} C(m+k, k) y^k (x+y)^(n-k).
     """
     s = x + y
-    lhs = s ** (m + n + 1)
-    term_a = 0
-    xk = 1
-    for k in range(m + 1):
-        term_a = term_a + math.comb(n + k, k) * xk * s ** (m - k)
-        xk = xk * x
-    term_a = y ** (n + 1) * term_a
-    term_b = 0
-    yk = 1
-    for k in range(n + 1):
-        term_b = term_b + math.comb(m + k, k) * yk * s ** (n - k)
-        yk = yk * y
-    term_b = x ** (m + 1) * term_b
-    return relative_residual(lhs, term_a + term_b, abs(term_a), abs(term_b))
+    term_a, term_b = _homogeneous_terms(x, y, s, m, n)
+    return relative_residual(s ** (m + n + 1), term_a + term_b, abs(term_a), abs(term_b))
 
 
 #: Arrow names of the degeneration chain, most general first.

@@ -162,21 +162,17 @@ def sample_param_point(
     size: IdentitySize,
     guard: float = DEFAULT_GUARD,
     p_max: float | None = None,
-    precision_digits: int = 0,
     theta_free: bool = False,
 ) -> ParamPoint:
     """Draw a generic parameter point (log-uniform magnitudes, uniform
-    arguments), resampling until the genericity scan passes.
+    arguments), resampling until the genericity scan passes.  The point
+    has double-precision scalars; :func:`to_mp` converts it exactly.
 
     ``theta_free`` scans each draw's p = 0 point ``pp.replace(p=0j)``
     instead of the draw, for a check that reads no theta at p != 0.  A
     draw takes the same six random scalars either way, p included, and the
     point returned is the draw itself; only which draws pass can differ.
 
-    ``precision_digits`` > 0 converts the sampled scalars to ``mpmath.mpc``
-    at the caller's working precision (the CLI runs the whole campaign
-    under ``mpmath.workdps(precision_digits)``); the draw itself is
-    identical, so reports stay reproducible across precision modes.
     ``p_max`` outside [``P_LO``, ``P_HI``] raises ``ValueError``.
     """
     if p_max is not None and not P_LO <= p_max <= P_HI:
@@ -185,15 +181,16 @@ def sample_param_point(
     for _ in range(MAX_ATTEMPTS):
         pp = _draw(rng, p_hi)
         if check_genericity(pp.replace(p=0j) if theta_free else pp, size, guard):
-            # a double point keeps the thetas its scan computed (none for a
-            # theta-free scan, which filled the p = 0 point's store); an
-            # mpmath point is new and starts its own store
-            return _to_mp(pp) if precision_digits > 0 else pp
+            # the point keeps the thetas its scan computed (none for a
+            # theta-free scan, which filled the p = 0 point's store)
+            return pp
     raise ResamplingExhaustedError(
         f"no generic point found in {MAX_ATTEMPTS} attempts (guard {guard})")
 
 
-def _to_mp(pp: ParamPoint) -> ParamPoint:
+def to_mp(pp: ParamPoint) -> ParamPoint:
+    """The point with its scalars converted to ``mpmath.mpc``, exactly at
+    15 or more working digits, and a new, empty theta store."""
     import mpmath
 
     def conv(z):

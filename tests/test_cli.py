@@ -3,13 +3,18 @@ handling, report structure and exit codes."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import inspect
 import json
 import math
+import subprocess
+import sys
+import typing
 from pathlib import Path
 from random import Random
 
+import mpmath
 import pytest
 
 from conftest import count_theta_calls, fresh_copy
@@ -63,6 +68,31 @@ class TestConfig:
         values = parse_config_file("m_max = 4\nseed = 11")
         config = build_config(values, {"seed": "99", "trials": 2})
         assert config.seed == 99 and config.m_max == 4 and config.trials == 2
+
+    def test_every_field_is_a_flag_and_a_config_key(self):
+        # one text per field type; the flag and the file key read it alike,
+        # and the flag's help is the field's help metadata
+        texts = {int: ("2", 2), float: ("0.25", 0.25), str: ("report.jsonl", "report.jsonl"),
+                 tuple: ("qcb, classical_cb", ("qcb", "classical_cb"))}
+        parser = cli._build_parser()
+        helps = {opt: action.help for action in parser._actions for opt in action.option_strings}
+        flags = {"-h", "--help", "--config", "--list"}
+        for f in dataclasses.fields(CampaignConfig):
+            hint = typing.get_type_hints(CampaignConfig)[f.name]
+            kind = typing.get_origin(hint) or hint
+            if kind not in texts:  # X | None reads as X
+                kind = typing.get_args(hint)[0]
+            text, want = texts[kind]
+            flag = "--" + f.name.replace("_", "-")
+            flags.add(flag)
+            assert helps[flag] == f.metadata.get("help"), flag
+            args = parser.parse_args([flag, text])
+            from_flag = build_config({}, {f.name: getattr(args, f.name)})
+            from_file = build_config(parse_config_file(f"{f.name} = {text}"), {})
+            for config in (from_flag, from_file):
+                value = getattr(config, f.name)
+                assert value == want and type(value) is kind, (f.name, value)
+        assert helps.keys() == flags
 
     def test_bad_lines_rejected(self):
         with pytest.raises(ValueError):
@@ -274,6 +304,21 @@ class TestCampaign:
         report = run_campaign(config)
         assert report.all_pass
 
+    def test_run_campaign_applies_the_precision(self):
+        # a library call gets the digits a --precision flag gets, and leaves
+        # the working precision as it found it
+        prec = mpmath.mp.prec
+        config = CampaignConfig(identities=("elliptic_cb",), m_max=1, n_max=1,
+                                trials=1, seed=3, precision=30)
+        report = run_campaign(config)
+        assert mpmath.mp.prec == prec
+        assert all(rec["residual"] < 1e-25 for rec in report.records)
+        for rec in report.records:
+            for pair in rec["params"].values():
+                for text in pair:
+                    digits = text.lstrip("-").replace(".", "").lstrip("0")
+                    assert len(digits) >= 25, text
+
     def test_every_registered_identity_passes_smoke(self):
         config = CampaignConfig(m_max=1, n_max=1, trials=1, seed=12)
         report = run_campaign(config)
@@ -383,6 +428,15 @@ class TestBenchmarkContract:
         monkeypatch.setitem(REGISTRY, "frenkel_turaev", (*entry[:-1], wrapper))
         assert run_campaign(config).to_text() == plain
         assert len(calls) == 8
+
+    def test_benchmark_selftest_passes(self):
+        # trial counts pinned by perfbench/spec.json, traced call counts
+        # equal to cProfile's, and reports unchanged under tracing
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=root,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1])["passed"] is True
 
     def test_traced_functions_exist(self):
         path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"

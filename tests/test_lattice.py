@@ -27,7 +27,7 @@ from thetacb.lattice import (
     total_weight_residual,
 )
 from thetacb.params import IdentitySize
-from thetacb.sampling import sample_param_point
+from thetacb.sampling import sample_param_point, to_mp
 from thetacb.special import relative_residual, theta, theta_prod
 from thetacb.weights import elliptic_weight
 
@@ -202,7 +202,7 @@ class TestMasterEquality:
 def test_weights_follow_the_working_precision():
     # A point sampled for 40 digits and first evaluated at 15 digits must
     # not see its 15-digit weights again when it is rerun at 40 digits.
-    pp = sample_param_point(Random(21), IdentitySize(3, 1), precision_digits=40)
+    pp = to_mp(sample_param_point(Random(21), IdentitySize(3, 1)))
 
     def last_path_weight():
         # paths to (3, 1) come in bit order; the last is north, then three

@@ -18,9 +18,9 @@ from thetacb.noncomm import AlgebraTag, binomial_theorem_residual, pascal_residu
 from thetacb.params import IdentitySize, ParamPoint
 import thetacb.sampling as sampling
 from thetacb.errors import DegenerateParameterError, ResamplingExhaustedError
-from thetacb.sampling import (DEFAULT_GUARD, P_HI, P_LO, _denominator_args, _draw, _to_mp,
+from thetacb.sampling import (DEFAULT_GUARD, P_HI, P_LO, _denominator_args, _draw,
                               _weight_numerator_args, check_genericity, sample_param_point,
-                              theta_margin)
+                              theta_margin, to_mp)
 from thetacb.special import ThetaLadder, ThetaLadders
 from thetacb.weights import elliptic_weight
 
@@ -82,7 +82,7 @@ def test_a_changed_nome_never_reads_the_store():
 def test_store_follows_the_working_precision():
     # one mpmath point read at 15 digits and then at 40 must give the
     # 40-digit value of a point that was never read at 15
-    pp = sample_param_point(Random(44), IdentitySize(2, 2), precision_digits=40)
+    pp = to_mp(sample_param_point(Random(44), IdentitySize(2, 2)))
     size = IdentitySize(2, 2)
     with mpmath.workdps(15):
         master_equality_residual(pp, size)
@@ -203,7 +203,7 @@ def _scan_with_counted_margins(monkeypatch, pp, size):
     return verdict, calls
 
 
-@pytest.mark.parametrize("point", [pytest.param(_to_mp, id="mpmath")])
+@pytest.mark.parametrize("point", [pytest.param(to_mp, id="mpmath")])
 def test_genericity_scan_reads_entry_by_entry_without_a_batch(monkeypatch, point):
     size = IdentitySize(2, 2)
     for seed in range(3):
