@@ -30,8 +30,12 @@ ZERO_SHIFT = (0, 0, 0)
 def elliptic_weight(pp: ParamPoint, i: int, j: int, shift=ZERO_SHIFT, swap: bool = False):
     """East-step weight h(i, j): the eight-theta ratio above, read off the
     point's theta store (:attr:`ParamPoint.thetas`), so a set of cells
-    costs one theta call per distinct ladder index.  Every denominator
-    theta is checked on its own by :meth:`ThetaLadder.den`.  ``swap``
+    costs one theta call per distinct ladder index.  Each numerator theta
+    is divided by its denominator in the order written above, and the four
+    ratios multiplied left to right (:func:`special.theta_ratio`'s
+    pairing): the product of four thetas can overflow where the ratio
+    does not.  Every denominator theta is checked on its own by
+    :meth:`ThetaLadder.den`.  ``swap``
     exchanges the roles of a and b after the ``shift``, alpha's and beta's
     with them."""
     if i < 0 or j < 0:
@@ -41,10 +45,10 @@ def elliptic_weight(pp: ParamPoint, i: int, j: int, shift=ZERO_SHIFT, swap: bool
     if swap:
         a, b, al, be = b, a, be, al
     lad = pp.thetas
-    num = lad[b * c][be + ga + i + 2 * j] * lad[c / b][ga - be + i] \
-        * lad[a * x][al + i] * lad[a / x][al + i]
-    return num / (lad[a * b].den(al + be + i + j) * lad[a / b].den(al - be + i - j)
-                  * lad[c * x].den(ga + i + j) * lad[c / x].den(ga + i + j))
+    bc, c_b = lad[b * c][be + ga + i + 2 * j], lad[c / b][ga - be + i]
+    ax, a_x = lad[a * x][al + i], lad[a / x][al + i]
+    return bc / lad[a * b].den(al + be + i + j) * (c_b / lad[a / b].den(al - be + i - j)) \
+        * (ax / lad[c * x].den(ga + i + j)) * (a_x / lad[c / x].den(ga + i + j))
 
 
 def h_table(pp: ParamPoint, m: int, n: int) -> list[list]:

@@ -3,11 +3,13 @@ weight and its degenerate limits."""
 
 from __future__ import annotations
 
+import math
 from random import Random
 
 import pytest
 
 from conftest import ab_point, normal_form_leaves, shifted_point, unit_complex
+from thetacb import cli
 from thetacb.errors import DegenerateParameterError
 from thetacb.params import IdentitySize, ParamPoint
 from thetacb.sampling import sample_param_point
@@ -26,6 +28,18 @@ def test_weight_is_the_eight_theta_ratio(generic_point):
     want = theta_prod((b * c, c / b, a * x, a / x), p) \
         / theta_prod((a * b, a / b, c * x, c / x), p)
     assert relative_residual(elliptic_weight(pp, 0, 0), want) < 1e-14
+
+
+def test_weight_is_finite_where_a_four_theta_product_overflows():
+    # the draw of lattice_master_equality (9, 7), trial 0 of campaign seed 4:
+    # the four numerator thetas of h(9, 7) multiply to inf and so do the four
+    # denominators, which gave inf/inf = NaN and a NaN residual
+    config = cli.CampaignConfig(identities=("lattice_master_equality",), m_max=14, n_max=14,
+                                trials=1, seed=4)
+    runner = cli.REGISTRY["lattice_master_equality"][2]
+    pp, residual = cli._run_trial(Random(18344756243847901604), config, runner, 9, 7)
+    assert all(math.isfinite(abs(h)) for row in h_table(pp, 9, 7) for h in row)
+    assert residual <= 1e-8
 
 
 def test_complement_symmetry_sweep():
