@@ -377,9 +377,12 @@ def parse_config_file(text: str) -> dict:
 def build_config(file_values: dict, flag_values: dict) -> CampaignConfig:
     """The file's values overridden by every flag value that is not None;
     a text value is read by its field's type."""
-    merged = {**file_values, **{key: v for key, v in flag_values.items() if v is not None}}
-    return CampaignConfig(**{key: _READERS[key](value) if isinstance(value, str) else value
-                             for key, value in merged.items()})
+    merged = dict(file_values)
+    merged.update((key, value) for key, value in flag_values.items() if value is not None)
+    for key, value in merged.items():
+        if isinstance(value, str) and key in _READERS:
+            merged[key] = _READERS[key](value)
+    return CampaignConfig(**merged)
 
 
 def _build_parser() -> argparse.ArgumentParser:

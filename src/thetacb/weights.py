@@ -30,14 +30,13 @@ ZERO_SHIFT = (0, 0, 0)
 def elliptic_weight(pp: ParamPoint, i: int, j: int, shift=ZERO_SHIFT, swap: bool = False):
     """East-step weight h(i, j): the eight-theta ratio above, read off the
     point's theta store (:attr:`ParamPoint.thetas`), so a set of cells
-    costs one theta call per distinct ladder index.  Each numerator theta
-    is divided by its denominator in the order written above, and the four
-    ratios multiplied left to right (:func:`special.theta_ratio`'s
-    pairing): the product of four thetas can overflow where the ratio
-    does not.  Every denominator theta is checked on its own by
-    :meth:`ThetaLadder.den`.  ``swap``
-    exchanges the roles of a and b after the ``shift``, alpha's and beta's
-    with them."""
+    costs one theta call per distinct ladder index.  The k-th numerator
+    theta above is divided by the k-th denominator theta and the four
+    ratios are multiplied left to right (:func:`special.theta_ratio`'s
+    pairing), since a product of four thetas can overflow where the
+    ratio does not.  Every denominator theta is checked on its own by
+    :meth:`ThetaLadder.den`.  ``swap`` exchanges the roles of a and b
+    after the ``shift``, alpha's and beta's with them."""
     if i < 0 or j < 0:
         raise OutOfRegionError("weight indices must be nonnegative")
     x, a, b, c = pp.x, pp.a, pp.b, pp.c
