@@ -1,6 +1,6 @@
 """Cofactor identities 1 = P1*Q1 + P2*Q2 for the basic families, solved by
-coefficient-matching linear algebra, plus the series, involution and
-connection-coefficient machinery around them.
+coefficient-matching linear algebra, plus the series, transition-matrix
+and connection-coefficient machinery around them.
 
 Three polynomial-base families are covered:
 
@@ -9,15 +9,14 @@ Three polynomial-base families are covered:
     second kind:     P1 = (bx, b/x; q)_{n+1},  P2 = (ax, a/x; q)_{m+1}
 
 The second-kind polynomials are symmetric Laurent polynomials; their
-cofactors are found in the bases {(ax, a/x; q)_k} and {(bx, b/x; q)_k}
-by sampling, which keeps the system square and well conditioned.
+closed cofactors are coefficient vectors over the bases {(ax, a/x; q)_k}
+and {(bx, b/x; q)_k}, checked by evaluation at the roots of the modulus.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -42,12 +41,6 @@ class Poly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __add__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
@@ -202,57 +195,8 @@ def symmetric_base_value(a, q, k: int, x):
     return qpoch(a * x, q, k) * qpoch(a / x, q, k)
 
 
-def bezout_solve_symmetric(a, b, q, m: int, n: int) -> tuple[tuple, tuple]:
-    """Cofactor coefficients for the second-kind identity
-
-        1 = (bx, b/x; q)_{n+1} sum_k u_k (ax, a/x; q)_k
-          + (ax, a/x; q)_{m+1} sum_l v_l (bx, b/x; q)_l.
-
-    Collocating at the roots x_i = q^-i / a of the right modulus makes the
-    basis matrix (q^-i; q)_k (a^2 q^i; q)_k lower triangular with nonzero
-    diagonal, so each coefficient vector comes from an exactly conditioned
-    forward substitution; v is the mirror solve at x_j = q^-j / b.
-    """
-    def collocate(aa, bb, mm, nn):
-        rhs = []
-        rows = []
-        for i in range(mm + 1):
-            x = q ** (-i) / aa
-            modulus = qpoch(bb * x, q, nn + 1) * qpoch(bb / x, q, nn + 1)
-            if modulus == 0:
-                raise SingularSystemError("moduli share a root at collocation node")
-            rhs.append(1 / modulus)
-            rows.append([symmetric_base_value(aa, q, k, x) for k in range(i + 1)])
-        out = []
-        for i in range(mm + 1):
-            acc = rhs[i]
-            for k in range(i):
-                acc = acc - rows[i][k] * out[k]
-            diag = rows[i][i]
-            if abs(diag) == 0:
-                raise SingularSystemError("triangular collocation diagonal vanished")
-            out.append(acc / diag)
-        return tuple(out)
-
-    return collocate(a, b, m, n), collocate(b, a, n, m)
-
-
-def symmetric_identity_residual(a, b, q, m: int, n: int, u, v, points) -> float:
-    """Max |1 - P1(x) Q1(x) - P2(x) Q2(x)| over the given sample points;
-    the cross-check points should include x <-> 1/x pairs."""
-    gaps = []
-    for x in points:
-        pb = qpoch(b * x, q, n + 1) * qpoch(b / x, q, n + 1)
-        pa = qpoch(a * x, q, m + 1) * qpoch(a / x, q, m + 1)
-        s1 = sum(uk * symmetric_base_value(a, q, k, x) for k, uk in enumerate(u))
-        s2 = sum(vl * symmetric_base_value(b, q, l, x) for l, vl in enumerate(v))
-        val = pb * s1 + pa * s2
-        gaps.append(abs(1 - val) / max(1.0, abs(pb * s1), abs(pa * s2)))
-    return worst_residual(gaps)
-
-
 # ---------------------------------------------------------------------------
-# Monomial <-> (x; q)_k transition pair and the involution built on it.
+# Monomial <-> (x; q)_k transition pair.
 
 def f_entry(n: int, k: int, q):
     """Expansion coefficient of (x; q)_n over monomials:
@@ -285,52 +229,6 @@ def matrix_pair_check(size: int, q) -> float:
             acc = acc - (1 if r == c else 0)
             gaps.append(float(abs(acc)))
     return worst_residual(gaps)
-
-
-@dataclass(frozen=True)
-class DualQPoly:
-    """Polynomial whose coefficients are explicit functions of the base,
-    so the same object can be read at q and at 1/q."""
-
-    coeff_fns: tuple[Callable, ...]
-
-    @classmethod
-    def from_constants(cls, values) -> "DualQPoly":
-        return cls(tuple((lambda v: (lambda q: v))(v) for v in values))
-
-    def at(self, q) -> Poly:
-        return Poly(tuple(fn(q) for fn in self.coeff_fns))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeff_fns) - 1
-
-
-def t_involution(poly: DualQPoly, q) -> DualQPoly:
-    """The base-inverting basis swap T: sum_k c_k(q) x^k maps to
-    sum_k c_k(1/q) (x; q)_k, expanded back over monomials.  T is an
-    involution but not a ring homomorphism.
-
-    The monomial coefficients of the image are
-    d_j(q) = sum_{k>=j} c_k(1/q) f(k, j)(q); the given q is used to verify
-    the construction is valid there (base away from small roots of unity).
-    """
-    fns = poly.coeff_fns
-    top = len(fns)
-    for k in range(top):  # validation at the working base
-        f_entry(top - 1, k, q)
-
-    def make(j: int):
-        def d_j(base):
-            inv = 1 / base
-            acc = 0j
-            for k in range(j, top):
-                acc = acc + fns[k](inv) * f_entry(k, j, base)
-            return acc
-
-        return d_j
-
-    return DualQPoly(tuple(make(j) for j in range(top)))
 
 
 # ---------------------------------------------------------------------------

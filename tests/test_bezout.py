@@ -1,6 +1,6 @@
 """Cofactor-identity tests: series coefficients, linear-algebra solves
-against closed forms, the base-inverting involution, transition-matrix
-inversion, connection sums, and root-evaluation divisibility."""
+against closed forms, transition-matrix inversion, connection sums, and
+root-evaluation divisibility."""
 
 from __future__ import annotations
 
@@ -12,12 +12,9 @@ import pytest
 
 from conftest import unit_complex
 from thetacb.bezout import (
-    DualQPoly,
     Poly,
     abq1_cofactors,
-    abq2_cofactor_coeffs,
     bezout_solve,
-    bezout_solve_symmetric,
     connection_first,
     connection_second,
     f_entry,
@@ -28,8 +25,6 @@ from thetacb.bezout import (
     qcb_cofactors,
     qpoch_poly,
     series_inv_qpoch,
-    symmetric_identity_residual,
-    t_involution,
 )
 from thetacb.errors import CommonRootError
 from thetacb.special import qbinom, qpoch
@@ -50,10 +45,6 @@ class TestPoly:
     def test_trim_and_degree(self):
         assert Poly((1, 2, 0, 0)).degree == 1
         assert Poly(()).degree == -1
-
-    def test_eval_horner(self):
-        p = Poly((1, -2, 3))
-        assert p(2.0) == 1 - 4 + 12
 
 
 class TestSeries:
@@ -125,67 +116,6 @@ class TestBezoutSolve:
             bezout_solve(qpoch_poly(1, 0.5, 4), poly_monomial(1), 0, 0)
 
 
-class TestSymmetricFamily:
-    def test_collocation_matches_closed_coefficients(self):
-        rng = Random(73)
-        for _ in range(8):
-            a, b = unit_complex(rng, 0.2, 2), unit_complex(rng, 0.2, 2)
-            q = unit_complex(rng, 0.3, 0.9)
-            m, n = rng.randint(0, 5), rng.randint(0, 5)
-            u, v = bezout_solve_symmetric(a, b, q, m, n)
-            cu, cv = abq2_cofactor_coeffs(a, b, q, m, n)
-            scale = max([1.0] + [abs(z) for z in cu + cv])
-            assert max(abs(x - y) for x, y in zip(u, cu)) / scale < 1e-9
-            assert max(abs(x - y) for x, y in zip(v, cv)) / scale < 1e-9
-
-    def test_identity_at_symmetric_sample_points(self):
-        rng = Random(74)
-        a, b = unit_complex(rng, 0.2, 2), unit_complex(rng, 0.2, 2)
-        q = unit_complex(rng, 0.3, 0.9)
-        m, n = 3, 2
-        u, v = abq2_cofactor_coeffs(a, b, q, m, n)
-        points = [unit_complex(rng, 0.4, 1.6) for _ in range(m + n + 2)]
-        points += [1 / x for x in points]  # 2(m+n) + 4 symmetric points
-        assert symmetric_identity_residual(a, b, q, m, n, u, v, points) < 1e-11
-
-
-class TestInvolution:
-    def test_fixes_constants(self):
-        dp = DualQPoly.from_constants([2.5 - 1j])
-        assert t_involution(dp, 0.7).at(0.7).coeffs == (2.5 - 1j,)
-
-    def test_monomial_to_shifted_base(self):
-        # x maps to (x; q)_1 = 1 - x, re-expanded over monomials
-        img = t_involution(DualQPoly.from_constants([0, 1]), 0.7).at(0.7)
-        assert img.coeffs == (1 + 0j, -1 + 0j)
-
-    def test_degree_preserved(self):
-        dp = DualQPoly.from_constants([1, 2, 3, 4])
-        assert t_involution(dp, 0.8).degree == dp.degree
-
-    def test_double_application_is_identity(self):
-        rng = Random(75)
-        for _ in range(6):
-            q = unit_complex(rng, 0.75, 0.9)
-            values = [unit_complex(rng, 0.2, 2) for _ in range(rng.randint(1, 6))]
-            dp = DualQPoly.from_constants(values)
-            back = t_involution(t_involution(dp, q), q).at(q)
-            gap = max(abs(x - y) for x, y in zip(back.coeffs, dp.at(q).coeffs))
-            assert gap < 1e-11
-
-    def test_double_application_degree_eight_extended_precision(self):
-        # at |q| near 0.3 the re-expansion scale reaches |q|^-28, past
-        # double headroom; the involution itself is precision-agnostic
-        rng = Random(76)
-        with mpmath.workdps(40):
-            q = mpmath.mpc(0.31, 0.12)
-            values = [mpmath.mpc(unit_complex(rng, 0.2, 2)) for _ in range(9)]
-            dp = DualQPoly.from_constants(values)
-            back = t_involution(t_involution(dp, q), q).at(q)
-            gap = max(float(abs(x - y)) for x, y in zip(back.coeffs, dp.at(q).coeffs))
-        assert gap < 1e-11
-
-
 class TestTransitionMatrices:
     def test_trivial_size(self):
         assert matrix_pair_check(0, 0.7) == 0
@@ -241,14 +171,6 @@ class TestConnectionCoefficients:
 
 class TestNanReachesTheResidual:
     """A residual fold keeps a NaN wherever it stands, not only first."""
-
-    def test_symmetric_identity_residual(self):
-        rng = Random(74)
-        a, b = unit_complex(rng, 0.2, 2), unit_complex(rng, 0.2, 2)
-        q = unit_complex(rng, 0.3, 0.9)
-        u, v = abq2_cofactor_coeffs(a, b, q, 3, 2)
-        points = [0.8 + 0.3j, complex(math.nan, 0.0), 1.2 - 0.1j]
-        assert math.isnan(symmetric_identity_residual(a, b, q, 3, 2, u, v, points))
 
     def test_matrix_pair_check(self):
         # q^0 = 1 even at q = NaN, so the first entries stay finite

@@ -45,7 +45,7 @@ from thetacb.noncomm import (
 )
 from thetacb.lattice import b_closed
 from thetacb.params import IdentitySize, ParamPoint
-from thetacb.sampling import check_genericity, sample_param_point
+from thetacb.sampling import check_genericity, sample_param_point, to_mp
 from thetacb.special import qbinom, relative_residual, worst_residual
 from thetacb.weights import binomial_weight, elliptic_weight, normalized_weight
 
@@ -305,6 +305,33 @@ class TestBinomialTheorems:
         worst = worst_residual(binomial_theorem_residual(tag, generic_point, n)
                                for tag in AlgebraTag for n in range(7))
         assert worst < 1e-9
+
+    def test_cancelling_point_holds_at_forty_digits(self):
+        with mpmath.workdps(40):
+            residual = binomial_theorem_residual(AlgebraTag.ELLIPTIC_AB,
+                                                 to_mp(_cancelling_point()), 8)
+        assert residual < 1e-25
+
+    @pytest.mark.xfail(strict=True, reason="the X^3 Y^5 coefficient, |c| = 3.1e-7, cancels "
+                       "in doubles; the residual is not scaled by the magnitude it was "
+                       "summed from (ROADMAP item 1)")
+    def test_cancelling_point_passes_in_doubles(self):
+        # a fresh store at this point reads 2.28e-3
+        residual = binomial_theorem_residual(AlgebraTag.ELLIPTIC_AB, _cancelling_point(), 8)
+        assert residual <= 1e-8
+
+
+def _cancelling_point():
+    """The draw of binomial_elliptic_ab (8, 0), trial 0 of `thetacb --identities
+    w_binomial_recursion,binomial_elliptic_ab,homogeneous_elliptic_ab --m-max 8
+    --n-max 8 --trials 2 --seed 0` (trial seed 4431215079822502626), which
+    reads 1.47e-3 in doubles and 1.4e-28 at 40 digits."""
+    return ParamPoint(x=-0.17926543361262848 - 1.0251336627138594j,
+                      a=1.0641560825669323 - 0.27006412411253955j,
+                      b=-0.14094340248939174 - 0.36013370207818773j,
+                      c=-0.20939939478207598 + 0.5209536693970459j,
+                      q=0.33682115241938176 - 0.45362145752266947j,
+                      p=0.2706616070836588 - 0.056261948324981506j)
 
 
 class TestHomogeneousTheorems:

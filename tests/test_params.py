@@ -312,7 +312,7 @@ def test_the_scan_covers_every_denominator_a_check_reads(monkeypatch, name):
 
 
 @pytest.mark.xfail(strict=True, reason="convolution's b_closed at shift (j, n - j, n) reads "
-                   "bc and ac past the scan's top index (ROADMAP item 5)")
+                   "bc and ac past the scan's top index (ROADMAP item 7)")
 @pytest.mark.parametrize("m, n", [(2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (4, 4)])
 def test_the_scan_covers_the_convolutions_denominators_past_depth_three(monkeypatch, m, n):
     assert not _unscanned_divisors(monkeypatch, "convolution", m, n, 0)
