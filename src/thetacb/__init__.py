@@ -24,7 +24,7 @@ from .errors import (
     UnknownIdentityError,
     ZeroArgumentError,
 )
-from .identities import IdentityReport, cb_residual
+from .identities import cb_residual
 from .params import IdentitySize, ParamPoint
 from .sampling import check_genericity, sample_param_point
 from .special import addition_formula_residual, qbinom, qpoch, theta, theta_fact
@@ -35,7 +35,6 @@ __all__ = [
     "DegenerateParameterError",
     "DivergenceError",
     "HConditionError",
-    "IdentityReport",
     "IdentitySize",
     "OutOfRegionError",
     "ParamPoint",

@@ -283,62 +283,3 @@ def abq1_q_to_1_gap(pp: ParamPoint, eps: float, m: int, n: int) -> float:
     x_sub = (1 - a * x) / (1 - a / b)
     cl_a, _ = cb_terms_classical(x_sub, m, n)
     return float(abs(val - cl_a))
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """Outcome of one residual trial; ``verdict`` is True iff the residual
-    met the tolerance."""
-
-    identity: str
-    params: ParamPoint
-    m: int
-    n: int
-    residual: float
-    tolerance: float
-    verdict: bool
-
-    def __post_init__(self):
-        if self.verdict != (self.residual <= self.tolerance):
-            raise ValueError("verdict inconsistent with residual/tolerance")
-
-    @classmethod
-    def from_residual(cls, identity: str, params: ParamPoint, m: int, n: int,
-                      residual: float, tolerance: float) -> "IdentityReport":
-        return cls(identity, params, m, n, float(residual), float(tolerance),
-                   residual <= tolerance)
-
-    def to_record(self) -> dict:
-        pp = self.params
-        return {
-            "identity": self.identity,
-            "m": self.m,
-            "n": self.n,
-            "params": {name: _scalar_pair(getattr(pp, name))
-                       for name in ("x", "a", "b", "c", "q", "p")},
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "verdict": "pass" if self.verdict else "fail",
-        }
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "IdentityReport":
-        par = {name: _pair_scalar(rec["params"][name])
-               for name in ("x", "a", "b", "c", "q", "p")}
-        return cls(rec["identity"], ParamPoint(**par), rec["m"], rec["n"],
-                   rec["residual"], rec["tolerance"], rec["verdict"] == "pass")
-
-
-def _scalar_pair(z):
-    if isinstance(z, complex):
-        return [z.real, z.imag]
-    return [str(z.real), str(z.imag)]  # mpmath scalars keep full precision
-
-
-def _pair_scalar(pair):
-    re, im = pair
-    if isinstance(re, str):
-        import mpmath
-
-        return mpmath.mpc(re, im)
-    return complex(re, im)

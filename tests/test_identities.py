@@ -1,10 +1,9 @@
 """Identity family tests: every member of the degeneration chain, the
-variant and homogeneous forms, the limit arrows, and report plumbing."""
+variant and homogeneous forms, and the limit arrows."""
 
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from random import Random
 
@@ -18,7 +17,6 @@ from thetacb.errors import DegenerateParameterError, UnknownIdentityError
 from thetacb.identities import (
     ARROWS,
     FAMILIES,
-    IdentityReport,
     abq1_q_to_1_gap,
     cb_homogeneous_residual,
     cb_residual,
@@ -227,24 +225,3 @@ class TestDegenerationChain:
         gap_fine = abq1_q_to_1_gap(_PINNED, 1e-5, 2, 1)
         assert gap_fine < gap_coarse / 5
         assert gap_fine < 1e-3
-
-
-class TestIdentityReport:
-    def test_round_trip(self, generic_point):
-        report = IdentityReport.from_residual("elliptic_cb", generic_point,
-                                              3, 2, 1.5e-12, 1e-8)
-        record = report.to_record()
-        assert json.loads(json.dumps(record)) == record
-        back = IdentityReport.from_record(record)
-        assert (back.identity, back.m, back.n) == (report.identity, 3, 2)
-        assert back.residual == report.residual
-        assert back.tolerance == report.tolerance
-        for name in ("x", "a", "b", "c", "q", "p"):
-            assert getattr(back.params, name) == getattr(report.params, name)
-        assert back.verdict is True
-
-    def test_verdict_invariant(self, generic_point):
-        with pytest.raises(ValueError):
-            IdentityReport("x", generic_point, 0, 0, 2.0, 1.0, True)
-        failing = IdentityReport.from_residual("x", generic_point, 0, 0, 2.0, 1.0)
-        assert failing.verdict is False
