@@ -86,8 +86,8 @@ def _convolution(pp, m, n):
 
 
 def _frenkel_turaev(pp, m, n):
-    lhs, rhs = noncomm.frenkel_turaev(pp, min(m + n, 6))
-    return relative_residual(lhs, rhs)
+    lhs, rhs, scale = noncomm.frenkel_turaev(pp, min(m + n, 6))
+    return relative_residual(lhs, rhs, scale)
 
 
 def _theta_addition(pp, m, n):
@@ -273,8 +273,7 @@ def run_campaign(config: CampaignConfig) -> "CampaignReport":
                         passed = residual <= config.tol
                         records.append({
                             "identity": name, "m": m, "n": n, "trial": trial, "seed": tseed,
-                            "params": {key: _pair(getattr(pp, key))
-                                       for key in ("x", "a", "b", "c", "q", "p")},
+                            "params": {f.name: _pair(getattr(pp, f.name)) for f in fields(pp)},
                             "residual": residual, "tolerance": float(config.tol),
                             "verdict": "pass" if passed else "fail"})
                         if math.isfinite(residual):
@@ -291,8 +290,7 @@ def run_campaign(config: CampaignConfig) -> "CampaignReport":
 
 
 def _pair(z) -> list:
-    """A scalar as its record pair: [re, im] floats for a complex, strings
-    for an mpmath scalar, which keep its full precision."""
+    """A scalar's record pair [re, im]: floats, or full-precision strings for mpmath."""
     if isinstance(z, complex):
         return [z.real, z.imag]
     return [str(z.real), str(z.imag)]

@@ -266,12 +266,16 @@ def b_system_residual(pp: ParamPoint, size: IdentitySize) -> float:
         B(k, l) = h(k-1, l)/h(k-1, 0) B(k-1, l)
                   + (1 - h(k, l-1))/(1 - h(0, l-1)) B(k, l-1).
 
-    The closed-form cells and the weights read the point's theta store,
-    so the check costs O(m + n) theta calls."""
+    Each cell is scaled by its two terms' magnitudes.  The closed-form
+    cells and the weights read the point's theta store, so the check
+    costs O(m + n) theta calls."""
     m, n = size.m, size.n
     bt = [[b_closed(pp, k, l) for l in range(n + 1)] for k in range(m + 1)]
     h = cache(partial(elliptic_weight, pp))
-    return worst_residual(
-        relative_residual(bt[k][l], h(k - 1, l) / h(k - 1, 0) * bt[k - 1][l]
-                          + (1 - h(k, l - 1)) / (1 - h(0, l - 1)) * bt[k][l - 1])
-        for k in range(1, m + 1) for l in range(1, n + 1))
+
+    def cell(k, l):
+        t1 = h(k - 1, l) / h(k - 1, 0) * bt[k - 1][l]
+        t2 = (1 - h(k, l - 1)) / (1 - h(0, l - 1)) * bt[k][l - 1]
+        return relative_residual(bt[k][l], t1 + t2, abs(t1), abs(t2))
+
+    return worst_residual(cell(k, l) for k in range(1, m + 1) for l in range(1, n + 1))

@@ -600,7 +600,8 @@ def frenkel_turaev(pp: ParamPoint, n: int):
     entries of the sum's windows that the store does not hold yet are
     filled first, in one batch (:meth:`ThetaLadders.fill`, which
     evaluates nothing at an mpmath point: there each entry is read by
-    :func:`theta`).
+    :func:`theta`).  Returns (lhs, rhs, scale), ``scale`` the largest
+    term magnitude of the sum.
     """
     a, b, c, d, q = pp.a, pp.b, pp.c, pp.x, pp.q
     e = a * a * q ** (n + 1) / (b * c * d)
@@ -619,8 +620,8 @@ def frenkel_turaev(pp: ParamPoint, n: int):
     lad.fill([(ladder, j) for ladder, j in dict.fromkeys(reads) if j not in ladder])
 
     th_a = la.den(0)
-    lhs, _ = series_with_running_products(num, den, q, n, lambda k: la[2 * k] / th_a)
-    return lhs, theta_ratio(rhs_num, rhs_den)
+    lhs, scale = series_with_running_products(num, den, q, n, lambda k: la[2 * k] / th_a)
+    return lhs, theta_ratio(rhs_num, rhs_den), scale
 
 
 def frenkel_turaev_from_convolution(pp: ParamPoint, n: int, m: int, k: int):
@@ -630,7 +631,8 @@ def frenkel_turaev_from_convolution(pp: ParamPoint, n: int, m: int, k: int):
         (a, b, c, d, n) -> (a q^-n / b, a c q^(n+m), q^(1-n)/(b c),
                             a q^(k-n-m) / b, k),
 
-    on the point with (a, b, c, x) replaced, which shares pp's store.
+    on the point with (a, b, c, x) replaced, which shares pp's store;
+    returns that sum's (lhs, rhs, scale).
     """
     a, b, c, q = pp.a, pp.b, pp.c, pp.q
     return frenkel_turaev(pp.replace(a=a * q ** (-n) / b,

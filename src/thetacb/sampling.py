@@ -161,7 +161,7 @@ def sample_param_point(
     rng: Random,
     size: IdentitySize,
     guard: float = DEFAULT_GUARD,
-    p_max: float | None = None,
+    p_max: float = P_HI,
     theta_free: bool = False,
 ) -> ParamPoint:
     """Draw a generic parameter point (log-uniform magnitudes, uniform
@@ -175,11 +175,10 @@ def sample_param_point(
 
     ``p_max`` outside [``P_LO``, ``P_HI``] raises ``ValueError``.
     """
-    if p_max is not None and not P_LO <= p_max <= P_HI:
+    if not P_LO <= p_max <= P_HI:
         raise ValueError(f"p_max must lie in [{P_LO}, {P_HI}]")
-    p_hi = P_HI if p_max is None else p_max
     for _ in range(MAX_ATTEMPTS):
-        pp = _draw(rng, p_hi)
+        pp = _draw(rng, p_max)
         if check_genericity(pp.replace(p=0j) if theta_free else pp, size, guard):
             # the point keeps the thetas its scan computed (none for a
             # theta-free scan, which filled the p = 0 point's store)

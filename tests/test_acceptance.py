@@ -303,16 +303,16 @@ def test_criterion_6_noncommutative_suite():
         pp = ParamPoint(d, a, b, c, q, p)
         for n in range(7):
             try:
-                lhs, rhs = noncomm.frenkel_turaev(pp, n)
+                lhs, rhs, scale = noncomm.frenkel_turaev(pp, n)
             except DegenerateParameterError:
                 continue
-            residual = relative_residual(lhs, rhs)
+            residual = relative_residual(lhs, rhs, scale)
             if residual >= 5e-10:
                 rescued += 1
                 with mpmath.workdps(40):
-                    lhs, rhs = noncomm.frenkel_turaev(
+                    lhs, rhs, scale = noncomm.frenkel_turaev(
                         ParamPoint(*(mpmath.mpc(v) for v in (d, a, b, c, q, p))), n)
-                residual = relative_residual(lhs, rhs)
+                residual = relative_residual(lhs, rhs, scale)
             worst_sum = max(worst_sum, residual)
         checked += 1
 

@@ -29,7 +29,7 @@ from thetacb.cli import (
     parse_config_file,
     run_campaign,
 )
-from thetacb.params import IdentitySize
+from thetacb.params import IdentitySize, ParamPoint
 from thetacb.sampling import P_HI, _draw, check_genericity, sample_param_point
 from thetacb.weights import elliptic_weight
 
@@ -384,6 +384,44 @@ class TestResidualFolds:
         # (1, 1) folds at least two residuals in every one of these runners
         assert math.isnan(records[1, 1]["residual"])
         assert records[1, 1]["verdict"] == "fail"
+
+
+#: Campaign draws at which a check cancels terms far larger than its result,
+#: (name, m, n, point), each point pinned by its six parameters.  On a fresh
+#: point they read 3.93e-6, 1.32e-7 and 1.72e-5 in doubles while the checks
+#: divided by the result alone.
+_CANCELLING = [
+    # deep and default seed 10, trial 0, trial seed 17372368888134836989
+    ("frenkel_turaev", 2, 3,
+     ParamPoint(x=0.3854534614716634 + 0.39443744751342685j,
+                a=0.365569202295858 + 0.06948122736756085j,
+                b=0.3360470621845516 - 0.16326197297355036j,
+                c=-0.33363614195587743 + 0.47438943103986536j,
+                q=0.6824344553386275 + 0.3038072857450564j,
+                p=0.35939636470730013 - 0.2137357400992277j)),
+    # deep seed 2, trial 0, trial seed 2156733461355681565
+    ("b_system", 7, 2,
+     ParamPoint(x=1.288950440972642 + 0.6940123708659884j,
+                a=-0.6777131626408989 - 0.9344520840279179j,
+                b=0.33603240380994176 - 0.40376136502836824j,
+                c=-0.6768985062253167 + 1.073988200766208j,
+                q=-0.2821114792211216 + 0.2280639709907604j,
+                p=0.39459274493847973 - 0.12840015456416215j)),
+    # deep seed 21, trial 1, trial seed 5051159550948221654
+    ("b_system", 8, 2,
+     ParamPoint(x=-1.275299096490749 - 0.1154262854557599j,
+                a=1.731840292806946 - 0.7954730767844858j,
+                b=-0.23798969619391674 + 0.38491386117416393j,
+                c=0.6562693542811128 - 0.58610573600928j,
+                q=0.07216247944882453 + 0.40845520211227954j,
+                p=0.440805721780599 - 0.10573584809968666j)),
+]
+
+
+@pytest.mark.parametrize("name, m, n, point", _CANCELLING,
+                         ids=[f"{row[0]}-{row[1]}-{row[2]}" for row in _CANCELLING])
+def test_cancelling_draw_passes_in_doubles(name, m, n, point):
+    assert REGISTRY[name][2](point, m, n) <= CampaignConfig().tol
 
 
 def test_bezout_qcb_keeps_a_nan_coefficient_gap(monkeypatch, generic_point):

@@ -28,7 +28,7 @@ from thetacb.lattice import (
 )
 from thetacb.params import IdentitySize
 from thetacb.sampling import sample_param_point, to_mp
-from thetacb.special import relative_residual, theta, theta_prod
+from thetacb.special import relative_residual, theta, theta_prod, worst_residual
 from thetacb.weights import elliptic_weight
 
 
@@ -238,6 +238,33 @@ def test_b_system_residual_is_small_at_generic_points():
         pp = sample_param_point(rng, IdentitySize(m, n))
         assert b_system_residual(pp, IdentitySize(m, n)) < 1e-10
 
+
+
+def test_scaling_passes_a_wrong_second_term_no_more_often():
+    # a mutant difference system with an extra factor q on its second term:
+    # scaling each cell by |t1| and |t2| must not let it pass tol 1e-8 at
+    # more points than the plain residual does
+    rng = Random(22)
+    plain = scaled = total = 0
+    for m in range(1, 4):
+        for n in range(1, 4):
+            for _ in range(40):
+                pp = sample_param_point(rng, IdentitySize(m, n))
+                bt = [[b_closed(pp, k, l) for l in range(n + 1)] for k in range(m + 1)]
+                cells = []
+                for k in range(1, m + 1):
+                    for l in range(1, n + 1):
+                        t1 = (elliptic_weight(pp, k - 1, l) / elliptic_weight(pp, k - 1, 0)
+                              * bt[k - 1][l])
+                        t2 = pp.q * ((1 - elliptic_weight(pp, k, l - 1))
+                                     / (1 - elliptic_weight(pp, 0, l - 1)) * bt[k][l - 1])
+                        cells.append((bt[k][l], t1, t2))
+                plain += worst_residual(relative_residual(cell, t1 + t2)
+                                        for cell, t1, t2 in cells) <= 1e-8
+                scaled += worst_residual(relative_residual(cell, t1 + t2, abs(t1), abs(t2))
+                                         for cell, t1, t2 in cells) <= 1e-8
+                total += 1
+    assert scaled <= plain < total
 
 
 def test_b_system_residual_keeps_a_nan_that_is_not_first(monkeypatch):

@@ -46,7 +46,7 @@ from thetacb.noncomm import (
 from thetacb.lattice import b_closed
 from thetacb.params import IdentitySize, ParamPoint
 from thetacb.sampling import check_genericity, sample_param_point, to_mp
-from thetacb.special import qbinom, relative_residual, worst_residual
+from thetacb.special import qbinom, relative_residual, theta_ratio, worst_residual
 from thetacb.weights import binomial_weight, elliptic_weight, normalized_weight
 
 
@@ -488,8 +488,8 @@ class TestConvolution:
 
 class TestVeryWellPoisedSum:
     def test_empty_case(self):
-        lhs, rhs = frenkel_turaev(ParamPoint(1.1, 0.8, 1.2, 0.7, 0.5, 0.2), 0)
-        assert lhs == 1 and rhs == 1
+        lhs, rhs, scale = frenkel_turaev(ParamPoint(1.1, 0.8, 1.2, 0.7, 0.5, 0.2), 0)
+        assert lhs == 1 and rhs == 1 and scale == 1
 
     def test_vanished_denominator_factor_raises(self, generic_point):
         # b = aq puts theta(aq/b; p) = theta(1; p) into both sides
@@ -500,8 +500,8 @@ class TestVeryWellPoisedSum:
     def test_fixed_depth_three(self, rng):
         a, b, c, d = (unit_complex(rng, 0.2, 2) for _ in range(4))
         q, p = unit_complex(rng, 0.3, 0.9), unit_complex(rng, 0.05, 0.5)
-        lhs, rhs = frenkel_turaev(ParamPoint(d, a, b, c, q, p), 3)
-        assert relative_residual(lhs, rhs) < 1e-9
+        lhs, rhs, scale = frenkel_turaev(ParamPoint(d, a, b, c, q, p), 3)
+        assert relative_residual(lhs, rhs, scale) < 1e-9
 
     def test_random_sweep(self, rng):
         worst = 0.0
@@ -511,10 +511,10 @@ class TestVeryWellPoisedSum:
             n = rng.randint(0, 6)
             q, p = unit_complex(rng, 0.3, 0.9), unit_complex(rng, 0.05, 0.5)
             try:
-                lhs, rhs = frenkel_turaev(ParamPoint(d, a, b, c, q, p), n)
+                lhs, rhs, scale = frenkel_turaev(ParamPoint(d, a, b, c, q, p), n)
             except DegenerateParameterError:
                 continue
-            worst = max(worst, relative_residual(lhs, rhs))
+            worst = max(worst, relative_residual(lhs, rhs, scale))
             checked += 1
         assert worst < 1e-9
 
@@ -539,6 +539,27 @@ class TestVeryWellPoisedSum:
             for n in (2, 4):
                 assert frenkel_turaev(pp, n) == frenkel_turaev(fresh_copy(pp), n)
 
+    def test_scaling_passes_a_wrong_window_no_more_often(self, monkeypatch):
+        # a mutant right side with the window (a q^2; q, p)_n in place of
+        # (aq; q, p)_n: dividing by the series' largest term must not let it
+        # pass tol 1e-8 at more points than the plain residual does
+        def mutant_ratio(num, den):
+            (ladder, _start, length), *rest = num
+            return theta_ratio(((ladder, 2, length), *rest), den)
+
+        monkeypatch.setattr(noncomm, "theta_ratio", mutant_ratio)
+        rng = Random(22)
+        plain = scaled = total = 0
+        for m in range(4):
+            for n in range(4):
+                for _ in range(40):
+                    pp = sample_param_point(rng, IdentitySize(m, n))
+                    lhs, rhs, scale = frenkel_turaev(pp, m + n)
+                    plain += relative_residual(lhs, rhs) <= 1e-8
+                    scaled += relative_residual(lhs, rhs, scale) <= 1e-8
+                    total += 1
+        assert scaled <= plain < total
+
     def test_convolution_specialisation(self, rng):
         # (i) on the window k <= m every factor of the substituted sum is
         # regular and the summation identity holds there; (ii) across the
@@ -546,8 +567,8 @@ class TestVeryWellPoisedSum:
         # the substituted series terms, which pins down the parameter map
         pp = sample_param_point(rng, IdentitySize(6, 6))
         for n, m, k in ((1, 2, 1), (2, 3, 2), (1, 3, 3)):
-            lhs, rhs = frenkel_turaev_from_convolution(pp, n, m, k)
-            assert relative_residual(lhs, rhs) < 1e-9
+            lhs, rhs, scale = frenkel_turaev_from_convolution(pp, n, m, k)
+            assert relative_residual(lhs, rhs, scale) < 1e-9
         self._check_term_proportionality(pp, 2, 3, 4)
 
     @staticmethod
