@@ -1,0 +1,104 @@
+"""Count the false failures of a campaign configuration over a range of seeds.
+
+    python3 scripts/census.py --seeds 0-29 [thetacb flags]
+
+The thetacb flags (``--config``, ``--identities``, ``--m-max``, ...) give
+the campaign, which runs in doubles at every seed of the range
+(``--seed`` and ``--precision`` are ignored).  Every trial that fails,
+non-finite residuals included, is rerun at ``DIGITS`` digits through the
+campaign's own trial path (``cli._run_trial``) at the same cell, so at
+the same draw; a rerun that draws another point is an error.  For each
+such trial the census prints one JSON line: identity, m, n, trial,
+campaign seed, trial seed, the six parameters of the draw, and the
+residual in doubles and at ``DIGITS`` digits.  The last line counts the
+failing trials: ``false`` ones pass at ``DIGITS`` digits, ``genuine``
+ones fail there too.
+
+Exit status: 0 when no failure is genuine, 1 otherwise, 2 on a usage or
+configuration error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import sys
+from pathlib import Path
+
+# run from a checkout: import the package from its src/ directory
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import mpmath  # noqa: E402
+
+from thetacb import cli  # noqa: E402
+
+#: Working digits of the reruns.
+DIGITS = 40
+
+
+def _seed_range(text: str) -> range:
+    first, _, last = text.partition("-")
+    seeds = range(int(first), int(last or first) + 1)
+    if not seeds:
+        raise ValueError(f"empty seed range {text!r}")
+    return seeds
+
+
+def rerun(config: cli.CampaignConfig, rec: dict) -> float:
+    """The residual of trial record ``rec`` of the double campaign
+    ``config``, evaluated again at ``DIGITS`` digits at the same draw."""
+    m, n, trial = rec["m"], rec["n"], rec["trial"]
+    cell = cli._Cell(m, n, trial, cli._trial_seed(config.seed, m, n, trial))
+    wide = dataclasses.replace(config, precision=DIGITS)
+    with mpmath.workdps(DIGITS):
+        _pp, residual, seed, resamples = cli._run_trial(
+            wide, rec["identity"], cli.REGISTRY[rec["identity"]][2], cell)
+    if (seed, resamples) != (rec["seed"], rec["resamples"]):
+        raise RuntimeError(f"the {DIGITS}-digit rerun of {rec['identity']} ({m}, {n}) "
+                           f"trial {trial} drew another point")
+    return residual
+
+
+def census(config: cli.CampaignConfig, seeds: range):
+    """One line per failing trial of ``config`` at each seed, then the count."""
+    failing = genuine = 0
+    for seed in seeds:
+        campaign = dataclasses.replace(config, seed=seed, precision=0)
+        for rec in cli.run_campaign(campaign).records:
+            if rec["verdict"] == "pass":
+                continue
+            wide = rerun(campaign, rec)
+            failing += 1
+            genuine += not (wide <= config.tol)  # a NaN at 40 digits is no pass
+            yield {"identity": rec["identity"], "m": rec["m"], "n": rec["n"],
+                   "trial": rec["trial"], "campaign_seed": seed, "trial_seed": rec["seed"],
+                   "params": rec["params"], "residual": rec["residual"],
+                   f"residual_{DIGITS}": wide}
+    yield {"type": "count", "campaigns": len(seeds), "failing": failing,
+           "false": failing - genuine, "genuine": genuine}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", required=True,
+                        help="campaign seeds FIRST-LAST, both included")
+    args, rest = parser.parse_known_args(argv)
+    flags = cli._build_parser().parse_args(rest)
+    try:
+        seeds = _seed_range(args.seeds)
+        file_values = {}
+        if flags.config:
+            with open(flags.config, encoding="utf-8") as handle:
+                file_values = cli.parse_config_file(handle.read())
+        config = cli.build_config(file_values, {key: getattr(flags, key) for key in cli._READERS})
+    except (OSError, ValueError, TypeError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    for line in census(config, seeds):
+        print(json.dumps(line, sort_keys=True), flush=True)
+    return 1 if line["genuine"] else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

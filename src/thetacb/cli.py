@@ -218,16 +218,6 @@ REGISTRY: dict[str, tuple[str, int | None, Callable]] = {
 }
 
 
-#: The checks that read no theta at p != 0: they divide only by factors
-#: 1 - z q^j, so their trials scan the draw's p = 0 point
-#: (``sample_param_point(theta_free=True)``), where no theta is evaluated.
-THETA_FREE = frozenset({
-    "classical_cb", "qcb", "abq1_cb", "abq2_cb", "abcq_cb", "cb_variant", "cb_homogeneous",
-    "qbinom_pascal", "binomial_q_commuting", "homogeneous_q_commuting",
-    "connection_first", "connection_second", "bezout_qcb", "matrix_pair", "mod_reduction",
-})
-
-
 def list_identities() -> list[tuple[str, str]]:
     """All registered identity names with one-line descriptions."""
     return [(name, entry[0]) for name, entry in sorted(REGISTRY.items())]
@@ -236,57 +226,68 @@ def list_identities() -> list[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 # Campaign execution.
 
-def _trial_seed(seed: int, identity: str, m: int, n: int, trial: int) -> int:
-    blob = f"{seed}|{identity}|{m}|{n}|{trial}".encode()
+def _trial_seed(*coords) -> int:
+    """The seed of a random stream named by its coordinates: (seed, m, n,
+    trial) for a cell's shared draw, (seed, identity, m, n, trial) for the
+    draws of one check that could not use it."""
+    blob = "|".join(map(str, coords)).encode()
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
 
+@dataclass
+class _Cell:
+    """One (m, n, trial) cell of a campaign: the seed of its draw and,
+    once the first check of the cell has run, its scanned point."""
+
+    m: int
+    n: int
+    trial: int
+    seed: int
+    point: ParamPoint | None = None
+
+
 def run_campaign(config: CampaignConfig) -> "CampaignReport":
-    """Run every (identity, m, n, trial), sampling one generic point per
-    trial with a seed derived from the trial coordinates so the report is
-    reproducible and independent of execution order.  A positive
-    ``precision`` runs the whole campaign under ``mpmath.workdps``, each
-    trial at its draw converted to mpmath scalars."""
+    """Run every (identity, m, n, trial).  The cells (m, n, trial) are
+    walked in order, and every selected check whose cap admits a cell is
+    evaluated at the cell's one generic point, drawn with a seed derived
+    from the cell's coordinates, so the report is reproducible, independent
+    of execution order and of which other checks the campaign selects.
+    Records are emitted identity by identity.  A positive ``precision``
+    runs the whole campaign under ``mpmath.workdps``, each trial at its
+    draw converted to mpmath scalars."""
     digits = contextlib.nullcontext()
     if config.precision > 0:
         import mpmath  # only extended-precision campaigns load it
 
         digits = mpmath.workdps(config.precision)
+    names = config.identities or tuple(sorted(REGISTRY))
+    records: dict[str, list[dict]] = {name: [] for name in names}
     with digits:
-        names = config.identities or tuple(sorted(REGISTRY))
-        records = []
-        summary: dict[str, dict] = {}
-        for name in names:
-            _desc, cap, runner = REGISTRY[name]
-            worst = 0.0
-            failures = 0
-            nonfinite = 0
-            count = 0
-            for m in range(config.m_max + 1):
-                for n in range(config.n_max + 1):
-                    if cap is not None and m + n > cap:
-                        continue
-                    for trial in range(config.trials):
-                        tseed = _trial_seed(config.seed, name, m, n, trial)
-                        pp, residual = _run_trial(Random(tseed), config, runner, m, n,
-                                                  theta_free=name in THETA_FREE)
-                        passed = residual <= config.tol
-                        records.append({
-                            "identity": name, "m": m, "n": n, "trial": trial, "seed": tseed,
+        for m in range(config.m_max + 1):
+            for n in range(config.n_max + 1):
+                for trial in range(config.trials):
+                    cell = _Cell(m, n, trial, _trial_seed(config.seed, m, n, trial))
+                    for name in names:
+                        _desc, cap, runner = REGISTRY[name]
+                        if cap is not None and m + n > cap:
+                            continue
+                        pp, residual, seed, resamples = _run_trial(config, name, runner, cell)
+                        records[name].append({
+                            "identity": name, "m": m, "n": n, "trial": trial, "seed": seed,
                             "params": {f.name: _pair(getattr(pp, f.name)) for f in fields(pp)},
-                            "residual": residual, "tolerance": float(config.tol),
-                            "verdict": "pass" if passed else "fail"})
-                        if math.isfinite(residual):
-                            worst = max(worst, residual)
-                        else:
-                            nonfinite += 1
-                        failures += 0 if passed else 1
-                        count += 1
-            summary[name] = {"trials": count, "failures": failures,
-                             "nonfinite": nonfinite, "max_residual": worst}
+                            "residual": residual, "resamples": resamples,
+                            "tolerance": float(config.tol),
+                            "verdict": "pass" if residual <= config.tol else "fail"})
+    summary = {}
+    for name, recs in records.items():
+        residuals = [rec["residual"] for rec in recs]
+        summary[name] = {"trials": len(recs),
+                         "failures": sum(rec["verdict"] == "fail" for rec in recs),
+                         "nonfinite": sum(not math.isfinite(r) for r in residuals),
+                         "max_residual": max([0.0, *filter(math.isfinite, residuals)])}
     all_pass = all(s["failures"] == 0 for s in summary.values())
-    return CampaignReport(config=config, records=records, summary=summary,
-                          all_pass=all_pass)
+    return CampaignReport(config=config, records=[rec for recs in records.values() for rec in recs],
+                          summary=summary, all_pass=all_pass)
 
 
 def _pair(z) -> list:
@@ -296,29 +297,44 @@ def _pair(z) -> list:
     return [str(z.real), str(z.imag)]
 
 
-def _run_trial(rng: Random, config: CampaignConfig, runner: Callable,
-               m: int, n: int, theta_free: bool = False) -> tuple[ParamPoint, float]:
-    """Sample and evaluate, resampling when an identity-specific
-    denominator turns out degenerate (the generic scan cannot know every
-    family's denominators); the retry consumes the same deterministic
-    stream, so reports stay reproducible and trial counts unchanged.
-    A ``theta_free`` check (:data:`THETA_FREE`) has the sampler scan the
-    draw's p = 0 point, and is evaluated at the draw itself.  An
-    ``OverflowError`` of the check gives a NaN residual: the trial fails
-    and counts as non-finite, and the campaign goes on."""
+def _draws(config: CampaignConfig, name: str, cell: _Cell):
+    """The double points check ``name`` tries at ``cell`` in turn, each
+    with the seed of the stream that drew it: the cell's shared point,
+    drawn and scanned on the cell's first trial, then up to 20 draws of the
+    check's own stream, for a check whose own denominators degenerate at
+    the shared point (the scan cannot know every family's denominators)."""
+    size = IdentitySize(cell.m, cell.n)
+    if cell.point is None:
+        cell.point = sample_param_point(Random(cell.seed), size, guard=config.guard,
+                                        p_max=config.p_max)
+    yield cell.seed, cell.point
+    seed = _trial_seed(config.seed, name, cell.m, cell.n, cell.trial)
+    rng = Random(seed)
     for _ in range(20):
-        pp = sample_param_point(rng, IdentitySize(m, n), guard=config.guard,
-                                p_max=config.p_max, theta_free=theta_free)
-        if config.precision > 0:
-            pp = to_mp(pp)
+        yield seed, sample_param_point(rng, size, guard=config.guard, p_max=config.p_max)
+
+
+def _run_trial(config: CampaignConfig, name: str, runner: Callable,
+               cell: _Cell) -> tuple[ParamPoint, float, int, int]:
+    """Evaluate check ``name`` at ``cell``: (point, residual, seed,
+    resamples), where seed names the stream that drew the point and
+    resamples is 0 at the cell's shared point and k after k draws of the
+    check's own stream (:func:`_draws`).  Every check starts from a copy
+    of the point's scanned theta store, or at an mpmath campaign from the
+    point converted by :func:`to_mp`, so its bits never depend on which
+    other checks ran.  An ``OverflowError`` of the check gives a NaN
+    residual: the trial fails and counts as non-finite, and the campaign
+    goes on."""
+    for resamples, (seed, point) in enumerate(_draws(config, name, cell)):
+        pp = to_mp(point) if config.precision > 0 else point.copy()
         try:
-            return pp, float(runner(pp, m, n))
+            return pp, float(runner(pp, cell.m, cell.n)), seed, resamples
         except DegenerateParameterError:
             continue
         except OverflowError:
-            return pp, math.nan
+            return pp, math.nan, seed, resamples
     raise ResamplingExhaustedError(
-        f"no evaluable point for this identity at depths ({m}, {n})")
+        f"no evaluable point for {name} at depths ({cell.m}, {cell.n})")
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,16 @@ class ParamPoint:
             object.__setattr__(self, "_thetas", held)
         return held[1]
 
+    def copy(self) -> "ParamPoint":
+        """The same point with a copy of its theta store
+        (:meth:`ThetaLadders.copy`): evaluation at the copy reads every
+        value this point holds, and what it adds stays with the copy."""
+        out = dataclasses.replace(self)
+        held = self.__dict__.get("_thetas")
+        if held is not None:
+            object.__setattr__(out, "_thetas", (held[0], held[1].copy()))
+        return out
+
     def swap_ab(self) -> "ParamPoint":
         """The point with the roles of a and b exchanged."""
         return self.replace(a=self.b, b=self.a)

@@ -18,12 +18,13 @@ rejects the draw), and the checks that run at the accepted point read
 the same values.  mpmath points are not batched: their scan reads entry
 by entry through :func:`theta_margin`.
 
-The theta-free checks (``cli.THETA_FREE``: the basic p = 0
-specialisations and the q-commuting, q-binomial, connection and Bezout
-checks) divide only by factors 1 - z q^j, never by a theta at p != 0.  For them the sampler scans the
-draw's p = 0 point, where every margin is that closed form and the
-weight condition reads the basic weights, and costs no theta; the point
-it returns is still the one drawn, p included.
+A draw is accepted only when both the draw and its p = 0 point
+``pp.replace(p=0j)`` pass the scan.  The elliptic checks read the draw's
+thetas; the basic p = 0 specialisations and the q-commuting, q-binomial,
+connection and Bezout checks divide only by factors 1 - z q^j, which the
+p = 0 scan covers at the cost of no theta.  One rule for every draw lets
+a campaign evaluate all its checks of one (m, n, trial) cell at a single
+point, whichever checks it selects.
 """
 
 from __future__ import annotations
@@ -162,16 +163,11 @@ def sample_param_point(
     size: IdentitySize,
     guard: float = DEFAULT_GUARD,
     p_max: float = P_HI,
-    theta_free: bool = False,
 ) -> ParamPoint:
     """Draw a generic parameter point (log-uniform magnitudes, uniform
-    arguments), resampling until the genericity scan passes.  The point
-    has double-precision scalars; :func:`to_mp` converts it exactly.
-
-    ``theta_free`` scans each draw's p = 0 point ``pp.replace(p=0j)``
-    instead of the draw, for a check that reads no theta at p != 0.  A
-    draw takes the same six random scalars either way, p included, and the
-    point returned is the draw itself; only which draws pass can differ.
+    arguments), resampling until both the draw and its p = 0 point pass
+    the genericity scan.  The point has double-precision scalars and keeps
+    the thetas its scan filled; :func:`to_mp` converts it exactly.
 
     ``p_max`` outside [``P_LO``, ``P_HI``] raises ``ValueError``.
     """
@@ -179,9 +175,7 @@ def sample_param_point(
         raise ValueError(f"p_max must lie in [{P_LO}, {P_HI}]")
     for _ in range(MAX_ATTEMPTS):
         pp = _draw(rng, p_max)
-        if check_genericity(pp.replace(p=0j) if theta_free else pp, size, guard):
-            # the point keeps the thetas its scan computed (none for a
-            # theta-free scan, which filled the p = 0 point's store)
+        if check_genericity(pp, size, guard) and check_genericity(pp.replace(p=0j), size, guard):
             return pp
     raise ResamplingExhaustedError(
         f"no generic point found in {MAX_ATTEMPTS} attempts (guard {guard})")

@@ -512,6 +512,15 @@ class ThetaLadders(dict):
         ladder = self[z] = ThetaLadder(z, self.q, self.p, self.nome)
         return ladder
 
+    def copy(self) -> "ThetaLadders":
+        """A store holding this store's values and sharing its nome: what
+        reads and fills of the copy add, this store never sees."""
+        out = ThetaLadders(self.q, self.p)
+        out.nome = self.nome
+        for z, ladder in self.items():
+            out[z]._values.update(ladder._values)
+        return out
+
     @np.errstate(over="ignore", invalid="ignore")
     def fill(self, entries):
         """Evaluate ``entries``, (ladder, index) pairs of this store, in one

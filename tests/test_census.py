@@ -1,0 +1,58 @@
+"""scripts/census.py on tiny configurations."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+from thetacb import cli
+
+_PATH = Path(__file__).resolve().parents[1] / "scripts" / "census.py"
+_spec = importlib.util.spec_from_file_location("census", _PATH)
+census = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(census)
+
+_TINY = ["--identities", "qcb,elliptic_cb", "--m-max", "1", "--n-max", "1", "--trials", "1"]
+
+
+def _lines(capsys) -> list[dict]:
+    return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
+def test_double_rounding_failures_are_false_failures(capsys):
+    # below double rounding, a tolerance every double trial misses and every
+    # 40-digit rerun meets
+    assert census.main(["--seeds", "0-1", "--tol", "1e-25", *_TINY]) == 0
+    *trials, count = _lines(capsys)
+    assert count == {"type": "count", "campaigns": 2, "failing": len(trials),
+                     "false": len(trials), "genuine": 0}
+    assert trials
+    reports = {seed: cli.run_campaign(cli.CampaignConfig(
+        identities=("qcb", "elliptic_cb"), m_max=1, n_max=1, trials=1, tol=1e-25, seed=seed))
+        for seed in (0, 1)}
+    for line in trials:
+        rec = next(rec for rec in reports[line["campaign_seed"]].records
+                   if (rec["identity"], rec["m"], rec["n"], rec["trial"])
+                   == (line["identity"], line["m"], line["n"], line["trial"]))
+        assert rec["verdict"] == "fail"
+        assert (line["trial_seed"], line["params"], line["residual"]) == \
+            (rec["seed"], rec["params"], rec["residual"])
+        assert line["residual_40"] <= 1e-25
+    failing = sum(rec["verdict"] == "fail" for report in reports.values()
+                  for rec in report.records)
+    assert failing == len(trials)
+
+
+def test_a_failure_that_holds_at_forty_digits_is_genuine(monkeypatch, capsys):
+    monkeypatch.setitem(cli.REGISTRY, "qcb", ("always off by one", None, lambda pp, m, n: 1.0))
+    assert census.main(["--seeds", "3", *_TINY]) == 1
+    *trials, count = _lines(capsys)
+    assert {line["identity"] for line in trials} == {"qcb"}
+    assert count == {"type": "count", "campaigns": 1, "failing": 4, "false": 0, "genuine": 4}
+    assert all(line["residual_40"] == 1.0 for line in trials)
+
+
+def test_a_bad_seed_range_exits_two(capsys):
+    assert census.main(["--seeds", "5-4", *_TINY]) == 2
+    assert "empty seed range" in capsys.readouterr().err

@@ -18,10 +18,9 @@ import mpmath
 import pytest
 
 from conftest import count_theta_calls, fresh_copy
-from thetacb import bezout, cli, noncomm, special
+from thetacb import bezout, cli, noncomm, sampling, special
 from thetacb.cli import (
     REGISTRY,
-    THETA_FREE,
     CampaignConfig,
     build_config,
     list_identities,
@@ -29,9 +28,18 @@ from thetacb.cli import (
     parse_config_file,
     run_campaign,
 )
+from thetacb.errors import DegenerateParameterError, ResamplingExhaustedError
 from thetacb.params import IdentitySize, ParamPoint
-from thetacb.sampling import P_HI, _draw, check_genericity, sample_param_point
+from thetacb.sampling import _draw, check_genericity, sample_param_point
 from thetacb.weights import elliptic_weight
+
+#: The checks that read no theta at p != 0: they divide only by factors
+#: 1 - z q^j, which the scan of a draw's p = 0 point covers.
+THETA_FREE = frozenset({
+    "classical_cb", "qcb", "abq1_cb", "abq2_cb", "abcq_cb", "cb_variant", "cb_homogeneous",
+    "qbinom_pascal", "binomial_q_commuting", "homogeneous_q_commuting",
+    "connection_first", "connection_second", "bezout_qcb", "matrix_pair", "mod_reduction",
+})
 
 
 class TestRegistry:
@@ -152,8 +160,8 @@ class TestCampaign:
         first = report.to_text()
         second = run_campaign(config).to_text()
         assert first == second
-        keys = {"identity", "m", "n", "trial", "seed", "params", "residual", "tolerance",
-                "verdict"}
+        keys = {"identity", "m", "n", "trial", "seed", "params", "residual", "resamples",
+                "tolerance", "verdict"}
         for rec in report.records:
             assert set(rec) == keys
             assert rec["verdict"] == ("pass" if rec["residual"] <= rec["tolerance"] else "fail")
@@ -201,15 +209,22 @@ class TestCampaign:
                    if rec["identity"] == "nan_check")
 
     def test_an_overflow_in_a_check_is_a_failed_nonfinite_trial(self, tmp_path):
-        # elliptic_cb at (12, 14), trial 0 of campaign seed 3: a theta
-        # reduction of the check overflows in cmath.exp
-        tseed = cli._trial_seed(3, "elliptic_cb", 12, 14, 0)
-        assert tseed == 7444341477398701693
+        # elliptic_cb at (12, 14), a draw of campaign seed 3 before cells
+        # shared their draws: a theta reduction of the check overflows in
+        # cmath.exp
+        pp = ParamPoint(x=1.0774786425079295 + 0.6032367834338705j,
+                        a=0.36868868041306374 + 0.11640679032508988j,
+                        b=1.712831227824309 - 0.1529280745922206j,
+                        c=0.20782469350648547 + 0.9053447970947643j,
+                        q=0.22937383000169403 - 0.27631205277621035j,
+                        p=-0.3247143793063654 + 0.06154000646977108j)
         runner = REGISTRY["elliptic_cb"][2]
-        pp, residual = cli._run_trial(Random(tseed), CampaignConfig(), runner, 12, 14)
-        assert math.isnan(residual)
         with pytest.raises(OverflowError):
             runner(fresh_copy(pp), 12, 14)
+        cell = cli._Cell(12, 14, 0, seed=0, point=pp)
+        got, residual, seed, resamples = cli._run_trial(CampaignConfig(), "elliptic_cb",
+                                                        runner, cell)
+        assert got == pp and math.isnan(residual) and (seed, resamples) == (0, 0)
 
         out = tmp_path / "report.jsonl"
         code = main(["--identities", "elliptic_cb", "--m-max", "14", "--n-max", "14",
@@ -217,24 +232,33 @@ class TestCampaign:
         assert code == 1
         lines = [json.loads(line) for line in out.read_text().splitlines()]
         failed = [(rec["m"], rec["n"]) for rec in lines[:-1] if rec["verdict"] == "fail"]
-        assert failed == [(12, 14)]
+        assert failed == [(13, 10)]
         summary = lines[-1]["identities"]["elliptic_cb"]
         assert (summary["trials"], summary["failures"], summary["nonfinite"]) == (225, 1, 1)
 
-    def test_an_overflow_in_the_genericity_scan_rejects_the_draw(self):
-        # lattice_master_equality at (7, 14), trial 0 of campaign seed 4: a
-        # weight of the scan's normalisation condition overflows in cmath.exp
-        tseed = cli._trial_seed(4, "lattice_master_equality", 7, 14, 0)
-        assert tseed == 10894086853100150828
-        first = _draw(Random(tseed), P_HI)
+    def test_an_overflow_in_the_genericity_scan_rejects_the_draw(self, monkeypatch):
+        # the first draw of lattice_master_equality (7, 14), trial 0 of
+        # campaign seed 4 before cells shared their draws: a weight of the
+        # scan's normalisation condition overflows in cmath.exp
+        first = ParamPoint(x=0.7163061505735739 + 0.3864003748760559j,
+                           a=0.3923428609013259 - 0.8997108599145471j,
+                           b=-0.341320475274602 - 0.07788146195057777j,
+                           c=0.415169170623072 + 0.14406639996555956j,
+                           q=0.3193616957438442 - 0.02951390414285011j,
+                           p=-0.31879912382789954 + 0.3468982377923248j)
         reads = fresh_copy(first)
         with pytest.raises(OverflowError):
             for j in range(15):
                 elliptic_weight(reads, 0, j)
-        assert not check_genericity(first, IdentitySize(7, 14))
+        assert not check_genericity(fresh_copy(first), IdentitySize(7, 14))
+        # a cell whose stream draws that point first goes on to the next draw
+        draws = iter([fresh_copy(first)])
+        monkeypatch.setattr(sampling, "_draw",
+                            lambda rng, p_hi: next(draws, None) or _draw(rng, p_hi))
         runner = REGISTRY["lattice_master_equality"][2]
-        pp, residual = cli._run_trial(Random(tseed), CampaignConfig(), runner, 7, 14)
-        assert pp != first and residual <= CampaignConfig().tol
+        pp, residual, _, resamples = cli._run_trial(CampaignConfig(), "lattice_master_equality",
+                                                    runner, cli._Cell(7, 14, 0, seed=4))
+        assert pp != first and residual <= CampaignConfig().tol and resamples == 0
 
     def test_repeated_identity_rejected_at_config_time(self, tmp_path, capsys):
         with pytest.raises(ValueError, match="repeated identities: qcb"):
@@ -281,19 +305,31 @@ class TestCampaign:
         assert report[0].all_pass
 
     def test_theta_free_campaign_evaluates_no_theta(self, monkeypatch):
-        # their scans read the p = 0 point's closed forms, and the checks
-        # read no theta at p != 0
-        batch, batches = special._theta_batch, [0]
+        # the checks read no theta at p != 0: the only thetas of their
+        # campaign are the batches of the cells' elliptic scans
+        batch, batches, in_check = special._theta_batch, [0, 0], [False]
 
         def counting(*args):
-            batches[0] += 1
+            batches[in_check[0]] += 1
             return batch(*args)
 
+        def flagged(runner):
+            def run(*args):
+                in_check[0] = True
+                try:
+                    return runner(*args)
+                finally:
+                    in_check[0] = False
+            return run
+
         monkeypatch.setattr(special, "_theta_batch", counting)
+        for name in THETA_FREE:
+            description, cap, runner = REGISTRY[name]
+            monkeypatch.setitem(REGISTRY, name, (description, cap, flagged(runner)))
         config = CampaignConfig(identities=tuple(sorted(THETA_FREE)), m_max=2, n_max=2, seed=0)
         report = []
         assert count_theta_calls(monkeypatch, lambda: report.append(run_campaign(config))) == 0
-        assert batches[0] == 0
+        assert batches[1] == 0 and batches[0] >= 9 * 3
         assert report[0].all_pass and len(report[0].records) == 15 * 9 * 3
 
     def test_extended_precision_campaign(self):
@@ -325,8 +361,85 @@ class TestCampaign:
         assert not failing
 
 
+class TestSharedDraws:
+    """Every check of an (m, n, trial) cell runs at the cell's one draw."""
+
+    @pytest.fixture(scope="class")
+    def all_checks(self):
+        report = run_campaign(CampaignConfig(seed=0))
+        by_name = {}
+        for rec in report.records:
+            by_name.setdefault(rec["identity"], []).append(json.dumps(rec, sort_keys=True))
+        return by_name
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_a_single_identity_replays_its_records_bit_for_bit(self, all_checks, name):
+        report = run_campaign(CampaignConfig(identities=(name,), seed=0))
+        assert [json.dumps(rec, sort_keys=True) for rec in report.records] == all_checks[name]
+
+    def test_the_checks_of_a_cell_share_its_point(self, all_checks):
+        cells = {}
+        for lines in all_checks.values():
+            for rec in map(json.loads, lines):
+                assert rec["resamples"] == 0
+                assert rec["seed"] == cli._trial_seed(0, rec["m"], rec["n"], rec["trial"])
+                cells.setdefault((rec["m"], rec["n"], rec["trial"]), set()).add(
+                    json.dumps(rec["params"]))
+        assert len(cells) == 4 * 4 * 3 and all(len(points) == 1 for points in cells.values())
+
+    def test_a_check_degenerate_at_the_shared_point_falls_back_to_its_own_draw(
+            self, monkeypatch):
+        config = CampaignConfig(identities=("elliptic_cb", "qcb"), m_max=1, n_max=1,
+                                trials=1, seed=0)
+        plain = run_campaign(config).records
+        description, cap, runner = REGISTRY["qcb"]
+
+        def shared(m, n):
+            return sample_param_point(Random(cli._trial_seed(0, m, n, 0)), IdentitySize(m, n))
+
+        def degenerate_at_the_shared_point(pp, m, n):
+            if pp == shared(m, n):
+                raise DegenerateParameterError("a denominator the scan does not read")
+            return runner(pp, m, n)
+
+        monkeypatch.setitem(REGISTRY, "qcb", (description, cap, degenerate_at_the_shared_point))
+        records = run_campaign(config).records
+        assert records[:4] == plain[:4] and all(rec["resamples"] == 0 for rec in records[:4])
+        for rec, before in zip(records[4:], plain[4:]):
+            assert rec["identity"] == "qcb" and rec["verdict"] == "pass"
+            assert rec["resamples"] >= 1 and rec["params"] != before["params"]
+            assert rec["seed"] == cli._trial_seed(0, "qcb", rec["m"], rec["n"], 0)
+
+    def test_a_check_that_never_finds_a_point_exhausts_its_draws(self, monkeypatch):
+        def degenerate(pp, m, n):
+            raise DegenerateParameterError("always")
+
+        monkeypatch.setitem(REGISTRY, "qcb", ("always degenerate", None, degenerate))
+        with pytest.raises(ResamplingExhaustedError, match="qcb"):
+            run_campaign(CampaignConfig(identities=("qcb",), m_max=0, n_max=0, trials=1))
+
+    def test_each_check_starts_from_a_copy_of_the_scanned_store(self, monkeypatch):
+        stores = []
+
+        def reading(pp, m, n):
+            stores.append(pp.thetas)
+            pp.thetas[pp.x * (2 + len(stores))][0]  # an entry no scan fills
+            return 0.0
+
+        monkeypatch.setitem(REGISTRY, "qcb", ("reads", None, reading))
+        monkeypatch.setitem(REGISTRY, "classical_cb", ("reads", None, reading))
+        run_campaign(CampaignConfig(identities=("classical_cb", "qcb"), m_max=0, n_max=0,
+                                    trials=1))
+        first, second = stores
+        assert first is not second and first.nome is second.nome
+        # each holds the scan's entries, and only its own reads beside them
+        scanned = {z for z in first if z in second}
+        assert scanned and all(first[z]._values == second[z]._values for z in scanned)
+        assert len(first) == len(second) == len(scanned) + 1
+
+
 class TestThetaFree:
-    """The checks whose trials scan the p = 0 point must not read p."""
+    """The checks whose denominators the p = 0 scan covers must not read p."""
 
     def test_every_name_is_registered(self):
         assert THETA_FREE <= REGISTRY.keys()
@@ -336,7 +449,7 @@ class TestThetaFree:
     def test_residual_is_the_same_at_every_nome(self, name):
         runner = REGISTRY[name][2]
         for seed, (m, n) in enumerate([(0, 0), (2, 1), (3, 3)]):
-            pp = sample_param_point(Random(seed), IdentitySize(m, n), theta_free=True)
+            pp = sample_param_point(Random(seed), IdentitySize(m, n))
             want = runner(pp, m, n)
             assert math.isfinite(want)
             for p in (-0.7 * pp.p.conjugate(), 0j):

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import count_theta_calls, fresh_copy, theta_batch_bound
 from thetacb import cli
-from thetacb.cli import REGISTRY, THETA_FREE, CampaignConfig
+from thetacb.cli import REGISTRY, CampaignConfig
 from thetacb.identities import cb_residual, cb_term_abcq, cb_term_elliptic
 from thetacb.lattice import master_equality_residual
 from thetacb.noncomm import AlgebraTag, binomial_theorem_residual, pascal_residual
@@ -42,6 +42,16 @@ def test_derived_points_share_the_store_only_at_the_same_q_and_p(generic_point):
     assert pp.replace(x=2 * pp.x).thetas is store
     assert pp.replace(p=0j).thetas is not store
     assert pp.replace(q=1 / pp.q).thetas is not store
+
+
+def test_a_copied_point_reads_the_store_and_keeps_its_own_reads(generic_point):
+    pp = generic_point
+    cb_residual("elliptic", pp, 2, 2)
+    before = _store(pp)
+    copy = pp.copy()
+    assert copy == pp and _store(copy) == before and copy.thetas.nome is pp.thetas.nome
+    cb_residual("elliptic", copy, 3, 3)
+    assert _store(pp) == before and _store(copy).keys() > before.keys()
 
 
 @pytest.mark.parametrize("check", [
@@ -252,9 +262,10 @@ def test_a_nome_bound_above_the_sampled_range_is_rejected():
     assert pp == sample_param_point(Random(0), IdentitySize(1, 1))
 
 
-def test_a_theta_free_scan_keeps_a_draw_lost_only_to_a_theta_at_p(monkeypatch):
+def test_the_union_scan_rejects_a_draw_lost_only_to_a_theta_at_p(monkeypatch):
     # c x = p: theta(c x; p) = theta(p; p) = 0, so the elliptic scan rejects
-    # the draw; at p = 0 the same factor is 1 - c x = 1 - p, clear of zero
+    # the draw; at p = 0 the same factor is 1 - c x = 1 - p, clear of zero.
+    # A draw must pass both scans, so the sampler rejects it.
     p, x = 0.3 + 0.1j, 2 + 0j
     pp = ParamPoint(x=x, a=0.7 + 0.4j, b=-0.5 + 0.9j, c=p / x, q=0.2 + 0.6j, p=p)
     assert pp.c * pp.x == p and pp.thetas[p][0] == 0
@@ -267,19 +278,31 @@ def test_a_theta_free_scan_keeps_a_draw_lost_only_to_a_theta_at_p(monkeypatch):
         assert check_genericity(pp.replace(p=0j), size)
         with monkeypatch.context() as patch:
             patch.setattr(sampling, "_draw", lambda rng, p_hi: fresh_copy(pp))
-            got = sample_param_point(Random(0), size, theta_free=True)
-            assert got == pp and got.p == p
             with pytest.raises(ResamplingExhaustedError):
                 sample_param_point(Random(0), size)
 
 
+def test_a_draw_must_also_pass_the_scan_of_its_p_zero_point(monkeypatch):
+    scanned = []
+
+    def scan(pp, size, guard):
+        scanned.append(pp.p)
+        return pp.p != 0
+
+    monkeypatch.setattr(sampling, "check_genericity", scan)
+    with pytest.raises(ResamplingExhaustedError):
+        sample_param_point(Random(0), IdentitySize(1, 1))
+    assert scanned.count(0j) == sampling.MAX_ATTEMPTS == len(scanned) / 2
+
+
 def _unscanned_divisors(monkeypatch, name, m, n, seed):
-    """The denominator thetas that check ``name`` reads at a campaign point
-    for depths (m, n) and that the genericity scan of that point leaves
-    out: every :meth:`ThetaLadder.den` read of the check, as (base, index),
-    against :func:`_denominator_args` of the point its trial scans (the
-    p = 0 point for a theta-free check).  A read of b/a at j is matched
-    with a/b at -j, which the scan covers by theta inversion."""
+    """The denominator thetas that check ``name`` reads at the point of a
+    campaign cell for depths (m, n) and that the genericity scans of that
+    point leave out: every :meth:`ThetaLadder.den` read of the check, as
+    (base, index), against the union of :func:`_denominator_args` of the
+    point and of its p = 0 point, the two scans every cell's draw passes.
+    A read of b/a at j is matched with a/b at -j, which the scan covers by
+    theta inversion."""
     reads, den = [], ThetaLadder.den
     runner = REGISTRY[name][2]
 
@@ -292,11 +315,9 @@ def _unscanned_divisors(monkeypatch, name, m, n, seed):
                           or den(ladder, j))
             return runner(pp, m, n)
 
-    theta_free = name in THETA_FREE
-    pp, _ = cli._run_trial(Random(seed), CampaignConfig(), recording, m, n,
-                           theta_free=theta_free)
-    scanned = pp.replace(p=0j) if theta_free else pp
-    scan = {(ladder.p, ladder.z, j) for ladder, j in _denominator_args(scanned, m, n)}
+    pp, *_ = cli._run_trial(CampaignConfig(), name, recording, cli._Cell(m, n, 0, seed))
+    scan = {(ladder.p, ladder.z, j) for point in (pp, pp.replace(p=0j))
+            for ladder, j in _denominator_args(point, m, n)}
     b_a = pp.b / pp.a
     return {(z, j) for p, z, j in reads
             if ((p, pp.a / pp.b, -j) if z == b_a else (p, z, j)) not in scan}

@@ -12,7 +12,7 @@ from conftest import ab_point, normal_form_leaves, shifted_point, unit_complex
 from thetacb import cli
 from thetacb.errors import DegenerateParameterError
 from thetacb.params import IdentitySize, ParamPoint
-from thetacb.sampling import sample_param_point
+from thetacb.sampling import check_genericity, sample_param_point
 from thetacb.special import relative_residual, theta, theta_prod
 from thetacb.weights import (
     binomial_weight,
@@ -31,15 +31,24 @@ def test_weight_is_the_eight_theta_ratio(generic_point):
 
 
 def test_weight_is_finite_where_a_four_theta_product_overflows():
-    # the draw of lattice_master_equality (9, 7), trial 0 of campaign seed 4:
-    # the four numerator thetas of h(9, 7) multiply to inf and so do the four
-    # denominators, which gave inf/inf = NaN and a NaN residual
-    config = cli.CampaignConfig(identities=("lattice_master_equality",), m_max=14, n_max=14,
-                                trials=1, seed=4)
-    runner = cli.REGISTRY["lattice_master_equality"][2]
-    pp, residual = cli._run_trial(Random(18344756243847901604), config, runner, 9, 7)
+    # a draw of lattice_master_equality (9, 7), trial 0 of campaign seed 4,
+    # before cells shared their draws: the four numerator thetas of h(9, 7)
+    # multiply to inf and so do the four denominators, which gave inf/inf =
+    # NaN and a NaN residual
+    pp = ParamPoint(x=-0.04038563603792899 + 0.35871105339533094j,
+                    a=0.16600715543098896 + 0.2803175785921589j,
+                    b=-1.3521672116289696 - 0.5698483062290217j,
+                    c=-0.04652248897209834 - 0.7237357424169752j,
+                    q=-0.30937798717252013 + 0.02856011517184232j,
+                    p=-0.37892894733084626 - 0.3047563935628018j)
+    # the store the campaign evaluated at: the one its scan filled
+    assert check_genericity(pp, IdentitySize(9, 7))
+    x, a, b, c, lad = pp.x, pp.a, pp.b, pp.c, pp.thetas
+    for product in (lad[b * c][23] * lad[c / b][9] * lad[a * x][9] * lad[a / x][9],
+                    lad[a * b][16] * lad[a / b][2] * lad[c * x][16] * lad[c / x][16]):
+        assert not math.isfinite(abs(product))
     assert all(math.isfinite(abs(h)) for row in h_table(pp, 9, 7) for h in row)
-    assert residual <= 1e-8
+    assert cli.REGISTRY["lattice_master_equality"][2](pp, 9, 7) <= 1e-8
 
 
 def test_complement_symmetry_sweep():
