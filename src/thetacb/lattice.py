@@ -13,18 +13,29 @@ its closed form, and the partition of unity
     1 = sum_k (1 - h(k, n)) A(k, n) + sum_l h(m, l) A(m, l)
 
 obtained by splitting paths at their last free step.
+
+The closed forms of A and B and the weight h are each written once, as
+the ratio row of one cell (:func:`a_row`, :func:`b_row`,
+``weights.h_row``) over the ladder roles of ``ParamPoint.role_ladders``.
+A row does not depend on the point, so each is cached by its cell.  A
+single cell evaluates its row (:func:`a_closed`, :func:`b_closed`); a
+table evaluates all its rows in one ``special.ratio_rows`` call, which
+reads each distinct theta of the point's store once and gives every cell
+the bits of its single-cell kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache
 from itertools import combinations
 
 from .errors import CapExceededError, HConditionError, OutOfRegionError
-from .params import IdentitySize, ParamPoint
-from .special import DENOMINATOR_GUARD, relative_residual, theta_ratio, worst_residual
-from .weights import ZERO_SHIFT, elliptic_weight, h_table
+from .params import (A_B, A_X, AB, AC, AX, B_A, B_X, BC, BX, C_A, C_B, C_X, CX, Q, IdentitySize,
+                     ParamPoint)
+from .special import (DENOMINATOR_GUARD, ratio_row, ratio_rows, relative_residual, theta_ratio,
+                      worst_residual)
+from .weights import ZERO_SHIFT, h_row, h_table
 
 #: Endpoints with m + n beyond this are refused by the brute-force routes.
 BRUTE_FORCE_CAP = 12
@@ -159,14 +170,28 @@ def a_table_dp(pp: ParamPoint, size: IdentitySize) -> WeightTable:
     return WeightTable(m, n, tuple(map(tuple, a)), tuple(map(tuple, b)))
 
 
+@cache
+def b_row(k: int, l: int, shift=ZERO_SHIFT) -> tuple:
+    """The ratio row (:func:`special.ratio_row`) of B(k, l) at ``shift``,
+    l >= 1, without its factor q^l (see :func:`b_closed`)."""
+    al, be, ga = shift
+    return ratio_row(((AC, al + ga + k, l), (Q, k, l), (AB, al + be, l), (CX, ga, l),
+                      (C_X, ga, l), (BC, be + ga + l, k), (A_B, al - be + k - l, 1),
+                      (B_A, be - al, 1)),
+                     ((AB, al + be + k, l), (CX, ga + k, l), (AC, al + ga, l), (Q, 0, l),
+                      (BC, be + ga, k), (C_X, ga + k, l), (A_B, al - be + k, 1),
+                      (B_A, be - al + l, 1)))
+
+
 def b_closed(pp: ParamPoint, k: int, l: int, shift=ZERO_SHIFT):
     """Closed form of the normalised table:
 
         B(k, l) = theta((a/b) q^(k-l), b/a; p) (bc q^l; q, p)_k
                   (ac q^k, ab, cx, c/x, q^(k+1); q, p)_l
                 / [theta((a/b) q^k, (b/a) q^l; p) (bc; q, p)_k
-                   (ac, ab q^k, cx q^k, (c/x) q^k, q; q, p)_l] * q^l.
+                   (ac, ab q^k, cx q^k, (c/x) q^k, q; q, p)_l] * q^l,
 
+    read off the point's theta store through its row (:func:`b_row`).
     The l = 0 boundary is the system's boundary condition B(k, 0) = 1 and
     is returned exactly; at k = 0 the value is computed (the factors only
     cancel through the theta inversion identity there).  ``shift`` reads
@@ -176,16 +201,17 @@ def b_closed(pp: ParamPoint, k: int, l: int, shift=ZERO_SHIFT):
         raise OutOfRegionError("table indices must be nonnegative")
     if l == 0:
         return 1
-    x, a, b, c, q = pp.x, pp.a, pp.b, pp.c, pp.q
-    al, be, ga = shift
-    lad = pp.thetas
-    a_b, b_a, bc, ac = lad[a / b], lad[b / a], lad[b * c], lad[a * c]
-    ab, cx, c_x, qq = lad[a * b], lad[c * x], lad[c / x], lad[q]
-    num = ((ac, al + ga + k, l), (qq, k, l), (ab, al + be, l), (cx, ga, l),
-           (c_x, ga, l), (bc, be + ga + l, k), (a_b, al - be + k - l, 1), (b_a, be - al, 1))
-    den = ((ab, al + be + k, l), (cx, ga + k, l), (ac, al + ga, l), (qq, 0, l),
-           (bc, be + ga, k), (c_x, ga + k, l), (a_b, al - be + k, 1), (b_a, be - al + l, 1))
-    return theta_ratio(num, den) * q**l
+    return ratio_rows(pp.role_ladders(), (b_row(k, l, shift),))[0] * pp.q**l
+
+
+@cache
+def a_row(k: int, l: int) -> tuple:
+    """The ratio row (:func:`special.ratio_row`) of A(k, l), without its
+    factor q^l (see :func:`a_closed`)."""
+    return ratio_row(((C_B, 0, k), (AX, 0, k), (A_X, 0, k), (AC, k, l), (Q, k, l),
+                      (C_A, 0, l), (BX, 0, l), (B_X, 0, l), (BC, l, k), (A_B, k - l, 1)),
+                     ((AB, 0, k), (CX, 0, k), (C_X, 0, k), (AB, k, l), (CX, k, l),
+                      (Q, 0, l), (B_A, 1, l), (A_B, 0, k), (C_X, k, l), (A_B, k, 1)))
 
 
 def a_closed(pp: ParamPoint, k: int, l: int):
@@ -194,21 +220,13 @@ def a_closed(pp: ParamPoint, k: int, l: int):
         A(k, l) = theta((a/b) q^(k-l); p) (bc q^l, c/b, ax, a/x; q, p)_k
                   (q^(k+1), ac q^k, c/a, bx, b/x; q, p)_l
                 / [(a/b; q, p)_(k+1) (q, qb/a; q, p)_l
-                   (ab, cx, c/x; q, p)_(k+l)] * q^l.
+                   (ab, cx, c/x; q, p)_(k+l)] * q^l,
+
+    read off the point's theta store through its row (:func:`a_row`).
     """
     if k < 0 or l < 0:
         raise OutOfRegionError("table indices must be nonnegative")
-    x, a, b, c, q = pp.x, pp.a, pp.b, pp.c, pp.q
-    lad = pp.thetas
-    a_b, b_a, bc, cb = lad[a / b], lad[b / a], lad[b * c], lad[c / b]
-    ax, a_x, bx, b_x = lad[a * x], lad[a / x], lad[b * x], lad[b / x]
-    ac, c_a, qq = lad[a * c], lad[c / a], lad[q]
-    ab, cx, c_x = lad[a * b], lad[c * x], lad[c / x]
-    num = ((cb, 0, k), (ax, 0, k), (a_x, 0, k), (ac, k, l), (qq, k, l),
-           (c_a, 0, l), (bx, 0, l), (b_x, 0, l), (bc, l, k), (a_b, k - l, 1))
-    den = ((ab, 0, k), (cx, 0, k), (c_x, 0, k), (ab, k, l), (cx, k, l),
-           (qq, 0, l), (b_a, 1, l), (a_b, 0, k), (c_x, k, l), (a_b, k, 1))
-    return theta_ratio(num, den) * q**l
+    return ratio_rows(pp.role_ladders(), (a_row(k, l),))[0] * pp.q**l
 
 
 def a_closed_alt(pp: ParamPoint, k: int, l: int):
@@ -237,16 +255,19 @@ def a_closed_alt(pp: ParamPoint, k: int, l: int):
 
 def master_equality_total(pp: ParamPoint, size: IdentitySize):
     """The boundary split sum_k (1 - h(k, n)) A(k, n) + sum_l h(m, l) A(m, l)
-    with A taken from the closed form; equals 1 when the identity holds."""
+    with A taken from the closed form; equals 1 when the identity holds.
+    The m + n + 2 cells of A and their weights are one set of rows
+    (:func:`special.ratio_rows`)."""
     m, n = size.m, size.n
+    cells = [*((k, n) for k in range(m + 1)), *((m, l) for l in range(n + 1))]
+    values = ratio_rows(pp.role_ladders(), [row for i, j in cells
+                                            for row in (h_row(i, j), a_row(i, j))])
+    q = pp.q
     total = 0
     scale = 0.0
-    for k in range(m + 1):
-        term = (1 - elliptic_weight(pp, k, n)) * a_closed(pp, k, n)
-        total = total + term
-        scale = max(scale, abs(term))
-    for l in range(n + 1):
-        term = elliptic_weight(pp, m, l) * a_closed(pp, m, l)
+    for t, (k, l) in enumerate(cells):
+        h, a = values[2 * t], values[2 * t + 1] * q**l
+        term = (1 - h) * a if t <= m else h * a
         total = total + term
         scale = max(scale, abs(term))
     return total, scale
@@ -267,15 +288,25 @@ def b_system_residual(pp: ParamPoint, size: IdentitySize) -> float:
                   + (1 - h(k, l-1))/(1 - h(0, l-1)) B(k, l-1).
 
     Each cell is scaled by its two terms' magnitudes.  The closed-form
-    cells and the weights read the point's theta store, so the check
+    cells with l >= 1 and the weights the system reads (every h(i, j)
+    but h(m, n)) are one set of rows (:func:`special.ratio_rows`), which
+    reads each distinct theta of the point's store once, so the check
     costs O(m + n) theta calls."""
     m, n = size.m, size.n
-    bt = [[b_closed(pp, k, l) for l in range(n + 1)] for k in range(m + 1)]
-    h = cache(partial(elliptic_weight, pp))
+    b_cells = [(k, l) for k in range(m + 1) for l in range(1, n + 1)]
+    h_cells = list(dict.fromkeys(cell for k in range(1, m + 1) for l in range(1, n + 1)
+                                 for cell in ((k - 1, l), (k - 1, 0), (k, l - 1), (0, l - 1))))
+    values = ratio_rows(pp.role_ladders(), [*(b_row(k, l) for k, l in b_cells),
+                                            *(h_row(i, j) for i, j in h_cells)])
+    q = pp.q
+    bt = [[1] * (n + 1) for _ in range(m + 1)]
+    for (k, l), value in zip(b_cells, values):
+        bt[k][l] = value * q**l
+    h = dict(zip(h_cells, values[len(b_cells):]))
 
     def cell(k, l):
-        t1 = h(k - 1, l) / h(k - 1, 0) * bt[k - 1][l]
-        t2 = (1 - h(k, l - 1)) / (1 - h(0, l - 1)) * bt[k][l - 1]
+        t1 = h[k - 1, l] / h[k - 1, 0] * bt[k - 1][l]
+        t2 = (1 - h[k, l - 1]) / (1 - h[0, l - 1]) * bt[k][l - 1]
         return relative_residual(bt[k][l], t1 + t2, abs(t1), abs(t2))
 
     return worst_residual(cell(k, l) for k in range(1, m + 1) for l in range(1, n + 1))

@@ -17,6 +17,10 @@ from dataclasses import dataclass
 
 from .special import ThetaLadders
 
+#: The ladder roles of the lattice forms (h in ``weights``, A and B in
+#: ``lattice``): role r is entry r of :meth:`ParamPoint.role_ladders`.
+A_B, B_A, BC, AC, AB, CX, C_X, Q, C_B, AX, A_X, BX, B_X, C_A = range(14)
+
 
 @dataclass(frozen=True)
 class ParamPoint:
@@ -63,6 +67,26 @@ class ParamPoint:
             held = (prec, ThetaLadders(self.q, self.p))
             object.__setattr__(self, "_thetas", held)
         return held[1]
+
+    def role_ladders(self, swap: bool = False) -> tuple:
+        """The ladders of the roles, in role order: the bases a/b, b/a, bc,
+        ac, ab, cx, c/x, q, c/b, ax, a/x, bx, b/x and c/a of the point's
+        theta store, with a and b exchanged in every base under ``swap``.
+        The tuple is kept with the store it was read from."""
+        store = self.thetas
+        held = self.__dict__.get("_roles")
+        if held is None or held[0] is not store:
+            held = (store, {})
+            object.__setattr__(self, "_roles", held)
+        roles = held[1].get(swap)
+        if roles is None:
+            x, a, b, c, q = self.x, self.a, self.b, self.c, self.q
+            if swap:
+                a, b = b, a
+            roles = held[1][swap] = tuple(store[z] for z in (
+                a / b, b / a, b * c, a * c, a * b, c * x, c / x, q,
+                c / b, a * x, a / x, b * x, b / x, c / a))
+        return roles
 
     def copy(self) -> "ParamPoint":
         """The same point with a copy of its theta store

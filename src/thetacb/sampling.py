@@ -34,8 +34,8 @@ from random import Random
 
 from .errors import DegenerateParameterError, ResamplingExhaustedError
 from .params import IdentitySize, ParamPoint
-from .special import ThetaLadder
-from .weights import elliptic_weight
+from .special import ThetaLadder, ratio_rows
+from .weights import h_row
 
 #: Default width of the denominator safety margin used while sampling.
 DEFAULT_GUARD = 1e-6
@@ -110,9 +110,10 @@ def check_genericity(pp: ParamPoint, size: IdentitySize, guard: float = DEFAULT_
     For a double-precision point the thetas of both checks are evaluated
     first, in one batch (:meth:`ThetaLadders.fill`), which also gives the
     denominators' margins; the weight check then reads the thetas from the
-    point's store.  mpmath points read each margin by :func:`theta_margin`.
-    A point whose weights overflow doubles (``OverflowError``) is not
-    generic."""
+    point's store, the weights h(i, 0) and h(0, j) as one set of rows
+    (:func:`special.ratio_rows`).  mpmath points read each margin by
+    :func:`theta_margin`.  A point whose weights overflow doubles
+    (``OverflowError``) or meet a vanished denominator is not generic."""
     m, n = size.m, size.n
     tiny = 1e-12
     for z in (pp.x, pp.a, pp.b, pp.c, pp.q):
@@ -126,15 +127,12 @@ def check_genericity(pp: ParamPoint, size: IdentitySize, guard: float = DEFAULT_
     elif any(theta_margin(ladder, j) <= guard for ladder, j in scan):
         return False
     try:
-        for i in range(m + 1):
-            if abs(elliptic_weight(pp, i, 0)) <= guard:
-                return False
-        for j in range(n + 1):
-            if abs(1 - elliptic_weight(pp, 0, j)) <= guard:
-                return False
+        weights = ratio_rows(pp.role_ladders(), [*(h_row(i, 0) for i in range(m + 1)),
+                                                 *(h_row(0, j) for j in range(1, n + 1))])
     except (DegenerateParameterError, OverflowError):
         return False
-    return True
+    return not (any(abs(h) <= guard for h in weights[:m + 1])
+                or any(abs(1 - h) <= guard for h in (weights[0], *weights[m + 1:])))
 
 
 def _unit_complex(rng: Random) -> complex:

@@ -1,6 +1,6 @@
 """Scalar kernels: q-shifted factorials, the modified Jacobi theta
-function, theta-shifted factorials, theta ladders with the ratio and
-series kernels that read them, the denominator guard, and q-binomial
+function, theta-shifted factorials, theta ladders with the ratio, row
+and series kernels that read them, the denominator guard, and q-binomial
 coefficients.
 
 Conventions used throughout the package:
@@ -21,6 +21,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import reduce
+from itertools import starmap
+from operator import mul, truediv
 
 import numpy as np
 
@@ -487,8 +490,14 @@ class ThetaLadder:
         return j in self._values
 
     def den(self, j: int):
-        """Entry j read as a denominator factor, checked by :func:`guarded`."""
-        return guarded(self[j], "denominator theta(%r * q^%d)", self.z, j)
+        """Entry j read as a denominator factor, checked by :func:`guarded`
+        (called only when the entry vanished, to raise)."""
+        value = self._values.get(j)
+        if value is None:
+            value = self[j]
+        if abs(value) <= DENOMINATOR_GUARD:
+            guarded(value, "denominator theta(%r * q^%d)", self.z, j)
+        return value
 
 
 class ThetaLadders(dict):
@@ -518,7 +527,8 @@ class ThetaLadders(dict):
         out = ThetaLadders(self.q, self.p)
         out.nome = self.nome
         for z, ladder in self.items():
-            out[z]._values.update(ladder._values)
+            if ladder._values:
+                out[z]._values.update(ladder._values)
         return out
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -567,14 +577,75 @@ def theta_ratio(num, den):
     Every denominator factor is checked on its own (:meth:`ThetaLadder.den`);
     the product of the factors is never formed, so a product that
     underflows or overflows neither trips nor hides the check.
+
+    This is the kernel of one-off windows.  A table of cells of one
+    closed form goes through :func:`ratio_rows`, which gives every cell
+    the bits this function gives it.
     """
     tops = [ladder[j] for ladder, start, length in num for j in range(start, start + length)]
     bottoms = [ladder.den(j) for ladder, start, length in den
                for j in range(start, start + length)]
-    acc = 1
-    for t, d in zip(tops, bottoms, strict=True):
-        acc = acc * (t / d)
-    return acc
+    return _ratio_product(starmap(truediv, zip(tops, bottoms, strict=True)))
+
+
+def _ratio_product(ratios):
+    """The product of the paired ratios, multiplied left to right from 1:
+    the one row-product loop of :func:`theta_ratio` and :func:`ratio_rows`."""
+    return reduce(mul, ratios, 1)
+
+
+#: The one tuple of each entry id (role, j), shared by every compiled row,
+#: so that the rows forms cache hold references rather than copies.
+_ENTRY_IDS: dict = {}
+
+
+def ratio_row(num, den) -> tuple[tuple, tuple]:
+    """One :func:`theta_ratio` compiled to entry ids: num and den are
+    windows (role, start, length) over the ladder roles of a form, and the
+    row is the pair of tuples of the (role, j) entries they hold, in
+    :func:`theta_ratio`'s pairing order.  Unequal factor counts raise
+    ``ValueError``.  A row does not depend on the point, so a form can
+    cache its cells' rows."""
+    tops, bottoms = (tuple(_ENTRY_IDS.setdefault((role, j), (role, j))
+                           for role, start, length in windows
+                           for j in range(start, start + length))
+                     for windows in (num, den))
+    if len(tops) != len(bottoms):
+        raise ValueError(f"{len(tops)} numerator factors against {len(bottoms)} denominators")
+    return tops, bottoms
+
+
+def ratio_rows(ladders, rows) -> list:
+    """The value of each row of the sequence ``rows`` (see
+    :func:`ratio_row`), with ``ladders[role]`` the ladder of each role:
+    the value :func:`theta_ratio` gives the same windows, bit for bit.
+
+    Each distinct entry is read once for all rows: as a numerator through
+    ``ladder[j]``, as a denominator through ``ladder.den(j)``, which guards
+    it.  The paired ratios are then taken from the values read, with no
+    call per factor.  Entries are read row by row, each row's new
+    numerators before its new denominators, so the first read that raises
+    is the one a loop of :func:`theta_ratio` calls over the rows would
+    raise first.  A single row shares no entry with another, so it reads
+    its factors in order, as :func:`theta_ratio` does.
+    """
+    if len(rows) == 1:
+        (num, den), = rows
+        return [_ratio_product(map(truediv, [ladders[role][j] for role, j in num],
+                                   [ladders[role].den(j) for role, j in den]))]
+    tops: dict = {}
+    bottoms: dict = {}
+    out = []
+    for num, den in rows:
+        for e in num:
+            if e not in tops:
+                tops[e] = ladders[e[0]][e[1]]
+        for e in den:
+            if e not in bottoms:
+                bottoms[e] = ladders[e[0]].den(e[1])
+        out.append(_ratio_product(map(truediv, map(tops.__getitem__, num),
+                                      map(bottoms.__getitem__, den))))
+    return out
 
 
 def series_with_running_products(num, den, q, m: int, top_ratio):

@@ -19,40 +19,49 @@ power of q (ab -> ab q^(alpha+beta), a/b -> (a/b) q^(alpha-beta), ...).
 
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import HConditionError, OutOfRegionError
-from .params import ParamPoint
-from .special import DENOMINATOR_GUARD
+from .params import A_B, A_X, AB, AX, BC, C_B, C_X, CX, ParamPoint
+from .special import DENOMINATOR_GUARD, ratio_row, ratio_rows
 
 #: The substitution (alpha, beta, gamma) that leaves a, b and c as they are.
 ZERO_SHIFT = (0, 0, 0)
 
 
+@cache
+def h_row(i: int, j: int, shift=ZERO_SHIFT) -> tuple:
+    """The ratio row (:func:`special.ratio_row`) of h(i, j) at ``shift``:
+    the k-th numerator theta of the module docstring's ratio is paired
+    with the k-th denominator theta, since a product of four thetas can
+    overflow where the ratio does not."""
+    al, be, ga = shift
+    return ratio_row(((BC, be + ga + i + 2 * j, 1), (C_B, ga - be + i, 1),
+                      (AX, al + i, 1), (A_X, al + i, 1)),
+                     ((AB, al + be + i + j, 1), (A_B, al - be + i - j, 1),
+                      (CX, ga + i + j, 1), (C_X, ga + i + j, 1)))
+
+
 def elliptic_weight(pp: ParamPoint, i: int, j: int, shift=ZERO_SHIFT, swap: bool = False):
     """East-step weight h(i, j): the eight-theta ratio above, read off the
-    point's theta store (:attr:`ParamPoint.thetas`), so a set of cells
-    costs one theta call per distinct ladder index.  The k-th numerator
-    theta above is divided by the k-th denominator theta and the four
-    ratios are multiplied left to right (:func:`special.theta_ratio`'s
-    pairing), since a product of four thetas can overflow where the
-    ratio does not.  Every denominator theta is checked on its own by
+    point's theta store (:attr:`ParamPoint.thetas`) through its row
+    (:func:`h_row`), so a set of cells costs one theta call per distinct
+    ladder index.  Every denominator theta is checked on its own by
     :meth:`ThetaLadder.den`.  ``swap`` exchanges the roles of a and b
     after the ``shift``, alpha's and beta's with them."""
     if i < 0 or j < 0:
         raise OutOfRegionError("weight indices must be nonnegative")
-    x, a, b, c = pp.x, pp.a, pp.b, pp.c
-    al, be, ga = shift
     if swap:
-        a, b, al, be = b, a, be, al
-    lad = pp.thetas
-    bc, c_b = lad[b * c][be + ga + i + 2 * j], lad[c / b][ga - be + i]
-    ax, a_x = lad[a * x][al + i], lad[a / x][al + i]
-    return bc / lad[a * b].den(al + be + i + j) * (c_b / lad[a / b].den(al - be + i - j)) \
-        * (ax / lad[c * x].den(ga + i + j)) * (a_x / lad[c / x].den(ga + i + j))
+        shift = (shift[1], shift[0], shift[2])
+    return ratio_rows(pp.role_ladders(swap), (h_row(i, j, shift),))[0]
 
 
 def h_table(pp: ParamPoint, m: int, n: int) -> list[list]:
-    """The weights h(i, j) over the grid {0..m} x {0..n}, rows indexed by i."""
-    return [[elliptic_weight(pp, i, j) for j in range(n + 1)] for i in range(m + 1)]
+    """The weights h(i, j) over the grid {0..m} x {0..n}, rows indexed by
+    i, evaluated as one set of rows (:func:`special.ratio_rows`)."""
+    values = ratio_rows(pp.role_ladders(), [h_row(i, j) for i in range(m + 1)
+                                           for j in range(n + 1)])
+    return [values[i * (n + 1):(i + 1) * (n + 1)] for i in range(m + 1)]
 
 
 def normalized_weight(pp: ParamPoint, i: int, j: int, shift=ZERO_SHIFT, swap: bool = False):

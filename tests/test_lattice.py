@@ -17,8 +17,10 @@ from thetacb.lattice import (
     a_bruteforce,
     a_closed,
     a_closed_alt,
+    a_row,
     a_table_dp,
     b_closed,
+    b_row,
     b_system_residual,
     endpoint_weights,
     master_equality_residual,
@@ -28,8 +30,8 @@ from thetacb.lattice import (
 )
 from thetacb.params import IdentitySize
 from thetacb.sampling import sample_param_point, to_mp
-from thetacb.special import relative_residual, theta, theta_prod, worst_residual
-from thetacb.weights import elliptic_weight
+from thetacb.special import ratio_rows, relative_residual, theta, theta_prod, worst_residual
+from thetacb.weights import elliptic_weight, h_row
 
 
 class TestEnumeration:
@@ -274,3 +276,92 @@ def test_b_system_residual_keeps_a_nan_that_is_not_first(monkeypatch):
     monkeypatch.setattr(lattice, "relative_residual",
                         nan_on_second_call(lattice.relative_residual))
     assert math.isnan(b_system_residual(pp, IdentitySize(2, 2)))
+
+
+class TestRatioRows:
+    """The tables read their cells as one set of rows
+    (``special.ratio_rows``); every cell keeps the bits of its single-cell
+    kernel."""
+
+    @staticmethod
+    def _points():
+        rng = Random(24)
+        doubles = [sample_param_point(rng, IdentitySize(8, 8)) for _ in range(20)]
+        return [(pp, 15) for pp in doubles] + [(to_mp(pp), 40) for pp in doubles[:3]]
+
+    def test_every_row_is_its_single_cell_kernel_bit_for_bit(self):
+        # repr compares bits, the NaN of a row whose products overflow too;
+        # a closed form is its row's value times q^l, a weight its row's value
+        cells = [(k, l) for k in range(9) for l in range(9)]
+        shift = (2, -1, 3)
+        for pp, digits in self._points():
+            with mpmath.workdps(digits):
+                cases = [*((b_row(k, l), l, b_closed(pp, k, l)) for k, l in cells if l),
+                         *((a_row(k, l), l, a_closed(pp, k, l)) for k, l in cells),
+                         *((h_row(i, j), None, elliptic_weight(pp, i, j)) for i, j in cells),
+                         *((b_row(k, l, shift), l, b_closed(pp, k, l, shift))
+                           for k, l in cells if l)]
+                values = ratio_rows(pp.copy().role_ladders(), [row for row, _, _ in cases])
+                for value, (_, l, want) in zip(values, cases, strict=True):
+                    assert repr(value if l is None else value * pp.q**l) == repr(want)
+
+    def test_tables_are_the_per_cell_loops_bit_for_bit(self):
+        for pp, digits in self._points()[::4]:
+            with mpmath.workdps(digits):
+                for m, n in ((1, 1), (3, 5), (8, 8)):
+                    size = IdentitySize(m, n)
+                    assert repr(b_system_residual(fresh_copy(pp), size)) \
+                        == repr(_per_cell_b_system(fresh_copy(pp), m, n))
+                    assert repr(master_equality_total(fresh_copy(pp), size)) \
+                        == repr(_per_cell_master_total(fresh_copy(pp), m, n))
+
+    @pytest.mark.parametrize("table", [b_system_residual, master_equality_total])
+    def test_vanished_single_factor_raises_from_a_table(self, table, generic_point):
+        # as test_vanished_single_factor_raises for one cell: theta(a/b; p)
+        # of about 1e-14 is one denominator factor of the tables' rows
+        pp = generic_point
+        with pytest.raises(DegenerateParameterError):
+            table(pp.replace(b=pp.a * (1 + 1e-14)), IdentitySize(3, 4))
+
+    def test_b_system_makes_the_theta_calls_of_the_per_cell_loop(self, monkeypatch):
+        pp = sample_param_point(Random(31), IdentitySize(8, 8))
+        rows = count_theta_calls(
+            monkeypatch, lambda: b_system_residual(fresh_copy(pp), IdentitySize(8, 8)))
+        loop = count_theta_calls(monkeypatch, lambda: _per_cell_b_system(fresh_copy(pp), 8, 8))
+        assert rows == loop == B_SYSTEM_8_8_THETA_CALLS
+
+
+#: theta calls of b_system_residual at (8, 8) on a fresh store at the
+#: point of test_b_system_makes_the_theta_calls_of_the_per_cell_loop
+B_SYSTEM_8_8_THETA_CALLS = 157
+
+
+def _per_cell_b_system(pp, m, n):
+    """b_system_residual as a loop of single-cell kernels, each weight read
+    once in the order the difference system first reads it."""
+    bt = [[b_closed(pp, k, l) for l in range(n + 1)] for k in range(m + 1)]
+    weights = {}
+
+    def h(i, j):
+        if (i, j) not in weights:
+            weights[i, j] = elliptic_weight(pp, i, j)
+        return weights[i, j]
+
+    def cell(k, l):
+        t1 = h(k - 1, l) / h(k - 1, 0) * bt[k - 1][l]
+        t2 = (1 - h(k, l - 1)) / (1 - h(0, l - 1)) * bt[k][l - 1]
+        return relative_residual(bt[k][l], t1 + t2, abs(t1), abs(t2))
+
+    return worst_residual(cell(k, l) for k in range(1, m + 1) for l in range(1, n + 1))
+
+
+def _per_cell_master_total(pp, m, n):
+    """master_equality_total as a loop of single-cell kernels."""
+    total, scale = 0, 0.0
+    for k in range(m + 1):
+        term = (1 - elliptic_weight(pp, k, n)) * a_closed(pp, k, n)
+        total, scale = total + term, max(scale, abs(term))
+    for l in range(n + 1):
+        term = elliptic_weight(pp, m, l) * a_closed(pp, m, l)
+        total, scale = total + term, max(scale, abs(term))
+    return total, scale

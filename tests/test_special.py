@@ -30,6 +30,8 @@ from thetacb.special import (
     addition_formula_residual,
     qbinom,
     qpoch,
+    ratio_row,
+    ratio_rows,
     ThetaLadders,
     _Nome,
     _prefactor_mag,
@@ -587,6 +589,78 @@ class TestLadderKernels:
         lad = ThetaLadders(0.55 + 0.3j, 0.2 - 0.1j)
         with pytest.raises(DegenerateParameterError):
             theta_ratio(((lad[0.6 + 0.2j], 0, 2),), ((lad[1.3 + 0j], 0, 1), (lad[1 + 0j], 0, 1)))
+
+    @staticmethod
+    def _random_rows(rng, roles, count):
+        rows = []
+        for _ in range(count):
+            num, den, size = [], [], rng.randint(0, 4)
+            for windows in (num, den):
+                left = size
+                while left:
+                    length = rng.randint(1, left)
+                    windows.append((rng.randrange(roles), rng.randint(-3, 5), length))
+                    left -= length
+            rows.append((num, den))
+        return rows
+
+    @pytest.mark.parametrize("digits", [0, 40])
+    def test_rows_are_theta_ratio_bit_for_bit(self, digits):
+        rng = Random(11)
+        bases = (0.6 + 0.2j, 1.3 - 0.4j, 0.45j, -0.8 + 0.7j)
+        q, p = 0.55 + 0.3j, 0.2 - 0.1j
+        with mpmath.workdps(digits or 15):
+            if digits:
+                bases = tuple(map(mpmath.mpc, bases))
+                q, p = mpmath.mpc(q), mpmath.mpc(p)
+            store = ThetaLadders(q, p)
+            ladders = [store[z] for z in bases]
+            windows = self._random_rows(rng, len(bases), 30)
+            got = ratio_rows(ladders, [ratio_row(num, den) for num, den in windows])
+            for value, (num, den) in zip(got, windows):
+                want = theta_ratio([(ladders[r], s, n) for r, s, n in num],
+                                   [(ladders[r], s, n) for r, s, n in den])
+                assert value == want
+                assert type(value) is type(want)
+
+    def test_rows_read_each_entry_once(self, monkeypatch):
+        ladders = [ThetaLadders(0.55 + 0.3j, 0.2 - 0.1j)[z] for z in (0.6 + 0.2j, 1.3 + 0j)]
+        reads, guards = [], []
+        den = special.ThetaLadder.den
+        monkeypatch.setattr(special, "theta", lambda x, p, nome: reads.append(x) or 1 + x)
+        monkeypatch.setattr(special.ThetaLadder, "den",
+                            lambda ladder, j: guards.append(j) or den(ladder, j))
+        rows = [ratio_row(((0, 0, 3),), ((1, 0, 3),)), ratio_row(((0, 1, 3),), ((1, 1, 3),)),
+                ratio_row(((1, 0, 2),), ((0, 2, 2),))]
+        ratio_rows(ladders, rows)
+        # numerators: role 0 at 0..3, role 1 at 0..1; denominators: role 1
+        # at 0..3, role 0 at 2..3, each guarded once
+        assert len(reads) == 6 + 2
+        assert len(guards) == 4 + 2
+
+    def test_rows_raise_what_a_loop_of_theta_ratio_raises_first(self):
+        # row "vanished" divides by theta(1; p) = 0, row "zero" reads
+        # theta(0; p) as a numerator, row "both" does both: whichever read
+        # comes first raises
+        store = ThetaLadders(0.55 + 0.3j, 0.2 - 0.1j)
+        ladders = [store[0.6 + 0.2j], store[1 + 0j], store[0j]]
+        vanished = ratio_row(((0, 0, 1),), ((1, 0, 1),))
+        zero = ratio_row(((2, 0, 1),), ((0, 0, 1),))
+        both = ratio_row(((2, 0, 1),), ((1, 0, 1),))
+        with pytest.raises(DegenerateParameterError):
+            ratio_rows(ladders, [vanished, zero])
+        with pytest.raises(ZeroArgumentError):
+            ratio_rows(ladders, [zero, vanished])
+        # within a row, numerators are read first
+        for rows in ([both], [both, vanished]):
+            with pytest.raises(ZeroArgumentError):
+                ratio_rows(ladders, rows)
+
+    def test_row_rejects_unequal_factor_counts(self):
+        for num, den in ((((0, 0, 3),), ((1, 0, 2),)),
+                         (((0, 0, 1),), ((1, 0, 1), (0, 4, 1)))):
+            with pytest.raises(ValueError):
+                ratio_row(num, den)
 
     def test_series_at_p_zero_is_the_basic_sum(self):
         # sum_k (x; q)_k / (q; q)_k q^k at p = 0, against direct q-factorials
