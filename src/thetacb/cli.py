@@ -234,16 +234,32 @@ def _trial_seed(*coords) -> int:
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
 
+#: The checks that fill a theta batch of their own beyond the scan
+#: (``ThetaLadders.fill``).  A batch value and a read of the same entry
+#: may differ in the last bits, so a store such a check filled would make
+#: the other checks' records depend on whether it ran: each of them
+#: evaluates on a store of its own.
+_OWN_STORE = frozenset({"frenkel_turaev"})
+
+
 @dataclass
 class _Cell:
     """One (m, n, trial) cell of a campaign: the seed of its draw and,
-    once the first check of the cell has run, its scanned point."""
+    once the first check of the cell has run, its scanned double point
+    (``point``), the one evaluation point the cell's checks share at that
+    draw (``shared``, made by :func:`_own_point` when the first check
+    that shares it runs: its theta store starts from the scan's and keeps
+    every check's reads for the next, see :func:`_run_trial`) and the
+    record ``params`` of the draw, built once for the cell's records at
+    resamples 0."""
 
     m: int
     n: int
     trial: int
     seed: int
     point: ParamPoint | None = None
+    shared: ParamPoint | None = None
+    params: dict | None = None
 
 
 def run_campaign(config: CampaignConfig) -> "CampaignReport":
@@ -272,9 +288,12 @@ def run_campaign(config: CampaignConfig) -> "CampaignReport":
                         if cap is not None and m + n > cap:
                             continue
                         pp, residual, seed, resamples = _run_trial(config, name, runner, cell)
+                        params = _params(pp) if resamples or cell.params is None else cell.params
+                        if not resamples:
+                            cell.params = params
                         records[name].append({
                             "identity": name, "m": m, "n": n, "trial": trial, "seed": seed,
-                            "params": {f.name: _pair(getattr(pp, f.name)) for f in fields(pp)},
+                            "params": params,
                             "residual": residual, "resamples": resamples,
                             "tolerance": float(config.tol),
                             "verdict": "pass" if residual <= config.tol else "fail"})
@@ -288,6 +307,11 @@ def run_campaign(config: CampaignConfig) -> "CampaignReport":
     all_pass = all(s["failures"] == 0 for s in summary.values())
     return CampaignReport(config=config, records=[rec for recs in records.values() for rec in recs],
                           summary=summary, all_pass=all_pass)
+
+
+def _params(pp: ParamPoint) -> dict:
+    """A point's record ``params``: the pair of each scalar (:func:`_pair`)."""
+    return {f.name: _pair(getattr(pp, f.name)) for f in fields(pp)}
 
 
 def _pair(z) -> list:
@@ -314,19 +338,38 @@ def _draws(config: CampaignConfig, name: str, cell: _Cell):
         yield seed, sample_param_point(rng, size, guard=config.guard, p_max=config.p_max)
 
 
+def _own_point(config: CampaignConfig, point: ParamPoint) -> ParamPoint:
+    """``point`` on a theta store of its own: converted by :func:`to_mp`
+    (a new, empty store) at an mpmath campaign, else a copy of its
+    scanned store (:meth:`ParamPoint.copy`)."""
+    return to_mp(point) if config.precision > 0 else point.copy()
+
+
 def _run_trial(config: CampaignConfig, name: str, runner: Callable,
                cell: _Cell) -> tuple[ParamPoint, float, int, int]:
     """Evaluate check ``name`` at ``cell``: (point, residual, seed,
     resamples), where seed names the stream that drew the point and
     resamples is 0 at the cell's shared point and k after k draws of the
-    check's own stream (:func:`_draws`).  Every check starts from a copy
-    of the point's scanned theta store, or at an mpmath campaign from the
-    point converted by :func:`to_mp`, so its bits never depend on which
-    other checks ran.  An ``OverflowError`` of the check gives a NaN
-    residual: the trial fails and counts as non-finite, and the campaign
-    goes on."""
+    check's own stream (:func:`_draws`).
+
+    At the cell's draw every check evaluates at the cell's one point
+    (``cell.shared``) and reads its one theta store, so a theta one check
+    read is not computed again by the next.  Its bits still never depend
+    on which other checks ran: every entry of that store is either the
+    scan's batch value, filled before any check runs, or a scalar
+    ``theta`` read, whose bits depend only on the entry's argument and the
+    store's nome.  A check of ``_OWN_STORE``, which fills a batch of its
+    own, and every check at a draw of its own stream evaluate on a store
+    of their own (:func:`_own_point`).  An ``OverflowError`` of the check
+    gives a NaN residual: the trial fails and counts as non-finite, and
+    the campaign goes on."""
     for resamples, (seed, point) in enumerate(_draws(config, name, cell)):
-        pp = to_mp(point) if config.precision > 0 else point.copy()
+        if resamples or name in _OWN_STORE:
+            pp = _own_point(config, point)
+        else:
+            if cell.shared is None:
+                cell.shared = _own_point(config, point)
+            pp = cell.shared
         try:
             return pp, float(runner(pp, cell.m, cell.n)), seed, resamples
         except DegenerateParameterError:

@@ -491,11 +491,15 @@ class ThetaLadder:
 
     def den(self, j: int):
         """Entry j read as a denominator factor, checked by :func:`guarded`
-        (called only when the entry vanished, to raise)."""
+        (called only when the entry vanished, to raise).  An mpmath entry
+        is first sized in doubles: a double modulus above twice the guard
+        puts the exact one above the guard, at a fraction of its cost, so
+        only an entry that fails that test takes the exact modulus."""
         value = self._values.get(j)
         if value is None:
             value = self[j]
-        if abs(value) <= DENOMINATOR_GUARD:
+        if ((type(value) is complex or abs(complex(value)) <= 2 * DENOMINATOR_GUARD)
+                and abs(value) <= DENOMINATOR_GUARD):
             guarded(value, "denominator theta(%r * q^%d)", self.z, j)
         return value
 

@@ -418,7 +418,9 @@ class TestSharedDraws:
         with pytest.raises(ResamplingExhaustedError, match="qcb"):
             run_campaign(CampaignConfig(identities=("qcb",), m_max=0, n_max=0, trials=1))
 
-    def test_each_check_starts_from_a_copy_of_the_scanned_store(self, monkeypatch):
+    def test_the_checks_of_a_cell_read_one_store(self, monkeypatch):
+        # the checks of a cell read one store; a check of cli._OWN_STORE
+        # reads a copy of the scanned store that holds none of their reads
         stores = []
 
         def reading(pp, m, n):
@@ -426,16 +428,63 @@ class TestSharedDraws:
             pp.thetas[pp.x * (2 + len(stores))][0]  # an entry no scan fills
             return 0.0
 
-        monkeypatch.setitem(REGISTRY, "qcb", ("reads", None, reading))
-        monkeypatch.setitem(REGISTRY, "classical_cb", ("reads", None, reading))
-        run_campaign(CampaignConfig(identities=("classical_cb", "qcb"), m_max=0, n_max=0,
-                                    trials=1))
-        first, second = stores
-        assert first is not second and first.nome is second.nome
-        # each holds the scan's entries, and only its own reads beside them
-        scanned = {z for z in first if z in second}
-        assert scanned and all(first[z]._values == second[z]._values for z in scanned)
-        assert len(first) == len(second) == len(scanned) + 1
+        names = ("classical_cb", "frenkel_turaev", "qcb")
+        assert "frenkel_turaev" in cli._OWN_STORE
+        for name in names:
+            monkeypatch.setitem(REGISTRY, name, ("reads", None, reading))
+        run_campaign(CampaignConfig(identities=names, m_max=0, n_max=0, trials=1))
+        first, own, second = stores
+        assert first is second and own is not first and own.nome is first.nome
+        # both hold the scan's entries beside the reads of their checks
+        scanned = {z for z in first if z in own}
+        assert scanned and all(first[z]._values == own[z]._values for z in scanned)
+        assert len(first) == len(scanned) + 2 and len(own) == len(scanned) + 1
+
+    def test_only_the_scan_and_the_own_store_checks_fill_a_batch(self, monkeypatch):
+        # a batch a shared-store check filled would make the records of the
+        # cell's other checks depend on whether it ran
+        fill, callers, running = special.ThetaLadders.fill, set(), [None]
+
+        def recording(store, entries):
+            callers.add(running[0])
+            return fill(store, entries)
+
+        def named(name, runner):
+            def run(*args):
+                running[0] = name
+                try:
+                    return runner(*args)
+                finally:
+                    running[0] = None
+            return run
+
+        monkeypatch.setattr(special.ThetaLadders, "fill", recording)
+        for name, (description, cap, runner) in list(REGISTRY.items()):
+            monkeypatch.setitem(REGISTRY, name, (description, cap, named(name, runner)))
+        assert run_campaign(CampaignConfig(m_max=2, n_max=2, trials=1, seed=1)).all_pass
+        assert callers == {None, *cli._OWN_STORE}
+
+
+#: The campaign_mp40 benchmark workload, cut to one trial per cell.
+MP40 = CampaignConfig(identities=("elliptic_cb", "lattice_master_equality", "b_system",
+                                  "frenkel_turaev"),
+                      m_max=1, n_max=1, trials=1, seed=0, precision=40, p_max=0.2)
+
+
+class TestSharedStoreAt40Digits:
+    """The checks of a cell share one 40-digit store, and each replays alone."""
+
+    @pytest.fixture(scope="class")
+    def all_checks(self):
+        by_name = {}
+        for rec in run_campaign(MP40).records:
+            by_name.setdefault(rec["identity"], []).append(json.dumps(rec, sort_keys=True))
+        return by_name
+
+    @pytest.mark.parametrize("name", MP40.identities)
+    def test_a_single_identity_replays_its_records_bit_for_bit(self, all_checks, name):
+        report = run_campaign(dataclasses.replace(MP40, identities=(name,)))
+        assert [json.dumps(rec, sort_keys=True) for rec in report.records] == all_checks[name]
 
 
 class TestThetaFree:

@@ -563,6 +563,27 @@ class TestThetaLadder:
             ladder.den(0)
         assert ladder.den(1) == ladder[1]
 
+    def test_den_of_an_mpmath_entry_raises_exactly_when_its_modulus_is_within_the_guard(self):
+        # den sizes an mpmath entry in doubles first; entries about the
+        # guard and about twice the guard, where that test decides, keep
+        # the outcome of the exact modulus
+        with mpmath.workdps(40):
+            ladder = ThetaLadders(mpmath.mpc(0.55, 0.3), mpmath.mpc(0.2, -0.1))[mpmath.mpc(0.6)]
+            g, tiny = mpmath.mpf(DENOMINATOR_GUARD), mpmath.mpf(10) ** -30
+            values = [mpmath.mpc(0), mpmath.mpc("1e-400"), mpmath.mpc("1e400", 1),
+                      mpmath.mpc(0.6 * g, 0.8 * g), mpmath.mpc(-0.8 * g, 0.6 * g) * (1 + tiny)]
+            for scale in (1, 2):
+                values += [mpmath.mpc(scale * g * (1 + e)) for e in (-tiny, 0, tiny)]
+            vanished = [abs(value) <= DENOMINATOR_GUARD for value in values]
+            for j, value in enumerate(values):
+                ladder._values[j] = value
+                if vanished[j]:
+                    with pytest.raises(DegenerateParameterError):
+                        ladder.den(j)
+                else:
+                    assert ladder.den(j) is value
+        assert vanished.count(True) == 4 and vanished.count(False) == 7
+
 
 class TestLadderKernels:
     def test_ratio_guards_factors_not_their_product(self):
