@@ -11,24 +11,27 @@ X and Y commute past a coefficient:
     (x,a,b,c)-elliptic: w = H(0, 1),    X f = f(x, aq, b, cq) X,
                                         Y f = f(x, a, bq, cq) Y
 
-Every element has a unique normal form sum f_kl X^k Y^l.  Coefficients are
-kept as lazy expression trees carrying an integer substitution state
-(alpha, beta, gamma) for (a, b, c) -> (a q^alpha, b q^beta, c q^gamma), so
-moving a generator past a coefficient is an O(1) shift update and the
-commutation rules stay auditably exact; numbers appear only when a
-normal form is evaluated at a parameter point.  A leaf then passes its
-state to its kernel as ``shift``, and the kernel reads the point's own
-theta ladders at offset indices (see ``weights``), so every state shares
-the one point's ladders.
+Every element has a unique normal form sum f_kl X^k Y^l, and is evaluated
+as numbers at one parameter point.  A coefficient is a function
+(evaluator, shift) -> value, where the integer substitution state
+``shift`` = (alpha, beta, gamma) stands for (a, b, c) -> (a q^alpha,
+b q^beta, c q^gamma); an element is a function (evaluator, shift) -> its
+list of ((k, l), f_kl) sorted by (k, l).  Moving a generator past a
+coefficient is a shift update, so the commutation rules stay auditably
+exact: :func:`nf_mul`, the one product loop, evaluates the right factor
+at the shift moved past the left factor's monomial.  A leaf passes its
+state to its kernel, which reads the point's own theta ladders at offset
+indices (see ``weights``), so every state shares the one point's ladders.
+An :class:`Evaluator` memoises the leaves, the reorder coefficients and
+the powers of the binomial base of one algebra at one point by shift.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate, repeat
+from functools import reduce
+from operator import mul
 from typing import Callable, NamedTuple
 
 from .lattice import b_closed
@@ -81,178 +84,73 @@ def path_binomial(pp: ParamPoint, n: int, k: int, shift=ZERO_SHIFT):
 
 
 # ---------------------------------------------------------------------------
-# Lazy coefficients with substitution state.
+# Coefficients: functions (evaluator, shift) -> value, the field element at
+# the evaluator's point under (a, b, c) -> (a q^alpha, b q^beta, c q^gamma).
 
-class _Const:
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-
-class _Leaf:
-    __slots__ = ("key", "fn")
-
-    def __init__(self, key, fn):
-        self.key = key
-        self.fn = fn
+def _one(ev: "Evaluator", shift) -> int:
+    """The coefficient 1."""
+    return 1
 
 
-class _Prod:
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
+def _leaf(key: tuple, kernel: Callable) -> Callable:
+    """The coefficient kernel(pp, shift), memoised by the evaluator under ``key``."""
+    return lambda ev, shift: ev.leaf(key, kernel, shift)
 
 
-class _Sum:
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        self.parts = parts
-
-
-@dataclass(frozen=True)
-class Coefficient:
-    """A member of the coefficient field: an expression tree plus the
-    pending substitution (a, b, c) -> (a q^alpha, b q^beta, c q^gamma).
-    Shifts compose additively and distribute over products and sums."""
-
-    node: object
-    shift: tuple[int, int, int] = ZERO_SHIFT
-
-    def shifted(self, delta: tuple[int, int, int]) -> "Coefficient":
-        if delta == ZERO_SHIFT:
-            return self
-        s = self.shift
-        return Coefficient(self.node, (s[0] + delta[0], s[1] + delta[1], s[2] + delta[2]))
-
-    def is_zero(self) -> bool:
-        return isinstance(self.node, _Const) and self.node.value == 0
-
-    def __mul__(self, other: "Coefficient") -> "Coefficient":
-        if isinstance(self.node, _Const) and self.shift == ZERO_SHIFT:
-            if self.node.value == 0:
-                return self
-            if self.node.value == 1:
-                return other
-        if isinstance(other.node, _Const) and other.shift == ZERO_SHIFT:
-            if other.node.value == 0:
-                return other
-            if other.node.value == 1:
-                return self
-        return Coefficient(_Prod(self, other))
-
-    def __add__(self, other: "Coefficient") -> "Coefficient":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        return Coefficient(_Sum((self, other)))
+def _product(*factors: Callable) -> Callable:
+    """The coefficient f1 f2 ... fk, multiplied left to right, leaving out
+    factors :func:`_one`."""
+    factors = [f for f in factors if f is not _one]
+    if len(factors) < 2:
+        return factors[0] if factors else _one
+    return lambda ev, shift: reduce(mul, [f(ev, shift) for f in factors])
 
 
-def coeff_const(value) -> Coefficient:
-    return Coefficient(_Const(value))
-
-
-COEFF_ONE = coeff_const(1)
-COEFF_ZERO = coeff_const(0)
-
-
-@lru_cache(maxsize=None)
-def coeff_qpow(e: int) -> Coefficient:
+def coeff_qpow(e: int) -> Callable:
     """The constant q^e (unaffected by substitution of a, b, c)."""
-    return Coefficient(_Leaf(("qpow", e), lambda pp, s: pp.q**e))
+    return _leaf(("qpow", e), lambda pp, s: pp.q**e)
 
 
-@lru_cache(maxsize=None)
-def coeff_h(i: int, j: int, swap: bool = False) -> Coefficient:
+def coeff_h(i: int, j: int, swap: bool = False) -> Callable:
     """The lattice weight h(i, j) as a field element; ``swap`` reads the
     weight with the roles of a and b exchanged (after substitution)."""
-    return Coefficient(_Leaf(("h", i, j, swap), lambda pp, s: elliptic_weight(pp, i, j, s, swap)))
+    return _leaf(("h", i, j, swap), lambda pp, s: elliptic_weight(pp, i, j, s, swap))
 
 
-@lru_cache(maxsize=None)
-def coeff_big_h(i: int, j: int, swap: bool = False) -> Coefficient:
+def coeff_big_h(i: int, j: int, swap: bool = False) -> Callable:
     """The normalised weight H(i, j) as a field element."""
-    return Coefficient(_Leaf(("H", i, j, swap),
-                             lambda pp, s: normalized_weight(pp, i, j, s, swap)))
+    return _leaf(("H", i, j, swap), lambda pp, s: normalized_weight(pp, i, j, s, swap))
 
 
-@lru_cache(maxsize=None)
-def coeff_path_binomial(n: int, k: int) -> Coefficient:
+def coeff_path_binomial(n: int, k: int) -> Callable:
     """The four-parameter elliptic binomial as a field element."""
-    return Coefficient(_Leaf(("pbin", n, k), lambda pp, s: path_binomial(pp, n, k, s)))
+    return _leaf(("pbin", n, k), lambda pp, s: path_binomial(pp, n, k, s))
 
 
-@lru_cache(maxsize=None)
-def coeff_elliptic_binomial(n: int, k: int) -> Coefficient:
+def coeff_elliptic_binomial(n: int, k: int) -> Callable:
     """The two-parameter elliptic binomial as a field element."""
-    return Coefficient(_Leaf(("wbin", n, k), lambda pp, s: elliptic_binomial(pp, n, k, s)))
+    return _leaf(("wbin", n, k), lambda pp, s: elliptic_binomial(pp, n, k, s))
 
 
-@lru_cache(maxsize=None)
-def coeff_qbinom(n: int, k: int) -> Coefficient:
+def coeff_qbinom(n: int, k: int) -> Callable:
     """The constant q-binomial [n, k]_q."""
-    return Coefficient(_Leaf(("qbinom", n, k), lambda pp, s: qbinom(n, k, pp.q)))
+    return _leaf(("qbinom", n, k), lambda pp, s: qbinom(n, k, pp.q))
 
 
-@lru_cache(maxsize=None)
-def coeff_binomial_weight(s_idx: int, t_idx: int) -> Coefficient:
+def coeff_binomial_weight(s_idx: int, t_idx: int) -> Callable:
     """The recursion weight W(s, t) as a field element."""
-    return Coefficient(_Leaf(("W", s_idx, t_idx),
-                             lambda pp, s: binomial_weight(pp, s_idx, t_idx, s)))
+    return _leaf(("W", s_idx, t_idx), lambda pp, s: binomial_weight(pp, s_idx, t_idx, s))
 
 
-def _coeff_swap_product(count: int, start: int = 0, row: int = 0) -> Coefficient:
+def _swap_product(count: int, start: int = 0, row: int = 0) -> Callable:
     """prod_{s<count} h~(start + s, row) as a field element."""
-    out = COEFF_ONE
-    for s in range(count):
-        out = out * coeff_h(start + s, row, swap=True)
-    return out
-
-
-class EvalContext:
-    """Memoised evaluator for coefficient trees at one parameter point.
-
-    Leaves are cached by (key, total shift) so repeated theta-heavy
-    weights are computed once per substitution state; composite nodes are
-    cached by identity, which is safe because the context keeps every
-    cached node alive.
-    """
-
-    def __init__(self, pp: ParamPoint):
-        self.pp = pp
-        self._memo: dict = {}
-
-    def value(self, coeff: Coefficient, outer: tuple[int, int, int] = ZERO_SHIFT):
-        s = coeff.shift
-        total = (outer[0] + s[0], outer[1] + s[1], outer[2] + s[2])
-        node = coeff.node
-        if isinstance(node, _Const):
-            return node.value
-        if isinstance(node, _Leaf):
-            key = (node.key, total)
-        else:
-            key = (id(node), total)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit[1]
-        if isinstance(node, _Leaf):
-            val = node.fn(self.pp, total)
-        elif isinstance(node, _Prod):
-            val = self.value(node.left, total) * self.value(node.right, total)
-        else:
-            val = 0
-            for part in node.parts:
-                val = val + self.value(part, total)
-        self._memo[key] = (node, val)
-        return val
+    return _product(*(coeff_h(start + s, row, swap=True) for s in range(count)))
 
 
 # ---------------------------------------------------------------------------
-# The three algebras and normal forms.
+# The three algebras and normal forms.  An element is a function
+# (evaluator, shift) -> its normal form sum f_kl X^k Y^l at that shift, as
+# the list of ((k, l), f_kl) sorted by (k, l).
 
 class AlgebraTag(enum.Enum):
     Q_COMMUTING = "q_commuting"
@@ -262,21 +160,28 @@ class AlgebraTag(enum.Enum):
 
 class _Algebra(NamedTuple):
     """One algebra's row of :data:`_RULES`: its commutation rules, its
-    binomial with its Pascal weights, and the closed coefficients."""
+    binomial with its Pascal weights, and the closed coefficients, each a
+    coefficient (evaluator, shift) -> value."""
 
     dx: tuple[int, int, int]  # shift of X past a coefficient
     dy: tuple[int, int, int]  # shift of Y past a coefficient
-    w: Coefficient  # Y X = w X Y
-    y: Coefficient  # binomial_base = X + y Y
-    binom: Callable[[int, int], Coefficient]  # (n, k) -> the binomial coefficient
-    pascal: Callable[[int, int], tuple[Coefficient, Coefficient]]  # (n, k) -> Pascal weights
-    tail: Callable[[int], Coefficient]  # n - k -> the factor of closed(n, k) after binom(n, k)
-    left: Callable[[int, int], Coefficient]  # (n, k) -> weight of the first homogeneous sum
-    right: Callable[[int, int], Coefficient]  # (m, k) -> weight of the second
+    w: Callable  # Y X = w X Y
+    y: Callable  # binomial_base = X + y Y
+    binom: Callable[[int, int], Callable]  # (n, k) -> the binomial coefficient
+    pascal: Callable[[int, int], tuple[Callable, Callable]]  # (n, k) -> Pascal weights
+    tail: Callable[[int], Callable]  # n - k -> the factor of closed(n, k) after binom(n, k)
+    left: Callable[[int, int], Callable]  # (n, k) -> weight of the first homogeneous sum
+    right: Callable[[int, int], Callable]  # (m, k) -> weight of the second
 
-    def closed(self, n: int, k: int) -> Coefficient:
+    def closed(self, n: int, k: int) -> Callable:
         """The X^k Y^(n-k) coefficient of binomial_base^n."""
-        return self.binom(n, k) * self.tail(n - k)
+        return _product(self.binom(n, k), self.tail(n - k))
+
+    def move(self, shift: tuple[int, int, int], k: int, l: int) -> tuple[int, int, int]:
+        """``shift`` after moving past X^k Y^l: shift + k dx + l dy."""
+        dx, dy = self.dx, self.dy
+        return (shift[0] + k * dx[0] + l * dy[0], shift[1] + k * dx[1] + l * dy[1],
+                shift[2] + k * dx[2] + l * dy[2])
 
 
 #: tag -> the algebra's row.  :func:`pascal_residual` checks its Pascal rule.
@@ -290,154 +195,118 @@ class _Algebra(NamedTuple):
 #: of the tail costs the telescoped reorder factor H(m, k).
 _RULES = {
     AlgebraTag.Q_COMMUTING: _Algebra(
-        ZERO_SHIFT, ZERO_SHIFT, coeff_qpow(1), COEFF_ONE, coeff_qbinom,
-        lambda n, k: (coeff_qpow(n + 1 - k), COEFF_ONE), lambda count: COEFF_ONE,
-        lambda n, k: COEFF_ONE, lambda m, k: coeff_qpow(k)),
+        ZERO_SHIFT, ZERO_SHIFT, coeff_qpow(1), _one, coeff_qbinom,
+        lambda n, k: (coeff_qpow(n + 1 - k), _one), lambda count: _one,
+        lambda n, k: _one, lambda m, k: coeff_qpow(k)),
     AlgebraTag.ELLIPTIC_AB: _Algebra(
-        (1, 2, 0), (2, 1, 0), coeff_binomial_weight(1, 1), COEFF_ONE, coeff_elliptic_binomial,
-        lambda n, k: (coeff_binomial_weight(k, n + 1 - k), COEFF_ONE), lambda count: COEFF_ONE,
-        lambda n, k: COEFF_ONE, lambda m, k: coeff_binomial_weight(m + 1, k)),
+        (1, 2, 0), (2, 1, 0), coeff_binomial_weight(1, 1), _one, coeff_elliptic_binomial,
+        lambda n, k: (coeff_binomial_weight(k, n + 1 - k), _one), lambda count: _one,
+        lambda n, k: _one, lambda m, k: coeff_binomial_weight(m + 1, k)),
     AlgebraTag.ELLIPTIC_XABC: _Algebra(
         (1, 0, 1), (0, 1, 1), coeff_big_h(0, 1), coeff_h(0, 0, swap=True), coeff_path_binomial,
         lambda n, k: (coeff_big_h(k - 1, n + 1 - k), coeff_big_h(n - k, k, swap=True)),
-        _coeff_swap_product, lambda n, k: coeff_h(n, k, swap=True),
-        lambda m, k: coeff_big_h(m, k) if k else COEFF_ONE),
+        _swap_product, lambda n, k: coeff_h(n, k, swap=True),
+        lambda m, k: coeff_big_h(m, k) if k else _one),
 }
 
 
-@lru_cache(maxsize=None)
-def reorder_coefficient(tag: AlgebraTag, s: int, r: int) -> Coefficient:
-    """The field element C(s, r) with Y^s X^r = C(s, r) X^r Y^s, built
-    from the elementary rule alone: the product over i < r, j < s of the
-    base YX coefficient shifted by i steps of X and j steps of Y."""
-    if tag is AlgebraTag.Q_COMMUTING:
-        return coeff_qpow(s * r) if s * r else COEFF_ONE
-    rule = _RULES[tag]
-    dx, dy = rule.dx, rule.dy
-    out = COEFF_ONE
-    for j in range(s):
-        for i in range(r):
-            delta = (i * dx[0] + j * dy[0], i * dx[1] + j * dy[1], i * dx[2] + j * dy[2])
-            out = out * rule.w.shifted(delta)
-    return out
+class Evaluator:
+    """One algebra's coefficients and normal forms at one parameter point.
+
+    ``memo`` maps (key, shift) to each value computed at that shift: a
+    leaf under its kernel key, a reorder coefficient under ("reorder", s,
+    r) and a power of the binomial base under ("power", j), so each is
+    computed once per point and substitution state."""
+
+    def __init__(self, tag: AlgebraTag, pp: ParamPoint):
+        self.tag = tag
+        self.row = _RULES[tag]
+        self.pp = pp
+        self.memo: dict = {}
+
+    def leaf(self, key: tuple, kernel: Callable, shift):
+        """kernel(pp, shift), memoised under (key, shift)."""
+        value = self.memo.get((key, shift))
+        if value is None:
+            value = self.memo[key, shift] = kernel(self.pp, shift)
+        return value
+
+    def reorder(self, s: int, r: int, shift=ZERO_SHIFT):
+        """C(s, r) at ``shift``, where Y^s X^r = C(s, r) X^r Y^s (s, r >= 1):
+        built from the elementary rule alone, the product over j < s, i < r
+        of w moved past X^i Y^j; q^(sr) in the q-commuting algebra."""
+        key = (("reorder", s, r), shift)
+        value = self.memo.get(key)
+        if value is None:
+            if self.tag is AlgebraTag.Q_COMMUTING:
+                value = self.pp.q ** (s * r)
+            else:
+                row = self.row
+                value = reduce(mul, [row.w(self, row.move(shift, i, j))
+                                     for j in range(s) for i in range(r)])
+            self.memo[key] = value
+        return value
+
+    def power(self, j: int, shift=ZERO_SHIFT) -> list:
+        """binomial_base^j at ``shift``: the (j-1)-th power times the base."""
+        key = (("power", j), shift)
+        terms = self.memo.get(key)
+        if terms is None:
+            terms = [((0, 0), 1)] if j == 0 else nf_mul(self, self.power(j - 1, shift),
+                                                        binomial_base, shift)
+            self.memo[key] = terms
+        return terms
 
 
-@dataclass(frozen=True)
-class NormalFormElement:
-    """A finite sum f_kl X^k Y^l in normal form; ``terms`` maps exponent
-    pairs to field coefficients, with structural zeros pruned."""
-
-    tag: AlgebraTag
-    terms: tuple[tuple[tuple[int, int], Coefficient], ...]
-
-    def coefficient(self, k: int, l: int) -> Coefficient:
-        for key, c in self.terms:
-            if key == (k, l):
-                return c
-        return COEFF_ZERO
-
-
-def nf_element(tag: AlgebraTag, mapping: dict) -> NormalFormElement:
-    items = tuple(sorted(
-        ((key, c) for key, c in mapping.items() if not c.is_zero()),
-        key=lambda item: item[0]))
-    for (k, l), _ in items:
-        if k < 0 or l < 0:
-            raise ValueError("normal-form exponents must be nonnegative")
-    return NormalFormElement(tag, items)
-
-
-def nf_unit(tag: AlgebraTag) -> NormalFormElement:
-    return nf_element(tag, {(0, 0): COEFF_ONE})
-
-
-def nf_monomial(tag: AlgebraTag, k: int, l: int,
-                coeff: Coefficient = COEFF_ONE) -> NormalFormElement:
-    return nf_element(tag, {(k, l): coeff})
-
-
-def nf_add(e1: NormalFormElement, e2: NormalFormElement) -> NormalFormElement:
-    if e1.tag is not e2.tag:
-        raise ValueError("cannot add elements of different algebras")
-    out = dict(e1.terms)
-    for key, c in e2.terms:
-        out[key] = out[key] + c if key in out else c
-    return nf_element(e1.tag, out)
-
-
-def nf_scale(e: NormalFormElement, coeff: Coefficient) -> NormalFormElement:
-    """Left-multiply by a field element (which stays left of all X, Y)."""
-    return nf_element(e.tag, {key: coeff * c for key, c in e.terms})
-
-
-def nf_mul(e1: NormalFormElement, e2: NormalFormElement) -> NormalFormElement:
-    """Normal form of the product: every cross term
+def nf_mul(ev: Evaluator, left: list, right: Callable, shift=ZERO_SHIFT) -> list:
+    """Normal form of a product at ``shift``: ``left`` is the left factor's
+    sorted list there, ``right`` the right factor as an element.  Every
+    cross term
 
         f X^k1 Y^l1 * g X^k2 Y^l2
             = f * g[shift k1*dX + l1*dY] * C(l1, k2)[shift k1*dX]
               X^(k1+k2) Y^(l1+l2)
 
-    obtained by commuting g and then the reorder coefficient past the
-    leading generators of the left factor.
-    """
-    if e1.tag is not e2.tag:
-        raise ValueError("cannot multiply elements of different algebras")
-    tag = e1.tag
-    rule = _RULES[tag]
-    dx, dy = rule.dx, rule.dy
+    commutes the right factor past X^k1 Y^l1 by evaluating it at the moved
+    shift, and the reorder coefficient past X^k1.  Each term is f * g, then
+    times C; a monomial's terms are summed in the order they arise."""
+    row = ev.row
     out: dict = {}
-    for (k1, l1), f in e1.terms:
-        move = (k1 * dx[0] + l1 * dy[0], k1 * dx[1] + l1 * dy[1], k1 * dx[2] + l1 * dy[2])
-        xmove = (k1 * dx[0], k1 * dx[1], k1 * dx[2])
-        for (k2, l2), g in e2.terms:
-            c = f * g.shifted(move)
+    for (k1, l1), f in left:
+        xmove = row.move(shift, k1, 0)
+        for (k2, l2), g in right(ev, row.move(xmove, 0, l1)):
+            c = f * g
             if l1 and k2:
-                c = c * reorder_coefficient(tag, l1, k2).shifted(xmove)
+                c = c * ev.reorder(l1, k2, xmove)
             key = (k1 + k2, l1 + l2)
             out[key] = out[key] + c if key in out else c
-    return nf_element(tag, out)
+    return sorted(out.items())
 
 
-def nf_pow(e: NormalFormElement, n: int) -> NormalFormElement:
-    out = nf_unit(e.tag)
-    for _ in range(n):
-        out = nf_mul(out, e)
-    return out
+def evaluate_element(ev: Evaluator, element: Callable, shift=ZERO_SHIFT) -> dict:
+    """Numeric normal-form coefficients {(k, l): value} of ``element`` at the
+    evaluator's point and ``shift``."""
+    return dict(element(ev, shift))
 
 
-def evaluate_element(e: NormalFormElement, pp: ParamPoint,
-                     ctx: EvalContext | None = None) -> dict:
-    """Numeric normal-form coefficients {(k, l): value} at one point."""
-    if ctx is None:
-        ctx = EvalContext(pp)
-    return {key: ctx.value(c) for key, c in e.terms}
-
-
-def binomial_base(tag: AlgebraTag) -> NormalFormElement:
+def binomial_base(ev: Evaluator, shift) -> list:
     """The binomial whose powers have factorising normal forms, X + y Y
     with the row's y: X + Y in the q-commuting and (a, b)-elliptic
     algebras, X + h~(0,0) Y in the four-parameter algebra (h~ is the
     weight with a and b exchanged)."""
-    return nf_element(tag, {(1, 0): COEFF_ONE, (0, 1): _RULES[tag].y})
+    return [((0, 1), ev.row.y(ev, shift)), ((1, 0), 1)]
 
 
-def closed_binomial(tag: AlgebraTag, n: int) -> NormalFormElement:
+def _power(j: int) -> Callable:
+    """The element binomial_base^j (:meth:`Evaluator.power`)."""
+    return lambda ev, shift: ev.power(j, shift)
+
+
+def closed_binomial(n: int) -> Callable:
     """The factorised normal form the binomial theorem asserts for
-    binomial_base(tag)^n: the row's closed(n, k) at X^k Y^(n-k)."""
-    closed = _RULES[tag].closed
-    return nf_element(tag, {(k, n - k): closed(n, k) for k in range(n + 1)})
-
-
-def binomial_power(tag: AlgebraTag, pp: ParamPoint, n: int) -> NormalFormElement:
-    """Normal form of the n-th power of :func:`binomial_base`.
-
-    The base is evaluated at the point to reject a degenerate one up front
-    (the four-parameter base weight must be evaluable); coefficients
-    themselves stay lazy and surface degeneracies when evaluated.
-    """
-    base = binomial_base(tag)
-    evaluate_element(base, pp)
-    return nf_pow(base, n)
+    binomial_base^n, as an element: the row's closed(n, k) at X^k Y^(n-k)."""
+    return lambda ev, shift: [((k, n - k), ev.row.closed(n, k)(ev, shift))
+                              for k in range(n + 1)]
 
 
 def compare_maps(map1: dict, map2: dict) -> float:
@@ -465,21 +334,26 @@ def compare_maps(map1: dict, map2: dict) -> float:
 # Verification drivers.
 
 def binomial_theorem_residual(tag: AlgebraTag, pp: ParamPoint, n: int) -> float:
-    """Worst relative gap between the normal form of binomial_base(tag)^n,
+    """Worst relative gap between the normal form of binomial_base^n,
     expanded by repeated multiplication, and :func:`closed_binomial`, the
-    two evaluated in one context."""
-    ctx = EvalContext(pp)
-    expanded = evaluate_element(binomial_power(tag, pp, n), pp, ctx)
-    return compare_maps(expanded, evaluate_element(closed_binomial(tag, n), pp, ctx))
+    two evaluated by one evaluator."""
+    ev = Evaluator(tag, pp)
+    return compare_maps(evaluate_element(ev, _power(n)),
+                        evaluate_element(ev, closed_binomial(n)))
 
 
 def pascal_residual(tag: AlgebraTag, pp: ParamPoint, n: int) -> float:
     """Worst relative gap over 0 <= k <= n+1 of the lattice-path split at
     the last step, binom(n+1, k) = binom(n, k-1) u + binom(n, k) v with
-    (u, v) = pascal(n, k), evaluated in one context.  A term whose binomial
-    lies outside 0..n is left out, so no weight outside the grid is read."""
-    row = _RULES[tag]
-    value = EvalContext(pp).value
+    (u, v) = pascal(n, k), evaluated by one evaluator.  A term whose
+    binomial lies outside 0..n is left out, so no weight outside the grid
+    is read."""
+    ev = Evaluator(tag, pp)
+    row = ev.row
+
+    def value(coeff):
+        return coeff(ev, ZERO_SHIFT)
+
     gaps = []
     for k in range(n + 2):
         u, v = row.pascal(n, k)
@@ -490,23 +364,29 @@ def pascal_residual(tag: AlgebraTag, pp: ParamPoint, n: int) -> float:
     return worst_residual(gaps)
 
 
-def _homogeneous_rhs(tag: AlgebraTag, m: int, n: int, powers: list) -> NormalFormElement:
+def _homogeneous_rhs(m: int, n: int) -> Callable:
     """Right-hand side of the homogeneous two-sum expansion of
-    binomial_base^(m+n+1) in the given algebra,
+    binomial_base^(m+n+1), as an element,
 
         sum_{k<=m} closed(n+k, k) left(n, k) X^k Y^(n+1) base^(m-k)
           + sum_{k<=n} closed(m+k, m) right(m, k) X^(m+1) Y^k base^(n-k),
 
-    with the algebra's row of :data:`_RULES`, where ``powers[j]`` is base^j."""
-    row = _RULES[tag]
-    total = nf_element(tag, {})
-    for k in range(m + 1):
-        term = nf_mul(nf_monomial(tag, k, n + 1), powers[m - k])
-        total = nf_add(total, nf_scale(term, row.closed(n + k, k) * row.left(n, k)))
-    for k in range(n + 1):
-        term = nf_mul(nf_monomial(tag, m + 1, k), powers[n - k])
-        total = nf_add(total, nf_scale(term, row.closed(m + k, m) * row.right(m, k)))
-    return total
+    with the evaluator's row of :data:`_RULES`.  Each term is the monomial
+    times the power, then scaled by its weight."""
+    def element(ev, shift):
+        row = ev.row
+        terms = [(k, n + 1, m - k, _product(row.closed(n + k, k), row.left(n, k)))
+                 for k in range(m + 1)]
+        terms += [(m + 1, k, n - k, _product(row.closed(m + k, m), row.right(m, k)))
+                  for k in range(n + 1)]
+        out: dict = {}
+        for k, l, j, weight in terms:
+            scale = weight(ev, shift)
+            for key, c in nf_mul(ev, [((k, l), 1)], _power(j), shift):
+                out[key] = out[key] + scale * c if key in out else scale * c
+        return sorted(out.items())
+
+    return element
 
 
 def _qcomm_swap_image(values: dict, q) -> dict:
@@ -517,28 +397,23 @@ def _qcomm_swap_image(values: dict, q) -> dict:
 
 def homogeneous_cb_residual(tag: AlgebraTag, pp: ParamPoint, m: int, n: int) -> float:
     """Worst relative gap between the normal forms of the two sides of the
-    homogeneous two-sum identity for binomial_base(tag)^(m+n+1).
+    homogeneous two-sum identity for binomial_base^(m+n+1).
 
     For the q-commuting algebra the identity is additionally invariant
     under (X, Y, q, m, n) -> (Y, X, 1/q, n, m); the check maps both sides
     at (1/q, n, m) through the swap isomorphism and compares them with the
     direct expansions.
     """
-    powers = list(accumulate(repeat(binomial_base(tag), m + n + 1), nf_mul,
-                             initial=nf_unit(tag)))
-    lhs = powers[-1]
-    ctx = EvalContext(pp)
-    lhs_values = evaluate_element(lhs, pp, ctx)
-    rhs_values = evaluate_element(_homogeneous_rhs(tag, m, n, powers), pp, ctx)
+    ev = Evaluator(tag, pp)
+    lhs_values = evaluate_element(ev, _power(m + n + 1))
+    rhs_values = evaluate_element(ev, _homogeneous_rhs(m, n))
     residual = compare_maps(lhs_values, rhs_values)
     if tag is not AlgebraTag.Q_COMMUTING:
         return residual
 
-    pp_inv = pp.replace(q=1 / pp.q)
-    ctx_inv = EvalContext(pp_inv)
-    lhs_img = _qcomm_swap_image(evaluate_element(lhs, pp_inv, ctx_inv), pp.q)
-    rhs_img = _qcomm_swap_image(
-        evaluate_element(_homogeneous_rhs(tag, n, m, powers), pp_inv, ctx_inv), pp.q)
+    ev_inv = Evaluator(tag, pp.replace(q=1 / pp.q))
+    lhs_img = _qcomm_swap_image(evaluate_element(ev_inv, _power(m + n + 1)), pp.q)
+    rhs_img = _qcomm_swap_image(evaluate_element(ev_inv, _homogeneous_rhs(n, m)), pp.q)
     return worst_residual((residual, compare_maps(lhs_img, lhs_values),
                            compare_maps(rhs_img, rhs_values)))
 
@@ -555,19 +430,23 @@ def convolution_residual(pp: ParamPoint, n: int, m: int, k: int) -> float:
             prod_{i<k-j} H(i+j, n-j),
 
     which splits a (n+m)-step binomial expansion at step n.  Both sides
-    are built from the four-parameter row's leaves, in one context.
+    are built from the four-parameter row's leaves, read by one evaluator.
     """
     if k < 0 or k > n + m:
         raise ValueError("need 0 <= k <= n + m")
-    value = EvalContext(pp).value
-    lhs = value(_RULES[AlgebraTag.ELLIPTIC_XABC].closed(n + m, k))
+    ev = Evaluator(AlgebraTag.ELLIPTIC_XABC, pp)
+
+    def value(coeff, shift=ZERO_SHIFT):
+        return coeff(ev, shift)
+
+    lhs = value(ev.row.closed(n + m, k))
     total = 0
     scale = abs(lhs)
     for j in range(max(0, k - m), min(k, n) + 1):
-        leaves = [coeff_path_binomial(n, j), coeff_path_binomial(m, k - j).shifted((j, n - j, n)),
-                  _coeff_swap_product(n - j), _coeff_swap_product(m + j - k, n - j, j),
-                  *(coeff_big_h(i + j, n - j) for i in range(k - j))]
-        term = math.prod(map(value, leaves))
+        term = math.prod([value(coeff_path_binomial(n, j)),
+                          value(coeff_path_binomial(m, k - j), (j, n - j, n)),
+                          value(_swap_product(n - j)), value(_swap_product(m + j - k, n - j, j)),
+                          *(value(coeff_big_h(i + j, n - j)) for i in range(k - j))])
         total = total + term
         scale = max(scale, abs(term))
     return float(abs(lhs - total) / max(1.0, scale))
@@ -576,13 +455,10 @@ def convolution_residual(pp: ParamPoint, n: int, m: int, k: int) -> float:
 def convolution_nf_cross_check(pp: ParamPoint, n: int, m: int, k: int) -> float:
     """The proof route: the (k, n+m-k) coefficient of the product of the
     n-th and m-th binomial powers must match the one of the (n+m)-th."""
-    tag = AlgebraTag.ELLIPTIC_XABC
-    ctx = EvalContext(pp)
-    prod = nf_mul(binomial_power(tag, pp, n), binomial_power(tag, pp, m))
-    whole = binomial_power(tag, pp, n + m)
-    v1 = ctx.value(prod.coefficient(k, n + m - k))
-    v2 = ctx.value(whole.coefficient(k, n + m - k))
-    return relative_residual(v1, v2)
+    ev = Evaluator(AlgebraTag.ELLIPTIC_XABC, pp)
+    key = (k, n + m - k)
+    prod = dict(nf_mul(ev, ev.power(n), _power(m)))
+    return relative_residual(prod.get(key, 0), dict(ev.power(n + m)).get(key, 0))
 
 
 def frenkel_turaev(pp: ParamPoint, n: int):

@@ -5,15 +5,17 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from itertools import accumulate, repeat
 from random import Random
 
 import pytest
 from hypothesis import strategies as st
 
+from thetacb.noncomm import (AlgebraTag, Evaluator, _homogeneous_rhs, elliptic_binomial,
+                             evaluate_element, path_binomial)
 from thetacb.params import IdentitySize, ParamPoint
 from thetacb.sampling import sample_param_point
 from thetacb.special import _Nome, _reduce, theta
+from thetacb.weights import binomial_weight, elliptic_weight, normalized_weight
 
 
 def ring_complex(lo: float, hi: float) -> st.SearchStrategy:
@@ -111,43 +113,33 @@ def shifted_point(pp: ParamPoint, shift) -> ParamPoint:
     return pp.replace(a=pp.a * q**alpha, b=pp.b * q**beta, c=pp.c * q**gamma)
 
 
-def normal_form_leaves(depth: int = 3) -> dict:
+def normal_form_leaves(pp: ParamPoint, depth: int = 3) -> dict:
     """Every leaf that the homogeneous and binomial normal forms of the two
-    elliptic algebras reach at m, n <= depth, with each substitution state
-    it is read at, found by walking their coefficient trees without
-    evaluating them: {(leaf key, shift): leaf}, the key naming the kernel
-    and its indices."""
-    from thetacb.noncomm import (AlgebraTag, _homogeneous_rhs, _Leaf, _Prod, _Sum,
-                                 binomial_base, nf_mul, nf_unit)
-
-    found, seen = {}, set()
-
-    def walk(coeff, outer):
-        s = coeff.shift
-        total = (outer[0] + s[0], outer[1] + s[1], outer[2] + s[2])
-        node = coeff.node
-        if (id(node), total) in seen:
-            return
-        seen.add((id(node), total))
-        if isinstance(node, _Leaf):
-            found[node.key, total] = node
-        elif isinstance(node, _Prod):
-            walk(node.left, total)
-            walk(node.right, total)
-        elif isinstance(node, _Sum):
-            for part in node.parts:
-                walk(part, total)
-
+    elliptic algebras read at m, n <= depth, with each substitution state
+    it is read at, listed from the memo of the evaluators that evaluate
+    them at ``pp``: {(leaf key, shift): value}, the key naming the kernel
+    (a key of :data:`LEAF_KERNELS`) and its indices."""
+    found = {}
     for tag in (AlgebraTag.ELLIPTIC_AB, AlgebraTag.ELLIPTIC_XABC):
-        powers = list(accumulate(repeat(binomial_base(tag), 2 * depth + 1), nf_mul,
-                                 initial=nf_unit(tag)))
+        ev = Evaluator(tag, pp)
         for m in range(depth + 1):
             for n in range(depth + 1):
-                rhs = _homogeneous_rhs(tag, m, n, powers)
-                for element in (powers[m + n + 1], rhs):
-                    for _, coeff in element.terms:
-                        walk(coeff, (0, 0, 0))
+                ev.power(m + n + 1)
+                evaluate_element(ev, _homogeneous_rhs(m, n))
+        found.update(((key, shift), value) for (key, shift), value in ev.memo.items()
+                     if key[0] in LEAF_KERNELS)
     return found
+
+
+#: The name of each shifted leaf of the elliptic normal forms -> its kernel,
+#: called as kernel(pp, *indices, shift).
+LEAF_KERNELS = {
+    "h": lambda pp, i, j, swap, shift: elliptic_weight(pp, i, j, shift, swap),
+    "H": lambda pp, i, j, swap, shift: normalized_weight(pp, i, j, shift, swap),
+    "pbin": path_binomial,
+    "wbin": elliptic_binomial,
+    "W": binomial_weight,
+}
 
 
 @pytest.fixture

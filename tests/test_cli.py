@@ -440,6 +440,24 @@ class TestSharedDraws:
         assert scanned and all(first[z]._values == own[z]._values for z in scanned)
         assert len(first) == len(scanned) + 2 and len(own) == len(scanned) + 1
 
+    def test_at_an_mpmath_campaign_every_check_reads_the_cell_store(self, monkeypatch):
+        # ThetaLadders.fill batches nothing at an mpmath nome, so a check of
+        # cli._OWN_STORE reads the cell's store there
+        stores = []
+
+        def reading(pp, m, n):
+            stores.append(pp.thetas)
+            return 0.0
+
+        names = ("classical_cb", "frenkel_turaev", "qcb")
+        assert "frenkel_turaev" in cli._OWN_STORE
+        for name in names:
+            monkeypatch.setitem(REGISTRY, name, ("reads", None, reading))
+        run_campaign(CampaignConfig(identities=names, m_max=0, n_max=0, trials=1,
+                                    precision=20))
+        first, own, second = stores
+        assert first is own is second
+
     def test_only_the_scan_and_the_own_store_checks_fill_a_batch(self, monkeypatch):
         # a batch a shared-store check filled would make the records of the
         # cell's other checks depend on whether it ran
@@ -549,11 +567,13 @@ class TestResidualFolds:
 
 
 #: Campaign draws at which a check cancels terms far larger than its result,
-#: (name, m, n, point), each point pinned by its six parameters.  On a fresh
-#: point they read 3.93e-6, 1.32e-7 and 1.72e-5 in doubles while the checks
-#: divided by the result alone.
+#: (name, m, n, point), each point pinned by its six parameters and named
+#: as in ROADMAP item 1's table.  On a fresh point the first three read
+#: 3.93e-6, 1.32e-7 and 1.72e-5 in doubles while the checks divided by the
+#: result alone.  The other ten are the per-check draws of their campaigns
+#: from before every check of a cell shared one draw.
 _CANCELLING = [
-    # deep and default seed 10, trial 0, trial seed 17372368888134836989
+    # P7: deep and default seed 10, trial 0, trial seed 17372368888134836989
     ("frenkel_turaev", 2, 3,
      ParamPoint(x=0.3854534614716634 + 0.39443744751342685j,
                 a=0.365569202295858 + 0.06948122736756085j,
@@ -561,7 +581,7 @@ _CANCELLING = [
                 c=-0.33363614195587743 + 0.47438943103986536j,
                 q=0.6824344553386275 + 0.3038072857450564j,
                 p=0.35939636470730013 - 0.2137357400992277j)),
-    # deep seed 2, trial 0, trial seed 2156733461355681565
+    # P1: deep seed 2, trial 0, trial seed 2156733461355681565
     ("b_system", 7, 2,
      ParamPoint(x=1.288950440972642 + 0.6940123708659884j,
                 a=-0.6777131626408989 - 0.9344520840279179j,
@@ -569,7 +589,7 @@ _CANCELLING = [
                 c=-0.6768985062253167 + 1.073988200766208j,
                 q=-0.2821114792211216 + 0.2280639709907604j,
                 p=0.39459274493847973 - 0.12840015456416215j)),
-    # deep seed 21, trial 1, trial seed 5051159550948221654
+    # P5: deep seed 21, trial 1, trial seed 5051159550948221654
     ("b_system", 8, 2,
      ParamPoint(x=-1.275299096490749 - 0.1154262854557599j,
                 a=1.731840292806946 - 0.7954730767844858j,
@@ -577,6 +597,86 @@ _CANCELLING = [
                 c=0.6562693542811128 - 0.58610573600928j,
                 q=0.07216247944882453 + 0.40845520211227954j,
                 p=0.440805721780599 - 0.10573584809968666j)),
+    # P2: deep seed 3, trial 2
+    ("b_system", 1, 6,
+     ParamPoint(x=-0.8222117020866451 - 0.535063678367169j,
+                a=0.6027718910105923 + 0.8645262860197455j,
+                b=-1.1546086055628628 + 0.7584432972516735j,
+                c=0.19190225563793095 + 0.26648530405190074j,
+                q=-0.7386416551125687 - 0.24264546097555642j,
+                p=0.4316903126428314 + 0.05430953731247874j)),
+    # P3: deep seed 6, trial 0
+    ("b_system", 6, 3,
+     ParamPoint(x=1.5500439015328271 - 0.4765224253241184j,
+                a=-1.7518720417304614 - 0.07084107733470427j,
+                b=0.2804414998154156 + 0.413006258470607j,
+                c=0.06545110635925745 - 0.21109596314027831j,
+                q=0.24180776260236495 - 0.3616177118878239j,
+                p=0.3379947195422292 + 0.14221235827607412j)),
+    # P4: deep seed 21, trial 1
+    ("b_system", 7, 1,
+     ParamPoint(x=-0.20983930487721061 + 0.06851664115275j,
+                a=0.2927089123434412 - 0.6560480293191866j,
+                b=-0.09590492558475841 - 0.3166367667903552j,
+                c=0.30163330085617496 - 0.37211457448287466j,
+                q=0.15367298147530004 - 0.578336736000054j,
+                p=0.4867827166987982 + 0.08483699942975512j)),
+    # P6: deep seed 8, trial 2
+    ("frenkel_turaev", 5, 4,
+     ParamPoint(x=0.271961250545403 - 0.7720627072906792j,
+                a=-0.4040289938056997 + 0.5556897974071725j,
+                b=-0.97502651889403 - 0.2421751665473599j,
+                c=-0.19805721231128262 - 0.48200972594290387j,
+                q=0.17101879989065055 - 0.32784523078305083j,
+                p=0.4230857542433983 - 0.2531014798823958j)),
+    # P8: deep seed 15, trial 0
+    ("frenkel_turaev", 7, 2,
+     ParamPoint(x=-0.877308148974892 - 0.15226460591542318j,
+                a=-0.2376416524953141 - 0.11775823177000845j,
+                b=-0.5405520728585095 - 0.9111299273662155j,
+                c=0.2284784365706543 - 0.34884780302122753j,
+                q=0.49332498050161644 - 0.23614867835606015j,
+                p=0.17324958844409763 - 0.02053797739859531j)),
+    # P9: deep seed 18, trial 0
+    ("frenkel_turaev", 6, 3,
+     ParamPoint(x=-0.6845540723807113 + 0.05357021401261155j,
+                a=0.19397800292908562 + 0.2712891702107058j,
+                b=-0.10341625945574486 + 0.18667796831368264j,
+                c=0.5055616885130059 + 1.4317067963240855j,
+                q=0.21870557808839358 + 0.24382896236317766j,
+                p=0.44486886666391573 - 0.06356004111285399j)),
+    # P10: deep seed 24, trial 0
+    ("frenkel_turaev", 2, 8,
+     ParamPoint(x=0.2636320552201475 - 0.4278980986980105j,
+                a=-0.7918677461608642 - 0.6813260127255136j,
+                b=-0.6252204797017559 - 0.11739684452056823j,
+                c=-1.0383484177240114 + 1.1761041234512413j,
+                q=0.5038263345954277 - 0.34713882098425397j,
+                p=0.3882501223745127 - 0.11345562875318105j)),
+    # P11: deep seed 27, trial 1
+    ("frenkel_turaev", 2, 8,
+     ParamPoint(x=-0.36201778090964837 + 0.4630245732857839j,
+                a=0.6446642708798312 + 1.2530823243984648j,
+                b=0.7978675500119451 + 0.5421769710195128j,
+                c=-0.5339147931587614 + 0.6663712017077057j,
+                q=0.5338994872576566 + 0.36347451347338244j,
+                p=0.05156889433245717 + 0.007616463322140149j)),
+    # P21: seed 2 at depth 14, trial 0
+    ("b_system", 12, 12,
+     ParamPoint(x=-0.3817866198106547 + 0.11393445275548587j,
+                a=1.0146259446661192 - 0.10312334255985675j,
+                b=0.13600320992051237 - 0.544549728515169j,
+                c=1.790810230072496 + 0.2494045265945565j,
+                q=0.1829375049734981 - 0.7874063958302645j,
+                p=0.3077728688021926 - 0.011429163972093252j)),
+    # P22: seed 2 at depth 14, trial 0
+    ("b_system", 14, 5,
+     ParamPoint(x=0.6487017900196291 + 0.2600714076288416j,
+                a=0.263515047296234 - 0.9157694217716741j,
+                b=-0.42223360881589267 - 0.36361577146341256j,
+                c=-0.7546666915402892 - 0.11534947160567531j,
+                q=0.7794255471551225 + 0.37904159316939057j,
+                p=0.45623390107955375 + 0.1253488727418444j)),
 ]
 
 
@@ -584,6 +684,123 @@ _CANCELLING = [
                          ids=[f"{row[0]}-{row[1]}-{row[2]}" for row in _CANCELLING])
 def test_cancelling_draw_passes_in_doubles(name, m, n, point):
     assert REGISTRY[name][2](point, m, n) <= CampaignConfig().tol
+
+
+#: ROADMAP item 1's rows of the binomial and homogeneous checks, (row, name,
+#: m, n, point, residual as ``float.hex``), each point pinned by its six
+#: parameters: the normal-form residuals on a fresh point, bit for bit.
+_NORMAL_FORM_ROWS = [
+    ("P12", "homogeneous_elliptic_ab", 3, 3,
+     ParamPoint(x=-1.3786294985106753 + 0.16884060518367142j,
+                a=0.24796839643641383 + 0.593604795303361j,
+                b=0.07856652524375991 + 0.303877359724527j,
+                c=0.06562705561030881 + 0.4897908069488071j,
+                q=0.42039614729038 + 0.5680303038842757j,
+                p=0.16340911553195858 - 0.07105989340891329j),
+     "0x1.486a358a08130p-26"),
+    ("P13", "homogeneous_elliptic_ab", 3, 3,
+     ParamPoint(x=0.29087152772003955 - 0.13672326057966502j,
+                a=0.044918310464054645 + 0.2091089772990687j,
+                b=0.22178697934924996 - 0.0002499608516402137j,
+                c=-0.18021590312230643 - 0.11599836186667382j,
+                q=0.4799100052077906 + 0.5245501054594653j,
+                p=0.23028898601307443 - 0.024414160584908987j),
+     "0x1.dafa4e48a959ep-26"),
+    ("P14", "homogeneous_elliptic_ab", 0, 3,
+     ParamPoint(x=1.1402198247070343 - 1.3105906638116773j,
+                a=-0.029667319597097327 - 0.5490115537015764j,
+                b=0.877675390427202 + 0.4422176027504852j,
+                c=-0.4110241995730285 + 0.717609880825629j,
+                q=-0.07852864475260887 + 0.7548869841453648j,
+                p=0.4764934384642356 - 0.05036829652574997j),
+     "0x1.e4f6f2ae63557p-31"),
+    ("P15", "homogeneous_elliptic_ab", 0, 3,
+     ParamPoint(x=0.2847246675789329 + 0.045999091293416394j,
+                a=-0.1443043388456615 - 0.23932654663298986j,
+                b=0.27165899484958517 - 0.41367077988645556j,
+                c=-0.19913931073979022 + 0.24921254002546145j,
+                q=-0.046364796704009635 + 0.5557847617451132j,
+                p=0.46758373759252697 - 0.15376653063932805j),
+     "0x1.aa7ea350047efp-28"),
+    ("P16", "homogeneous_elliptic_xabc", 3, 0,
+     ParamPoint(x=-0.4172400287181757 + 1.2659903255073213j,
+                a=-0.5489173536906076 + 0.010594640906175812j,
+                b=-0.2876795106584647 - 0.05914428466093024j,
+                c=-0.7583388534174045 + 0.5928340079374828j,
+                q=0.032380491110463476 - 0.766191231857458j,
+                p=0.46884293680219713 + 0.08093196270085053j),
+     "0x1.d97f719b38cd7p-27"),
+    ("P17", "binomial_elliptic_ab", 6, 0,
+     ParamPoint(x=-1.3357362879543955 + 0.47005368695886485j,
+                a=0.2973922119491361 + 0.1929460573152787j,
+                b=0.004928569528400685 + 0.8551805856212014j,
+                c=-0.2242335966458061 + 0.34657941233376593j,
+                q=-0.36787737243930324 - 0.053682042189243134j,
+                p=0.48230761042471987 + 0.0801790002258324j),
+     "0x1.4755237d8c85fp-24"),
+    ("P18", "binomial_elliptic_ab", 8, 0,
+     ParamPoint(x=-0.17926543361262848 - 1.0251336627138594j,
+                a=1.0641560825669323 - 0.27006412411253955j,
+                b=-0.14094340248939174 - 0.36013370207818773j,
+                c=-0.20939939478207598 + 0.5209536693970459j,
+                q=0.33682115241938176 - 0.45362145752266947j,
+                p=0.2706616070836588 - 0.056261948324981506j),
+     "0x1.2abb09eaa4203p-9"),
+    ("P19", "binomial_elliptic_ab", 5, 0,
+     ParamPoint(x=0.5444346543696765 - 0.02371938597349201j,
+                a=0.6003774403128994 + 0.046203274070769684j,
+                b=0.00533348808493976 - 0.2785079929025271j,
+                c=0.6551122684379317 - 0.22437076329973554j,
+                q=-0.1480703528790706 - 0.31074444706501486j,
+                p=0.35228372995609575 - 0.2015911892852429j),
+     "0x1.2631a89284218p-23"),
+    ("P20", "homogeneous_elliptic_ab", 5, 2,
+     ParamPoint(x=-0.6995877631500479 + 0.0032707573593857174j,
+                a=0.931360969696288 - 0.7478606378724963j,
+                b=0.5007817661778412 - 1.798229153547861j,
+                c=-0.28238502022648565 + 0.054978810061115664j,
+                q=0.4383355183377556 - 0.24525779138959325j,
+                p=0.1272874834485211 + 0.126541117878477j),
+     "0x1.c7ea50d5b0406p-23"),
+    ("P23", "homogeneous_elliptic_ab", 3, 3,
+     ParamPoint(x=0.22627676451701656 - 0.019447958900030732j,
+                a=0.23075571474829965 + 0.03456295900731236j,
+                b=-0.5133432452731176 + 0.9560097393876347j,
+                c=-0.5839227105541401 - 1.3842723140114583j,
+                q=0.2967649952888019 + 0.5955167298574331j,
+                p=0.32413302451170184 + 0.13001932076360134j),
+     "0x1.828d6f7a0171fp-20"),
+    ("P24", "homogeneous_elliptic_ab", 3, 3,
+     ParamPoint(x=1.2889409718435665 - 1.2339130531217735j,
+                a=-0.4222935027645277 + 0.6664530432890718j,
+                b=0.22060573263519584 - 0.15675378620285893j,
+                c=-0.43331645461524426 - 0.014567478307001998j,
+                q=0.466085724188462 + 0.7007876233176431j,
+                p=0.2725709362418221 - 0.03439372819641474j),
+     "0x1.1006226e55f7dp-22"),
+    ("P25", "homogeneous_elliptic_ab", 1, 3,
+     ParamPoint(x=0.17372838160861911 + 0.40845161099464017j,
+                a=-0.2151921270607581 - 0.20960241700629417j,
+                b=0.6494763966596683 - 0.7533280910935634j,
+                c=-0.5598124831079934 + 0.3758660150216283j,
+                q=0.21841441609717113 - 0.3880204697904412j,
+                p=0.38564384170323357 + 0.0680763866947388j),
+     "0x1.887f25aa7b743p-20"),
+    ("P26", "homogeneous_elliptic_ab", 3, 3,
+     ParamPoint(x=1.0231050950904312 - 0.4521130225995028j,
+                a=1.089493549999112 + 0.40780130049345353j,
+                b=-0.39176444917543524 + 0.5679074776362593j,
+                c=1.0759928968606858 + 0.7643012484553144j,
+                q=0.27898579699855064 - 0.524017480537496j,
+                p=0.3305307780153147 + 0.0620399724350724j),
+     "0x1.78cddecff8417p-22"),
+]
+
+
+@pytest.mark.parametrize("name, m, n, point, residual", [row[1:] for row in _NORMAL_FORM_ROWS],
+                         ids=[row[0] for row in _NORMAL_FORM_ROWS])
+def test_normal_form_residual_is_pinned_bit_for_bit(name, m, n, point, residual):
+    assert REGISTRY[name][2](point, m, n).hex() == residual
 
 
 def test_bezout_qcb_keeps_a_nan_coefficient_gap(monkeypatch, generic_point):

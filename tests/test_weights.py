@@ -78,7 +78,7 @@ def test_shifted_weights_are_the_weights_at_the_substituted_point(seed):
     # read at every shift the normal forms reach at m, n <= 3, with and
     # without swap, off the base point's ladders at offset indices
     pp = sample_param_point(Random(seed), IdentitySize(3, 3))
-    for shift in sorted({shift for _, shift in normal_form_leaves()}):
+    for shift in sorted({shift for _, shift in normal_form_leaves(pp)}):
         ref = shifted_point(pp, shift)
         for i in range(4):
             for j in range(4):
