@@ -32,10 +32,9 @@ from .errors import DegenerateParameterError, DivergenceError, RootOfUnityError,
 #: Truncation control for infinite products: factors are kept while
 #: |p|^k >= tol * (1 + |x|) * (1 - |p|), so the dropped tail, about
 #: |x| |p|^count / (1 - |p|), stays below tol * (1 + |x|) for arguments
-#: in the reduced annulus, however near |p| is to 1.  For mpmath
-#: scalars the default follows the working precision instead (see
-#: :func:`_default_tol`), so extended-precision runs are not truncation
-#: limited.
+#: in the reduced annulus, however near |p| is to 1.  For an mpmath
+#: nome the tolerance follows the working precision instead (see
+#: :class:`_Nome`), so extended-precision runs are not truncation limited.
 DEFAULT_THETA_TOL = 1e-18
 
 #: theta's argument reduction forms the prefactor (-1)^n x^n p^(n(n-1)/2)
@@ -76,14 +75,6 @@ def qpoch(x, q, k: int):
     return acc
 
 
-def _default_tol(x, p) -> float:
-    if isinstance(x, complex) and isinstance(p, complex):
-        return DEFAULT_THETA_TOL
-    import mpmath
-
-    return min(DEFAULT_THETA_TOL, float(mpmath.mp.eps) * 1e-2)
-
-
 def theta(x, p, _nome=None):
     """Modified Jacobi theta function theta(x; p) = (x, p/x; p)_infinity.
 
@@ -93,6 +84,13 @@ def theta(x, p, _nome=None):
     which keeps the truncated product accurate for very large or very
     small arguments.  A built-in complex value that is not finite raises
     ``OverflowError``, as an overflow in the reduction does.
+
+    An ``mpmath`` nome (real or complex) takes one pass on Python integers
+    (:func:`_mp_theta_product`): the reduction, its prefactor and the
+    product are formed there, x converted to the nome's context if it is
+    not of it, and the value is rounded once to the working precision.  An
+    ``mpmath`` argument with a built-in nome is evaluated at the nome
+    converted to the argument's context.
 
     ``_nome`` is internal: a theta ladder passes the values of p its
     store shares between its thetas (:class:`_Nome`), so that they are
@@ -104,12 +102,12 @@ def theta(x, p, _nome=None):
     if _nome is None:
         if p == 0:
             return 1 - x
-        _nome = _Nome(p)
+        ctx = getattr(x, "context", None)
+        _nome = _Nome(p if ctx is None else ctx.convert(p))
     nome = _nome.current()
+    if nome.wp is not None:
+        return _mp_theta_product(x, nome)
     x, n, pref, count = _reduce(x, nome)
-    if count > 0 and _mp_complex(x, p):
-        acc = _mp_theta_product(x, nome, count)
-        return pref * acc if n else acc
     px = p / x
     acc = 1
     pk = 1
@@ -127,11 +125,17 @@ class _Nome:
     the working precision ``prec`` they were computed at (the ``mpmath``
     context's for mpmath scalars, None for built-in ones):
 
-    * ``log_ap`` = log |p|, and ``powers``: the reduction's
-      n -> ((-1)^n, p^(n(n-1)/2), p^n), filled as arguments need them
-      (:func:`_powers`), by scalar reductions and batches alike;
-    * for an ``mpmath.mpc`` nome, the fixed-point table of the product's
-      powers (p^k, p^(2k+1)) for k >= 1, grown on demand
+    * ``log_ap`` = log |p| and ``tol``, the truncation tolerance: the
+      default ``DEFAULT_THETA_TOL`` for a built-in nome, for an mpmath
+      one the smaller of it and 1e-2 times the context's epsilon, so that
+      extended-precision runs are not truncation limited;
+    * ``powers``: the reduction's powers of p by exponent n, filled as
+      arguments need them, by scalar reductions and batches alike: for a
+      built-in nome ((-1)^n, p^(n(n-1)/2), p^n) (:func:`_powers`), for an
+      mpmath one their integer forms (:func:`_mp_powers`);
+    * for an mpmath nome, ``wp``, the fractional bits of its fixed-point
+      values (None for a built-in nome), and the fixed-point table of the
+      product's powers (p^k, p^(2k+1)) for k >= 1, grown on demand
       (:meth:`fixed_table`).
 
     The values are computed on first use (:meth:`current`), so a nome can
@@ -140,7 +144,7 @@ class _Nome:
     sharing one instance changes no bit of any theta.
     """
 
-    __slots__ = ("p", "prec", "log_ap", "powers", "wp", "table", "_step")
+    __slots__ = ("p", "prec", "log_ap", "tol", "powers", "wp", "table", "_step")
 
     def __init__(self, p):
         self.p = p
@@ -152,36 +156,38 @@ class _Nome:
         ctx = getattr(self.p, "context", None)
         prec = None if ctx is None else ctx.prec
         if self.log_ap is None or self.prec != prec:
-            ap = abs(self.p)
+            ap = float(abs(self.p))
             if ap >= 1:
                 raise DivergenceError("theta(x; p) requires |p| < 1")
             self.prec = prec
-            self.log_ap = math.log(float(ap))
+            self.log_ap = math.log(ap)
             self.powers = {}
-            self.wp = None
             self.table = []
+            if ctx is None:
+                self.tol, self.wp = DEFAULT_THETA_TOL, None
+            else:
+                # wp: the working precision, the guard bits and the bits the
+                # product can lose to its own smallness
+                self.tol = min(DEFAULT_THETA_TOL, float(ctx.eps) * 1e-2)
+                self.wp = prec + MP_THETA_GUARD_BITS + _product_floor_bits(ap)
         return self
 
     def fixed_table(self, size: int) -> list:
         """The table with at least ``size`` entries: entry k - 1 is
         (Re p^k, Im p^k, Re p^(2k+1), Im p^(2k+1)) in fixed point with
         ``wp`` fractional bits, each power one truncated product from the
-        previous one.  ``wp`` is the working precision plus
-        ``MP_THETA_GUARD_BITS`` plus the bits the product can lose to its
-        own smallness (:func:`_product_floor_bits`)."""
+        previous one."""
         table = self.table
         if len(table) >= size:
             return table
+        wp = self.wp
         if not table:
             from mpmath.libmp import to_fixed
 
-            wp = self.wp = (self.prec + MP_THETA_GUARD_BITS
-                            + _product_floor_bits(float(abs(self.p))))
-            pr, pi = (to_fixed(t, wp) for t in self.p._mpc_)
+            pr, pi = (to_fixed(t, wp) for t in _mp_parts(self.p))
             p2r, p2i = (pr * pr - pi * pi) >> wp, (2 * pr * pi) >> wp
             self._step = pr, pi, p2r, p2i
             table.append((pr, pi, (pr * p2r - pi * p2i) >> wp, (pr * p2i + pi * p2r) >> wp))
-        wp = self.wp
         pr, pi, p2r, p2i = self._step
         kr, ki, er, ei = table[-1]
         for _ in range(size - len(table)):
@@ -207,10 +213,10 @@ def _product_floor_bits(r: float) -> int:
 
 
 def _reduce(x, nome: _Nome):
-    """theta's argument reduction: (x', n, pref, count) with x' = x p^n in
-    the annulus, pref = (-1)^n x^n p^(n(n-1)/2) (1 when n = 0) and count
-    the number of factor pairs of the truncated product, so that
-    theta(x; p) = pref * prod_{k<count} (1 - x' p^k)(1 - (p/x') p^k).
+    """theta's argument reduction for a built-in nome: (x', n, pref, count)
+    with x' = x p^n in the annulus, pref = (-1)^n x^n p^(n(n-1)/2) (1 when
+    n = 0) and count the number of factor pairs of the truncated product,
+    so that theta(x; p) = pref * prod_{k<count} (1 - x' p^k)(1 - (p/x') p^k).
 
     The powers of p come from the nome's ``powers`` cache
     (:func:`_powers`); the cached values are the same expressions, so they
@@ -227,10 +233,10 @@ def _reduce(x, nome: _Nome):
             pref = sign * x**n * pe
         else:
             e = n * (n - 1) // 2
-            pref = sign * _exp(n * _log(x) + e * _log(p))
+            pref = sign * cmath.exp(n * cmath.log(x) + e * cmath.log(p))
         x = x * pn
         ax = float(abs(x))
-    return x, n, pref, _factor_count(ax, log_ap, _default_tol(x, p))
+    return x, n, pref, _factor_count(ax, log_ap, nome.tol)
 
 
 def _prefactor_mag(n, log_ax, log_ap):
@@ -333,49 +339,81 @@ def _theta_batch(x, nome: _Nome):
     return values, ok & np.isfinite(values)
 
 
-def _mp_complex(x, p) -> bool:
-    """True when p is an ``mpmath`` complex and x an ``mpmath`` real or
-    complex of the same context."""
-    ctx = getattr(p, "context", None)
-    return (hasattr(p, "_mpc_") and getattr(x, "context", None) is ctx
-            and (hasattr(x, "_mpc_") or hasattr(x, "_mpf_")))
+def _mp_parts(v) -> tuple:
+    """The two raw mpf parts (real, imaginary) of an mpmath real or complex."""
+    if hasattr(v, "_mpc_"):
+        return v._mpc_
+    from mpmath.libmp import fzero
+
+    return v._mpf_, fzero
 
 
-def _mp_theta_product(x, nome: _Nome, count: int):
-    """prod_{k<count} (1 - x p^k)(1 - (p/x) p^k) for the ``mpmath.mpc``
-    nome p of ``nome`` and an ``mpmath`` real or complex x, evaluated on
-    Python integers in fixed point with the nome's ``wp`` fractional bits
-    (see :meth:`_Nome.fixed_table`) and rounded once to the working
-    precision.
+def _mp_theta_product(x, nome: _Nome):
+    """theta(x; p) for the mpmath nome p of ``nome`` (current) and an
+    argument x, converted to p's context unless it is of it, in one pass
+    on Python integers, rounded once to the working precision.
 
-    x lies in the reduced annulus, so 1 - x is the only factor that can
-    come near zero.  It is formed exactly and multiplied in last without
-    truncation, so the relative error stays a few units of the working
-    precision however small the product is; at x = 1 it is exactly 0.
-    The other factor of k = 0, 1 - p/x, is multiplied in first.  Each
-    later pair is one factor 1 - s p^k + p^(2k+1) with s = x + p/x and
-    the powers read from the nome's table (:meth:`_Nome.fixed_table`):
-    two complex products per pair.  Its rounding is absolute, but every
-    such factor has modulus at least (1 - |p|^(1/2))(1 - |p|^(3/2)) in the
-    annulus, so the guard bits keep it relative.
+    |x| and the reduction exponent n are computed in doubles from the two
+    mpf parts of x.  Values are exact Python integers or, where marked,
+    integers with ``wp`` significant or fractional bits (the nome's
+    ``wp``): complex ones as (re, im, e), worth (re + i im) 2^e.
+
+    * 1 - x', x' = x p^n, is the only factor that can come near zero in
+      the annulus, so it is formed without losing the bits its
+      cancellation keeps: exactly for n >= 0, from the exact power p^n
+      (:func:`_mp_powers`); for n < 0 as (p^-n - x) p^n, the difference
+      exact and p^n = 1 / p^-n with ``wp`` significant bits.  Kept to
+      ``wp`` significant bits, it is multiplied in last, so the relative
+      error stays a few units of the working precision however small the
+      value is; theta(x; p) is exactly 0 when x p^n is exactly 1.
+    * The other factor of k = 0, 1 - p/x', is multiplied in first, with
+      x' and p/x' in fixed point.  Each later pair is one factor
+      1 - s p^k + p^(2k+1) with s = x' + p/x' and the powers read from the
+      nome's table (:meth:`_Nome.fixed_table`): two complex products per
+      pair.  Its rounding is absolute, but every such factor has modulus
+      at least (1 - |p|^(1/2))(1 - |p|^(3/2)) in the annulus, so the guard
+      bits keep it relative.  At least the pair k = 0 is kept.
+    * The prefactor (-1)^n x^n p^(n(n-1)/2) is formed with ``wp``
+      significant bits: x^n from x, or for n < 0 from 1/x, and the power
+      of p from the nome's cache.
+
+    The value is real (an mpf) when x and p are.
     """
-    from mpmath.libmp import from_man_exp, fzero, to_fixed
+    from mpmath.libmp import from_man_exp, to_float
 
-    ctx = x.context
+    p = nome.p
+    ctx = p.context
+    if getattr(x, "context", None) is not ctx:
+        x = ctx.convert(x)
     prec, rnd = ctx._prec_rounding
+    wp, log_ap = nome.wp, nome.log_ap
+    xc = _mp_parts(x)
+    n = round(-math.log(math.hypot(to_float(xc[0]), to_float(xc[1]))) / log_ap)
+    xe = _exact(xc)
+    if n:
+        pm, qm, pe = _mp_powers(nome, n)
+        # x^n p^(n(n-1)/2); the sign (-1)^n is applied at the end
+        pref = _mul(_power(xe if n > 0 else _reciprocal(xe, wp), abs(n), wp), pe)
+    if n > 0:
+        x1 = _mul(xe, pm)
+        f = _sub(_ONE, x1)
+    elif n < 0:
+        f = _mul(_trim(_sub(pm, xe), wp), qm)
+        x1 = _sub(_ONE, f)
+    else:
+        x1, f = xe, _sub(_ONE, xe)
+    f = _trim(f, wp)
+    xr, xi = _fixed(x1, wp)
+    count = _factor_count(math.ldexp(math.hypot(xr, xi), -wp), log_ap, nome.tol)
     table = nome.fixed_table(max(count - 1, 1))
-    wp = nome.wp
-    one = 1 << wp
-    xc = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
-    xr, xi = (to_fixed(t, wp) for t in xc)
-    # p/x = p conj(x) / |x|^2, with the table's p; |p/x| <= |x| in the
-    # annulus, so it is 0 in fixed point when x is
+    # p/x' = p conj(x') / |x'|^2, with the table's p; |p/x'| <= |x'| in the
+    # annulus, so it is 0 in fixed point when x' is
     pr, pi = table[0][:2]
     mod2 = xr * xr + xi * xi
     yr = ((pr * xr + pi * xi) << wp) // mod2 if mod2 else 0
     yi = ((pi * xr - pr * xi) << wp) // mod2 if mod2 else 0
-    # k = 0 contributes 1 - p/x here and 1 - x at the end
-    ar, ai = one - yr, -yi
+    # k = 0 contributes 1 - p/x' here and 1 - x' at the end
+    ar, ai = (1 << wp) - yr, -yi
     sr, si = xr + yr, xi + yi
     for kr, ki, er, ei in table[:count - 1]:
         # acc * (1 + d) with d = p^(2k+1) - s p^k, as acc + acc d: the same
@@ -383,30 +421,95 @@ def _mp_theta_product(x, nome: _Nome, count: int):
         dr = er - ((sr * kr - si * ki) >> wp)
         di = ei - ((sr * ki + si * kr) >> wp)
         ar, ai = ar + ((ar * dr - ai * di) >> wp), ai + ((ar * di + ai * dr) >> wp)
-    # 1 - x = f0r - i f0i exactly, in fixed point fine enough for both
-    # parts of x
-    s = max(wp, -xc[0][2], -xc[1][2])
-    f0r = (1 << s) - to_fixed(xc[0], s)
-    f0i = to_fixed(xc[1], s)
-    re = from_man_exp(ar * f0r + ai * f0i, -wp - s, prec, rnd)
-    im = from_man_exp(ai * f0r - ar * f0i, -wp - s, prec, rnd)
-    return ctx.make_mpc((re, im))
+    vr, vi, e = _mul((ar, ai, -wp), f)
+    if n:
+        vr, vi, e = _mul((vr, vi, e), pref)
+    if n % 2:
+        vr, vi = -vr, -vi
+    re = from_man_exp(vr, e, prec, rnd)
+    if not hasattr(x, "_mpc_") and not hasattr(p, "_mpc_"):
+        return ctx.make_mpf(re)
+    return ctx.make_mpc((re, from_man_exp(vi, e, prec, rnd)))
 
 
-def _log(z):
-    if isinstance(z, complex):
-        return cmath.log(z)
-    import mpmath
+def _mp_powers(nome: _Nome, n: int) -> tuple:
+    """The integer forms of the reduction's powers of the mpmath nome p
+    for exponent n != 0, from the nome's ``powers`` cache: p^|n| exact,
+    p^n with ``wp`` significant bits for n < 0 (None for n > 0), and
+    p^(n(n-1)/2) with ``wp`` significant bits."""
+    cached = nome.powers.get(n)
+    if cached is None:
+        wp = nome.wp
+        p = _exact(_mp_parts(nome.p))
+        pm = _power(p, abs(n), None)
+        e = n * (n - 1) // 2
+        cached = nome.powers[n] = (pm, _reciprocal(pm, wp) if n < 0 else None,
+                                   _power(p, e, wp) if e else _ONE)
+    return cached
 
-    return mpmath.log(z)
+
+#: 1 as an integer complex (re, im, e), see :func:`_mp_theta_product`.
+_ONE = (1, 0, 0)
 
 
-def _exp(z):
-    if isinstance(z, complex):
-        return cmath.exp(z)
-    import mpmath
+def _exact(parts) -> tuple:
+    """Two raw mpf parts as one exact integer complex (re, im, e)."""
+    (sr, mr, er, _), (si, mi, ei, _) = parts
+    e = min(er, ei)
+    return (-mr if sr else mr) << (er - e), (-mi if si else mi) << (ei - e), e
 
-    return mpmath.exp(z)
+
+def _fixed(a, wp: int) -> tuple:
+    """The integer complex a in fixed point with wp fractional bits,
+    truncated towards -infinity part by part, as ``to_fixed`` truncates."""
+    r, i, e = a
+    s = e + wp
+    return (r << s, i << s) if s >= 0 else (r >> -s, i >> -s)
+
+
+def _mul(a, b) -> tuple:
+    """The exact product of two integer complexes."""
+    ar, ai, ae = a
+    br, bi, be = b
+    return ar * br - ai * bi, ar * bi + ai * br, ae + be
+
+
+def _sub(a, b) -> tuple:
+    """The exact difference a - b of two integer complexes."""
+    ar, ai, ae = a
+    br, bi, be = b
+    e = min(ae, be)
+    return (ar << (ae - e)) - (br << (be - e)), (ai << (ae - e)) - (bi << (be - e)), e
+
+
+def _trim(a, bits) -> tuple:
+    """a truncated to ``bits`` significant bits in its larger part (a
+    itself when ``bits`` is None or a is no longer)."""
+    r, i, e = a
+    excess = 0 if bits is None else max(r.bit_length(), i.bit_length()) - bits
+    return (r >> excess, i >> excess, e + excess) if excess > 0 else a
+
+
+def _power(a, k: int, bits) -> tuple:
+    """a^k for k >= 1 by squaring, each product truncated to ``bits``
+    significant bits (:func:`_trim`; exact when ``bits`` is None)."""
+    out = None
+    while True:
+        if k & 1:
+            out = a if out is None else _trim(_mul(out, a), bits)
+        k >>= 1
+        if not k:
+            return out
+        a = _trim(_mul(a, a), bits)
+
+
+def _reciprocal(a, bits: int) -> tuple:
+    """1 / a for a nonzero integer complex a, with ``bits`` significant
+    bits: conj(a) / |a|^2, each part divided once."""
+    r, i, e = a
+    k = bits + max(r.bit_length(), i.bit_length())
+    d = r * r + i * i
+    return (r << k) // d, (-i << k) // d, -e - k
 
 
 def theta_prod(args, p):
@@ -509,9 +612,9 @@ class ThetaLadders(dict):
     :class:`ThetaLadder` of base z, created on first use.
 
     The store also owns what its thetas share of the nome p (``nome``, a
-    :class:`_Nome` its ladders hold too): log |p|, the reduction's powers
-    of p and, for an ``mpmath.mpc`` nome, the fixed-point table of the
-    product's powers.  These are tied to the working precision they were
+    :class:`_Nome` its ladders hold too): log |p|, the truncation
+    tolerance, the reduction's powers of p and, for an ``mpmath`` nome,
+    the fixed-point table of the product's powers.  These are tied to the working precision they were
     computed at; a read at another precision computes them afresh, so no
     power computed at 15 digits enters a 40-digit theta."""
 

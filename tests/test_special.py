@@ -34,6 +34,7 @@ from thetacb.special import (
     ratio_rows,
     ThetaLadders,
     _Nome,
+    _mp_powers,
     _prefactor_mag,
     _reduce,
     _reduce_many,
@@ -388,6 +389,36 @@ def _assert_units_of_reference(value, x, p, units):
         assert abs(value - ref) <= units * mpmath.ldexp(abs(ref), -prec)
 
 
+def _theta_series(xs, p, bits):
+    """theta(x; p) at each x of ``xs`` from the Jacobi triple product
+    (Gasper-Rahman, *Basic Hypergeometric Series*, ch. 11),
+
+        theta(x; p) (p; p)_inf = sum_n (-1)^n p^(n(n-1)/2) x^n,
+
+    with (p; p)_inf = sum_k (-1)^k p^(k(3k-1)/2) (Euler's pentagonal number
+    theorem): no reduction and no product, so it shares no step with theta.
+    Each sum runs outward from its largest terms until they fall below
+    2^-bits of them, at the working precision."""
+    log_ap = math.log(float(abs(p)))
+    span = math.sqrt(2 * bits * math.log(2) / -log_ap)
+    m, k_max = 2 + math.ceil(span), 2 + math.ceil(span / math.sqrt(3))
+    euler = mpmath.fsum((-1) ** k * p ** (k * (3 * k - 1) // 2) for k in range(-k_max, k_max + 1))
+    out = []
+    for x in xs:
+        n = round(-math.log(float(abs(x))) / log_ap)
+        top = (-1) ** n * p ** (n * (n - 1) // 2) * x**n
+        total = top
+        # the ratio of consecutive terms is -p^n x upwards, -1/(p^(n-1) x)
+        # downwards, and each next ratio is the last one times p
+        for term, ratio in ((top, -x * p**n), (top, -p / (x * p**n))):
+            for _ in range(m):
+                term *= ratio
+                ratio *= p
+                total += term
+        out.append(total / euler)
+    return out
+
+
 class TestThetaAt40Digits:
     def test_zero_at_one_is_exact(self):
         q, p = mpmath.mpc(0.55, 0.3), mpmath.mpc(0.2, -0.1)
@@ -471,6 +502,60 @@ class TestThetaAt40Digits:
             x = mpmath.mpf("0.999") / mpmath.sqrt(p.real)
             _assert_units_of_reference(theta(x, p), x, p, 4)
 
+    def test_next_to_zeros_outside_the_annulus(self):
+        # x = p^k (1 + 1e-25), |theta| about 1e-25: the reduced argument
+        # x p^-k must not be rounded before 1 - x p^-k is formed, or one
+        # unit of it moves theta by about 1e25 units; p has all 40 digits,
+        # so p^2 is not exact at any working width
+        with mpmath.workdps(40):
+            p = mpmath.mpc("0.3", "0.2")
+            for k in (1, 2, -1):
+                x = p**k * (1 + mpmath.mpf("1e-25"))
+                _assert_units_of_reference(theta(x, p), x, p, 4)
+
+    def test_zeros_outside_the_annulus_are_exact(self):
+        # theta vanishes at every power of p; where x p^-k is exactly 1,
+        # the value is exactly 0, on either side of the annulus
+        with mpmath.workdps(40):
+            p = mpmath.mpc(0.5, 0.25)
+            for k in (1, 2, 3):
+                assert theta(p**k, p) == 0
+            p = mpmath.mpc(0.5)
+            for k in (-1, -2, -3, 2):
+                assert theta(p**k, p) == 0
+
+    @pytest.mark.parametrize("dps", [15, 40, 60])
+    def test_reductions_of_up_to_forty_quasi_periods(self, dps):
+        # against the triple product series, 200 bits wider: the per-factor
+        # reference needs thousands of factors at |p| = 0.9
+        with mpmath.workdps(dps):
+            prec = mpmath.mp.prec
+            for p, xs in _far_points():
+                p, xs = mpmath.mpc(p), [mpmath.mpc(x) for x in xs]
+                got = [theta(x, p) for x in xs]
+                with mpmath.workprec(prec + 200):
+                    for x, value, ref in zip(xs, got, _theta_series(xs, p, prec + 30)):
+                        assert abs(value - ref) <= 4 * mpmath.ldexp(abs(ref), -prec), (x, p)
+
+    def test_a_real_nome_takes_the_same_pass(self):
+        # an mpf nome: an mpf value for an mpf argument, the mpc value for
+        # an mpc one, each within 4 units
+        with mpmath.workdps(40):
+            p = mpmath.mpf("0.3")
+            for x in (mpmath.mpf("2.7"), mpmath.mpf("-0.2"), 1 / p * (1 + mpmath.mpf("1e-25"))):
+                value = theta(x, p)
+                assert isinstance(value, mpmath.mpf)
+                _assert_units_of_reference(value, x, p, 4)
+                assert theta(mpmath.mpc(x), p) == value
+            x = mpmath.mpc(0.4, 2.1)
+            _assert_units_of_reference(theta(x, p), x, p, 4)
+
+    def test_a_built_in_scalar_takes_the_other_ones_context(self):
+        with mpmath.workdps(40):
+            x, p = 0.4 + 2.1j, mpmath.mpc(0.3, 0.2)
+            assert theta(x, p) == theta(mpmath.mpc(x), p)
+            assert theta(mpmath.mpc(x), complex(p)) == theta(mpmath.mpc(x), p)
+
 
 class TestThetaStore:
     """A store's shared values of the nome against theta's own per call."""
@@ -497,21 +582,32 @@ class TestThetaStore:
 
     def test_a_read_at_another_precision_computes_the_nome_afresh(self):
         # z is far outside the annulus, so the reads use the reduction's
-        # powers of p as well as the product's table
+        # powers of p as well as the product's table; the powers, the
+        # fixed-point width and the truncation tolerance all belong to the
+        # precision they were computed at
         q, p = mpmath.mpc(0.55, 0.3), mpmath.mpc(0.3, 0.2)
         z = mpmath.mpc(2.3, -1.1) * mpmath.mpf(0.3) ** -12
         store = ThetaLadders(q, p)
+        nome = store.nome
         with mpmath.workdps(15):
             store[z][0]
             store[z][1]
-            low = store.nome.powers, store.nome.table
-            assert all(low)
+            low = nome.powers, nome.table, nome.tol, nome.wp
+            assert low[0] and low[1]
+            stale = _Nome(p).current()
         with mpmath.workdps(40):
             value = store[z][2]
-            assert store.nome.prec == mpmath.mp.prec
-            assert store.nome.powers is not low[0] and store.nome.table is not low[1]
+            assert nome.prec == mpmath.mp.prec
+            assert nome.powers is not low[0] and nome.table is not low[1]
+            assert nome.tol < low[2] and nome.wp > low[3]
+            fresh = _Nome(p).current()
+            assert nome.powers == {n: _mp_powers(fresh, n) for n in nome.powers}
+            assert all(nome.powers[n] != _mp_powers(stale, n) for n in nome.powers)
             assert repr(value) == repr(theta(z * q**2, p))
             _assert_units_of_reference(value, z * q**2, p, 4)
+        with mpmath.workdps(15):
+            assert repr(store[z][3]) == repr(theta(z * q**3, p))
+            assert (nome.tol, nome.wp) == low[2:]
 
 
 class TestThetaLadder:
