@@ -29,12 +29,12 @@ import numpy as np
 
 from .errors import DegenerateParameterError, DivergenceError, RootOfUnityError, ZeroArgumentError
 
-#: Truncation control for infinite products: factors are kept while
-#: |p|^k >= tol * (1 + |x|) * (1 - |p|), so the dropped tail, about
-#: |x| |p|^count / (1 - |p|), stays below tol * (1 + |x|) for arguments
-#: in the reduced annulus, however near |p| is to 1.  For an mpmath
-#: nome the tolerance follows the working precision instead (see
-#: :class:`_Nome`), so extended-precision runs are not truncation limited.
+#: Truncation control for theta's double-precision product: factors are
+#: kept while |p|^k >= tol * (1 + |x|) * (1 - |p|), so the dropped tail,
+#: about |x| |p|^count / (1 - |p|), stays below tol * (1 + |x|) for
+#: arguments in the reduced annulus, however near |p| is to 1.  An mpmath
+#: nome's series takes its term count from the working precision instead
+#: (:func:`_series_terms`).
 DEFAULT_THETA_TOL = 1e-18
 
 #: theta's argument reduction forms the prefactor (-1)^n x^n p^(n(n-1)/2)
@@ -44,8 +44,8 @@ DEFAULT_THETA_TOL = 1e-18
 LOG_SPACE_MAG = 500.0
 
 #: Bits beyond the working precision carried by the fixed-point theta
-#: product for ``mpmath`` scalars, on top of those the product can lose
-#: by shrinking (:func:`_product_floor_bits`).
+#: series for ``mpmath`` scalars, on top of those its sum can lose to
+#: cancellation (:func:`_product_floor_bits`).
 MP_THETA_GUARD_BITS = 64
 
 #: Runtime backstop: a denominator factor (one theta, or one 1 - z at
@@ -87,10 +87,11 @@ def theta(x, p, _nome=None):
 
     An ``mpmath`` nome (real or complex) takes one pass on Python integers
     (:func:`_mp_theta_product`): the reduction, its prefactor and the
-    product are formed there, x converted to the nome's context if it is
-    not of it, and the value is rounded once to the working precision.  An
-    ``mpmath`` argument with a built-in nome is evaluated at the nome
-    converted to the argument's context.
+    Jacobi triple-product series in place of the product are formed there,
+    x converted to the nome's context if it is not of it, and the value is
+    rounded once to the working precision.  An ``mpmath`` argument with a
+    built-in nome is evaluated at the nome converted to the argument's
+    context.
 
     ``_nome`` is internal: a theta ladder passes the values of p its
     store shares between its thetas (:class:`_Nome`), so that they are
@@ -102,8 +103,7 @@ def theta(x, p, _nome=None):
     if _nome is None:
         if p == 0:
             return 1 - x
-        ctx = getattr(x, "context", None)
-        _nome = _Nome(p if ctx is None else ctx.convert(p))
+        _nome = _nome_of(x, p)
     nome = _nome.current()
     if nome.wp is not None:
         return _mp_theta_product(x, nome)
@@ -120,23 +120,31 @@ def theta(x, p, _nome=None):
     return value
 
 
+def _nome_of(x, p) -> _Nome:
+    """The nome :func:`theta` evaluates theta(x; p) at: p, converted to the
+    context of x when x is an ``mpmath`` scalar."""
+    ctx = getattr(x, "context", None)
+    return _Nome(p if ctx is None else ctx.convert(p))
+
+
 class _Nome:
     """The values of one nome p that all thetas theta(x; p) share, tied to
     the working precision ``prec`` they were computed at (the ``mpmath``
     context's for mpmath scalars, None for built-in ones):
 
-    * ``log_ap`` = log |p| and ``tol``, the truncation tolerance: the
-      default ``DEFAULT_THETA_TOL`` for a built-in nome, for an mpmath
-      one the smaller of it and 1e-2 times the context's epsilon, so that
-      extended-precision runs are not truncation limited;
+    * ``log_ap`` = log |p|;
     * ``powers``: the reduction's powers of p by exponent n, filled as
       arguments need them, by scalar reductions and batches alike: for a
       built-in nome ((-1)^n, p^(n(n-1)/2), p^n) (:func:`_powers`), for an
       mpmath one their integer forms (:func:`_mp_powers`);
-    * for an mpmath nome, ``wp``, the fractional bits of its fixed-point
-      values (None for a built-in nome), and the fixed-point table of the
-      product's powers (p^k, p^(2k+1)) for k >= 1, grown on demand
-      (:meth:`fixed_table`).
+    * ``wp``, None for a built-in nome, and for an mpmath one the
+      fractional bits of its fixed-point values: the working precision,
+      ``MP_THETA_GUARD_BITS`` and the bits the series can lose to
+      cancellation (:func:`_product_floor_bits`);
+    * for an mpmath nome, ``series``, the coefficients of theta's
+      triple-product series, (-1)^(k+1) p^(k(k-1)/2) / (p; p)_inf for
+      k = 1 .. K in fixed point, with the term count K set by |p| and
+      ``wp`` (:func:`_series_terms`).
 
     The values are computed on first use (:meth:`current`), so a nome can
     be made for p = 0, which no theta reads.  Every value is the same
@@ -144,7 +152,7 @@ class _Nome:
     sharing one instance changes no bit of any theta.
     """
 
-    __slots__ = ("p", "prec", "log_ap", "tol", "powers", "wp", "table", "_step")
+    __slots__ = ("p", "prec", "log_ap", "powers", "wp", "series")
 
     def __init__(self, p):
         self.p = p
@@ -156,60 +164,103 @@ class _Nome:
         ctx = getattr(self.p, "context", None)
         prec = None if ctx is None else ctx.prec
         if self.log_ap is None or self.prec != prec:
-            ap = float(abs(self.p))
+            ap = abs(complex(self.p))
             if ap >= 1:
                 raise DivergenceError("theta(x; p) requires |p| < 1")
             self.prec = prec
             self.log_ap = math.log(ap)
             self.powers = {}
-            self.table = []
             if ctx is None:
-                self.tol, self.wp = DEFAULT_THETA_TOL, None
+                self.wp = None
             else:
-                # wp: the working precision, the guard bits and the bits the
-                # product can lose to its own smallness
-                self.tol = min(DEFAULT_THETA_TOL, float(ctx.eps) * 1e-2)
                 self.wp = prec + MP_THETA_GUARD_BITS + _product_floor_bits(ap)
+                self.series = _series_terms(self)
         return self
-
-    def fixed_table(self, size: int) -> list:
-        """The table with at least ``size`` entries: entry k - 1 is
-        (Re p^k, Im p^k, Re p^(2k+1), Im p^(2k+1)) in fixed point with
-        ``wp`` fractional bits, each power one truncated product from the
-        previous one."""
-        table = self.table
-        if len(table) >= size:
-            return table
-        wp = self.wp
-        if not table:
-            from mpmath.libmp import to_fixed
-
-            pr, pi = (to_fixed(t, wp) for t in _mp_parts(self.p))
-            p2r, p2i = (pr * pr - pi * pi) >> wp, (2 * pr * pi) >> wp
-            self._step = pr, pi, p2r, p2i
-            table.append((pr, pi, (pr * p2r - pi * p2i) >> wp, (pr * p2i + pi * p2r) >> wp))
-        pr, pi, p2r, p2i = self._step
-        kr, ki, er, ei = table[-1]
-        for _ in range(size - len(table)):
-            kr, ki = (kr * pr - ki * pi) >> wp, (kr * pi + ki * pr) >> wp
-            er, ei = (er * p2r - ei * p2i) >> wp, (er * p2i + ei * p2r) >> wp
-            table.append((kr, ki, er, ei))
-        return table
 
 
 def _product_floor_bits(r: float) -> int:
-    """Bits of a fixed-point accumulator that theta's product can use up
-    by shrinking, for |p| = r: the factors other than 1 - x have moduli
-    at least 1 - r^(j+1/2) in the annulus, each exponent j >= 0 twice
-    (|x p^(j+1)| and |(p/x) p^j| are at most r^(j+1/2)), so the running
-    product never falls below prod_j (1 - r^(j+1/2))^2.  The bound is
-    nearly 1 for small r and about 2^-92 at r = 0.95."""
+    """Bits of a fixed-point sum that theta's series can lose, for
+    |p| = r.  The series (:func:`_mp_theta_product`) sums
+    B / (p; p)_inf, B = (p; p)_inf (p x', p/x'; p)_inf, with an absolute
+    error of a few units of 2^-wp / |(p; p)_inf| per term, while the
+    modulus of B in the annulus can be as small as
+
+        prod_{k>=1} (1 - r^k) * prod_{j>=0} (1 - r^(j+1/2))^2
+
+    (|x' p^(j+1)| and |p^(j+1) / x'| are at most r^(j+1/2)).  The first
+    product, the cancellation by (p; p)_inf, is about 2 bits at r = 0.5
+    and 232 at r = 0.99; the second, the floor of the factors of theta
+    other than 1 - x', nearly 0 bits for small r, 92 at r = 0.95 and 472
+    at r = 0.99.  One loop runs over the powers r^(h/2), h >= 1: weight 2
+    at odd h, 1 at even h."""
     bits = 0.0
-    e = math.sqrt(r)
+    step = math.sqrt(r)
+    e, weight = step, 2
     while e > 1e-20:
-        bits -= 2.0 * math.log2(1.0 - e)
-        e *= r
-    return math.ceil(bits)
+        bits -= weight * math.log1p(-e)
+        e *= step
+        weight = 3 - weight
+    return math.ceil(bits / math.log(2))
+
+
+def _series_terms(nome: _Nome) -> tuple:
+    """The coefficients of theta's series (:func:`_mp_theta_product`) for
+    the mpmath nome p of ``nome`` at its ``wp``: (w, coefficients), entry
+    k - 1 of the list, k = 1 .. K, being (-1)^(k+1) p^(k(k-1)/2) / (p; p)_inf
+    as a complex (re, im) in fixed point with w fractional bits.
+
+    Term k of B is at most (2k - 1) |p|^((k-1)^2/2) in the annulus; K + 1
+    is the first k whose bound is below 2^-(wp+1).  From there each bound
+    is at most half the last (under 5 % for |p| up to 0.9995 and working
+    precisions of 53 to 1000 bits, with the bits ``wp`` carries for
+    cancellation), so the dropped tail is under 2^-wp.  w = wp + e, with
+    2^e a bound of |S_K|, (2K - 1) |p|^(-(K-1)/2): a unit of 2^-w in a
+    coefficient then moves its term by at most a unit of 2^-wp, however
+    tiny the coefficient and large the power of x' it multiplies.  The
+    counts come from log |p|, not from testing the values: a fixed-point
+    power truncated towards -infinity never reaches 0 when negative.
+
+    Every value is a running product at w fractional bits: the powers
+    p^i; (p; p)_inf = sum_j (-1)^j p^(j(3j-1)/2) over all integers j
+    (Euler's pentagonal number theorem), its terms kept while at least
+    2^-(w+1); its reciprocal, divided once; and the coefficients, each the
+    last times p^k."""
+    from mpmath.libmp import to_fixed
+
+    wp = nome.wp
+    lr = -nome.log_ap / math.log(2)
+    count = 1
+    while math.log2(2 * count + 1) - count * count / 2 * lr >= -wp - 1:
+        count += 1
+    w = wp + math.ceil(math.log2(2 * count - 1) + (count - 1) / 2 * lr) + 1
+    # Euler's series in pairs j >= 1 of exponents j(3j-1)/2 and j(3j+1)/2
+    j_max = 0
+    while (j_max + 1) * (3 * j_max + 2) / 2 * lr <= w + 1:
+        j_max += 1
+    p = tuple(to_fixed(t, w) for t in _mp_parts(nome.p))
+    powers = [(1 << w, 0), p]
+    while len(powers) < max(count, 2 * j_max):
+        powers.append(_fixed_mul(powers[-1], p, w))
+    er, ei = power = powers[0]
+    for j in range(1, j_max + 1):
+        # exponents 0, 1, 2, 5, 7, 12, 15, ...: up by 2j - 1 to j(3j-1)/2,
+        # then by j to j(3j+1)/2
+        for step in (powers[2 * j - 1], powers[j]):
+            power = _fixed_mul(power, step, w)
+            er, ei = (er - power[0], ei - power[1]) if j % 2 else (er + power[0], ei + power[1])
+    mod2 = er * er + ei * ei
+    coeff = (er << 2 * w) // mod2, (-ei << 2 * w) // mod2
+    coeffs = [coeff]
+    for k in range(1, count):
+        coeff = _fixed_mul(coeff, powers[k], w)
+        coeffs.append((-coeff[0], -coeff[1]) if k % 2 else coeff)
+    return w, coeffs
+
+
+def _fixed_mul(a, b, w: int) -> tuple:
+    """The product of two complex fixed-point values (re, im) with w
+    fractional bits, truncated towards -infinity part by part."""
+    return (a[0] * b[0] - a[1] * b[1]) >> w, (a[0] * b[1] + a[1] * b[0]) >> w
 
 
 def _reduce(x, nome: _Nome):
@@ -236,7 +287,7 @@ def _reduce(x, nome: _Nome):
             pref = sign * cmath.exp(n * cmath.log(x) + e * cmath.log(p))
         x = x * pn
         ax = float(abs(x))
-    return x, n, pref, _factor_count(ax, log_ap, nome.tol)
+    return x, n, pref, _factor_count(ax, log_ap)
 
 
 def _prefactor_mag(n, log_ax, log_ap):
@@ -245,13 +296,13 @@ def _prefactor_mag(n, log_ax, log_ap):
     return abs(n) * abs(log_ax) + abs(n * (n - 1) / 2) * abs(log_ap)
 
 
-def _factor_count(ax, log_ap: float, tol: float):
+def _factor_count(ax, log_ap: float):
     """The number of factor pairs theta's truncated product keeps for a
     reduced argument of modulus ax (a float, or an array of them): factors
     k = 0 .. count-1 are exactly those with |p|^k >= stop, where
-    stop = tol (1 + ax)(1 - |p|); the factor 1 - |p| accounts for the
-    tail's geometric sum."""
-    stop = tol * (1 + ax) * (1 - math.exp(log_ap))
+    stop = DEFAULT_THETA_TOL (1 + ax)(1 - |p|); the factor 1 - |p| accounts
+    for the tail's geometric sum."""
+    stop = DEFAULT_THETA_TOL * (1 + ax) * (1 - math.exp(log_ap))
     lib = np if isinstance(stop, np.ndarray) else math
     return lib.floor(lib.log(stop) / log_ap) + 1
 
@@ -296,7 +347,7 @@ def _reduce_many(x, nome: _Nome):
     # at n = 0 the argument stays as it is, signs of zero parts included
     y = np.where(k == 0, x, y)
     pref = np.power(x, k) * sign_pe
-    count = _factor_count(np.hypot(y.real, y.imag), log_ap, DEFAULT_THETA_TOL)
+    count = _factor_count(np.hypot(y.real, y.imag), log_ap)
     ok = np.ones(x.size, dtype=bool)
     for i in in_log_space.nonzero()[0].tolist():
         try:
@@ -366,13 +417,21 @@ def _mp_theta_product(x, nome: _Nome):
       ``wp`` significant bits, it is multiplied in last, so the relative
       error stays a few units of the working precision however small the
       value is; theta(x; p) is exactly 0 when x p^n is exactly 1.
-    * The other factor of k = 0, 1 - p/x', is multiplied in first, with
-      x' and p/x' in fixed point.  Each later pair is one factor
-      1 - s p^k + p^(2k+1) with s = x' + p/x' and the powers read from the
-      nome's table (:meth:`_Nome.fixed_table`): two complex products per
-      pair.  Its rounding is absolute, but every such factor has modulus
-      at least (1 - |p|^(1/2))(1 - |p|^(3/2)) in the annulus, so the guard
-      bits keep it relative.  At least the pair k = 0 is kept.
+    * The rest of theta(x'; p), B / (p; p)_inf with
+      B = (p; p)_inf (p x', p/x'; p)_inf, is the Jacobi triple product
+      (Gasper-Rahman, *Basic Hypergeometric Series*, ch. 11) with its
+      terms k and 1 - k paired:
+
+          theta(x'; p) (p; p)_inf = (1 - x') B,
+          B = sum_{k>=1} (-1)^(k+1) p^(k(k-1)/2) S_k,  S_k = sum_{|i|<k} x'^i.
+
+      S_k runs by S_(k+1) = t S_k - S_(k-1) from S_0 = -1 and S_1 = 1,
+      t = x' + 1/x', in fixed point with ``wp`` fractional bits; the
+      coefficients (-1)^(k+1) p^(k(k-1)/2) / (p; p)_inf and the term count
+      come from the nome (:func:`_series_terms`): two complex products per
+      term.  The sum's rounding is absolute; the bits it can lose to
+      cancellation are part of ``wp`` (:func:`_product_floor_bits`), so
+      its error stays relative.
     * The prefactor (-1)^n x^n p^(n(n-1)/2) is formed with ``wp``
       significant bits: x^n from x, or for n < 0 from 1/x, and the power
       of p from the nome's cache.
@@ -386,9 +445,9 @@ def _mp_theta_product(x, nome: _Nome):
     if getattr(x, "context", None) is not ctx:
         x = ctx.convert(x)
     prec, rnd = ctx._prec_rounding
-    wp, log_ap = nome.wp, nome.log_ap
+    wp = nome.wp
     xc = _mp_parts(x)
-    n = round(-math.log(math.hypot(to_float(xc[0]), to_float(xc[1]))) / log_ap)
+    n = round(-math.log(math.hypot(to_float(xc[0]), to_float(xc[1]))) / nome.log_ap)
     xe = _exact(xc)
     if n:
         pm, qm, pe = _mp_powers(nome, n)
@@ -404,24 +463,20 @@ def _mp_theta_product(x, nome: _Nome):
         x1, f = xe, _sub(_ONE, xe)
     f = _trim(f, wp)
     xr, xi = _fixed(x1, wp)
-    count = _factor_count(math.ldexp(math.hypot(xr, xi), -wp), log_ap, nome.tol)
-    table = nome.fixed_table(max(count - 1, 1))
-    # p/x' = p conj(x') / |x'|^2, with the table's p; |p/x'| <= |x'| in the
-    # annulus, so it is 0 in fixed point when x' is
-    pr, pi = table[0][:2]
+    # t = x' + 1/x', 1/x' = conj(x') / |x'|^2; |p/x'| <= |x'| in the
+    # annulus, so where x' is 0 in fixed point (|p| under 2^-2wp), leaving
+    # 1/x' out moves the sum by a few units at most
     mod2 = xr * xr + xi * xi
-    yr = ((pr * xr + pi * xi) << wp) // mod2 if mod2 else 0
-    yi = ((pi * xr - pr * xi) << wp) // mod2 if mod2 else 0
-    # k = 0 contributes 1 - p/x' here and 1 - x' at the end
-    ar, ai = (1 << wp) - yr, -yi
-    sr, si = xr + yr, xi + yi
-    for kr, ki, er, ei in table[:count - 1]:
-        # acc * (1 + d) with d = p^(2k+1) - s p^k, as acc + acc d: the same
-        # bits as the product, since acc * 2^wp is exact, but d is small
-        dr = er - ((sr * kr - si * ki) >> wp)
-        di = ei - ((sr * ki + si * kr) >> wp)
-        ar, ai = ar + ((ar * dr - ai * di) >> wp), ai + ((ar * di + ai * dr) >> wp)
-    vr, vi, e = _mul((ar, ai, -wp), f)
+    tr = xr + ((xr << 2 * wp) // mod2 if mod2 else 0)
+    ti = xi + ((-xi << 2 * wp) // mod2 if mod2 else 0)
+    w, coeffs = nome.series
+    br = bi = 0
+    sr, si, qr, qi = 1 << wp, 0, -1 << wp, 0
+    for cr, ci in coeffs:
+        br += cr * sr - ci * si
+        bi += cr * si + ci * sr
+        sr, si, qr, qi = ((tr * sr - ti * si) >> wp) - qr, ((tr * si + ti * sr) >> wp) - qi, sr, si
+    vr, vi, e = _mul((br >> w, bi >> w, -wp), f)
     if n:
         vr, vi, e = _mul((vr, vi, e), pref)
     if n % 2:
@@ -512,11 +567,19 @@ def _reciprocal(a, bits: int) -> tuple:
     return (r << k) // d, (-i << k) // d, -e - k
 
 
-def theta_prod(args, p):
-    """Product of theta functions theta(x1, ..., xs; p)."""
+def theta_prod(args, p, _nome=None):
+    """Product of theta functions theta(x1, ..., xs; p).
+
+    The thetas share one nome (:class:`_Nome`), made from the first
+    argument as :func:`theta` makes its own, so for arguments of one type
+    each factor has the bits of a separate call.  ``_nome`` is internal:
+    :func:`addition_formula_residual` passes one nome to its three
+    products."""
     acc = 1
     for x in args:
-        acc = acc * theta(x, p)
+        if _nome is None and p != 0:
+            _nome = _nome_of(x, p)
+        acc = acc * theta(x, p, _nome)
     return acc
 
 
@@ -612,11 +675,11 @@ class ThetaLadders(dict):
     :class:`ThetaLadder` of base z, created on first use.
 
     The store also owns what its thetas share of the nome p (``nome``, a
-    :class:`_Nome` its ladders hold too): log |p|, the truncation
-    tolerance, the reduction's powers of p and, for an ``mpmath`` nome,
-    the fixed-point table of the product's powers.  These are tied to the working precision they were
-    computed at; a read at another precision computes them afresh, so no
-    power computed at 15 digits enters a 40-digit theta."""
+    :class:`_Nome` its ladders hold too): log |p|, the reduction's powers
+    of p and, for an ``mpmath`` nome, the coefficients of its series.  These are tied to the
+    working precision they were computed at; a read at another precision
+    computes them afresh, so no power computed at 15 digits enters a
+    40-digit theta."""
 
     def __init__(self, q, p):
         super().__init__()
@@ -813,11 +876,14 @@ def addition_formula_residual(x, y, u, v, p) -> float:
         theta(xy, x/y, uv, u/v; p) - theta(xv, x/v, uy, u/y; p)
             = (u/y) theta(yv, y/v, xu, x/u; p),
 
-    normalised by the largest term magnitude.
+    normalised by the largest term magnitude.  Its twelve thetas share
+    one nome.
     """
-    t1 = theta_prod((x * y, x / y, u * v, u / v), p)
-    t2 = theta_prod((x * v, x / v, u * y, u / y), p)
-    t3 = (u / y) * theta_prod((y * v, y / v, x * u, x / u), p)
+    args = (x * y, x / y, u * v, u / v)
+    nome = None if p == 0 else _nome_of(args[0], p)
+    t1 = theta_prod(args, p, nome)
+    t2 = theta_prod((x * v, x / v, u * y, u / y), p, nome)
+    t3 = (u / y) * theta_prod((y * v, y / v, x * u, x / u), p, nome)
     scale = max(abs(t1), abs(t2), abs(t3))
     if scale == 0:
         return 0.0

@@ -396,9 +396,10 @@ def _theta_series(xs, p, bits):
         theta(x; p) (p; p)_inf = sum_n (-1)^n p^(n(n-1)/2) x^n,
 
     with (p; p)_inf = sum_k (-1)^k p^(k(3k-1)/2) (Euler's pentagonal number
-    theorem): no reduction and no product, so it shares no step with theta.
-    Each sum runs outward from its largest terms until they fall below
-    2^-bits of them, at the working precision."""
+    theorem), at the working precision with no reduction: the formula of
+    theta's own series, so :func:`_theta_jtheta` checks it against an
+    independent implementation.  Each sum runs outward from its largest
+    terms until they fall below 2^-bits of them."""
     log_ap = math.log(float(abs(p)))
     span = math.sqrt(2 * bits * math.log(2) / -log_ap)
     m, k_max = 2 + math.ceil(span), 2 + math.ceil(span / math.sqrt(3))
@@ -417,6 +418,28 @@ def _theta_series(xs, p, bits):
                 total += term
         out.append(total / euler)
     return out
+
+
+def _theta_jtheta(x, p):
+    """theta(x; p) from mpmath's Jacobi theta function theta_1, through
+
+        theta_1(z, q) = i q^(1/4) e^(-iz) (p; p)_inf theta(e^(2iz); p),  p = q^2,
+
+    with (p; p)_inf from ``mpmath.qp``: an implementation that shares no
+    code and no formula with :func:`theta`."""
+    q = mpmath.sqrt(p)
+    z = mpmath.log(x) / 2j
+    return mpmath.jtheta(1, z, q) / (1j * q**0.25 * mpmath.exp(-1j * z) * mpmath.qp(p))
+
+
+def _near_the_unit_circle():
+    """(x, p) at |p| = 0.95, 0.98 and 0.99 with |x| just inside
+    |p|^(-1/2) and x p real and positive, at the working precision."""
+    p = mpmath.mpc(0.95)
+    yield mpmath.sqrt(abs(p)) / p * (1 - mpmath.mpf(2) ** -30), p
+    for r in (0.98, 0.99):
+        p = mpmath.mpc(r)
+        yield mpmath.mpf("0.999") / mpmath.sqrt(p.real), p
 
 
 class TestThetaAt40Digits:
@@ -484,23 +507,31 @@ class TestThetaAt40Digits:
 
     def test_edge_of_the_annulus_at_a_nome_near_the_unit_circle(self):
         # |p| = 0.95, |x| just inside |p|^(-1/2) with x p real and positive:
-        # the pair 1 - s p + p^3 is as small as it gets, and the product of
-        # about 1,900 factors is about 3e-28, far below the fixed-point unit
-        # of the working precision plus the guard bits
+        # the factor 1 - p x is as small as it gets, and theta is about
+        # 3e-28, far below the fixed-point unit of the working precision
+        # plus the guard bits, while the series' terms are near 1
         with mpmath.workdps(40):
-            p = mpmath.mpc(0.95)
-            x = mpmath.sqrt(abs(p)) / p * (1 - mpmath.mpf(2) ** -30)
+            x, p = next(_near_the_unit_circle())
             assert abs(theta(x, p)) < 1e-27
             _assert_units_of_reference(theta(x, p), x, p, 4)
 
     @pytest.mark.parametrize("r", [0.98, 0.99])
     def test_truncation_tail_at_nomes_nearer_the_unit_circle(self, r):
-        # the same edge as above: the dropped tail of the product grows
-        # like 1 / (1 - |p|), which the factor count must absorb
+        # the same edge as above: the series needs more terms as |p| nears
+        # 1, and its sum cancels by more bits
         with mpmath.workdps(40):
-            p = mpmath.mpc(r)
-            x = mpmath.mpf("0.999") / mpmath.sqrt(p.real)
+            x, p = next((x, p) for x, p in _near_the_unit_circle() if p == r)
             _assert_units_of_reference(theta(x, p), x, p, 4)
+
+    @pytest.mark.parametrize("dps", [15, 60])
+    def test_cancellation_near_the_unit_circle(self, dps):
+        # the three edges above at 15 and 60 digits: the series' sum
+        # cancels by about 43, 113 and 232 bits at |p| = 0.95, 0.98 and
+        # 0.99, which its fixed-point width must carry on top of the
+        # working precision
+        with mpmath.workdps(dps):
+            for x, p in _near_the_unit_circle():
+                _assert_units_of_reference(theta(x, p), x, p, 4)
 
     def test_next_to_zeros_outside_the_annulus(self):
         # x = p^k (1 + 1e-25), |theta| about 1e-25: the reduced argument
@@ -537,6 +568,32 @@ class TestThetaAt40Digits:
                     for x, value, ref in zip(xs, got, _theta_series(xs, p, prec + 30)):
                         assert abs(value - ref) <= 4 * mpmath.ldexp(abs(ref), -prec), (x, p)
 
+    def test_tiny_nomes_across_the_annulus(self):
+        # at |p| = 1e-30 .. 1e-100 the terms p^(k(k-1)/2) x'^(1-k) of the
+        # series pair a tiny coefficient with a huge power of x', up to
+        # |p|^(-1/2) per step: the coefficients must carry those bits too
+        with mpmath.workdps(40):
+            for e, angle in ((30, 1.0), (60, 2.0), (100, -2.5)):
+                p = mpmath.mpc(mpmath.mpf(10) ** -e * mpmath.expjpi(angle / math.pi))
+                for s, phi in ((-0.49, 0.3), (-0.25, 2.0), (0.0, -1.0), (0.3, 1.2),
+                               (0.49, -2.9), (-1.4, 0.7), (2.2, 2.5)):
+                    x = abs(p) ** s * mpmath.expjpi(phi / math.pi)
+                    _assert_units_of_reference(theta(x, p), x, p, 4)
+
+    def test_the_series_reference_agrees_with_mpmath_jtheta(self):
+        # the far-point reference against mpmath.jtheta on every sixth nome,
+        # 200 bits wider, and theta within 4 units of it
+        with mpmath.workdps(40):
+            prec = mpmath.mp.prec
+            for p, xs in list(_far_points())[::6]:
+                p, xs = mpmath.mpc(p), [mpmath.mpc(x) for x in xs]
+                got = [theta(x, p) for x in xs]
+                with mpmath.workprec(prec + 200):
+                    for x, value, ref in zip(xs, got, _theta_series(xs, p, prec + 30)):
+                        other = _theta_jtheta(x, p)
+                        assert abs(ref - other) <= mpmath.ldexp(abs(other), -prec - 20), (x, p)
+                        assert abs(value - other) <= 4 * mpmath.ldexp(abs(other), -prec), (x, p)
+
     def test_a_real_nome_takes_the_same_pass(self):
         # an mpf nome: an mpf value for an mpf argument, the mpc value for
         # an mpc one, each within 4 units
@@ -561,30 +618,33 @@ class TestThetaStore:
     """A store's shared values of the nome against theta's own per call."""
 
     def test_shared_table_matches_a_per_call_table_bit_for_bit(self):
-        # each store reads arguments z q^j in shuffled order of j: their
-        # reductions differ, so the fixed-point table grows in steps
+        # each store reads arguments z q^j in shuffled order of j, with
+        # reductions of several exponents n; the series' coefficient table
+        # is computed once per store and precision, and equals the table
+        # a direct theta computes for itself
         q = mpmath.mpc(cmath.rect(0.7, 1.3))
         order = list(range(-4, 5))
-        growths = stores = 0
+        exponents = set()
         for dps in (15, 40, 60):
             with mpmath.workdps(dps):
                 for x, p in _mp_points():
                     Random(dps).shuffle(order)
                     store = ThetaLadders(q, p)
-                    sizes = set()
+                    seen = set()
                     for j in order:
                         value = store[x][j]
                         assert repr(value) == repr(theta(x * q**j, p)), (dps, x, p, j)
-                        sizes.add(len(store.nome.table))
-                    growths += len(sizes)
-                    stores += 1
-        assert growths > stores
+                        seen.add(id(store.nome.series))
+                    assert len(seen) == 1
+                    assert store.nome.series == _Nome(p).current().series
+                    exponents.update(store.nome.powers)
+        assert len(exponents) > 3
 
     def test_a_read_at_another_precision_computes_the_nome_afresh(self):
         # z is far outside the annulus, so the reads use the reduction's
-        # powers of p as well as the product's table; the powers, the
-        # fixed-point width and the truncation tolerance all belong to the
-        # precision they were computed at
+        # powers of p as well as the series' coefficients; the powers, the
+        # fixed-point width and the coefficients with their term count all
+        # belong to the precision they were computed at
         q, p = mpmath.mpc(0.55, 0.3), mpmath.mpc(0.3, 0.2)
         z = mpmath.mpc(2.3, -1.1) * mpmath.mpf(0.3) ** -12
         store = ThetaLadders(q, p)
@@ -592,22 +652,23 @@ class TestThetaStore:
         with mpmath.workdps(15):
             store[z][0]
             store[z][1]
-            low = nome.powers, nome.table, nome.tol, nome.wp
-            assert low[0] and low[1]
+            low = nome.powers, nome.series, nome.wp
+            assert low[0] and low[1][1]
             stale = _Nome(p).current()
         with mpmath.workdps(40):
             value = store[z][2]
             assert nome.prec == mpmath.mp.prec
-            assert nome.powers is not low[0] and nome.table is not low[1]
-            assert nome.tol < low[2] and nome.wp > low[3]
+            assert nome.powers is not low[0] and nome.series is not low[1]
+            assert len(nome.series[1]) > len(low[1][1]) and nome.wp > low[2]
             fresh = _Nome(p).current()
             assert nome.powers == {n: _mp_powers(fresh, n) for n in nome.powers}
             assert all(nome.powers[n] != _mp_powers(stale, n) for n in nome.powers)
+            assert nome.series == fresh.series != stale.series
             assert repr(value) == repr(theta(z * q**2, p))
             _assert_units_of_reference(value, z * q**2, p, 4)
         with mpmath.workdps(15):
             assert repr(store[z][3]) == repr(theta(z * q**3, p))
-            assert (nome.tol, nome.wp) == low[2:]
+            assert (nome.series, nome.wp) == low[1:]
 
 
 class TestThetaLadder:
@@ -859,6 +920,30 @@ class TestAdditionFormula:
         lad = ThetaLadders(1, p)
         assume(min(theta_margin(lad[arg], 0) for arg in args) > 1e-6)
         assert addition_formula_residual(x, y, u, v, p) < 1e-10
+
+    @pytest.mark.parametrize("digits", [0, 40])
+    def test_the_twelve_thetas_share_one_nome(self, digits, monkeypatch):
+        # one nome for the check, and each theta_prod factor has the bits
+        # of a separate theta call with a nome of its own
+        x, y, u, v, p = 0.7 + 0.1j, 0.3 - 0.4j, 1.2 + 0.5j, 0.9j, 0.25 - 0.1j
+        with mpmath.workdps(digits or 15):
+            if digits:
+                x, y, u, v, p = (mpmath.mpc(t) for t in (x, y, u, v, p))
+            args = (x * y, x / y, u * v, u / v)
+            separate = [theta(a, p) for a in args]
+            made = []
+            init = _Nome.__init__
+
+            def counting(self, nome_p):
+                made.append(nome_p)
+                init(self, nome_p)
+
+            monkeypatch.setattr(_Nome, "__init__", counting)
+            product = special.theta_prod(args, p)
+            assert len(made) == 1
+            assert repr(product) == repr(separate[0] * separate[1] * separate[2] * separate[3])
+            assert addition_formula_residual(x, y, u, v, p) < 1e-10
+            assert len(made) == 2
 
 
 def test_relative_residual_floor():
