@@ -389,10 +389,23 @@ class CampaignReport:
     all_pass: bool
 
     def to_text(self) -> str:
+        """The report as JSON lines with sorted keys: one line per trial
+        record, then the summary line.  The records of one cell share one
+        ``params`` dict, so each distinct dict is encoded once and spliced
+        into its records' lines in place of a placeholder 0: the key
+        "params" sorts after "identity", "m" and "n" only, whose values
+        cannot hold the unescaped text ``"params":0``."""
         lines = []
+        encoded: dict[int, str] = {}
         for rec in self.records:
-            lines.append(json.dumps({"type": "trial", **rec},
-                                    sort_keys=True, separators=(",", ":")))
+            params = rec["params"]
+            text = encoded.get(id(params))
+            if text is None:
+                text = encoded[id(params)] = json.dumps(params, sort_keys=True,
+                                                        separators=(",", ":"))
+            line = json.dumps({"type": "trial", **rec, "params": 0},
+                              sort_keys=True, separators=(",", ":"))
+            lines.append(line.replace('"params":0', '"params":' + text, 1))
         cfg = {f.name: getattr(self.config, f.name) for f in fields(self.config)
                if f.name != "out"}  # destination is not part of the campaign
         cfg["identities"] = list(cfg["identities"])

@@ -44,20 +44,17 @@ def cb_term_elliptic(pp: ParamPoint, m: int, n: int):
     returned with the magnitude it was summed from: |prefactor| times the
     largest series term.  At p = 0 every theta is the exact factor 1 - z,
     so this value *is* the (a, b, c; q)-family value, bit for bit.  All
-    factors are read off the point's theta store.
+    factors are read off the point's theta store, through the ladders of
+    its roles (``ParamPoint.role_ladders``).
     """
-    x, a, b, c, q = pp.x, pp.a, pp.b, pp.c, pp.q
-    lad = pp.thetas
-    ac, c_a, bx, b_x = lad[a * c], lad[c / a], lad[b * x], lad[b / x]
-    ab, b_a, cx, c_x = lad[a * b], lad[b / a], lad[c * x], lad[c / x]
+    a_b, b_a, bc, ac, ab, cx, c_x, qq, c_b, ax, a_x, bx, b_x, c_a = pp.role_ladders()
     pre = theta_ratio(((ac, 0, n + 1), (c_a, 0, n + 1), (bx, 0, n + 1), (b_x, 0, n + 1)),
                       ((ab, 0, n + 1), (b_a, 0, n + 1), (cx, 0, n + 1), (c_x, 0, n + 1)))
     th_ref = ac.den(n)
     total, scale = series_with_running_products(
-        ((ac, n), (lad[b * c], n), (lad[c / b], 0), (lad[q], n), (lad[a * x], 0),
-         (lad[a / x], 0)),
-        ((lad[q], 0), (lad[a / b], 1), (ab, n + 1), (ac, 0), (c_x, n + 1), (cx, n + 1)),
-        q, m, lambda k: ac[n + 2 * k] / th_ref)
+        ((ac, n), (bc, n), (c_b, 0), (qq, n), (ax, 0), (a_x, 0)),
+        ((qq, 0), (a_b, 1), (ab, n + 1), (ac, 0), (c_x, n + 1), (cx, n + 1)),
+        pp.q, m, lambda k: ac[n + 2 * k] / th_ref)
     return pre * total, abs(pre) * scale
 
 

@@ -21,6 +21,12 @@ from .special import ThetaLadders
 #: ``lattice``): role r is entry r of :meth:`ParamPoint.role_ladders`.
 A_B, B_A, BC, AC, AB, CX, C_X, Q, C_B, AX, A_X, BX, B_X, C_A = range(14)
 
+#: Role r of the point with a and b exchanged is role ``_SWAPPED[r]`` of
+#: the point itself, and the other way round: both bases are the same
+#: expression of the same scalars (b a and a b are the same product, bit
+#: for bit).
+_SWAPPED = (B_A, A_B, AC, BC, AB, CX, C_X, Q, C_A, BX, B_X, AX, A_X, C_B)
+
 
 @dataclass(frozen=True)
 class ParamPoint:
@@ -71,8 +77,9 @@ class ParamPoint:
     def role_ladders(self, swap: bool = False) -> tuple:
         """The ladders of the roles, in role order: the bases a/b, b/a, bc,
         ac, ab, cx, c/x, q, c/b, ax, a/x, bx, b/x and c/a of the point's
-        theta store, with a and b exchanged in every base under ``swap``.
-        The tuple is kept with the store it was read from."""
+        theta store, with a and b exchanged in every base under ``swap``
+        (the same ladders, permuted).  Both tuples are kept with the store
+        they were read from."""
         store = self.thetas
         held = self.__dict__.get("_roles")
         if held is None or held[0] is not store:
@@ -80,12 +87,17 @@ class ParamPoint:
             object.__setattr__(self, "_roles", held)
         roles = held[1].get(swap)
         if roles is None:
-            x, a, b, c, q = self.x, self.a, self.b, self.c, self.q
-            if swap:
-                a, b = b, a
-            roles = held[1][swap] = tuple(store[z] for z in (
-                a / b, b / a, b * c, a * c, a * b, c * x, c / x, q,
-                c / b, a * x, a / x, b * x, b / x, c / a))
+            other = held[1].get(not swap)
+            if other is None and swap:
+                other = self.role_ladders()
+            if other is not None:
+                roles = tuple(other[r] for r in _SWAPPED)
+            else:
+                x, a, b, c, q = self.x, self.a, self.b, self.c, self.q
+                roles = tuple(store[z] for z in (
+                    a / b, b / a, b * c, a * c, a * b, c * x, c / x, q,
+                    c / b, a * x, a / x, b * x, b / x, c / a))
+            held[1][swap] = roles
         return roles
 
     def copy(self) -> "ParamPoint":
@@ -99,8 +111,15 @@ class ParamPoint:
         return out
 
     def swap_ab(self) -> "ParamPoint":
-        """The point with the roles of a and b exchanged."""
-        return self.replace(a=self.b, b=self.a)
+        """The point with the roles of a and b exchanged.  It shares this
+        point's store (:meth:`replace`) and the role ladders this point
+        holds for it, as its own swapped roles."""
+        out = self.replace(a=self.b, b=self.a)
+        held = self.__dict__.get("_roles")
+        if held is not None and False in held[1]:
+            # role_ladders checks the store before it reads them
+            object.__setattr__(out, "_roles", (held[0], {True: held[1][False]}))
+        return out
 
     def replace(self, **changes) -> "ParamPoint":
         """The point with some scalars changed.  It shares this point's

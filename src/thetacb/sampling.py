@@ -58,7 +58,7 @@ def theta_margin(ladder: ThetaLadder, j: int) -> float:
     (safe) margin.  The scan of a point the store does not batch (mpmath
     scalars) reads its margins here; a batched scan has the same rule from
     :meth:`ThetaLadders.fill`."""
-    arg = ladder.z * ladder.q**j
+    arg = ladder.arg(j)
     if arg == 0:
         return 0.0
     try:

@@ -164,16 +164,19 @@ class _Nome:
         ctx = getattr(self.p, "context", None)
         prec = None if ctx is None else ctx.prec
         if self.log_ap is None or self.prec != prec:
-            ap = abs(complex(self.p))
-            if ap >= 1:
+            # an mpmath nome is sized from its integer form: its modulus
+            # may lie outside the range of doubles
+            log_ap = (math.log(abs(complex(self.p))) if ctx is None
+                      else _log_abs(_exact(_mp_parts(self.p))))
+            if log_ap >= 0:
                 raise DivergenceError("theta(x; p) requires |p| < 1")
             self.prec = prec
-            self.log_ap = math.log(ap)
+            self.log_ap = log_ap
             self.powers = {}
             if ctx is None:
                 self.wp = None
             else:
-                self.wp = prec + MP_THETA_GUARD_BITS + _product_floor_bits(ap)
+                self.wp = prec + MP_THETA_GUARD_BITS + _product_floor_bits(math.exp(log_ap))
                 self.series = _series_terms(self)
         return self
 
@@ -404,10 +407,11 @@ def _mp_theta_product(x, nome: _Nome):
     argument x, converted to p's context unless it is of it, in one pass
     on Python integers, rounded once to the working precision.
 
-    |x| and the reduction exponent n are computed in doubles from the two
-    mpf parts of x.  Values are exact Python integers or, where marked,
-    integers with ``wp`` significant or fractional bits (the nome's
-    ``wp``): complex ones as (re, im, e), worth (re + i im) 2^e.
+    The reduction exponent n is computed in doubles from log |x|, which
+    :func:`_log_abs` takes from the integer form of x, so |x| may lie
+    outside the range of doubles.  Values are exact Python integers or,
+    where marked, integers with ``wp`` significant or fractional bits (the
+    nome's ``wp``): complex ones as (re, im, e), worth (re + i im) 2^e.
 
     * 1 - x', x' = x p^n, is the only factor that can come near zero in
       the annulus, so it is formed without losing the bits its
@@ -438,17 +442,13 @@ def _mp_theta_product(x, nome: _Nome):
 
     The value is real (an mpf) when x and p are.
     """
-    from mpmath.libmp import from_man_exp, to_float
-
     p = nome.p
     ctx = p.context
     if getattr(x, "context", None) is not ctx:
         x = ctx.convert(x)
-    prec, rnd = ctx._prec_rounding
     wp = nome.wp
-    xc = _mp_parts(x)
-    n = round(-math.log(math.hypot(to_float(xc[0]), to_float(xc[1]))) / nome.log_ap)
-    xe = _exact(xc)
+    xe = _exact(_mp_parts(x))
+    n = round(-_log_abs(xe) / nome.log_ap)
     if n:
         pm, qm, pe = _mp_powers(nome, n)
         # x^n p^(n(n-1)/2); the sign (-1)^n is applied at the end
@@ -481,10 +481,7 @@ def _mp_theta_product(x, nome: _Nome):
         vr, vi, e = _mul((vr, vi, e), pref)
     if n % 2:
         vr, vi = -vr, -vi
-    re = from_man_exp(vr, e, prec, rnd)
-    if not hasattr(x, "_mpc_") and not hasattr(p, "_mpc_"):
-        return ctx.make_mpf(re)
-    return ctx.make_mpc((re, from_man_exp(vi, e, prec, rnd)))
+    return _mp_round((vr, vi, e), ctx, not hasattr(x, "_mpc_") and not hasattr(p, "_mpc_"))
 
 
 def _mp_powers(nome: _Nome, n: int) -> tuple:
@@ -508,10 +505,93 @@ _ONE = (1, 0, 0)
 
 
 def _exact(parts) -> tuple:
-    """Two raw mpf parts as one exact integer complex (re, im, e)."""
+    """Two raw mpf parts as one exact integer complex (re, im, e); a zero
+    part takes the other's exponent."""
     (sr, mr, er, _), (si, mi, ei, _) = parts
+    if not mi:
+        return (-mr if sr else mr), 0, er
+    if not mr:
+        return 0, (-mi if si else mi), ei
     e = min(er, ei)
     return (-mr if sr else mr) << (er - e), (-mi if si else mi) << (ei - e), e
+
+
+def _log_abs(a) -> float:
+    """log |a| in doubles for a nonzero integer complex a, however far |a|
+    lies outside the range of doubles: the parts are cut to 60 bits, and
+    a power of 2 beyond that range is added to the log instead of scaling
+    the modulus."""
+    r, i, e = a
+    s = max(r.bit_length(), i.bit_length()) - 60
+    if s > 0:
+        r, i, e = r >> s, i >> s, e + s
+    h = math.hypot(r, i)
+    if -1000 < e < 900:
+        return math.log(math.ldexp(h, e))
+    return math.log(h) + e * math.log(2)
+
+
+def _mp_round(a, ctx, real: bool):
+    """The integer complex a rounded once, part by part, to the working
+    precision of the mpmath context ``ctx`` in its rounding mode: an mpf
+    when ``real`` (a's imaginary part is then 0), else an mpc."""
+    from mpmath.libmp import from_man_exp
+
+    prec, rnd = ctx._prec_rounding
+    r, i, e = a
+    re = from_man_exp(r, e, prec, rnd)
+    if real:
+        return ctx.make_mpf(re)
+    return ctx.make_mpc((re, from_man_exp(i, e, prec, rnd)))
+
+
+def _mp_context(v):
+    """The context of v when v is an mpmath real or complex, else None
+    (at once for a built-in complex, the double campaigns' scalar)."""
+    if type(v) is complex:
+        return None
+    return v.context if hasattr(v, "_mpc_") or hasattr(v, "_mpf_") else None
+
+
+def _mp_product(values, ctx, wp: int, acc=_ONE) -> tuple:
+    """(a, real): ``acc`` times the product of ``values`` as an integer
+    complex a, each partial product truncated to ``wp`` significant bits
+    in its larger part as :func:`_trim` truncates, and whether every value
+    is real (an mpf).  A value is an mpmath scalar, read exactly as
+    :func:`_exact` reads it, or one that ``ctx.convert`` makes one.
+
+    The loop is written out rather than built from :func:`_exact`,
+    :func:`_mul` and :func:`_trim`: on rows of 40-digit factors their calls
+    cost about a third of the product's time."""
+    r, i, e = acc
+    real = True
+    for v in values:
+        parts = getattr(v, "_mpc_", None)
+        if parts is None:
+            if not hasattr(v, "_mpf_"):
+                v = ctx.convert(v)
+            parts = _mp_parts(v)
+            real = real and not hasattr(v, "_mpc_")
+        else:
+            real = False
+        (sr, mr, er, _), (si, mi, ei, _) = parts
+        if sr:
+            mr = -mr
+        if si:
+            mi = -mi
+        # one exponent for both parts; a zero part takes the other's
+        if not mr:
+            er = ei
+        elif mi:
+            if er > ei:
+                mr, er = mr << (er - ei), ei
+            elif ei > er:
+                mi <<= ei - er
+        r, i, e = r * mr - i * mi, r * mi + i * mr, e + er
+        excess = max(r.bit_length(), i.bit_length()) - wp
+        if excess > 0:
+            r, i, e = r >> excess, i >> excess, e + excess
+    return (r, i, e), real
 
 
 def _fixed(a, wp: int) -> tuple:
@@ -625,23 +705,33 @@ class ThetaLadder:
     A ladder lives in a store: ``ThetaLadders(q, p)[z]`` makes it, with
     the store's ``nome`` (see :class:`_Nome`), the values of p its thetas
     share, which give every entry read the bits of a direct :func:`theta`
-    call.
+    call, and for an ``mpmath`` q the store's table of the powers q**j its
+    arguments are formed from (:class:`_PowersOfQ`).
     """
 
-    __slots__ = ("z", "q", "p", "_basic", "_values", "_nome")
+    __slots__ = ("z", "q", "p", "_basic", "_values", "_nome", "_q_powers")
 
-    def __init__(self, z, q, p, nome: _Nome):
+    def __init__(self, z, store: ThetaLadders):
         self.z = z
-        self.q = q
-        self.p = p
-        self._basic = p == 0
+        self.q = store.q
+        self.p = store.p
+        self._basic = store.basic
         self._values: dict[int, object] = {}
-        self._nome = nome
+        self._nome = store.nome
+        self._q_powers = store.q_powers
+
+    def arg(self, j: int):
+        """The argument ``z * q**j`` of entry j, q**j from the store's
+        table for an ``mpmath`` q (:class:`_PowersOfQ`)."""
+        powers = self._q_powers
+        if powers is None:
+            return self.z * self.q**j
+        return self.z * powers[powers.context.prec, j]
 
     def __getitem__(self, j: int):
         value = self._values.get(j)
         if value is None:
-            x = self.z * self.q**j
+            x = self.arg(j)
             if not self._basic:
                 value = theta(x, self.p, self._nome)
             elif x == 0:
@@ -670,32 +760,56 @@ class ThetaLadder:
         return value
 
 
+class _PowersOfQ(dict):
+    """The powers q**j of an ``mpmath`` q that the ladders of one store and
+    its copies form their arguments from, each the expression a read forms,
+    computed once on first use and kept under (prec, j), so that no power
+    computed at one working precision is read at another.  At 40 digits a
+    power costs several µs; a built-in q has no table, as its power costs
+    less than a table's miss."""
+
+    def __init__(self, q):
+        super().__init__()
+        self.q = q
+        self.context = q.context
+
+    def __missing__(self, key):
+        value = self[key] = self.q ** key[1]
+        return value
+
+
 class ThetaLadders(dict):
     """The ladders of one (q, p), keyed by base: ``ladders[z]`` is the
     :class:`ThetaLadder` of base z, created on first use.
 
     The store also owns what its thetas share of the nome p (``nome``, a
     :class:`_Nome` its ladders hold too): log |p|, the reduction's powers
-    of p and, for an ``mpmath`` nome, the coefficients of its series.  These are tied to the
-    working precision they were computed at; a read at another precision
-    computes them afresh, so no power computed at 15 digits enters a
-    40-digit theta."""
+    of p and, for an ``mpmath`` nome, the coefficients of its series; and
+    for an ``mpmath`` q the powers of q its ladders' arguments are formed
+    from (``q_powers``, a :class:`_PowersOfQ`; None for a built-in q).
+    These are tied to the working precision they were computed at; a read
+    at another precision computes them afresh, so no power computed at 15
+    digits enters a 40-digit theta."""
 
     def __init__(self, q, p):
         super().__init__()
         self.q = q
         self.p = p
+        self.basic = p == 0
         self.nome = _Nome(p)
+        self.q_powers = None if _mp_context(q) is None else _PowersOfQ(q)
 
     def __missing__(self, z):
-        ladder = self[z] = ThetaLadder(z, self.q, self.p, self.nome)
+        ladder = self[z] = ThetaLadder(z, self)
         return ladder
 
     def copy(self) -> "ThetaLadders":
-        """A store holding this store's values and sharing its nome: what
-        reads and fills of the copy add, this store never sees."""
+        """A store holding this store's values and sharing its nome and
+        its powers of q: what reads and fills of the copy add to the
+        ladders, this store never sees."""
         out = ThetaLadders(self.q, self.p)
         out.nome = self.nome
+        out.q_powers = self.q_powers
         for z, ladder in self.items():
             if ladder._values:
                 out[z]._values.update(ladder._values)
@@ -750,18 +864,47 @@ def theta_ratio(num, den):
 
     This is the kernel of one-off windows.  A table of cells of one
     closed form goes through :func:`ratio_rows`, which gives every cell
-    the bits this function gives it.
+    the bits this function gives it.  Built-in factors are multiplied as
+    the paired ratios num[t] / den[t] (:func:`_ratio_product`).  When the
+    first numerator is an ``mpmath`` scalar, the factors are multiplied on
+    Python integers and the ratio rounded once (:func:`_mp_ratio`); unequal
+    counts then raise before any product, with the message of
+    :func:`ratio_row`.
     """
     tops = [ladder[j] for ladder, start, length in num for j in range(start, start + length)]
     bottoms = [ladder.den(j) for ladder, start, length in den
                for j in range(start, start + length)]
-    return _ratio_product(starmap(truediv, zip(tops, bottoms, strict=True)))
+    ctx = _mp_context(tops[0]) if tops else None
+    if ctx is None:
+        return _ratio_product(starmap(truediv, zip(tops, bottoms, strict=True)))
+    if len(tops) != len(bottoms):
+        raise ValueError(f"{len(tops)} numerator factors against {len(bottoms)} denominators")
+    return _mp_ratio(tops, bottoms, ctx)
 
 
 def _ratio_product(ratios):
-    """The product of the paired ratios, multiplied left to right from 1:
-    the one row-product loop of :func:`theta_ratio` and :func:`ratio_rows`."""
+    """The product of the paired ratios of built-in scalars, multiplied
+    left to right from 1: the one row-product loop of :func:`theta_ratio`
+    and :func:`ratio_rows` for them; exactly 1 for an empty row."""
     return reduce(mul, ratios, 1)
+
+
+def _mp_ratio(tops, bottoms, ctx):
+    """prod(tops) / prod(bottoms) for two iterables of the same number of
+    ``mpmath`` values of context ``ctx``: the row-product loop of
+    :func:`theta_ratio` and :func:`ratio_rows` for them.
+
+    The numerators and the denominators are two running products on
+    Python integers (:func:`_mp_product`), each kept to the working
+    precision plus ``MP_THETA_GUARD_BITS`` significant bits; the quotient
+    takes one reciprocal and is rounded once (:func:`_mp_round`), an mpf
+    when every factor is one.  Its error is then at most about one unit of
+    2^-prec, where the chain of rounded mpc divisions and products of the
+    paired ratios gave up to 8 on rows of 40 factors."""
+    wp = ctx.prec + MP_THETA_GUARD_BITS
+    top, top_real = _mp_product(tops, ctx, wp)
+    low, low_real = _mp_product(bottoms, ctx, wp)
+    return _mp_round(_mul(top, _reciprocal(low, wp)), ctx, top_real and low_real)
 
 
 #: The one tuple of each entry id (role, j), shared by every compiled row,
@@ -792,8 +935,11 @@ def ratio_rows(ladders, rows) -> list:
 
     Each distinct entry is read once for all rows: as a numerator through
     ``ladder[j]``, as a denominator through ``ladder.den(j)``, which guards
-    it.  The paired ratios are then taken from the values read, with no
-    call per factor.  Entries are read row by row, each row's new
+    it.  Each row is then formed from the values read, with no call per
+    factor, by the loop of :func:`theta_ratio` for their type: the first
+    numerator read decides between the paired ratios of built-in scalars
+    and the integer products of ``mpmath`` ones (:func:`_mp_ratio`), and
+    an empty row is exactly 1.  Entries are read row by row, each row's new
     numerators before its new denominators, so the first read that raises
     is the one a loop of :func:`theta_ratio` calls over the rows would
     raise first.  A single row shares no entry with another, so it reads
@@ -801,11 +947,15 @@ def ratio_rows(ladders, rows) -> list:
     """
     if len(rows) == 1:
         (num, den), = rows
-        return [_ratio_product(map(truediv, [ladders[role][j] for role, j in num],
-                                   [ladders[role].den(j) for role, j in den]))]
+        tops = [ladders[role][j] for role, j in num]
+        bottoms = [ladders[role].den(j) for role, j in den]
+        ctx = _mp_context(tops[0]) if tops else None
+        return [_ratio_product(map(truediv, tops, bottoms)) if ctx is None
+                else _mp_ratio(tops, bottoms, ctx)]
     tops: dict = {}
     bottoms: dict = {}
     out = []
+    ctx = decided = None
     for num, den in rows:
         for e in num:
             if e not in tops:
@@ -813,8 +963,14 @@ def ratio_rows(ladders, rows) -> list:
         for e in den:
             if e not in bottoms:
                 bottoms[e] = ladders[e[0]].den(e[1])
-        out.append(_ratio_product(map(truediv, map(tops.__getitem__, num),
-                                      map(bottoms.__getitem__, den))))
+        if not decided and num:
+            # the first numerator read sets the path of every row
+            ctx, decided = _mp_context(tops[num[0]]), True
+        if ctx is None or not num:
+            out.append(_ratio_product(map(truediv, map(tops.__getitem__, num),
+                                          map(bottoms.__getitem__, den))))
+        else:
+            out.append(_mp_ratio(map(tops.__getitem__, num), map(bottoms.__getitem__, den), ctx))
     return out
 
 
@@ -829,7 +985,16 @@ def series_with_running_products(num, den, q, m: int, top_ratio):
     p = 0 every entry is the exact factor 1 - z q^j, so the basic families
     run through this kernel too.  Returns the sum and the largest term
     magnitude.
+
+    When q is an ``mpmath`` scalar, the numerator and denominator
+    products and q^k are running products on Python integers, as in
+    :func:`_mp_ratio`, and each term is rounded once; the sum and
+    the largest magnitude are formed from the rounded terms as for
+    built-in scalars.
     """
+    ctx = _mp_context(q)
+    if ctx is not None:
+        return _mp_series(num, den, q, m, top_ratio, ctx)
     run = 1
     qk = 1
     total = 0
@@ -842,6 +1007,33 @@ def series_with_running_products(num, den, q, m: int, top_ratio):
                 run = run / ladder.den(start + k - 1)
             qk = qk * q
         term = top_ratio(k) * run * qk
+        total = total + term
+        scale = max(scale, abs(term))
+    return total, scale
+
+
+def _mp_series(num, den, q, m: int, top_ratio, ctx):
+    """:func:`series_with_running_products` for an ``mpmath`` q of context
+    ``ctx``: the entries are read in the same order, the running products
+    are integer complexes kept to the working precision plus
+    ``MP_THETA_GUARD_BITS`` significant bits, and term k, top_ratio(k)
+    times the numerators and q^k over the denominators, is rounded once
+    (:func:`_mp_round`)."""
+    wp = ctx.prec + MP_THETA_GUARD_BITS
+    qe, real = _mp_product((q,), ctx, wp)
+    top = low = qk = _ONE
+    total = 0
+    scale = 0.0
+    for k in range(m + 1):
+        if k:
+            top, top_real = _mp_product([ladder[start + k - 1] for ladder, start in num],
+                                        ctx, wp, top)
+            low, low_real = _mp_product([ladder.den(start + k - 1) for ladder, start in den],
+                                        ctx, wp, low)
+            qk = _trim(_mul(qk, qe), wp)
+            real = real and top_real and low_real
+        upper, upper_real = _mp_product((top_ratio(k),), ctx, wp, _mul(top, qk))
+        term = _mp_round(_mul(upper, _reciprocal(low, wp)), ctx, real and upper_real)
         total = total + term
         scale = max(scale, abs(term))
     return total, scale

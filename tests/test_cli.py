@@ -166,6 +166,24 @@ class TestCampaign:
             assert set(rec) == keys
             assert rec["verdict"] == ("pass" if rec["residual"] <= rec["tolerance"] else "fail")
 
+    def test_each_line_is_its_whole_record_encoded(self):
+        # to_text encodes each distinct params dict once and splices it in:
+        # every line is still the sorted-key encoding of the whole record,
+        # at a double and a 40-digit campaign, and with an identity name
+        # that holds the placeholder's text
+        for precision in (0, 40):
+            config = CampaignConfig(identities=("elliptic_cb", "qcb"), m_max=1, n_max=1,
+                                    trials=2, seed=3, precision=precision)
+            report = run_campaign(config)
+            odd = {**report.records[0], "identity": 'x"params":0'}
+            report = dataclasses.replace(report, records=[*report.records, odd])
+            lines = report.to_text().splitlines()
+            assert len(lines) == len(report.records) + 1
+            for rec, line in zip(report.records, lines):
+                assert line == json.dumps({"type": "trial", **rec}, sort_keys=True,
+                                          separators=(",", ":"))
+                assert json.loads(line)["params"] == rec["params"]
+
     def test_trial_counts_are_config_driven(self):
         config = CampaignConfig(identities=("qcb",), m_max=2, n_max=2,
                                 trials=3, seed=1)

@@ -81,6 +81,36 @@ def test_mirror_term_reads_the_thetas_of_the_first(monkeypatch):
     assert 0 < mirror < first
 
 
+def test_the_elliptic_term_reads_the_ladders_of_the_roles():
+    # cb_term_elliptic reads exactly the point's 14 role ladders, the ones
+    # the lattice forms read, and makes no ladder of its own
+    pp = fresh_copy(sample_param_point(Random(45), IdentitySize(2, 2)))
+    roles = pp.role_ladders()
+    cb_term_elliptic(pp, 2, 2)
+    assert list(pp.thetas.values()) == list(roles)
+    assert all(ladder._values for ladder in roles)
+
+
+@pytest.mark.parametrize("digits", [0, 40])
+def test_the_swapped_roles_are_the_ladders_the_swapped_bases_look_up(digits):
+    # role_ladders(swap=True) and the roles swap_ab() hands its point are
+    # the point's own role ladders permuted: the swapped bases, formed as
+    # role_ladders forms them, find exactly these ladders in the store
+    with mpmath.workdps(digits or 15):
+        for seed in range(4):
+            pp = sample_param_point(Random(46 + seed), IdentitySize(2, 2))
+            pp = to_mp(pp) if digits else fresh_copy(pp)
+            roles = pp.role_ladders()
+            mirror = pp.swap_ab()
+            x, a, b, c, q = mirror.x, mirror.a, mirror.b, mirror.c, mirror.q
+            built = [pp.thetas[z] for z in (a / b, b / a, b * c, a * c, a * b, c * x, c / x, q,
+                                            c / b, a * x, a / x, b * x, b / x, c / a)]
+            assert len(pp.thetas) == 14
+            for got in (mirror.role_ladders(), pp.role_ladders(True)):
+                assert all(s is t for s, t in zip(got, built, strict=True))
+            assert mirror.role_ladders(True) is roles
+
+
 def test_a_changed_nome_never_reads_the_store():
     pp = sample_param_point(Random(43), IdentitySize(3, 3))
     cb_residual("elliptic", pp, 3, 3)

@@ -118,7 +118,11 @@ def _theta_reference(x, p):
     """theta with the per-factor truncation test |p|^k >= stop, the loop
     the kernel replaced by a factor count computed once."""
     tol = 1e-18 if isinstance(x, complex) else min(1e-18, float(mpmath.mp.eps) * 1e-2)
-    n = round(-math.log(float(abs(x))) / math.log(float(abs(p))))
+    if isinstance(x, complex):
+        n = round(-math.log(float(abs(x))) / math.log(float(abs(p))))
+    else:
+        # mpmath logs: an mpmath modulus may lie outside the range of doubles
+        n = round(-float(mpmath.log(abs(x))) / float(mpmath.log(abs(p))))
     pref = 1
     if n:
         pref = (-1) ** n * x**n * p ** (n * (n - 1) // 2)
@@ -580,6 +584,32 @@ class TestThetaAt40Digits:
                     x = abs(p) ** s * mpmath.expjpi(phi / math.pi)
                     _assert_units_of_reference(theta(x, p), x, p, 4)
 
+    def test_arguments_and_nomes_beyond_double_range(self):
+        # |x| = 10^-400 and 10^400, a ladder entry at about 10^366 and a
+        # nome of modulus 1e-400 are sized from their mpf exponents and bit
+        # lengths: in doubles they vanish or overflow
+        with mpmath.workdps(40):
+            p = mpmath.mpc(0.3, 0.2)
+            for x in (mpmath.mpc("1e-400", "1e-400"), mpmath.mpc("1e400", "1e400"),
+                      mpmath.mpc("-2e400", "3e399"), mpmath.mpf("1e-400"), mpmath.mpf("-1e400")):
+                _assert_units_of_reference(theta(x, p), x, p, 4)
+            q, z = mpmath.mpc(0.3), mpmath.mpc(1, 0.5)
+            entry = ThetaLadders(q, p)[z][-700]
+            _assert_units_of_reference(entry, z * q**-700, p, 4)
+            prec = mpmath.mp.prec
+            for angle in (1.0, -2.5):
+                tiny = mpmath.mpf("1e-400") * mpmath.expjpi(angle / math.pi)
+                for s, phi in ((-0.49, 0.3), (0.0, -1.0), (0.3, 1.2), (0.49, -2.9)):
+                    x = abs(tiny) ** s * mpmath.expjpi(phi / math.pi)
+                    value = theta(x, tiny)
+                    # x is in the annulus, |x| <= 1e200, so the factors past the
+                    # first two pairs differ from 1 by under 1e-400 (the
+                    # per-factor reference stops too early at |x| >> 1)
+                    with mpmath.workprec(prec + 200):
+                        ref = mpmath.fprod((1 - x * tiny**k) * (1 - tiny ** (k + 1) / x)
+                                           for k in range(2))
+                        assert abs(value - ref) <= 4 * mpmath.ldexp(abs(ref), -prec), x
+
     def test_the_series_reference_agrees_with_mpmath_jtheta(self):
         # the far-point reference against mpmath.jtheta on every sixth nome,
         # 200 bits wider, and theta within 4 units of it
@@ -669,6 +699,33 @@ class TestThetaStore:
         with mpmath.workdps(15):
             assert repr(store[z][3]) == repr(theta(z * q**3, p))
             assert (nome.series, nome.wp) == low[1:]
+
+    def test_a_store_and_its_copies_share_one_table_of_powers_of_q(self):
+        # each ladder forms z q^j from the store's q**j, computed once per j
+        # and precision, with the bits of the expression a read formed
+        q, p = mpmath.mpc(0.55, 0.3), mpmath.mpc(0.2, -0.1)
+        with mpmath.workdps(40):
+            store = ThetaLadders(q, p)
+            one, other = store[mpmath.mpc(0.6, 0.2)], store[mpmath.mpc(1.3, -0.4)]
+            for j in (3, -2):
+                assert repr(one[j]) == repr(theta(one.z * q**j, p))
+                other[j]
+            copy = store.copy()
+            copy[mpmath.mpc(0, 0.45)][5]
+            assert copy.q_powers is store.q_powers
+            wide = mpmath.mp.prec
+            assert dict(store.q_powers) == {(wide, j): q**j for j in (3, -2, 5)}
+            assert one.arg(5) == one.z * q**5
+        with mpmath.workdps(15):
+            # the powers are keyed by precision: none computed at 40 digits
+            # is read here
+            assert repr(one[4]) == repr(theta(one.z * q**4, p))
+            assert store.q_powers[mpmath.mp.prec, 4] == q**4
+            assert len(store.q_powers) == 4
+        with mpmath.workdps(40):
+            assert store.q_powers[wide, 4] != store.q_powers[53, 4]
+        # a built-in q forms its powers in place
+        assert ThetaLadders(0.55 + 0.3j, 0.2 - 0.1j).q_powers is None
 
 
 class TestThetaLadder:
@@ -849,6 +906,138 @@ class TestLadderKernels:
         terms = [qpoch(x, q, k) / qpoch(q, q, k) * q**k for k in range(m + 1)]
         assert relative_residual(total, sum(terms)) < 1e-14
         assert abs(scale - max(abs(t) for t in terms)) < 1e-14
+
+
+def _mp_store(rng, count, real=False):
+    """A store at a seeded mpmath point of the working precision, q and p
+    in the sampler's ranges, and ``count`` of its ladders, bases in
+    [0.2, 2] in modulus; all real (mpf) under ``real``."""
+    def draw(lo, hi):
+        if real:
+            return mpmath.mpf(rng.choice((-1, 1)) * rng.uniform(lo, hi))
+        return mpmath.mpc(cmath.rect(rng.uniform(lo, hi), rng.uniform(0.0, 2.0 * math.pi)))
+
+    store = ThetaLadders(draw(0.3, 0.9), draw(0.05, 0.5))
+    return store, [store[draw(0.2, 2.0)] for _ in range(count)]
+
+
+def _random_windows(rng, roles, size):
+    """Windows (role, start, length) over ``roles`` ladders holding
+    ``size`` factors in all."""
+    windows, left = [], size
+    while left:
+        length = rng.randint(1, min(left, 6))
+        windows.append((rng.randrange(roles), rng.randint(-3, 5), length))
+        left -= length
+    return windows
+
+
+def _assert_unit_of_wider_quotient(value, tops, bottoms, units=1):
+    """|value - ref| <= units * 2^-prec * |ref|, ref = prod(tops) /
+    prod(bottoms) of the same values multiplied 200 bits wider."""
+    prec = mpmath.mp.prec
+    with mpmath.workprec(prec + 200):
+        ref = mpmath.fprod(tops) / mpmath.fprod(bottoms)
+        assert abs(value - ref) <= units * mpmath.ldexp(abs(ref), -prec)
+
+
+class TestKernelsAtWorkingPrecision:
+    """theta_ratio, ratio_rows and the series at mpmath points: products
+    on integers, rounded once, against the same stored values multiplied
+    200 bits wider."""
+
+    @pytest.mark.parametrize("dps", [15, 40, 60])
+    def test_rows_within_one_unit_of_a_wider_product(self, dps):
+        rng = Random(29)
+        with mpmath.workdps(dps):
+            for size in (0, 1, 4, 10, 40):
+                for _ in range(3):
+                    _, ladders = _mp_store(rng, 4)
+                    num, den = _random_windows(rng, 4, size), _random_windows(rng, 4, size)
+                    single = theta_ratio([(ladders[r], s, n) for r, s, n in num],
+                                         [(ladders[r], s, n) for r, s, n in den])
+                    rows = [ratio_row(num, den), ratio_row(den, num)]
+                    assert ratio_rows(ladders, rows[:1]) == [single]
+                    both = ratio_rows(ladders, rows)
+                    assert both[0] == single
+                    tops, bottoms = ([ladders[r][j] for r, s, n in windows for j in range(s, s + n)]
+                                     for windows in (num, den))
+                    _assert_unit_of_wider_quotient(single, tops, bottoms)
+                    _assert_unit_of_wider_quotient(both[1], bottoms, tops)
+                    if size:
+                        assert type(single) is type(both[1]) is mpmath.mpc
+                    else:
+                        assert single == both[1] == 1 and type(single) is int
+
+    @pytest.mark.parametrize("dps", [15, 40, 60])
+    def test_series_terms_within_one_unit_of_a_wider_product(self, dps):
+        # a top ratio of 0 but at k = m leaves the sum exactly term m: its
+        # 2 m numerator and 2 m denominator entries, q^m and the top ratio
+        rng = Random(30)
+        with mpmath.workdps(dps):
+            for m in (0, 1, 2, 5, 10):
+                store, ladders = _mp_store(rng, 5)
+                num = [(ladder, rng.randint(-3, 3)) for ladder in ladders[:2]]
+                den = [(ladder, rng.randint(-3, 3)) for ladder in ladders[2:4]]
+                coeff = ladders[4][m]
+                total, scale = series_with_running_products(num, den, store.q, m,
+                                                            lambda k: coeff if k == m else 0)
+                tops = [coeff, *[store.q] * m,
+                        *(ladder[s + i] for ladder, s in num for i in range(m))]
+                bottoms = [ladder[s + i] for ladder, s in den for i in range(m)]
+                _assert_unit_of_wider_quotient(total, tops, bottoms)
+                assert scale == abs(total) and type(total) is mpmath.mpc
+
+    def test_a_real_point_gives_mpf_values(self):
+        rng = Random(31)
+        with mpmath.workdps(40):
+            store, ladders = _mp_store(rng, 4, real=True)
+            num, den = _random_windows(rng, 4, 10), _random_windows(rng, 4, 10)
+            value = theta_ratio([(ladders[r], s, n) for r, s, n in num],
+                                [(ladders[r], s, n) for r, s, n in den])
+            assert type(value) is mpmath.mpf
+            assert ratio_rows(ladders, [ratio_row(num, den)] * 2) == [value, value]
+            tops, bottoms = ([ladders[r][j] for r, s, n in windows for j in range(s, s + n)]
+                             for windows in (num, den))
+            _assert_unit_of_wider_quotient(value, tops, bottoms)
+            total, _ = series_with_running_products(((ladders[0], 0),), ((ladders[1], 1),),
+                                                    store.q, 4, lambda k: ladders[2][k])
+            assert type(total) is mpmath.mpf
+            # one complex factor makes the value complex
+            complex_den = [(ladders[1], 0, 1), (store[mpmath.mpc(0.6, 0.2)], 0, 1)]
+            assert type(theta_ratio([(ladders[0], 0, 2)], complex_den)) is mpmath.mpc
+
+    def test_unequal_factor_counts_raise(self):
+        # before any product, with the message of ratio_row
+        with mpmath.workdps(40):
+            _, (one, other) = _mp_store(Random(32), 2)
+            for num, den in ((((one, 0, 3),), ((other, 0, 2),)),
+                             (((one, 0, 1),), ((other, 0, 1), (one, 4, 1)))):
+                with pytest.raises(ValueError, match="numerator factors against"):
+                    theta_ratio(num, den)
+                with pytest.raises(ValueError, match="numerator factors against"):
+                    theta_ratio(den, num)
+
+    def test_built_in_factors_keep_the_paired_ratio_chain(self):
+        # complex and float factors are multiplied as before, bit for bit:
+        # the paired ratios left to right from 1
+        from functools import reduce
+        from operator import mul, truediv
+
+        lad = ThetaLadders(0.55 + 0.3j, 0.2 - 0.1j)
+        ladders = [lad[z] for z in (0.6 + 0.2j, 1.3 - 0.4j, 0.45j)]
+        rng = Random(33)
+        for size in (1, 4, 10, 40):
+            num, den = _random_windows(rng, 3, size), _random_windows(rng, 3, size)
+            tops, bottoms = ([ladders[r][j] for r, s, n in windows for j in range(s, s + n)]
+                             for windows in (num, den))
+            want = reduce(mul, map(truediv, tops, bottoms), 1)
+            assert theta_ratio([(ladders[r], s, n) for r, s, n in num],
+                               [(ladders[r], s, n) for r, s, n in den]) == want
+            assert ratio_rows(ladders, [ratio_row(num, den)] * 2) == [want, want]
+        floats = ThetaLadders(0.5, 0.0)
+        assert theta_ratio(((floats[0.3], 0, 3),), ((floats[0.7], 1, 3),)) == reduce(
+            mul, [(1 - 0.3 * 0.5**j) / (1 - 0.7 * 0.5 ** (j + 1)) for j in range(3)], 1)
 
 
 class TestThetaFactorial:
