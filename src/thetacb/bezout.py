@@ -15,15 +15,17 @@ and {(bx, b/x; q)_k}, checked by evaluation at the roots of the modulus.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import CommonRootError, SingularSystemError
 from .special import qbinom, qpoch, worst_residual
 
 ROOT_SEPARATION = 1e-6
+
+#: Sweeps the Aberth-Ehrlich iteration of :func:`_roots` makes at most.
+ROOT_SWEEPS = 200
 
 
 @dataclass(frozen=True)
@@ -97,45 +99,105 @@ def series_inv_qpoch(n: int, q, m: int) -> Poly:
     return Poly(tuple(qbinom(n + k, k, q) for k in range(m + 1)))
 
 
-def _roots(poly: Poly) -> np.ndarray:
-    if poly.degree < 1:
-        return np.empty(0, dtype=complex)
-    return np.roots(np.array(poly.coeffs[::-1], dtype=complex))
+def _roots(poly: Poly) -> list[complex]:
+    """The roots of ``poly``, each as often as its multiplicity, in
+    doubles: none for a constant.  A zero constant coefficient gives the
+    exact root 0, once per zero coefficient below the lowest nonzero one;
+    the rest are the roots of what remains, by the Aberth-Ehrlich
+    iteration (Bini, *Numer. Algorithms* 13, 1996) from points on the
+    circle of radius the geometric mean of their moduli, each root updated
+    in place through the sweep (Gauss-Seidel) until the value of the
+    polynomial there is below 4 degree 2^-53 sum_i |c_i| |z|^i, the
+    rounding error of its Horner evaluation (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 5)."""
+    coeffs = [complex(c) for c in poly.coeffs]
+    zeros = next(i for i, c in enumerate(coeffs) if c)
+    coeffs = coeffs[zeros:]
+    degree = len(coeffs) - 1
+    if degree < 1:
+        return [0j] * zeros
+    radius = abs(coeffs[0] / coeffs[-1]) ** (1 / degree)
+    z = [cmath.rect(radius, 2 * math.pi * k / degree + 0.4) for k in range(degree)]
+    slopes = [k * c for k, c in enumerate(coeffs)][1:]
+    moving = set(range(degree))
+    for _ in range(ROOT_SWEEPS):
+        for k in sorted(moving):
+            zk = z[k]
+            value = slope = size = 0
+            for c in reversed(coeffs):
+                value = value * zk + c
+                size = size * abs(zk) + abs(c)
+            if abs(value) <= 4 * degree * 2.0**-53 * size:
+                # a root to the rounding of the value: no step can tell more
+                moving.discard(k)
+                continue
+            for c in reversed(slopes):
+                slope = slope * zk + c
+            ratio = value / slope if slope else value
+            pull = sum(1 / (zk - zj) for j, zj in enumerate(z) if j != k)
+            step = ratio / (1 - ratio * pull)
+            z[k] = zk - step
+        if not moving:
+            break
+    return [0j] * zeros + z
+
+
+def _solve(mat: list, rhs: list) -> list:
+    """x with mat x = rhs for a square system, by Gaussian elimination with
+    partial pivoting (the first row of largest modulus in each column) and
+    back substitution, in the arithmetic of the entries: ``mpmath`` entries
+    give ``mpmath`` values.  A column with no nonzero pivot raises
+    ``SingularSystemError``."""
+    size = len(rhs)
+    rows = [[*row, b] for row, b in zip(mat, rhs)]
+    for col in range(size):
+        top = max(range(col, size), key=lambda r: abs(rows[r][col]))
+        if not rows[top][col]:
+            raise SingularSystemError(f"singular matrix: no pivot in column {col}")
+        rows[col], rows[top] = rows[top], rows[col]
+        pivot = rows[col]
+        for row in rows[col + 1:]:
+            f = row[col] / pivot[col]
+            if f:
+                for c in range(col + 1, size + 1):
+                    row[c] = row[c] - f * pivot[c]
+    x = [0] * size
+    for r in reversed(range(size)):
+        acc = rows[r][size]
+        for c in range(r + 1, size):
+            acc = acc - rows[r][c] * x[c]
+        x[r] = acc / rows[r][r]
+    return x
 
 
 def bezout_solve(p1: Poly, p2: Poly, m: int, n: int) -> tuple[Poly, Poly]:
     """Unique (Q1, Q2) with deg Q1 <= m, deg Q2 <= n and 1 = P1 Q1 + P2 Q2,
-    found by matching the coefficients of 1, x, ..., x^(m+n+1).
+    found by matching the coefficients of 1, x, ..., x^(m+n+1)
+    (:func:`_solve`), in the arithmetic of the coefficients of P1 and P2.
 
     Requires deg P1 <= n+1 and deg P2 <= m+1 so the system is square, and
-    P1, P2 without common roots (checked by numeric root separation).
+    P1, P2 without common roots (checked in doubles by numeric root
+    separation, :func:`_roots`).
     """
     if p1.degree > n + 1 or p2.degree > m + 1:
         raise ValueError("degrees must satisfy deg P1 <= n+1, deg P2 <= m+1")
     if not p1.coeffs or not p2.coeffs:
         raise CommonRootError("zero polynomial shares every root")
     r1, r2 = _roots(p1), _roots(p2)
-    if r1.size and r2.size:
+    if r1 and r2:
         sep = min(abs(z1 - z2) for z1 in r1 for z2 in r2)
         if sep < ROOT_SEPARATION:
             raise CommonRootError(f"root separation {sep:.2e} below {ROOT_SEPARATION:.0e}")
 
     size = m + n + 2
-    mat = np.zeros((size, size), dtype=complex)
+    mat = [[0] * size for _ in range(size)]
     for j in range(m + 1):
-        col = p1.shifted(j).coeffs
-        for i, c in enumerate(col):
-            mat[i, j] = c
+        for i, c in enumerate(p1.shifted(j).coeffs):
+            mat[i][j] = c
     for j in range(n + 1):
-        col = p2.shifted(j).coeffs
-        for i, c in enumerate(col):
-            mat[i, m + 1 + j] = c
-    rhs = np.zeros(size, dtype=complex)
-    rhs[0] = 1
-    try:
-        sol = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
+        for i, c in enumerate(p2.shifted(j).coeffs):
+            mat[i][m + 1 + j] = c
+    sol = _solve(mat, [1] + [0] * (size - 1))
     return Poly(tuple(sol[: m + 1])), Poly(tuple(sol[m + 1:]))
 
 

@@ -234,15 +234,6 @@ def _trial_seed(*coords) -> int:
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
 
-#: The checks that fill a theta batch of their own beyond the scan
-#: (``ThetaLadders.fill``).  A batch value and a read of the same entry
-#: may differ in the last bits, so a store such a check filled would make
-#: the other checks' records depend on whether it ran: at a double
-#: campaign each of them evaluates on a store of its own.  At an mpmath
-#: campaign ``fill`` batches nothing, and they share the cell's store.
-_OWN_STORE = frozenset({"frenkel_turaev"})
-
-
 @dataclass
 class _Cell:
     """One (m, n, trial) cell of a campaign: the seed of its draw and,
@@ -356,16 +347,14 @@ def _run_trial(config: CampaignConfig, name: str, runner: Callable,
     At the cell's draw every check evaluates at the cell's one point
     (``cell.shared``) and reads its one theta store, so a theta one check
     read is not computed again by the next.  Its bits still never depend
-    on which other checks ran: every entry of that store is either the
-    scan's batch value, filled before any check runs, or a scalar
-    ``theta`` read, whose bits depend only on the entry's argument and the
-    store's nome.  At a double campaign a check of ``_OWN_STORE``, which
-    fills a batch of its own, evaluates on a store of its own
-    (:func:`_own_point`), and so does every check at a draw of its own
-    stream.  An ``OverflowError`` of the check gives a NaN residual: the
-    trial fails and counts as non-finite, and the campaign goes on."""
+    on which other checks ran: every entry of that store is a scalar
+    ``theta`` read, by the scan or by a check, whose bits depend only on
+    the entry's argument and the store's nome.  A check at a draw of its
+    own stream evaluates on a store of its own (:func:`_own_point`).  An
+    ``OverflowError`` of the check gives a NaN residual: the trial fails
+    and counts as non-finite, and the campaign goes on."""
     for resamples, (seed, point) in enumerate(_draws(config, name, cell)):
-        if resamples or (name in _OWN_STORE and not config.precision):
+        if resamples:
             pp = _own_point(config, point)
         else:
             if cell.shared is None:

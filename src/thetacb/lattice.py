@@ -1,8 +1,8 @@
 """Weighted monotone lattice paths on the rectangle {0..m+1} x {0..n+1}.
 
 Three independent routes to the endpoint generating function A(k, l) are
-provided: brute-force summation over bit-encoded paths, the two-term
-recurrence
+provided: brute-force summation over every path, walked depth first, the
+two-term recurrence
 
     A(k, l) = h(k-1, l) A(k-1, l) + (1 - h(k, l-1)) A(k, l-1)
 
@@ -27,8 +27,7 @@ the bits of its single-cell kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
-from itertools import combinations
+from functools import cache
 
 from .errors import CapExceededError, HConditionError, OutOfRegionError
 from .params import (A_B, A_X, AB, AC, AX, B_A, B_X, BC, BX, C_A, C_B, C_X, CX, Q, IdentitySize,
@@ -39,20 +38,6 @@ from .weights import ZERO_SHIFT, h_row, h_table
 
 #: Endpoints with m + n beyond this are refused by the brute-force routes.
 BRUTE_FORCE_CAP = 12
-
-
-@lru_cache(maxsize=None)
-def _bit_paths(east: int, north: int) -> tuple[tuple[int, ...], ...]:
-    """Every monotone path with the given step counts as a bit sequence,
-    east = 1, north = 0."""
-    length = east + north
-    out = []
-    for pos in combinations(range(length), east):
-        bits = [0] * length
-        for t in pos:
-            bits[t] = 1
-        out.append(tuple(bits))
-    return tuple(out)
 
 
 def total_weight(pp: ParamPoint, size: IdentitySize):
@@ -93,26 +78,28 @@ def endpoint_weights(pp: ParamPoint, k: int, l: int):
 
 
 def _path_weights(pp: ParamPoint, east: int, north: int, m: int, n: int):
-    """Weight of every monotone path with the given step counts, in the
-    order of :func:`_bit_paths`.  An east step at (i, j) carries h(i, j)
-    and a north step 1 - h(i, j) while (i, j) lies in the weight grid
-    {0..m} x {0..n}; steps beyond it carry 1."""
+    """Weight of every monotone path with the given step counts, found by
+    a depth-first walk that takes the east step before the north one, so
+    in the lexicographic order of the step sequences with east first.  An
+    east step at (i, j) carries h(i, j) and a north step 1 - h(i, j) while
+    (i, j) lies in the weight grid {0..m} x {0..n}; steps beyond it carry
+    1.  Each weight is its path's running product from 1, factor by
+    factor; paths with a common prefix share its product, which is the
+    same expression for each of them."""
     if m + n > BRUTE_FORCE_CAP:
         raise CapExceededError(f"m + n = {m + n} exceeds cap {BRUTE_FORCE_CAP}")
     h = h_table(pp, m, n)
-    for bits in _bit_paths(east, north):
-        acc = 1
-        i = j = 0
-        for s in bits:
-            if s:
-                if j <= n:
-                    acc = acc * h[i][j]
-                i += 1
-            else:
-                if i <= m:
-                    acc = acc * (1 - h[i][j])
-                j += 1
-        yield acc
+    low = [[1 - v for v in row] for row in h]
+    stack = [(0, 0, 1)]
+    while stack:
+        i, j, acc = stack.pop()
+        if i == east and j == north:
+            yield acc
+            continue
+        if j < north:
+            stack.append((i, j + 1, acc * low[i][j] if i <= m else acc))
+        if i < east:
+            stack.append((i + 1, j, acc * h[i][j] if j <= n else acc))
 
 
 def a_bruteforce(pp: ParamPoint, k: int, l: int):

@@ -472,12 +472,9 @@ def frenkel_turaev(pp: ParamPoint, n: int):
         = (aq, aq/bc, aq/bd, aq/cd; q, p)_n
         / (aq/b, aq/c, aq/d, aq/bcd; q, p)_n.
 
-    Every theta is read from the point's store (``pp.thetas``).  The
-    entries of the sum's windows that the store does not hold yet are
-    filled first, in one batch (:meth:`ThetaLadders.fill`, which
-    evaluates nothing at an mpmath point: there each entry is read by
-    :func:`theta`).  Returns (lhs, rhs, scale), ``scale`` the largest
-    term magnitude of the sum.
+    Every theta is read from the point's store (``pp.thetas``) as the sum
+    and the ratio reach it.  Returns (lhs, rhs, scale), ``scale`` the
+    largest term magnitude of the sum.
     """
     a, b, c, d, q = pp.a, pp.b, pp.c, pp.x, pp.q
     e = a * a * q ** (n + 1) / (b * c * d)
@@ -488,13 +485,6 @@ def frenkel_turaev(pp: ParamPoint, n: int):
     rhs_num = ((la, 1, n), (lad[a / (b * c)], 1, n), (lad[a / (b * d)], 1, n),
                (lad[a / (c * d)], 1, n))
     rhs_den = ((a_b, 1, n), (a_c, 1, n), (a_d, 1, n), (lad[a / (b * c * d)], 1, n))
-
-    windows = [*((ladder, start, n) for ladder, start in num + den), *rhs_num, *rhs_den]
-    reads = [(ladder, j) for ladder, start, length in windows
-             for j in range(start, start + length)]
-    reads += [(la, 2 * k) for k in range(n + 1)]
-    lad.fill([(ladder, j) for ladder, j in dict.fromkeys(reads) if j not in ladder])
-
     th_a = la.den(0)
     lhs, scale = series_with_running_products(num, den, q, n, lambda k: la[2 * k] / th_a)
     return lhs, theta_ratio(rhs_num, rhs_den), scale

@@ -7,16 +7,9 @@ a safe margin from zero, and the lattice-weight normalisation condition
 scan are resampled, never silently evaluated.
 
 Every theta the scan reads is a read of the point's theta store
-(``ParamPoint.thetas``).  At a double-precision point the scan first
-fills the store in one batch (:meth:`ThetaLadders.fill`: at p = 0 the
-closed form 1 - z q^j a read forms, otherwise each value within its
-stated error bound of ``special.theta``'s), which forms each argument
-once and hands back the margins of the denominators as an array; the
-scan compares them with the guard, with no scalar theta call (only a
-weight read of an entry that overflowed makes one, and raises, which
-rejects the draw), and the checks that run at the accepted point read
-the same values.  mpmath points are not batched: their scan reads entry
-by entry through :func:`theta_margin`.
+(``ParamPoint.thetas``), one entry at a time through :func:`theta_margin`
+(at p = 0 the closed form 1 - z q^j), and the checks that run at the
+accepted point read the same values.
 
 A draw is accepted only when both the draw and its p = 0 point
 ``pp.replace(p=0j)`` pass the scan.  The elliptic checks read the draw's
@@ -53,16 +46,14 @@ P_LO, P_HI = 0.05, 0.5
 
 def theta_margin(ladder: ThetaLadder, j: int) -> float:
     """Scale-free magnitude |theta(arg; p)| / (1 + |arg|) of ladder entry j,
-    arg = z q^j; ~0 near a zero.  Arguments deep in a quasi-period make
-    theta astronomically large; overflow therefore counts as an infinite
-    (safe) margin.  The scan of a point the store does not batch (mpmath
-    scalars) reads its margins here; a batched scan has the same rule from
-    :meth:`ThetaLadders.fill`."""
+    arg = z q^j, formed once for the margin and the read; ~0 near a zero.
+    Arguments deep in a quasi-period make theta astronomically large;
+    overflow therefore counts as an infinite (safe) margin."""
     arg = ladder.arg(j)
     if arg == 0:
         return 0.0
     try:
-        return float(abs(ladder[j])) / (1.0 + float(abs(arg)))
+        return float(abs(ladder.at(j, arg))) / (1.0 + float(abs(arg)))
     except OverflowError:
         return math.inf
 
@@ -88,43 +79,22 @@ def _denominator_args(pp: ParamPoint, m: int, n: int):
     yield from ((ladder, t) for t in range(2 * top + 1) for ladder in pair)
 
 
-def _weight_numerator_args(pp: ParamPoint, m: int, n: int):
-    """The numerator thetas of the weights h(i, 0), i <= m, and h(0, j),
-    j <= n, that the weight-normalisation condition reads, as (ladder,
-    index) pairs of the point's theta store; their denominators are among
-    :func:`_denominator_args`."""
-    x, a, b, c = pp.x, pp.a, pp.b, pp.c
-    lad = pp.thetas
-    bc = lad[b * c]
-    yield from ((bc, i) for i in range(m + 1))
-    yield from ((bc, 2 * j) for j in range(n + 1))
-    for z in (c / b, a * x, a / x):
-        ladder = lad[z]
-        yield from ((ladder, i) for i in range(m + 1))
-
-
 def check_genericity(pp: ParamPoint, size: IdentitySize, guard: float = DEFAULT_GUARD) -> bool:
     """True when every reachable denominator keeps margin ``guard`` and the
     weight-normalisation condition holds with the same margin.
 
-    For a double-precision point the thetas of both checks are evaluated
-    first, in one batch (:meth:`ThetaLadders.fill`), which also gives the
-    denominators' margins; the weight check then reads the thetas from the
-    point's store, the weights h(i, 0) and h(0, j) as one set of rows
-    (:func:`special.ratio_rows`).  mpmath points read each margin by
-    :func:`theta_margin`.  A point whose weights overflow doubles
-    (``OverflowError``) or meet a vanished denominator is not generic."""
+    Each denominator's margin is read by :func:`theta_margin`, the scan
+    stopping at the first that fails; the weight check then reads the
+    weights h(i, 0) and h(0, j) as one set of rows
+    (:func:`special.ratio_rows`) from the point's store.  A point whose
+    weights overflow doubles (``OverflowError``) or meet a vanished
+    denominator is not generic."""
     m, n = size.m, size.n
     tiny = 1e-12
     for z in (pp.x, pp.a, pp.b, pp.c, pp.q):
         if abs(z) < tiny:
             return False
-    scan = list(_denominator_args(pp, m, n))
-    margins = pp.thetas.fill([*scan, *_weight_numerator_args(pp, m, n)])
-    if margins is not None:
-        if (margins[:len(scan)] <= guard).any():
-            return False
-    elif any(theta_margin(ladder, j) <= guard for ladder, j in scan):
+    if any(theta_margin(ladder, j) <= guard for ladder, j in _denominator_args(pp, m, n)):
         return False
     try:
         weights = ratio_rows(pp.role_ladders(), [*(h_row(i, 0) for i in range(m + 1)),
@@ -165,7 +135,7 @@ def sample_param_point(
     """Draw a generic parameter point (log-uniform magnitudes, uniform
     arguments), resampling until both the draw and its p = 0 point pass
     the genericity scan.  The point has double-precision scalars and keeps
-    the thetas its scan filled; :func:`to_mp` converts it exactly.
+    the thetas its scan read; :func:`to_mp` converts it exactly.
 
     ``p_max`` outside [``P_LO``, ``P_HI``] raises ``ValueError``.
     """

@@ -21,21 +21,34 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from functools import reduce
 from itertools import starmap
 from operator import mul, truediv
 
-import numpy as np
-
 from .errors import DegenerateParameterError, DivergenceError, RootOfUnityError, ZeroArgumentError
 
-#: Truncation control for theta's double-precision product: factors are
-#: kept while |p|^k >= tol * (1 + |x|) * (1 - |p|), so the dropped tail,
-#: about |x| |p|^count / (1 - |p|), stays below tol * (1 + |x|) for
-#: arguments in the reduced annulus, however near |p| is to 1.  An mpmath
-#: nome's series takes its term count from the working precision instead
-#: (:func:`_series_terms`).
+#: Truncation control for theta's double-precision product, which runs for
+#: built-in nomes above ``SERIES_MAX_NOME``: factors are kept while
+#: |p|^k >= tol * (1 + |x|) * (1 - |p|), so the dropped tail, about
+#: |x| |p|^count / (1 - |p|), stays below tol * (1 + |x|) for arguments in
+#: the reduced annulus, however near |p| is to 1.  The series takes its
+#: term count from the precision instead (:func:`_series_terms`).
 DEFAULT_THETA_TOL = 1e-18
+
+#: A built-in nome's theta (see :func:`theta`) is the triple-product
+#: series while its sum can lose at most 4 bits to cancellation
+#: (:func:`_product_floor_bits`), and the truncated product above: the
+#: series at the nome p below ``SQUARED_NOME_FROM`` (4 bits at |p| =
+#: 0.318, 5 at 0.319), then two series at the nome p^2 up to
+#: ``SERIES_MAX_NOME`` (4 bits at |p|^2 = 0.564^2, 5 at 0.565^2).  The
+#: product can lose about log2(8 count) bits, 9.3 at |p| = 0.564.
+#: Against a 50-digit reference, on about 700 reduced arguments per band
+#: of |p| of width 0.05 from 0.3 to 0.55, the largest error of the series
+#: at p^2 was 6.3 to 9.7 units of 2^-53, of the product 19.3 to 24.5; the
+#: series at p read 6.1 in the band 0.3-0.35, and 18.5 in 0.35-0.4.
+SQUARED_NOME_FROM = 0.318
+SERIES_MAX_NOME = 0.564
 
 #: theta's argument reduction forms the prefactor (-1)^n x^n p^(n(n-1)/2)
 #: directly while :func:`_prefactor_mag` stays below this, and as
@@ -80,18 +93,35 @@ def theta(x, p, _nome=None):
 
     p = 0 returns the exact closed form 1 - x.  For p != 0 the argument is
     first moved into the annulus |p|^(1/2) <= |x'| < |p|^(-1/2) with the
-    quasi-periodicity theta(x; p) = (-1)^n x^n p^(n(n-1)/2) theta(p^n x; p),
-    which keeps the truncated product accurate for very large or very
-    small arguments.  A built-in complex value that is not finite raises
-    ``OverflowError``, as an overflow in the reduction does.
+    quasi-periodicity theta(x; p) = (-1)^n x^n p^(n(n-1)/2) theta(p^n x; p)
+    (:func:`_reduce`), which keeps the value accurate for very large or
+    very small arguments.  For a built-in nome, theta(x'; p) is then the
+    Jacobi triple product (Gasper-Rahman, *Basic Hypergeometric Series*,
+    ch. 11) with its terms k and 1 - k paired,
+
+        theta(x'; p) = (1 - x') sum_{k>=1} c_k S_k,
+        c_k = (-1)^(k+1) p^(k(k-1)/2) / (p; p)_inf,  S_k = sum_{|i|<k} x'^i,
+
+    (:func:`_theta_sum`), with the coefficients and their count from the
+    nome (:class:`_Nome`), while |p| is below ``SQUARED_NOME_FROM``; from
+    there up to ``SERIES_MAX_NOME``, the same series at the nome p^2,
+    through (x; p)_inf = (x; p^2)_inf (xp; p^2)_inf:
+
+        theta(x'; p) = theta(x'; p^2) theta(x' p; p^2),
+
+    the second factor taken as theta(p / x'; p^2), its equal, when
+    |x'| < 1, so that both arguments lie in the annulus of p^2.  Above
+    ``SERIES_MAX_NOME`` it is the truncated product
+    prod_{k<count} (1 - x' p^k)(1 - (p/x') p^k) (:func:`_factor_count`).
+    A built-in complex value that is not finite raises ``OverflowError``,
+    as an overflow in the reduction does.
 
     An ``mpmath`` nome (real or complex) takes one pass on Python integers
     (:func:`_mp_theta_product`): the reduction, its prefactor and the
-    Jacobi triple-product series in place of the product are formed there,
-    x converted to the nome's context if it is not of it, and the value is
-    rounded once to the working precision.  An ``mpmath`` argument with a
-    built-in nome is evaluated at the nome converted to the argument's
-    context.
+    series at p are formed there, x converted to the nome's context if it
+    is not of it, and the value is rounded once to the working precision.
+    An ``mpmath`` argument with a built-in nome is evaluated at the nome
+    converted to the argument's context.
 
     ``_nome`` is internal: a theta ladder passes the values of p its
     store shares between its thetas (:class:`_Nome`), so that they are
@@ -107,17 +137,40 @@ def theta(x, p, _nome=None):
     nome = _nome.current()
     if nome.wp is not None:
         return _mp_theta_product(x, nome)
-    x, n, pref, count = _reduce(x, nome)
-    px = p / x
-    acc = 1
-    pk = 1
-    for _ in range(count):
-        acc = acc * (1 - x * pk) * (1 - px * pk)
-        pk = pk * p
-    value = pref * acc
+    x, pref = _reduce(x, nome)
+    coeffs = nome.series
+    if coeffs is None:
+        p = nome.p
+        px = p / x
+        acc = 1
+        pk = 1
+        for _ in range(_factor_count(abs(x), nome.log_ap)):
+            acc = acc * (1 - x * pk) * (1 - px * pk)
+            pk = pk * p
+        value = pref * acc
+    elif nome.squared:
+        p = nome.p
+        other = x * p if abs(x) >= 1 else p / x
+        value = pref * (_theta_sum(x, coeffs) * _theta_sum(other, coeffs))
+    else:
+        value = pref * _theta_sum(x, coeffs)
     if isinstance(value, complex) and not cmath.isfinite(value):
         raise OverflowError("theta(x; p) overflowed double precision")
     return value
+
+
+def _theta_sum(x, coeffs):
+    """(1 - x) sum_k c_k S_k for the coefficients c_k of theta's series at
+    one built-in nome, S_k = sum_{|i|<k} x^i running by
+    S_(k+1) = t S_k - S_(k-1) from S_0 = -1 and S_1 = 1, t = x + 1/x:
+    theta at x for x in the nome's annulus (see :func:`theta`)."""
+    t = x + 1 / x
+    acc = 0
+    s, last = 1, -1
+    for c in coeffs:
+        acc = acc + c * s
+        s, last = t * s - last, s
+    return (1 - x) * acc
 
 
 def _nome_of(x, p) -> _Nome:
@@ -134,17 +187,20 @@ class _Nome:
 
     * ``log_ap`` = log |p|;
     * ``powers``: the reduction's powers of p by exponent n, filled as
-      arguments need them, by scalar reductions and batches alike: for a
-      built-in nome ((-1)^n, p^(n(n-1)/2), p^n) (:func:`_powers`), for an
-      mpmath one their integer forms (:func:`_mp_powers`);
+      arguments need them: for a built-in nome ((-1)^n, p^(n(n-1)/2), p^n)
+      (:func:`_powers`), for an mpmath one their integer forms
+      (:func:`_mp_powers`);
     * ``wp``, None for a built-in nome, and for an mpmath one the
       fractional bits of its fixed-point values: the working precision,
       ``MP_THETA_GUARD_BITS`` and the bits the series can lose to
       cancellation (:func:`_product_floor_bits`);
-    * for an mpmath nome, ``series``, the coefficients of theta's
-      triple-product series, (-1)^(k+1) p^(k(k-1)/2) / (p; p)_inf for
-      k = 1 .. K in fixed point, with the term count K set by |p| and
-      ``wp`` (:func:`_series_terms`).
+    * ``series``, the coefficients of theta's triple-product series,
+      (-1)^(k+1) P^(k(k-1)/2) / (P; P)_inf for k = 1 .. K
+      (:func:`_series_terms`): for an mpmath nome in fixed point at its
+      ``wp``, P = p; for a built-in one as doubles (:func:`_double_series`),
+      P = p below ``SQUARED_NOME_FROM``, and P = p^2 from there up to
+      ``SERIES_MAX_NOME``, ``squared`` then being True; None for a
+      built-in nome above it, whose thetas are products.
 
     The values are computed on first use (:meth:`current`), so a nome can
     be made for p = 0, which no theta reads.  Every value is the same
@@ -152,32 +208,41 @@ class _Nome:
     sharing one instance changes no bit of any theta.
     """
 
-    __slots__ = ("p", "prec", "log_ap", "powers", "wp", "series")
+    __slots__ = ("p", "prec", "log_ap", "powers", "wp", "series", "squared")
 
     def __init__(self, p):
         self.p = p
-        self.log_ap = None
+        self.prec = -1  # no values yet
 
     def current(self) -> _Nome:
         """This nome, its values computed afresh when there are none yet or
-        when they belong to another working precision than the current."""
+        when they belong to another working precision than the current.  A
+        built-in nome's values, once computed, hold at every precision, so
+        it returns at once."""
+        if self.prec is None:
+            return self
         ctx = getattr(self.p, "context", None)
         prec = None if ctx is None else ctx.prec
-        if self.log_ap is None or self.prec != prec:
+        if self.prec != prec:
             # an mpmath nome is sized from its integer form: its modulus
             # may lie outside the range of doubles
             log_ap = (math.log(abs(complex(self.p))) if ctx is None
                       else _log_abs(_exact(_mp_parts(self.p))))
             if log_ap >= 0:
                 raise DivergenceError("theta(x; p) requires |p| < 1")
-            self.prec = prec
             self.log_ap = log_ap
             self.powers = {}
-            if ctx is None:
-                self.wp = None
+            r = math.exp(log_ap)
+            if ctx is not None:
+                self.wp = prec + MP_THETA_GUARD_BITS + _product_floor_bits(r)
+                self.series = _series_terms(self.p, log_ap, self.wp)
             else:
-                self.wp = prec + MP_THETA_GUARD_BITS + _product_floor_bits(math.exp(log_ap))
-                self.series = _series_terms(self)
+                self.wp = None
+                self.squared = r >= SQUARED_NOME_FROM
+                self.series = (None if r > SERIES_MAX_NOME
+                               else _double_series(self.p * self.p, 2 * log_ap) if self.squared
+                               else _double_series(self.p, log_ap))
+            self.prec = prec
         return self
 
 
@@ -206,11 +271,27 @@ def _product_floor_bits(r: float) -> int:
     return math.ceil(bits / math.log(2))
 
 
-def _series_terms(nome: _Nome) -> tuple:
-    """The coefficients of theta's series (:func:`_mp_theta_product`) for
-    the mpmath nome p of ``nome`` at its ``wp``: (w, coefficients), entry
-    k - 1 of the list, k = 1 .. K, being (-1)^(k+1) p^(k(k-1)/2) / (p; p)_inf
-    as a complex (re, im) in fixed point with w fractional bits.
+def _double_series(p, log_ap: float) -> tuple:
+    """The coefficients of theta's series for a built-in nome p with
+    log |p| = ``log_ap`` as doubles (floats for a float p): those of
+    :func:`_series_terms` at 53 bits plus those the sum can lose to
+    cancellation (:func:`_product_floor_bits`), so that the dropped tail
+    stays under a unit of 2^-53 of theta, each rounded once, a quotient of
+    Python integers being correctly rounded."""
+    wp = sys.float_info.mant_dig + _product_floor_bits(math.exp(log_ap))
+    w, coeffs = _series_terms(p, log_ap, wp)
+    one = 1 << w
+    if isinstance(p, complex):
+        return tuple(complex(cr / one, ci / one) for cr, ci in coeffs)
+    return tuple(cr / one for cr, _ in coeffs)
+
+
+def _series_terms(p, log_ap: float, wp: int) -> tuple:
+    """The coefficients of theta's series (:func:`theta`) for the nome p,
+    an mpmath or built-in scalar with log |p| = ``log_ap``, at ``wp``
+    bits: (w, coefficients), entry k - 1 of the list, k = 1 .. K, being
+    (-1)^(k+1) p^(k(k-1)/2) / (p; p)_inf as a complex (re, im) in fixed
+    point with w fractional bits.
 
     Term k of B is at most (2k - 1) |p|^((k-1)^2/2) in the annulus; K + 1
     is the first k whose bound is below 2^-(wp+1).  From there each bound
@@ -228,10 +309,7 @@ def _series_terms(nome: _Nome) -> tuple:
     (Euler's pentagonal number theorem), its terms kept while at least
     2^-(w+1); its reciprocal, divided once; and the coefficients, each the
     last times p^k."""
-    from mpmath.libmp import to_fixed
-
-    wp = nome.wp
-    lr = -nome.log_ap / math.log(2)
+    lr = -log_ap / math.log(2)
     count = 1
     while math.log2(2 * count + 1) - count * count / 2 * lr >= -wp - 1:
         count += 1
@@ -240,7 +318,7 @@ def _series_terms(nome: _Nome) -> tuple:
     j_max = 0
     while (j_max + 1) * (3 * j_max + 2) / 2 * lr <= w + 1:
         j_max += 1
-    p = tuple(to_fixed(t, w) for t in _mp_parts(nome.p))
+    p = _to_fixed(p, w)
     powers = [(1 << w, 0), p]
     while len(powers) < max(count, 2 * j_max):
         powers.append(_fixed_mul(powers[-1], p, w))
@@ -260,6 +338,19 @@ def _series_terms(nome: _Nome) -> tuple:
     return w, coeffs
 
 
+def _to_fixed(p, w: int) -> tuple:
+    """The scalar p, mpmath or built-in, as a complex (re, im) in fixed
+    point with w fractional bits, truncated towards -infinity part by
+    part, as ``to_fixed`` truncates; a float is read exactly."""
+    if _mp_context(p) is None:
+        p = complex(p)
+        return tuple((n << w) // d for n, d in (p.real.as_integer_ratio(),
+                                                p.imag.as_integer_ratio()))
+    from mpmath.libmp import to_fixed
+
+    return tuple(to_fixed(t, w) for t in _mp_parts(p))
+
+
 def _fixed_mul(a, b, w: int) -> tuple:
     """The product of two complex fixed-point values (re, im) with w
     fractional bits, truncated towards -infinity part by part."""
@@ -267,47 +358,42 @@ def _fixed_mul(a, b, w: int) -> tuple:
 
 
 def _reduce(x, nome: _Nome):
-    """theta's argument reduction for a built-in nome: (x', n, pref, count)
-    with x' = x p^n in the annulus, pref = (-1)^n x^n p^(n(n-1)/2) (1 when
-    n = 0) and count the number of factor pairs of the truncated product,
-    so that theta(x; p) = pref * prod_{k<count} (1 - x' p^k)(1 - (p/x') p^k).
+    """theta's argument reduction for a built-in nome: (x', pref) with
+    x' = x p^n in the annulus, n = round(-log |x| / log |p|), and
+    pref = (-1)^n x^n p^(n(n-1)/2) (1 when n = 0), so that
+    theta(x; p) = pref * theta(x'; p).  It takes one log.
 
     The powers of p come from the nome's ``powers`` cache
     (:func:`_powers`); the cached values are the same expressions, so they
     have the same bits.
     """
-    p, log_ap = nome.p, nome.log_ap
-    ax = float(abs(x))
-    log_ax = math.log(ax)
+    log_ap = nome.log_ap
+    log_ax = math.log(abs(x))
     n = round(-log_ax / log_ap)
-    pref = 1
-    if n:
-        sign, pe, pn = _powers(nome, n)
-        if _prefactor_mag(n, log_ax, log_ap) < LOG_SPACE_MAG:
-            pref = sign * x**n * pe
-        else:
-            e = n * (n - 1) // 2
-            pref = sign * cmath.exp(n * cmath.log(x) + e * cmath.log(p))
-        x = x * pn
-        ax = float(abs(x))
-    return x, n, pref, _factor_count(ax, log_ap)
+    if not n:
+        return x, 1
+    sign, pe, pn = _powers(nome, n)
+    if _prefactor_mag(n, log_ax, log_ap) < LOG_SPACE_MAG:
+        pref = sign * x**n * pe
+    else:
+        e = n * (n - 1) // 2
+        pref = sign * cmath.exp(n * cmath.log(x) + e * cmath.log(nome.p))
+    return x * pn, pref
 
 
-def _prefactor_mag(n, log_ax, log_ap):
+def _prefactor_mag(n: int, log_ax: float, log_ap: float) -> float:
     """|n| |log |x|| + |n(n-1)/2| |log |p||, at least the log of the larger
-    of |x^n| and |p^(n(n-1)/2)|, for an integer n or an array of them."""
+    of |x^n| and |p^(n(n-1)/2)|."""
     return abs(n) * abs(log_ax) + abs(n * (n - 1) / 2) * abs(log_ap)
 
 
-def _factor_count(ax, log_ap: float):
+def _factor_count(ax: float, log_ap: float) -> int:
     """The number of factor pairs theta's truncated product keeps for a
-    reduced argument of modulus ax (a float, or an array of them): factors
-    k = 0 .. count-1 are exactly those with |p|^k >= stop, where
-    stop = DEFAULT_THETA_TOL (1 + ax)(1 - |p|); the factor 1 - |p| accounts
-    for the tail's geometric sum."""
+    reduced argument of modulus ax: factors k = 0 .. count-1 are exactly
+    those with |p|^k >= stop, where stop = DEFAULT_THETA_TOL (1 + ax)
+    (1 - |p|); the factor 1 - |p| accounts for the tail's geometric sum."""
     stop = DEFAULT_THETA_TOL * (1 + ax) * (1 - math.exp(log_ap))
-    lib = np if isinstance(stop, np.ndarray) else math
-    return lib.floor(lib.log(stop) / log_ap) + 1
+    return math.floor(math.log(stop) / log_ap) + 1
 
 
 def _powers(nome: _Nome, n: int) -> tuple:
@@ -317,80 +403,6 @@ def _powers(nome: _Nome, n: int) -> tuple:
         p = nome.p
         cached = nome.powers[n] = ((-1) ** n, p ** (n * (n - 1) // 2), p**n)
     return cached
-
-
-def _reduce_many(x, nome: _Nome):
-    """:func:`_reduce` on a complex128 array of nonzero arguments and a
-    built-in complex nome: arrays (x', n, pref, count, ok), ok False where
-    the reduction overflowed.
-
-    n, x' and count are computed on the arrays.  The powers of p for each
-    n come from the nome's ``powers`` cache, and x' = x p^n is formed from
-    split float64 parts as Python forms a complex product, so x' has the
-    bits :func:`_reduce` gives it (next to a zero of theta outside the
-    annulus one unit of x' is the whole value).  The prefactor takes x^n
-    from numpy's integer power, which may differ from Python's in the
-    last units.  An argument whose prefactor needs log space
-    (:data:`LOG_SPACE_MAG`) goes through :func:`_reduce` itself.
-    """
-    log_ap = nome.log_ap
-    log_ax = np.log(np.hypot(x.real, x.imag))
-    n = np.rint(-log_ax / log_ap)
-    in_log_space = _prefactor_mag(n, log_ax, log_ap) >= LOG_SPACE_MAG
-    # the arrays reduce an argument in log space by 0; _reduce redoes it
-    k = np.where(in_log_space, 0, n).astype(np.int64)
-    lo = int(k.min(initial=0))
-    powers = [_powers(nome, j) for j in range(lo, int(k.max(initial=0)) + 1)]
-    at = k - lo
-    sign_pe = np.array([sign * pe for sign, pe, _ in powers])[at]
-    pn = np.array([pn for _, _, pn in powers])[at]
-    y = np.empty_like(x)
-    y.real = x.real * pn.real - x.imag * pn.imag
-    y.imag = x.real * pn.imag + x.imag * pn.real
-    # at n = 0 the argument stays as it is, signs of zero parts included
-    y = np.where(k == 0, x, y)
-    pref = np.power(x, k) * sign_pe
-    count = _factor_count(np.hypot(y.real, y.imag), log_ap)
-    ok = np.ones(x.size, dtype=bool)
-    for i in in_log_space.nonzero()[0].tolist():
-        try:
-            y[i], _, pref[i], count[i] = _reduce(complex(x[i]), nome)
-        except OverflowError:
-            ok[i] = False
-            y[i], count[i] = 1, 0
-    return y, n, pref, count, ok
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _theta_batch(x, nome: _Nome):
-    """theta(x, p) at a complex128 array of nonzero arguments x, p the
-    built-in ``complex`` nome of ``nome`` (current, 0 < |p| < 1): the
-    values as a complex128 array, and a boolean array that is False where
-    :func:`theta` raises ``OverflowError``: in the reduction or at the end.
-
-    Each value lies within gamma_(8 count + 2 s) |theta(x, p)| of
-    :func:`theta`'s, count being the argument's factor pairs, s the
-    prefactor's rounded operations (0 when the reduction exponent n is 0,
-    |n| + 2 otherwise) and gamma_k = k u / (1 - k u) with u = 2^-53
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3).
-
-    The arguments are reduced on arrays (:func:`_reduce_many`), with the
-    reduced arguments x' bit for bit those of :func:`theta`.  The
-    truncated products then run as one complex128 product: the powers p^k
-    are formed once, the factor matrix (1 - x' p^k)(1 - (p/x') p^k) is set
-    to 1 where k >= count, and its rows are multiplied out.
-    """
-    y, _, pref, count, ok = _reduce_many(x, nome)
-    p = nome.p
-    pk = np.full(int(count.max(initial=0)), p)
-    pk[:1] = 1
-    pk = np.cumprod(pk)
-    col = y.reshape(-1, 1)
-    factors = 1 - col * pk
-    factors *= 1 - (p / col) * pk
-    factors[np.arange(pk.size) >= count.reshape(-1, 1)] = 1
-    values = pref * factors.prod(axis=1)
-    return values, ok & np.isfinite(values)
 
 
 def _mp_parts(v) -> tuple:
@@ -685,22 +697,17 @@ def theta_fact(x, q, p, k: int):
 
 class ThetaLadder:
     """The values j -> theta(z q^j; p) for integer j (negative j allowed),
-    each evaluated once and then memoised.  An entry is filled in one of
-    two ways: on first read, by :func:`theta` (at p = 0 by theta's closed
-    form 1 - z q^j, formed in place), or ahead of any read, by
-    :meth:`ThetaLadders.fill`, which evaluates many entries of a store in
-    one batch, within that batch's error bound (0 at p = 0) of the value
-    a read would give.
+    each evaluated once, on first read, by :func:`theta` (at p = 0 by
+    theta's closed form 1 - z q^j, formed in place), and then memoised.
 
     Every theta-shifted factorial (z q^s; q, p)_L is a window of this
     ladder, so a table of such factorials over many cells costs one theta
     call per distinct index instead of one per factor and cell.  The
     argument of entry j is ``z * q**j``, the association the weight
     formulas use, so values read off a ladder match direct evaluation bit
-    for bit (entries a batch filled: within its error bound).  A ladder
-    belongs to one (q, p) and one working precision: a parameter point
-    keeps its ladders (``ParamPoint.thetas``) and drops them when read at
-    another precision.
+    for bit.  A ladder belongs to one (q, p) and one working precision: a
+    parameter point keeps its ladders (``ParamPoint.thetas``) and drops
+    them when read at another precision.
 
     A ladder lives in a store: ``ThetaLadders(q, p)[z]`` makes it, with
     the store's ``nome`` (see :class:`_Nome`), the values of p its thetas
@@ -731,7 +738,15 @@ class ThetaLadder:
     def __getitem__(self, j: int):
         value = self._values.get(j)
         if value is None:
-            x = self.arg(j)
+            value = self.at(j, self.arg(j))
+        return value
+
+    def at(self, j: int, x):
+        """Entry j, evaluated from x, its argument :meth:`arg` (j), when it
+        is not stored yet: a read for a caller that forms the argument
+        anyway."""
+        value = self._values.get(j)
+        if value is None:
             if not self._basic:
                 value = theta(x, self.p, self._nome)
             elif x == 0:
@@ -784,7 +799,7 @@ class ThetaLadders(dict):
 
     The store also owns what its thetas share of the nome p (``nome``, a
     :class:`_Nome` its ladders hold too): log |p|, the reduction's powers
-    of p and, for an ``mpmath`` nome, the coefficients of its series; and
+    of p and the coefficients of theta's series; and
     for an ``mpmath`` q the powers of q its ladders' arguments are formed
     from (``q_powers``, a :class:`_PowersOfQ`; None for a built-in q).
     These are tied to the working precision they were computed at; a read
@@ -805,8 +820,8 @@ class ThetaLadders(dict):
 
     def copy(self) -> "ThetaLadders":
         """A store holding this store's values and sharing its nome and
-        its powers of q: what reads and fills of the copy add to the
-        ladders, this store never sees."""
+        its powers of q: what reads of the copy add to the ladders, this
+        store never sees."""
         out = ThetaLadders(self.q, self.p)
         out.nome = self.nome
         out.q_powers = self.q_powers
@@ -814,39 +829,6 @@ class ThetaLadders(dict):
             if ladder._values:
                 out[z]._values.update(ladder._values)
         return out
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def fill(self, entries):
-        """Evaluate ``entries``, (ladder, index) pairs of this store, in one
-        batch, and store the entries that are still missing: at p = 0 the
-        values 1 - arg a read forms, otherwise :func:`_theta_batch`'s, each
-        within its error bound of a read's.  Returns the margins
-        |theta(arg; p)| / (1 + |arg|) of the entries in order, arg = z q^j
-        formed once per entry as a read forms it: 0 for a zero argument, inf
-        for an entry that overflowed (left to be computed, and raise, when
-        read); |p| >= 1 raises ``DivergenceError``.
-
-        Only a built-in complex nome batches, and only when the arguments
-        make a complex128 array (built-in complex ones do, mpmath ones do
-        not); otherwise nothing is evaluated and the result is None."""
-        p = self.p
-        if type(p) is not complex:
-            return None
-        entries = list(entries)
-        x = np.array([ladder.z * ladder.q**j for ladder, j in entries])
-        if x.dtype != complex:
-            return None
-        live = x != 0
-        if p == 0:
-            values, ok = 1 - x, live
-        else:
-            values, ok = _theta_batch(np.where(live, x, 1), self.nome.current())
-            ok &= live
-        for (ladder, j), value, good in zip(entries, values.tolist(), ok.tolist()):
-            if good:
-                ladder._values.setdefault(j, value)
-        size = np.where(ok, np.hypot(values.real, values.imag), np.where(live, np.inf, 0.0))
-        return size / (1 + np.hypot(x.real, x.imag))
 
 
 def theta_ratio(num, den):

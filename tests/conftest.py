@@ -14,7 +14,6 @@ from thetacb.noncomm import (AlgebraTag, Evaluator, _homogeneous_rhs, elliptic_b
                              evaluate_element, path_binomial)
 from thetacb.params import IdentitySize, ParamPoint
 from thetacb.sampling import sample_param_point
-from thetacb.special import _Nome, _reduce, theta
 from thetacb.weights import binomial_weight, elliptic_weight, normalized_weight
 
 
@@ -32,54 +31,35 @@ def unit_complex(rng: Random, lo: float, hi: float) -> complex:
     return cmath.rect(mag, rng.uniform(0.0, 2.0 * math.pi))
 
 
-def count_theta_calls(monkeypatch, run) -> int:
-    """How many times ``run()`` calls ``special.theta``, under every name
-    a ``thetacb`` module binds it to."""
+def patch_theta(monkeypatch, wrap):
+    """Replace ``special.theta`` by ``wrap(theta)`` under every name a
+    ``thetacb`` module binds it to."""
     import thetacb.special as special
 
     inner = special.theta
-    calls = [0]
-
-    def counting(x, *args):
-        calls[0] += 1
-        return inner(x, *args)
-
+    wrapper = wrap(inner)
     for name, module in list(sys.modules.items()):
         if name.startswith("thetacb") and getattr(module, "theta", None) is inner:
-            monkeypatch.setattr(module, "theta", counting)
+            monkeypatch.setattr(module, "theta", wrapper)
+
+
+def count_theta_calls(monkeypatch, run) -> int:
+    """How many times ``run()`` calls ``special.theta``, under every name
+    a ``thetacb`` module binds it to."""
+    calls = [0]
+
+    def counting(inner):
+        def call(x, *args):
+            calls[0] += 1
+            return inner(x, *args)
+        return call
+
+    patch_theta(monkeypatch, counting)
     try:
         run()
     finally:
         monkeypatch.undo()
     return calls[0]
-
-
-def theta_batch_bound(x, p) -> float:
-    """gamma_(8 count + 2 s) |theta(x; p)|, the bound on how far a batched
-    double theta (``special._theta_batch``, the kernel of the store's
-    ``ThetaLadders.fill``) may lie from scalar ``theta``,
-    with count the argument's factor pairs, s the rounded operations of
-    its prefactor and gamma_k = k u / (1 - k u), u = 2^-53 (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, ch. 3).  Counting
-    each rounded complex operation once:
-
-    * each kernel rounds four times per pair (the factors 1 - x p^k and
-      1 - (p/x) p^k, each carrying its power's error, and their two
-      products into the running product), so each lies within
-      gamma_(4 count) of the exact truncated product;
-    * the two share x' = x p^n and the powers of p bit for bit, but may
-      form x^n differently (Python's and numpy's integer powers).  With
-      the reduction exponent n != 0, s = |n| + 2 powering steps: |n| - 1
-      products for x^|n|, its reciprocal (counted for either sign of n),
-      the product by p^(n(n-1)/2) and the product by the truncated
-      product; s = 0 at n = 0.
-
-    So the two lie within gamma_(8 count + 2 s) of each other.  It is 0
-    when there is neither a factor nor a prefactor."""
-    _, n, _, count = _reduce(x, _Nome(p).current())
-    steps = abs(n) + 2 if n else 0
-    k = (8 * count + 2 * steps) * 2.0**-53
-    return k / (1 - k) * abs(theta(x, p))
 
 
 def nan_on_second_call(fn):

@@ -13,6 +13,7 @@ import pytest
 from conftest import unit_complex
 from thetacb.bezout import (
     Poly,
+    _roots,
     abq1_cofactors,
     bezout_solve,
     connection_first,
@@ -105,6 +106,26 @@ class TestBezoutSolve:
         second = bezout_solve(qpoch_poly(1, q, 3), poly_monomial(3), 2, 2)
         assert first[0].coeffs == second[0].coeffs
         assert first[1].coeffs == second[1].coeffs
+
+    def test_mpmath_inputs_give_mpmath_cofactors(self):
+        with mpmath.workdps(40):
+            q = mpmath.mpc("0.45", "0.2")
+            q1, q2 = bezout_solve(qpoch_poly(1, q, 3), poly_monomial(3), 2, 2)
+            assert all(type(c) is mpmath.mpc for c in q1.coeffs + q2.coeffs)
+            c1, c2 = qcb_cofactors(q, 2, 2)
+            assert _coeff_gap(q1, c1) < 1e-35 and _coeff_gap(q2, c2) < 1e-35
+
+    def test_roots_of_the_factorials_and_of_a_monomial(self):
+        # (x; q)_k vanishes at x = q^-l, l < k; a zero constant coefficient
+        # gives the exact root 0
+        for q in (0.5, 0.3 + 0.4j, -0.8 + 0.1j):
+            roots = _roots(qpoch_poly(1, q, 6))
+            for l in range(6):
+                assert min(abs(z - q**-l) for z in roots) < 1e-12 * abs(q**-l)
+        assert _roots(poly_monomial(3)) == [0j, 0j, 0j]
+        assert _roots(poly_monomial(0, 2)) == []
+        zero, other = sorted(_roots(Poly((0, 2, 1))), key=abs)
+        assert zero == 0 and abs(other + 2) < 1e-15
 
     def test_common_root_rejected(self):
         q = 0.5

@@ -8,6 +8,7 @@ import importlib.util
 import inspect
 import json
 import math
+import os
 import subprocess
 import sys
 import typing
@@ -17,7 +18,7 @@ from random import Random
 import mpmath
 import pytest
 
-from conftest import count_theta_calls, fresh_copy
+from conftest import fresh_copy, patch_theta
 from thetacb import bezout, cli, noncomm, sampling, special
 from thetacb.cli import (
     REGISTRY,
@@ -307,29 +308,27 @@ class TestCampaign:
         assert summary["config"]["seed"] == 4
         assert summary["identities"]["classical_cb"]["failures"] == 0
 
-    def test_double_frenkel_turaev_campaign_reads_no_scalar_theta(self, monkeypatch):
-        # the scan's batch and the sum's own batch fill every entry it reads
-        config = CampaignConfig(identities=("frenkel_turaev",), m_max=3, n_max=3, seed=0)
-        report = []
-        assert count_theta_calls(monkeypatch, lambda: report.append(run_campaign(config))) == 0
-        assert report[0].all_pass
-
-    @pytest.mark.parametrize("name", ["homogeneous_elliptic_ab", "binomial_elliptic_ab"])
-    def test_ab_elliptic_campaign_reads_no_scalar_theta(self, monkeypatch, name):
-        # its shifted leaves read the entries the scan's batch filled
-        config = CampaignConfig(identities=(name,), m_max=3, n_max=3, seed=0)
-        report = []
-        assert count_theta_calls(monkeypatch, lambda: report.append(run_campaign(config))) == 0
-        assert report[0].all_pass
+    def test_a_double_frenkel_turaev_record_replays_alone(self, tmp_path):
+        # the sum reads the cell's store after the checks before it in name
+        # order; its records are those of a campaign of it alone
+        flags = ["--m-max", "3", "--n-max", "3", "--trials", "2", "--seed", "5"]
+        every, alone = tmp_path / "every.jsonl", tmp_path / "alone.jsonl"
+        main([*flags, "--out", str(every)])
+        main([*flags, "--identities", "frenkel_turaev", "--out", str(alone)])
+        lines = [line for line in every.read_text().splitlines()
+                 if '"identity":"frenkel_turaev"' in line]
+        assert len(lines) == 32 and lines == alone.read_text().splitlines()[:-1]
 
     def test_theta_free_campaign_evaluates_no_theta(self, monkeypatch):
         # the checks read no theta at p != 0: the only thetas of their
-        # campaign are the batches of the cells' elliptic scans
-        batch, batches, in_check = special._theta_batch, [0, 0], [False]
+        # campaign are the reads of the cells' elliptic scans
+        calls, in_check = [0, 0], [False]
 
-        def counting(*args):
-            batches[in_check[0]] += 1
-            return batch(*args)
+        def counting(inner):
+            def call(*args):
+                calls[in_check[0]] += 1
+                return inner(*args)
+            return call
 
         def flagged(runner):
             def run(*args):
@@ -340,15 +339,14 @@ class TestCampaign:
                     in_check[0] = False
             return run
 
-        monkeypatch.setattr(special, "_theta_batch", counting)
+        patch_theta(monkeypatch, counting)
         for name in THETA_FREE:
             description, cap, runner = REGISTRY[name]
             monkeypatch.setitem(REGISTRY, name, (description, cap, flagged(runner)))
         config = CampaignConfig(identities=tuple(sorted(THETA_FREE)), m_max=2, n_max=2, seed=0)
-        report = []
-        assert count_theta_calls(monkeypatch, lambda: report.append(run_campaign(config))) == 0
-        assert batches[1] == 0 and batches[0] >= 9 * 3
-        assert report[0].all_pass and len(report[0].records) == 15 * 9 * 3
+        report = run_campaign(config)
+        assert calls[1] == 0 and calls[0] >= 9 * 3
+        assert report.all_pass and len(report.records) == 15 * 9 * 3
 
     def test_extended_precision_campaign(self):
         config = CampaignConfig(identities=("matrix_pair",), m_max=1, n_max=1,
@@ -437,30 +435,25 @@ class TestSharedDraws:
             run_campaign(CampaignConfig(identities=("qcb",), m_max=0, n_max=0, trials=1))
 
     def test_the_checks_of_a_cell_read_one_store(self, monkeypatch):
-        # the checks of a cell read one store; a check of cli._OWN_STORE
-        # reads a copy of the scanned store that holds none of their reads
-        stores = []
+        # every check of a cell reads the one store, the very-well-poised
+        # sum included, and finds there the reads of the checks before it
+        stores, seen = [], []
 
         def reading(pp, m, n):
             stores.append(pp.thetas)
-            pp.thetas[pp.x * (2 + len(stores))][0]  # an entry no scan fills
+            seen.append(set(pp.thetas))
+            pp.thetas[pp.x * (2 + len(stores))][0]  # an entry no scan reads
             return 0.0
 
         names = ("classical_cb", "frenkel_turaev", "qcb")
-        assert "frenkel_turaev" in cli._OWN_STORE
         for name in names:
             monkeypatch.setitem(REGISTRY, name, ("reads", None, reading))
         run_campaign(CampaignConfig(identities=names, m_max=0, n_max=0, trials=1))
-        first, own, second = stores
-        assert first is second and own is not first and own.nome is first.nome
-        # both hold the scan's entries beside the reads of their checks
-        scanned = {z for z in first if z in own}
-        assert scanned and all(first[z]._values == own[z]._values for z in scanned)
-        assert len(first) == len(scanned) + 2 and len(own) == len(scanned) + 1
+        first, second, third = stores
+        assert first is second is third
+        assert seen[0] < seen[1] < seen[2] and len(seen[2]) == len(seen[0]) + 2
 
     def test_at_an_mpmath_campaign_every_check_reads_the_cell_store(self, monkeypatch):
-        # ThetaLadders.fill batches nothing at an mpmath nome, so a check of
-        # cli._OWN_STORE reads the cell's store there
         stores = []
 
         def reading(pp, m, n):
@@ -468,7 +461,6 @@ class TestSharedDraws:
             return 0.0
 
         names = ("classical_cb", "frenkel_turaev", "qcb")
-        assert "frenkel_turaev" in cli._OWN_STORE
         for name in names:
             monkeypatch.setitem(REGISTRY, name, ("reads", None, reading))
         run_campaign(CampaignConfig(identities=names, m_max=0, n_max=0, trials=1,
@@ -476,29 +468,42 @@ class TestSharedDraws:
         first, own, second = stores
         assert first is own is second
 
-    def test_only_the_scan_and_the_own_store_checks_fill_a_batch(self, monkeypatch):
-        # a batch a shared-store check filled would make the records of the
-        # cell's other checks depend on whether it ran
-        fill, callers, running = special.ThetaLadders.fill, set(), [None]
+    def test_every_entry_of_a_cell_store_is_a_fresh_theta(self, monkeypatch):
+        # whichever check or scan read it first, bit for bit
+        stores = {}
 
-        def recording(store, entries):
-            callers.add(running[0])
-            return fill(store, entries)
-
-        def named(name, runner):
-            def run(*args):
-                running[0] = name
-                try:
-                    return runner(*args)
-                finally:
-                    running[0] = None
+        def keeping(runner):
+            def run(pp, m, n):
+                stores[id(pp.thetas)] = pp.thetas
+                return runner(pp, m, n)
             return run
 
-        monkeypatch.setattr(special.ThetaLadders, "fill", recording)
         for name, (description, cap, runner) in list(REGISTRY.items()):
-            monkeypatch.setitem(REGISTRY, name, (description, cap, named(name, runner)))
-        assert run_campaign(CampaignConfig(m_max=2, n_max=2, trials=1, seed=1)).all_pass
-        assert callers == {None, *cli._OWN_STORE}
+            monkeypatch.setitem(REGISTRY, name, (description, cap, keeping(runner)))
+        run_campaign(CampaignConfig(m_max=2, n_max=2, trials=1, seed=1))
+        entries = 0
+        for store in stores.values():
+            for z, ladder in store.items():
+                for j, value in ladder._values.items():
+                    assert value == special.theta(z * store.q**j, store.p), (z, j)
+                    entries += 1
+        assert entries > 500
+
+    def test_each_distinct_entry_is_computed_once_per_cell(self, monkeypatch):
+        # a store read is a theta call with the store's nome; no argument is
+        # evaluated twice at one nome, however many checks read it
+        computed = {}
+
+        def counting(inner):
+            def call(x, p, _nome=None):
+                if _nome is not None:
+                    computed[_nome, x] = computed.get((_nome, x), 0) + 1
+                return inner(x, p, _nome)
+            return call
+
+        patch_theta(monkeypatch, counting)
+        run_campaign(CampaignConfig(m_max=2, n_max=2, trials=1, seed=1))
+        assert len(computed) > 500 and max(computed.values()) == 1
 
 
 #: The campaign_mp40 benchmark workload, cut to one trial per cell.
@@ -715,7 +720,7 @@ _NORMAL_FORM_ROWS = [
                 c=0.06562705561030881 + 0.4897908069488071j,
                 q=0.42039614729038 + 0.5680303038842757j,
                 p=0.16340911553195858 - 0.07105989340891329j),
-     "0x1.486a358a08130p-26"),
+     "0x1.f2c698ef0876dp-28"),
     ("P13", "homogeneous_elliptic_ab", 3, 3,
      ParamPoint(x=0.29087152772003955 - 0.13672326057966502j,
                 a=0.044918310464054645 + 0.2091089772990687j,
@@ -723,7 +728,7 @@ _NORMAL_FORM_ROWS = [
                 c=-0.18021590312230643 - 0.11599836186667382j,
                 q=0.4799100052077906 + 0.5245501054594653j,
                 p=0.23028898601307443 - 0.024414160584908987j),
-     "0x1.dafa4e48a959ep-26"),
+     "0x1.a0f061a9162f8p-25"),
     ("P14", "homogeneous_elliptic_ab", 0, 3,
      ParamPoint(x=1.1402198247070343 - 1.3105906638116773j,
                 a=-0.029667319597097327 - 0.5490115537015764j,
@@ -731,7 +736,7 @@ _NORMAL_FORM_ROWS = [
                 c=-0.4110241995730285 + 0.717609880825629j,
                 q=-0.07852864475260887 + 0.7548869841453648j,
                 p=0.4764934384642356 - 0.05036829652574997j),
-     "0x1.e4f6f2ae63557p-31"),
+     "0x1.105479092a7e2p-28"),
     ("P15", "homogeneous_elliptic_ab", 0, 3,
      ParamPoint(x=0.2847246675789329 + 0.045999091293416394j,
                 a=-0.1443043388456615 - 0.23932654663298986j,
@@ -739,7 +744,7 @@ _NORMAL_FORM_ROWS = [
                 c=-0.19913931073979022 + 0.24921254002546145j,
                 q=-0.046364796704009635 + 0.5557847617451132j,
                 p=0.46758373759252697 - 0.15376653063932805j),
-     "0x1.aa7ea350047efp-28"),
+     "0x1.54f693a497144p-26"),
     ("P16", "homogeneous_elliptic_xabc", 3, 0,
      ParamPoint(x=-0.4172400287181757 + 1.2659903255073213j,
                 a=-0.5489173536906076 + 0.010594640906175812j,
@@ -747,7 +752,7 @@ _NORMAL_FORM_ROWS = [
                 c=-0.7583388534174045 + 0.5928340079374828j,
                 q=0.032380491110463476 - 0.766191231857458j,
                 p=0.46884293680219713 + 0.08093196270085053j),
-     "0x1.d97f719b38cd7p-27"),
+     "0x1.530416e1ecf05p-25"),
     ("P17", "binomial_elliptic_ab", 6, 0,
      ParamPoint(x=-1.3357362879543955 + 0.47005368695886485j,
                 a=0.2973922119491361 + 0.1929460573152787j,
@@ -755,7 +760,7 @@ _NORMAL_FORM_ROWS = [
                 c=-0.2242335966458061 + 0.34657941233376593j,
                 q=-0.36787737243930324 - 0.053682042189243134j,
                 p=0.48230761042471987 + 0.0801790002258324j),
-     "0x1.4755237d8c85fp-24"),
+     "0x1.56288189dfc73p-24"),
     ("P18", "binomial_elliptic_ab", 8, 0,
      ParamPoint(x=-0.17926543361262848 - 1.0251336627138594j,
                 a=1.0641560825669323 - 0.27006412411253955j,
@@ -763,7 +768,7 @@ _NORMAL_FORM_ROWS = [
                 c=-0.20939939478207598 + 0.5209536693970459j,
                 q=0.33682115241938176 - 0.45362145752266947j,
                 p=0.2706616070836588 - 0.056261948324981506j),
-     "0x1.2abb09eaa4203p-9"),
+     "0x1.952a80553b9c0p-10"),
     ("P19", "binomial_elliptic_ab", 5, 0,
      ParamPoint(x=0.5444346543696765 - 0.02371938597349201j,
                 a=0.6003774403128994 + 0.046203274070769684j,
@@ -771,7 +776,7 @@ _NORMAL_FORM_ROWS = [
                 c=0.6551122684379317 - 0.22437076329973554j,
                 q=-0.1480703528790706 - 0.31074444706501486j,
                 p=0.35228372995609575 - 0.2015911892852429j),
-     "0x1.2631a89284218p-23"),
+     "0x1.77db34d07db23p-23"),
     ("P20", "homogeneous_elliptic_ab", 5, 2,
      ParamPoint(x=-0.6995877631500479 + 0.0032707573593857174j,
                 a=0.931360969696288 - 0.7478606378724963j,
@@ -779,7 +784,7 @@ _NORMAL_FORM_ROWS = [
                 c=-0.28238502022648565 + 0.054978810061115664j,
                 q=0.4383355183377556 - 0.24525779138959325j,
                 p=0.1272874834485211 + 0.126541117878477j),
-     "0x1.c7ea50d5b0406p-23"),
+     "0x1.d6cb3cf52b2ebp-24"),
     ("P23", "homogeneous_elliptic_ab", 3, 3,
      ParamPoint(x=0.22627676451701656 - 0.019447958900030732j,
                 a=0.23075571474829965 + 0.03456295900731236j,
@@ -787,7 +792,7 @@ _NORMAL_FORM_ROWS = [
                 c=-0.5839227105541401 - 1.3842723140114583j,
                 q=0.2967649952888019 + 0.5955167298574331j,
                 p=0.32413302451170184 + 0.13001932076360134j),
-     "0x1.828d6f7a0171fp-20"),
+     "0x1.4c73b05c8145bp-20"),
     ("P24", "homogeneous_elliptic_ab", 3, 3,
      ParamPoint(x=1.2889409718435665 - 1.2339130531217735j,
                 a=-0.4222935027645277 + 0.6664530432890718j,
@@ -795,7 +800,7 @@ _NORMAL_FORM_ROWS = [
                 c=-0.43331645461524426 - 0.014567478307001998j,
                 q=0.466085724188462 + 0.7007876233176431j,
                 p=0.2725709362418221 - 0.03439372819641474j),
-     "0x1.1006226e55f7dp-22"),
+     "0x1.a04a03d5a2c46p-25"),
     ("P25", "homogeneous_elliptic_ab", 1, 3,
      ParamPoint(x=0.17372838160861911 + 0.40845161099464017j,
                 a=-0.2151921270607581 - 0.20960241700629417j,
@@ -803,7 +808,7 @@ _NORMAL_FORM_ROWS = [
                 c=-0.5598124831079934 + 0.3758660150216283j,
                 q=0.21841441609717113 - 0.3880204697904412j,
                 p=0.38564384170323357 + 0.0680763866947388j),
-     "0x1.887f25aa7b743p-20"),
+     "0x1.715ba7bb24d37p-22"),
     ("P26", "homogeneous_elliptic_ab", 3, 3,
      ParamPoint(x=1.0231050950904312 - 0.4521130225995028j,
                 a=1.089493549999112 + 0.40780130049345353j,
@@ -811,7 +816,7 @@ _NORMAL_FORM_ROWS = [
                 c=1.0759928968606858 + 0.7643012484553144j,
                 q=0.27898579699855064 - 0.524017480537496j,
                 p=0.3305307780153147 + 0.0620399724350724j),
-     "0x1.78cddecff8417p-22"),
+     "0x1.68949f356c491p-22"),
 ]
 
 
@@ -819,6 +824,31 @@ _NORMAL_FORM_ROWS = [
                          ids=[row[0] for row in _NORMAL_FORM_ROWS])
 def test_normal_form_residual_is_pinned_bit_for_bit(name, m, n, point, residual):
     assert REGISTRY[name][2](point, m, n).hex() == residual
+
+
+def test_bezout_qcb_solves_at_the_working_precision(tmp_path):
+    # the cofactor system is solved in 40-digit arithmetic, not in doubles
+    out = tmp_path / "report.jsonl"
+    main(["--identities", "bezout_qcb", "--precision", "40", "--m-max", "3", "--n-max", "3",
+          "--trials", "1", "--seed", "0", "--out", str(out)])
+    summary = json.loads(out.read_text().splitlines()[-1])["identities"]["bezout_qcb"]
+    assert summary["trials"] == 16 and summary["max_residual"] <= 1e-35
+
+
+def test_a_campaign_of_every_check_imports_no_numpy():
+    # every registered check, in doubles and at 40 digits, in a fresh
+    # interpreter
+    root = Path(__file__).resolve().parents[1]
+    code = ("import os, sys\n"
+            "from thetacb.cli import main\n"
+            "for extra in ([], ['--precision', '40']):\n"
+            "    main(['--m-max', '1', '--n-max', '1', '--trials', '1', '--out', os.devnull,"
+            " *extra])\n"
+            "print('numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False"]
 
 
 def test_bezout_qcb_keeps_a_nan_coefficient_gap(monkeypatch, generic_point):

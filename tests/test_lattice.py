@@ -4,6 +4,7 @@ generating function, the normalised table, and the partition of unity."""
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from random import Random
 
 import mpmath
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 from conftest import count_theta_calls, fresh_copy, nan_on_second_call
 from thetacb.errors import CapExceededError, DegenerateParameterError
 from thetacb.lattice import (
+    BRUTE_FORCE_CAP,
+    _path_weights,
     a_bruteforce,
     a_closed,
     a_closed_alt,
@@ -31,7 +34,7 @@ from thetacb.lattice import (
 from thetacb.params import IdentitySize
 from thetacb.sampling import sample_param_point, to_mp
 from thetacb.special import ratio_rows, relative_residual, theta, theta_prod, worst_residual
-from thetacb.weights import elliptic_weight, h_row
+from thetacb.weights import elliptic_weight, h_row, h_table
 
 
 class TestEnumeration:
@@ -53,7 +56,43 @@ class TestEnumeration:
             endpoint_weights(generic_point, 7, 6)
 
 
+def _enumerated_weights(pp, east, north, m, n) -> list:
+    """The path weights of ``lattice._path_weights`` by enumeration: every
+    path as a bit sequence, east = 1 and north = 0, in the order of the
+    combinations of its east steps, its weight multiplied out from 1 step
+    by step."""
+    h = h_table(pp, m, n)
+    out = []
+    for pos in combinations(range(east + north), east):
+        bits = [0] * (east + north)
+        for t in pos:
+            bits[t] = 1
+        acc = 1
+        i = j = 0
+        for s in bits:
+            if s:
+                if j <= n:
+                    acc = acc * h[i][j]
+                i += 1
+            else:
+                if i <= m:
+                    acc = acc * (1 - h[i][j])
+                j += 1
+        out.append(acc)
+    return out
+
+
 class TestPathWeights:
+    def test_the_walk_gives_the_enumerations_weights_bit_for_bit(self):
+        # at every (k, l) up to the cap, in the form endpoint_weights reads
+        # and in the form of the total over the rectangle
+        pp = sample_param_point(Random(7), IdentitySize(6, 6))
+        for k in range(BRUTE_FORCE_CAP + 1):
+            for l in range(BRUTE_FORCE_CAP + 1 - k):
+                assert endpoint_weights(pp, k, l) == _enumerated_weights(pp, k, l, k, l)
+                assert (list(_path_weights(pp, k + 1, l + 1, k, l))
+                        == _enumerated_weights(pp, k + 1, l + 1, k, l))
+
     def test_two_step_region(self, generic_point):
         h00 = elliptic_weight(generic_point, 0, 0)
         east = endpoint_weights(generic_point, 1, 0)

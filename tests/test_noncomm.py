@@ -11,8 +11,8 @@ from random import Random
 import mpmath
 import pytest
 
-from conftest import (LEAF_KERNELS, ab_point, count_theta_calls, fresh_copy,
-                      nan_on_second_call, normal_form_leaves, shifted_point, unit_complex)
+from conftest import (LEAF_KERNELS, ab_point, fresh_copy, nan_on_second_call,
+                      normal_form_leaves, shifted_point, unit_complex)
 from thetacb import noncomm
 from thetacb.errors import DegenerateParameterError
 from thetacb.noncomm import (
@@ -302,7 +302,7 @@ class TestBinomialTheorems:
                        "in doubles; the residual is not scaled by the magnitude it was "
                        "summed from (ROADMAP item 1)")
     def test_cancelling_point_passes_in_doubles(self):
-        # a fresh store at this point reads 2.28e-3
+        # a fresh store at this point reads 1.55e-3
         residual = binomial_theorem_residual(AlgebraTag.ELLIPTIC_AB, _cancelling_point(), 8)
         assert residual <= 1e-8
 
@@ -506,19 +506,17 @@ class TestVeryWellPoisedSum:
             checked += 1
         assert worst < 1e-9
 
-    def test_double_point_reads_no_scalar_theta(self, monkeypatch, generic_point):
-        # every entry the sum reads is filled by one batch, whether or not
-        # the sampler's scan has filled the store before
+    def test_double_point_reads_the_store_bit_for_bit(self, generic_point):
+        # the sum reads its entries as it reaches them: the scanned store
+        # and a fresh one hand out the bits of direct theta calls
         for n in range(7):
-            for pp in (generic_point, fresh_copy(generic_point)):
-                sides = []
-                assert count_theta_calls(
-                    monkeypatch, lambda: sides.extend(frenkel_turaev(pp, n))) == 0
-                assert relative_residual(*sides) < 1e-9
+            sides = frenkel_turaev(generic_point, n)
+            assert sides == frenkel_turaev(fresh_copy(generic_point), n)
+            assert relative_residual(*sides) < 1e-9
 
     def test_mp_point_reads_the_store_bit_for_bit(self, generic_point):
-        # at an mpmath point nothing is batched: the store hands out the
-        # bits of a direct theta call, whatever read it first
+        # the store hands out the bits of a direct theta call, whatever
+        # read it first
         with mpmath.workdps(40):
             pp = ParamPoint(*(mpmath.mpc(v) for v in (
                 generic_point.x, generic_point.a, generic_point.b,

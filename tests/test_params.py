@@ -1,5 +1,5 @@
 """The theta store a parameter point owns: who shares it, when a point
-starts a fresh one, and how the genericity scan fills it."""
+starts a fresh one, and what the genericity scan stores in it."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from random import Random
 import mpmath
 import pytest
 
-from conftest import count_theta_calls, fresh_copy, theta_batch_bound
+from conftest import count_theta_calls, fresh_copy
 from thetacb import cli
 from thetacb.cli import REGISTRY, CampaignConfig
 from thetacb.identities import cb_residual, cb_term_abcq, cb_term_elliptic
@@ -19,9 +19,8 @@ from thetacb.params import IdentitySize, ParamPoint
 import thetacb.sampling as sampling
 from thetacb.errors import DegenerateParameterError, ResamplingExhaustedError
 from thetacb.sampling import (DEFAULT_GUARD, P_HI, P_LO, _denominator_args, _draw,
-                              _weight_numerator_args, check_genericity, sample_param_point,
-                              theta_margin, to_mp)
-from thetacb.special import ThetaLadder, ThetaLadders
+                              check_genericity, sample_param_point, theta_margin, to_mp)
+from thetacb.special import ThetaLadder, theta
 from thetacb.weights import elliptic_weight
 
 
@@ -68,10 +67,11 @@ def test_check_reuses_the_thetas_of_the_genericity_scan(monkeypatch, check):
     after_scan = count_theta_calls(monkeypatch, lambda: got.append(check(pp)))
     fresh = count_theta_calls(monkeypatch, lambda: want.append(check(copy)))
     assert after_scan < fresh
-    # the scanned point read every theta the fresh copy read, each within
-    # the batch bound; the residuals differ by rounding only
-    _assert_store_within_bound(_store(pp), _store(copy), pp)
-    assert max(got + want) <= CampaignConfig().tol
+    # the scanned point holds every theta the fresh copy read, bit for bit,
+    # so the residuals are equal
+    store = _store(pp)
+    assert all(store[key] == value for key, value in _store(copy).items())
+    assert got == want and got[0] <= CampaignConfig().tol
 
 
 def test_mirror_term_reads_the_thetas_of_the_first(monkeypatch):
@@ -138,15 +138,6 @@ def _store(pp):
             for j, value in ladder._values.items()}
 
 
-def _assert_store_within_bound(store, reads, pp):
-    """``store`` holds every entry of ``reads``, a store of scalar reads at
-    point ``pp``, within the batch bound of its value
-    (:func:`conftest.theta_batch_bound`)."""
-    for (z, j), want in reads.items():
-        x = z * pp.q**j
-        assert abs(store[z, j] - want) <= theta_batch_bound(x, pp.p), (z, j)
-
-
 def _verdict(pp, size, guard):
     try:
         return check_genericity(pp, size, guard)
@@ -156,34 +147,27 @@ def _verdict(pp, size, guard):
 
 @pytest.mark.parametrize("depth", [0, 3, 8, 14])
 @pytest.mark.parametrize("guard", [DEFAULT_GUARD, 0.05])
-def test_genericity_scan_fills_the_store_with_the_values_of_scalar_reads(
-        monkeypatch, depth, guard):
+def test_genericity_scan_fills_the_store_with_the_values_of_scalar_reads(depth, guard):
+    # every entry the scan stores, at a draw and at its p = 0 point, is a
+    # fresh theta at its argument, bit for bit; a draw the scan accepts
+    # holds every denominator it checks but those whose read overflows
     size = IdentitySize(depth, depth)
+    accepted = 0
     for seed in range(6):
-        pp = _draw(Random(seed), P_HI)
-        verdict = _verdict(pp, size, guard)
-        # every pair the scan reads, read one at a time on a fresh copy; a
-        # read whose reduction overflows leaves no entry, as in the scan
-        reads = fresh_copy(pp)
-        for ladder, j in [*_denominator_args(reads, depth, depth),
-                          *_weight_numerator_args(reads, depth, depth)]:
-            try:
-                ladder[j]
-            except OverflowError:
-                pass
-        assert _store(pp).keys() == _store(reads).keys()
-        _assert_store_within_bound(_store(pp), _store(reads), pp)
-        # the scan without the batch, on scalar reads alone
-        with monkeypatch.context() as patch:
-            patch.setattr(ThetaLadders, "fill", lambda self, entries: None)
-            assert _verdict(fresh_copy(pp), size, guard) == verdict
-
-
-def test_the_scan_makes_no_scalar_theta_call(monkeypatch):
-    size = IdentitySize(3, 3)
-    for seed in range(4):
-        pp = _draw(Random(seed), P_HI)
-        assert count_theta_calls(monkeypatch, lambda: check_genericity(pp, size)) == 0
+        draw = _draw(Random(seed), P_HI)
+        for pp in (draw, draw.replace(p=0j)):
+            verdict = _verdict(pp, size, guard)
+            store = _store(pp)
+            assert store
+            for (z, j), value in store.items():
+                assert value == theta(z * pp.q**j, pp.p), (z, j)
+            if verdict is True:
+                accepted += 1
+                reads = fresh_copy(pp)
+                assert store.keys() >= {(ladder.z, j) for ladder, j
+                                        in _denominator_args(reads, depth, depth)
+                                        if theta_margin(ladder, j) < math.inf}
+    assert accepted
 
 
 def _reference_verdict(pp, size, guard):
@@ -204,30 +188,17 @@ def _reference_verdict(pp, size, guard):
 
 
 @pytest.mark.parametrize("depth", [0, 3, 8, 14])
-def test_genericity_scan_margins_and_verdicts_match_a_per_entry_loop(monkeypatch, depth):
+def test_genericity_scan_margins_and_verdicts_match_a_per_entry_loop(depth):
     size = IdentitySize(depth, depth)
     verdicts, overflowed = set(), 0
     for seed in range(8):
         pp = _draw(Random(seed), P_HI)
-        scan = list(_denominator_args(pp, depth, depth))
-        margins = pp.thetas.fill([*scan, *_weight_numerator_args(pp, depth, depth)])
-        reads = fresh_copy(pp)
-        for got, (ladder, j) in zip(margins[:len(scan)], _denominator_args(reads, depth, depth)):
-            want = theta_margin(ladder, j)
-            if want == math.inf:
-                assert got == math.inf
-                overflowed += 1
-            else:
-                x = ladder.z * ladder.q**j
-                slack = theta_batch_bound(x, pp.p) / (1 + abs(x)) + 4 * 2.0**-53 * want
-                assert abs(got - want) <= slack, (ladder.z, j)
+        overflowed += sum(theta_margin(ladder, j) == math.inf
+                          for ladder, j in _denominator_args(fresh_copy(pp), depth, depth))
         for guard in (DEFAULT_GUARD, 0.05):
-            got = []
-            scan_point = fresh_copy(pp)
-            assert count_theta_calls(
-                monkeypatch, lambda: got.append(_verdict(scan_point, size, guard))) == 0
-            assert got[0] == _reference_verdict(pp, size, guard)
-            verdicts.add(got[0])
+            got = _verdict(fresh_copy(pp), size, guard)
+            assert got == _reference_verdict(pp, size, guard)
+            verdicts.add(got)
     assert {True, False} <= verdicts
     assert overflowed or depth < 14
 
@@ -243,30 +214,14 @@ def _scan_with_counted_margins(monkeypatch, pp, size):
     return verdict, calls
 
 
-@pytest.mark.parametrize("point", [pytest.param(to_mp, id="mpmath")])
+@pytest.mark.parametrize("point", [pytest.param(to_mp, id="mpmath"),
+                                   pytest.param(fresh_copy, id="double")])
 def test_genericity_scan_reads_entry_by_entry_without_a_batch(monkeypatch, point):
     size = IdentitySize(2, 2)
     for seed in range(3):
         pp = point(_draw(Random(seed), P_HI))
-        assert pp.thetas.fill(_denominator_args(pp, 2, 2)) is None
         verdict, calls = _scan_with_counted_margins(monkeypatch, pp, size)
         assert calls and verdict == _reference_verdict(pp, size, DEFAULT_GUARD)
-
-
-def test_a_p_zero_scan_reads_its_margins_from_the_fill(monkeypatch):
-    # the fill stores the values a read forms and returns theta_margin's
-    # margins, so the scan reads none entry by entry
-    size = IdentitySize(2, 2)
-    for seed in range(3):
-        pp = _draw(Random(seed), P_HI).replace(p=0j)
-        scan = list(_denominator_args(pp, 2, 2))
-        margins = pp.thetas.fill(scan)
-        reads = fresh_copy(pp)
-        for got, (ladder, j), (read, _) in zip(margins.tolist(), scan,
-                                               _denominator_args(reads, 2, 2)):
-            assert ladder._values[j] == read[j] and got == theta_margin(read, j)
-        verdict, calls = _scan_with_counted_margins(monkeypatch, pp, size)
-        assert not calls and verdict == _reference_verdict(pp, size, DEFAULT_GUARD)
 
 
 def test_a_nome_bound_below_the_sampled_range_is_rejected():

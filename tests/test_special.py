@@ -9,24 +9,24 @@ import warnings
 from random import Random
 
 import mpmath
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import ring_complex, theta_batch_bound
+from conftest import ring_complex
 from thetacb.errors import (
     DegenerateParameterError,
     DivergenceError,
     RootOfUnityError,
     ZeroArgumentError,
 )
-from thetacb.sampling import (P_HI, _denominator_args, _draw, _weight_numerator_args,
-                              theta_margin)
+from thetacb.sampling import P_HI, _denominator_args, _draw, theta_margin
 import thetacb.special as special
 from thetacb.special import (
     DENOMINATOR_GUARD,
     LOG_SPACE_MAG,
+    SERIES_MAX_NOME,
+    SQUARED_NOME_FROM,
     addition_formula_residual,
     qbinom,
     qpoch,
@@ -35,10 +35,10 @@ from thetacb.special import (
     ThetaLadders,
     _Nome,
     _mp_powers,
+    _factor_count,
     _prefactor_mag,
+    _product_floor_bits,
     _reduce,
-    _reduce_many,
-    _theta_batch,
     relative_residual,
     series_with_running_products,
     theta,
@@ -149,13 +149,58 @@ def _double_points():
 
 class TestThetaTruncation:
     def test_matches_per_factor_loop_in_doubles(self):
-        for x, p in _double_points():
+        # above the series' crossover theta is the product loop, bit for bit
+        above = [(x, p) for x, p in _double_points() if abs(p) > SERIES_MAX_NOME]
+        assert len(above) > 150
+        for x, p in above:
             assert theta(x, p) == _theta_reference(x, p)
 
     def test_within_four_units_of_a_wider_reference_at_40_digits(self):
         with mpmath.workdps(40):
             for x, p in _mp_points():
                 _assert_units_of_reference(theta(x, p), x, p, 4)
+
+    def test_the_series_is_no_less_accurate_than_the_product(self):
+        # reduced arguments across the annulus at nomes up to the crossover:
+        # against a 60-digit reference, the series' error in units of
+        # 2^-53 is no larger than the per-factor product's at the median
+        # and at the largest, and the series is what theta runs there
+        rng = Random(11)
+        series, product = [], []
+        for _ in range(1500):
+            p = cmath.rect(math.exp(rng.uniform(math.log(0.05), math.log(SERIES_MAX_NOME))),
+                           rng.uniform(0.0, 2.0 * math.pi))
+            x = cmath.rect(abs(p) ** rng.uniform(-0.5, 0.5), rng.uniform(0.0, 2.0 * math.pi))
+            assert _Nome(p).current().series is not None
+            ref = _double_reference(x, p)
+            series.append(_units(theta(x, p), ref))
+            product.append(_units(_theta_reference(x, p), ref))
+        series.sort()
+        product.sort()
+        assert series[750] <= product[750] and series[-1] <= product[-1]
+
+    def test_the_series_runs_where_it_loses_at_most_four_bits(self):
+        # at p below SQUARED_NOME_FROM, at p^2 up to SERIES_MAX_NOME
+        step = 1e-3
+        assert _product_floor_bits(SQUARED_NOME_FROM) <= 4
+        assert _product_floor_bits(SQUARED_NOME_FROM + step) > 4
+        assert _product_floor_bits(SERIES_MAX_NOME**2) <= 4
+        assert _product_floor_bits((SERIES_MAX_NOME + step) ** 2) > 4
+        for r, squared in ((SQUARED_NOME_FROM - step, False), (SQUARED_NOME_FROM, True),
+                           (SERIES_MAX_NOME, True)):
+            nome = _Nome(cmath.rect(r, 1.0)).current()
+            assert nome.series is not None and nome.squared is squared
+        assert _Nome(cmath.rect(SERIES_MAX_NOME + step, 1.0)).current().series is None
+
+    def test_a_tiny_nome_keeps_the_terms_it_needs(self):
+        # |p| = 1e-20 and |x| = |p|^-0.49: the product's factor count,
+        # taken from 1e-18 (1 + |x|), kept the pair k = 0 alone and was
+        # 6.3e-11 off, missing 1 - x p; the series' count comes from |p|
+        p = cmath.rect(1e-20, 1.0)
+        x = cmath.rect(abs(p) ** -0.49, 0.3)
+        with mpmath.workdps(60):
+            ref = _theta_reference(mpmath.mpc(x), mpmath.mpc(p))
+        assert _units(theta(x, p), ref) <= 4
 
 
 def _mp_points():
@@ -181,34 +226,72 @@ def _far_points():
         yield p, xs
 
 
-def _batch(xs, p) -> list:
-    """The store's batch kernel at the arguments ``xs`` and nome p, as a
-    list: None where the argument's reduction overflowed."""
-    values, ok = _theta_batch(np.array(xs, dtype=complex), _Nome(p).current())
-    return [value if good else None for value, good in zip(values.tolist(), ok.tolist())]
+def _double_reference(x, p):
+    """theta(x; p) for built-in x and p at 60 digits, as the double kernel
+    is to give it: the exact prefactor (-1)^n x^n p^(n(n-1)/2) times theta
+    at the reduced argument x' = x p^n as :func:`special._reduce` rounds
+    it, theta(x') from the test's own series (:func:`_theta_series`), and
+    exactly 0 at x' = 1.  So the comparison leaves out how far one unit of
+    x' moves theta, which no double kernel can recover."""
+    nome = _Nome(p).current()
+    n = round(-math.log(abs(x)) / nome.log_ap)
+    try:
+        reduced, _ = _reduce(x, nome)
+    except OverflowError:
+        reduced = None  # x' itself is representable; take it exact
+    if reduced == 1:
+        return 0
+    with mpmath.workdps(60):
+        xm, pm = mpmath.mpc(x), mpmath.mpc(p)
+        reduced = xm * pm**n if reduced is None else mpmath.mpc(reduced)
+        value, = _theta_series([reduced], pm, mpmath.mp.prec + 30)
+        return (-1) ** n * xm**n * pm ** (n * (n - 1) // 2) * value
 
 
-def _assert_within_bound(xs, p):
-    """The batch at xs and p lies within :func:`conftest.theta_batch_bound`
-    of theta at every x."""
-    got = _batch(xs, p)
-    assert len(got) == len(xs)
-    for x, value in zip(xs, got):
-        assert abs(value - theta(x, p)) <= theta_batch_bound(x, p), (x, p)
+def _units(value, ref) -> float:
+    """|value - ref| in units of 2^-53 |ref|."""
+    return float(abs(value - ref) / abs(ref)) * 2.0**53
+
+
+def _double_bound(x, p) -> float:
+    """The units of 2^-53 double theta may lie from
+    :func:`_double_reference`.  The prefactor's: 2 (|n| + 2 + L), for its
+    |n| + 2 rounded complex operations (|n| - 1 products for x^|n|, its
+    reciprocal counted for either sign of n, the product by p^(n(n-1)/2)
+    and the one by the reduced theta), and for its powers taken as
+    exp(log), which carry the error of their exponents, at most
+    L = |n| |log x| + |n(n-1)/2| |log p| with complex logs.  The reduced
+    theta's: 4 times 2^:func:`special._product_floor_bits` (|P|) for each
+    series at the nome P, whose sum cancels by up to that factor (two at
+    P = p^2, and their product), and 8 per factor pair for the product,
+    each pair rounding four times, each carrying its power's error."""
+    nome = _Nome(p).current()
+    reduced, _ = _reduce(x, nome)
+    n = round(-math.log(abs(x)) / nome.log_ap)
+    logs = abs(n) * abs(cmath.log(x)) + abs(n * (n - 1) // 2) * abs(cmath.log(p))
+    if nome.series is None:
+        own = 8 * _factor_count(abs(reduced), nome.log_ap)
+    elif nome.squared:
+        own = 8 * 2 ** _product_floor_bits(abs(p) ** 2) + 2
+    else:
+        own = 4 * 2 ** _product_floor_bits(abs(p))
+    return 2 * (abs(n) + 2 + logs) + own
+
+
+def _assert_near_reference(xs, p):
+    """theta at every x of ``xs`` within :func:`_double_bound` of
+    :func:`_double_reference`, or 0 where the reference is."""
+    for x in xs:
+        ref = _double_reference(x, p)
+        if ref == 0:
+            assert theta(x, p) == 0, (x, p)
+        else:
+            assert _units(theta(x, p), ref) <= _double_bound(x, p), (x, p)
 
 
 class TestThetaMany:
-    """The batch behind :meth:`ThetaLadders.fill` against scalar theta."""
-
-    def test_seeded_points_batched_per_nome(self):
-        points = list(_double_points())
-        for x, p in points:
-            _assert_within_bound([x], p)
-        # every argument under a few of the nomes: factor counts differ
-        # across a batch
-        xs = [x for x, _ in points]
-        for _, p in points[::250]:
-            _assert_within_bound(xs, p)
+    """Double theta at many arguments per nome against a 60-digit
+    reference, within :func:`_double_bound`."""
 
     def test_arguments_and_nomes_on_the_axes(self):
         # zero parts, signed zeros and the zero of theta at x = 1
@@ -216,34 +299,37 @@ class TestThetaMany:
         xs += [complex(0.0, r) for r in (0.5, -0.5, 2.0, -2.0)]
         xs += [complex(-0.0, 0.7), complex(0.7, -0.0), complex(1.0, 0.0)]
         for p in (0.3 + 0j, -0.3 + 0j, 0.3j, -0.3j, complex(0.2, -0.0), complex(-0.0, 0.6)):
-            _assert_within_bound(xs, p)
+            _assert_near_reference(xs, p)
 
     @pytest.mark.parametrize("depth", [0, 3, 8, 14])
     def test_the_genericity_scans_arguments(self, depth):
+        # every denominator the scan reads, at the scan's depths; an
+        # argument deep in a quasi-period overflows, and its reference is
+        # beyond doubles
         for seed in range(4):
             pp = _draw(Random(seed), P_HI)
-            pairs = [*_denominator_args(pp, depth, depth),
-                     *_weight_numerator_args(pp, depth, depth)]
-            xs = [ladder.z * ladder.q**j for ladder, j in pairs]
-            for x, value in zip(xs, _batch(xs, pp.p)):
-                if value is None:
-                    with pytest.raises(OverflowError):
-                        theta(x, pp.p)
-                else:
-                    assert abs(value - theta(x, pp.p)) <= theta_batch_bound(x, pp.p), x
+            for ladder, j in _denominator_args(pp, depth, depth):
+                x = ladder.z * ladder.q**j
+                try:
+                    value = theta(x, pp.p)
+                except OverflowError:
+                    assert abs(_double_reference(x, pp.p)) > 1e300
+                    continue
+                assert _units(value, _double_reference(x, pp.p)) <= _double_bound(x, pp.p)
 
     def test_an_overflowing_reduction_is_left_unfilled(self):
+        # a read that overflows stores nothing; its margin is infinite
         p = 0.5 + 0.1j
         big, fine = 1e-300 + 0j, 0.4 - 0.2j
         with pytest.raises(OverflowError):
             theta(big, p)
-        first, value, last = _batch([big, fine, big], p)
-        assert first is None and last is None
-        assert abs(value - theta(fine, p)) <= theta_batch_bound(fine, p)
+        store = ThetaLadders(1 + 0j, p)
+        assert theta_margin(store[big], 0) == math.inf and 0 not in store[big]
+        assert store[fine][0] == theta(fine, p)
 
     def test_an_overflowing_product_raises_and_is_left_unfilled(self):
-        # the reduction stays finite; only its prefactor times the product
-        # overflows, to (-3.88e307+inf j) if it were returned
+        # the reduction stays finite; only its prefactor times the reduced
+        # theta overflows
         x = -2.167924892855616e-21 - 2.2750913679795645e-21j
         p = -0.10693684382345969 + 0.19091458050564614j
         with pytest.raises(OverflowError):
@@ -251,54 +337,46 @@ class TestThetaMany:
         store = ThetaLadders(1 + 0j, p)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            margins = store.fill([(store[x], 0)])
-        assert margins.tolist() == [math.inf] and 0 not in store[x]
+            assert theta_margin(store[x], 0) == math.inf
+        assert 0 not in store[x]
 
     def test_the_bound_rejects_a_skipped_factor_pair(self):
         # theta without its factor pair k = 1 is outside the bound at every
-        # seeded point with more than one pair
-        skipped = 0
-        for x, p in _double_points():
-            y, _, _, count = _reduce(x, _Nome(p).current())
-            if count > 1:
-                value = theta(x, p) / ((1 - y * p) * (1 - p / y * p))
-                assert abs(value - theta(x, p)) > theta_batch_bound(x, p), (x, p)
-                skipped += 1
-        assert skipped > 1900
+        # seeded point
+        for x, p in list(_double_points())[::8]:
+            reduced, _ = _reduce(x, _Nome(p).current())
+            value = theta(x, p) / ((1 - reduced * p) * (1 - p / reduced * p))
+            assert _units(value, _double_reference(x, p)) > _double_bound(x, p), (x, p)
 
     def test_reductions_of_up_to_forty_quasi_periods(self):
-        # n, x' and the factor count of every argument equal _reduce's, x'
-        # bit for bit; the values lie within the bound, or the reduction
-        # overflows in both
+        # both kernels, at |p| from 0.3 to 0.9; a reduction that overflows
+        # has a reference beyond doubles
         exponents = set()
         for p, xs in _far_points():
             nome = _Nome(p).current()
-            y, n, _, count, ok = _reduce_many(np.array(xs), nome)
-            for i, (x, value) in enumerate(zip(xs, _batch(xs, p))):
+            for x in xs:
                 try:
-                    want = _reduce(x, nome)
+                    value = theta(x, p)
                 except OverflowError:
-                    assert value is None and not ok[i]
+                    assert abs(_double_reference(x, p)) > 1e300
                     continue
-                assert (y[i], n[i], count[i]) == (want[0], want[1], want[3]), (x, p)
-                assert abs(value - theta(x, p)) <= theta_batch_bound(x, p), (x, p)
-                exponents.add(want[1])
+                assert _units(value, _double_reference(x, p)) <= _double_bound(x, p), (x, p)
+                exponents.add(round(-math.log(abs(x)) / nome.log_ap))
         assert min(exponents) <= -38 and max(exponents) >= 38
 
     def test_next_to_zeros_outside_the_annulus(self):
         # x = p^-k (1 + eps), next to the zero of theta at p^-k: x' = x p^k
-        # is 1 + eps up to rounding and 1 - x' is exact, so one unit in the
-        # last place of x' moves theta by about u / eps relative
+        # is 1 + eps up to rounding and 1 - x' is exact, so theta keeps its
+        # relative accuracy at x' however small eps is
         for p in (0.3 + 0.2j, -0.45 + 0.1j, 0.05 - 0.6j, 0.7j, 0.2 - 0.1j):
             xs = [p**-k * (1 + eps) for k in (1, 2)
                   for eps in (1e-7, -3e-9, 2e-10j, 1e-11 - 1e-11j, 4e-12)]
             nome = _Nome(p).current()
-            assert [n for _, n, _, _ in map(lambda x: _reduce(x, nome), xs)] == [1] * 5 + [2] * 5
-            _assert_within_bound(xs, p)
+            assert [round(-math.log(abs(x)) / nome.log_ap) for x in xs] == [1] * 5 + [2] * 5
+            _assert_near_reference(xs, p)
 
-    def test_both_sides_of_the_log_space_threshold(self, monkeypatch):
-        # an argument whose prefactor needs log space goes through _reduce
-        # inside the batch, the others are reduced on the arrays
+    def test_both_sides_of_the_log_space_threshold(self):
+        # prefactors formed directly and in log space
         p = 0.5 + 0.2j
         nome = _Nome(p).current()
         xs, above = [], []
@@ -311,77 +389,44 @@ class TestThetaMany:
                     if mag >= LOG_SPACE_MAG:
                         above.append(x)
         assert 3 <= len(above) <= len(xs) - 3
-        calls = []
-        inner = special._reduce
-        with monkeypatch.context() as patch:
-            patch.setattr(special, "_reduce", lambda x, nome: calls.append(x) or inner(x, nome))
-            got = _batch(xs, p)
-        assert calls == above
-        for x, value in zip(xs, got):
-            assert abs(value - theta(x, p)) <= theta_batch_bound(x, p), x
+        _assert_near_reference(xs, p)
 
     def test_the_bound_rejects_a_dropped_sign_or_a_shifted_exponent(self):
-        # a batch that dropped (-1)^n gives -theta at odd n; one that took
+        # a theta that dropped (-1)^n gives -theta at odd n; one that took
         # the prefactor at n + 1 or n - 1 with x' at n gives theta (-x') or
         # theta (-p / x'): each lies outside the bound
         odd = 0
-        points = [(x, p) for p, xs in _far_points() for x in xs]
-        for x, p in points + list(_double_points())[::4]:
+        points = [(x, p) for p, xs in _far_points() for x in xs[::2]]
+        for x, p in points + list(_double_points())[::16]:
             try:
-                y, n, _, _ = _reduce(x, _Nome(p).current())
                 value = theta(x, p)
             except OverflowError:
                 continue
-            wrong = [value * -y, value * (-p / y)]
+            nome = _Nome(p).current()
+            reduced, _ = _reduce(x, nome)
+            n = round(-math.log(abs(x)) / nome.log_ap)
+            ref = _double_reference(x, p)
+            wrong = [value * -reduced, value * (-p / reduced)]
             if n % 2:
                 wrong.append(-value)
                 odd += 1
             for w in wrong:
-                assert abs(w - value) > theta_batch_bound(x, p), (x, p, n)
-        assert odd > 200
+                assert _units(w, ref) > _double_bound(x, p), (x, p, n)
+        assert odd > 40
 
     def test_domain_matches_theta(self):
-        # a nome so small that the product keeps no factor: the bound is 0
-        _assert_within_bound([1e19 + 0j, 1e-19 + 0j, 0.5 + 0j], 1e-40 + 0j)
+        # a nome so small that the series keeps one term
+        _assert_near_reference([1e19 + 0j, 1e-19 + 0j, 0.5 + 0j], 1e-40 + 0j)
+        assert len(_Nome(1e-40 + 0j).current().series) == 1
         # a zero argument has margin 0 and is left for a read, which raises
         store = ThetaLadders(0.6 + 0.2j, 0.3j)
-        margins = store.fill([(store[0.5 + 0j], 0), (store[0j], 1)])
-        assert margins[0] > 0 and margins[1] == 0 and 1 not in store[0j]
+        assert theta_margin(store[0.5 + 0j], 0) > 0 and theta_margin(store[0j], 1) == 0
+        assert 1 not in store[0j]
         with pytest.raises(ZeroArgumentError):
             store[0j][1]
         store = ThetaLadders(0.6 + 0.2j, 1.0 + 0j)
         with pytest.raises(DivergenceError):
-            store.fill([(store[0.5 + 0j], 0)])
-
-    def test_fill_batches_double_points_with_a_nome_only(self):
-        q = 0.6 + 0.2j
-        store = ThetaLadders(q, mpmath.mpc(0.3, 0.1))
-        assert store.fill([(store[0.5 + 0.5j], j) for j in range(4)]) is None
-        assert not store[0.5 + 0.5j]._values
-        store = ThetaLadders(q, 0.3 + 0.1j)
-        ladder = store[0.5 + 0.5j]
-        store.fill([(ladder, j) for j in (-2, 0, 3, 3)])
-        assert sorted(ladder._values) == [-2, 0, 3]
-        for j, value in ladder._values.items():
-            x = ladder.z * q**j
-            assert abs(value - theta(x, 0.3 + 0.1j)) <= theta_batch_bound(x, 0.3 + 0.1j)
-
-    def test_fill_at_p_zero_stores_the_reads_and_their_margins(self):
-        q = 0.6 + 0.2j
-        for seed in range(3):
-            pp = _draw(Random(seed), P_HI).replace(p=0j)
-            entries = [*_denominator_args(pp, 3, 3), *_weight_numerator_args(pp, 3, 3)]
-            store = pp.thetas
-            margins = store.fill(entries)
-            reads = ThetaLadders(pp.q, 0j)
-            for got, (ladder, j) in zip(margins.tolist(), entries):
-                assert ladder._values[j] == reads[ladder.z][j]
-                assert got == theta_margin(reads[ladder.z], j)
-        # a zero argument is left unstored with margin 0
-        store = ThetaLadders(q, 0j)
-        margins = store.fill([(store[0.5 + 0j], 1), (store[0j], 1)])
-        assert margins[0] == theta_margin(ThetaLadders(q, 0j)[0.5 + 0j], 1)
-        assert margins[1] == 0 and 1 not in store[0j]
+            theta_margin(store[0.5 + 0j], 0)
 
 
 def _assert_units_of_reference(value, x, p, units):
