@@ -153,6 +153,33 @@ class TestConfig:
                   "--trials", "1"])
 
 
+def _count_theta_calls_in_checks(monkeypatch, config):
+    """Run ``config``'s campaign; count its ``special.theta`` calls outside
+    and inside its checks' runners, as ``[outside, inside]``."""
+    calls, in_check = [0, 0], [False]
+
+    def counting(inner):
+        def call(*args):
+            calls[in_check[0]] += 1
+            return inner(*args)
+        return call
+
+    def flagged(runner):
+        def run(*args):
+            in_check[0] = True
+            try:
+                return runner(*args)
+            finally:
+                in_check[0] = False
+        return run
+
+    patch_theta(monkeypatch, counting)
+    for name in config.identities:
+        description, cap, runner = REGISTRY[name]
+        monkeypatch.setitem(REGISTRY, name, (description, cap, flagged(runner)))
+    return calls, run_campaign(config)
+
+
 class TestCampaign:
     def test_deterministic_report_bytes(self):
         config = CampaignConfig(identities=("classical_cb", "elliptic_cb"),
@@ -319,32 +346,20 @@ class TestCampaign:
                  if '"identity":"frenkel_turaev"' in line]
         assert len(lines) == 32 and lines == alone.read_text().splitlines()[:-1]
 
+    @pytest.mark.parametrize("name", ["homogeneous_elliptic_ab", "binomial_elliptic_ab"])
+    def test_ab_elliptic_campaign_reads_no_scalar_theta(self, monkeypatch, name):
+        # its shifted leaves read the entries the scan stored: the check
+        # itself calls no scalar theta
+        config = CampaignConfig(identities=(name,), m_max=3, n_max=3, seed=0)
+        calls, report = _count_theta_calls_in_checks(monkeypatch, config)
+        assert calls[1] == 0 and calls[0] > 0
+        assert report.all_pass
+
     def test_theta_free_campaign_evaluates_no_theta(self, monkeypatch):
         # the checks read no theta at p != 0: the only thetas of their
         # campaign are the reads of the cells' elliptic scans
-        calls, in_check = [0, 0], [False]
-
-        def counting(inner):
-            def call(*args):
-                calls[in_check[0]] += 1
-                return inner(*args)
-            return call
-
-        def flagged(runner):
-            def run(*args):
-                in_check[0] = True
-                try:
-                    return runner(*args)
-                finally:
-                    in_check[0] = False
-            return run
-
-        patch_theta(monkeypatch, counting)
-        for name in THETA_FREE:
-            description, cap, runner = REGISTRY[name]
-            monkeypatch.setitem(REGISTRY, name, (description, cap, flagged(runner)))
         config = CampaignConfig(identities=tuple(sorted(THETA_FREE)), m_max=2, n_max=2, seed=0)
-        report = run_campaign(config)
+        calls, report = _count_theta_calls_in_checks(monkeypatch, config)
         assert calls[1] == 0 and calls[0] >= 9 * 3
         assert report.all_pass and len(report.records) == 15 * 9 * 3
 
