@@ -11,7 +11,11 @@ Conventions used throughout the package:
     [n, k]_q        = (q; q)_n / ((q; q)_k (q; q)_{n-k})
 
 At p = 0 the theta function is the exact closed form 1 - x, which makes
-(x; q, 0)_k collapse bit-for-bit onto (x; q)_k.
+(x; q, 0)_k collapse bit-for-bit onto (x; q)_k.  At any other |p| < 1,
+:func:`theta` reduces x by quasi-periodicity and sums the Jacobi triple
+product: for a built-in nome as the product of k series at p^k, one rule
+for every nome; for an ``mpmath`` nome in one fixed-point pass on Python
+integers, rounded once.
 
 All functions are pure; they accept ``complex`` or ``mpmath.mpc`` scalars
 and return the matching type.
@@ -28,27 +32,12 @@ from operator import mul, truediv
 
 from .errors import DegenerateParameterError, DivergenceError, RootOfUnityError, ZeroArgumentError
 
-#: Truncation control for theta's double-precision product, which runs for
-#: built-in nomes above ``SERIES_MAX_NOME``: factors are kept while
-#: |p|^k >= tol * (1 + |x|) * (1 - |p|), so the dropped tail, about
-#: |x| |p|^count / (1 - |p|), stays below tol * (1 + |x|) for arguments in
-#: the reduced annulus, however near |p| is to 1.  The series takes its
-#: term count from the precision instead (:func:`_series_terms`).
-DEFAULT_THETA_TOL = 1e-18
-
-#: A built-in nome's theta (see :func:`theta`) is the triple-product
-#: series while its sum can lose at most 4 bits to cancellation
-#: (:func:`_product_floor_bits`), and the truncated product above: the
-#: series at the nome p below ``SQUARED_NOME_FROM`` (4 bits at |p| =
-#: 0.318, 5 at 0.319), then two series at the nome p^2 up to
-#: ``SERIES_MAX_NOME`` (4 bits at |p|^2 = 0.564^2, 5 at 0.565^2).  The
-#: product can lose about log2(8 count) bits, 9.3 at |p| = 0.564.
-#: Against a 50-digit reference, on about 700 reduced arguments per band
-#: of |p| of width 0.05 from 0.3 to 0.55, the largest error of the series
-#: at p^2 was 6.3 to 9.7 units of 2^-53, of the product 19.3 to 24.5; the
-#: series at p read 6.1 in the band 0.3-0.35, and 18.5 in 0.35-0.4.
-SQUARED_NOME_FROM = 0.318
-SERIES_MAX_NOME = 0.564
+#: A built-in nome's theta (see :func:`theta`) is a product of k
+#: triple-product series at the nome P = p^k, k the least with |P| below
+#: this: the largest |P| whose sum loses at most 4 bits to cancellation
+#: (:func:`_product_floor_bits`; 4 bits at |P| = 0.318, 5 at 0.319).  So
+#: k = 1 below |p| = 0.318 and k = 2 below 0.5639.
+SERIES_NOME_BOUND = 0.318
 
 #: theta's argument reduction forms the prefactor (-1)^n x^n p^(n(n-1)/2)
 #: directly while :func:`_prefactor_mag` stays below this, and as
@@ -97,22 +86,24 @@ def theta(x, p, _nome=None):
     (:func:`_reduce`), which keeps the value accurate for very large or
     very small arguments.  For a built-in nome, theta(x'; p) is then the
     Jacobi triple product (Gasper-Rahman, *Basic Hypergeometric Series*,
-    ch. 11) with its terms k and 1 - k paired,
+    ch. 11) with its terms j and 1 - j paired: at a nome P,
 
-        theta(x'; p) = (1 - x') sum_{k>=1} c_k S_k,
-        c_k = (-1)^(k+1) p^(k(k-1)/2) / (p; p)_inf,  S_k = sum_{|i|<k} x'^i,
+        theta(y; P) = (1 - y) sum_{j>=1} c_j S_j,
+        c_j = (-1)^(j+1) P^(j(j-1)/2) / (P; P)_inf,  S_j = sum_{|l|<j} y^l,
 
-    (:func:`_theta_sum`), with the coefficients and their count from the
-    nome (:class:`_Nome`), while |p| is below ``SQUARED_NOME_FROM``; from
-    there up to ``SERIES_MAX_NOME``, the same series at the nome p^2,
-    through (x; p)_inf = (x; p^2)_inf (xp; p^2)_inf:
+    (:func:`_theta_sum`) for y in the annulus of P, with the coefficients
+    and their count from the nome (:class:`_Nome`).  It runs at P = p^k,
+    k the least with |P| below ``SERIES_NOME_BOUND`` (k = 1 below
+    |p| = 0.318, 2 below 0.5639, 23 at 0.95), where
+    (x; p)_inf = prod_{i<k} (x p^i; p^k)_inf gives
 
-        theta(x'; p) = theta(x'; p^2) theta(x' p; p^2),
+        theta(x'; p) = prod_{i<k} theta(x' p^i; p^k),
 
-    the second factor taken as theta(p / x'; p^2), its equal, when
-    |x'| < 1, so that both arguments lie in the annulus of p^2.  Above
-    ``SERIES_MAX_NOME`` it is the truncated product
-    prod_{k<count} (1 - x' p^k)(1 - (p/x') p^k) (:func:`_factor_count`).
+    factor i taken as theta(p^(k-i) / x'; p^k), its equal, when
+    |x' p^i| < |P|^(1/2), so that every argument lies in the annulus of
+    P.  The factors are multiplied left to right, then by the prefactor.
+    This is the one rule for every built-in nome; each series loses at
+    most 4 bits to cancellation (:func:`_product_floor_bits`).
     A built-in complex value that is not finite raises ``OverflowError``,
     as an overflow in the reduction does.
 
@@ -139,21 +130,10 @@ def theta(x, p, _nome=None):
         return _mp_theta_product(x, nome)
     x, pref = _reduce(x, nome)
     coeffs = nome.series
-    if coeffs is None:
-        p = nome.p
-        px = p / x
-        acc = 1
-        pk = 1
-        for _ in range(_factor_count(abs(x), nome.log_ap)):
-            acc = acc * (1 - x * pk) * (1 - px * pk)
-            pk = pk * p
-        value = pref * acc
-    elif nome.squared:
-        p = nome.p
-        other = x * p if abs(x) >= 1 else p / x
-        value = pref * (_theta_sum(x, coeffs) * _theta_sum(other, coeffs))
-    else:
-        value = pref * _theta_sum(x, coeffs)
+    value = _theta_sum(x, coeffs)
+    for edge, up, down in nome.shifts:
+        value = value * _theta_sum(x * up if abs(x) >= edge else down / x, coeffs)
+    value = pref * value
     if isinstance(value, complex) and not cmath.isfinite(value):
         raise OverflowError("theta(x; p) overflowed double precision")
     return value
@@ -195,12 +175,15 @@ class _Nome:
       ``MP_THETA_GUARD_BITS`` and the bits the series can lose to
       cancellation (:func:`_product_floor_bits`);
     * ``series``, the coefficients of theta's triple-product series,
-      (-1)^(k+1) P^(k(k-1)/2) / (P; P)_inf for k = 1 .. K
+      (-1)^(j+1) P^(j(j-1)/2) / (P; P)_inf for j = 1 .. K
       (:func:`_series_terms`): for an mpmath nome in fixed point at its
       ``wp``, P = p; for a built-in one as doubles (:func:`_double_series`),
-      P = p below ``SQUARED_NOME_FROM``, and P = p^2 from there up to
-      ``SERIES_MAX_NOME``, ``squared`` then being True; None for a
-      built-in nome above it, whose thetas are products.
+      P = p^k, k the least with |P| below ``SERIES_NOME_BOUND``;
+    * ``shifts``, for a built-in nome, one (edge, p^i, p^(k-i)) for each
+      factor i = 1 .. k-1 of theta after the first (see :func:`theta`):
+      the argument x' p^i while |x'| >= edge = |p|^(k/2-i), p^(k-i) / x'
+      below it, empty for k = 1.  The powers are running products of p,
+      so that P = p p at k = 2.
 
     The values are computed on first use (:meth:`current`), so a nome can
     be made for p = 0, which no theta reads.  Every value is the same
@@ -208,7 +191,7 @@ class _Nome:
     sharing one instance changes no bit of any theta.
     """
 
-    __slots__ = ("p", "prec", "log_ap", "powers", "wp", "series", "squared")
+    __slots__ = ("p", "prec", "log_ap", "powers", "wp", "series", "shifts")
 
     def __init__(self, p):
         self.p = p
@@ -238,10 +221,15 @@ class _Nome:
                 self.series = _series_terms(self.p, log_ap, self.wp)
             else:
                 self.wp = None
-                self.squared = r >= SQUARED_NOME_FROM
-                self.series = (None if r > SERIES_MAX_NOME
-                               else _double_series(self.p * self.p, 2 * log_ap) if self.squared
-                               else _double_series(self.p, log_ap))
+                k, rk = 1, r
+                while rk >= SERIES_NOME_BOUND:
+                    k, rk = k + 1, rk * r
+                p_powers = [self.p]  # p^(i+1) at i
+                while len(p_powers) < k:
+                    p_powers.append(p_powers[-1] * self.p)
+                self.series = _double_series(p_powers[-1], k * log_ap)
+                self.shifts = tuple((math.exp((k / 2 - i) * log_ap), p_powers[i - 1],
+                                     p_powers[k - i - 1]) for i in range(1, k))
             self.prec = prec
         return self
 
@@ -385,15 +373,6 @@ def _prefactor_mag(n: int, log_ax: float, log_ap: float) -> float:
     """|n| |log |x|| + |n(n-1)/2| |log |p||, at least the log of the larger
     of |x^n| and |p^(n(n-1)/2)|."""
     return abs(n) * abs(log_ax) + abs(n * (n - 1) / 2) * abs(log_ap)
-
-
-def _factor_count(ax: float, log_ap: float) -> int:
-    """The number of factor pairs theta's truncated product keeps for a
-    reduced argument of modulus ax: factors k = 0 .. count-1 are exactly
-    those with |p|^k >= stop, where stop = DEFAULT_THETA_TOL (1 + ax)
-    (1 - |p|); the factor 1 - |p| accounts for the tail's geometric sum."""
-    stop = DEFAULT_THETA_TOL * (1 + ax) * (1 - math.exp(log_ap))
-    return math.floor(math.log(stop) / log_ap) + 1
 
 
 def _powers(nome: _Nome, n: int) -> tuple:

@@ -25,8 +25,7 @@ import thetacb.special as special
 from thetacb.special import (
     DENOMINATOR_GUARD,
     LOG_SPACE_MAG,
-    SERIES_MAX_NOME,
-    SQUARED_NOME_FROM,
+    SERIES_NOME_BOUND,
     addition_formula_residual,
     qbinom,
     qpoch,
@@ -35,7 +34,6 @@ from thetacb.special import (
     ThetaLadders,
     _Nome,
     _mp_powers,
-    _factor_count,
     _prefactor_mag,
     _product_floor_bits,
     _reduce,
@@ -97,6 +95,16 @@ class TestTheta:
         ref = (-1) ** steps * big**steps * p ** (steps * (steps - 1) // 2) * theta(z, p)
         assert abs(theta(big, p) - ref) / abs(ref) < 1e-12
 
+    def test_sampler_band_values_are_pinned_bit_for_bit(self):
+        # double theta at |p| <= 0.5, where every campaign draws its nome:
+        # one series at p (k = 1) and two at p^2 (k = 2), with |x'| on
+        # either side of 1 at k = 2, float nomes and arguments, and
+        # arguments whose reduced x' is exactly 1, where theta is a signed 0
+        for x, p, re, im in _PINNED_THETAS:
+            value = complex(theta(x, p))
+            assert (value.real.hex(), value.imag.hex()) == (re, im), (x, p)
+            assert type(theta(x, p)) is type(x * p)
+
     @settings(max_examples=150, deadline=None)
     @given(x=ring_complex(0.1, 3.0), p=ring_complex(0.05, 0.5))
     def test_symmetry(self, x, p):
@@ -114,9 +122,46 @@ class TestTheta:
         assert relative_residual(theta(p * x, p), -theta(x, p) / x) < 1e-12
 
 
+#: (x, p, real and imaginary part of theta(x; p) by ``float.hex``), with
+#: the number k of series at p^k, the reduction exponent n and |x'|.
+_PINNED_THETAS = [
+    # k = 1: n = 0, |x'| 1.81 and 0.50; n = 1, |x'| 2.39; x' = 1
+    (1.7111950718066637 - 0.581941981823931j, 0.10377065676130022 + 0.15990173529779528j,
+     "-0x1.24d22df2f6c54p-2", "0x1.4d4f9edac4442p-1"),
+    (0.27989832472473725 + 0.41170356404137093j, -0.028709283760048065 + 0.16963591507155967j,
+     "0x1.e92f2de982687p-2", "-0x1.22ce2d68301c7p-1"),
+    (-40.5 + 3.25j, 0.04944196438607634 + 0.031688419612854034j,
+     "0x1.1153754f238dbp+7", "0x1.c44178c0df1e4p+5"),
+    (0.3 + 0j, 0.3, "-0x0.0p+0", "0x0.0p+0"),
+    # k = 2: n = 0, |x'| 1.40; n = -1, |x'| 0.80; n = -2, |x'| 1.41
+    (0.06983264365752041 - 1.3960764761415971j, -0.40447767011394115 - 0.011914657949242213j,
+     "0x1.67e4c081b2325p+0", "0x1.9ab0506a827cap+0"),
+    (0.1566060958868919 - 0.22302525651454172j, -0.31244530776594404 + 0.1404437614111698j,
+     "0x1.24e875cccbf00p+0", "0x1.e317c9033cf65p-2"),
+    (-0.332662793350667 - 0.09490287447749154j, -0.48639588928295674 + 0.0919506267572215j,
+     "-0x1.fab326dbb507dp-2", "0x1.0b6fbf8a5ca9bp+0"),
+    # k = 2, one nome: n = 0, |x'| 1.25 and 0.84
+    (1.1673204185445198 - 0.4415103871253612j, 0.3014833275876823 + 0.2598126816655532j,
+     "0x1.473dfb9110efbp-3", "0x1.940ac5f4ce09ap-3"),
+    (-0.043293348870087366 - 0.8382106595642008j, 0.3014833275876823 + 0.2598126816655532j,
+     "0x1.22cd0b84406c1p+0", "0x1.225c0c536db4ep+0"),
+    # k = 2: n = -19, |x'| 1.42, the prefactor formed directly
+    (1e-06 + 2e-06j, -0.48639588928295674 + 0.0919506267572215j,
+     "-0x1.394bd02ccc0a9p+164", "0x1.cee311edc7393p+164"),
+    # k = 2, a float nome: n = 0, |x'| 1.48; a float argument, n = 1, |x'| 1.13
+    (0.7 - 1.3j, 0.45, "-0x1.6792dbac1d398p-2", "0x1.62acfd19915fdp-1"),
+    (-2.5, 0.45, "0x1.66e3526ac3d8fp+4", "0x0.0p+0"),
+    # k = 2, x' = 1: n = 0, and n = 1 with float x and p
+    (1 + 0j, 0.4 + 0.1j, "0x0.0p+0", "0x0.0p+0"),
+    (2.0, 0.5, "-0x0.0p+0", "0x0.0p+0"),
+]
+
+
 def _theta_reference(x, p):
-    """theta with the per-factor truncation test |p|^k >= stop, the loop
-    the kernel replaced by a factor count computed once."""
+    """theta as the truncated product (x', p/x'; p)_inf with the
+    per-factor truncation test |p|^k >= stop: the oracle the series'
+    accuracy is compared with, and at a working precision 200 bits wider
+    the reference of the ``mpmath`` tests."""
     tol = 1e-18 if isinstance(x, complex) else min(1e-18, float(mpmath.mp.eps) * 1e-2)
     if isinstance(x, complex):
         n = round(-math.log(float(abs(x))) / math.log(float(abs(p))))
@@ -148,49 +193,47 @@ def _double_points():
 
 
 class TestThetaTruncation:
-    def test_matches_per_factor_loop_in_doubles(self):
-        # above the series' crossover theta is the product loop, bit for bit
-        above = [(x, p) for x, p in _double_points() if abs(p) > SERIES_MAX_NOME]
-        assert len(above) > 150
-        for x, p in above:
-            assert theta(x, p) == _theta_reference(x, p)
-
     def test_within_four_units_of_a_wider_reference_at_40_digits(self):
         with mpmath.workdps(40):
             for x, p in _mp_points():
                 _assert_units_of_reference(theta(x, p), x, p, 4)
 
     def test_the_series_is_no_less_accurate_than_the_product(self):
-        # reduced arguments across the annulus at nomes up to the crossover:
-        # against a 60-digit reference, the series' error in units of
-        # 2^-53 is no larger than the per-factor product's at the median
-        # and at the largest, and the series is what theta runs there
+        # 300 reduced arguments across the annulus per band of |p|, with k
+        # from 1 to 23 series at p^k: against a 60-digit reference, the
+        # error of theta in units of 2^-53 is no larger than that of the
+        # per-factor product at the median and at the largest
+        bands = [(0.05, SERIES_NOME_BOUND), (SERIES_NOME_BOUND, 0.5639)]
+        bands += [(0.6 + 0.05 * i, 0.65 + 0.05 * i) for i in range(7)]
         rng = Random(11)
-        series, product = [], []
-        for _ in range(1500):
-            p = cmath.rect(math.exp(rng.uniform(math.log(0.05), math.log(SERIES_MAX_NOME))),
-                           rng.uniform(0.0, 2.0 * math.pi))
-            x = cmath.rect(abs(p) ** rng.uniform(-0.5, 0.5), rng.uniform(0.0, 2.0 * math.pi))
-            assert _Nome(p).current().series is not None
-            ref = _double_reference(x, p)
-            series.append(_units(theta(x, p), ref))
-            product.append(_units(_theta_reference(x, p), ref))
-        series.sort()
-        product.sort()
-        assert series[750] <= product[750] and series[-1] <= product[-1]
+        for lo, hi in bands:
+            series, product = [], []
+            for _ in range(300):
+                p = cmath.rect(rng.uniform(lo, hi), rng.uniform(0.0, 2.0 * math.pi))
+                x = cmath.rect(abs(p) ** rng.uniform(-0.5, 0.5), rng.uniform(0.0, 2.0 * math.pi))
+                ref = _double_reference(x, p)
+                series.append(_units(theta(x, p), ref))
+                product.append(_units(_theta_reference(x, p), ref))
+            series.sort()
+            product.sort()
+            assert series[150] <= product[150] and series[-1] <= product[-1], (lo, hi)
 
     def test_the_series_runs_where_it_loses_at_most_four_bits(self):
-        # at p below SQUARED_NOME_FROM, at p^2 up to SERIES_MAX_NOME
+        # SERIES_NOME_BOUND is the largest |P| (to 1e-3) whose series loses
+        # at most 4 bits, and theta runs k series at P = p^k, k the least
+        # with |P| below it, for |p| from 0.05 to 0.99
         step = 1e-3
-        assert _product_floor_bits(SQUARED_NOME_FROM) <= 4
-        assert _product_floor_bits(SQUARED_NOME_FROM + step) > 4
-        assert _product_floor_bits(SERIES_MAX_NOME**2) <= 4
-        assert _product_floor_bits((SERIES_MAX_NOME + step) ** 2) > 4
-        for r, squared in ((SQUARED_NOME_FROM - step, False), (SQUARED_NOME_FROM, True),
-                           (SERIES_MAX_NOME, True)):
-            nome = _Nome(cmath.rect(r, 1.0)).current()
-            assert nome.series is not None and nome.squared is squared
-        assert _Nome(cmath.rect(SERIES_MAX_NOME + step, 1.0)).current().series is None
+        assert _product_floor_bits(SERIES_NOME_BOUND) <= 4
+        assert _product_floor_bits(SERIES_NOME_BOUND + step) > 4
+        for i in range(189):
+            p = cmath.rect(0.05 + 0.005 * i, 1.0)
+            k = _factors(p)
+            assert abs(p) ** k < SERIES_NOME_BOUND and _product_floor_bits(abs(p) ** k) <= 4
+            assert k == 1 or abs(p) ** (k - 1) >= SERIES_NOME_BOUND
+        assert _factors(cmath.rect(0.99, 1.0)) == 114
+        for r, k in ((SERIES_NOME_BOUND - step, 1), (SERIES_NOME_BOUND, 2), (0.5639, 2),
+                     (0.564, 3)):
+            assert _factors(cmath.rect(r, 1.0)) == k, r
 
     def test_a_tiny_nome_keeps_the_terms_it_needs(self):
         # |p| = 1e-20 and |x| = |p|^-0.49: the product's factor count,
@@ -201,6 +244,11 @@ class TestThetaTruncation:
         with mpmath.workdps(60):
             ref = _theta_reference(mpmath.mpc(x), mpmath.mpc(p))
         assert _units(theta(x, p), ref) <= 4
+
+
+def _factors(p) -> int:
+    """k, the number of series double theta multiplies at the nome p."""
+    return len(_Nome(p).current().shifts) + 1
 
 
 def _mp_points():
@@ -214,25 +262,38 @@ def _mp_points():
 
 
 def _far_points():
-    """60 seeded nomes |p| in [0.3, 0.9], each with 10 arguments
+    """60 seeded nomes |p| in [0.3, 0.95], each with 10 arguments
     x = p^-n u, n in [-40, 40] and u in the reduced annulus: reductions of
     up to forty quasi-periods, on both sides of the log-space threshold."""
     rng = Random(12)
     for _ in range(60):
-        p = cmath.rect(rng.uniform(0.3, 0.9), rng.uniform(0.0, 2.0 * math.pi))
+        p = cmath.rect(rng.uniform(0.3, 0.95), rng.uniform(0.0, 2.0 * math.pi))
         xs = [p**-rng.randint(-40, 40)
               * cmath.rect(abs(p) ** rng.uniform(-0.5, 0.5), rng.uniform(0.0, 2.0 * math.pi))
               for _ in range(10)]
         yield p, xs
 
 
-def _double_reference(x, p):
+def _series_at(x, p):
+    """theta(x; p) at the working precision from the test's own series
+    (:func:`_theta_series`), 30 bits wider."""
+    value, = _theta_series([x], p, mpmath.mp.prec + 30)
+    return value
+
+
+def _qp_at(x, p):
+    """theta(x; p) = (x; p)_inf (p/x; p)_inf from ``mpmath.qp``: a formula
+    that neither theta nor :func:`_theta_series` uses."""
+    return mpmath.qp(x, p) * mpmath.qp(p / x, p)
+
+
+def _double_reference(x, p, at=_series_at):
     """theta(x; p) for built-in x and p at 60 digits, as the double kernel
     is to give it: the exact prefactor (-1)^n x^n p^(n(n-1)/2) times theta
     at the reduced argument x' = x p^n as :func:`special._reduce` rounds
-    it, theta(x') from the test's own series (:func:`_theta_series`), and
-    exactly 0 at x' = 1.  So the comparison leaves out how far one unit of
-    x' moves theta, which no double kernel can recover."""
+    it, theta(x') from ``at`` (x', p) (by default the test's own series),
+    and exactly 0 at x' = 1.  So the comparison leaves out how far one unit
+    of x' moves theta, which no double kernel can recover."""
     nome = _Nome(p).current()
     n = round(-math.log(abs(x)) / nome.log_ap)
     try:
@@ -244,8 +305,7 @@ def _double_reference(x, p):
     with mpmath.workdps(60):
         xm, pm = mpmath.mpc(x), mpmath.mpc(p)
         reduced = xm * pm**n if reduced is None else mpmath.mpc(reduced)
-        value, = _theta_series([reduced], pm, mpmath.mp.prec + 30)
-        return (-1) ** n * xm**n * pm ** (n * (n - 1) // 2) * value
+        return (-1) ** n * xm**n * pm ** (n * (n - 1) // 2) * at(reduced, pm)
 
 
 def _units(value, ref) -> float:
@@ -262,19 +322,13 @@ def _double_bound(x, p) -> float:
     exp(log), which carry the error of their exponents, at most
     L = |n| |log x| + |n(n-1)/2| |log p| with complex logs.  The reduced
     theta's: 4 times 2^:func:`special._product_floor_bits` (|P|) for each
-    series at the nome P, whose sum cancels by up to that factor (two at
-    P = p^2, and their product), and 8 per factor pair for the product,
-    each pair rounding four times, each carrying its power's error."""
+    of the k series at the nome P = p^k, whose sum cancels by up to that
+    factor, and 2 for each of the k - 1 products of their values."""
     nome = _Nome(p).current()
-    reduced, _ = _reduce(x, nome)
     n = round(-math.log(abs(x)) / nome.log_ap)
     logs = abs(n) * abs(cmath.log(x)) + abs(n * (n - 1) // 2) * abs(cmath.log(p))
-    if nome.series is None:
-        own = 8 * _factor_count(abs(reduced), nome.log_ap)
-    elif nome.squared:
-        own = 8 * 2 ** _product_floor_bits(abs(p) ** 2) + 2
-    else:
-        own = 4 * 2 ** _product_floor_bits(abs(p))
+    k = _factors(p)
+    own = 4 * k * 2 ** _product_floor_bits(abs(p) ** k) + 2 * (k - 1)
     return 2 * (abs(n) + 2 + logs) + own
 
 
@@ -317,6 +371,19 @@ class TestThetaMany:
                     continue
                 assert _units(value, _double_reference(x, pp.p)) <= _double_bound(x, pp.p)
 
+    @pytest.mark.parametrize("r", [0.6, 0.8, 0.9, 0.95])
+    def test_against_mpmath_qp(self, r):
+        # an oracle that shares no formula with theta's series: theta at the
+        # reduced argument as (x', p/x'; p)_inf from mpmath.qp; four
+        # arguments in the annulus and four reduced by 5 to 40 quasi-periods
+        rng = Random(round(100 * r))
+        p = cmath.rect(r, rng.uniform(0.0, 2.0 * math.pi))
+        xs = [p**-n * cmath.rect(r ** rng.uniform(-0.5, 0.5), rng.uniform(0.0, 2.0 * math.pi))
+              for n in (0, 0, 0, 0, -40, -5, 7, 33)]
+        for x in xs:
+            ref = _double_reference(x, p, _qp_at)
+            assert _units(theta(x, p), ref) <= _double_bound(x, p), (x, p)
+
     def test_an_overflowing_reduction_is_left_unfilled(self):
         # a read that overflows stores nothing; its margin is infinite
         p = 0.5 + 0.1j
@@ -349,8 +416,8 @@ class TestThetaMany:
             assert _units(value, _double_reference(x, p)) > _double_bound(x, p), (x, p)
 
     def test_reductions_of_up_to_forty_quasi_periods(self):
-        # both kernels, at |p| from 0.3 to 0.9; a reduction that overflows
-        # has a reference beyond doubles
+        # k = 1 to 23 series, at |p| from 0.3 to 0.95; a reduction that
+        # overflows has a reference beyond doubles
         exponents = set()
         for p, xs in _far_points():
             nome = _Nome(p).current()
@@ -452,7 +519,12 @@ def _theta_series(xs, p, bits):
     log_ap = math.log(float(abs(p)))
     span = math.sqrt(2 * bits * math.log(2) / -log_ap)
     m, k_max = 2 + math.ceil(span), 2 + math.ceil(span / math.sqrt(3))
-    euler = mpmath.fsum((-1) ** k * p ** (k * (3 * k - 1) // 2) for k in range(-k_max, k_max + 1))
+    # Euler's terms in pairs k >= 1: p^(k(3k-1)/2) up by p^(3k-2) from the
+    # last pair's, and p^(k(3k+1)/2) that times p^k
+    euler, low, pk, step, p3 = 1, 1, 1, p, p**3
+    for k in range(1, k_max + 1):
+        low, pk, step = low * step, pk * p, step * p3
+        euler += (-1) ** k * (low + low * pk)
     out = []
     for x in xs:
         n = round(-math.log(float(abs(x))) / log_ap)
@@ -607,7 +679,7 @@ class TestThetaAt40Digits:
     @pytest.mark.parametrize("dps", [15, 40, 60])
     def test_reductions_of_up_to_forty_quasi_periods(self, dps):
         # against the triple product series, 200 bits wider: the per-factor
-        # reference needs thousands of factors at |p| = 0.9
+        # reference needs thousands of factors at |p| = 0.95
         with mpmath.workdps(dps):
             prec = mpmath.mp.prec
             for p, xs in _far_points():
