@@ -1,6 +1,6 @@
 """Count the false failures of a campaign configuration over a range of seeds.
 
-    python3 scripts/census.py --seeds 0-29 [thetacb flags]
+    python3 scripts/census.py --seeds 0-29 [--jobs N] [thetacb flags]
 
 The thetacb flags (``--config``, ``--identities``, ``--m-max``, ...) give
 the campaign, which runs in doubles at every seed of the range
@@ -10,9 +10,14 @@ campaign's own trial path (``cli._run_trial``) at the same cell, so at
 the same draw; a rerun that draws another point is an error.  For each
 such trial the census prints one JSON line: identity, m, n, trial,
 campaign seed, trial seed, the six parameters of the draw, and the
-residual in doubles and at ``DIGITS`` digits.  The last line counts the
+residual in doubles and at ``DIGITS`` digits.  Then one line counts the
 failing trials: ``false`` ones pass at ``DIGITS`` digits, ``genuine``
-ones fail there too.
+ones fail there too.  The last line sums them up per identity: the count
+of failing trials, the worst residual in doubles and the worst at
+``DIGITS`` digits (NaN when any is NaN).
+
+``--jobs N`` shares the seeds among N processes, at most one per CPU; the
+lines still come in seed order, so the output is the one process's.
 
 Exit status: 0 when no failure is genuine, 1 otherwise, 2 on a usage or
 configuration error.
@@ -21,9 +26,13 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import multiprocessing
+import os
 import sys
+from functools import partial
 from pathlib import Path
 
 # run from a checkout: import the package from its src/ directory
@@ -32,6 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import mpmath  # noqa: E402
 
 from thetacb import cli  # noqa: E402
+from thetacb.special import worst_residual  # noqa: E402
 
 #: Working digits of the reruns.
 DIGITS = 40
@@ -60,33 +70,54 @@ def rerun(config: cli.CampaignConfig, rec: dict) -> float:
     return residual
 
 
-def census(config: cli.CampaignConfig, seeds: range):
-    """One line per failing trial of ``config`` at each seed, then the count."""
+def seed_failures(config: cli.CampaignConfig, seed: int) -> list[dict]:
+    """One line per failing trial of ``config`` at campaign seed ``seed``,
+    each with its residual at ``DIGITS`` digits."""
+    campaign = dataclasses.replace(config, seed=seed, precision=0)
+    return [{"identity": rec["identity"], "m": rec["m"], "n": rec["n"],
+             "trial": rec["trial"], "campaign_seed": seed, "trial_seed": rec["seed"],
+             "params": rec["params"], "residual": rec["residual"],
+             f"residual_{DIGITS}": rerun(campaign, rec)}
+            for rec in cli.run_campaign(campaign).records if rec["verdict"] != "pass"]
+
+
+def census(config: cli.CampaignConfig, seeds: range, jobs: int = 1):
+    """One line per failing trial of ``config`` at each seed, in seed
+    order, then the count and the summary per identity.  ``jobs``
+    processes share the seeds."""
     failing = genuine = 0
-    for seed in seeds:
-        campaign = dataclasses.replace(config, seed=seed, precision=0)
-        for rec in cli.run_campaign(campaign).records:
-            if rec["verdict"] == "pass":
-                continue
-            wide = rerun(campaign, rec)
-            failing += 1
-            genuine += not (wide <= config.tol)  # a NaN at 40 digits is no pass
-            yield {"identity": rec["identity"], "m": rec["m"], "n": rec["n"],
-                   "trial": rec["trial"], "campaign_seed": seed, "trial_seed": rec["seed"],
-                   "params": rec["params"], "residual": rec["residual"],
-                   f"residual_{DIGITS}": wide}
+    by_identity: dict[str, list[dict]] = {}
+    pool = multiprocessing.get_context("spawn").Pool(jobs) if jobs > 1 else None
+    with pool or contextlib.nullcontext():
+        for found in (pool.imap if pool else map)(partial(seed_failures, config), seeds):
+            for line in found:
+                failing += 1
+                # a NaN at 40 digits is no pass
+                genuine += not (line[f"residual_{DIGITS}"] <= config.tol)
+                by_identity.setdefault(line["identity"], []).append(line)
+                yield line
     yield {"type": "count", "campaigns": len(seeds), "failing": failing,
            "false": failing - genuine, "genuine": genuine}
+    yield {"type": "identities", "identities": {
+        name: {"failing": len(lines),
+               "worst_residual": worst_residual(line["residual"] for line in lines),
+               f"worst_residual_{DIGITS}": worst_residual(line[f"residual_{DIGITS}"]
+                                                          for line in lines)}
+        for name, lines in sorted(by_identity.items())}}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", required=True,
                         help="campaign seeds FIRST-LAST, both included")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="processes that share the seeds, at most one per CPU (default 1)")
     args, rest = parser.parse_known_args(argv)
     flags = cli._build_parser().parse_args(rest)
     try:
         seeds = _seed_range(args.seeds)
+        if not 1 <= args.jobs <= (os.cpu_count() or 1):
+            raise ValueError(f"--jobs must lie in [1, {os.cpu_count() or 1}], the CPUs")
         file_values = {}
         if flags.config:
             with open(flags.config, encoding="utf-8") as handle:
@@ -95,9 +126,11 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    for line in census(config, seeds):
+    for line in census(config, seeds, args.jobs):
         print(json.dumps(line, sort_keys=True), flush=True)
-    return 1 if line["genuine"] else 0
+        if line.get("type") == "count":
+            genuine = line["genuine"]
+    return 1 if genuine else 0
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CommonRootError, SingularSystemError
-from .special import qbinom, qpoch, worst_residual
+from .special import DEFAULT_GUARD, q_factor, qbinom, qpoch, worst_residual
 
 ROOT_SEPARATION = 1e-6
 
@@ -230,21 +230,24 @@ def abq1_cofactors(a, b, q, m: int, n: int) -> tuple[Poly, Poly]:
     return q1_of(a, b, m, n), q1_of(b, a, n, m)
 
 
-def abq2_cofactor_coeffs(a, b, q, m: int, n: int) -> tuple[tuple, tuple]:
+def abq2_cofactor_coeffs(a, b, q, m: int, n: int,
+                         guard: float = DEFAULT_GUARD) -> tuple[tuple, tuple]:
     """Closed second-kind cofactors, as coefficient vectors over the bases
     {(ax, a/x; q)_k}_{k<=m} and {(bx, b/x; q)_l}_{l<=n}:
 
         u_k = (q^(n+1); q)_k / ((q, aq/b, ab q^(n+1); q)_k (ab, b/a; q)_{n+1}) q^k
-    and v_l the a <-> b, m <-> n mirror.
+    and v_l the a <-> b, m <-> n mirror.  Every denominator factor is
+    checked against ``guard`` (``special.q_factor``).
     """
     def coeffs(aa, bb, mm, nn):
-        pre = 1 / (qpoch(aa * bb, q, nn + 1) * qpoch(bb / aa, q, nn + 1))
+        pre = 1 / (qpoch(aa * bb, q, nn + 1, guard) * qpoch(bb / aa, q, nn + 1, guard))
         out = []
         coeff = pre
         for k in range(mm + 1):
             if k:
                 num = 1 - q ** (nn + k)
-                den = (1 - q**k) * (1 - aa * q**k / bb) * (1 - aa * bb * q ** (nn + k))
+                den = (q_factor(q**k, guard) * q_factor(aa * q**k / bb, guard)
+                       * q_factor(aa * bb * q ** (nn + k), guard))
                 coeff = coeff * num * q / den
             out.append(coeff)
         return tuple(out)
@@ -296,48 +299,53 @@ def matrix_pair_check(size: int, q) -> float:
 # ---------------------------------------------------------------------------
 # Connection coefficients between the shifted-factorial bases.
 
-def connection_first(n: int, k: int, a, b, q):
+def connection_first(n: int, k: int, a, b, q, guard: float = DEFAULT_GUARD):
     """Coefficient of (ax; q)_k in the expansion of (bx; q)_n:
 
         f(n, k) = (b/a; q)_n (q^-n; q)_k / (q, a q^(1-n)/b; q)_k * q^k,
 
     vanishing for k > n through the (q^-n; q)_k factor (up to rounding in
     q^-n q^n).  The connecting relation is the terminating
-    Chu-Vandermonde style sum.
+    Chu-Vandermonde style sum.  Every denominator factor is checked
+    against ``guard`` (``special.q_factor``).
     """
     val = qpoch(b / a, q, n)
     val = val * qpoch(q ** (-n), q, k)
-    val = val / (qpoch(q, q, k) * qpoch(a * q ** (1 - n) / b, q, k))
+    val = val / (qpoch(q, q, k, guard) * qpoch(a * q ** (1 - n) / b, q, k, guard))
     return val * q**k
 
 
-def connection_second(n: int, k: int, a, b, q):
+def connection_second(n: int, k: int, a, b, q, guard: float = DEFAULT_GUARD):
     """Coefficient of (ax, a/x; q)_k in the expansion of (bx, b/x; q)_n:
 
         f~(n, k) = (ab, b/a; q)_n (q^-n; q)_k / (q, ab, a q^(1-n)/b; q)_k * q^k,
 
-    the terminating Pfaff-Saalschuetz style companion of the first kind.
+    the terminating Pfaff-Saalschuetz style companion of the first kind,
+    its denominator factors checked as in :func:`connection_first`.
     """
     val = qpoch(a * b, q, n) * qpoch(b / a, q, n)
     val = val * qpoch(q ** (-n), q, k)
-    val = val / (qpoch(q, q, k) * qpoch(a * b, q, k) * qpoch(a * q ** (1 - n) / b, q, k))
+    val = val / (qpoch(q, q, k, guard) * qpoch(a * b, q, k, guard)
+                 * qpoch(a * q ** (1 - n) / b, q, k, guard))
     return val * q**k
 
 
-def mod_reduction_check(family: str, a, b, q, m: int, n: int) -> float:
+def mod_reduction_check(family: str, a, b, q, m: int, n: int,
+                        guard: float = DEFAULT_GUARD) -> float:
     """Divisibility check behind the cofactor construction: evaluate
     1 - P1(x) Q1(x) at every root of the modulus P2 and return the largest
     magnitude, normalised by the size of the summands (the values of P1
     and the cofactor terms grow like powers of 1/q at the roots).  Roots
     are x = q^-i / a for the first kind, plus x = a q^i for the symmetric
-    second kind."""
+    second kind.  Every denominator factor of the cofactors is checked
+    against ``guard`` (``special.q_factor``)."""
     if family == "first":
         def q1_terms(x):
-            coeff = 1 / qpoch(b / a, q, n + 1)
+            coeff = 1 / qpoch(b / a, q, n + 1, guard)
             out = [coeff]
             for k in range(1, m + 1):
                 coeff = coeff * (1 - q ** (n + k)) * (1 - a * x * q ** (k - 1)) * q \
-                    / ((1 - q**k) * (1 - a * q**k / b))
+                    / (q_factor(q**k, guard) * q_factor(a * q**k / b, guard))
                 out.append(coeff)
             return out
 
@@ -345,7 +353,7 @@ def mod_reduction_check(family: str, a, b, q, m: int, n: int) -> float:
                               for x in (q ** (-i) / a for i in range(m + 1)))
 
     if family == "second":
-        u, _ = abq2_cofactor_coeffs(a, b, q, m, n)
+        u, _ = abq2_cofactor_coeffs(a, b, q, m, n, guard)
         roots = [q ** (-i) / a for i in range(m + 1)] + [a * q**i for i in range(m + 1)]
         return worst_residual(
             _cofactor_gap(qpoch(b * x, q, n + 1) * qpoch(b / x, q, n + 1),

@@ -124,14 +124,14 @@ def _cb_homogeneous(pp, m, n):
 
 def _connection(kind: str) -> Callable:
     def run(pp, m, n):
-        a, b, q, x = pp.a, pp.b, pp.q, pp.x
+        a, b, q, x, guard = pp.a, pp.b, pp.q, pp.x, pp.guard
         size = min(max(m, n), 6)
         if kind == "first":
-            terms = [bezout.connection_first(size, k, a, b, q) * qpoch(a * x, q, k)
+            terms = [bezout.connection_first(size, k, a, b, q, guard) * qpoch(a * x, q, k)
                      for k in range(size + 1)]
             target = qpoch(b * x, q, size)
         else:
-            terms = [bezout.connection_second(size, k, a, b, q)
+            terms = [bezout.connection_second(size, k, a, b, q, guard)
                      * qpoch(a * x, q, k) * qpoch(a / x, q, k)
                      for k in range(size + 1)]
             target = qpoch(b * x, q, size) * qpoch(b / x, q, size)
@@ -154,7 +154,7 @@ def _matrix_pair(pp, m, n):
 
 
 def _mod_reduction(pp, m, n):
-    return worst_residual(bezout.mod_reduction_check(family, pp.a, pp.b, pp.q, m, n)
+    return worst_residual(bezout.mod_reduction_check(family, pp.a, pp.b, pp.q, m, n, pp.guard)
                           for family in ("first", "second"))
 
 
@@ -317,8 +317,9 @@ def _draws(config: CampaignConfig, name: str, cell: _Cell):
     """The double points check ``name`` tries at ``cell`` in turn, each
     with the seed of the stream that drew it: the cell's shared point,
     drawn and scanned on the cell's first trial, then up to 20 draws of the
-    check's own stream, for a check whose own denominators degenerate at
-    the shared point (the scan cannot know every family's denominators)."""
+    check's own stream, for a check that divides by a denominator within
+    the campaign's guard at the shared point (a check raises
+    ``DegenerateParameterError`` there, see ``thetacb.sampling``)."""
     size = IdentitySize(cell.m, cell.n)
     if cell.point is None:
         cell.point = sample_param_point(Random(cell.seed), size, guard=config.guard,
@@ -349,10 +350,12 @@ def _run_trial(config: CampaignConfig, name: str, runner: Callable,
     read is not computed again by the next.  Its bits still never depend
     on which other checks ran: every entry of that store is a scalar
     ``theta`` read, by the scan or by a check, whose bits depend only on
-    the entry's argument and the store's nome.  A check at a draw of its
-    own stream evaluates on a store of its own (:func:`_own_point`).  An
-    ``OverflowError`` of the check gives a NaN residual: the trial fails
-    and counts as non-finite, and the campaign goes on."""
+    the entry's argument and the store's nome, and each entry's test
+    against the campaign's guard on its value and argument only.  A check
+    at a draw of its own stream evaluates on a store of its own
+    (:func:`_own_point`).  An ``OverflowError`` of the check gives a NaN
+    residual: the trial fails and counts as non-finite, and the campaign
+    goes on."""
     for resamples, (seed, point) in enumerate(_draws(config, name, cell)):
         if resamples:
             pp = _own_point(config, point)

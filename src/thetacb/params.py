@@ -7,15 +7,15 @@ evaluators are agnostic as long as the usual arithmetic works.
 
 A point also owns the theta values read at it (:attr:`ParamPoint.thetas`),
 so every evaluator that reads the same theta at the same point computes it
-once.
+once, and the denominator margin its stores apply (:attr:`ParamPoint.guard`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
-from .special import ThetaLadders
+from .special import DEFAULT_GUARD, ThetaLadders
 
 #: The ladder roles of the lattice forms (h in ``weights``, A and B in
 #: ``lattice``): role r is entry r of :meth:`ParamPoint.role_ladders`.
@@ -34,6 +34,12 @@ class ParamPoint:
 
     Invariants: x, a, b, c, q nonzero; |p| < 1 with p = 0 only for the
     basic (theta-free) specialisation.
+
+    ``guard`` is the denominator margin of the point (``special.within_guard``):
+    every theta store of the point tests its entries against it, and the
+    checks the q-factors they form.  It is not a field, so equality,
+    hashing and records ignore it; :meth:`replace` and :meth:`copy` keep
+    it.
     """
 
     x: complex
@@ -42,8 +48,11 @@ class ParamPoint:
     c: complex
     q: complex
     p: complex
+    guard: InitVar[float] = DEFAULT_GUARD
 
-    def __post_init__(self):
+    def __post_init__(self, guard):
+        # an attribute of the instance, which dataclasses.replace reads
+        object.__setattr__(self, "guard", guard)
         for name in ("x", "a", "b", "c", "q"):
             if getattr(self, name) == 0:
                 raise ValueError(f"parameter {name!r} must be nonzero")
@@ -57,7 +66,8 @@ class ParamPoint:
     @property
     def thetas(self) -> ThetaLadders:
         """The point's theta store: ``thetas[z][j]`` is theta(z q^j; p),
-        evaluated on first read and then kept for the point's lifetime.
+        evaluated on first read and then kept for the point's lifetime,
+        tested against the point's guard when it is formed.
 
         The store is not a field, so equality, hashing and records ignore
         it.  It belongs to the working precision it was filled at
@@ -70,7 +80,7 @@ class ParamPoint:
         prec = None if self._context is None else self._context.prec
         held = self.__dict__.get("_thetas")
         if held is None or held[0] != prec:
-            held = (prec, ThetaLadders(self.q, self.p))
+            held = (prec, ThetaLadders(self.q, self.p, self.guard))
             object.__setattr__(self, "_thetas", held)
         return held[1]
 
@@ -122,12 +132,13 @@ class ParamPoint:
         return out
 
     def replace(self, **changes) -> "ParamPoint":
-        """The point with some scalars changed.  It shares this point's
-        theta store when q and p are unchanged: every entry depends on q,
-        p and its own argument only."""
+        """The point with some scalars (or its guard) changed.  It shares
+        this point's theta store when q, p and the guard are unchanged:
+        every entry and its flag depend on q, p, the guard and its own
+        argument only."""
         out = dataclasses.replace(self, **changes)
         held = self.__dict__.get("_thetas")
-        if held is not None and "q" not in changes and "p" not in changes:
+        if held is not None and changes.keys().isdisjoint(("q", "p", "guard")):
             object.__setattr__(out, "_thetas", held)
         return out
 

@@ -40,9 +40,10 @@ from .errors import DegenerateParameterError, DivergenceError, RootOfUnityError,
 SERIES_NOME_BOUND = 0.318
 
 #: theta's argument reduction forms the prefactor (-1)^n x^n p^(n(n-1)/2)
-#: directly while :func:`_prefactor_mag` stays below this, and as
-#: exp(log) at or above it: the two power factors can overflow doubles
-#: separately even when their product is representable.
+#: directly while |n| |log |x|| + |n(n-1)/2| |log |p||, at least the log of
+#: the larger power factor, stays below this, and as exp(log) at or above
+#: it: the two power factors can overflow doubles separately even when
+#: their product is representable.
 LOG_SPACE_MAG = 500.0
 
 #: Bits beyond the working precision carried by the fixed-point theta
@@ -50,29 +51,56 @@ LOG_SPACE_MAG = 500.0
 #: cancellation (:func:`_product_floor_bits`).
 MP_THETA_GUARD_BITS = 64
 
-#: Runtime backstop: a denominator factor (one theta, or one 1 - z at
-#: p = 0) of magnitude at most this counts as vanished and raises instead
-#: of dividing.  Samplers enforce a much wider margin (see
-#: ``thetacb.sampling``).
+#: Default width of the denominator margin: a factor theta(z; p), or
+#: 1 - z at p = 0, with |factor| / (1 + |z|) at most this counts as
+#: vanished (:func:`within_guard`).  A theta store applies its point's
+#: guard to every entry it forms (:class:`ThetaLadders`), and the checks
+#: apply it to the q-factors they form and divide by (:func:`q_factor`);
+#: a campaign's ``--guard`` sets it.
+DEFAULT_GUARD = 1e-6
+
+#: A q-binomial denominator 1 - q^j, and a lattice weight h(i, 0) or
+#: 1 - h(0, j) that a table divides by, of magnitude at most this counts
+#: as vanished: values no theta store holds.
 DENOMINATOR_GUARD = 1e-12
 
 
-def guarded(value, what: str, *args):
-    """``value``, unless it vanished under ``DENOMINATOR_GUARD``; the
-    message ``what % args`` is only formatted when it is raised."""
-    if abs(value) <= DENOMINATOR_GUARD:
-        raise DegenerateParameterError(f"{what % args} vanished")
+def within_guard(value, z, guard: float) -> bool:
+    """True when the denominator factor ``value``, theta(z; p) or at p = 0
+    1 - z, lies within the margin ``guard``: |value| / (1 + |z|) <= guard,
+    a scale-free modulus that is ~0 near a zero.  A modulus beyond doubles
+    counts as an infinite margin.  An ``mpmath`` value is sized in doubles
+    first: a double margin above twice the guard puts the exact one above
+    the guard, at a fraction of its cost, so only a value that fails that
+    test takes the margin in mpmath arithmetic."""
+    try:
+        if type(value) is not complex and abs(complex(value)) / (1.0 + abs(complex(z))) > 2 * guard:
+            return False
+        return abs(value) / (1 + abs(z)) <= guard
+    except OverflowError:
+        return False
+
+
+def q_factor(z, guard: float):
+    """The denominator factor 1 - z, which raises
+    ``DegenerateParameterError`` when it lies within ``guard``
+    (:func:`within_guard`), the margin of a theta store's p = 0 entries."""
+    value = 1 - z
+    if within_guard(value, z, guard):
+        raise DegenerateParameterError(f"denominator factor 1 - {z!r} within the guard")
     return value
 
 
-def qpoch(x, q, k: int):
-    """q-shifted factorial (x; q)_k for nonnegative integer k."""
+def qpoch(x, q, k: int, guard: float | None = None):
+    """q-shifted factorial (x; q)_k for nonnegative integer k.  With a
+    ``guard`` it is a denominator: each factor 1 - x q^l is checked by
+    :func:`q_factor`, with the bits of the unchecked product."""
     if k < 0:
         raise ValueError("q-shifted factorial needs k >= 0")
     acc = 1
     xq = x
     for _ in range(k):
-        acc = acc * (1 - xq)
+        acc = acc * (1 - xq if guard is None else q_factor(xq, guard))
         xq = xq * q
     return acc
 
@@ -82,9 +110,9 @@ def theta(x, p, _nome=None):
 
     p = 0 returns the exact closed form 1 - x.  For p != 0 the argument is
     first moved into the annulus |p|^(1/2) <= |x'| < |p|^(-1/2) with the
-    quasi-periodicity theta(x; p) = (-1)^n x^n p^(n(n-1)/2) theta(p^n x; p)
-    (:func:`_reduce`), which keeps the value accurate for very large or
-    very small arguments.  For a built-in nome, theta(x'; p) is then the
+    quasi-periodicity theta(x; p) = (-1)^n x^n p^(n(n-1)/2) theta(p^n x; p),
+    n = round(-log |x| / log |p|), which keeps the value accurate for very
+    large or very small arguments.  For a built-in nome, theta(x'; p) is then the
     Jacobi triple product (Gasper-Rahman, *Basic Hypergeometric Series*,
     ch. 11) with its terms j and 1 - j paired: at a nome P,
 
@@ -125,10 +153,30 @@ def theta(x, p, _nome=None):
         if p == 0:
             return 1 - x
         _nome = _nome_of(x, p)
-    nome = _nome.current()
-    if nome.wp is not None:
-        return _mp_theta_product(x, nome)
-    x, pref = _reduce(x, nome)
+    nome = _nome
+    if nome.prec is not None:  # no values yet, or an mpmath nome
+        nome.current()
+        if nome.wp is not None:
+            return _mp_theta_product(x, nome)
+    # the reduction: x' = x p^n, n = round(-log |x| / log |p|), and the
+    # prefactor (-1)^n x^n p^(n(n-1)/2), its powers of p from the nome's
+    # cache; formed directly while |n| |log |x|| + |n(n-1)/2| |log |p||,
+    # at least the log of the larger power factor, is below LOG_SPACE_MAG
+    log_ap = nome.log_ap
+    log_ax = math.log(abs(x))
+    n = round(-log_ax / log_ap)
+    pref = 1
+    if n:
+        powers = nome.powers.get(n)
+        if powers is None:
+            powers = nome.powers[n] = ((-1) ** n, nome.p ** (n * (n - 1) // 2), nome.p**n)
+        sign, pe, pn = powers
+        if abs(n) * abs(log_ax) + abs(n * (n - 1) / 2) * abs(log_ap) < LOG_SPACE_MAG:
+            pref = sign * x**n * pe
+        else:
+            e = n * (n - 1) // 2
+            pref = sign * cmath.exp(n * cmath.log(x) + e * cmath.log(nome.p))
+        x = x * pn
     coeffs = nome.series
     value = _theta_sum(x, coeffs)
     for edge, up, down in nome.shifts:
@@ -168,7 +216,7 @@ class _Nome:
     * ``log_ap`` = log |p|;
     * ``powers``: the reduction's powers of p by exponent n, filled as
       arguments need them: for a built-in nome ((-1)^n, p^(n(n-1)/2), p^n)
-      (:func:`_powers`), for an mpmath one their integer forms
+      (see :func:`theta`), for an mpmath one their integer forms
       (:func:`_mp_powers`);
     * ``wp``, None for a built-in nome, and for an mpmath one the
       fractional bits of its fixed-point values: the working precision,
@@ -343,45 +391,6 @@ def _fixed_mul(a, b, w: int) -> tuple:
     """The product of two complex fixed-point values (re, im) with w
     fractional bits, truncated towards -infinity part by part."""
     return (a[0] * b[0] - a[1] * b[1]) >> w, (a[0] * b[1] + a[1] * b[0]) >> w
-
-
-def _reduce(x, nome: _Nome):
-    """theta's argument reduction for a built-in nome: (x', pref) with
-    x' = x p^n in the annulus, n = round(-log |x| / log |p|), and
-    pref = (-1)^n x^n p^(n(n-1)/2) (1 when n = 0), so that
-    theta(x; p) = pref * theta(x'; p).  It takes one log.
-
-    The powers of p come from the nome's ``powers`` cache
-    (:func:`_powers`); the cached values are the same expressions, so they
-    have the same bits.
-    """
-    log_ap = nome.log_ap
-    log_ax = math.log(abs(x))
-    n = round(-log_ax / log_ap)
-    if not n:
-        return x, 1
-    sign, pe, pn = _powers(nome, n)
-    if _prefactor_mag(n, log_ax, log_ap) < LOG_SPACE_MAG:
-        pref = sign * x**n * pe
-    else:
-        e = n * (n - 1) // 2
-        pref = sign * cmath.exp(n * cmath.log(x) + e * cmath.log(nome.p))
-    return x * pn, pref
-
-
-def _prefactor_mag(n: int, log_ax: float, log_ap: float) -> float:
-    """|n| |log |x|| + |n(n-1)/2| |log |p||, at least the log of the larger
-    of |x^n| and |p^(n(n-1)/2)|."""
-    return abs(n) * abs(log_ax) + abs(n * (n - 1) / 2) * abs(log_ap)
-
-
-def _powers(nome: _Nome, n: int) -> tuple:
-    """((-1)^n, p^(n(n-1)/2), p^n) from the nome's ``powers`` cache."""
-    cached = nome.powers.get(n)
-    if cached is None:
-        p = nome.p
-        cached = nome.powers[n] = ((-1) ** n, p ** (n * (n - 1) // 2), p**n)
-    return cached
 
 
 def _mp_parts(v) -> tuple:
@@ -688,14 +697,17 @@ class ThetaLadder:
     parameter point keeps its ladders (``ParamPoint.thetas``) and drops
     them when read at another precision.
 
-    A ladder lives in a store: ``ThetaLadders(q, p)[z]`` makes it, with
-    the store's ``nome`` (see :class:`_Nome`), the values of p its thetas
-    share, which give every entry read the bits of a direct :func:`theta`
-    call, and for an ``mpmath`` q the store's table of the powers q**j its
-    arguments are formed from (:class:`_PowersOfQ`).
+    A ladder lives in a store: ``ThetaLadders(q, p, guard)[z]`` makes it,
+    with the store's ``nome`` (see :class:`_Nome`), the values of p its
+    thetas share, which give every entry read the bits of a direct
+    :func:`theta` call, for an ``mpmath`` q the store's table of the powers
+    q**j its arguments are formed from (:class:`_PowersOfQ`), and the
+    store's ``guard``: each entry is tested against it once, when it is
+    formed (:func:`within_guard`), and one within it raises when it is
+    read as a denominator (:meth:`den`).
     """
 
-    __slots__ = ("z", "q", "p", "_basic", "_values", "_nome", "_q_powers")
+    __slots__ = ("z", "q", "p", "_basic", "_values", "_nome", "_q_powers", "_guard", "_flagged")
 
     def __init__(self, z, store: ThetaLadders):
         self.z = z
@@ -705,33 +717,22 @@ class ThetaLadder:
         self._values: dict[int, object] = {}
         self._nome = store.nome
         self._q_powers = store.q_powers
-
-    def arg(self, j: int):
-        """The argument ``z * q**j`` of entry j, q**j from the store's
-        table for an ``mpmath`` q (:class:`_PowersOfQ`)."""
-        powers = self._q_powers
-        if powers is None:
-            return self.z * self.q**j
-        return self.z * powers[powers.context.prec, j]
+        self._guard = store.guard
+        self._flagged = None  # the indices within the guard, once there are any
 
     def __getitem__(self, j: int):
         value = self._values.get(j)
         if value is None:
-            value = self.at(j, self.arg(j))
-        return value
-
-    def at(self, j: int, x):
-        """Entry j, evaluated from x, its argument :meth:`arg` (j), when it
-        is not stored yet: a read for a caller that forms the argument
-        anyway."""
-        value = self._values.get(j)
-        if value is None:
+            powers = self._q_powers
+            x = self.z * (self.q**j if powers is None else powers[powers.context.prec, j])
             if not self._basic:
                 value = theta(x, self.p, self._nome)
             elif x == 0:
                 raise ZeroArgumentError("theta(x; p) requires x != 0")
             else:
                 value = 1 - x
+            if within_guard(value, x, self._guard):
+                self._flagged = {j} if self._flagged is None else self._flagged | {j}
             self._values[j] = value
         return value
 
@@ -740,17 +741,15 @@ class ThetaLadder:
         return j in self._values
 
     def den(self, j: int):
-        """Entry j read as a denominator factor, checked by :func:`guarded`
-        (called only when the entry vanished, to raise).  An mpmath entry
-        is first sized in doubles: a double modulus above twice the guard
-        puts the exact one above the guard, at a fraction of its cost, so
-        only an entry that fails that test takes the exact modulus."""
+        """Entry j read as a denominator factor: it raises
+        ``DegenerateParameterError`` when the entry lies within the store's
+        guard, as tested when it was formed."""
         value = self._values.get(j)
         if value is None:
             value = self[j]
-        if ((type(value) is complex or abs(complex(value)) <= 2 * DENOMINATOR_GUARD)
-                and abs(value) <= DENOMINATOR_GUARD):
-            guarded(value, "denominator theta(%r * q^%d)", self.z, j)
+        if self._flagged is not None and j in self._flagged:
+            raise DegenerateParameterError(
+                f"denominator theta({self.z!r} * q^{j}) within the guard {self._guard}")
         return value
 
 
@@ -783,12 +782,14 @@ class ThetaLadders(dict):
     from (``q_powers``, a :class:`_PowersOfQ`; None for a built-in q).
     These are tied to the working precision they were computed at; a read
     at another precision computes them afresh, so no power computed at 15
-    digits enters a 40-digit theta."""
+    digits enters a 40-digit theta.  ``guard`` is the denominator margin
+    its ladders test each entry against (:class:`ThetaLadder`)."""
 
-    def __init__(self, q, p):
+    def __init__(self, q, p, guard: float = DEFAULT_GUARD):
         super().__init__()
         self.q = q
         self.p = p
+        self.guard = guard
         self.basic = p == 0
         self.nome = _Nome(p)
         self.q_powers = None if _mp_context(q) is None else _PowersOfQ(q)
@@ -798,15 +799,18 @@ class ThetaLadders(dict):
         return ladder
 
     def copy(self) -> "ThetaLadders":
-        """A store holding this store's values and sharing its nome and
-        its powers of q: what reads of the copy add to the ladders, this
-        store never sees."""
-        out = ThetaLadders(self.q, self.p)
+        """A store holding this store's values and their flags and sharing
+        its nome and its powers of q: what reads of the copy add to the
+        ladders, this store never sees."""
+        out = ThetaLadders(self.q, self.p, self.guard)
         out.nome = self.nome
         out.q_powers = self.q_powers
         for z, ladder in self.items():
             if ladder._values:
-                out[z]._values.update(ladder._values)
+                copy = out[z]
+                copy._values.update(ladder._values)
+                # a set of flags is replaced, never changed in place
+                copy._flagged = ladder._flagged
         return out
 
 

@@ -81,8 +81,8 @@ def ab_point(a, b, q, p) -> ParamPoint:
 
 
 def fresh_copy(pp: ParamPoint) -> ParamPoint:
-    """The same point with an empty theta store."""
-    return ParamPoint(pp.x, pp.a, pp.b, pp.c, pp.q, pp.p)
+    """The same point, with its guard, on an empty theta store."""
+    return ParamPoint(pp.x, pp.a, pp.b, pp.c, pp.q, pp.p, guard=pp.guard)
 
 
 def shifted_point(pp: ParamPoint, shift) -> ParamPoint:

@@ -15,6 +15,7 @@ from thetacb.bezout import (
     Poly,
     _roots,
     abq1_cofactors,
+    abq2_cofactor_coeffs,
     bezout_solve,
     connection_first,
     connection_second,
@@ -27,7 +28,7 @@ from thetacb.bezout import (
     qpoch_poly,
     series_inv_qpoch,
 )
-from thetacb.errors import CommonRootError
+from thetacb.errors import CommonRootError, DegenerateParameterError
 from thetacb.special import qbinom, qpoch
 
 
@@ -206,7 +207,8 @@ class TestNanReachesTheResidual:
         # the modulus factor (b x; q) at the second root x = q^-1 / a
         second = b * (q ** (-1) / a)
         monkeypatch.setattr(bezout, "qpoch",
-                            lambda x, q, k: math.nan if x == second else inner(x, q, k))
+                            lambda x, q, k, *guard: math.nan if x == second
+                            else inner(x, q, k, *guard))
         assert math.isnan(mod_reduction_check(family, a, b, q, 1, 1))
 
 
@@ -257,3 +259,29 @@ def test_qcb_cofactors_satisfy_identity():
     ident = qpoch_poly(1, q, n + 1) * q1 + poly_monomial(m + 1) * q2
     assert abs(ident.coeffs[0] - 1) < 1e-12
     assert max(abs(c) for c in ident.coeffs[1:]) < 1e-12
+
+
+#: (a check's evaluation at (eps, guard), where its denominator factor
+#: 1 - z has z = 1 + eps): each q-factor a check forms and divides by
+_NEAR_ZERO_FACTORS = {
+    "connection_first": lambda eps, g: connection_first(2, 1, 0.9 * 0.5 * (1 + eps), 0.9, 0.5, g),
+    "connection_second_ab": lambda eps, g: connection_second(2, 1, (1 + eps) / 0.8, 0.8, 0.5, g),
+    "mod_first_qpoch": lambda eps, g: mod_reduction_check("first", 1.3 / (1 + eps), 1.3, 0.6,
+                                                          1, 1, g),
+    "mod_first_factor": lambda eps, g: mod_reduction_check("first", 1.3 * (1 + eps) / 0.6, 1.3,
+                                                           0.6, 1, 1, g),
+    "mod_second_factor": lambda eps, g: mod_reduction_check("second", (1 + eps) / (0.6 * 1.3),
+                                                            1.3, 0.6, 1, 0, g),
+    "abq2_prefactor": lambda eps, g: abq2_cofactor_coeffs((1 + eps) / 1.3, 1.3, 0.6, 1, 1, g),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NEAR_ZERO_FACTORS))
+def test_a_q_factor_within_the_guard_raises(name):
+    # margin |1 - z| / (1 + |z|) about 5e-9: within the default guard, not
+    # within a guard of 1e-9
+    evaluate = _NEAR_ZERO_FACTORS[name]
+    with pytest.raises(DegenerateParameterError):
+        evaluate(1e-8, 1e-6)
+    evaluate(1e-8, 1e-9)
+    evaluate(1e-2, 1e-6)

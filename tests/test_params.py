@@ -1,5 +1,6 @@
 """The theta store a parameter point owns: who shares it, when a point
-starts a fresh one, and what the genericity scan stores in it."""
+starts a fresh one, what the genericity scan stores in it, and the guard
+each of its entries is tested against."""
 
 from __future__ import annotations
 
@@ -10,18 +11,18 @@ import mpmath
 import pytest
 
 from conftest import count_theta_calls, fresh_copy
-from thetacb import cli
-from thetacb.cli import REGISTRY, CampaignConfig
+from thetacb import cli, special
+from thetacb.cli import REGISTRY, CampaignConfig, run_campaign
 from thetacb.identities import cb_residual, cb_term_abcq, cb_term_elliptic
 from thetacb.lattice import master_equality_residual
 from thetacb.noncomm import AlgebraTag, binomial_theorem_residual, pascal_residual
 from thetacb.params import IdentitySize, ParamPoint
 import thetacb.sampling as sampling
-from thetacb.errors import DegenerateParameterError, ResamplingExhaustedError
-from thetacb.sampling import (DEFAULT_GUARD, P_HI, P_LO, _denominator_args, _draw,
-                              check_genericity, sample_param_point, theta_margin, to_mp)
-from thetacb.special import ThetaLadder, theta
-from thetacb.weights import elliptic_weight
+from thetacb.errors import ResamplingExhaustedError
+from thetacb.sampling import (DEFAULT_GUARD, P_HI, P_LO, _draw, check_genericity,
+                              sample_param_point, to_mp)
+from thetacb.special import ThetaLadder, theta, within_guard
+from thetacb.weights import elliptic_weight, h_row
 
 
 def test_store_is_not_part_of_the_point(generic_point):
@@ -138,90 +139,92 @@ def _store(pp):
             for j, value in ladder._values.items()}
 
 
-def _verdict(pp, size, guard):
-    try:
-        return check_genericity(pp, size, guard)
-    except OverflowError:
-        return OverflowError
+def _flagged(pp):
+    """The entries of the point's store within its guard, as (base, index)."""
+    return {(z, j) for z, ladder in pp.thetas.items() for j in ladder._flagged or ()}
+
+
+def _weight_denominators(pp, size):
+    """The (ladder, index) denominators of the weights h(i, 0) and h(0, j)
+    that the genericity scan reads at depths ``size``."""
+    roles = pp.role_ladders()
+    rows = [*(h_row(i, 0) for i in range(size.m + 1)),
+            *(h_row(0, j) for j in range(1, size.n + 1))]
+    return [(roles[role], j) for _, den in rows for role, j in den]
 
 
 @pytest.mark.parametrize("depth", [0, 3, 8, 14])
 @pytest.mark.parametrize("guard", [DEFAULT_GUARD, 0.05])
 def test_genericity_scan_fills_the_store_with_the_values_of_scalar_reads(depth, guard):
     # every entry the scan stores, at a draw and at its p = 0 point, is a
-    # fresh theta at its argument, bit for bit; a draw the scan accepts
-    # holds every denominator it checks but those whose read overflows
+    # fresh theta at its argument, bit for bit, flagged exactly when its
+    # margin lies within the point's guard; a draw the scan accepts holds
+    # every denominator of its weights, none of them flagged
     size = IdentitySize(depth, depth)
     accepted = 0
     for seed in range(6):
-        draw = _draw(Random(seed), P_HI)
+        draw = _draw(Random(seed), P_HI, guard)
         for pp in (draw, draw.replace(p=0j)):
-            verdict = _verdict(pp, size, guard)
+            verdict = check_genericity(pp, size)
             store = _store(pp)
             assert store
             for (z, j), value in store.items():
-                assert value == theta(z * pp.q**j, pp.p), (z, j)
-            if verdict is True:
+                arg = z * pp.q**j
+                assert value == theta(arg, pp.p), (z, j)
+                assert ((z, j) in _flagged(pp)) == (abs(value) / (1 + abs(arg)) <= guard)
+            if verdict:
                 accepted += 1
-                reads = fresh_copy(pp)
-                assert store.keys() >= {(ladder.z, j) for ladder, j
-                                        in _denominator_args(reads, depth, depth)
-                                        if theta_margin(ladder, j) < math.inf}
+                assert all(j in ladder and (ladder.z, j) not in _flagged(pp)
+                           for ladder, j in _weight_denominators(pp, size))
     assert accepted
 
 
-def _reference_verdict(pp, size, guard):
-    """check_genericity's rule on a fresh copy of ``pp``, read entry by
-    entry: every denominator's :func:`theta_margin` above ``guard``, then
-    the weight-normalisation condition."""
-    pp = fresh_copy(pp)
+def _reference_verdict(pp, size):
+    """check_genericity's rule at a fresh copy of ``pp``, entry by entry
+    from fresh thetas: every denominator of the weights h(i, 0) and h(0, j)
+    with margin |theta| / (1 + |arg|) above the point's guard, then the
+    weight-normalisation condition.  An overflow rejects the point."""
+    pp, guard = fresh_copy(pp), pp.guard
     try:
-        if any(theta_margin(ladder, j) <= guard
-               for ladder, j in _denominator_args(pp, size.m, size.n)):
-            return False
+        for ladder, j in _weight_denominators(pp, size):
+            arg = ladder.z * pp.q**j
+            if abs(theta(arg, pp.p)) / (1 + abs(arg)) <= guard:
+                return False
         return (all(abs(elliptic_weight(pp, i, 0)) > guard for i in range(size.m + 1))
                 and all(abs(1 - elliptic_weight(pp, 0, j)) > guard for j in range(size.n + 1)))
-    except DegenerateParameterError:
-        return False
     except OverflowError:
-        return OverflowError
+        return False
 
 
 @pytest.mark.parametrize("depth", [0, 3, 8, 14])
 def test_genericity_scan_margins_and_verdicts_match_a_per_entry_loop(depth):
     size = IdentitySize(depth, depth)
-    verdicts, overflowed = set(), 0
+    verdicts = set()
     for seed in range(8):
-        pp = _draw(Random(seed), P_HI)
-        overflowed += sum(theta_margin(ladder, j) == math.inf
-                          for ladder, j in _denominator_args(fresh_copy(pp), depth, depth))
         for guard in (DEFAULT_GUARD, 0.05):
-            got = _verdict(fresh_copy(pp), size, guard)
-            assert got == _reference_verdict(pp, size, guard)
+            pp = _draw(Random(seed), P_HI, guard)
+            got = check_genericity(pp, size)
+            assert got == _reference_verdict(pp, size)
             verdicts.add(got)
     assert {True, False} <= verdicts
-    assert overflowed or depth < 14
-
-
-def _scan_with_counted_margins(monkeypatch, pp, size):
-    """check_genericity's verdict at a fresh copy of ``pp`` and the indices
-    it read through :func:`theta_margin`."""
-    calls = []
-    with monkeypatch.context() as patch:
-        patch.setattr(sampling, "theta_margin",
-                      lambda ladder, j: calls.append(j) or theta_margin(ladder, j))
-        verdict = check_genericity(fresh_copy(pp), size)
-    return verdict, calls
 
 
 @pytest.mark.parametrize("point", [pytest.param(to_mp, id="mpmath"),
                                    pytest.param(fresh_copy, id="double")])
 def test_genericity_scan_reads_entry_by_entry_without_a_batch(monkeypatch, point):
+    # each entry the scan stores is one theta read, tested against the
+    # point's guard once, when it is formed
     size = IdentitySize(2, 2)
     for seed in range(3):
         pp = point(_draw(Random(seed), P_HI))
-        verdict, calls = _scan_with_counted_margins(monkeypatch, pp, size)
-        assert calls and verdict == _reference_verdict(pp, size, DEFAULT_GUARD)
+        tested = []
+        with monkeypatch.context() as patch:
+            patch.setattr(special, "within_guard",
+                          lambda value, z, guard: tested.append(guard)
+                          or within_guard(value, z, guard))
+            verdict = check_genericity(pp, size)
+        assert tested == [pp.guard] * len(_store(pp))
+        assert verdict == _reference_verdict(pp, size)
 
 
 def test_a_nome_bound_below_the_sampled_range_is_rejected():
@@ -247,10 +250,10 @@ def test_a_nome_bound_above_the_sampled_range_is_rejected():
     assert pp == sample_param_point(Random(0), IdentitySize(1, 1))
 
 
-def test_the_union_scan_rejects_a_draw_lost_only_to_a_theta_at_p(monkeypatch):
-    # c x = p: theta(c x; p) = theta(p; p) = 0, so the elliptic scan rejects
-    # the draw; at p = 0 the same factor is 1 - c x = 1 - p, clear of zero.
-    # A draw must pass both scans, so the sampler rejects it.
+def test_the_scan_rejects_a_draw_lost_only_to_a_theta_at_p(monkeypatch):
+    # c x = p: theta(c x; p) = theta(p; p) = 0, so the store flags it and
+    # the scan, which divides by it in h(0, 0), rejects the draw; at p = 0
+    # the same factor is 1 - c x = 1 - p, clear of zero
     p, x = 0.3 + 0.1j, 2 + 0j
     pp = ParamPoint(x=x, a=0.7 + 0.4j, b=-0.5 + 0.9j, c=p / x, q=0.2 + 0.6j, p=p)
     assert pp.c * pp.x == p and pp.thetas[p][0] == 0
@@ -258,67 +261,155 @@ def test_the_union_scan_rejects_a_draw_lost_only_to_a_theta_at_p(monkeypatch):
     for depth in [(0, 0), (2, 1), (3, 3)]:
         size = IdentitySize(*depth)
         assert not check_genericity(fresh_copy(pp), size)
-        # that zero alone is what the elliptic scan rejects
+        # that zero alone is what the scan rejects
         assert check_genericity(pp.replace(c=1.1 * pp.c), size)
         assert check_genericity(pp.replace(p=0j), size)
         with monkeypatch.context() as patch:
-            patch.setattr(sampling, "_draw", lambda rng, p_hi: fresh_copy(pp))
+            patch.setattr(sampling, "_draw", lambda rng, p_hi, guard: fresh_copy(pp))
             with pytest.raises(ResamplingExhaustedError):
                 sample_param_point(Random(0), size)
 
 
-def test_a_draw_must_also_pass_the_scan_of_its_p_zero_point(monkeypatch):
-    scanned = []
+def test_a_draw_is_scanned_once_at_its_own_nome(monkeypatch):
+    # the p = 0 stores test their own entries, so the sampler scans each
+    # draw once, at its nome, with the guard asked for
+    scanned, scan = [], sampling.check_genericity
+    monkeypatch.setattr(sampling, "check_genericity",
+                        lambda pp, size: scanned.append(pp) or scan(pp, size))
+    for guard in (DEFAULT_GUARD, 0.05):
+        scanned.clear()
+        pp = sample_param_point(Random(3), IdentitySize(3, 3), guard=guard)
+        assert scanned[-1] is pp and pp.guard == guard
+        assert all(point.p != 0 and point.guard == guard for point in scanned)
+        assert len({point.p for point in scanned}) == len(scanned)
 
-    def scan(pp, size, guard):
-        scanned.append(pp.p)
-        return pp.p != 0
 
-    monkeypatch.setattr(sampling, "check_genericity", scan)
-    with pytest.raises(ResamplingExhaustedError):
-        sample_param_point(Random(0), IdentitySize(1, 1))
-    assert scanned.count(0j) == sampling.MAX_ATTEMPTS == len(scanned) / 2
-
-
-def _unscanned_divisors(monkeypatch, name, m, n, seed):
-    """The denominator thetas that check ``name`` reads at the point of a
-    campaign cell for depths (m, n) and that the genericity scans of that
-    point leave out: every :meth:`ThetaLadder.den` read of the check, as
-    (base, index), against the union of :func:`_denominator_args` of the
-    point and of its p = 0 point, the two scans every cell's draw passes.
-    A read of b/a at j is matched with a/b at -j, which the scan covers by
-    theta inversion."""
-    reads, den = [], ThetaLadder.den
+def _untested_divisors(monkeypatch, config, name, m, n, seed):
+    """The denominators that check ``name`` divides by at the point of
+    the campaign ``config``'s cell (m, n, 0) of seed ``seed`` and that were
+    not tested against the campaign's guard: every :meth:`ThetaLadder.den`
+    read of the check whose value no :func:`special.within_guard` call
+    tested with that guard, or tested within it, as (p, base, index); and
+    the guard of any margin test, the scan's and the check's q-factors'
+    included, that is not the campaign's, as ("guard", guard)."""
+    tested, reads = {}, []
+    den = ThetaLadder.den
     runner = REGISTRY[name][2]
+
+    def test(value, z, guard):
+        tested[id(value)] = (value, guard)  # the value is held, so its id stays its own
+        return within_guard(value, z, guard)
 
     def recording(pp, m, n):
         # only the reads of the accepted point's evaluation
         reads.clear()
         with monkeypatch.context() as patch:
             patch.setattr(ThetaLadder, "den",
-                          lambda ladder, j: reads.append((ladder.p, ladder.z, j))
-                          or den(ladder, j))
+                          lambda ladder, j: reads.append((ladder, j)) or den(ladder, j))
             return runner(pp, m, n)
 
-    pp, *_ = cli._run_trial(CampaignConfig(), name, recording, cli._Cell(m, n, 0, seed))
-    scan = {(ladder.p, ladder.z, j) for point in (pp, pp.replace(p=0j))
-            for ladder, j in _denominator_args(point, m, n)}
-    b_a = pp.b / pp.a
-    return {(z, j) for p, z, j in reads
-            if ((p, pp.a / pp.b, -j) if z == b_a else (p, z, j)) not in scan}
+    with monkeypatch.context() as patch:
+        patch.setattr(special, "within_guard", test)
+        cli._run_trial(config, name, recording, cli._Cell(m, n, 0, seed))
+    untested = set()
+    for ladder, j in reads:
+        value = ladder._values[j]
+        value_tested, guard = tested.get(id(value), (None, None))
+        if (value_tested is not value or guard != config.guard
+                or within_guard(value, ladder.z * ladder.q**j, guard)):
+            untested.add((ladder.p, ladder.z, j))
+    return untested | {("guard", guard) for _, guard in tested.values() if guard != config.guard}
 
 
-@pytest.mark.parametrize("name", sorted(REGISTRY.keys() - {"frenkel_turaev"}))
+#: A campaign guard other than the default: a store left at the default
+#: guard shows as a test at another guard.
+_GUARD = 2 * DEFAULT_GUARD
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_the_scan_covers_every_denominator_a_check_reads(monkeypatch, name):
-    # the very-well-poised sum divides by its own bases, which no scan reads
+    # every denominator a check divides by was tested against the campaign's
+    # guard when its store entry was formed, the very-well-poised sum's own
+    # bases included
+    config = CampaignConfig(guard=_GUARD)
     for m in range(4):
         for n in range(4):
             for seed in range(2):
-                assert not _unscanned_divisors(monkeypatch, name, m, n, seed), (m, n, seed)
+                assert not _untested_divisors(monkeypatch, config, name, m, n, seed), (m, n, seed)
 
 
-@pytest.mark.xfail(strict=True, reason="convolution's b_closed at shift (j, n - j, n) reads "
-                   "bc and ac past the scan's top index (ROADMAP item 7)")
 @pytest.mark.parametrize("m, n", [(2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (4, 4)])
 def test_the_scan_covers_the_convolutions_denominators_past_depth_three(monkeypatch, m, n):
-    assert not _unscanned_divisors(monkeypatch, "convolution", m, n, 0)
+    # b_closed at shift (j, n - j, n) reads bc and ac past index m + n + 1
+    config = CampaignConfig(guard=_GUARD)
+    assert not _untested_divisors(monkeypatch, config, "convolution", m, n, 0)
+
+
+@pytest.mark.parametrize("name", ["elliptic_cb", "abcq_cb", "frenkel_turaev", "mod_reduction"])
+def test_every_store_of_a_forty_digit_campaign_applies_its_guard(monkeypatch, name):
+    # the draw's to_mp conversion and its p = 0 point test every entry
+    # against the campaign's guard, at 40 digits
+    config = CampaignConfig(guard=_GUARD, precision=40)
+    with mpmath.workdps(40):
+        for m, n in [(0, 1), (2, 1)]:
+            assert not _untested_divisors(monkeypatch, config, name, m, n, 0), (m, n)
+
+
+def _records_at(monkeypatch, point, name, guard):
+    """The record of check ``name`` at cell (2, 0) of a one-trial campaign
+    at m <= 2, n = 0 with ``guard``, whose cell draws ``point`` first."""
+    size, placed = IdentitySize(2, 0), []
+    sample = cli.sample_param_point
+
+    def placing(rng, at, guard, p_max):
+        if at == size and not placed:
+            placed.append(point)
+            return point.replace(guard=guard)
+        return sample(rng, at, guard=guard, p_max=p_max)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "sample_param_point", placing)
+        report = run_campaign(CampaignConfig(identities=(name,), m_max=2, n_max=0, trials=1,
+                                             guard=guard))
+    rec, = [rec for rec in report.records if (rec["m"], rec["n"]) == (2, 0)]
+    return rec
+
+
+#: name -> (check, the point at a generic draw with one denominator factor
+#: moved next to a zero by eps, that factor's margin): a theta entry at p
+#: (theta(ac q; p), zero at ac q = p), an entry 1 - z q^j of the p = 0 store
+#: (1 - ac q) and a q-factor the check forms itself (connection_first's
+#: 1 - a q^(1-n) / b at n = 2).  The scan reads the entries of ac at index
+#: 0 only (in 1 - h(0, 0)), so it accepts each point.
+_NEAR_ZERO = {
+    "theta_at_p": ("elliptic_cb", lambda pp, eps: pp.replace(c=pp.p * (1 + eps) / (pp.a * pp.q)),
+                   lambda pp: _margin(theta(pp.a * pp.c * pp.q, pp.p), pp.a * pp.c * pp.q)),
+    "basic_at_p_zero": ("abcq_cb", lambda pp, eps: pp.replace(c=(1 + eps) / (pp.a * pp.q)),
+                        lambda pp: _margin(1 - pp.a * pp.c * pp.q, pp.a * pp.c * pp.q)),
+    "own_q_factor": ("connection_first", lambda pp, eps: pp.replace(a=pp.b * pp.q * (1 + eps)),
+                     lambda pp: _margin(1 - pp.a / (pp.q * pp.b), pp.a / (pp.q * pp.b))),
+}
+
+
+def _margin(value, z):
+    return abs(value) / (1 + abs(z))
+
+
+@pytest.mark.parametrize("family", sorted(_NEAR_ZERO))
+def test_a_denominator_within_the_guard_falls_back_to_the_checks_own_draw(monkeypatch, family):
+    name, near, margin = _NEAR_ZERO[family]
+    draw = sample_param_point(Random(7), IdentitySize(2, 0))
+    # a margin past the old absolute guard of 1e-12 and within the default
+    pp = near(draw, 1e-8)
+    assert 1e-12 < margin(pp) <= DEFAULT_GUARD and check_genericity(pp, IdentitySize(2, 0))
+    rec = _records_at(monkeypatch, pp, name, DEFAULT_GUARD)
+    assert rec["resamples"] > 0 and rec["verdict"] == "pass"
+    assert rec["seed"] == cli._trial_seed(0, name, 2, 0, 0)
+    # a point the default guard accepts, and a larger guard does not
+    pp = near(draw, 1e-4)
+    wide = 1e-3
+    assert DEFAULT_GUARD < margin(pp) <= wide
+    assert check_genericity(pp.replace(guard=wide), IdentitySize(2, 0))
+    assert _records_at(monkeypatch, pp, name, DEFAULT_GUARD)["resamples"] == 0
+    rec = _records_at(monkeypatch, pp, name, wide)
+    assert rec["resamples"] > 0 and rec["verdict"] == "pass"

@@ -20,10 +20,11 @@ from thetacb.errors import (
     RootOfUnityError,
     ZeroArgumentError,
 )
-from thetacb.sampling import P_HI, _denominator_args, _draw, theta_margin
+from thetacb.params import IdentitySize
+from thetacb.sampling import P_HI, _draw, check_genericity
 import thetacb.special as special
 from thetacb.special import (
-    DENOMINATOR_GUARD,
+    DEFAULT_GUARD,
     LOG_SPACE_MAG,
     SERIES_NOME_BOUND,
     addition_formula_residual,
@@ -34,9 +35,7 @@ from thetacb.special import (
     ThetaLadders,
     _Nome,
     _mp_powers,
-    _prefactor_mag,
     _product_floor_bits,
-    _reduce,
     relative_residual,
     series_with_running_products,
     theta,
@@ -290,14 +289,13 @@ def _qp_at(x, p):
 def _double_reference(x, p, at=_series_at):
     """theta(x; p) for built-in x and p at 60 digits, as the double kernel
     is to give it: the exact prefactor (-1)^n x^n p^(n(n-1)/2) times theta
-    at the reduced argument x' = x p^n as :func:`special._reduce` rounds
-    it, theta(x') from ``at`` (x', p) (by default the test's own series),
+    at the reduced argument x' = x p^n as :func:`_reduced` rounds it,
+    theta(x') from ``at`` (x', p) (by default the test's own series),
     and exactly 0 at x' = 1.  So the comparison leaves out how far one unit
     of x' moves theta, which no double kernel can recover."""
-    nome = _Nome(p).current()
-    n = round(-math.log(abs(x)) / nome.log_ap)
+    n = round(-math.log(abs(x)) / _Nome(p).current().log_ap)
     try:
-        reduced, _ = _reduce(x, nome)
+        reduced = _reduced(x, p)
     except OverflowError:
         reduced = None  # x' itself is representable; take it exact
     if reduced == 1:
@@ -306,6 +304,13 @@ def _double_reference(x, p, at=_series_at):
         xm, pm = mpmath.mpc(x), mpmath.mpc(p)
         reduced = xm * pm**n if reduced is None else mpmath.mpc(reduced)
         return (-1) ** n * xm**n * pm ** (n * (n - 1) // 2) * at(reduced, pm)
+
+
+def _reduced(x, p):
+    """The reduced argument x' = x p^n, n = round(-log |x| / log |p|),
+    rounded as the double kernel rounds it (x itself at n = 0)."""
+    n = round(-math.log(abs(x)) / _Nome(p).current().log_ap)
+    return x * p**n if n else x
 
 
 def _units(value, ref) -> float:
@@ -357,19 +362,18 @@ class TestThetaMany:
 
     @pytest.mark.parametrize("depth", [0, 3, 8, 14])
     def test_the_genericity_scans_arguments(self, depth):
-        # every denominator the scan reads, at the scan's depths; an
-        # argument deep in a quasi-period overflows, and its reference is
-        # beyond doubles
+        # every entry the scan stores at its depths, the thetas of the
+        # weights h(i, 0) and h(0, j)
+        checked = 0
         for seed in range(4):
             pp = _draw(Random(seed), P_HI)
-            for ladder, j in _denominator_args(pp, depth, depth):
-                x = ladder.z * ladder.q**j
-                try:
-                    value = theta(x, pp.p)
-                except OverflowError:
-                    assert abs(_double_reference(x, pp.p)) > 1e300
-                    continue
-                assert _units(value, _double_reference(x, pp.p)) <= _double_bound(x, pp.p)
+            check_genericity(pp, IdentitySize(depth, depth))
+            for ladder in pp.thetas.values():
+                for j, value in ladder._values.items():
+                    x = ladder.z * ladder.q**j
+                    assert _units(value, _double_reference(x, pp.p)) <= _double_bound(x, pp.p)
+                    checked += 1
+        assert checked >= 8 * (depth + 1)
 
     @pytest.mark.parametrize("r", [0.6, 0.8, 0.9, 0.95])
     def test_against_mpmath_qp(self, r):
@@ -385,13 +389,15 @@ class TestThetaMany:
             assert _units(theta(x, p), ref) <= _double_bound(x, p), (x, p)
 
     def test_an_overflowing_reduction_is_left_unfilled(self):
-        # a read that overflows stores nothing; its margin is infinite
+        # a read that overflows raises and stores nothing
         p = 0.5 + 0.1j
         big, fine = 1e-300 + 0j, 0.4 - 0.2j
         with pytest.raises(OverflowError):
             theta(big, p)
         store = ThetaLadders(1 + 0j, p)
-        assert theta_margin(store[big], 0) == math.inf and 0 not in store[big]
+        with pytest.raises(OverflowError):
+            store[big][0]
+        assert 0 not in store[big]
         assert store[fine][0] == theta(fine, p)
 
     def test_an_overflowing_product_raises_and_is_left_unfilled(self):
@@ -404,14 +410,15 @@ class TestThetaMany:
         store = ThetaLadders(1 + 0j, p)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert theta_margin(store[x], 0) == math.inf
+            with pytest.raises(OverflowError):
+                store[x][0]
         assert 0 not in store[x]
 
     def test_the_bound_rejects_a_skipped_factor_pair(self):
         # theta without its factor pair k = 1 is outside the bound at every
         # seeded point
         for x, p in list(_double_points())[::8]:
-            reduced, _ = _reduce(x, _Nome(p).current())
+            reduced = _reduced(x, p)
             value = theta(x, p) / ((1 - reduced * p) * (1 - p / reduced * p))
             assert _units(value, _double_reference(x, p)) > _double_bound(x, p), (x, p)
 
@@ -450,7 +457,8 @@ class TestThetaMany:
         for n in (-25, -24, -23, -22, 22, 23, 24, 25):
             for r in (0.8, 1.0, 1.25):
                 x = p**-n * cmath.rect(r, n)
-                mag = _prefactor_mag(n, math.log(abs(x)), nome.log_ap)
+                # theta's test: at least the log of the larger power factor
+                mag = abs(n) * abs(math.log(abs(x))) + abs(n * (n - 1) / 2) * abs(nome.log_ap)
                 if 440 < mag < 560:
                     xs.append(x)
                     if mag >= LOG_SPACE_MAG:
@@ -469,9 +477,8 @@ class TestThetaMany:
                 value = theta(x, p)
             except OverflowError:
                 continue
-            nome = _Nome(p).current()
-            reduced, _ = _reduce(x, nome)
-            n = round(-math.log(abs(x)) / nome.log_ap)
+            reduced = _reduced(x, p)
+            n = round(-math.log(abs(x)) / _Nome(p).current().log_ap)
             ref = _double_reference(x, p)
             wrong = [value * -reduced, value * (-p / reduced)]
             if n % 2:
@@ -485,15 +492,15 @@ class TestThetaMany:
         # a nome so small that the series keeps one term
         _assert_near_reference([1e19 + 0j, 1e-19 + 0j, 0.5 + 0j], 1e-40 + 0j)
         assert len(_Nome(1e-40 + 0j).current().series) == 1
-        # a zero argument has margin 0 and is left for a read, which raises
+        # a read at a zero argument raises and stores nothing
         store = ThetaLadders(0.6 + 0.2j, 0.3j)
-        assert theta_margin(store[0.5 + 0j], 0) > 0 and theta_margin(store[0j], 1) == 0
-        assert 1 not in store[0j]
+        assert store[0.5 + 0j][0] == theta(0.5 + 0j, 0.3j)
         with pytest.raises(ZeroArgumentError):
             store[0j][1]
+        assert 1 not in store[0j]
         store = ThetaLadders(0.6 + 0.2j, 1.0 + 0j)
         with pytest.raises(DivergenceError):
-            theta_margin(store[0.5 + 0j], 0)
+            store[0.5 + 0j][0]
 
 
 def _assert_units_of_reference(value, x, p, units):
@@ -832,7 +839,8 @@ class TestThetaStore:
             assert copy.q_powers is store.q_powers
             wide = mpmath.mp.prec
             assert dict(store.q_powers) == {(wide, j): q**j for j in (3, -2, 5)}
-            assert one.arg(5) == one.z * q**5
+            assert repr(one[5]) == repr(theta(one.z * q**5, p))
+            assert len(store.q_powers) == 3
         with mpmath.workdps(15):
             # the powers are keyed by precision: none computed at 40 digits
             # is read here
@@ -894,37 +902,60 @@ class TestThetaLadder:
             ladder.den(0)
         assert ladder.den(1) == ladder[1]
 
-    def test_den_of_an_mpmath_entry_raises_exactly_when_its_modulus_is_within_the_guard(self):
-        # den sizes an mpmath entry in doubles first; entries about the
-        # guard and about twice the guard, where that test decides, keep
-        # the outcome of the exact modulus
+    def test_a_store_copy_keeps_the_guard_and_the_flags(self):
+        # an entry flagged in the store stays flagged in its copy, and the
+        # copy's new entries are tested against the same guard
+        q, p = 0.55 + 0.3j, 0.2 - 0.1j
+        store = ThetaLadders(q, p, guard=0.05)
+        near = store[1 + 0.01j]
+        assert near[0] == theta(1 + 0.01j, p)  # a numerator read forms and flags it
+        copy = store.copy()
+        assert copy.guard == 0.05
+        for ladder in (near, copy[1 + 0.01j]):
+            with pytest.raises(DegenerateParameterError):
+                ladder.den(0)
+        z = 1.04 / q  # entry 1 has margin about 0.02
+        with pytest.raises(DegenerateParameterError):
+            copy[z].den(1)
+        assert ThetaLadders(q, p)[z].den(1) == copy[z][1]
+
+    def test_den_of_an_mpmath_entry_raises_exactly_when_its_modulus_is_within_the_guard(
+            self, monkeypatch):
+        # the store sizes an mpmath entry's margin |value| / (1 + |z|) in
+        # doubles first; entries about the guard and about twice the guard,
+        # where that test decides, keep the outcome of the exact margin.
+        # With q = 1 every entry's argument is z, and theta returns the
+        # values in turn
         with mpmath.workdps(40):
-            ladder = ThetaLadders(mpmath.mpc(0.55, 0.3), mpmath.mpc(0.2, -0.1))[mpmath.mpc(0.6)]
-            g, tiny = mpmath.mpf(DENOMINATOR_GUARD), mpmath.mpf(10) ** -30
-            values = [mpmath.mpc(0), mpmath.mpc("1e-400"), mpmath.mpc("1e400", 1),
+            z = mpmath.mpc(0.6)
+            ladder = ThetaLadders(mpmath.mpc(1), mpmath.mpc(0.2, -0.1))[z]
+            g, tiny = DEFAULT_GUARD * (1 + abs(z)), mpmath.mpf(10) ** -30
+            values = [mpmath.mpc("1e-400"), mpmath.mpc("1e400", 1),
                       mpmath.mpc(0.6 * g, 0.8 * g), mpmath.mpc(-0.8 * g, 0.6 * g) * (1 + tiny)]
             for scale in (1, 2):
                 values += [mpmath.mpc(scale * g * (1 + e)) for e in (-tiny, 0, tiny)]
-            vanished = [abs(value) <= DENOMINATOR_GUARD for value in values]
+            vanished = [abs(value) / (1 + abs(z)) <= DEFAULT_GUARD for value in values]
+            formed = iter(values)
+            monkeypatch.setattr(special, "theta", lambda x, p, nome: next(formed))
             for j, value in enumerate(values):
-                ladder._values[j] = value
                 if vanished[j]:
                     with pytest.raises(DegenerateParameterError):
                         ladder.den(j)
                 else:
                     assert ladder.den(j) is value
-        assert vanished.count(True) == 4 and vanished.count(False) == 7
+                assert ladder[j] is value
+        assert vanished.count(True) == 3 and vanished.count(False) == 7
 
 
 class TestLadderKernels:
     def test_ratio_guards_factors_not_their_product(self):
-        # two denominator factors of about 1e-7 each clear the guard while
+        # two denominator factors of about 1e-4 each clear the guard while
         # their product lies far below it: the ratio is still evaluated
         q, p = 0.55 + 0.3j, 0.2 - 0.1j
         lad = ThetaLadders(q, p)
-        near_lo, near_hi, free = lad[1 - 1e-7 + 0j], lad[1 + 1e-7j], lad[0.6 + 0.2j]
-        assert abs(near_lo[0] * near_hi[0]) < DENOMINATOR_GUARD < min(abs(near_lo[0]),
-                                                                      abs(near_hi[0]))
+        near_lo, near_hi, free = lad[1 - 1e-4 + 0j], lad[1 + 1e-4j], lad[0.6 + 0.2j]
+        assert abs(near_lo[0] * near_hi[0]) < DEFAULT_GUARD < min(abs(near_lo[0]) / 2,
+                                                                  abs(near_hi[0]) / 2)
         got = theta_ratio(((free, 0, 2),), ((near_lo, 0, 1), (near_hi, 0, 1)))
         want = free[0] * free[1] / (near_lo[0] * near_hi[0])
         assert relative_residual(got, want) < 1e-13
@@ -1222,9 +1253,7 @@ class TestAdditionFormula:
         # draws avoid it almost surely, so non-generic ones are discarded
         args = (x * y, x / y, u * v, u / v, x * v, x / v, u * y, u / y,
                 y * v, y / v, x * u, x / u)
-        # entry 0 of a ladder with q = 1 is theta(arg; p) itself
-        lad = ThetaLadders(1, p)
-        assume(min(theta_margin(lad[arg], 0) for arg in args) > 1e-6)
+        assume(min(abs(theta(arg, p)) / (1 + abs(arg)) for arg in args) > 1e-6)
         assert addition_formula_residual(x, y, u, v, p) < 1e-10
 
     @pytest.mark.parametrize("digits", [0, 40])
