@@ -82,7 +82,10 @@ def _at_m(check: Callable, tag: AlgebraTag) -> Callable:
 
 
 def _convolution(pp, m, n):
-    return worst_residual(noncomm.convolution_residual(pp, n, m, k) for k in range(n + m + 1))
+    # one evaluator for every k: the splits share their leaves
+    ev = noncomm.Evaluator(AlgebraTag.ELLIPTIC_XABC, pp)
+    return worst_residual(noncomm.convolution_residual(pp, n, m, k, ev)
+                          for k in range(n + m + 1))
 
 
 def _frenkel_turaev(pp, m, n):

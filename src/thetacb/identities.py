@@ -62,7 +62,7 @@ def cb_term_abcq(pp: ParamPoint, m: int, n: int):
     """The (a, b, c; q)-family addend and its summed magnitude: the p = 0
     closed form of :func:`cb_term_elliptic` (thetas collapse to 1 - z
     exactly)."""
-    return cb_term_elliptic(pp.replace(p=0j), m, n)
+    return cb_term_elliptic(pp.basic, m, n)
 
 
 def cb_term_abq2(pp: ParamPoint, m: int, n: int):
@@ -72,7 +72,7 @@ def cb_term_abq2(pp: ParamPoint, m: int, n: int):
         * sum_{k<=m} (q^(n+1), ax, a/x; q)_k / (q, aq/b, ab q^(n+1); q)_k * q^k.
     """
     x, a, b, q = pp.x, pp.a, pp.b, pp.q
-    lad = pp.replace(p=0j).thetas
+    lad = pp.basic.thetas
     ab, qq = lad[a * b], lad[q]
     pre = theta_ratio(((lad[b * x], 0, n + 1), (lad[b / x], 0, n + 1)),
                       ((ab, 0, n + 1), (lad[b / a], 0, n + 1)))
@@ -93,7 +93,7 @@ def cb_term_abq1(pp: ParamPoint, m: int, n: int):
     for the a <-> b mirror symmetry.
     """
     x, a, b, q = pp.x, pp.a, pp.b, pp.q
-    lad = pp.replace(p=0j).thetas
+    lad = pp.basic.thetas
     qq = lad[q]
     pre = theta_ratio(((lad[b * x], 0, n + 1),), ((lad[b / a], 0, n + 1),))
     total, scale = series_with_running_products(

@@ -421,7 +421,8 @@ def homogeneous_cb_residual(tag: AlgebraTag, pp: ParamPoint, m: int, n: int) -> 
 # ---------------------------------------------------------------------------
 # Convolution and the terminating very-well-poised sum.
 
-def convolution_residual(pp: ParamPoint, n: int, m: int, k: int) -> float:
+def convolution_residual(pp: ParamPoint, n: int, m: int, k: int,
+                         ev: Evaluator | None = None) -> float:
     """Residual of the elliptic binomial convolution
 
         [n+m, k] prod_{j<n+m-k} h~(j, 0)
@@ -430,11 +431,14 @@ def convolution_residual(pp: ParamPoint, n: int, m: int, k: int) -> float:
             prod_{i<k-j} H(i+j, n-j),
 
     which splits a (n+m)-step binomial expansion at step n.  Both sides
-    are built from the four-parameter row's leaves, read by one evaluator.
+    are built from the four-parameter row's leaves, read by one evaluator:
+    ``ev``, an evaluator of that row at pp, which the calls for every k of
+    one (n, m) can share, or a fresh one.
     """
     if k < 0 or k > n + m:
         raise ValueError("need 0 <= k <= n + m")
-    ev = Evaluator(AlgebraTag.ELLIPTIC_XABC, pp)
+    if ev is None:
+        ev = Evaluator(AlgebraTag.ELLIPTIC_XABC, pp)
 
     def value(coeff, shift=ZERO_SHIFT):
         return coeff(ev, shift)

@@ -7,7 +7,9 @@ evaluators are agnostic as long as the usual arithmetic works.
 
 A point also owns the theta values read at it (:attr:`ParamPoint.thetas`),
 so every evaluator that reads the same theta at the same point computes it
-once, and the denominator margin its stores apply (:attr:`ParamPoint.guard`).
+once, the denominator margin its stores apply (:attr:`ParamPoint.guard`),
+and its p = 0 point (:attr:`ParamPoint.basic`), whose store the basic
+families read.
 """
 
 from __future__ import annotations
@@ -84,6 +86,20 @@ class ParamPoint:
             object.__setattr__(self, "_thetas", held)
         return held[1]
 
+    @property
+    def basic(self) -> "ParamPoint":
+        """The point at p = 0, the basic specialisation whose store the
+        basic families read: made on first use and kept with the point, so
+        the checks of one point share its p = 0 entries; :meth:`swap_ab`
+        hands it to the mirror.  A point at p = 0 is its own."""
+        if self.p == 0:
+            return self
+        basic = self.__dict__.get("_basic")
+        if basic is None:
+            basic = self.replace(p=0j)
+            object.__setattr__(self, "_basic", basic)
+        return basic
+
     def role_ladders(self, swap: bool = False) -> tuple:
         """The ladders of the roles, in role order: the bases a/b, b/a, bc,
         ac, ab, cx, c/x, q, c/b, ax, a/x, bx, b/x and c/a of the point's
@@ -123,12 +139,16 @@ class ParamPoint:
     def swap_ab(self) -> "ParamPoint":
         """The point with the roles of a and b exchanged.  It shares this
         point's store (:meth:`replace`) and the role ladders this point
-        holds for it, as its own swapped roles."""
+        holds for it, as its own swapped roles, and its p = 0 point
+        (:attr:`basic`) swapped, which shares that point's store."""
         out = self.replace(a=self.b, b=self.a)
         held = self.__dict__.get("_roles")
         if held is not None and False in held[1]:
             # role_ladders checks the store before it reads them
             object.__setattr__(out, "_roles", (held[0], {True: held[1][False]}))
+        basic = self.__dict__.get("_basic")
+        if basic is not None:
+            object.__setattr__(out, "_basic", basic.swap_ab())
         return out
 
     def replace(self, **changes) -> "ParamPoint":

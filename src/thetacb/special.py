@@ -70,15 +70,34 @@ def within_guard(value, z, guard: float) -> bool:
     1 - z, lies within the margin ``guard``: |value| / (1 + |z|) <= guard,
     a scale-free modulus that is ~0 near a zero.  A modulus beyond doubles
     counts as an infinite margin.  An ``mpmath`` value is sized in doubles
-    first: a double margin above twice the guard puts the exact one above
-    the guard, at a fraction of its cost, so only a value that fails that
-    test takes the margin in mpmath arithmetic."""
+    first, it and z from their raw parts (:func:`_double_abs`): a double
+    margin above twice the guard puts the exact one above the guard, at a
+    fraction of its cost, so only a value that fails that test, or whose
+    sizing leaves doubles, takes the margin in mpmath arithmetic."""
+    if type(value) is not complex:
+        try:
+            if _double_abs(value) / (1.0 + _double_abs(z)) > 2 * guard:
+                return False
+        except OverflowError:
+            pass  # sized exactly below
     try:
-        if type(value) is not complex and abs(complex(value)) / (1.0 + abs(complex(z))) > 2 * guard:
-            return False
         return abs(value) / (1 + abs(z)) <= guard
     except OverflowError:
         return False
+
+
+def _double_abs(v) -> float:
+    """|v| in doubles for an ``mpmath`` or built-in scalar v: an mpmath
+    value from its raw mpf parts, each mantissa scaled by ``math.ldexp``
+    (``OverflowError`` beyond doubles), then ``math.hypot``."""
+    parts = getattr(v, "_mpc_", None)
+    if parts is not None:
+        (_, mr, er, _), (_, mi, ei, _) = parts
+        return math.hypot(math.ldexp(mr, er), math.ldexp(mi, ei))
+    parts = getattr(v, "_mpf_", None)
+    if parts is not None:
+        return math.ldexp(parts[1], parts[2])
+    return abs(v)
 
 
 def q_factor(z, guard: float):
@@ -429,12 +448,21 @@ def _mp_theta_product(x, nome: _Nome):
           theta(x'; p) (p; p)_inf = (1 - x') B,
           B = sum_{k>=1} (-1)^(k+1) p^(k(k-1)/2) S_k,  S_k = sum_{|i|<k} x'^i.
 
-      S_k runs by S_(k+1) = t S_k - S_(k-1) from S_0 = -1 and S_1 = 1,
-      t = x' + 1/x', in fixed point with ``wp`` fractional bits; the
-      coefficients (-1)^(k+1) p^(k(k-1)/2) / (p; p)_inf and the term count
-      come from the nome (:func:`_series_terms`): two complex products per
-      term.  The sum's rounding is absolute; the bits it can lose to
-      cancellation are part of ``wp`` (:func:`_product_floor_bits`), so
+      The coefficients c_k = (-1)^(k+1) p^(k(k-1)/2) / (p; p)_inf and
+      the term count K come from the nome (:func:`_series_terms`), in
+      fixed point with w fractional bits.  S_k runs by
+      S_(k+1) = t S_k - S_(k-1) from S_0 = -1 and S_1 = 1, t = x' + 1/x',
+      so B is summed by Clenshaw's backward recurrence (:func:`_series_sum`)
+
+          b_k = c_k + t b_(k+1) - b_(k+2),  k = K .. 1,  b_(K+1) = b_(K+2) = 0,
+          B = b_1 S_1 - b_2 S_0 = b_1 + b_2,
+
+      one complex product per term: t in fixed point with ``wp``
+      fractional bits, the b_k with w, each t b_(k+1) truncated by ``wp``
+      bits.  A unit of 2^-w in b_k moves B by a unit of 2^-w |S_k|, and
+      w already covers |S_K| >= |S_k|, so the truncations add about
+      K 2^-wp to B.  The sum's rounding is absolute; the bits it can lose
+      to cancellation are part of ``wp`` (:func:`_product_floor_bits`), so
       its error stays relative.
     * The prefactor (-1)^n x^n p^(n(n-1)/2) is formed with ``wp``
       significant bits: x^n from x, or for n < 0 from 1/x, and the power
@@ -469,19 +497,25 @@ def _mp_theta_product(x, nome: _Nome):
     mod2 = xr * xr + xi * xi
     tr = xr + ((xr << 2 * wp) // mod2 if mod2 else 0)
     ti = xi + ((-xi << 2 * wp) // mod2 if mod2 else 0)
-    w, coeffs = nome.series
-    br = bi = 0
-    sr, si, qr, qi = 1 << wp, 0, -1 << wp, 0
-    for cr, ci in coeffs:
-        br += cr * sr - ci * si
-        bi += cr * si + ci * sr
-        sr, si, qr, qi = ((tr * sr - ti * si) >> wp) - qr, ((tr * si + ti * sr) >> wp) - qi, sr, si
-    vr, vi, e = _mul((br >> w, bi >> w, -wp), f)
+    vr, vi, e = _mul(_series_sum(nome.series, tr, ti, wp), f)
     if n:
         vr, vi, e = _mul((vr, vi, e), pref)
     if n % 2:
         vr, vi = -vr, -vi
     return _mp_round((vr, vi, e), ctx, not hasattr(x, "_mpc_") and not hasattr(p, "_mpc_"))
+
+
+def _series_sum(series, tr: int, ti: int, wp: int) -> tuple:
+    """B = sum_k c_k S_k of :func:`_mp_theta_product` as an integer complex,
+    for the nome's ``series`` (w, coefficients c_k in fixed point with w
+    fractional bits) and t = tr + i ti in fixed point with ``wp``: by
+    Clenshaw's recurrence, b_k at w fractional bits, B = b_1 + b_2."""
+    w, coeffs = series
+    br = bi = lr = li = 0
+    for cr, ci in reversed(coeffs):
+        br, bi, lr, li = (cr + ((tr * br - ti * bi) >> wp) - lr,
+                          ci + ((tr * bi + ti * br) >> wp) - li, br, bi)
+    return br + lr, bi + li, -w
 
 
 def _mp_powers(nome: _Nome, n: int) -> tuple:
@@ -543,6 +577,19 @@ def _mp_round(a, ctx, real: bool):
     if real:
         return ctx.make_mpf(re)
     return ctx.make_mpc((re, from_man_exp(i, e, prec, rnd)))
+
+
+def _mp_times(z, w, ctx):
+    """z * w for an ``mpmath`` w of context ``ctx`` and a scalar z, bit for
+    bit the product mpmath forms: the exact product of the raw parts, each
+    part of it rounded once (:func:`_mp_round`), as ``mpc_mul`` rounds each
+    exact sum of products once; an mpf when z and w are real.  z is
+    converted to ``ctx`` unless it is an mpmath scalar, as mpmath converts
+    it."""
+    if not hasattr(z, "_mpc_") and not hasattr(z, "_mpf_"):
+        z = ctx.convert(z)
+    return _mp_round(_mul(_exact(_mp_parts(z)), _exact(_mp_parts(w))), ctx,
+                     not hasattr(z, "_mpc_") and not hasattr(w, "_mpc_"))
 
 
 def _mp_context(v):
@@ -693,7 +740,10 @@ class ThetaLadder:
     call per distinct index instead of one per factor and cell.  The
     argument of entry j is ``z * q**j``, the association the weight
     formulas use, so values read off a ladder match direct evaluation bit
-    for bit.  A ladder belongs to one (q, p) and one working precision: a
+    for bit; at an ``mpmath`` q it is formed from the exact integer
+    product of the raw parts, each part rounded once (:func:`_mp_times`),
+    with the bits and the type of mpmath's product (an mpf for a real z
+    and q).  A ladder belongs to one (q, p) and one working precision: a
     parameter point keeps its ladders (``ParamPoint.thetas``) and drops
     them when read at another precision.
 
@@ -724,7 +774,11 @@ class ThetaLadder:
         value = self._values.get(j)
         if value is None:
             powers = self._q_powers
-            x = self.z * (self.q**j if powers is None else powers[powers.context.prec, j])
+            if powers is None:
+                x = self.z * self.q**j
+            else:
+                ctx = powers.context
+                x = _mp_times(self.z, powers[ctx.prec, j], ctx)
             if not self._basic:
                 value = theta(x, self.p, self._nome)
             elif x == 0:

@@ -612,6 +612,32 @@ class TestResidualFolds:
         assert records[1, 1]["verdict"] == "fail"
 
 
+@pytest.mark.parametrize("digits", [0, 40])
+def test_the_convolution_runner_shares_one_evaluator_across_its_splits(monkeypatch, digits):
+    # the runner's splits k = 0 .. n + m read one evaluator's leaves, and
+    # fold the residuals that a fresh evaluator per split gives
+    made = []
+    inner = noncomm.Evaluator.__init__
+
+    def counting(self, tag, pp):
+        made.append(tag)
+        inner(self, tag, pp)
+
+    runner = REGISTRY["convolution"][2]
+    with mpmath.workdps(digits or 15):
+        for seed, (m, n) in enumerate([(0, 0), (2, 1), (3, 3)]):
+            pp = sample_param_point(Random(60 + seed), IdentitySize(m, n))
+            pp = sampling.to_mp(pp) if digits else fresh_copy(pp)
+            want = [noncomm.convolution_residual(fresh_copy(pp), n, m, k)
+                    for k in range(n + m + 1)]
+            monkeypatch.setattr(noncomm.Evaluator, "__init__", counting)
+            made.clear()
+            got = runner(pp, m, n)
+            monkeypatch.undo()
+            assert made == [noncomm.AlgebraTag.ELLIPTIC_XABC]
+            assert got == max(want) and math.isfinite(got)
+
+
 #: Campaign draws at which a check cancels terms far larger than its result,
 #: (name, m, n, point), each point pinned by its six parameters and named
 #: as in ROADMAP item 1's table.  On a fresh point the first three read

@@ -82,6 +82,44 @@ def test_mirror_term_reads_the_thetas_of_the_first(monkeypatch):
     assert 0 < mirror < first
 
 
+@pytest.mark.parametrize("digits", [0, 40])
+def test_a_point_keeps_one_p_zero_point_and_hands_it_to_the_mirror(digits):
+    with mpmath.workdps(digits or 15):
+        pp = sample_param_point(Random(47), IdentitySize(2, 2))
+        pp = to_mp(pp) if digits else fresh_copy(pp)
+        basic = pp.basic
+        assert basic == pp.replace(p=0j) and basic.guard == pp.guard
+        assert pp.basic is basic and basic.basic is basic
+        store = basic.thetas
+        mirror = pp.swap_ab()
+        assert mirror.basic == basic.swap_ab() and mirror.basic.thetas is store
+        for family in ("abq1", "abq2", "abcq"):
+            got = cb_residual(family, pp, 2, 2)
+            assert got == cb_residual(family, fresh_copy(pp), 2, 2) <= CampaignConfig().tol
+        # the three families and their mirrors read one p = 0 store
+        assert basic.thetas is store and len(store) > 0
+
+
+def test_the_basic_checks_form_one_p_zero_store_per_cell(monkeypatch):
+    # the basic checks of one campaign cell share its p = 0 point: one
+    # p = 0 store per cell, and the records of a fresh p = 0 point per term
+    config = CampaignConfig(identities=("abq1_cb", "abq2_cb", "abcq_cb", "elliptic_cb"),
+                            m_max=2, n_max=2, trials=2, seed=5)
+    inner = special.ThetaLadders.__init__
+    stores = []
+
+    def counting(self, q, p, *args, **kwargs):
+        stores.append(p == 0)
+        inner(self, q, p, *args, **kwargs)
+
+    monkeypatch.setattr(special.ThetaLadders, "__init__", counting)
+    records = run_campaign(config).records
+    assert all(rec["resamples"] == 0 for rec in records)
+    assert stores.count(True) == 3 * 3 * 2
+    monkeypatch.setattr(ParamPoint, "basic", property(lambda pp: pp.replace(p=0j)))
+    assert run_campaign(config).records == records
+
+
 def test_the_elliptic_term_reads_the_ladders_of_the_roles():
     # cb_term_elliptic reads exactly the point's 14 role ladders, the ones
     # the lattice forms read, and makes no ladder of its own

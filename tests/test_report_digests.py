@@ -67,3 +67,24 @@ def test_unknown_workload_and_missing_spec_exit_two(tmp_path, capsys):
     assert "unknown workloads: nope" in capsys.readouterr().err
     assert report_digests.main(["--spec", str(tmp_path / "missing.json")]) == 2
     assert "spec error" in capsys.readouterr().err
+
+
+#: The sha256 of the report of each benchmark workload at its default and
+#: held-out seeds.  A change that alters a report on purpose says so and
+#: pins the new digests here, as the ``float.hex`` pins are re-pinned.
+_PINNED = [
+    ("campaign_default", 0, "4c4338fd98b47c99436ac0b1cbff847b5379b401055a0c1de592d1f4daa73b72"),
+    ("campaign_default", 11, "d0e696337daea4e4acd53d3ce2481ecb0a19ef549bc895879a754e2bcd303b4a"),
+    ("campaign_deep", 2, "6bb1fe8b8f2f7e9bce9d872ef7ea903f25923e17e6cd08fc5c759a93946b7f3d"),
+    ("campaign_deep", 11, "b827da7b0cef70d8ae1f94e3c50add76a4de9fb41e1126816d77ec6832711dec"),
+    ("campaign_mp40", 0, "497887c2346e00a3f874f73940a22ad9da15b678eb5b9d64a1c97be38f2a9d17"),
+    ("campaign_mp40", 11, "a52417c0161d03ef3145a67089a118a481d8de2881f3f00edb179697a261a947"),
+]
+
+
+def test_the_benchmark_workloads_reports_are_pinned():
+    # every workload of the benchmark's spec (read, never written), run in
+    # this process as the script runs it
+    spec_path = Path(__file__).resolve().parents[1] / "perfbench" / "spec.json"
+    spec = json.loads(spec_path.read_text(encoding="utf-8"))
+    assert list(report_digests.digests(spec, tuple(spec["workloads"]))) == _PINNED

@@ -41,6 +41,7 @@ from thetacb.special import (
     theta,
     theta_fact,
     theta_ratio,
+    within_guard,
     worst_residual,
 )
 
@@ -570,7 +571,60 @@ def _near_the_unit_circle():
         yield mpmath.mpf("0.999") / mpmath.sqrt(p.real), p
 
 
+def _forward_series_sum(series, tr, ti, wp):
+    """B = sum_k c_k S_k of ``special._series_sum`` by the forward recurrence
+    S_(k+1) = t S_k - S_(k-1) from S_0 = -1 and S_1 = 1, S_k in fixed point
+    with ``wp`` fractional bits: two complex products per term, the
+    reference Clenshaw's sum must give the bits of."""
+    w, coeffs = series
+    br = bi = 0
+    sr, si, qr, qi = 1 << wp, 0, -1 << wp, 0
+    for cr, ci in coeffs:
+        br += cr * sr - ci * si
+        bi += cr * si + ci * sr
+        sr, si, qr, qi = ((tr * sr - ti * si) >> wp) - qr, ((tr * si + ti * sr) >> wp) - qi, sr, si
+    return br >> w, bi >> w, -wp
+
+
+def _clenshaw_points(rng, nomes, per_nome):
+    """(p, xs) at the working precision: ``nomes`` nomes with |p| in
+    (0.01, 0.995), every seventh real, each with ``per_nome`` arguments
+    with |x| in e^+-8, every fifth real; then the points next to zeros of
+    the other theta tests: x next to 1 and to p^n, and the edge of the
+    annulus near the unit circle."""
+    out = []
+    for i in range(nomes):
+        r = rng.uniform(0.01, 0.995)
+        p = mpmath.mpf(rng.choice((-r, r))) if i % 7 == 0 else mpmath.mpc(
+            cmath.rect(r, rng.uniform(-math.pi, math.pi)))
+        xs = []
+        for k in range(per_nome):
+            x = cmath.rect(math.exp(rng.uniform(-8.0, 8.0)), rng.uniform(-math.pi, math.pi))
+            xs.append(mpmath.mpf(x.real) if k % 5 == 0 else mpmath.mpc(x))
+        out.append((p, xs))
+    tiny = mpmath.mpf("6e-21")
+    p = mpmath.mpc(0.3, 0.2)
+    out.append((p, [mpmath.mpc(1 + tiny), mpmath.mpc(1, tiny**1.5), 1 + tiny,
+                    mpmath.mpc(1 - tiny**1.7, -tiny**1.7), mpmath.mpc(1)]
+                + [p**n * (1 + tiny * mpmath.expjpi(0.3)) for n in (-3, -1, 2, 5)]))
+    out.extend((p, [x]) for x, p in _near_the_unit_circle())
+    return out
+
+
 class TestThetaAt40Digits:
+    @pytest.mark.parametrize("dps", [15, 40, 60])
+    def test_clenshaw_sum_gives_the_forward_recurrences_bits(self, dps, monkeypatch):
+        # every fixed-point value carries the guard bits and is rounded
+        # once, so the two sums' last bits move no rounded value here
+        with mpmath.workdps(dps):
+            points = _clenshaw_points(Random(dps), 300, 10)
+            assert sum(len(xs) for _, xs in points) >= 3000
+            nomes = [_Nome(p) for p, _ in points]
+            got = [repr(theta(x, p, nome)) for (p, xs), nome in zip(points, nomes) for x in xs]
+            monkeypatch.setattr(special, "_series_sum", _forward_series_sum)
+            want = [repr(theta(x, p, nome)) for (p, xs), nome in zip(points, nomes) for x in xs]
+        assert got == want
+
     def test_zero_at_one_is_exact(self):
         q, p = mpmath.mpc(0.55, 0.3), mpmath.mpc(0.2, -0.1)
         with mpmath.workdps(40):
@@ -853,6 +907,36 @@ class TestThetaStore:
         assert ThetaLadders(0.55 + 0.3j, 0.2 - 0.1j).q_powers is None
 
 
+    @pytest.mark.parametrize("dps", [15, 40, 60])
+    def test_ladder_arguments_are_the_mpmath_products(self, dps, monkeypatch):
+        # at an mpmath q an entry's argument z q^j is formed on integers
+        # and rounded once per part: the bits and the type of z * q**j,
+        # an mpf for a real z and q
+        rng = Random(dps)
+        formed = []
+        monkeypatch.setattr(special, "theta", lambda x, p, nome: formed.append(x) or 1)
+        with mpmath.workdps(dps):
+            for _ in range(4):
+                r, phase = rng.uniform(0.3, 0.9), rng.uniform(-math.pi, math.pi)
+                for q in (mpmath.mpc(cmath.rect(r, phase)), mpmath.mpf(-r)):
+                    z = cmath.rect(rng.uniform(0.2, 2.0), rng.uniform(-math.pi, math.pi))
+                    for base in (mpmath.mpc(z), mpmath.mpf(z.real), z, z.real):
+                        for p in (mpmath.mpc(0.2, -0.1), 0j):
+                            ladder = ThetaLadders(q, p)[base]
+                            real = type(q) is mpmath.mpf and not isinstance(
+                                base, (mpmath.mpc, complex))
+                            for j in range(-6, 7):
+                                want = base * q**j
+                                assert (type(want) is mpmath.mpf) == real
+                                value = ladder[j]
+                                if p:
+                                    assert repr(formed[-1]) == repr(want)
+                                    assert type(formed[-1]) is type(want)
+                                else:  # the p = 0 entry 1 - z q^j
+                                    assert repr(value) == repr(1 - want)
+                                    assert type(value) is type(want)
+
+
 class TestThetaLadder:
     def test_entries_are_theta_at_shifted_arguments(self):
         z, q, p = 0.7 - 0.4j, 0.55 + 0.3j, 0.2 - 0.1j
@@ -945,6 +1029,40 @@ class TestThetaLadder:
                     assert ladder.den(j) is value
                 assert ladder[j] is value
         assert vanished.count(True) == 3 and vanished.count(False) == 7
+
+
+    def test_raw_part_sizing_decides_as_the_complex_sizing(self):
+        # the margin's double pre-test sized through complex(), each part
+        # by mpmath's to_float, against within_guard's raw-part sizing, at
+        # margins about 0.5, 1, 2 and 2.0001 times the guard, at moduli
+        # beyond doubles, for mpf values and beside a built-in complex z
+        def by_complex(value, z, guard):
+            try:
+                if type(value) is not complex and (
+                        abs(complex(value)) / (1.0 + abs(complex(z))) > 2 * guard):
+                    return False
+                return abs(value) / (1 + abs(z)) <= guard
+            except OverflowError:
+                return False
+
+        guard = DEFAULT_GUARD
+        with mpmath.workdps(40):
+            tiny = mpmath.mpf(2) ** -100
+            cases = []
+            for z in (mpmath.mpc(0.6, -0.3), mpmath.mpf("-1.7"), 0.6 - 0.3j,
+                      mpmath.mpc("1e400", 1), mpmath.mpc("1e-400")):
+                unit = guard * (1 + abs(z))
+                for scale in (0.5, 1, 2, 2.0001):
+                    for e in (-tiny, 0, tiny):
+                        m = scale * unit * (1 + e)
+                        cases += [(mpmath.mpc(0.6 * m, -0.8 * m), z), (mpmath.mpf(m), z),
+                                  (mpmath.mpf(-m), z)]
+                cases += [(mpmath.mpc("1e400", 1), z), (mpmath.mpf("-1e400"), z),
+                          (mpmath.mpc("1e-400", "-1e-400"), z), (mpmath.mpf("1e-400"), z)]
+            decisions = [within_guard(value, z, guard) for value, z in cases]
+            assert decisions == [by_complex(value, z, guard) for value, z in cases]
+            assert decisions == [abs(value) / (1 + abs(z)) <= guard for value, z in cases]
+        assert decisions.count(True) == 80 and decisions.count(False) == 120
 
 
 class TestLadderKernels:
