@@ -27,7 +27,7 @@ from .errors import (
 from .identities import cb_residual
 from .params import IdentitySize, ParamPoint
 from .sampling import check_genericity, sample_param_point
-from .special import addition_formula_residual, qbinom, qpoch, theta, theta_fact
+from .special import addition_formula_residual, qbinom, qpoch, theta
 
 __all__ = [
     "CapExceededError",
@@ -50,7 +50,6 @@ __all__ = [
     "qpoch",
     "sample_param_point",
     "theta",
-    "theta_fact",
 ]
 
 __version__ = "0.1.0"

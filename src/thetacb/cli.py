@@ -240,20 +240,18 @@ def _trial_seed(*coords) -> int:
 @dataclass
 class _Cell:
     """One (m, n, trial) cell of a campaign: the seed of its draw and,
-    once the first check of the cell has run, its scanned double point
-    (``point``), the one evaluation point the cell's checks share at that
-    draw (``shared``, made by :func:`_own_point` when the first check
-    that shares it runs: its theta store starts from the scan's and keeps
-    every check's reads for the next, see :func:`_run_trial`) and the
-    record ``params`` of the draw, built once for the cell's records at
-    resamples 0."""
+    once the first check of the cell has run, the one evaluation point the
+    cell's checks share at that draw (``point``, made by :func:`_own_point`
+    from the scanned draw: its theta store is the scan's at a double
+    campaign and keeps every check's reads for the next, see
+    :func:`_run_trial`) and the record ``params`` of the draw, built once
+    for the cell's records at resamples 0."""
 
     m: int
     n: int
     trial: int
     seed: int
     point: ParamPoint | None = None
-    shared: ParamPoint | None = None
     params: dict | None = None
 
 
@@ -317,28 +315,29 @@ def _pair(z) -> list:
 
 
 def _draws(config: CampaignConfig, name: str, cell: _Cell):
-    """The double points check ``name`` tries at ``cell`` in turn, each
-    with the seed of the stream that drew it: the cell's shared point,
+    """The points check ``name`` tries at ``cell`` in turn (:func:`_own_point`),
+    each with the seed of the stream that drew it: the cell's shared point,
     drawn and scanned on the cell's first trial, then up to 20 draws of the
     check's own stream, for a check that divides by a denominator within
     the campaign's guard at the shared point (a check raises
     ``DegenerateParameterError`` there, see ``thetacb.sampling``)."""
     size = IdentitySize(cell.m, cell.n)
     if cell.point is None:
-        cell.point = sample_param_point(Random(cell.seed), size, guard=config.guard,
-                                        p_max=config.p_max)
+        cell.point = _own_point(config, sample_param_point(
+            Random(cell.seed), size, guard=config.guard, p_max=config.p_max))
     yield cell.seed, cell.point
     seed = _trial_seed(config.seed, name, cell.m, cell.n, cell.trial)
     rng = Random(seed)
     for _ in range(20):
-        yield seed, sample_param_point(rng, size, guard=config.guard, p_max=config.p_max)
+        yield seed, _own_point(config, sample_param_point(rng, size, guard=config.guard,
+                                                          p_max=config.p_max))
 
 
 def _own_point(config: CampaignConfig, point: ParamPoint) -> ParamPoint:
-    """``point`` on a theta store of its own: converted by :func:`to_mp`
-    (a new, empty store) at an mpmath campaign, else a copy of its
-    scanned store (:meth:`ParamPoint.copy`)."""
-    return to_mp(point) if config.precision > 0 else point.copy()
+    """The evaluation point of the scanned double draw ``point``: converted
+    by :func:`to_mp` (a new, empty store) at an mpmath campaign, else the
+    draw itself, whose store holds what its scan read."""
+    return to_mp(point) if config.precision > 0 else point
 
 
 def _run_trial(config: CampaignConfig, name: str, runner: Callable,
@@ -349,23 +348,17 @@ def _run_trial(config: CampaignConfig, name: str, runner: Callable,
     check's own stream (:func:`_draws`).
 
     At the cell's draw every check evaluates at the cell's one point
-    (``cell.shared``) and reads its one theta store, so a theta one check
-    read is not computed again by the next.  Its bits still never depend
-    on which other checks ran: every entry of that store is a scalar
-    ``theta`` read, by the scan or by a check, whose bits depend only on
-    the entry's argument and the store's nome, and each entry's test
-    against the campaign's guard on its value and argument only.  A check
-    at a draw of its own stream evaluates on a store of its own
-    (:func:`_own_point`).  An ``OverflowError`` of the check gives a NaN
+    (``cell.point``) and reads its one theta store, by reference, so a
+    theta the scan or one check read is not computed again by the next.
+    Its bits still never depend on which other checks ran: every entry of
+    that store is a scalar ``theta`` read, by the scan or by a check, whose
+    bits depend only on the entry's argument and the store's nome, and
+    each entry's test against the campaign's guard on its value and
+    argument only.  A check at a draw of its own stream evaluates on that
+    draw's store.  An ``OverflowError`` of the check gives a NaN
     residual: the trial fails and counts as non-finite, and the campaign
     goes on."""
-    for resamples, (seed, point) in enumerate(_draws(config, name, cell)):
-        if resamples:
-            pp = _own_point(config, point)
-        else:
-            if cell.shared is None:
-                cell.shared = _own_point(config, point)
-            pp = cell.shared
+    for resamples, (seed, pp) in enumerate(_draws(config, name, cell)):
         try:
             return pp, float(runner(pp, cell.m, cell.n)), seed, resamples
         except DegenerateParameterError:

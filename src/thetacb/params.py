@@ -40,8 +40,7 @@ class ParamPoint:
     ``guard`` is the denominator margin of the point (``special.within_guard``):
     every theta store of the point tests its entries against it, and the
     checks the q-factors they form.  It is not a field, so equality,
-    hashing and records ignore it; :meth:`replace` and :meth:`copy` keep
-    it.
+    hashing and records ignore it; :meth:`replace` keeps it.
     """
 
     x: complex
@@ -73,11 +72,11 @@ class ParamPoint:
 
         The store is not a field, so equality, hashing and records ignore
         it.  It belongs to the working precision it was filled at
-        (``mpmath``'s precision for mpmath scalars, none for doubles); a
-        read at another precision starts a fresh store, so no value
-        computed at one precision is handed out at another.  The nome's
-        values the store's thetas share (``ThetaLadders.nome``) are
-        tied to one precision the same way.
+        (``mpmath``'s precision for mpmath scalars, none for doubles),
+        with every value of the nome and of q its thetas share; a read at
+        another precision starts a fresh store, so no value computed at
+        one precision is handed out at another.  This is the one place
+        that follows the working precision.
         """
         prec = None if self._context is None else self._context.prec
         held = self.__dict__.get("_thetas")
@@ -126,40 +125,31 @@ class ParamPoint:
             held[1][swap] = roles
         return roles
 
-    def copy(self) -> "ParamPoint":
-        """The same point with a copy of its theta store
-        (:meth:`ThetaLadders.copy`): evaluation at the copy reads every
-        value this point holds, and what it adds stays with the copy."""
-        out = dataclasses.replace(self)
-        held = self.__dict__.get("_thetas")
-        if held is not None:
-            object.__setattr__(out, "_thetas", (held[0], held[1].copy()))
-        return out
-
     def swap_ab(self) -> "ParamPoint":
         """The point with the roles of a and b exchanged.  It shares this
         point's store (:meth:`replace`) and the role ladders this point
         holds for it, as its own swapped roles, and its p = 0 point
-        (:attr:`basic`) swapped, which shares that point's store."""
+        (:attr:`basic`) swapped, which shares that point's store, whichever
+        of the two points reads first."""
         out = self.replace(a=self.b, b=self.a)
         held = self.__dict__.get("_roles")
         if held is not None and False in held[1]:
             # role_ladders checks the store before it reads them
             object.__setattr__(out, "_roles", (held[0], {True: held[1][False]}))
-        basic = self.__dict__.get("_basic")
-        if basic is not None:
-            object.__setattr__(out, "_basic", basic.swap_ab())
+        if self.p != 0:
+            object.__setattr__(out, "_basic", self.basic.swap_ab())
         return out
 
     def replace(self, **changes) -> "ParamPoint":
         """The point with some scalars (or its guard) changed.  It shares
-        this point's theta store when q, p and the guard are unchanged:
-        every entry and its flag depend on q, p, the guard and its own
-        argument only."""
+        this point's theta store, by reference, when q, p and the guard are
+        unchanged: every entry and its flag depend on q, p, the guard and
+        its own argument only.  The store is made here if this point has
+        none yet, so the two read one store whichever reads first."""
         out = dataclasses.replace(self, **changes)
-        held = self.__dict__.get("_thetas")
-        if held is not None and changes.keys().isdisjoint(("q", "p", "guard")):
-            object.__setattr__(out, "_thetas", held)
+        if changes.keys().isdisjoint(("q", "p", "guard")):
+            self.thetas  # made now if this point has none yet
+            object.__setattr__(out, "_thetas", self._thetas)
         return out
 
 

@@ -1,7 +1,7 @@
 """Scalar kernels: q-shifted factorials, the modified Jacobi theta
-function, theta-shifted factorials, theta ladders with the ratio, row
-and series kernels that read them, the denominator guard, and q-binomial
-coefficients.
+function, theta ladders, whose windows are the theta-shifted factorials,
+with the ratio, row and series kernels that read them, the denominator
+guard, and q-binomial coefficients.
 
 Conventions used throughout the package:
 
@@ -163,8 +163,8 @@ def theta(x, p, _nome=None):
 
     ``_nome`` is internal: a theta ladder passes the values of p its
     store shares between its thetas (:class:`_Nome`), so that they are
-    computed once per store and precision instead of once per call.  The
-    value does not depend on it.
+    computed once per store instead of once per call.  The value does not
+    depend on it.
     """
     if not x:
         raise ZeroArgumentError("theta(x; p) requires x != 0")
@@ -173,10 +173,8 @@ def theta(x, p, _nome=None):
             return 1 - x
         _nome = _nome_of(x, p)
     nome = _nome
-    if nome.prec is not None:  # no values yet, or an mpmath nome
-        nome.current()
-        if nome.wp is not None:
-            return _mp_theta_product(x, nome)
+    if nome.wp is not None:
+        return _mp_theta_product(x, nome)
     # the reduction: x' = x p^n, n = round(-log |x| / log |p|), and the
     # prefactor (-1)^n x^n p^(n(n-1)/2), its powers of p from the nome's
     # cache; formed directly while |n| |log |x|| + |n(n-1)/2| |log |p||,
@@ -228,9 +226,9 @@ def _nome_of(x, p) -> _Nome:
 
 
 class _Nome:
-    """The values of one nome p that all thetas theta(x; p) share, tied to
-    the working precision ``prec`` they were computed at (the ``mpmath``
-    context's for mpmath scalars, None for built-in ones):
+    """The values of one nome p that all thetas theta(x; p) share, computed
+    when the nome is made, at the working precision of that moment (the
+    ``mpmath`` context's for mpmath scalars):
 
     * ``log_ap`` = log |p|;
     * ``powers``: the reduction's powers of p by exponent n, filled as
@@ -252,53 +250,41 @@ class _Nome:
       below it, empty for k = 1.  The powers are running products of p,
       so that P = p p at k = 2.
 
-    The values are computed on first use (:meth:`current`), so a nome can
-    be made for p = 0, which no theta reads.  Every value is the same
+    |p| >= 1 raises ``DivergenceError``.  Every value is the same
     expression however many thetas read it and in whatever order, so
-    sharing one instance changes no bit of any theta.
+    sharing one instance changes no bit of any theta.  A theta store makes
+    its nome on its first theta read and is the one owner of its
+    precision (:class:`ThetaLadders`).
     """
 
-    __slots__ = ("p", "prec", "log_ap", "powers", "wp", "series", "shifts")
+    __slots__ = ("p", "log_ap", "powers", "wp", "series", "shifts")
 
     def __init__(self, p):
         self.p = p
-        self.prec = -1  # no values yet
-
-    def current(self) -> _Nome:
-        """This nome, its values computed afresh when there are none yet or
-        when they belong to another working precision than the current.  A
-        built-in nome's values, once computed, hold at every precision, so
-        it returns at once."""
-        if self.prec is None:
-            return self
-        ctx = getattr(self.p, "context", None)
-        prec = None if ctx is None else ctx.prec
-        if self.prec != prec:
-            # an mpmath nome is sized from its integer form: its modulus
-            # may lie outside the range of doubles
-            log_ap = (math.log(abs(complex(self.p))) if ctx is None
-                      else _log_abs(_exact(_mp_parts(self.p))))
-            if log_ap >= 0:
-                raise DivergenceError("theta(x; p) requires |p| < 1")
-            self.log_ap = log_ap
-            self.powers = {}
-            r = math.exp(log_ap)
-            if ctx is not None:
-                self.wp = prec + MP_THETA_GUARD_BITS + _product_floor_bits(r)
-                self.series = _series_terms(self.p, log_ap, self.wp)
-            else:
-                self.wp = None
-                k, rk = 1, r
-                while rk >= SERIES_NOME_BOUND:
-                    k, rk = k + 1, rk * r
-                p_powers = [self.p]  # p^(i+1) at i
-                while len(p_powers) < k:
-                    p_powers.append(p_powers[-1] * self.p)
-                self.series = _double_series(p_powers[-1], k * log_ap)
-                self.shifts = tuple((math.exp((k / 2 - i) * log_ap), p_powers[i - 1],
-                                     p_powers[k - i - 1]) for i in range(1, k))
-            self.prec = prec
-        return self
+        ctx = _mp_context(p)
+        # an mpmath nome is sized from its integer form: its modulus may
+        # lie outside the range of doubles
+        log_ap = (math.log(abs(complex(p))) if ctx is None
+                  else _log_abs(_exact(_mp_parts(p))))
+        if log_ap >= 0:
+            raise DivergenceError("theta(x; p) requires |p| < 1")
+        self.log_ap = log_ap
+        self.powers = {}
+        r = math.exp(log_ap)
+        if ctx is not None:
+            self.wp = ctx.prec + MP_THETA_GUARD_BITS + _product_floor_bits(r)
+            self.series = _series_terms(p, log_ap, self.wp)
+            return
+        self.wp = None
+        k, rk = 1, r
+        while rk >= SERIES_NOME_BOUND:
+            k, rk = k + 1, rk * r
+        p_powers = [p]  # p^(i+1) at i
+        while len(p_powers) < k:
+            p_powers.append(p_powers[-1] * p)
+        self.series = _double_series(p_powers[-1], k * log_ap)
+        self.shifts = tuple((math.exp((k / 2 - i) * log_ap), p_powers[i - 1],
+                             p_powers[k - i - 1]) for i in range(1, k))
 
 
 def _product_floor_bits(r: float) -> int:
@@ -401,9 +387,9 @@ def _to_fixed(p, w: int) -> tuple:
         p = complex(p)
         return tuple((n << w) // d for n, d in (p.real.as_integer_ratio(),
                                                 p.imag.as_integer_ratio()))
-    from mpmath.libmp import to_fixed
-
-    return tuple(to_fixed(t, w) for t in _mp_parts(p))
+    if _to_fixed_raw is None:
+        _bind_libmp()
+    return tuple(_to_fixed_raw(t, w) for t in _mp_parts(p))
 
 
 def _fixed_mul(a, b, w: int) -> tuple:
@@ -416,9 +402,24 @@ def _mp_parts(v) -> tuple:
     """The two raw mpf parts (real, imaginary) of an mpmath real or complex."""
     if hasattr(v, "_mpc_"):
         return v._mpc_
-    from mpmath.libmp import fzero
+    if _fzero is None:
+        _bind_libmp()
+    return v._mpf_, _fzero
 
-    return v._mpf_, fzero
+
+#: mpmath's raw-number functions ``from_man_exp`` and ``to_fixed`` and its
+#: raw zero ``fzero``, bound on the first 40-digit use (:func:`_bind_libmp`),
+#: so that a double campaign never loads mpmath.
+_from_man_exp = _to_fixed_raw = _fzero = None
+
+
+def _bind_libmp() -> None:
+    """Bind ``_from_man_exp``, ``_to_fixed_raw`` and ``_fzero`` to mpmath's
+    own, once, instead of importing them on every call."""
+    global _from_man_exp, _to_fixed_raw, _fzero
+    from mpmath.libmp import from_man_exp, fzero, to_fixed
+
+    _from_man_exp, _to_fixed_raw, _fzero = from_man_exp, to_fixed, fzero
 
 
 def _mp_theta_product(x, nome: _Nome):
@@ -569,14 +570,14 @@ def _mp_round(a, ctx, real: bool):
     """The integer complex a rounded once, part by part, to the working
     precision of the mpmath context ``ctx`` in its rounding mode: an mpf
     when ``real`` (a's imaginary part is then 0), else an mpc."""
-    from mpmath.libmp import from_man_exp
-
+    if _from_man_exp is None:
+        _bind_libmp()
     prec, rnd = ctx._prec_rounding
     r, i, e = a
-    re = from_man_exp(r, e, prec, rnd)
+    re = _from_man_exp(r, e, prec, rnd)
     if real:
         return ctx.make_mpf(re)
-    return ctx.make_mpc((re, from_man_exp(i, e, prec, rnd)))
+    return ctx.make_mpc((re, _from_man_exp(i, e, prec, rnd)))
 
 
 def _mp_times(z, w, ctx):
@@ -710,26 +711,6 @@ def theta_prod(args, p, _nome=None):
     return acc
 
 
-def theta_fact(x, q, p, k: int):
-    """Theta-shifted factorial (x; q, p)_k = prod_{l<k} theta(x q^l; p).
-
-    The p = 0 branch delegates to :func:`qpoch` so the degeneration is
-    bit-for-bit exact, not merely close.
-    """
-    if k < 0:
-        raise ValueError("theta-shifted factorial needs k >= 0")
-    if p == 0:
-        if x == 0 or (k > 1 and q == 0):
-            raise ZeroArgumentError("theta-shifted factorial hit argument 0")
-        return qpoch(x, q, k)
-    acc = 1
-    xq = x
-    for _ in range(k):
-        acc = acc * theta(xq, p)
-        xq = xq * q
-    return acc
-
-
 class ThetaLadder:
     """The values j -> theta(z q^j; p) for integer j (negative j allowed),
     each evaluated once, on first read, by :func:`theta` (at p = 0 by
@@ -743,50 +724,47 @@ class ThetaLadder:
     for bit; at an ``mpmath`` q it is formed from the exact integer
     product of the raw parts, each part rounded once (:func:`_mp_times`),
     with the bits and the type of mpmath's product (an mpf for a real z
-    and q).  A ladder belongs to one (q, p) and one working precision: a
-    parameter point keeps its ladders (``ParamPoint.thetas``) and drops
-    them when read at another precision.
+    and q).
 
-    A ladder lives in a store: ``ThetaLadders(q, p, guard)[z]`` makes it,
-    with the store's ``nome`` (see :class:`_Nome`), the values of p its
-    thetas share, which give every entry read the bits of a direct
-    :func:`theta` call, for an ``mpmath`` q the store's table of the powers
-    q**j its arguments are formed from (:class:`_PowersOfQ`), and the
-    store's ``guard``: each entry is tested against it once, when it is
-    formed (:func:`within_guard`), and one within it raises when it is
-    read as a denominator (:meth:`den`).
+    A ladder lives in a store and holds it: ``ThetaLadders(q, p, guard)[z]``
+    makes it, and it reads q, p, the store's nome (see :class:`_Nome`), for
+    an ``mpmath`` q the store's powers q**j (:class:`_PowersOfQ`) and the
+    store's ``guard`` through that one reference.  Each entry is tested
+    against the guard once, when it is formed (:func:`within_guard`), and
+    one within it raises when it is read as a denominator (:meth:`den`).
     """
 
-    __slots__ = ("z", "q", "p", "_basic", "_values", "_nome", "_q_powers", "_guard", "_flagged")
+    __slots__ = ("z", "store", "_values", "_flagged")
 
     def __init__(self, z, store: ThetaLadders):
         self.z = z
-        self.q = store.q
-        self.p = store.p
-        self._basic = store.basic
+        self.store = store
         self._values: dict[int, object] = {}
-        self._nome = store.nome
-        self._q_powers = store.q_powers
-        self._guard = store.guard
-        self._flagged = None  # the indices within the guard, once there are any
+        self._flagged: set[int] = set()  # the indices within the guard
 
     def __getitem__(self, j: int):
         value = self._values.get(j)
         if value is None:
-            powers = self._q_powers
+            store = self.store
+            if store.prec is not None and store.context.prec != store.prec:
+                raise ValueError(f"theta store made at a working precision of {store.prec} "
+                                 f"bits read at {store.context.prec}")
+            powers = store.q_powers
             if powers is None:
-                x = self.z * self.q**j
+                x = self.z * store.q**j
             else:
-                ctx = powers.context
-                x = _mp_times(self.z, powers[ctx.prec, j], ctx)
-            if not self._basic:
-                value = theta(x, self.p, self._nome)
-            elif x == 0:
-                raise ZeroArgumentError("theta(x; p) requires x != 0")
-            else:
+                x = _mp_times(self.z, powers[j], store.context)
+            if store.basic:
+                if x == 0:
+                    raise ZeroArgumentError("theta(x; p) requires x != 0")
                 value = 1 - x
-            if within_guard(value, x, self._guard):
-                self._flagged = {j} if self._flagged is None else self._flagged | {j}
+            else:
+                nome = store.nome
+                if nome is None:
+                    nome = store.nome = _Nome(store.p)
+                value = theta(x, store.p, nome)
+            if within_guard(value, x, store.guard):
+                self._flagged.add(j)
             self._values[j] = value
         return value
 
@@ -801,27 +779,25 @@ class ThetaLadder:
         value = self._values.get(j)
         if value is None:
             value = self[j]
-        if self._flagged is not None and j in self._flagged:
+        if self._flagged and j in self._flagged:
             raise DegenerateParameterError(
-                f"denominator theta({self.z!r} * q^{j}) within the guard {self._guard}")
+                f"denominator theta({self.z!r} * q^{j}) within the guard {self.store.guard}")
         return value
 
 
 class _PowersOfQ(dict):
-    """The powers q**j of an ``mpmath`` q that the ladders of one store and
-    its copies form their arguments from, each the expression a read forms,
-    computed once on first use and kept under (prec, j), so that no power
-    computed at one working precision is read at another.  At 40 digits a
-    power costs several µs; a built-in q has no table, as its power costs
-    less than a table's miss."""
+    """The powers q**j of an ``mpmath`` q that the ladders of one store form
+    their arguments from, each the expression a read forms, computed once
+    on first use and kept under j, at the precision the store was made at.
+    At 40 digits a power costs several µs; a built-in q has no table, as
+    its power costs less than a table's miss."""
 
     def __init__(self, q):
         super().__init__()
         self.q = q
-        self.context = q.context
 
-    def __missing__(self, key):
-        value = self[key] = self.q ** key[1]
+    def __missing__(self, j):
+        value = self[j] = self.q**j
         return value
 
 
@@ -829,15 +805,24 @@ class ThetaLadders(dict):
     """The ladders of one (q, p), keyed by base: ``ladders[z]`` is the
     :class:`ThetaLadder` of base z, created on first use.
 
-    The store also owns what its thetas share of the nome p (``nome``, a
-    :class:`_Nome` its ladders hold too): log |p|, the reduction's powers
-    of p and the coefficients of theta's series; and
-    for an ``mpmath`` q the powers of q its ladders' arguments are formed
-    from (``q_powers``, a :class:`_PowersOfQ`; None for a built-in q).
-    These are tied to the working precision they were computed at; a read
-    at another precision computes them afresh, so no power computed at 15
-    digits enters a 40-digit theta.  ``guard`` is the denominator margin
-    its ladders test each entry against (:class:`ThetaLadder`)."""
+    The store owns what its thetas share of the nome p (``nome``, a
+    :class:`_Nome` made on the first theta read, so a store at p = 0 or at
+    |p| >= 1 can be made and the latter raises only when read): log |p|,
+    the reduction's powers of p and the coefficients of theta's series;
+    and for an ``mpmath`` q the powers of q its ladders' arguments are
+    formed from (``q_powers``, a :class:`_PowersOfQ`; None for a built-in
+    q).  A store with an ``mpmath`` q or p belongs to the working
+    precision it was made at (``prec``, the precision of ``context``, q's
+    context, or p's for a built-in q; None for built-in q and p): forming
+    an entry at another precision raises ``ValueError``, so no value
+    computed at 15 digits enters a 40-digit theta (a parameter point
+    starts a fresh store instead, ``ParamPoint.thetas``).  ``guard`` is
+    the denominator margin its ladders test each entry against
+    (:class:`ThetaLadder`)."""
+
+    # slots: every ladder entry formed reads these, and a slot is read faster
+    # than the instance dict of a dict subclass
+    __slots__ = ("q", "p", "guard", "basic", "nome", "q_powers", "context", "prec")
 
     def __init__(self, q, p, guard: float = DEFAULT_GUARD):
         super().__init__()
@@ -845,27 +830,15 @@ class ThetaLadders(dict):
         self.p = p
         self.guard = guard
         self.basic = p == 0
-        self.nome = _Nome(p)
-        self.q_powers = None if _mp_context(q) is None else _PowersOfQ(q)
+        self.nome = None
+        ctx = _mp_context(q)
+        self.q_powers = None if ctx is None else _PowersOfQ(q)
+        self.context = ctx = _mp_context(p) if ctx is None else ctx
+        self.prec = None if ctx is None else ctx.prec
 
     def __missing__(self, z):
         ladder = self[z] = ThetaLadder(z, self)
         return ladder
-
-    def copy(self) -> "ThetaLadders":
-        """A store holding this store's values and their flags and sharing
-        its nome and its powers of q: what reads of the copy add to the
-        ladders, this store never sees."""
-        out = ThetaLadders(self.q, self.p, self.guard)
-        out.nome = self.nome
-        out.q_powers = self.q_powers
-        for z, ladder in self.items():
-            if ladder._values:
-                copy = out[z]
-                copy._values.update(ladder._values)
-                # a set of flags is replaced, never changed in place
-                copy._flagged = ladder._flagged
-        return out
 
 
 def theta_ratio(num, den):

@@ -900,6 +900,20 @@ def test_a_campaign_of_every_check_imports_no_numpy():
     assert proc.stdout.splitlines() == ["False"]
 
 
+def test_a_double_campaign_of_every_check_imports_no_mpmath():
+    # every registered check in doubles, in a fresh interpreter: mpmath's
+    # raw-number functions are bound on the first 40-digit use only
+    root = Path(__file__).resolve().parents[1]
+    code = ("import os, sys\n"
+            "from thetacb.cli import main\n"
+            "main(['--m-max', '1', '--n-max', '1', '--trials', '1', '--out', os.devnull])\n"
+            "print('mpmath' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False"]
+
+
 def test_bezout_qcb_keeps_a_nan_coefficient_gap(monkeypatch, generic_point):
     # the first coefficient agrees; a NaN in the second must reach the residual
     inner = bezout.qcb_cofactors
@@ -954,8 +968,9 @@ class TestBenchmarkContract:
         # every traced name is a function of the program but those it no
         # longer defines on purpose, which the tracer skips and reads as
         # zero calls: the scan's per-entry margin, now tested where each
-        # store entry is formed
-        gone = {("thetacb.sampling", "theta_margin")}
+        # store entry is formed, and the scalar theta-shifted factorial,
+        # now only a window of a store's ladder
+        gone = {("thetacb.sampling", "theta_margin"), ("thetacb.special", "theta_fact")}
         path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
         spec = importlib.util.spec_from_file_location("perfbench_spans", path)
         spans = importlib.util.module_from_spec(spec)

@@ -340,7 +340,7 @@ class TestRatioRows:
                          *((h_row(i, j), None, elliptic_weight(pp, i, j)) for i, j in cells),
                          *((b_row(k, l, shift), l, b_closed(pp, k, l, shift))
                            for k, l in cells if l)]
-                values = ratio_rows(pp.copy().role_ladders(), [row for row, _, _ in cases])
+                values = ratio_rows(fresh_copy(pp).role_ladders(), [row for row, _, _ in cases])
                 for value, (_, l, want) in zip(values, cases, strict=True):
                     assert repr(value if l is None else value * pp.q**l) == repr(want)
 

@@ -44,14 +44,23 @@ def test_derived_points_share_the_store_only_at_the_same_q_and_p(generic_point):
     assert pp.replace(q=1 / pp.q).thetas is not store
 
 
-def test_a_copied_point_reads_the_store_and_keeps_its_own_reads(generic_point):
-    pp = generic_point
-    cb_residual("elliptic", pp, 2, 2)
-    before = _store(pp)
-    copy = pp.copy()
-    assert copy == pp and _store(copy) == before and copy.thetas.nome is pp.thetas.nome
-    cb_residual("elliptic", copy, 3, 3)
-    assert _store(pp) == before and _store(copy).keys() > before.keys()
+@pytest.mark.parametrize("digits", [0, 40])
+def test_derived_points_share_the_store_whichever_reads_first(digits):
+    # made before any read of the parent's store, the mirror of the p = 0
+    # point and a point at another x hold that store, by reference, and
+    # the mirror's first reads land in it
+    with mpmath.workdps(digits or 15):
+        pp = sample_param_point(Random(48), IdentitySize(2, 2))
+        pp = to_mp(pp) if digits else fresh_copy(pp)
+        basic = pp.basic
+        mirror = basic.swap_ab()
+        other = pp.replace(x=2 * pp.x)
+        assert mirror.thetas is basic.thetas and other.thetas is pp.thetas
+        assert pp.swap_ab().basic.thetas is basic.thetas
+        assert len(pp.thetas) == len(basic.thetas) == 0
+        got = cb_residual("abq1", mirror, 2, 2)
+        assert len(basic.thetas) > 0 and _store(basic) == _store(mirror)
+        assert got == cb_residual("abq1", fresh_copy(mirror), 2, 2)
 
 
 @pytest.mark.parametrize("check", [
@@ -354,8 +363,8 @@ def _untested_divisors(monkeypatch, config, name, m, n, seed):
         value = ladder._values[j]
         value_tested, guard = tested.get(id(value), (None, None))
         if (value_tested is not value or guard != config.guard
-                or within_guard(value, ladder.z * ladder.q**j, guard)):
-            untested.add((ladder.p, ladder.z, j))
+                or within_guard(value, ladder.z * ladder.store.q**j, guard)):
+            untested.add((ladder.store.p, ladder.z, j))
     return untested | {("guard", guard) for _, guard in tested.values() if guard != config.guard}
 
 

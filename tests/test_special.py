@@ -34,12 +34,10 @@ from thetacb.special import (
     ratio_rows,
     ThetaLadders,
     _Nome,
-    _mp_powers,
     _product_floor_bits,
     relative_residual,
     series_with_running_products,
     theta,
-    theta_fact,
     theta_ratio,
     within_guard,
     worst_residual,
@@ -248,7 +246,7 @@ class TestThetaTruncation:
 
 def _factors(p) -> int:
     """k, the number of series double theta multiplies at the nome p."""
-    return len(_Nome(p).current().shifts) + 1
+    return len(_Nome(p).shifts) + 1
 
 
 def _mp_points():
@@ -294,7 +292,7 @@ def _double_reference(x, p, at=_series_at):
     theta(x') from ``at`` (x', p) (by default the test's own series),
     and exactly 0 at x' = 1.  So the comparison leaves out how far one unit
     of x' moves theta, which no double kernel can recover."""
-    n = round(-math.log(abs(x)) / _Nome(p).current().log_ap)
+    n = round(-math.log(abs(x)) / _Nome(p).log_ap)
     try:
         reduced = _reduced(x, p)
     except OverflowError:
@@ -310,7 +308,7 @@ def _double_reference(x, p, at=_series_at):
 def _reduced(x, p):
     """The reduced argument x' = x p^n, n = round(-log |x| / log |p|),
     rounded as the double kernel rounds it (x itself at n = 0)."""
-    n = round(-math.log(abs(x)) / _Nome(p).current().log_ap)
+    n = round(-math.log(abs(x)) / _Nome(p).log_ap)
     return x * p**n if n else x
 
 
@@ -330,7 +328,7 @@ def _double_bound(x, p) -> float:
     theta's: 4 times 2^:func:`special._product_floor_bits` (|P|) for each
     of the k series at the nome P = p^k, whose sum cancels by up to that
     factor, and 2 for each of the k - 1 products of their values."""
-    nome = _Nome(p).current()
+    nome = _Nome(p)
     n = round(-math.log(abs(x)) / nome.log_ap)
     logs = abs(n) * abs(cmath.log(x)) + abs(n * (n - 1) // 2) * abs(cmath.log(p))
     k = _factors(p)
@@ -371,7 +369,7 @@ class TestThetaMany:
             check_genericity(pp, IdentitySize(depth, depth))
             for ladder in pp.thetas.values():
                 for j, value in ladder._values.items():
-                    x = ladder.z * ladder.q**j
+                    x = ladder.z * ladder.store.q**j
                     assert _units(value, _double_reference(x, pp.p)) <= _double_bound(x, pp.p)
                     checked += 1
         assert checked >= 8 * (depth + 1)
@@ -428,7 +426,7 @@ class TestThetaMany:
         # overflows has a reference beyond doubles
         exponents = set()
         for p, xs in _far_points():
-            nome = _Nome(p).current()
+            nome = _Nome(p)
             for x in xs:
                 try:
                     value = theta(x, p)
@@ -446,14 +444,14 @@ class TestThetaMany:
         for p in (0.3 + 0.2j, -0.45 + 0.1j, 0.05 - 0.6j, 0.7j, 0.2 - 0.1j):
             xs = [p**-k * (1 + eps) for k in (1, 2)
                   for eps in (1e-7, -3e-9, 2e-10j, 1e-11 - 1e-11j, 4e-12)]
-            nome = _Nome(p).current()
+            nome = _Nome(p)
             assert [round(-math.log(abs(x)) / nome.log_ap) for x in xs] == [1] * 5 + [2] * 5
             _assert_near_reference(xs, p)
 
     def test_both_sides_of_the_log_space_threshold(self):
         # prefactors formed directly and in log space
         p = 0.5 + 0.2j
-        nome = _Nome(p).current()
+        nome = _Nome(p)
         xs, above = [], []
         for n in (-25, -24, -23, -22, 22, 23, 24, 25):
             for r in (0.8, 1.0, 1.25):
@@ -479,7 +477,7 @@ class TestThetaMany:
             except OverflowError:
                 continue
             reduced = _reduced(x, p)
-            n = round(-math.log(abs(x)) / _Nome(p).current().log_ap)
+            n = round(-math.log(abs(x)) / _Nome(p).log_ap)
             ref = _double_reference(x, p)
             wrong = [value * -reduced, value * (-p / reduced)]
             if n % 2:
@@ -492,7 +490,7 @@ class TestThetaMany:
     def test_domain_matches_theta(self):
         # a nome so small that the series keeps one term
         _assert_near_reference([1e19 + 0j, 1e-19 + 0j, 0.5 + 0j], 1e-40 + 0j)
-        assert len(_Nome(1e-40 + 0j).current().series) == 1
+        assert len(_Nome(1e-40 + 0j).series) == 1
         # a read at a zero argument raises and stores nothing
         store = ThetaLadders(0.6 + 0.2j, 0.3j)
         assert store[0.5 + 0j][0] == theta(0.5 + 0j, 0.3j)
@@ -844,43 +842,43 @@ class TestThetaStore:
                         assert repr(value) == repr(theta(x * q**j, p)), (dps, x, p, j)
                         seen.add(id(store.nome.series))
                     assert len(seen) == 1
-                    assert store.nome.series == _Nome(p).current().series
+                    assert store.nome.series == _Nome(p).series
                     exponents.update(store.nome.powers)
         assert len(exponents) > 3
 
-    def test_a_read_at_another_precision_computes_the_nome_afresh(self):
-        # z is far outside the annulus, so the reads use the reduction's
-        # powers of p as well as the series' coefficients; the powers, the
-        # fixed-point width and the coefficients with their term count all
-        # belong to the precision they were computed at
+    def test_a_read_at_another_precision_raises(self):
+        # a store belongs to the precision it was made at: its nome, made
+        # on the first theta read, and its powers of q hold that
+        # precision's values, so forming an entry at another raises, and
+        # the entries it holds are still read
         q, p = mpmath.mpc(0.55, 0.3), mpmath.mpc(0.3, 0.2)
         z = mpmath.mpc(2.3, -1.1) * mpmath.mpf(0.3) ** -12
-        store = ThetaLadders(q, p)
-        nome = store.nome
         with mpmath.workdps(15):
-            store[z][0]
-            store[z][1]
-            low = nome.powers, nome.series, nome.wp
-            assert low[0] and low[1][1]
-            stale = _Nome(p).current()
+            store = ThetaLadders(q, p)
+            assert store.nome is None and store.prec == mpmath.mp.prec
+            value = store[z][0]
+            assert repr(value) == repr(theta(z, p))
+            assert store.nome.series == _Nome(p).series
         with mpmath.workdps(40):
-            value = store[z][2]
-            assert nome.prec == mpmath.mp.prec
-            assert nome.powers is not low[0] and nome.series is not low[1]
-            assert len(nome.series[1]) > len(low[1][1]) and nome.wp > low[2]
-            fresh = _Nome(p).current()
-            assert nome.powers == {n: _mp_powers(fresh, n) for n in nome.powers}
-            assert all(nome.powers[n] != _mp_powers(stale, n) for n in nome.powers)
-            assert nome.series == fresh.series != stale.series
-            assert repr(value) == repr(theta(z * q**2, p))
-            _assert_units_of_reference(value, z * q**2, p, 4)
-        with mpmath.workdps(15):
-            assert repr(store[z][3]) == repr(theta(z * q**3, p))
-            assert (nome.series, nome.wp) == low[1:]
+            with pytest.raises(ValueError, match="working precision"):
+                store[z][1]
+            with pytest.raises(ValueError):
+                store[mpmath.mpc(0.6, 0.2)][0]
+            assert store[z][0] is value and 1 not in store[z]
+        # a store at another precision is a fresh one, whose values are
+        # that precision's
+        with mpmath.workdps(40):
+            wide = ThetaLadders(q, p)
+            assert repr(wide[z][1]) == repr(theta(z * q, p))
+            _assert_units_of_reference(wide[z][1], z * q, p, 4)
+        # a store at |p| >= 1 is made, and raises when read
+        outside = ThetaLadders(0.55 + 0.3j, 1.0 + 0j)
+        with pytest.raises(DivergenceError):
+            outside[0.5 + 0j][0]
 
-    def test_a_store_and_its_copies_share_one_table_of_powers_of_q(self):
+    def test_a_store_keeps_one_power_of_q_per_index(self):
         # each ladder forms z q^j from the store's q**j, computed once per j
-        # and precision, with the bits of the expression a read formed
+        # with the bits of the expression a read formed
         q, p = mpmath.mpc(0.55, 0.3), mpmath.mpc(0.2, -0.1)
         with mpmath.workdps(40):
             store = ThetaLadders(q, p)
@@ -888,24 +886,13 @@ class TestThetaStore:
             for j in (3, -2):
                 assert repr(one[j]) == repr(theta(one.z * q**j, p))
                 other[j]
-            copy = store.copy()
-            copy[mpmath.mpc(0, 0.45)][5]
-            assert copy.q_powers is store.q_powers
-            wide = mpmath.mp.prec
-            assert dict(store.q_powers) == {(wide, j): q**j for j in (3, -2, 5)}
+            store[mpmath.mpc(0, 0.45)][5]
+            assert dict(store.q_powers) == {j: q**j for j in (3, -2, 5)}
+            power = store.q_powers[5]
             assert repr(one[5]) == repr(theta(one.z * q**5, p))
-            assert len(store.q_powers) == 3
-        with mpmath.workdps(15):
-            # the powers are keyed by precision: none computed at 40 digits
-            # is read here
-            assert repr(one[4]) == repr(theta(one.z * q**4, p))
-            assert store.q_powers[mpmath.mp.prec, 4] == q**4
-            assert len(store.q_powers) == 4
-        with mpmath.workdps(40):
-            assert store.q_powers[wide, 4] != store.q_powers[53, 4]
+            assert store.q_powers[5] is power and len(store.q_powers) == 3
         # a built-in q forms its powers in place
         assert ThetaLadders(0.55 + 0.3j, 0.2 - 0.1j).q_powers is None
-
 
     @pytest.mark.parametrize("dps", [15, 40, 60])
     def test_ladder_arguments_are_the_mpmath_products(self, dps, monkeypatch):
@@ -948,7 +935,7 @@ class TestThetaLadder:
         z, q, p = 0.7 - 0.4j, 0.55 + 0.3j, 0.2 - 0.1j
         ladder = ThetaLadders(q, p)[z]
         assert theta_ratio(((ladder, 3, 0),), ()) == 1
-        want = theta_fact(z * q**2, q, p, 5)
+        want = math.prod(theta(z * q**j, p) for j in range(2, 7))
         assert relative_residual(math.prod(ladder[j] for j in range(2, 7)), want) < 1e-14
 
     def test_each_entry_is_evaluated_once(self, monkeypatch):
@@ -985,23 +972,6 @@ class TestThetaLadder:
         with pytest.raises(DegenerateParameterError):
             ladder.den(0)
         assert ladder.den(1) == ladder[1]
-
-    def test_a_store_copy_keeps_the_guard_and_the_flags(self):
-        # an entry flagged in the store stays flagged in its copy, and the
-        # copy's new entries are tested against the same guard
-        q, p = 0.55 + 0.3j, 0.2 - 0.1j
-        store = ThetaLadders(q, p, guard=0.05)
-        near = store[1 + 0.01j]
-        assert near[0] == theta(1 + 0.01j, p)  # a numerator read forms and flags it
-        copy = store.copy()
-        assert copy.guard == 0.05
-        for ladder in (near, copy[1 + 0.01j]):
-            with pytest.raises(DegenerateParameterError):
-                ladder.den(0)
-        z = 1.04 / q  # entry 1 has margin about 0.02
-        with pytest.raises(DegenerateParameterError):
-            copy[z].den(1)
-        assert ThetaLadders(q, p)[z].den(1) == copy[z][1]
 
     def test_den_of_an_mpmath_entry_raises_exactly_when_its_modulus_is_within_the_guard(
             self, monkeypatch):
@@ -1304,25 +1274,6 @@ class TestKernelsAtWorkingPrecision:
         floats = ThetaLadders(0.5, 0.0)
         assert theta_ratio(((floats[0.3], 0, 3),), ((floats[0.7], 1, 3),)) == reduce(
             mul, [(1 - 0.3 * 0.5**j) / (1 - 0.7 * 0.5 ** (j + 1)) for j in range(3)], 1)
-
-
-class TestThetaFactorial:
-    def test_empty(self):
-        assert theta_fact(0.77 + 0.2j, 0.5, 0.3, 0) == 1
-
-    def test_p_zero_is_bitwise_qpoch(self):
-        x, q = 0.37 + 0.21j, 0.61 - 0.13j
-        for k in range(8):
-            assert theta_fact(x, q, 0, k) == qpoch(x, q, k)
-
-    def test_composes_theta(self):
-        x, q, p = 0.4, 0.6, 0.2
-        want = theta(x, p) * theta(x * q, p) * theta(x * q**2, p)
-        assert abs(theta_fact(x, q, p, 3) - want) < 1e-14
-
-    def test_zero_argument_rejected(self):
-        with pytest.raises(ZeroArgumentError):
-            theta_fact(0.0, 0.5, 0.2, 2)
 
 
 class TestQBinomial:
