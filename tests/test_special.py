@@ -1035,6 +1035,21 @@ class TestThetaLadder:
         assert decisions.count(True) == 80 and decisions.count(False) == 120
 
 
+class TestThetaFactorial:
+    """The theta factorial (z; q, p)_k is the ladder window of entries
+    0 .. k - 1 at z."""
+
+    def test_empty(self):
+        ladder = ThetaLadders(0.5, 0.3)[0.77 + 0.2j]
+        assert theta_ratio(((ladder, 0, 0),), ()) == 1
+
+    def test_composes_theta(self):
+        x, q, p = 0.4, 0.6, 0.2
+        ladder = ThetaLadders(q, p)[x]
+        want = theta(x, p) * theta(x * q, p) * theta(x * q**2, p)
+        assert abs(math.prod(ladder[j] for j in range(3)) - want) < 1e-14
+
+
 class TestLadderKernels:
     def test_ratio_guards_factors_not_their_product(self):
         # two denominator factors of about 1e-4 each clear the guard while
