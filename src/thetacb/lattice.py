@@ -20,8 +20,8 @@ the ratio row of one cell (:func:`a_row`, :func:`b_row`,
 A row does not depend on the point, so each is cached by its cell.  A
 single cell evaluates its row (:func:`a_closed`, :func:`b_closed`); a
 table evaluates all its rows in one ``special.ratio_rows`` call, which
-reads each distinct theta of the point's store once and gives every cell
-the bits of its single-cell kernel.
+gives every cell the bits of its single-cell kernel; the point's store
+forms each distinct theta once, however many cells read it.
 """
 
 from __future__ import annotations
@@ -276,9 +276,9 @@ def b_system_residual(pp: ParamPoint, size: IdentitySize) -> float:
 
     Each cell is scaled by its two terms' magnitudes.  The closed-form
     cells with l >= 1 and the weights the system reads (every h(i, j)
-    but h(m, n)) are one set of rows (:func:`special.ratio_rows`), which
-    reads each distinct theta of the point's store once, so the check
-    costs O(m + n) theta calls."""
+    but h(m, n)) are one set of rows (:func:`special.ratio_rows`); the
+    point's store forms each distinct theta once, so the check costs
+    O(m + n) theta calls."""
     m, n = size.m, size.n
     b_cells = [(k, l) for k in range(m + 1) for l in range(1, n + 1)]
     h_cells = list(dict.fromkeys(cell for k in range(1, m + 1) for l in range(1, n + 1)

@@ -41,10 +41,11 @@ P_LO, P_HI = 0.05, 0.5
 def check_genericity(pp: ParamPoint, size: IdentitySize) -> bool:
     """True when the weight-normalisation condition holds with the point's
     margin ``pp.guard``: the weights h(i, 0) and h(0, j), read as one set
-    of rows (:func:`special.ratio_rows`) from the point's store, keep
-    |h(i, 0)| and |1 - h(0, j)| above it.  A point whose weights overflow
-    doubles (``OverflowError``) or divide by an entry within the guard is
-    not generic."""
+    of rows (:func:`special.ratio_rows`) from the point's store, which
+    forms each theta once and keeps it for the checks, keep |h(i, 0)| and
+    |1 - h(0, j)| above it.  A point whose weights overflow doubles
+    (``OverflowError``) or divide by an entry within the guard is not
+    generic."""
     m, n = size.m, size.n
     tiny = 1e-12
     for z in (pp.x, pp.a, pp.b, pp.c, pp.q):

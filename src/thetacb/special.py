@@ -580,19 +580,6 @@ def _mp_round(a, ctx, real: bool):
     return ctx.make_mpc((re, _from_man_exp(i, e, prec, rnd)))
 
 
-def _mp_times(z, w, ctx):
-    """z * w for an ``mpmath`` w of context ``ctx`` and a scalar z, bit for
-    bit the product mpmath forms: the exact product of the raw parts, each
-    part of it rounded once (:func:`_mp_round`), as ``mpc_mul`` rounds each
-    exact sum of products once; an mpf when z and w are real.  z is
-    converted to ``ctx`` unless it is an mpmath scalar, as mpmath converts
-    it."""
-    if not hasattr(z, "_mpc_") and not hasattr(z, "_mpf_"):
-        z = ctx.convert(z)
-    return _mp_round(_mul(_exact(_mp_parts(z)), _exact(_mp_parts(w))), ctx,
-                     not hasattr(z, "_mpc_") and not hasattr(w, "_mpc_"))
-
-
 def _mp_context(v):
     """The context of v when v is an mpmath real or complex, else None
     (at once for a built-in complex, the double campaigns' scalar)."""
@@ -711,74 +698,63 @@ def theta_prod(args, p, _nome=None):
     return acc
 
 
-class ThetaLadder:
-    """The values j -> theta(z q^j; p) for integer j (negative j allowed),
-    each evaluated once, on first read, by :func:`theta` (at p = 0 by
-    theta's closed form 1 - z q^j, formed in place), and then memoised.
+class ThetaLadder(dict):
+    """The dict j -> theta(z q^j; p) for integer j (negative j allowed):
+    ``__missing__`` evaluates entry j on its first read, by :func:`theta`
+    (at p = 0 by theta's closed form 1 - z q^j, formed in place), and keeps
+    it, so a later read is a plain dict lookup.
 
     Every theta-shifted factorial (z q^s; q, p)_L is a window of this
     ladder, so a table of such factorials over many cells costs one theta
     call per distinct index instead of one per factor and cell.  The
     argument of entry j is ``z * q**j``, the association the weight
     formulas use, so values read off a ladder match direct evaluation bit
-    for bit; at an ``mpmath`` q it is formed from the exact integer
-    product of the raw parts, each part rounded once (:func:`_mp_times`),
-    with the bits and the type of mpmath's product (an mpf for a real z
-    and q).
+    for bit; at an ``mpmath`` q it is mpmath's own product of z and the
+    store's power q**j.
 
     A ladder lives in a store and holds it: ``ThetaLadders(q, p, guard)[z]``
     makes it, and it reads q, p, the store's nome (see :class:`_Nome`), for
     an ``mpmath`` q the store's powers q**j (:class:`_PowersOfQ`) and the
     store's ``guard`` through that one reference.  Each entry is tested
     against the guard once, when it is formed (:func:`within_guard`), and
-    one within it raises when it is read as a denominator (:meth:`den`).
+    one within it raises when it is read as a denominator (:meth:`den`),
+    whichever read formed it.
     """
 
-    __slots__ = ("z", "store", "_values", "_flagged")
+    __slots__ = ("z", "store", "_flagged")
 
     def __init__(self, z, store: ThetaLadders):
+        super().__init__()
         self.z = z
         self.store = store
-        self._values: dict[int, object] = {}
         self._flagged: set[int] = set()  # the indices within the guard
 
-    def __getitem__(self, j: int):
-        value = self._values.get(j)
-        if value is None:
-            store = self.store
-            if store.prec is not None and store.context.prec != store.prec:
-                raise ValueError(f"theta store made at a working precision of {store.prec} "
-                                 f"bits read at {store.context.prec}")
-            powers = store.q_powers
-            if powers is None:
-                x = self.z * store.q**j
-            else:
-                x = _mp_times(self.z, powers[j], store.context)
-            if store.basic:
-                if x == 0:
-                    raise ZeroArgumentError("theta(x; p) requires x != 0")
-                value = 1 - x
-            else:
-                nome = store.nome
-                if nome is None:
-                    nome = store.nome = _Nome(store.p)
-                value = theta(x, store.p, nome)
-            if within_guard(value, x, store.guard):
-                self._flagged.add(j)
-            self._values[j] = value
+    def __missing__(self, j: int):
+        store = self.store
+        if store.prec is not None and store.context.prec != store.prec:
+            raise ValueError(f"theta store made at a working precision of {store.prec} "
+                             f"bits read at {store.context.prec}")
+        powers = store.q_powers
+        x = self.z * (store.q**j if powers is None else powers[j])
+        if store.basic:
+            if x == 0:
+                raise ZeroArgumentError("theta(x; p) requires x != 0")
+            value = 1 - x
+        else:
+            nome = store.nome
+            if nome is None:
+                nome = store.nome = _Nome(store.p)
+            value = theta(x, store.p, nome)
+        if within_guard(value, x, store.guard):
+            self._flagged.add(j)
+        self[j] = value
         return value
-
-    def __contains__(self, j: int) -> bool:
-        """True when entry j is stored."""
-        return j in self._values
 
     def den(self, j: int):
         """Entry j read as a denominator factor: it raises
         ``DegenerateParameterError`` when the entry lies within the store's
         guard, as tested when it was formed."""
-        value = self._values.get(j)
-        if value is None:
-            value = self[j]
+        value = self[j]
         if self._flagged and j in self._flagged:
             raise DegenerateParameterError(
                 f"denominator theta({self.z!r} * q^{j}) within the guard {self.store.guard}")
@@ -925,44 +901,24 @@ def ratio_rows(ladders, rows) -> list:
     :func:`ratio_row`), with ``ladders[role]`` the ladder of each role:
     the value :func:`theta_ratio` gives the same windows, bit for bit.
 
-    Each distinct entry is read once for all rows: as a numerator through
-    ``ladder[j]``, as a denominator through ``ladder.den(j)``, which guards
-    it.  Each row is then formed from the values read, with no call per
-    factor, by the loop of :func:`theta_ratio` for their type: the first
-    numerator read decides between the paired ratios of built-in scalars
-    and the integer products of ``mpmath`` ones (:func:`_mp_ratio`), and
-    an empty row is exactly 1.  Entries are read row by row, each row's new
-    numerators before its new denominators, so the first read that raises
-    is the one a loop of :func:`theta_ratio` calls over the rows would
-    raise first.  A single row shares no entry with another, so it reads
-    its factors in order, as :func:`theta_ratio` does.
+    One loop over the rows, each read as :func:`theta_ratio` reads its
+    windows: its numerators through ``ladder[j]``, then its denominators
+    through ``ladder.den(j)``, which guards them.  The store forms each
+    distinct entry once, on its first read, and every later read of it is
+    a dict lookup.  The row is then formed by the loop of
+    :func:`theta_ratio` for the type of its first numerator: the paired
+    ratios of built-in scalars, or the integer products of ``mpmath`` ones
+    (:func:`_mp_ratio`); an empty row is exactly 1.  So the first read
+    that raises is the one a loop of :func:`theta_ratio` calls over the
+    rows would raise first.
     """
-    if len(rows) == 1:
-        (num, den), = rows
+    out = []
+    for num, den in rows:
         tops = [ladders[role][j] for role, j in num]
         bottoms = [ladders[role].den(j) for role, j in den]
         ctx = _mp_context(tops[0]) if tops else None
-        return [_ratio_product(map(truediv, tops, bottoms)) if ctx is None
-                else _mp_ratio(tops, bottoms, ctx)]
-    tops: dict = {}
-    bottoms: dict = {}
-    out = []
-    ctx = decided = None
-    for num, den in rows:
-        for e in num:
-            if e not in tops:
-                tops[e] = ladders[e[0]][e[1]]
-        for e in den:
-            if e not in bottoms:
-                bottoms[e] = ladders[e[0]].den(e[1])
-        if not decided and num:
-            # the first numerator read sets the path of every row
-            ctx, decided = _mp_context(tops[num[0]]), True
-        if ctx is None or not num:
-            out.append(_ratio_product(map(truediv, map(tops.__getitem__, num),
-                                          map(bottoms.__getitem__, den))))
-        else:
-            out.append(_mp_ratio(map(tops.__getitem__, num), map(bottoms.__getitem__, den), ctx))
+        out.append(_ratio_product(map(truediv, tops, bottoms)) if ctx is None
+                   else _mp_ratio(tops, bottoms, ctx))
     return out
 
 

@@ -45,10 +45,11 @@ def h_row(i: int, j: int, shift=ZERO_SHIFT) -> tuple:
 def elliptic_weight(pp: ParamPoint, i: int, j: int, shift=ZERO_SHIFT, swap: bool = False):
     """East-step weight h(i, j): the eight-theta ratio above, read off the
     point's theta store (:attr:`ParamPoint.thetas`) through its row
-    (:func:`h_row`), so a set of cells costs one theta call per distinct
-    ladder index.  Every denominator theta is checked on its own by
-    :meth:`ThetaLadder.den`.  ``swap`` exchanges the roles of a and b
-    after the ``shift``, alpha's and beta's with them."""
+    (:func:`h_row`); the store forms each theta once, so a set of cells
+    costs one theta call per distinct ladder index.  Every denominator
+    theta is checked on its own by :meth:`ThetaLadder.den`.  ``swap``
+    exchanges the roles of a and b after the ``shift``, alpha's and
+    beta's with them."""
     if i < 0 or j < 0:
         raise OutOfRegionError("weight indices must be nonnegative")
     if swap:
@@ -58,7 +59,8 @@ def elliptic_weight(pp: ParamPoint, i: int, j: int, shift=ZERO_SHIFT, swap: bool
 
 def h_table(pp: ParamPoint, m: int, n: int) -> list[list]:
     """The weights h(i, j) over the grid {0..m} x {0..n}, rows indexed by
-    i, evaluated as one set of rows (:func:`special.ratio_rows`)."""
+    i, evaluated as one set of rows (:func:`special.ratio_rows`); the
+    point's store forms each theta the cells share once."""
     values = ratio_rows(pp.role_ladders(), [h_row(i, j) for i in range(m + 1)
                                            for j in range(n + 1)])
     return [values[i * (n + 1):(i + 1) * (n + 1)] for i in range(m + 1)]

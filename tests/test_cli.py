@@ -507,7 +507,7 @@ class TestSharedDraws:
         entries = 0
         for store in stores.values():
             for z, ladder in store.items():
-                for j, value in ladder._values.items():
+                for j, value in ladder.items():
                     assert value == special.theta(z * store.q**j, store.p), (z, j)
                     entries += 1
         assert entries > 500

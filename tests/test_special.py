@@ -368,7 +368,7 @@ class TestThetaMany:
             pp = _draw(Random(seed), P_HI)
             check_genericity(pp, IdentitySize(depth, depth))
             for ladder in pp.thetas.values():
-                for j, value in ladder._values.items():
+                for j, value in ladder.items():
                     x = ladder.z * ladder.store.q**j
                     assert _units(value, _double_reference(x, pp.p)) <= _double_bound(x, pp.p)
                     checked += 1
@@ -1119,10 +1119,11 @@ class TestLadderKernels:
         rows = [ratio_row(((0, 0, 3),), ((1, 0, 3),)), ratio_row(((0, 1, 3),), ((1, 1, 3),)),
                 ratio_row(((1, 0, 2),), ((0, 2, 2),))]
         ratio_rows(ladders, rows)
-        # numerators: role 0 at 0..3, role 1 at 0..1; denominators: role 1
-        # at 0..3, role 0 at 2..3, each guarded once
+        # the store forms each distinct entry once: numerators role 0 at
+        # 0..3 and role 1 at 0..1, denominators role 1 at 0..3 and role 0 at
+        # 2..3; every denominator factor of every row is guarded
         assert len(reads) == 6 + 2
-        assert len(guards) == 4 + 2
+        assert len(guards) == 3 + 3 + 2
 
     def test_rows_raise_what_a_loop_of_theta_ratio_raises_first(self):
         # row "vanished" divides by theta(1; p) = 0, row "zero" reads
@@ -1141,6 +1142,25 @@ class TestLadderKernels:
         for rows in ([both], [both, vanished]):
             with pytest.raises(ZeroArgumentError):
                 ratio_rows(ladders, rows)
+
+    def test_an_entry_formed_as_a_numerator_raises_as_a_denominator(self):
+        # an entry within the guard, formed by a numerator read, is flagged
+        # when it is formed and raises on every later denominator read
+        def ladders():
+            store = ThetaLadders(0.55 + 0.3j, 0.2 - 0.1j)
+            return [store[0.6 + 0.2j], store[1 + 1e-9j]]
+
+        near = ladders()[1]
+        assert near[0] is near[0]
+        with pytest.raises(DegenerateParameterError):
+            near.den(0)
+        free, near = ladders()
+        theta_ratio(((near, 0, 1),), ((free, 0, 1),))
+        with pytest.raises(DegenerateParameterError):
+            theta_ratio(((free, 0, 1),), ((near, 0, 1),))
+        rows = [ratio_row(((1, 0, 1),), ((0, 0, 1),)), ratio_row(((0, 0, 1),), ((1, 0, 1),))]
+        with pytest.raises(DegenerateParameterError):
+            ratio_rows(ladders(), rows)
 
     def test_row_rejects_unequal_factor_counts(self):
         for num, den in ((((0, 0, 3),), ((1, 0, 2),)),
