@@ -712,40 +712,41 @@ class ThetaLadder(dict):
     for bit; at an ``mpmath`` q it is mpmath's own product of z and the
     store's power q**j.
 
-    A ladder lives in a store and holds it: ``ThetaLadders(q, p, guard)[z]``
-    makes it, and it reads q, p, the store's nome (see :class:`_Nome`), for
-    an ``mpmath`` q the store's powers q**j (:class:`_PowersOfQ`) and the
-    store's ``guard`` through that one reference.  Each entry is tested
-    against the guard once, when it is formed (:func:`within_guard`), and
-    one within it raises when it is read as a denominator (:meth:`den`),
-    whichever read formed it.
+    ``ThetaLadders(q, p, guard)[z]`` makes a ladder.  It reads the values
+    its store shares (``shared``, a :class:`_Shared`: q, p, the nome, for
+    an ``mpmath`` q the powers q**j, the guard and the precision), not the
+    store, so no ladder references its store and a store is freed by
+    reference counting, without the cyclic collector.  Each entry is
+    tested against the guard once, when it is formed
+    (:func:`within_guard`), and one within it raises when it is read as a
+    denominator (:meth:`den`), whichever read formed it.
     """
 
-    __slots__ = ("z", "store", "_flagged")
+    __slots__ = ("z", "shared", "_flagged")
 
-    def __init__(self, z, store: ThetaLadders):
+    def __init__(self, z, shared: _Shared):
         super().__init__()
         self.z = z
-        self.store = store
+        self.shared = shared
         self._flagged: set[int] = set()  # the indices within the guard
 
     def __missing__(self, j: int):
-        store = self.store
-        if store.prec is not None and store.context.prec != store.prec:
-            raise ValueError(f"theta store made at a working precision of {store.prec} "
-                             f"bits read at {store.context.prec}")
-        powers = store.q_powers
-        x = self.z * (store.q**j if powers is None else powers[j])
-        if store.basic:
+        shared = self.shared
+        if shared.prec is not None and shared.context.prec != shared.prec:
+            raise ValueError(f"theta store made at a working precision of {shared.prec} "
+                             f"bits read at {shared.context.prec}")
+        powers = shared.q_powers
+        x = self.z * (shared.q**j if powers is None else powers[j])
+        if shared.basic:
             if x == 0:
                 raise ZeroArgumentError("theta(x; p) requires x != 0")
             value = 1 - x
         else:
-            nome = store.nome
+            nome = shared.nome
             if nome is None:
-                nome = store.nome = _Nome(store.p)
-            value = theta(x, store.p, nome)
-        if within_guard(value, x, store.guard):
+                nome = shared.nome = _Nome(shared.p)
+            value = theta(x, shared.p, nome)
+        if within_guard(value, x, shared.guard):
             self._flagged.add(j)
         self[j] = value
         return value
@@ -757,7 +758,7 @@ class ThetaLadder(dict):
         value = self[j]
         if self._flagged and j in self._flagged:
             raise DegenerateParameterError(
-                f"denominator theta({self.z!r} * q^{j}) within the guard {self.store.guard}")
+                f"denominator theta({self.z!r} * q^{j}) within the guard {self.shared.guard}")
         return value
 
 
@@ -777,6 +778,26 @@ class _PowersOfQ(dict):
         return value
 
 
+class _Shared:
+    """The values one store (:class:`ThetaLadders`) and its ladders share:
+    ``q``, ``p``, the ``guard``, ``basic`` (p = 0), the ``nome``, the
+    ``q_powers`` and the working precision (``context``, ``prec``), each
+    described there.  Slotted, as every ladder entry formed reads them."""
+
+    __slots__ = ("q", "p", "guard", "basic", "nome", "q_powers", "context", "prec")
+
+    def __init__(self, q, p, guard: float):
+        self.q = q
+        self.p = p
+        self.guard = guard
+        self.basic = p == 0
+        self.nome = None
+        ctx = _mp_context(q)
+        self.q_powers = None if ctx is None else _PowersOfQ(q)
+        self.context = ctx = _mp_context(p) if ctx is None else ctx
+        self.prec = None if ctx is None else ctx.prec
+
+
 class ThetaLadders(dict):
     """The ladders of one (q, p), keyed by base: ``ladders[z]`` is the
     :class:`ThetaLadder` of base z, created on first use.
@@ -794,27 +815,26 @@ class ThetaLadders(dict):
     computed at 15 digits enters a 40-digit theta (a parameter point
     starts a fresh store instead, ``ParamPoint.thetas``).  ``guard`` is
     the denominator margin its ladders test each entry against
-    (:class:`ThetaLadder`)."""
+    (:class:`ThetaLadder`).
 
-    # slots: every ladder entry formed reads these, and a slot is read faster
-    # than the instance dict of a dict subclass
-    __slots__ = ("q", "p", "guard", "basic", "nome", "q_powers", "context", "prec")
+    These values live in one :class:`_Shared` (``shared``), which the
+    store and its ladders reference and which references neither; they
+    read as the store's own attributes."""
+
+    __slots__ = ("shared",)
 
     def __init__(self, q, p, guard: float = DEFAULT_GUARD):
         super().__init__()
-        self.q = q
-        self.p = p
-        self.guard = guard
-        self.basic = p == 0
-        self.nome = None
-        ctx = _mp_context(q)
-        self.q_powers = None if ctx is None else _PowersOfQ(q)
-        self.context = ctx = _mp_context(p) if ctx is None else ctx
-        self.prec = None if ctx is None else ctx.prec
+        self.shared = _Shared(q, p, guard)
 
     def __missing__(self, z):
-        ladder = self[z] = ThetaLadder(z, self)
+        ladder = self[z] = ThetaLadder(z, self.shared)
         return ladder
+
+    def __getattr__(self, name):
+        if name == "shared":  # unset: a store made without __init__
+            raise AttributeError(name)
+        return getattr(self.shared, name)
 
 
 def theta_ratio(num, den):
@@ -879,21 +899,48 @@ def _mp_ratio(tops, bottoms, ctx):
 #: so that the rows forms cache hold references rather than copies.
 _ENTRY_IDS: dict = {}
 
+#: The paired factors (numerator entry id, denominator entry id) of the
+#: compiled rows, by int pair id (:func:`ratio_row`), and the id of each.
+_PAIRS: list = []
+_PAIR_IDS: dict = {}
 
-def ratio_row(num, den) -> tuple[tuple, tuple]:
+
+class _Row:
+    """A compiled row (:func:`ratio_row`): ``num`` and ``den``, the tuples
+    of its (role, j) entry ids, and ``pairs``, the int id of each paired
+    factor (num[t], den[t]).  It unpacks as (num, den)."""
+
+    __slots__ = ("num", "den", "pairs")
+
+    def __init__(self, num, den, pairs):
+        self.num, self.den, self.pairs = num, den, pairs
+
+    def __iter__(self):
+        return iter((self.num, self.den))
+
+
+def ratio_row(num, den) -> _Row:
     """One :func:`theta_ratio` compiled to entry ids: num and den are
     windows (role, start, length) over the ladder roles of a form, and the
-    row is the pair of tuples of the (role, j) entries they hold, in
-    :func:`theta_ratio`'s pairing order.  Unequal factor counts raise
-    ``ValueError``.  A row does not depend on the point, so a form can
-    cache its cells' rows."""
+    row holds the tuples of the (role, j) entries they hold, in
+    :func:`theta_ratio`'s pairing order, and an int id for each pair of
+    entries, shared by every row that pairs the same two entries
+    (:class:`_Row`).  Unequal factor counts raise ``ValueError``.  A row
+    does not depend on the point, so a form can cache its cells' rows."""
     tops, bottoms = (tuple(_ENTRY_IDS.setdefault((role, j), (role, j))
                            for role, start, length in windows
                            for j in range(start, start + length))
                      for windows in (num, den))
     if len(tops) != len(bottoms):
         raise ValueError(f"{len(tops)} numerator factors against {len(bottoms)} denominators")
-    return tops, bottoms
+    pairs = []
+    for pair in zip(tops, bottoms):
+        k = _PAIR_IDS.get(pair)
+        if k is None:  # a pair no row has held: the next id
+            k = _PAIR_IDS[pair] = len(_PAIRS)
+            _PAIRS.append(pair)
+        pairs.append(k)
+    return _Row(tops, bottoms, tuple(pairs))
 
 
 def ratio_rows(ladders, rows) -> list:
@@ -901,24 +948,58 @@ def ratio_rows(ladders, rows) -> list:
     :func:`ratio_row`), with ``ladders[role]`` the ladder of each role:
     the value :func:`theta_ratio` gives the same windows, bit for bit.
 
-    One loop over the rows, each read as :func:`theta_ratio` reads its
-    windows: its numerators through ``ladder[j]``, then its denominators
-    through ``ladder.den(j)``, which guards them.  The store forms each
-    distinct entry once, on its first read, and every later read of it is
-    a dict lookup.  The row is then formed by the loop of
-    :func:`theta_ratio` for the type of its first numerator: the paired
-    ratios of built-in scalars, or the integer products of ``mpmath`` ones
-    (:func:`_mp_ratio`); an empty row is exactly 1.  So the first read
-    that raises is the one a loop of :func:`theta_ratio` calls over the
-    rows would raise first.
+    A call of more than one row whose first numerator is a built-in
+    scalar forms each distinct paired ratio of the call once
+    (:func:`_paired_rows`); every row of a call holds values of one
+    numeric type.  Otherwise one loop reads each row as
+    :func:`theta_ratio` reads its windows: its numerators through
+    ``ladder[j]``, then its denominators through ``ladder.den(j)``, which
+    guards them, and forms it by the loop of :func:`theta_ratio` for the
+    type of its first numerator: the paired ratios of built-in scalars, or
+    the integer products of ``mpmath`` ones (:func:`_mp_ratio`); an empty
+    row is exactly 1.  The store forms each distinct entry once, on its
+    first read, and the first read that raises is the one a loop of
+    :func:`theta_ratio` calls over the rows would raise first.
     """
+    if len(rows) > 1 and rows[0].num:
+        role, j = rows[0].num[0]
+        if _mp_context(ladders[role][j]) is None:
+            return _paired_rows(ladders, rows)
     out = []
-    for num, den in rows:
-        tops = [ladders[role][j] for role, j in num]
-        bottoms = [ladders[role].den(j) for role, j in den]
+    for row in rows:
+        tops = [ladders[role][j] for role, j in row.num]
+        bottoms = [ladders[role].den(j) for role, j in row.den]
         ctx = _mp_context(tops[0]) if tops else None
         out.append(_ratio_product(map(truediv, tops, bottoms)) if ctx is None
                    else _mp_ratio(tops, bottoms, ctx))
+    return out
+
+
+def _paired_rows(ladders, rows) -> list:
+    """The values of rows of built-in scalars, each distinct paired ratio
+    ``ladder[j] / ladder.den(j)`` of the call formed once, by its pair id,
+    and each row's ratios multiplied left to right from 1, as
+    :func:`theta_ratio` multiplies them.  The ratio of a pair is kept only
+    after its denominator's ``den`` returned, so an entry within the guard
+    is never kept and raises on every read; a row whose read raises is
+    read again alone by :func:`ratio_rows`, which raises what
+    :func:`theta_ratio` raises first.  The kept ratios live for the call
+    alone."""
+    ratios = {}
+    out = []
+    for row in rows:
+        pairs = row.pairs
+        try:
+            for k in pairs:
+                if k not in ratios:
+                    (nr, nj), (dr, dj) = _PAIRS[k]
+                    ratios[k] = ladders[nr][nj] / ladders[dr].den(dj)
+        except Exception:
+            # read alone, numerators first, the row raises what
+            # theta_ratio raises first on its windows
+            out += ratio_rows(ladders, (row,))
+            continue
+        out.append(_ratio_product(map(ratios.__getitem__, pairs)))
     return out
 
 

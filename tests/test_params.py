@@ -4,6 +4,7 @@ each of its entries is tested against."""
 
 from __future__ import annotations
 
+import gc
 import math
 from random import Random
 
@@ -21,7 +22,7 @@ import thetacb.sampling as sampling
 from thetacb.errors import ResamplingExhaustedError
 from thetacb.sampling import (DEFAULT_GUARD, P_HI, P_LO, _draw, check_genericity,
                               sample_param_point, to_mp)
-from thetacb.special import ThetaLadder, theta, within_guard
+from thetacb.special import ThetaLadder, ThetaLadders, ratio_rows, theta, within_guard
 from thetacb.weights import elliptic_weight, h_row
 
 
@@ -165,6 +166,31 @@ def test_a_changed_nome_never_reads_the_store():
     got = cb_term_abcq(pp, 3, 3)
     want = cb_term_abcq(fresh_copy(pp), 3, 3)
     assert got == want
+
+
+@pytest.mark.parametrize("digits", [0, 40])
+def test_a_dropped_point_frees_its_store_without_the_collector(digits):
+    # no ladder references its store, so a point's store and ladders are
+    # freed by reference counting: with the collector off while the point
+    # is read and dropped, a collection finds none of them
+    gc.collect()
+    gc.disable()
+    try:
+        with mpmath.workdps(digits or 15):
+            pp = sample_param_point(Random(46), IdentitySize(2, 2))
+            pp = to_mp(pp) if digits else fresh_copy(pp)
+            ratio_rows(pp.role_ladders(), [h_row(i, j) for i in range(3) for j in range(3)])
+            master_equality_residual(pp, IdentitySize(2, 2))
+            assert len(pp.thetas) == 14
+            del pp
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        left = [obj for obj in gc.garbage if isinstance(obj, (ThetaLadders, ThetaLadder))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not left
 
 
 def test_store_follows_the_working_precision():
@@ -363,8 +389,8 @@ def _untested_divisors(monkeypatch, config, name, m, n, seed):
         value = ladder.get(j)  # the kept value; a read here would form a missing one
         value_tested, guard = tested.get(id(value), (None, None))
         if (value_tested is not value or guard != config.guard
-                or within_guard(value, ladder.z * ladder.store.q**j, guard)):
-            untested.add((ladder.store.p, ladder.z, j))
+                or within_guard(value, ladder.z * ladder.shared.q**j, guard)):
+            untested.add((ladder.shared.p, ladder.z, j))
     return untested | {("guard", guard) for _, guard in tested.values() if guard != config.guard}
 
 
