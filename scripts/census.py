@@ -12,9 +12,11 @@ such trial the census prints one JSON line: identity, m, n, trial,
 campaign seed, trial seed, the six parameters of the draw, and the
 residual in doubles and at ``DIGITS`` digits.  Then one line counts the
 failing trials: ``false`` ones pass at ``DIGITS`` digits, ``genuine``
-ones fail there too.  The last line sums them up per identity: the count
-of failing trials, the worst residual in doubles and the worst at
-``DIGITS`` digits (NaN when any is NaN).
+ones fail there too; it also counts the ``resampled`` trials, failing or
+not, that evaluated at a draw of their check's own stream, so a guard
+that turns a failure into a resample shows there.  The last line sums
+them up per identity: the count of failing trials, the worst residual in
+doubles and the worst at ``DIGITS`` digits (NaN when any is NaN).
 
 ``--jobs N`` shares the seeds among N processes, at most one per CPU; the
 lines still come in seed order, so the output is the one process's.
@@ -70,26 +72,31 @@ def rerun(config: cli.CampaignConfig, rec: dict) -> float:
     return residual
 
 
-def seed_failures(config: cli.CampaignConfig, seed: int) -> list[dict]:
+def seed_failures(config: cli.CampaignConfig, seed: int) -> tuple[list[dict], int]:
     """One line per failing trial of ``config`` at campaign seed ``seed``,
-    each with its residual at ``DIGITS`` digits."""
+    each with its residual at ``DIGITS`` digits, and the number of its
+    trials that resampled."""
     campaign = dataclasses.replace(config, seed=seed, precision=0)
-    return [{"identity": rec["identity"], "m": rec["m"], "n": rec["n"],
-             "trial": rec["trial"], "campaign_seed": seed, "trial_seed": rec["seed"],
-             "params": rec["params"], "residual": rec["residual"],
-             f"residual_{DIGITS}": rerun(campaign, rec)}
-            for rec in cli.run_campaign(campaign).records if rec["verdict"] != "pass"]
+    records = cli.run_campaign(campaign).records
+    return ([{"identity": rec["identity"], "m": rec["m"], "n": rec["n"],
+              "trial": rec["trial"], "campaign_seed": seed, "trial_seed": rec["seed"],
+              "params": rec["params"], "residual": rec["residual"],
+              f"residual_{DIGITS}": rerun(campaign, rec)}
+             for rec in records if rec["verdict"] != "pass"],
+            sum(rec["resamples"] > 0 for rec in records))
 
 
 def census(config: cli.CampaignConfig, seeds: range, jobs: int = 1):
     """One line per failing trial of ``config`` at each seed, in seed
     order, then the count and the summary per identity.  ``jobs``
     processes share the seeds."""
-    failing = genuine = 0
+    failing = genuine = resampled = 0
     by_identity: dict[str, list[dict]] = {}
     pool = multiprocessing.get_context("spawn").Pool(jobs) if jobs > 1 else None
     with pool or contextlib.nullcontext():
-        for found in (pool.imap if pool else map)(partial(seed_failures, config), seeds):
+        for found, seed_resampled in (pool.imap if pool else map)(partial(seed_failures, config),
+                                                                  seeds):
+            resampled += seed_resampled
             for line in found:
                 failing += 1
                 # a NaN at 40 digits is no pass
@@ -97,7 +104,7 @@ def census(config: cli.CampaignConfig, seeds: range, jobs: int = 1):
                 by_identity.setdefault(line["identity"], []).append(line)
                 yield line
     yield {"type": "count", "campaigns": len(seeds), "failing": failing,
-           "false": failing - genuine, "genuine": genuine}
+           "false": failing - genuine, "genuine": genuine, "resampled": resampled}
     yield {"type": "identities", "identities": {
         name: {"failing": len(lines),
                "worst_residual": worst_residual(line["residual"] for line in lines),

@@ -29,12 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import CapExceededError, HConditionError, OutOfRegionError
+from .errors import CapExceededError, OutOfRegionError
 from .params import (A_B, A_X, AB, AC, AX, B_A, B_X, BC, BX, C_A, C_B, C_X, CX, Q, IdentitySize,
                      ParamPoint)
-from .special import (DENOMINATOR_GUARD, ratio_row, ratio_rows, relative_residual, theta_ratio,
-                      worst_residual)
-from .weights import ZERO_SHIFT, h_row, h_table
+from .special import ratio_row, ratio_rows, relative_residual, theta_ratio, worst_residual
+from .weights import ZERO_SHIFT, guard_weight_denominator, h_row, h_table
 
 #: Endpoints with m + n beyond this are refused by the brute-force routes.
 BRUTE_FORCE_CAP = 12
@@ -127,16 +126,13 @@ def a_table_dp(pp: ParamPoint, size: IdentitySize) -> WeightTable:
     A boundaries are the row/column products of h(i, 0) and 1 - h(0, j);
     B is driven by the quotient coefficients h(k-1, l)/h(k-1, 0) and
     (1 - h(k, l-1))/(1 - h(0, l-1)) with unit boundaries, so the two
-    tables are produced by genuinely different recursions.
+    tables are produced by genuinely different recursions.  The m + n
+    weight denominators are guarded (``weights.guard_weight_denominator``).
     """
     m, n = size.m, size.n
     h = h_table(pp, m, n)
-    for i in range(m + 1):
-        if abs(h[i][0]) <= DENOMINATOR_GUARD:
-            raise HConditionError(f"h({i}, 0) vanished")
-    for j in range(n + 1):
-        if abs(1 - h[0][j]) <= DENOMINATOR_GUARD:
-            raise HConditionError(f"1 - h(0, {j}) vanished")
+    for w in (*(h[k][0] for k in range(m)), *(1 - h[0][l] for l in range(n))):
+        guard_weight_denominator(pp, w)
 
     a = [[None] * (n + 1) for _ in range(m + 1)]
     a[0][0] = 1
@@ -278,7 +274,8 @@ def b_system_residual(pp: ParamPoint, size: IdentitySize) -> float:
     cells with l >= 1 and the weights the system reads (every h(i, j)
     but h(m, n)) are one set of rows (:func:`special.ratio_rows`); the
     point's store forms each distinct theta once, so the check costs
-    O(m + n) theta calls."""
+    O(m + n) theta calls.  The m + n weight denominators are guarded
+    before the cells are read (``weights.guard_weight_denominator``)."""
     m, n = size.m, size.n
     b_cells = [(k, l) for k in range(m + 1) for l in range(1, n + 1)]
     h_cells = list(dict.fromkeys(cell for k in range(1, m + 1) for l in range(1, n + 1)
@@ -290,6 +287,8 @@ def b_system_residual(pp: ParamPoint, size: IdentitySize) -> float:
     for (k, l), value in zip(b_cells, values):
         bt[k][l] = value * q**l
     h = dict(zip(h_cells, values[len(b_cells):]))
+    for w in (*(h[k, 0] for k in range(m)), *(1 - h[0, l] for l in range(n))) if m and n else ():
+        guard_weight_denominator(pp, w)
 
     def cell(k, l):
         t1 = h[k - 1, l] / h[k - 1, 0] * bt[k - 1][l]

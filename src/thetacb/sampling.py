@@ -1,20 +1,19 @@
 """Genericity scanning and randomized parameter sampling.
 
 A parameter point is *generic* for truncation depths (m, n) when every
-theta or q-factor denominator that a check divides by keeps a safe margin
-from zero, and the lattice-weight normalisation condition (h(i, 0) away
-from 0, h(0, j) away from 1) holds.  The denominators are guarded where
-they are read: the point carries the margin (``ParamPoint.guard``), each
-entry of its theta stores is tested against it once, when it is formed,
-and a store entry or a check's own q-factor within it raises
+denominator a check divides by keeps the point's margin
+(``ParamPoint.guard``) from zero.  Each is guarded where it is read: a
+theta store tests each entry once, when it is formed, and an entry or a
+check's own q-factor within the margin raises
 ``DegenerateParameterError`` when it is divided by
-(``special.within_guard``).  A campaign then resamples from the check's
-own stream; no point is silently evaluated at a vanished denominator.
+(``special.within_guard``), as does a weight h(i, 0) or 1 - h(0, j)
+within it (``weights.guard_weight_denominator``).  A campaign then
+resamples from the check's own stream; no point is silently evaluated
+at a vanished denominator.
 
-The sampler's scan (:func:`check_genericity`) therefore reads only the
-weights h(i, 0) and h(0, j), as one set of rows of the draw's store, whose
-denominators that read guards too.  The checks that run at the accepted
-point read the same store.
+The sampler's scan (:func:`check_genericity`) is therefore only a range
+test of the draw's weight rows, whose thetas it keeps in the store the
+checks at the accepted point read.
 """
 
 from __future__ import annotations
@@ -39,26 +38,20 @@ P_LO, P_HI = 0.05, 0.5
 
 
 def check_genericity(pp: ParamPoint, size: IdentitySize) -> bool:
-    """True when the weight-normalisation condition holds with the point's
-    margin ``pp.guard``: the weights h(i, 0) and h(0, j), read as one set
-    of rows (:func:`special.ratio_rows`) from the point's store, which
-    forms each theta once and keeps it for the checks, keep |h(i, 0)| and
-    |1 - h(0, j)| above it.  A point whose weights overflow doubles
-    (``OverflowError``) or divide by an entry within the guard is not
-    generic."""
+    """True when the weights h(i, 0) and h(0, j) can be formed in doubles:
+    read as one set of rows (:func:`special.ratio_rows`) from the point's
+    store, which keeps their thetas for the checks, they neither overflow
+    (``OverflowError``) nor divide by an entry within the point's guard.
+    This range test goes once the product kernels keep their exponent
+    beyond double range (ROADMAP, scaled accumulators); until then a draw
+    whose weight rows overflow would give its checks non-finite residuals."""
     m, n = size.m, size.n
-    tiny = 1e-12
-    for z in (pp.x, pp.a, pp.b, pp.c, pp.q):
-        if abs(z) < tiny:
-            return False
     try:
-        weights = ratio_rows(pp.role_ladders(), [*(h_row(i, 0) for i in range(m + 1)),
-                                                 *(h_row(0, j) for j in range(1, n + 1))])
+        ratio_rows(pp.role_ladders(), [*(h_row(i, 0) for i in range(m + 1)),
+                                       *(h_row(0, j) for j in range(1, n + 1))])
     except (DegenerateParameterError, OverflowError):
         return False
-    guard = pp.guard
-    return not (any(abs(h) <= guard for h in weights[:m + 1])
-                or any(abs(1 - h) <= guard for h in (weights[0], *weights[m + 1:])))
+    return True
 
 
 def _unit_complex(rng: Random) -> complex:

@@ -59,9 +59,8 @@ MP_THETA_GUARD_BITS = 64
 #: a campaign's ``--guard`` sets it.
 DEFAULT_GUARD = 1e-6
 
-#: A q-binomial denominator 1 - q^j, and a lattice weight h(i, 0) or
-#: 1 - h(0, j) that a table divides by, of magnitude at most this counts
-#: as vanished: values no theta store holds.
+#: A q-binomial denominator 1 - q^j (:func:`qbinom`) of magnitude at most
+#: this counts as vanished.
 DENOMINATOR_GUARD = 1e-12
 
 
@@ -802,7 +801,9 @@ class ThetaLadders(dict):
     """The ladders of one (q, p), keyed by base: ``ladders[z]`` is the
     :class:`ThetaLadder` of base z, created on first use.
 
-    The store owns what its thetas share of the nome p (``nome``, a
+    The store owns, in one :class:`_Shared` (``shared``), which the store
+    and its ladders reference and which references neither, what its
+    thetas share of the nome p (``nome``, a
     :class:`_Nome` made on the first theta read, so a store at p = 0 or at
     |p| >= 1 can be made and the latter raises only when read): log |p|,
     the reduction's powers of p and the coefficients of theta's series;
@@ -815,11 +816,7 @@ class ThetaLadders(dict):
     computed at 15 digits enters a 40-digit theta (a parameter point
     starts a fresh store instead, ``ParamPoint.thetas``).  ``guard`` is
     the denominator margin its ladders test each entry against
-    (:class:`ThetaLadder`).
-
-    These values live in one :class:`_Shared` (``shared``), which the
-    store and its ladders reference and which references neither; they
-    read as the store's own attributes."""
+    (:class:`ThetaLadder`)."""
 
     __slots__ = ("shared",)
 
@@ -830,11 +827,6 @@ class ThetaLadders(dict):
     def __missing__(self, z):
         ladder = self[z] = ThetaLadder(z, self.shared)
         return ladder
-
-    def __getattr__(self, name):
-        if name == "shared":  # unset: a store made without __init__
-            raise AttributeError(name)
-        return getattr(self.shared, name)
 
 
 def theta_ratio(num, den):
@@ -908,15 +900,12 @@ _PAIR_IDS: dict = {}
 class _Row:
     """A compiled row (:func:`ratio_row`): ``num`` and ``den``, the tuples
     of its (role, j) entry ids, and ``pairs``, the int id of each paired
-    factor (num[t], den[t]).  It unpacks as (num, den)."""
+    factor (num[t], den[t])."""
 
     __slots__ = ("num", "den", "pairs")
 
     def __init__(self, num, den, pairs):
         self.num, self.den, self.pairs = num, den, pairs
-
-    def __iter__(self):
-        return iter((self.num, self.den))
 
 
 def ratio_row(num, den) -> _Row:

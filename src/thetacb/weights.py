@@ -15,6 +15,8 @@ p*a, p*b or p*c for the matching parameter leaves them unchanged.
 A ``shift`` (alpha, beta, gamma) reads a weight at (a q^alpha, b q^beta,
 c q^gamma) off the same ladders at offset indices: every base moves by a
 power of q (ab -> ab q^(alpha+beta), a/b -> (a/b) q^(alpha-beta), ...).
+A form that divides by h(i, 0) or 1 - h(0, j) reads it through
+:func:`guard_weight_denominator`, at the point's guard.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import cache
 
 from .errors import HConditionError, OutOfRegionError
 from .params import A_B, A_X, AB, AX, BC, C_B, C_X, CX, ParamPoint
-from .special import DENOMINATOR_GUARD, ratio_row, ratio_rows
+from .special import ratio_row, ratio_rows
 
 #: The substitution (alpha, beta, gamma) that leaves a, b and c as they are.
 ZERO_SHIFT = (0, 0, 0)
@@ -66,12 +68,21 @@ def h_table(pp: ParamPoint, m: int, n: int) -> list[list]:
     return [values[i * (n + 1):(i + 1) * (n + 1)] for i in range(m + 1)]
 
 
+def guard_weight_denominator(pp: ParamPoint, w) -> None:
+    """Raise ``HConditionError`` when the weight denominator ``w``, h(i, 0)
+    or 1 - h(0, j), lies within the point's guard: |w| <= ``pp.guard``.
+    Every form that divides by a weight reads it through this test, so a
+    campaign resamples such a point from the check's own stream."""
+    if abs(w) <= pp.guard:
+        raise HConditionError(f"weight denominator {w} within the guard {pp.guard}")
+
+
 def normalized_weight(pp: ParamPoint, i: int, j: int, shift=ZERO_SHIFT, swap: bool = False):
     """Row-normalised weight H(i, j) = h(i, j) / h(i, 0), with ``shift`` and
-    ``swap`` as in :func:`elliptic_weight`."""
+    ``swap`` as in :func:`elliptic_weight`; h(i, 0) at the shift is
+    guarded (:func:`guard_weight_denominator`)."""
     h_i0 = elliptic_weight(pp, i, 0, shift, swap)
-    if abs(h_i0) <= DENOMINATOR_GUARD:
-        raise HConditionError(f"h({i}, 0) vanished; H(i, j) undefined")
+    guard_weight_denominator(pp, h_i0)
     if j == 0:
         return 1
     return elliptic_weight(pp, i, j, shift, swap) / h_i0

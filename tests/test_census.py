@@ -37,7 +37,7 @@ def test_double_rounding_failures_are_false_failures(capsys):
     assert census.main(["--seeds", "0-1", "--tol", "1e-25", *_TINY]) == 0
     *trials, count, summary = _lines(capsys)
     assert count == {"type": "count", "campaigns": 2, "failing": len(trials),
-                     "false": len(trials), "genuine": 0}
+                     "false": len(trials), "genuine": 0, "resampled": 0}
     assert trials and summary == _summary(trials)
     assert summary["identities"].keys() == {"qcb", "elliptic_cb"}
     reports = {seed: cli.run_campaign(cli.CampaignConfig(
@@ -61,24 +61,26 @@ def test_a_failure_that_holds_at_forty_digits_is_genuine(monkeypatch, capsys):
     assert census.main(["--seeds", "3", *_TINY]) == 1
     *trials, count, summary = _lines(capsys)
     assert {line["identity"] for line in trials} == {"qcb"}
-    assert count == {"type": "count", "campaigns": 1, "failing": 4, "false": 0, "genuine": 4}
+    assert count == {"type": "count", "campaigns": 1, "failing": 4, "false": 0, "genuine": 4,
+                     "resampled": 0}
     assert all(line["residual_40"] == 1.0 for line in trials)
     assert summary == {"type": "identities", "identities": {"qcb": {
         "failing": 4, "worst_residual": 1.0, "worst_residual_40": 1.0}}}
 
 
 def test_seeds_66_to_71_of_the_default_campaign_are_pinned(capsys):
-    # a short range that holds the worst false failures of the 200-seed
-    # census, one draw at seed 69 that reads 8.6e-2 and 1.03 in doubles:
-    # a change to a residual or to theta re-pins this list, declared
+    # a short range that holds the worst false failure of the 200-seed
+    # census, 8.6e-2 in doubles at seed 69, where the xabc check divides
+    # by a weight within the guard and resamples: a change to a residual,
+    # to theta or to a guard re-pins this list, declared
     assert census.main(["--seeds", "66-71"]) == 0
     *trials, count, summary = _lines(capsys)
-    assert count == {"type": "count", "campaigns": 6, "failing": 3, "false": 3, "genuine": 0}
+    assert count == {"type": "count", "campaigns": 6, "failing": 2, "false": 2, "genuine": 0,
+                     "resampled": 2}
     assert summary == _summary(trials)
     assert [(line["campaign_seed"], line["identity"], line["m"], line["n"], line["trial"],
              line["residual"]) for line in trials] == [
         (69, "homogeneous_elliptic_ab", 3, 3, 1, 0.0857761770612228),
-        (69, "homogeneous_elliptic_xabc", 3, 3, 1, 1.0304000615816595),
         (70, "homogeneous_elliptic_xabc", 2, 3, 0, 1.8600501920939724e-08),
     ]
     assert all(line["residual_40"] < 1e-24 for line in trials)

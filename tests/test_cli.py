@@ -508,7 +508,7 @@ class TestSharedDraws:
         for store in stores.values():
             for z, ladder in store.items():
                 for j, value in ladder.items():
-                    assert value == special.theta(z * store.q**j, store.p), (z, j)
+                    assert value == special.theta(z * store.shared.q**j, store.shared.p), (z, j)
                     entries += 1
         assert entries > 500
 
@@ -756,6 +756,18 @@ _CANCELLING = [
                          ids=[f"{row[0]}-{row[1]}-{row[2]}" for row in _CANCELLING])
 def test_cancelling_draw_passes_in_doubles(name, m, n, point):
     assert REGISTRY[name][2](point, m, n) <= CampaignConfig().tol
+
+
+def test_a_weight_within_the_guard_resamples_the_check_once():
+    # P27: default seed 69, cell (3, 3), trial 1, whose shared draw the
+    # homogeneous_elliptic_xabc check reads with a weight denominator
+    # within the guard; it passes at the first draw of its own stream
+    config, name = CampaignConfig(seed=69), "homogeneous_elliptic_xabc"
+    cell = cli._Cell(3, 3, 1, cli._trial_seed(69, 3, 3, 1))
+    pp, residual, seed, resamples = cli._run_trial(config, name, REGISTRY[name][2], cell)
+    assert cell.point.x == -0.5035720466390124 - 1.2822796665674618j
+    assert (seed, resamples) == (cli._trial_seed(69, name, 3, 3, 1), 1)
+    assert pp is not cell.point and residual <= config.tol
 
 
 #: ROADMAP item 1's rows of the binomial and homogeneous checks, (row, name,

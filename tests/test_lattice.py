@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_theta_calls, fresh_copy, nan_on_second_call
-from thetacb.errors import CapExceededError, DegenerateParameterError
+from thetacb.errors import CapExceededError, DegenerateParameterError, HConditionError
 from thetacb.lattice import (
     BRUTE_FORCE_CAP,
     _path_weights,
@@ -31,7 +31,7 @@ from thetacb.lattice import (
     total_weight,
     total_weight_residual,
 )
-from thetacb.params import IdentitySize
+from thetacb.params import IdentitySize, ParamPoint
 from thetacb.sampling import sample_param_point, to_mp
 from thetacb.special import ratio_rows, relative_residual, theta, theta_prod, worst_residual
 from thetacb.weights import elliptic_weight, h_row, h_table
@@ -306,6 +306,29 @@ def test_scaling_passes_a_wrong_second_term_no_more_often():
                                          for cell, t1, t2 in cells) <= 1e-8
                 total += 1
     assert scaled <= plain < total
+
+
+#: A draw of b_system (6, 8), trial 2 of the deep configuration's seed 25,
+#: at which |h(0, 0)| = 1.47e-8: the difference system divides by it.
+_SMALL_H00 = ParamPoint(x=0.769278153879992 + 0.03454926468311582j,
+                        a=0.981919245212405 + 0.1117298059142043j,
+                        b=-0.9293559723965064 - 0.09665816254488485j,
+                        c=-1.2450124271088499 - 0.4151431982564111j,
+                        q=0.30777001368818546 - 0.5947265629962777j,
+                        p=0.4109076533683834 - 0.09573190659698552j)
+
+
+@pytest.mark.parametrize("table", [b_system_residual, a_table_dp])
+def test_a_weight_denominator_within_the_points_guard_raises(table):
+    # |h(0, 0)| lies within the default guard and outside 1e-9; every theta
+    # the tables divide by lies outside both
+    assert 1e-9 < abs(elliptic_weight(_SMALL_H00, 0, 0)) <= _SMALL_H00.guard
+    for size in (IdentitySize(1, 1), IdentitySize(6, 8)):
+        with pytest.raises(HConditionError, match="within the guard"):
+            table(fresh_copy(_SMALL_H00), size)
+        table(_SMALL_H00.replace(guard=1e-9), size)
+    # at m = 0 neither table divides by h(0, 0)
+    table(fresh_copy(_SMALL_H00), IdentitySize(0, 3))
 
 
 def test_b_system_residual_keeps_a_nan_that_is_not_first(monkeypatch):

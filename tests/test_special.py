@@ -859,10 +859,10 @@ class TestThetaStore:
                     for j in order:
                         value = store[x][j]
                         assert repr(value) == repr(theta(x * q**j, p)), (dps, x, p, j)
-                        seen.add(id(store.nome.series))
+                        seen.add(id(store.shared.nome.series))
                     assert len(seen) == 1
-                    assert store.nome.series == _Nome(p).series
-                    exponents.update(store.nome.powers)
+                    assert store.shared.nome.series == _Nome(p).series
+                    exponents.update(store.shared.nome.powers)
         assert len(exponents) > 3
 
     def test_a_read_at_another_precision_raises(self):
@@ -874,10 +874,10 @@ class TestThetaStore:
         z = mpmath.mpc(2.3, -1.1) * mpmath.mpf(0.3) ** -12
         with mpmath.workdps(15):
             store = ThetaLadders(q, p)
-            assert store.nome is None and store.prec == mpmath.mp.prec
+            assert store.shared.nome is None and store.shared.prec == mpmath.mp.prec
             value = store[z][0]
             assert repr(value) == repr(theta(z, p))
-            assert store.nome.series == _Nome(p).series
+            assert store.shared.nome.series == _Nome(p).series
         with mpmath.workdps(40):
             with pytest.raises(ValueError, match="working precision"):
                 store[z][1]
@@ -906,12 +906,12 @@ class TestThetaStore:
                 assert repr(one[j]) == repr(theta(one.z * q**j, p))
                 other[j]
             store[mpmath.mpc(0, 0.45)][5]
-            assert dict(store.q_powers) == {j: q**j for j in (3, -2, 5)}
-            power = store.q_powers[5]
+            assert dict(store.shared.q_powers) == {j: q**j for j in (3, -2, 5)}
+            power = store.shared.q_powers[5]
             assert repr(one[5]) == repr(theta(one.z * q**5, p))
-            assert store.q_powers[5] is power and len(store.q_powers) == 3
+            assert store.shared.q_powers[5] is power and len(store.shared.q_powers) == 3
         # a built-in q forms its powers in place
-        assert ThetaLadders(0.55 + 0.3j, 0.2 - 0.1j).q_powers is None
+        assert ThetaLadders(0.55 + 0.3j, 0.2 - 0.1j).shared.q_powers is None
 
     @pytest.mark.parametrize("dps", [15, 40, 60])
     def test_ladder_arguments_are_the_mpmath_products(self, dps, monkeypatch):
@@ -1292,9 +1292,9 @@ class TestKernelsAtWorkingPrecision:
                 num = [(ladder, rng.randint(-3, 3)) for ladder in ladders[:2]]
                 den = [(ladder, rng.randint(-3, 3)) for ladder in ladders[2:4]]
                 coeff = ladders[4][m]
-                total, scale = series_with_running_products(num, den, store.q, m,
+                total, scale = series_with_running_products(num, den, store.shared.q, m,
                                                             lambda k: coeff if k == m else 0)
-                tops = [coeff, *[store.q] * m,
+                tops = [coeff, *[store.shared.q] * m,
                         *(ladder[s + i] for ladder, s in num for i in range(m))]
                 bottoms = [ladder[s + i] for ladder, s in den for i in range(m)]
                 _assert_unit_of_wider_quotient(total, tops, bottoms)
@@ -1313,7 +1313,7 @@ class TestKernelsAtWorkingPrecision:
                              for windows in (num, den))
             _assert_unit_of_wider_quotient(value, tops, bottoms)
             total, _ = series_with_running_products(((ladders[0], 0),), ((ladders[1], 1),),
-                                                    store.q, 4, lambda k: ladders[2][k])
+                                                    store.shared.q, 4, lambda k: ladders[2][k])
             assert type(total) is mpmath.mpf
             # one complex factor makes the value complex
             complex_den = [(ladders[1], 0, 1), (store[mpmath.mpc(0.6, 0.2)], 0, 1)]

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import ab_point, normal_form_leaves, shifted_point, unit_complex
 from thetacb import cli
-from thetacb.errors import DegenerateParameterError
+from thetacb.errors import DegenerateParameterError, HConditionError
 from thetacb.params import IdentitySize, ParamPoint
 from thetacb.sampling import check_genericity, sample_param_point
 from thetacb.special import relative_residual, theta, theta_prod
@@ -129,6 +129,26 @@ def test_normalized_weight_row_zero(generic_point):
     assert normalized_weight(generic_point, 3, 0) == 1
     h = elliptic_weight(generic_point, 2, 3) / elliptic_weight(generic_point, 2, 0)
     assert relative_residual(normalized_weight(generic_point, 2, 3), h) < 1e-14
+
+
+def test_normalized_weight_guards_h_i0_at_its_shift():
+    # P27 of ROADMAP item 1: homogeneous_elliptic_xabc (3, 3) divides by
+    # h(0, 0) at shift (4, 0, 4), where |h| = 3.6e-7, within the default
+    # guard; the unshifted h(0, 0) is clear of it
+    pp = ParamPoint(x=-0.5035720466390124 - 1.2822796665674618j,
+                    a=0.5687273642434789 + 0.706859735531259j,
+                    b=0.23980464018378086 - 0.056756357621395546j,
+                    c=-0.2744202998140196 - 0.07440052050795169j,
+                    q=0.2620848112528071 - 0.29355070211651463j,
+                    p=0.4882170452819061 + 0.01754851720261825j)
+    shift = (4, 0, 4)
+    assert 1e-7 < abs(elliptic_weight(pp, 0, 0, shift)) <= pp.guard
+    assert abs(elliptic_weight(pp, 0, 0)) > pp.guard
+    for j in (0, 1):
+        with pytest.raises(HConditionError, match="within the guard"):
+            normalized_weight(pp, 0, j, shift)
+    normalized_weight(pp, 0, 1)
+    normalized_weight(pp.replace(guard=1e-7), 0, 1, shift)
 
 
 class TestBinomialWeight:
