@@ -11,7 +11,9 @@ ones.  Each pair prints one line
 per end-to-end metric of ``BENCHMARK.json``: parent, change and their
 relative difference.  The summary prints per metric the number of pairs
 the change won, by the metric's ``better`` direction (a tie wins
-nothing), and the medians of both sides.
+nothing), and the medians of both sides, and ends with ``over bound``
+when the change's median is worse than the parent's by more than the
+metric's ``bound``, the share of the parent's median it may lose.
 
 Exit status: 0 when every run passed its correctness gate, 1 otherwise,
 2 on a usage error (no git revision, no benchmark).
@@ -59,7 +61,9 @@ def pair_lines(parent: dict, change: dict, specs: list) -> list[str]:
 def summary(results: list, specs: list) -> list[str]:
     """Per metric of ``specs``: the pairs of ``results`` (parent, change
     result lines) that the change won, by the metric's ``better``
-    direction, and the median of each side over the pairs that report it."""
+    direction, and the median of each side over the pairs that report it,
+    marked ``over bound`` when the change's median is worse than the
+    parent's by more than ``bound`` times the parent's."""
     lines = []
     for spec in specs:
         name = spec["name"]
@@ -71,8 +75,9 @@ def summary(results: list, specs: list) -> list[str]:
         won = sum(sign * (new - old) > 0 for old, new in both)
         old_mid = statistics.median(old for old, _ in both)
         new_mid = statistics.median(new for _, new in both)
+        over = sign * (old_mid - new_mid) > spec["bound"] * abs(old_mid)
         lines.append(f"{name:<16} won {won} of {len(both)}  median {old_mid:.6g} -> "
-                     f"{new_mid:.6g} {spec['unit']}")
+                     f"{new_mid:.6g} {spec['unit']}" + ("  over bound" if over else ""))
     return lines
 
 

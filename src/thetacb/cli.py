@@ -47,7 +47,8 @@ class CampaignConfig:
     tol: float = 1e-8
     p_max: float = 0.5
     precision: int = field(
-        default=0, metadata={"help": "decimal digits for extended precision (0 = double)"})
+        default=0, metadata={"help": "decimal digits for extended precision, 15 or more "
+                                     "(0 = double)"})
     guard: float = DEFAULT_GUARD
     out: str | None = field(default=None, metadata={"help": "report path (default: stdout)"})
 
@@ -68,8 +69,9 @@ class CampaignConfig:
             raise ValueError("depth bounds must be nonnegative")
         if not P_LO <= self.p_max <= P_HI:
             raise ValueError(f"p_max must lie in [{P_LO}, {P_HI}]")
-        if self.precision < 0:
-            raise ValueError("precision must be nonnegative")
+        if self.precision < 0 or 0 < self.precision < 15:
+            # below 15 digits (53 bits) sampling.to_mp rounds the double draw
+            raise ValueError("precision must be 0 (double) or at least 15 digits")
 
 
 # ---------------------------------------------------------------------------

@@ -71,15 +71,10 @@ def cb_term_abq2(pp: ParamPoint, m: int, n: int):
         (bx, b/x; q)_{n+1} / (ab, b/a; q)_{n+1}
         * sum_{k<=m} (q^(n+1), ax, a/x; q)_k / (q, aq/b, ab q^(n+1); q)_k * q^k.
     """
-    x, a, b, q = pp.x, pp.a, pp.b, pp.q
-    lad = pp.basic.thetas
-    ab, qq = lad[a * b], lad[q]
-    pre = theta_ratio(((lad[b * x], 0, n + 1), (lad[b / x], 0, n + 1)),
-                      ((ab, 0, n + 1), (lad[b / a], 0, n + 1)))
+    a_b, b_a, _, _, ab, _, _, qq, _, ax, a_x, bx, b_x, _ = pp.basic.role_ladders()
+    pre = theta_ratio(((bx, 0, n + 1), (b_x, 0, n + 1)), ((ab, 0, n + 1), (b_a, 0, n + 1)))
     total, scale = series_with_running_products(
-        ((qq, n), (lad[a * x], 0), (lad[a / x], 0)),
-        ((qq, 0), (lad[a / b], 1), (ab, n + 1)),
-        q, m, lambda k: 1)
+        ((qq, n), (ax, 0), (a_x, 0)), ((qq, 0), (a_b, 1), (ab, n + 1)), pp.q, m, lambda k: 1)
     return pre * total, abs(pre) * scale
 
 
@@ -92,12 +87,10 @@ def cb_term_abq1(pp: ParamPoint, m: int, n: int):
     The b variable is redundant (a -> ab, x -> x/b eliminates it) but kept
     for the a <-> b mirror symmetry.
     """
-    x, a, b, q = pp.x, pp.a, pp.b, pp.q
-    lad = pp.basic.thetas
-    qq = lad[q]
-    pre = theta_ratio(((lad[b * x], 0, n + 1),), ((lad[b / a], 0, n + 1),))
+    a_b, b_a, _, _, _, _, _, qq, _, ax, _, bx, _, _ = pp.basic.role_ladders()
+    pre = theta_ratio(((bx, 0, n + 1),), ((b_a, 0, n + 1),))
     total, scale = series_with_running_products(
-        ((qq, n), (lad[a * x], 0)), ((qq, 0), (lad[a / b], 1)), q, m, lambda k: 1)
+        ((qq, n), (ax, 0)), ((qq, 0), (a_b, 1)), pp.q, m, lambda k: 1)
     return pre * total, abs(pre) * scale
 
 

@@ -223,17 +223,12 @@ def a_closed_alt(pp: ParamPoint, k: int, l: int):
     """
     if k < 0 or l < 0:
         raise OutOfRegionError("table indices must be nonnegative")
-    x, a, b, c, q = pp.x, pp.a, pp.b, pp.c, pp.q
-    lad = pp.thetas
-    a_b, b_a, bc, cb = lad[a / b], lad[b / a], lad[b * c], lad[c / b]
-    ax, a_x, bx, b_x = lad[a * x], lad[a / x], lad[b * x], lad[b / x]
-    ac, c_a, qq = lad[a * c], lad[c / a], lad[q]
-    ab, cx, c_x = lad[a * b], lad[c * x], lad[c / x]
-    num = ((cb, 0, k), (ax, 0, k), (a_x, 0, k), (ac, k, l), (qq, l, k),
+    a_b, b_a, bc, ac, ab, cx, c_x, qq, c_b, ax, a_x, bx, b_x, c_a = pp.role_ladders()
+    num = ((c_b, 0, k), (ax, 0, k), (a_x, 0, k), (ac, k, l), (qq, l, k),
            (c_a, 0, l), (bx, 0, l), (b_x, 0, l), (bc, l, k), (b_a, l - k, 1))
     den = ((ab, 0, k), (cx, 0, k), (c_x, 0, k), (ab, k, l), (qq, 0, k),
            (cx, k, l), (c_x, k, l), (b_a, 0, l), (a_b, 1, k), (b_a, l, 1))
-    return theta_ratio(num, den) * q**k
+    return theta_ratio(num, den) * pp.q**k
 
 
 def master_equality_total(pp: ParamPoint, size: IdentitySize):

@@ -23,11 +23,11 @@ from .special import DEFAULT_GUARD, ThetaLadders
 #: ``lattice``): role r is entry r of :meth:`ParamPoint.role_ladders`.
 A_B, B_A, BC, AC, AB, CX, C_X, Q, C_B, AX, A_X, BX, B_X, C_A = range(14)
 
-#: Role r of the point with a and b exchanged is role ``_SWAPPED[r]`` of
+#: Role r of the point with a and b exchanged is role ``SWAPPED[r]`` of
 #: the point itself, and the other way round: both bases are the same
 #: expression of the same scalars (b a and a b are the same product, bit
 #: for bit).
-_SWAPPED = (B_A, A_B, AC, BC, AB, CX, C_X, Q, C_A, BX, B_X, AX, A_X, C_B)
+SWAPPED = (B_A, A_B, AC, BC, AB, CX, C_X, Q, C_A, BX, B_X, AX, A_X, C_B)
 
 
 @dataclass(frozen=True)
@@ -99,43 +99,33 @@ class ParamPoint:
             object.__setattr__(self, "_basic", basic)
         return basic
 
-    def role_ladders(self, swap: bool = False) -> tuple:
+    def role_ladders(self) -> tuple:
         """The ladders of the roles, in role order: the bases a/b, b/a, bc,
         ac, ab, cx, c/x, q, c/b, ax, a/x, bx, b/x and c/a of the point's
-        theta store, with a and b exchanged in every base under ``swap``
-        (the same ladders, permuted).  Both tuples are kept with the store
-        they were read from."""
+        theta store, kept with the store they were read from.  A row reads
+        the roles of the point with a and b exchanged off this tuple too,
+        role r as ``SWAPPED[r]`` (``weights.h_row``'s ``swap``)."""
         store = self.thetas
         held = self.__dict__.get("_roles")
         if held is None or held[0] is not store:
-            held = (store, {})
+            x, a, b, c, q = self.x, self.a, self.b, self.c, self.q
+            held = (store, tuple(store[z] for z in (
+                a / b, b / a, b * c, a * c, a * b, c * x, c / x, q,
+                c / b, a * x, a / x, b * x, b / x, c / a)))
             object.__setattr__(self, "_roles", held)
-        roles = held[1].get(swap)
-        if roles is None:
-            other = held[1].get(not swap)
-            if other is None and swap:
-                other = self.role_ladders()
-            if other is not None:
-                roles = tuple(other[r] for r in _SWAPPED)
-            else:
-                x, a, b, c, q = self.x, self.a, self.b, self.c, self.q
-                roles = tuple(store[z] for z in (
-                    a / b, b / a, b * c, a * c, a * b, c * x, c / x, q,
-                    c / b, a * x, a / x, b * x, b / x, c / a))
-            held[1][swap] = roles
-        return roles
+        return held[1]
 
     def swap_ab(self) -> "ParamPoint":
         """The point with the roles of a and b exchanged.  It shares this
-        point's store (:meth:`replace`) and the role ladders this point
-        holds for it, as its own swapped roles, and its p = 0 point
+        point's store (:meth:`replace`), the role ladders this point holds,
+        permuted by ``SWAPPED`` into its own, and its p = 0 point
         (:attr:`basic`) swapped, which shares that point's store, whichever
         of the two points reads first."""
         out = self.replace(a=self.b, b=self.a)
         held = self.__dict__.get("_roles")
-        if held is not None and False in held[1]:
+        if held is not None:
             # role_ladders checks the store before it reads them
-            object.__setattr__(out, "_roles", (held[0], {True: held[1][False]}))
+            object.__setattr__(out, "_roles", (held[0], tuple(held[1][r] for r in SWAPPED)))
         if self.p != 0:
             object.__setattr__(out, "_basic", self.basic.swap_ab())
         return out

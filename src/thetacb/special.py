@@ -937,30 +937,30 @@ def ratio_rows(ladders, rows) -> list:
     :func:`ratio_row`), with ``ladders[role]`` the ladder of each role:
     the value :func:`theta_ratio` gives the same windows, bit for bit.
 
-    A call of more than one row whose first numerator is a built-in
-    scalar forms each distinct paired ratio of the call once
-    (:func:`_paired_rows`); every row of a call holds values of one
-    numeric type.  Otherwise one loop reads each row as
-    :func:`theta_ratio` reads its windows: its numerators through
-    ``ladder[j]``, then its denominators through ``ladder.den(j)``, which
-    guards them, and forms it by the loop of :func:`theta_ratio` for the
-    type of its first numerator: the paired ratios of built-in scalars, or
-    the integer products of ``mpmath`` ones (:func:`_mp_ratio`); an empty
-    row is exactly 1.  The store forms each distinct entry once, on its
-    first read, and the first read that raises is the one a loop of
-    :func:`theta_ratio` calls over the rows would raise first.
+    Every row of a call holds values of one numeric type, read off the
+    first numerator of the call.  Rows of built-in scalars, a single row
+    included, go through the paired loop (:func:`_paired_rows`).  Rows of
+    ``mpmath`` scalars are read one at a time, as :func:`theta_ratio`
+    reads its windows: the numerators through ``ladder[j]``, then the
+    denominators through ``ladder.den(j)``, which guards them, multiplied
+    on integers (:func:`_mp_ratio`).  An empty row is exactly 1.  The
+    store forms each distinct entry once, on its first read, and the
+    first read that raises is the one a loop of :func:`theta_ratio` calls
+    over the rows would raise first.
     """
-    if len(rows) > 1 and rows[0].num:
-        role, j = rows[0].num[0]
-        if _mp_context(ladders[role][j]) is None:
-            return _paired_rows(ladders, rows)
+    ctx = None
+    for row in rows:
+        if row.num:
+            role, j = row.num[0]
+            ctx = _mp_context(ladders[role][j])
+            break
+    if ctx is None:
+        return _paired_rows(ladders, rows)
     out = []
     for row in rows:
         tops = [ladders[role][j] for role, j in row.num]
         bottoms = [ladders[role].den(j) for role, j in row.den]
-        ctx = _mp_context(tops[0]) if tops else None
-        out.append(_ratio_product(map(truediv, tops, bottoms)) if ctx is None
-                   else _mp_ratio(tops, bottoms, ctx))
+        out.append(_mp_ratio(tops, bottoms, ctx) if tops else 1)
     return out
 
 
@@ -970,10 +970,10 @@ def _paired_rows(ladders, rows) -> list:
     and each row's ratios multiplied left to right from 1, as
     :func:`theta_ratio` multiplies them.  The ratio of a pair is kept only
     after its denominator's ``den`` returned, so an entry within the guard
-    is never kept and raises on every read; a row whose read raises is
-    read again alone by :func:`ratio_rows`, which raises what
-    :func:`theta_ratio` raises first.  The kept ratios live for the call
-    alone."""
+    is never kept and raises on every read.  A row whose read raises is
+    read again in place, its numerators first, so it raises what
+    :func:`theta_ratio` raises first on its windows.  The kept ratios live
+    for the call alone."""
     ratios = {}
     out = []
     for row in rows:
@@ -984,10 +984,12 @@ def _paired_rows(ladders, rows) -> list:
                     (nr, nj), (dr, dj) = _PAIRS[k]
                     ratios[k] = ladders[nr][nj] / ladders[dr].den(dj)
         except Exception:
-            # read alone, numerators first, the row raises what
-            # theta_ratio raises first on its windows
-            out += ratio_rows(ladders, (row,))
-            continue
+            # numerators first: the row raises what theta_ratio raises first
+            for role, j in row.num:
+                ladders[role][j]
+            for role, j in row.den:
+                ladders[role].den(j)
+            raise
         out.append(_ratio_product(map(ratios.__getitem__, pairs)))
     return out
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import cache
 
 from .errors import HConditionError, OutOfRegionError
-from .params import A_B, A_X, AB, AX, BC, C_B, C_X, CX, ParamPoint
+from .params import A_B, A_X, AB, AX, BC, C_B, C_X, CX, SWAPPED, ParamPoint
 from .special import ratio_row, ratio_rows
 
 #: The substitution (alpha, beta, gamma) that leaves a, b and c as they are.
@@ -32,16 +32,24 @@ ZERO_SHIFT = (0, 0, 0)
 
 
 @cache
-def h_row(i: int, j: int, shift=ZERO_SHIFT) -> tuple:
+def h_row(i: int, j: int, shift=ZERO_SHIFT, swap: bool = False) -> tuple:
     """The ratio row (:func:`special.ratio_row`) of h(i, j) at ``shift``:
     the k-th numerator theta of the module docstring's ratio is paired
     with the k-th denominator theta, since a product of four thetas can
-    overflow where the ratio does not."""
+    overflow where the ratio does not.  ``swap`` exchanges the roles of a
+    and b after the ``shift``, alpha's and beta's with them: the row reads
+    role r as ``SWAPPED[r]`` of the point's own roles, so h and its mirror
+    read one tuple (``ParamPoint.role_ladders``)."""
     al, be, ga = shift
-    return ratio_row(((BC, be + ga + i + 2 * j, 1), (C_B, ga - be + i, 1),
-                      (AX, al + i, 1), (A_X, al + i, 1)),
-                     ((AB, al + be + i + j, 1), (A_B, al - be + i - j, 1),
-                      (CX, ga + i + j, 1), (C_X, ga + i + j, 1)))
+    roles = (BC, C_B, AX, A_X, AB, A_B, CX, C_X)
+    if swap:
+        al, be = be, al
+        roles = (SWAPPED[r] for r in roles)
+    bc, c_b, ax, a_x, ab, a_b, cx, c_x = roles
+    return ratio_row(((bc, be + ga + i + 2 * j, 1), (c_b, ga - be + i, 1),
+                      (ax, al + i, 1), (a_x, al + i, 1)),
+                     ((ab, al + be + i + j, 1), (a_b, al - be + i - j, 1),
+                      (cx, ga + i + j, 1), (c_x, ga + i + j, 1)))
 
 
 def elliptic_weight(pp: ParamPoint, i: int, j: int, shift=ZERO_SHIFT, swap: bool = False):
@@ -50,13 +58,11 @@ def elliptic_weight(pp: ParamPoint, i: int, j: int, shift=ZERO_SHIFT, swap: bool
     (:func:`h_row`); the store forms each theta once, so a set of cells
     costs one theta call per distinct ladder index.  Every denominator
     theta is checked on its own by :meth:`ThetaLadder.den`.  ``swap``
-    exchanges the roles of a and b after the ``shift``, alpha's and
-    beta's with them."""
+    reads the mirror h~, h with a and b exchanged after the ``shift``,
+    off the same role ladders (:func:`h_row`)."""
     if i < 0 or j < 0:
         raise OutOfRegionError("weight indices must be nonnegative")
-    if swap:
-        shift = (shift[1], shift[0], shift[2])
-    return ratio_rows(pp.role_ladders(swap), (h_row(i, j, shift),))[0]
+    return ratio_rows(pp.role_ladders(), (h_row(i, j, shift, swap),))[0]
 
 
 def h_table(pp: ParamPoint, m: int, n: int) -> list[list]:

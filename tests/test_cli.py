@@ -81,7 +81,7 @@ class TestConfig:
     def test_every_field_is_a_flag_and_a_config_key(self):
         # one text per field type; the flag and the file key read it alike,
         # and the flag's help is the field's help metadata
-        texts = {int: ("2", 2), float: ("0.25", 0.25), str: ("report.jsonl", "report.jsonl"),
+        texts = {int: ("20", 20), float: ("0.25", 0.25), str: ("report.jsonl", "report.jsonl"),
                  tuple: ("qcb, classical_cb", ("qcb", "classical_cb"))}
         parser = cli._build_parser()
         helps = {opt: action.help for action in parser._actions for opt in action.option_strings}
@@ -125,7 +125,8 @@ class TestConfig:
             CampaignConfig(tol=-1.0)
 
     @pytest.mark.parametrize("flags", [["--p-max", "0.01"], ["--p-max", "0"],
-                                       ["--p-max", "0.9"], ["--precision", "-3"]])
+                                       ["--p-max", "0.9"], ["--precision", "-3"],
+                                       ["--precision", "5"]])
     def test_out_of_range_nome_bound_or_precision_exits_two(self, flags, capsys):
         assert main(["--identities", "qcb", *flags]) == 2
         assert "configuration error" in capsys.readouterr().err

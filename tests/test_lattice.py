@@ -34,7 +34,7 @@ from thetacb.lattice import (
 from thetacb.params import IdentitySize, ParamPoint
 from thetacb.sampling import sample_param_point, to_mp
 from thetacb.special import ratio_rows, relative_residual, theta, theta_prod, worst_residual
-from thetacb.weights import elliptic_weight, h_row, h_table
+from thetacb.weights import ZERO_SHIFT, elliptic_weight, h_row, h_table
 
 
 class TestEnumeration:
@@ -366,6 +366,22 @@ class TestRatioRows:
                 values = ratio_rows(fresh_copy(pp).role_ladders(), [row for row, _, _ in cases])
                 for value, (_, l, want) in zip(values, cases, strict=True):
                     assert repr(value if l is None else value * pp.q**l) == repr(want)
+
+    def test_h_and_its_mirror_are_one_set_of_rows_bit_for_bit(self):
+        # h(i, j) and the mirror h~(j, i), the two sides of the complement
+        # identity 1 - h(i, j) = h~(j, i), read as one set of rows over the
+        # point's one role tuple: each row keeps the bits of its single
+        # elliptic_weight read
+        cells = [(i, j) for i in range(4) for j in range(4)]
+        for pp, digits in self._points():
+            with mpmath.workdps(digits):
+                cases = [case for shift in (ZERO_SHIFT, (1, 0, 1), (2, -1, 3))
+                         for i, j in cells
+                         for case in ((h_row(i, j, shift), elliptic_weight(pp, i, j, shift)),
+                                      (h_row(j, i, shift, True),
+                                       elliptic_weight(pp, j, i, shift, True)))]
+                values = ratio_rows(fresh_copy(pp).role_ladders(), [row for row, _ in cases])
+                assert [repr(value) for value in values] == [repr(want) for _, want in cases]
 
     def test_tables_are_the_per_cell_loops_bit_for_bit(self):
         for pp, digits in self._points()[::4]:

@@ -34,6 +34,20 @@ def test_wins_follow_each_metrics_direction():
         "pass_share       won 0 of 3  median 1 -> 1 ratio"]
 
 
+def test_a_median_worse_than_its_bound_is_marked():
+    # trial_p50_ms worsens by 30 % against a bound of 25 %; trials_per_s
+    # worsens by 20 %, within its bound, and pass_share improves
+    results = [(_line(2000, 0.40, 0.98), _line(1600, 0.52, 1.0)),
+               (_line(2000, 0.40, 0.98), _line(1600, 0.52, 1.0))]
+    assert pairs.summary(results, _SPECS) == [
+        "trials_per_s     won 0 of 2  median 2000 -> 1600 trials/s",
+        "trial_p50_ms     won 0 of 2  median 0.4 -> 0.52 ms  over bound",
+        "pass_share       won 2 of 2  median 0.98 -> 1 ratio"]
+    # a lower pass_share by more than its 3 % bound is over it too
+    assert pairs.summary([(_line(2000, 0.40), _line(2000, 0.40, 0.96))], _SPECS)[2] == \
+        "pass_share       won 0 of 1  median 1 -> 0.96 ratio  over bound"
+
+
 def test_a_metric_missing_from_a_side_is_left_out():
     parent, change = _line(2000, 0.41), _line(2100, 0.40)
     del change["metrics"]["trial_p50_ms"]

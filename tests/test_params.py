@@ -23,7 +23,7 @@ from thetacb.errors import ResamplingExhaustedError
 from thetacb.sampling import (DEFAULT_GUARD, P_HI, P_LO, _draw, check_genericity,
                               sample_param_point, to_mp)
 from thetacb.special import ThetaLadder, ThetaLadders, ratio_rows, theta, within_guard
-from thetacb.weights import elliptic_weight, h_row
+from thetacb.weights import ZERO_SHIFT, elliptic_weight, h_row
 
 
 def test_store_is_not_part_of_the_point(generic_point):
@@ -142,9 +142,13 @@ def test_the_elliptic_term_reads_the_ladders_of_the_roles():
 
 @pytest.mark.parametrize("digits", [0, 40])
 def test_the_swapped_roles_are_the_ladders_the_swapped_bases_look_up(digits):
-    # role_ladders(swap=True) and the roles swap_ab() hands its point are
-    # the point's own role ladders permuted: the swapped bases, formed as
-    # role_ladders forms them, find exactly these ladders in the store
+    # a row of h read with swap over the point's one role tuple names the
+    # ladders and indices, entry for entry, that its unswapped row at the
+    # exchanged shift names over the mirror's roles; the mirror's roles
+    # (swap_ab hands them on, permuted) are the swapped bases, formed as
+    # role_ladders forms them, which find exactly these ladders in the store
+    grid = [(i, j, shift) for i in range(3) for j in range(3)
+            for shift in (ZERO_SHIFT, (1, 0, 1), (2, -1, 3))]
     with mpmath.workdps(digits or 15):
         for seed in range(4):
             pp = sample_param_point(Random(46 + seed), IdentitySize(2, 2))
@@ -155,9 +159,17 @@ def test_the_swapped_roles_are_the_ladders_the_swapped_bases_look_up(digits):
             built = [pp.thetas[z] for z in (a / b, b / a, b * c, a * c, a * b, c * x, c / x, q,
                                             c / b, a * x, a / x, b * x, b / x, c / a)]
             assert len(pp.thetas) == 14
-            for got in (mirror.role_ladders(), pp.role_ladders(True)):
-                assert all(s is t for s, t in zip(got, built, strict=True))
-            assert mirror.role_ladders(True) is roles
+            assert all(s is t for s, t in zip(mirror.role_ladders(), built, strict=True))
+            for i, j, (al, be, ga) in grid:
+                got = h_row(i, j, (al, be, ga), True)
+                want = h_row(i, j, (be, al, ga))
+                assert _entries(roles, got.num) == _entries(mirror.role_ladders(), want.num)
+                assert _entries(roles, got.den) == _entries(mirror.role_ladders(), want.den)
+
+
+def _entries(ladders, ids):
+    """The (ladder identity, index) of each (role, j) entry id of a row."""
+    return [(id(ladders[role]), j) for role, j in ids]
 
 
 def test_a_changed_nome_never_reads_the_store():

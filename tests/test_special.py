@@ -1158,12 +1158,15 @@ class TestLadderKernels:
         vanished = ratio_row(((0, 0, 1),), ((1, 0, 1),))
         zero = ratio_row(((2, 0, 1),), ((0, 0, 1),))
         both = ratio_row(((2, 0, 1),), ((1, 0, 1),))
+        # row "late" divides by theta(1; p) in its first pair and reads
+        # theta(0; p) in its second
+        late = ratio_row(((0, 0, 1), (2, 0, 1)), ((1, 0, 1), (0, 0, 1)))
         with pytest.raises(DegenerateParameterError):
             ratio_rows(ladders, [vanished, zero])
         with pytest.raises(ZeroArgumentError):
             ratio_rows(ladders, [zero, vanished])
         # within a row, numerators are read first
-        for rows in ([both], [both, vanished]):
+        for rows in ([both], [both, vanished], [late], [late, vanished]):
             with pytest.raises(ZeroArgumentError):
                 ratio_rows(ladders, rows)
 
