@@ -371,6 +371,11 @@ def _run_trial(config: CampaignConfig, name: str, runner: Callable,
         f"no evaluable point for {name} at depths ({cell.m}, {cell.n})")
 
 
+#: The report's one JSON encoder: sorted keys, no spaces; the bytes of
+#: ``json.dumps`` with those settings, without a new encoder per line.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 @dataclass(frozen=True)
 class CampaignReport:
     config: CampaignConfig
@@ -385,24 +390,21 @@ class CampaignReport:
         into its records' lines in place of a placeholder 0: the key
         "params" sorts after "identity", "m" and "n" only, whose values
         cannot hold the unescaped text ``"params":0``."""
+        encode = _ENCODER.encode
         lines = []
         encoded: dict[int, str] = {}
         for rec in self.records:
             params = rec["params"]
             text = encoded.get(id(params))
             if text is None:
-                text = encoded[id(params)] = json.dumps(params, sort_keys=True,
-                                                        separators=(",", ":"))
-            line = json.dumps({"type": "trial", **rec, "params": 0},
-                              sort_keys=True, separators=(",", ":"))
+                text = encoded[id(params)] = encode(params)
+            line = encode({"type": "trial", **rec, "params": 0})
             lines.append(line.replace('"params":0', '"params":' + text, 1))
         cfg = {f.name: getattr(self.config, f.name) for f in fields(self.config)
                if f.name != "out"}  # destination is not part of the campaign
         cfg["identities"] = list(cfg["identities"])
-        lines.append(json.dumps(
-            {"type": "summary", "config": cfg, "identities": self.summary,
-             "verdict": "pass" if self.all_pass else "fail"},
-            sort_keys=True, separators=(",", ":")))
+        lines.append(encode({"type": "summary", "config": cfg, "identities": self.summary,
+                             "verdict": "pass" if self.all_pass else "fail"}))
         return "\n".join(lines) + "\n"
 
 
@@ -446,12 +448,17 @@ def parse_config_file(text: str) -> dict:
 
 def build_config(file_values: dict, flag_values: dict) -> CampaignConfig:
     """The file's values overridden by every flag value that is not None;
-    a text value is read by its field's type."""
+    a text value is read by its field's type.  An identities text or flag
+    that names no identity (``''``, ``','``) is an error: left out, the
+    campaign runs every check, and ``CampaignConfig(identities=())`` still
+    means all of them."""
     merged = dict(file_values)
     merged.update((key, value) for key, value in flag_values.items() if value is not None)
     for key, value in merged.items():
         if isinstance(value, str) and key in _READERS:
             merged[key] = _READERS[key](value)
+    if merged.get("identities") == ():
+        raise ValueError("identities names no identity (leave it out to run every check)")
     return CampaignConfig(**merged)
 
 

@@ -104,28 +104,47 @@ class ParamPoint:
         ac, ab, cx, c/x, q, c/b, ax, a/x, bx, b/x and c/a of the point's
         theta store, kept with the store they were read from.  A row reads
         the roles of the point with a and b exchanged off this tuple too,
-        role r as ``SWAPPED[r]`` (``weights.h_row``'s ``swap``)."""
+        role r as ``SWAPPED[r]`` (``weights.h_row``'s ``swap``).
+
+        With the tuple the point keeps its table of weight values
+        (:meth:`weight_values`), so a new store, at another precision,
+        starts an empty table as it starts a new tuple."""
+        return self._held_roles()[1]
+
+    def weight_values(self) -> dict:
+        """The point's table of weight values: compiled row
+        (``weights.h_row``) -> the value ``weights.elliptic_weight`` read
+        for it off :meth:`role_ladders`, kept with that tuple.  It belongs
+        to the point and to its current store: a point made by
+        :meth:`replace` or :meth:`swap_ab` starts an empty one, as does a
+        read at another precision, and it is freed with the point."""
+        return self._held_roles()[2]
+
+    def _held_roles(self) -> tuple:
+        """(store, role ladders, weight values) of the current store."""
         store = self.thetas
         held = self.__dict__.get("_roles")
         if held is None or held[0] is not store:
             x, a, b, c, q = self.x, self.a, self.b, self.c, self.q
             held = (store, tuple(store[z] for z in (
                 a / b, b / a, b * c, a * c, a * b, c * x, c / x, q,
-                c / b, a * x, a / x, b * x, b / x, c / a)))
+                c / b, a * x, a / x, b * x, b / x, c / a)), {})
             object.__setattr__(self, "_roles", held)
-        return held[1]
+        return held
 
     def swap_ab(self) -> "ParamPoint":
         """The point with the roles of a and b exchanged.  It shares this
         point's store (:meth:`replace`), the role ladders this point holds,
-        permuted by ``SWAPPED`` into its own, and its p = 0 point
+        permuted by ``SWAPPED`` into its own, with an empty table of weight
+        values (a row reads other bases at the mirror), and its p = 0 point
         (:attr:`basic`) swapped, which shares that point's store, whichever
         of the two points reads first."""
         out = self.replace(a=self.b, b=self.a)
         held = self.__dict__.get("_roles")
         if held is not None:
             # role_ladders checks the store before it reads them
-            object.__setattr__(out, "_roles", (held[0], tuple(held[1][r] for r in SWAPPED)))
+            object.__setattr__(out, "_roles",
+                               (held[0], tuple(held[1][r] for r in SWAPPED), {}))
         if self.p != 0:
             object.__setattr__(out, "_basic", self.basic.swap_ab())
         return out

@@ -145,6 +145,24 @@ class TestConfig:
         assert main(["--identities", "foo"]) == 2
         assert capsys.readouterr().err == "configuration error: unknown identities: foo\n"
 
+    @pytest.mark.parametrize("flags, text", [(["--identities", ""], None),
+                                             (["--identities", ","], None),
+                                             ([], "identities =\n")])
+    def test_identities_naming_no_identity_exit_two(self, flags, text, tmp_path, capsys):
+        # before: each read as the empty tuple, and the campaign ran all 29
+        # checks, 1,392 trials at the defaults
+        if text is not None:
+            cfg = tmp_path / "campaign.cfg"
+            cfg.write_text(text)
+            flags = ["--config", str(cfg)]
+        assert main([*flags, "--m-max", "0", "--n-max", "0", "--trials", "1"]) == 2
+        assert capsys.readouterr() == (
+            "", "configuration error: identities names no identity "
+                "(leave it out to run every check)\n")
+        # the library's empty tuple still selects every check
+        config = CampaignConfig(identities=(), m_max=0, n_max=0, trials=1)
+        assert {rec["identity"] for rec in run_campaign(config).records} == set(REGISTRY)
+
     def test_key_error_inside_a_check_is_not_a_configuration_error(self, monkeypatch):
         def broken(pp, m, n):
             raise KeyError("inside the check")

@@ -8,15 +8,18 @@ from random import Random
 
 import pytest
 
-from conftest import ab_point, normal_form_leaves, shifted_point, unit_complex
-from thetacb import cli
+import mpmath
+
+from conftest import ab_point, fresh_copy, normal_form_leaves, shifted_point, unit_complex
+from thetacb import cli, weights
 from thetacb.errors import DegenerateParameterError, HConditionError
 from thetacb.params import IdentitySize, ParamPoint
-from thetacb.sampling import check_genericity, sample_param_point
+from thetacb.sampling import check_genericity, sample_param_point, to_mp
 from thetacb.special import relative_residual, theta, theta_prod
 from thetacb.weights import (
     binomial_weight,
     elliptic_weight,
+    h_row,
     h_table,
     normalized_weight,
 )
@@ -149,6 +152,81 @@ def test_normalized_weight_guards_h_i0_at_its_shift():
             normalized_weight(pp, 0, j, shift)
     normalized_weight(pp, 0, 1)
     normalized_weight(pp.replace(guard=1e-7), 0, 1, shift)
+
+
+_SHIFTS = ((0, 0, 0), (1, 0, 1), (2, -1, 3))
+
+
+def test_every_cell_of_a_shifted_point_is_one_row():
+    # h(i, j) at (al, be, ga) is h(0, 0) at (al + i, be + j, ga + i + j);
+    # the mirror h~(i, j) is h~(0, 0) at (al + j, be + i, ga + i + j)
+    for al, be, ga in _SHIFTS:
+        for i in range(4):
+            for j in range(4):
+                assert h_row(i, j, (al, be, ga)) is h_row(0, 0, (al + i, be + j, ga + i + j))
+                assert h_row(i, j, (al, be, ga), True) \
+                    is h_row(0, 0, (al + j, be + i, ga + i + j), True)
+
+
+def _read(pp, *args) -> str:
+    """The repr of a weight read, or the name of the error it raised."""
+    try:
+        return repr(elliptic_weight(pp, *args))
+    except DegenerateParameterError as exc:
+        return type(exc).__name__
+
+
+_CELLS = [(i, j, shift, swap) for shift in _SHIFTS for swap in (False, True)
+          for i in range(4) for j in range(4)]
+
+
+def test_a_point_that_has_read_other_weights_gives_the_fresh_bits(point_factory):
+    draws = [point_factory(6, 6) for _ in range(23)]
+    with mpmath.workdps(40):
+        for k, pp in enumerate(draws):
+            if k >= 20:  # the last three at 40 digits
+                pp = to_mp(pp)
+            for cell in reversed(_CELLS):  # the table fills before the reads
+                _read(pp, *cell)
+            for cell in _CELLS:
+                assert _read(pp, *cell) == _read(fresh_copy(pp), *cell), (k, cell)
+
+
+def test_the_table_follows_the_store(generic_point):
+    with mpmath.workdps(30):
+        pp = to_mp(generic_point)
+        h30 = elliptic_weight(pp, 1, 1)
+        at30 = pp.weight_values()
+    with mpmath.workdps(40):
+        h40 = elliptic_weight(pp, 1, 1)
+        assert pp.weight_values() is not at30
+        assert h40 == elliptic_weight(to_mp(generic_point), 1, 1) != h30
+        # another x shares the store, not the table
+        other = pp.replace(x=pp.x * 2)
+        assert other.thetas is pp.thetas
+        assert other.weight_values() == {}
+        assert elliptic_weight(other, 1, 1) == elliptic_weight(fresh_copy(other), 1, 1) != h40
+        assert list(pp.weight_values().values()) == [h40]
+        assert pp.swap_ab().weight_values() == {}
+
+
+def test_a_weight_within_the_guard_is_never_kept(generic_point):
+    # a = b puts theta(1) = 0 into the denominator of h(1, 1)
+    pp = generic_point.replace(b=generic_point.a)
+    for _ in range(2):
+        with pytest.raises(DegenerateParameterError):
+            elliptic_weight(pp, 1, 1)
+        assert h_row(1, 1) not in pp.weight_values()
+
+
+def test_one_shifted_point_reads_its_row_once(generic_point, monkeypatch):
+    calls = []
+    real = weights.ratio_rows
+    monkeypatch.setattr(weights, "ratio_rows", lambda *args: calls.append(args) or real(*args))
+    pp = fresh_copy(generic_point)
+    h = elliptic_weight(pp, 2, 1)
+    assert elliptic_weight(pp, 0, 0, (2, 1, 3)) == h
+    assert len(calls) == 1
 
 
 class TestBinomialWeight:
