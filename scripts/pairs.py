@@ -11,9 +11,14 @@ ones.  Each pair prints one line
 per end-to-end metric of ``BENCHMARK.json``: parent, change and their
 relative difference.  The summary prints per metric the number of pairs
 the change won, by the metric's ``better`` direction (a tie wins
-nothing), and the medians of both sides, and ends with ``over bound``
-when the change's median is worse than the parent's by more than the
-metric's ``bound``, the share of the parent's median it may lose.
+nothing), the medians and the first and third quartiles of both sides,
+and ends with ``over bound`` when the change's median is worse than the
+parent's by more than the metric's ``bound``, the share of the parent's
+median it may lose, and with ``unresolved`` when the parent's own runs
+spread wider than that (third minus first quartile above the bound times
+the parent's median), unless every change run beats every parent run.
+A gain needs nine tenths of the pairs won and the medians apart by more
+than the parent's quartile distance.
 
 Exit status: 0 when every run passed its correctness gate, 1 otherwise,
 2 on a usage error (no git revision, no benchmark).
@@ -58,12 +63,23 @@ def pair_lines(parent: dict, change: dict, specs: list) -> list[str]:
     return lines
 
 
+def quartiles(values: list) -> tuple:
+    """The first and third quartiles of ``values``, by ``statistics.quantiles``'
+    default (exclusive) method; one value is both."""
+    if len(values) < 2:
+        return values[0], values[0]
+    first, _, third = statistics.quantiles(values, n=4)
+    return first, third
+
+
 def summary(results: list, specs: list) -> list[str]:
     """Per metric of ``specs``: the pairs of ``results`` (parent, change
     result lines) that the change won, by the metric's ``better``
-    direction, and the median of each side over the pairs that report it,
-    marked ``over bound`` when the change's median is worse than the
-    parent's by more than ``bound`` times the parent's."""
+    direction, and the median and quartiles of each side over the pairs
+    that report it, marked ``over bound`` when the change's median is
+    worse than the parent's by more than ``bound`` times the parent's, and
+    ``unresolved`` when the parent's quartiles lie further apart than
+    that, unless every change run beats every parent run."""
     lines = []
     for spec in specs:
         name = spec["name"]
@@ -72,12 +88,18 @@ def summary(results: list, specs: list) -> list[str]:
         if not both:
             continue
         sign = 1 if spec["better"] == "higher" else -1
+        olds, news = [old for old, _ in both], [new for _, new in both]
         won = sum(sign * (new - old) > 0 for old, new in both)
-        old_mid = statistics.median(old for old, _ in both)
-        new_mid = statistics.median(new for _, new in both)
-        over = sign * (old_mid - new_mid) > spec["bound"] * abs(old_mid)
+        old_mid, new_mid = statistics.median(olds), statistics.median(news)
+        (old_lo, old_hi), (new_lo, new_hi) = quartiles(olds), quartiles(news)
+        allowed = spec["bound"] * abs(old_mid)
+        over = sign * (old_mid - new_mid) > allowed
+        apart = all(sign * (new - old) > 0 for new in news for old in olds)
+        unresolved = old_hi - old_lo > allowed and not apart
         lines.append(f"{name:<16} won {won} of {len(both)}  median {old_mid:.6g} -> "
-                     f"{new_mid:.6g} {spec['unit']}" + ("  over bound" if over else ""))
+                     f"{new_mid:.6g} {spec['unit']}  quartiles {old_lo:.6g}..{old_hi:.6g} -> "
+                     f"{new_lo:.6g}..{new_hi:.6g}" + ("  over bound" if over else "")
+                     + ("  unresolved" if unresolved else ""))
     return lines
 
 

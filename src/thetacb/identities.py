@@ -3,10 +3,11 @@ unity, from the classical binomial form up to the four-parameter elliptic
 form, together with the limit arrows connecting neighbouring families.
 
 Every family writes 1 as termA + termB where termB is the mirror of termA
-(swap the truncation depths, and swap a with b where the family has them;
-the classical mirror is x -> 1 - x).  Each family has its own direct
-evaluator; limits between families appear only in the degeneration
-checks, so identity truth and limit-rate estimation stay separate.
+(swap the truncation depths, and swap a with b where the family has them,
+at the same point through ``SWAPPED``; the classical mirror is x -> 1 - x).
+Each family has its own direct evaluator; limits between families appear
+only in the degeneration checks, so identity truth and limit-rate
+estimation stay separate.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import UnknownIdentityError
-from .params import ParamPoint
+from .params import SWAPPED, ParamPoint
 from .special import (
     qbinom,
     qpoch,
@@ -28,12 +29,18 @@ from .special import (
 FAMILIES = ("elliptic", "abcq", "abq2", "abq1", "qcb", "classical")
 
 #: The families summed by the series kernel: each has a term function
-#: ``cb_term_<family>(pp, m, n)`` whose mirror is the same function at the
-#: point with a and b exchanged and the depths swapped.
+#: ``cb_term_<family>(pp, m, n, swap=False)`` whose mirror is the same
+#: function with ``swap`` and the depths swapped.
 _SERIES_FAMILIES = ("elliptic", "abcq", "abq2", "abq1")
 
 
-def cb_term_elliptic(pp: ParamPoint, m: int, n: int):
+def _roles(pp: ParamPoint, swap: bool) -> tuple:
+    """The point's role ladders, or with ``swap`` its mirror's: role r as ``SWAPPED[r]``."""
+    roles = pp.role_ladders()
+    return tuple(roles[r] for r in SWAPPED) if swap else roles
+
+
+def cb_term_elliptic(pp: ParamPoint, m: int, n: int, swap: bool = False):
     """The (m, n) addend of the four-parameter expansion of unity:
 
         (ac, c/a, bx, b/x; q, p)_{n+1} / (ab, b/a, cx, c/x; q, p)_{n+1}
@@ -45,9 +52,10 @@ def cb_term_elliptic(pp: ParamPoint, m: int, n: int):
     largest series term.  At p = 0 every theta is the exact factor 1 - z,
     so this value *is* the (a, b, c; q)-family value, bit for bit.  All
     factors are read off the point's theta store, through the ladders of
-    its roles (``ParamPoint.role_ladders``).
+    its roles (``ParamPoint.role_ladders``), with ``swap`` those of the
+    point with a and b exchanged, read through ``SWAPPED``.
     """
-    a_b, b_a, bc, ac, ab, cx, c_x, qq, c_b, ax, a_x, bx, b_x, c_a = pp.role_ladders()
+    a_b, b_a, bc, ac, ab, cx, c_x, qq, c_b, ax, a_x, bx, b_x, c_a = _roles(pp, swap)
     pre = theta_ratio(((ac, 0, n + 1), (c_a, 0, n + 1), (bx, 0, n + 1), (b_x, 0, n + 1)),
                       ((ab, 0, n + 1), (b_a, 0, n + 1), (cx, 0, n + 1), (c_x, 0, n + 1)))
     th_ref = ac.den(n)
@@ -58,36 +66,39 @@ def cb_term_elliptic(pp: ParamPoint, m: int, n: int):
     return pre * total, abs(pre) * scale
 
 
-def cb_term_abcq(pp: ParamPoint, m: int, n: int):
+def cb_term_abcq(pp: ParamPoint, m: int, n: int, swap: bool = False):
     """The (a, b, c; q)-family addend and its summed magnitude: the p = 0
     closed form of :func:`cb_term_elliptic` (thetas collapse to 1 - z
-    exactly)."""
-    return cb_term_elliptic(pp.basic, m, n)
+    exactly), read off the point's p = 0 point, ``swap`` as there."""
+    return cb_term_elliptic(pp.basic, m, n, swap)
 
 
-def cb_term_abq2(pp: ParamPoint, m: int, n: int):
+def cb_term_abq2(pp: ParamPoint, m: int, n: int, swap: bool = False):
     """Second-kind two-parameter addend and its summed magnitude:
 
         (bx, b/x; q)_{n+1} / (ab, b/a; q)_{n+1}
-        * sum_{k<=m} (q^(n+1), ax, a/x; q)_k / (q, aq/b, ab q^(n+1); q)_k * q^k.
+        * sum_{k<=m} (q^(n+1), ax, a/x; q)_k / (q, aq/b, ab q^(n+1); q)_k * q^k,
+
+    off the roles of the point's p = 0 point, ``swap`` as in the elliptic term.
     """
-    a_b, b_a, _, _, ab, _, _, qq, _, ax, a_x, bx, b_x, _ = pp.basic.role_ladders()
+    a_b, b_a, _, _, ab, _, _, qq, _, ax, a_x, bx, b_x, _ = _roles(pp.basic, swap)
     pre = theta_ratio(((bx, 0, n + 1), (b_x, 0, n + 1)), ((ab, 0, n + 1), (b_a, 0, n + 1)))
     total, scale = series_with_running_products(
         ((qq, n), (ax, 0), (a_x, 0)), ((qq, 0), (a_b, 1), (ab, n + 1)), pp.q, m, lambda k: 1)
     return pre * total, abs(pre) * scale
 
 
-def cb_term_abq1(pp: ParamPoint, m: int, n: int):
+def cb_term_abq1(pp: ParamPoint, m: int, n: int, swap: bool = False):
     """First-kind two-parameter addend and its summed magnitude:
 
         (bx; q)_{n+1} / (b/a; q)_{n+1}
-        * sum_{k<=m} (q^(n+1), ax; q)_k / (q, aq/b; q)_k * q^k.
+        * sum_{k<=m} (q^(n+1), ax; q)_k / (q, aq/b; q)_k * q^k,
 
-    The b variable is redundant (a -> ab, x -> x/b eliminates it) but kept
-    for the a <-> b mirror symmetry.
+    off the roles of the point's p = 0 point, ``swap`` as in the elliptic
+    term.  The b variable is redundant (a -> ab, x -> x/b eliminates it)
+    but kept for the a <-> b mirror symmetry, which ``swap`` reads.
     """
-    a_b, b_a, _, _, _, _, _, qq, _, ax, _, bx, _, _ = pp.basic.role_ladders()
+    a_b, b_a, _, _, _, _, _, qq, _, ax, _, bx, _, _ = _roles(pp.basic, swap)
     pre = theta_ratio(((bx, 0, n + 1),), ((b_a, 0, n + 1),))
     total, scale = series_with_running_products(
         ((qq, n), (ax, 0)), ((qq, 0), (a_b, 1)), pp.q, m, lambda k: 1)
@@ -157,7 +168,7 @@ def _scaled_terms(family: str, pp: ParamPoint, m: int, n: int):
     if family in _SERIES_FAMILIES:
         # looked up when called, so a rebound module global is honoured
         term = globals()[f"cb_term_{family}"]
-        return term(pp, m, n), term(pp.swap_ab(), n, m)
+        return term(pp, m, n), term(pp, n, m, swap=True)
     if family == "qcb":
         term_a, term_b = cb_terms_qcb(pp.x, pp.q, m, n)
     elif family == "classical":

@@ -311,12 +311,15 @@ def closed_binomial(n: int) -> Callable:
 
 def compare_maps(map1: dict, map2: dict) -> float:
     """Worst relative gap between two coefficient maps; entries below
-    STRUCTURAL_ZERO of the row maximum count as structural zeros."""
+    STRUCTURAL_ZERO of the row maximum count as structural zeros.  NaN
+    when any coefficient is inf or NaN, which the row maximum would hide."""
     keys = set(map1) | set(map2)
     if not keys:
         return 0.0
-    row = max([abs(v) for v in map1.values()] + [abs(v) for v in map2.values()],
-              default=0.0)
+    mags = [abs(v) for v in (*map1.values(), *map2.values())]
+    if not all(mag < math.inf for mag in mags):
+        return math.nan
+    row = max(mags)
     if row == 0:
         return 0.0
     gaps = []

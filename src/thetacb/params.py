@@ -89,8 +89,8 @@ class ParamPoint:
     def basic(self) -> "ParamPoint":
         """The point at p = 0, the basic specialisation whose store the
         basic families read: made on first use and kept with the point, so
-        the checks of one point share its p = 0 entries; :meth:`swap_ab`
-        hands it to the mirror.  A point at p = 0 is its own."""
+        the checks of one point and their mirror terms (``SWAPPED``) share
+        its p = 0 entries.  A point at p = 0 is its own."""
         if self.p == 0:
             return self
         basic = self.__dict__.get("_basic")
@@ -102,9 +102,10 @@ class ParamPoint:
     def role_ladders(self) -> tuple:
         """The ladders of the roles, in role order: the bases a/b, b/a, bc,
         ac, ab, cx, c/x, q, c/b, ax, a/x, bx, b/x and c/a of the point's
-        theta store, kept with the store they were read from.  A row reads
-        the roles of the point with a and b exchanged off this tuple too,
-        role r as ``SWAPPED[r]`` (``weights.h_row``'s ``swap``).
+        theta store, kept with the store they were read from.  The roles of
+        the point with a and b exchanged are this tuple too, role r read as
+        ``SWAPPED[r]``: a row reads them so (``weights.h_row``'s ``swap``),
+        and so does a mirror term (``identities.cb_term_elliptic``'s).
 
         With the tuple the point keeps its table of weight values
         (:meth:`weight_values`), so a new store, at another precision,
@@ -116,8 +117,8 @@ class ParamPoint:
         (``weights.h_row``) -> the value ``weights.elliptic_weight`` read
         for it off :meth:`role_ladders`, kept with that tuple.  It belongs
         to the point and to its current store: a point made by
-        :meth:`replace` or :meth:`swap_ab` starts an empty one, as does a
-        read at another precision, and it is freed with the point."""
+        :meth:`replace` starts an empty one, as does a read at another
+        precision, and it is freed with the point."""
         return self._held_roles()[2]
 
     def _held_roles(self) -> tuple:
@@ -131,23 +132,6 @@ class ParamPoint:
                 c / b, a * x, a / x, b * x, b / x, c / a)), {})
             object.__setattr__(self, "_roles", held)
         return held
-
-    def swap_ab(self) -> "ParamPoint":
-        """The point with the roles of a and b exchanged.  It shares this
-        point's store (:meth:`replace`), the role ladders this point holds,
-        permuted by ``SWAPPED`` into its own, with an empty table of weight
-        values (a row reads other bases at the mirror), and its p = 0 point
-        (:attr:`basic`) swapped, which shares that point's store, whichever
-        of the two points reads first."""
-        out = self.replace(a=self.b, b=self.a)
-        held = self.__dict__.get("_roles")
-        if held is not None:
-            # role_ladders checks the store before it reads them
-            object.__setattr__(out, "_roles",
-                               (held[0], tuple(held[1][r] for r in SWAPPED), {}))
-        if self.p != 0:
-            object.__setattr__(out, "_basic", self.basic.swap_ab())
-        return out
 
     def replace(self, **changes) -> "ParamPoint":
         """The point with some scalars (or its guard) changed.  It shares

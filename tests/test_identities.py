@@ -4,6 +4,7 @@ variant and homogeneous forms, and the limit arrows."""
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from random import Random
 
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ring_complex, unit_complex
+from conftest import fresh_copy, ring_complex, unit_complex
+from thetacb import identities
 from thetacb.errors import DegenerateParameterError, UnknownIdentityError
 from thetacb.identities import (
     ARROWS,
@@ -29,7 +31,7 @@ from thetacb.identities import (
 )
 from thetacb.lattice import master_equality_total
 from thetacb.params import IdentitySize, ParamPoint
-from thetacb.sampling import sample_param_point
+from thetacb.sampling import sample_param_point, to_mp
 from thetacb.special import relative_residual
 
 
@@ -111,8 +113,36 @@ class TestMirrorSymmetry:
             pp = sample_param_point(rng, IdentitySize(max(m, n), max(m, n)))
             for family in ("elliptic", "abcq", "abq2", "abq1"):
                 r1 = cb_residual(family, pp, m, n)
-                r2 = cb_residual(family, pp.swap_ab(), n, m)
+                r2 = cb_residual(family, pp.replace(a=pp.b, b=pp.a), n, m)
                 assert abs(r1 - r2) < 1e-12, family
+
+    @pytest.mark.parametrize("family", ["elliptic", "abcq", "abq2", "abq1"])
+    def test_the_mirror_term_is_the_term_at_the_exchanged_point(self, family):
+        # read through SWAPPED off the point's own roles, the mirror is the
+        # term at the point built with a and b exchanged, whose roles are
+        # formed from its own scalars on its own store, to the last bit
+        term = getattr(identities, f"cb_term_{family}")
+        rng = Random(207)
+        points = [(sample_param_point(rng, IdentitySize(3, 3)), 15) for _ in range(20)]
+        points += [(to_mp(sample_param_point(rng, IdentitySize(3, 3))), 40) for _ in range(3)]
+        for pp, digits in points:
+            with mpmath.workdps(digits):
+                mirror = fresh_copy(pp.replace(a=pp.b, b=pp.a))
+                for m in range(4):
+                    for n in range(4):
+                        assert repr(term(pp, n, m, swap=True)) == repr(term(mirror, n, m))
+
+    @pytest.mark.parametrize("family", ["elliptic", "abcq", "abq2", "abq1"])
+    def test_the_residual_copies_no_point(self, family, monkeypatch):
+        # both terms read the point, or its p = 0 point once it exists
+        pp = sample_param_point(Random(208), IdentitySize(3, 3))
+        pp.basic
+        copies = []
+        inner = dataclasses.replace
+        monkeypatch.setattr(dataclasses, "replace",
+                            lambda *args, **kw: copies.append(kw) or inner(*args, **kw))
+        assert cb_residual(family, pp, 3, 2) <= 1e-10
+        assert copies == []
 
     def test_plain_families_are_tiny_after_swap(self):
         rng = Random(206)

@@ -95,7 +95,7 @@ class TestEllipticBinomials:
         # independent oracle: enumerate paths to (k, n-k), east steps at
         # (i, j) weighing H(i, j), north steps H~(j, i)
         pp = generic_point
-        swapped = pp.swap_ab()
+        swapped = pp.replace(a=pp.b, b=pp.a)
         worst = 0.0
         for n in range(6):
             for k in range(n + 1):
@@ -248,8 +248,9 @@ class TestBinomialTheorems:
         assert Evaluator(AlgebraTag.ELLIPTIC_AB, generic_point).power(0) == [((0, 0), 1)]
 
     def test_first_power_of_weighted_base(self, generic_point):
-        values = dict(Evaluator(AlgebraTag.ELLIPTIC_XABC, generic_point).power(1))
-        want = elliptic_weight(generic_point.swap_ab(), 0, 0)
+        pp = generic_point
+        values = dict(Evaluator(AlgebraTag.ELLIPTIC_XABC, pp).power(1))
+        want = elliptic_weight(pp.replace(a=pp.b, b=pp.a), 0, 0)
         assert values[(1, 0)] == 1
         assert relative_residual(values[(0, 1)], want) == 0
 
@@ -381,6 +382,16 @@ class TestNanReachesTheResidual:
         left = {(0, 0): 1.0, (1, 0): 2.0, (0, 1): 1.0}
         right = {(0, 0): 1.001, (1, 0): math.nan, (0, 1): 1.0}
         assert math.isnan(compare_maps(left, right))
+
+    @pytest.mark.parametrize("left, right", [
+        # an inf made the row maximum inf, and so hid the gap at (0, 0)
+        ({(0, 0): 1.0, (1, 0): 2.0}, {(0, 0): 3.0, (1, 0): math.inf}),
+        # max(0, nan) is 0, so every entry read as a structural zero
+        ({(0, 0): 1.0, (1, 0): 0.0}, {(0, 0): 1.0, (1, 0): math.nan}),
+    ])
+    def test_compare_maps_reads_any_non_finite_coefficient_as_nan(self, left, right):
+        assert math.isnan(compare_maps(left, right))
+        assert math.isnan(compare_maps(right, left))
 
     def test_q_commuting_swap_fold(self, monkeypatch, generic_point):
         monkeypatch.setattr(noncomm, "compare_maps", nan_on_second_call(noncomm.compare_maps))
@@ -562,7 +573,7 @@ class TestVeryWellPoisedSum:
         from thetacb.special import theta
 
         x, a, b, c, q, p = pp.x, pp.a, pp.b, pp.c, pp.q, pp.p
-        swapped = pp.swap_ab()
+        swapped = pp.replace(a=pp.b, b=pp.a)
 
         conv = {}
         for j in range(max(0, k - m), min(k, n) + 1):

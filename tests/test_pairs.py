@@ -28,10 +28,11 @@ def test_wins_follow_each_metrics_direction():
                (_line(2030, 0.40), _line(2010, 0.36)),
                (_line(1990, 0.42), _line(2100, 0.43))]
     assert pairs.summary(results, _SPECS) == [
-        "trials_per_s     won 2 of 3  median 2000 -> 2100 trials/s",
-        "trial_p50_ms     won 2 of 3  median 0.41 -> 0.37 ms",
+        "trials_per_s     won 2 of 3  median 2000 -> 2100 trials/s"
+        "  quartiles 1990..2030 -> 2010..2150",
+        "trial_p50_ms     won 2 of 3  median 0.41 -> 0.37 ms  quartiles 0.4..0.42 -> 0.36..0.43",
         # a tie wins nothing
-        "pass_share       won 0 of 3  median 1 -> 1 ratio"]
+        "pass_share       won 0 of 3  median 1 -> 1 ratio  quartiles 1..1 -> 1..1"]
 
 
 def test_a_median_worse_than_its_bound_is_marked():
@@ -40,12 +41,29 @@ def test_a_median_worse_than_its_bound_is_marked():
     results = [(_line(2000, 0.40, 0.98), _line(1600, 0.52, 1.0)),
                (_line(2000, 0.40, 0.98), _line(1600, 0.52, 1.0))]
     assert pairs.summary(results, _SPECS) == [
-        "trials_per_s     won 0 of 2  median 2000 -> 1600 trials/s",
-        "trial_p50_ms     won 0 of 2  median 0.4 -> 0.52 ms  over bound",
-        "pass_share       won 2 of 2  median 0.98 -> 1 ratio"]
+        "trials_per_s     won 0 of 2  median 2000 -> 1600 trials/s"
+        "  quartiles 2000..2000 -> 1600..1600",
+        "trial_p50_ms     won 0 of 2  median 0.4 -> 0.52 ms  quartiles 0.4..0.4 -> 0.52..0.52"
+        "  over bound",
+        "pass_share       won 2 of 2  median 0.98 -> 1 ratio  quartiles 0.98..0.98 -> 1..1"]
     # a lower pass_share by more than its 3 % bound is over it too
     assert pairs.summary([(_line(2000, 0.40), _line(2000, 0.40, 0.96))], _SPECS)[2] == \
-        "pass_share       won 0 of 1  median 1 -> 0.96 ratio  over bound"
+        "pass_share       won 0 of 1  median 1 -> 0.96 ratio  quartiles 1..1 -> 0.96..0.96" \
+        "  over bound"
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    # the parent's trial_p50_ms quartiles, 0.325 and 0.575, lie 0.25 apart,
+    # more than the bound, 25 % of its median 0.45
+    parents = [_line(2000, p50) for p50 in (0.30, 0.40, 0.50, 0.60)]
+    within = pairs.summary([(p, _line(2000, 0.41)) for p in parents], _SPECS)
+    assert within[1] == "trial_p50_ms     won 2 of 4  median 0.45 -> 0.41 ms" \
+        "  quartiles 0.325..0.575 -> 0.41..0.41  unresolved"
+    assert not any("unresolved" in line for line in within[::2])
+    # unless every change run beats every parent run
+    apart = pairs.summary([(p, _line(2000, 0.29)) for p in parents], _SPECS)
+    assert apart[1] == "trial_p50_ms     won 4 of 4  median 0.45 -> 0.29 ms" \
+        "  quartiles 0.325..0.575 -> 0.29..0.29"
 
 
 def test_a_metric_missing_from_a_side_is_left_out():

@@ -17,7 +17,7 @@ from thetacb.cli import REGISTRY, CampaignConfig, run_campaign
 from thetacb.identities import cb_residual, cb_term_abcq, cb_term_elliptic
 from thetacb.lattice import master_equality_residual
 from thetacb.noncomm import AlgebraTag, binomial_theorem_residual, pascal_residual
-from thetacb.params import IdentitySize, ParamPoint
+from thetacb.params import SWAPPED, IdentitySize, ParamPoint
 import thetacb.sampling as sampling
 from thetacb.errors import ResamplingExhaustedError
 from thetacb.sampling import (DEFAULT_GUARD, P_HI, P_LO, _draw, check_genericity,
@@ -38,7 +38,6 @@ def test_store_is_not_part_of_the_point(generic_point):
 def test_derived_points_share_the_store_only_at_the_same_q_and_p(generic_point):
     pp = generic_point
     store = pp.thetas
-    assert pp.swap_ab().thetas is store
     assert pp.replace(a=pp.a * pp.q, c=pp.c * pp.q**2).thetas is store
     assert pp.replace(x=2 * pp.x).thetas is store
     assert pp.replace(p=0j).thetas is not store
@@ -47,21 +46,20 @@ def test_derived_points_share_the_store_only_at_the_same_q_and_p(generic_point):
 
 @pytest.mark.parametrize("digits", [0, 40])
 def test_derived_points_share_the_store_whichever_reads_first(digits):
-    # made before any read of the parent's store, the mirror of the p = 0
-    # point and a point at another x hold that store, by reference, and
-    # the mirror's first reads land in it
+    # made before any read of the parent's store, a point at another x,
+    # of the p = 0 point and of the point, holds that store, by reference,
+    # and its first reads land in it
     with mpmath.workdps(digits or 15):
         pp = sample_param_point(Random(48), IdentitySize(2, 2))
         pp = to_mp(pp) if digits else fresh_copy(pp)
         basic = pp.basic
-        mirror = basic.swap_ab()
+        derived = basic.replace(x=2 * basic.x)
         other = pp.replace(x=2 * pp.x)
-        assert mirror.thetas is basic.thetas and other.thetas is pp.thetas
-        assert pp.swap_ab().basic.thetas is basic.thetas
+        assert derived.thetas is basic.thetas and other.thetas is pp.thetas
         assert len(pp.thetas) == len(basic.thetas) == 0
-        got = cb_residual("abq1", mirror, 2, 2)
-        assert len(basic.thetas) > 0 and _store(basic) == _store(mirror)
-        assert got == cb_residual("abq1", fresh_copy(mirror), 2, 2)
+        got = cb_residual("abq1", derived, 2, 2)
+        assert len(basic.thetas) > 0 and _store(basic) == _store(derived)
+        assert got == cb_residual("abq1", fresh_copy(derived), 2, 2)
 
 
 @pytest.mark.parametrize("check", [
@@ -88,7 +86,7 @@ def test_check_reuses_the_thetas_of_the_genericity_scan(monkeypatch, check):
 def test_mirror_term_reads_the_thetas_of_the_first(monkeypatch):
     pp = fresh_copy(sample_param_point(Random(42), IdentitySize(3, 3)))
     first = count_theta_calls(monkeypatch, lambda: cb_term_elliptic(pp, 3, 3))
-    mirror = count_theta_calls(monkeypatch, lambda: cb_term_elliptic(pp.swap_ab(), 3, 3))
+    mirror = count_theta_calls(monkeypatch, lambda: cb_term_elliptic(pp, 3, 3, swap=True))
     assert 0 < mirror < first
 
 
@@ -101,8 +99,6 @@ def test_a_point_keeps_one_p_zero_point_and_hands_it_to_the_mirror(digits):
         assert basic == pp.replace(p=0j) and basic.guard == pp.guard
         assert pp.basic is basic and basic.basic is basic
         store = basic.thetas
-        mirror = pp.swap_ab()
-        assert mirror.basic == basic.swap_ab() and mirror.basic.thetas is store
         for family in ("abq1", "abq2", "abcq"):
             got = cb_residual(family, pp, 2, 2)
             assert got == cb_residual(family, fresh_copy(pp), 2, 2) <= CampaignConfig().tol
@@ -144,9 +140,9 @@ def test_the_elliptic_term_reads_the_ladders_of_the_roles():
 def test_the_swapped_roles_are_the_ladders_the_swapped_bases_look_up(digits):
     # a row of h read with swap over the point's one role tuple names the
     # ladders and indices, entry for entry, that its unswapped row at the
-    # exchanged shift names over the mirror's roles; the mirror's roles
-    # (swap_ab hands them on, permuted) are the swapped bases, formed as
-    # role_ladders forms them, which find exactly these ladders in the store
+    # exchanged shift names over the mirror's roles; the mirror, built with
+    # a and b exchanged, forms its roles from its own scalars, and they find
+    # exactly the point's ladders, permuted by SWAPPED, in the shared store
     grid = [(i, j, shift) for i in range(3) for j in range(3)
             for shift in (ZERO_SHIFT, (1, 0, 1), (2, -1, 3))]
     with mpmath.workdps(digits or 15):
@@ -154,17 +150,14 @@ def test_the_swapped_roles_are_the_ladders_the_swapped_bases_look_up(digits):
             pp = sample_param_point(Random(46 + seed), IdentitySize(2, 2))
             pp = to_mp(pp) if digits else fresh_copy(pp)
             roles = pp.role_ladders()
-            mirror = pp.swap_ab()
-            x, a, b, c, q = mirror.x, mirror.a, mirror.b, mirror.c, mirror.q
-            built = [pp.thetas[z] for z in (a / b, b / a, b * c, a * c, a * b, c * x, c / x, q,
-                                            c / b, a * x, a / x, b * x, b / x, c / a)]
+            mirrored = pp.replace(a=pp.b, b=pp.a).role_ladders()
             assert len(pp.thetas) == 14
-            assert all(s is t for s, t in zip(mirror.role_ladders(), built, strict=True))
+            assert all(mirrored[r] is roles[s] for r, s in enumerate(SWAPPED))
             for i, j, (al, be, ga) in grid:
                 got = h_row(i, j, (al, be, ga), True)
                 want = h_row(i, j, (be, al, ga))
-                assert _entries(roles, got.num) == _entries(mirror.role_ladders(), want.num)
-                assert _entries(roles, got.den) == _entries(mirror.role_ladders(), want.den)
+                assert _entries(roles, got.num) == _entries(mirrored, want.num)
+                assert _entries(roles, got.den) == _entries(mirrored, want.den)
 
 
 def _entries(ladders, ids):

@@ -207,7 +207,6 @@ def test_the_table_follows_the_store(generic_point):
         assert other.weight_values() == {}
         assert elliptic_weight(other, 1, 1) == elliptic_weight(fresh_copy(other), 1, 1) != h40
         assert list(pp.weight_values().values()) == [h40]
-        assert pp.swap_ab().weight_values() == {}
 
 
 def test_a_weight_within_the_guard_is_never_kept(generic_point):
@@ -271,4 +270,3 @@ def test_param_point_validation():
         ParamPoint(1, 1, 1, 1, 0.5, 1.2)
     pp = ParamPoint(1 + 0j, 2, 3, 4, 0.5, 0)
     assert pp.p == 0
-    assert pp.swap_ab().a == 3
